@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -53,6 +54,64 @@ func TestHitPathZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// The memory guard next to TestHitPathZeroAllocs: a pool's cost follows
+// the pages bound to it, not its configured capacity. The served stacks
+// run 131072 frames of 1 KiB over a database of a few thousand pages;
+// the unbound frames must cost their headers only, and binding pages
+// must cost those pages only — across shards, stealing included.
+func TestPoolLazyFrames(t *testing.T) {
+	const frames, pageSize, shards = 131072, 1024, 8
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := heap()
+	p, err := New(Config{Frames: frames, PageSize: pageSize, Shards: shards, DirtyThreshold: 2.0}, newFakeStore(pageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := heap() - base
+	t.Logf("empty pool of %d x %d B frames retains %.1f MB", frames, pageSize, float64(empty)/(1<<20))
+	if empty > 32<<20 {
+		t.Fatalf("empty pool retains %d MB, want < 32 (eager pool: %d MB)", empty>>20, frames*pageSize>>20)
+	}
+
+	// Bind 4096 pages: each costs its frame buffer, nothing else grows.
+	const bound = 4096
+	for id := core.PageID(1); id <= bound; id++ {
+		fr, err := p.GetNew(nil, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fr.Data) != pageSize {
+			t.Fatalf("page %d: bound frame has %d bytes of Data", id, len(fr.Data))
+		}
+		fr.Data[0] = byte(id)
+		if err := p.Unpin(nil, fr, false, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := heap() - base - empty
+	if max := uint64(bound * pageSize * 5 / 4); grown > max {
+		t.Errorf("binding %d pages grew the pool by %d KB, want <= %d KB", bound, grown>>10, max>>10)
+	}
+	// A re-bound frame keeps its buffer, and GetNew hands it out zeroed.
+	if err := p.Drop(1); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := p.GetNew(nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Data[0] != 0 {
+		t.Error("GetNew returned a dirty buffer")
+	}
+	p.Unpin(nil, fr, false, 0)
+	runtime.KeepAlive(p)
 }
 
 // BenchmarkBufferGet measures the pool hit path (Get of a resident page

@@ -65,8 +65,12 @@ type Store interface {
 
 // Frame is one buffer slot.
 type Frame struct {
-	ID   core.PageID
-	Data []byte // current logical image
+	ID core.PageID
+	// Data is the current logical image. It is allocated when the frame
+	// is first bound to a page (Get miss / GetNew) and then kept for the
+	// frame's life, so pool memory follows the working set rather than
+	// the configured capacity; a never-bound frame has Data == nil.
+	Data []byte
 	// Flushed is the logical image as of the last flush (nil for a page
 	// that has never been written to storage). Diffing Data against
 	// Flushed yields the exact <value,offset> pairs of the delta-record.
@@ -283,7 +287,9 @@ type Pool struct {
 	verEpoch atomic.Uint64
 }
 
-// New creates a pool with cfg.Frames empty frames.
+// New creates a pool with cfg.Frames empty frames. A frame's page buffer
+// is allocated on first binding (see Frame.Data), so an oversized pool
+// costs only its frame headers until pages are actually resident.
 func New(cfg Config, store Store) (*Pool, error) {
 	if cfg.Frames < 1 {
 		return nil, fmt.Errorf("buffer: %d frames", cfg.Frames)
@@ -312,7 +318,7 @@ func New(cfg Config, store Store) (*Pool, error) {
 		s.frames = make([]*Frame, count)
 		s.table = make(map[core.PageID]*Frame, count)
 		for j := range s.frames {
-			fr := &Frame{Data: make([]byte, cfg.PageSize)}
+			fr := &Frame{}
 			fr.home.Store(s)
 			s.frames[j] = fr
 		}
@@ -426,6 +432,10 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 		s.table[id] = fr
 		s.mu.Unlock()
 
+		if fr.Data == nil {
+			// First binding; the loading pin keeps the frame ours.
+			fr.Data = make([]byte, p.cfg.PageSize)
+		}
 		used, err := p.store.Fetch(w, id, fr.Data)
 
 		s.mu.Lock()
@@ -481,7 +491,11 @@ func (p *Pool) GetNew(w *sim.Worker, id core.PageID) (*Frame, error) {
 	fr.Flushed = nil
 	fr.UsedSlots = 0
 	fr.RecLSN = 0
-	clear(fr.Data)
+	if fr.Data == nil {
+		fr.Data = make([]byte, p.cfg.PageSize)
+	} else {
+		clear(fr.Data)
+	}
 	s.table[id] = fr
 	return fr, nil
 }

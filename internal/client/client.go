@@ -218,41 +218,78 @@ func (c *Conn) flush() {
 	c.wmu.Unlock()
 }
 
+// waitTimers recycles the deadline timers of Wait: a caller that waits
+// all day (a closed-loop terminal, the replication shipper) arms the
+// same few timers over and over instead of allocating one per request.
+// Pooled timers are stopped and drained.
+var waitTimers sync.Pool
+
+func armTimer(d time.Duration) *time.Timer {
+	if t, _ := waitTimers.Get().(*time.Timer); t != nil {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+func releaseTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	waitTimers.Put(t)
+}
+
 // Wait blocks for the response, the request timeout, or connection
 // loss. On an error status it returns a *wire.StatusError that unwraps
-// to the matching sentinel.
+// to the matching sentinel. A response that has already arrived — the
+// usual case for all but the first Wait of a pipelined burst — is taken
+// without arming a timer.
 func (p *Pending) Wait() (wire.Frame, error) {
 	p.c.flush()
-	timer := time.NewTimer(p.c.opts.RequestTimeout)
-	defer timer.Stop()
 	select {
 	case f, ok := <-p.ch:
-		if !ok {
-			p.c.pmu.Lock()
-			err := p.c.readErr
-			p.c.pmu.Unlock()
-			if err == nil {
-				err = errors.New("client: connection closed")
-			}
-			return wire.Frame{}, err
-		}
-		if f.Kind == wire.StatusRedirect {
-			// A follower declining a leader-only op; the payload names
-			// the leader ("" mid-election). The cluster Pool consumes
-			// this to re-resolve before callers ever see it.
-			return f, &wire.RedirectError{Leader: wire.NewReader(f.Payload).String()}
-		}
-		if f.Kind != wire.StatusOK {
-			msg := wire.NewReader(f.Payload).Blob()
-			return f, &wire.StatusError{Code: f.Kind, Message: string(msg)}
-		}
-		return f, nil
+		return p.resolve(f, ok)
+	default:
+	}
+	timer := armTimer(p.c.opts.RequestTimeout)
+	defer releaseTimer(timer)
+	select {
+	case f, ok := <-p.ch:
+		return p.resolve(f, ok)
 	case <-timer.C:
 		p.c.pmu.Lock()
 		delete(p.c.pending, p.id)
 		p.c.pmu.Unlock()
 		return wire.Frame{}, ErrTimeout
 	}
+}
+
+// resolve maps a received response (or the closed channel of a lost
+// connection) to Wait's result.
+func (p *Pending) resolve(f wire.Frame, ok bool) (wire.Frame, error) {
+	if !ok {
+		p.c.pmu.Lock()
+		err := p.c.readErr
+		p.c.pmu.Unlock()
+		if err == nil {
+			err = errors.New("client: connection closed")
+		}
+		return wire.Frame{}, err
+	}
+	if f.Kind == wire.StatusRedirect {
+		// A follower declining a leader-only op; the payload names
+		// the leader ("" mid-election). The cluster Pool consumes
+		// this to re-resolve before callers ever see it.
+		return f, &wire.RedirectError{Leader: wire.NewReader(f.Payload).String()}
+	}
+	if f.Kind != wire.StatusOK {
+		msg := wire.NewReader(f.Payload).Blob()
+		return f, &wire.StatusError{Code: f.Kind, Message: string(msg)}
+	}
+	return f, nil
 }
 
 // do sends one request synchronously, retrying transient (StatusBusy)

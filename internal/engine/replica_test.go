@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ipa/internal/core"
+	"ipa/internal/wal"
 )
 
 // newReplRig opens a small two-region DB with replication and MVCC on,
@@ -22,7 +23,8 @@ func newReplRig(t *testing.T) *DB {
 func shipAll(t *testing.T, src *DB, a *Applier) {
 	t.Helper()
 	for a.AppliedLSN() < src.WAL().Head() {
-		recs, err := src.WAL().ReadFrom(a.AppliedLSN()+1, 64, 1<<20)
+		var recs []wal.Record
+		_, err := src.WAL().ReadFrom(a.AppliedLSN()+1, 64, 1<<20, func(r wal.Record) { recs = append(recs, r) })
 		if err != nil {
 			t.Fatalf("ReadFrom: %v", err)
 		}

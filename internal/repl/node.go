@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"ipa/internal/client"
 	"ipa/internal/core"
 	"ipa/internal/engine"
+	"ipa/internal/metrics"
 	"ipa/internal/sim"
 	"ipa/internal/wal"
 	"ipa/internal/wire"
@@ -130,10 +130,10 @@ type Node struct {
 	// the engine.
 	applyMu sync.Mutex
 	applier *engine.Applier
-	w       *sim.Worker // snapshot-install worker, guarded by applyMu
+	w       *sim.Worker  // snapshot-install worker, guarded by applyMu
+	recBuf  []wal.Record // handleAppend's decoded batch, guarded by applyMu
 
 	mu          sync.Mutex
-	cond        *sync.Cond // broadcast on commit advance / step-down
 	role        Role
 	term        uint64
 	votedFor    map[uint64]uint64 // term → candidate granted our vote
@@ -141,12 +141,20 @@ type Node struct {
 	seenLeader  bool              // gates elections until first contact
 	lastContact time.Time
 	epochs      []epoch
-	commit      core.LSN           // quorum-replicated horizon (leader)
 	knownCommit core.LSN           // highest commit horizon seen from any leader
 	voteBar     core.LSN           // while head < voteBar: abstain from elections
 	acks        map[uint64]peerAck // leader: per-follower progress
+	quorumBuf   []core.LSN         // recomputeCommitLocked scratch
+	shippers    []*shipper         // this leadership's shippers (doorbells)
 	shipStop    chan struct{}      // per-leadership shipper kill switch
+	waiters     []*commitWaiter    // WaitCommitted calls parked on the slow path
 	stopped     bool
+
+	// commit is the quorum-replicated horizon (leader). Written under
+	// mu; shippers and stats read it lock-free.
+	commit atomic.Uint64
+
+	waiterPool sync.Pool // *commitWaiter
 
 	shipWG sync.WaitGroup
 	stop   chan struct{}
@@ -157,6 +165,9 @@ type Node struct {
 	recordsShipped atomic.Uint64
 	snapsSent      atomic.Uint64
 	snapsRecv      atomic.Uint64
+	shipWakeups    atomic.Uint64 // a parked shipper woke (doorbell or heartbeat timer)
+	heartbeatsSent atomic.Uint64
+	quorumWait     metrics.Latency // successful WaitCommitted calls
 }
 
 // NewNode wires a node over an already-open replicated engine and
@@ -176,7 +187,6 @@ func NewNode(cfg Config) (*Node, error) {
 		stop:     make(chan struct{}),
 		w:        cfg.TL.NewWorker(),
 	}
-	n.cond = sync.NewCond(&n.mu)
 	applier, err := cfg.DB.NewApplier(cfg.TL.NewWorker())
 	if err != nil {
 		return nil, err
@@ -192,9 +202,8 @@ func NewNode(cfg Config) (*Node, error) {
 		n.becomeLeaderLocked(1)
 		n.mu.Unlock()
 	}
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.electionLoop()
-	go n.commitTicker()
 	return n, nil
 }
 
@@ -208,8 +217,8 @@ func (n *Node) Stop() {
 	}
 	n.stopped = true
 	n.stopShippersLocked()
+	n.failWaitersLocked()
 	close(n.stop)
-	n.cond.Broadcast()
 	n.mu.Unlock()
 	n.wg.Wait()
 	n.shipWG.Wait()
@@ -239,11 +248,13 @@ func (n *Node) LeaderAddr() string {
 	return n.cfg.Peers[n.leaderID]
 }
 
-// leading reports whether this node is still leader of the given term.
-func (n *Node) leading(term uint64) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.role == RoleLeader && n.term == term
+// commitWaiter is one WaitCommitted call parked until the commit
+// horizon reaches its LSN. Waiters are pooled with their channel and
+// timer, so a commit allocates neither.
+type commitWaiter struct {
+	lsn   core.LSN
+	done  chan error // buffered: the waker never blocks
+	timer *time.Timer
 }
 
 // WaitCommitted blocks until the given LSN is replicated on a quorum,
@@ -252,53 +263,94 @@ func (n *Node) leading(term uint64) bool {
 // quorum and the up-to-date vote rule picks a member that has it.
 // Returns ErrNotLeader if leadership is lost first — the commit may or
 // may not survive, and the client-visible error says so.
+//
+// The caller's records are published in the log by now, so this is
+// where the shippers' doorbells are rung: a caught-up shipper is parked
+// and ships the moment it is woken, and the commit costs one follower
+// round trip. The ack that moves the horizon past lsn wakes exactly
+// this waiter.
 func (n *Node) WaitCommitted(lsn core.LSN) error {
 	if len(n.cfg.Peers) <= 1 {
 		return nil // single-node cluster: local durability is quorum
 	}
-	deadline := time.Now().Add(n.cfg.CommitWait)
+	start := time.Now()
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	for {
-		if n.role != RoleLeader {
-			return ErrNotLeader
-		}
-		n.recomputeCommitLocked()
-		if n.commit >= lsn {
-			return nil
-		}
-		if n.stopped {
-			return ErrNotLeader
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("repl: no quorum ack for lsn %d within %v", lsn, n.cfg.CommitWait)
-		}
-		n.cond.Wait()
+	if n.role != RoleLeader || n.stopped {
+		n.mu.Unlock()
+		return ErrNotLeader
 	}
+	for _, s := range n.shippers {
+		s.ring()
+	}
+	if core.LSN(n.commit.Load()) >= lsn {
+		n.mu.Unlock()
+		n.quorumWait.Add(time.Since(start))
+		return nil
+	}
+	w, _ := n.waiterPool.Get().(*commitWaiter)
+	if w == nil {
+		w = &commitWaiter{done: make(chan error, 1), timer: time.NewTimer(n.cfg.CommitWait)}
+	} else {
+		w.timer.Reset(n.cfg.CommitWait)
+	}
+	w.lsn = lsn
+	n.waiters = append(n.waiters, w)
+	n.mu.Unlock()
+
+	var err error
+	select {
+	case err = <-w.done:
+	case <-w.timer.C:
+		n.mu.Lock()
+		for i, x := range n.waiters {
+			if x == w {
+				n.waiters = append(n.waiters[:i], n.waiters[i+1:]...)
+				break
+			}
+		}
+		n.mu.Unlock()
+		// Off the list, nobody else holds w; a wake that raced the
+		// timer has already left its verdict.
+		select {
+		case err = <-w.done:
+		default:
+			err = fmt.Errorf("repl: no quorum ack for lsn %d within %v", lsn, n.cfg.CommitWait)
+		}
+	}
+	stopTimer(w.timer)
+	n.waiterPool.Put(w)
+	if err == nil {
+		n.quorumWait.Add(time.Since(start))
+	}
+	return err
 }
 
-// commitTicker periodically wakes WaitCommitted waiters so deadlines
-// fire even when no acks arrive.
-func (n *Node) commitTicker() {
-	defer n.wg.Done()
-	t := time.NewTicker(20 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-t.C:
-			n.cond.Broadcast()
+// wakeWaitersLocked releases the waiters the commit horizon has passed.
+func (n *Node) wakeWaitersLocked(commit core.LSN) {
+	kept := n.waiters[:0]
+	for _, w := range n.waiters {
+		if w.lsn <= commit {
+			w.done <- nil
+		} else {
+			kept = append(kept, w)
 		}
 	}
+	clear(n.waiters[len(kept):])
+	n.waiters = kept
+}
+
+// failWaitersLocked releases every waiter with ErrNotLeader: leadership
+// is gone (step-down or Stop), so no ack will ever arrive for them.
+func (n *Node) failWaitersLocked() {
+	for _, w := range n.waiters {
+		w.done <- ErrNotLeader
+	}
+	clear(n.waiters)
+	n.waiters = n.waiters[:0]
 }
 
 // CommitLSN returns the quorum-replicated horizon (leader view).
-func (n *Node) CommitLSN() core.LSN {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.commit
-}
+func (n *Node) CommitLSN() core.LSN { return core.LSN(n.commit.Load()) }
 
 // AppliedLSN returns the follower's replay horizon.
 func (n *Node) AppliedLSN() core.LSN { return n.applier.AppliedLSN() }
@@ -320,10 +372,10 @@ func (n *Node) observeTermLocked(term uint64) {
 	if n.role == RoleLeader {
 		n.logf("repl: node %d deposed by term %d", n.cfg.NodeID, term)
 		n.stopShippersLocked()
+		n.failWaitersLocked()
 	}
 	n.role = RoleFollower
 	n.leaderID = 0
-	n.cond.Broadcast()
 }
 
 // observeLeaderLocked processes contact from a node claiming to lead
@@ -362,42 +414,33 @@ func (n *Node) termAt(lsn core.LSN) uint64 {
 	return n.termAtLocked(lsn)
 }
 
-func (n *Node) epochsCopy() []epoch {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]epoch(nil), n.epochs...)
-}
-
-// appendPayload builds one REPL_APPEND frame with the current commit
-// horizon and epoch table.
-func (n *Node) appendPayload(term uint64, recs []wal.Record) []byte {
-	n.mu.Lock()
-	commit := n.commit
-	epochs := append([]epoch(nil), n.epochs...)
-	n.mu.Unlock()
-	return encodeAppend(term, n.cfg.NodeID, commit, epochs, recs)
-}
-
 // --- leader commit & ack tracking ------------------------------------
 
 // recomputeCommitLocked advances the quorum horizon: the highest LSN
-// held by a majority (leader head counts as one member). Monotone.
+// held by a majority (leader head counts as one member). Monotone. It
+// runs on every ack, so the members' positions are insertion-sorted,
+// descending, into a reused scratch slice.
 func (n *Node) recomputeCommitLocked() {
 	if n.role != RoleLeader {
 		return
 	}
-	lsns := make([]core.LSN, 0, len(n.cfg.Peers))
-	lsns = append(lsns, n.db.WAL().Head())
+	lsns := append(n.quorumBuf[:0], n.db.WAL().Head())
 	for id := range n.cfg.Peers {
 		if id == n.cfg.NodeID {
 			continue
 		}
-		lsns = append(lsns, n.acks[id].lsn)
+		v := n.acks[id].lsn
+		i := len(lsns)
+		lsns = append(lsns, v)
+		for ; i > 0 && lsns[i-1] < v; i-- {
+			lsns[i] = lsns[i-1]
+		}
+		lsns[i] = v
 	}
-	sort.Slice(lsns, func(i, j int) bool { return lsns[i] > lsns[j] })
-	if q := lsns[len(lsns)/2]; q > n.commit {
-		n.commit = q
-		n.cond.Broadcast()
+	n.quorumBuf = lsns
+	if q := lsns[len(lsns)/2]; uint64(q) > n.commit.Load() {
+		n.commit.Store(uint64(q))
+		n.wakeWaitersLocked(q)
 	}
 }
 
@@ -446,15 +489,23 @@ func (n *Node) becomeLeaderLocked(term uint64) {
 	n.seenLeader = true
 	n.lastContact = time.Now()
 	n.acks = make(map[uint64]peerAck)
-	n.commit = 0
+	n.commit.Store(0)
 	stop := make(chan struct{})
 	n.shipStop = stop
+	// The epoch table is frozen for the whole leadership (only a
+	// follower adopts tables), so the shippers share one copy.
+	epochs := append([]epoch(nil), n.epochs...)
 	for id, addr := range n.cfg.Peers {
 		if id == n.cfg.NodeID {
 			continue
 		}
+		s := &shipper{
+			n: n, term: term, peerID: id, addr: addr, epochs: epochs,
+			stop: stop, bell: make(chan struct{}, 1),
+		}
+		n.shippers = append(n.shippers, s)
 		n.shipWG.Add(1)
-		go n.runShipper(term, id, addr, stop)
+		go s.run()
 	}
 	n.recomputeCommitLocked()
 }
@@ -464,6 +515,7 @@ func (n *Node) stopShippersLocked() {
 		close(n.shipStop)
 		n.shipStop = nil
 	}
+	n.shippers = nil
 	n.db.WAL().SetRetainFloor(0)
 }
 
@@ -651,7 +703,9 @@ func (n *Node) ackNow(term uint64, needSnap bool) ack {
 }
 
 func (n *Node) handleAppend(payload []byte) (byte, []byte) {
-	term, leaderID, commit, epochs, recs, err := decodeAppend(payload)
+	r := wire.NewReader(payload)
+	var ebuf [4]epoch
+	term, leaderID, commit, epochs, count, err := decodeAppendHeader(r, ebuf[:0])
 	if err != nil {
 		return wire.StatusBadRequest, []byte(err.Error())
 	}
@@ -672,9 +726,22 @@ func (n *Node) handleAppend(payload []byte) (byte, []byte) {
 	n.mu.Unlock()
 
 	needSnap := false
-	if len(recs) > 0 {
+	if count > 0 {
+		// The batch is decoded into a buffer that applyMu guards, so a
+		// stream allocates it once, not per batch.
 		n.applyMu.Lock()
+		recs := n.recBuf[:0]
+		for ; count > 0; count-- {
+			rec, derr := decodeRecord(r)
+			if derr != nil {
+				n.applyMu.Unlock()
+				return wire.StatusBadRequest, []byte(derr.Error())
+			}
+			recs = append(recs, rec)
+		}
 		aerr := n.applier.Apply(recs)
+		clear(recs) // the records alias the frame; let it go
+		n.recBuf = recs
 		n.applyMu.Unlock()
 		if aerr != nil {
 			n.logf("repl: node %d apply failed at head %d: %v",
@@ -776,20 +843,27 @@ type PeerStats struct {
 
 // Stats is the node's replication snapshot for /stats.
 type Stats struct {
-	NodeID        uint64               `json:"node_id"`
-	Role          string               `json:"role"`
-	Term          uint64               `json:"term"`
-	LeaderID      uint64               `json:"leader_id"`
-	LeaderAddr    string               `json:"leader_addr"`
-	HeadLSN       uint64               `json:"head_lsn"`
-	CommitLSN     uint64               `json:"commit_lsn"`
-	AppliedLSN    uint64               `json:"applied_lsn"`
-	Elections     uint64               `json:"elections"`
-	BatchesSent   uint64               `json:"batches_sent"`
-	RecordsSent   uint64               `json:"records_sent"`
-	SnapshotsSent uint64               `json:"snapshots_sent"`
-	SnapshotsRecv uint64               `json:"snapshots_received"`
-	Peers         map[string]PeerStats `json:"peers,omitempty"`
+	NodeID        uint64 `json:"node_id"`
+	Role          string `json:"role"`
+	Term          uint64 `json:"term"`
+	LeaderID      uint64 `json:"leader_id"`
+	LeaderAddr    string `json:"leader_addr"`
+	HeadLSN       uint64 `json:"head_lsn"`
+	CommitLSN     uint64 `json:"commit_lsn"`
+	AppliedLSN    uint64 `json:"applied_lsn"`
+	Elections     uint64 `json:"elections"`
+	BatchesSent   uint64 `json:"batches_sent"`
+	RecordsSent   uint64 `json:"records_sent"`
+	SnapshotsSent uint64 `json:"snapshots_sent"`
+	SnapshotsRecv uint64 `json:"snapshots_received"`
+	// QuorumWait is the time successful WaitCommitted calls spent (the
+	// commit's quorum round trip). ShipWakeups counts parked shippers
+	// waking, by doorbell or heartbeat timer; on an idle leader it grows
+	// in step with HeartbeatsSent — there is no other timer.
+	QuorumWait     metrics.LatencySnapshot `json:"quorum_wait"`
+	ShipWakeups    uint64                  `json:"ship_wakeups"`
+	HeartbeatsSent uint64                  `json:"heartbeats_sent"`
+	Peers          map[string]PeerStats    `json:"peers,omitempty"`
 }
 
 // StatsDoc implements server.Replicator.
@@ -808,13 +882,17 @@ func (n *Node) Stats() Stats {
 		LeaderID:      n.leaderID,
 		LeaderAddr:    n.cfg.Peers[n.leaderID],
 		HeadLSN:       uint64(head),
-		CommitLSN:     uint64(n.commit),
+		CommitLSN:     n.commit.Load(),
 		AppliedLSN:    uint64(n.applier.AppliedLSN()),
 		Elections:     n.elections.Load(),
 		BatchesSent:   n.batchesShipped.Load(),
 		RecordsSent:   n.recordsShipped.Load(),
 		SnapshotsSent: n.snapsSent.Load(),
 		SnapshotsRecv: n.snapsRecv.Load(),
+
+		QuorumWait:     n.quorumWait.Snapshot(),
+		ShipWakeups:    n.shipWakeups.Load(),
+		HeartbeatsSent: n.heartbeatsSent.Load(),
 	}
 	if n.role == RoleLeader && len(n.acks) > 0 {
 		s.Peers = make(map[string]PeerStats, len(n.acks))

@@ -74,7 +74,7 @@ type ack struct {
 }
 
 func (a ack) encode() []byte {
-	b := wire.NewBuilder(32)
+	b := wire.NewBuilder(28)
 	b.Uint16(uint16(wire.OpReplAck)) // tag
 	b.Uint64(a.Term).Uint64(uint64(a.Head)).Uint64(a.AppendedBytes)
 	if a.NeedSnap {
@@ -154,59 +154,35 @@ func decodeVoteResp(p []byte) (voteResp, error) {
 
 // --- WAL record batches (REPL_APPEND) --------------------------------
 
-// encodeAppend packs a batch of WAL records (empty = heartbeat), along
-// with the leader's commit horizon and epoch table. The follower
-// adopts the epochs with the records: a record's term is the term of
-// the leadership that CREATED it, which only the epoch table knows — a
-// new leader re-ships old-term records, so tagging them with the
-// shipping term would make every failover look like divergence. The
-// commit horizon feeds the follower's vote bar: it must never help
-// elect a candidate whose log ends below an LSN it knows was
-// quorum-committed.
-func encodeAppend(term, leaderID uint64, commit core.LSN, epochs []epoch, recs []wal.Record) []byte {
-	size := 40 + 16*len(epochs)
-	for _, r := range recs {
-		size += r.Size() + 64
-	}
-	b := wire.NewBuilder(size)
+// encodeAppendHeader starts a REPL_APPEND payload: the leader's term,
+// id, commit horizon and epoch table. The record count (u32) and the
+// records follow (see shipper.encodeBatch; an empty batch is a
+// heartbeat). The follower adopts the epochs with the records: a
+// record's term is the term of the leadership that CREATED it, which
+// only the epoch table knows — a new leader re-ships old-term records,
+// so tagging them with the shipping term would make every failover look
+// like divergence. The commit horizon feeds the follower's vote bar: it
+// must never help elect a candidate whose log ends below an LSN it
+// knows was quorum-committed.
+func encodeAppendHeader(b *wire.Builder, term, leaderID uint64, commit core.LSN, epochs []epoch) {
 	b.Uint64(term).Uint64(leaderID).Uint64(uint64(commit))
 	b.Uint32(uint32(len(epochs)))
 	for _, e := range epochs {
 		b.Uint64(e.Term).Uint64(uint64(e.From))
 	}
-	b.Uint32(uint32(len(recs)))
-	for _, r := range recs {
-		encodeRecord(b, r)
-	}
-	return b.Bytes()
 }
 
-func decodeAppend(p []byte) (term, leaderID uint64, commit core.LSN, epochs []epoch, recs []wal.Record, err error) {
-	r := wire.NewReader(p)
+// decodeAppendHeader reads what encodeAppendHeader wrote plus the record
+// count, leaving r at the first record. The epochs are appended to buf.
+func decodeAppendHeader(r *wire.Reader, buf []epoch) (term, leaderID uint64, commit core.LSN, epochs []epoch, count int, err error) {
 	term, leaderID = r.Uint64(), r.Uint64()
 	commit = core.LSN(r.Uint64())
-	ne := int(r.Uint32())
-	if r.Err() == nil && ne > 0 {
-		epochs = make([]epoch, 0, ne)
-		for i := 0; i < ne; i++ {
-			epochs = append(epochs, epoch{Term: r.Uint64(), From: core.LSN(r.Uint64())})
-		}
+	epochs = buf
+	for ne := int(r.Uint32()); ne > 0 && r.Err() == nil; ne-- {
+		epochs = append(epochs, epoch{Term: r.Uint64(), From: core.LSN(r.Uint64())})
 	}
-	n := int(r.Uint32())
-	if err := r.Err(); err != nil {
-		return 0, 0, 0, nil, nil, err
-	}
-	if n > 0 {
-		recs = make([]wal.Record, 0, n)
-		for i := 0; i < n; i++ {
-			rec, derr := decodeRecord(r)
-			if derr != nil {
-				return 0, 0, 0, nil, nil, derr
-			}
-			recs = append(recs, rec)
-		}
-	}
-	return term, leaderID, commit, epochs, recs, r.Err()
+	count = int(r.Uint32())
+	return term, leaderID, commit, epochs, count, r.Err()
 }
 
 // encodeRecord serialises one wal.Record, including the checkpoint
@@ -234,6 +210,9 @@ func encodeRecord(b *wire.Builder, r wal.Record) {
 	}
 }
 
+// decodeRecord reads one record. After and Meta alias the payload — the
+// applier copies them into the log and the page and keeps neither — but
+// Before is copied: the version store retains it as the pending version.
 func decodeRecord(r *wire.Reader) (wal.Record, error) {
 	rec := wal.Record{
 		LSN:     core.LSN(r.Uint64()),
@@ -246,8 +225,8 @@ func decodeRecord(r *wire.Reader) (wal.Record, error) {
 	}
 	rec.UndoNext = core.LSN(r.Uint64())
 	rec.Before = r.Blob()
-	rec.After = r.Blob()
-	rec.Meta = r.Blob()
+	rec.After = r.BlobView()
+	rec.Meta = r.BlobView()
 	if n := int(r.Uint32()); n > 0 && r.Err() == nil {
 		rec.ActiveTxs = make(map[uint64]core.LSN, n)
 		for i := 0; i < n; i++ {

@@ -18,6 +18,16 @@ import (
 // kept in flight per follower so shipping overlaps the follower's
 // replay without letting a slow follower absorb unbounded leader
 // memory.
+//
+// A shipper that has shipped everything parks on its doorbell — one
+// buffered token — and on the heartbeat timer, the only timer it has.
+// The protocol has no lost wakeup: a committer publishes its records
+// first and rings second (WaitCommitted), the shipper reads the log
+// first and parks second. Either the read saw the records, or the ring
+// came after the read began and its token is in the channel when the
+// shipper parks (or was taken by an earlier park, whose following read
+// is later still). A ring that finds the token already there is dropped
+// safely for the same reason: that token's consumer has yet to read.
 
 // sleepOr sleeps for d, returning false early if stop closes.
 func sleepOr(stop chan struct{}, d time.Duration) bool {
@@ -29,6 +39,39 @@ func sleepOr(stop chan struct{}, d time.Duration) bool {
 	}
 }
 
+// stopTimer leaves t stopped with an empty channel, ready for Reset.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+}
+
+// shipper owns one follower for one leadership.
+type shipper struct {
+	n      *Node
+	term   uint64
+	peerID uint64
+	addr   string
+	epochs []epoch // the leadership's epoch table, frozen
+	stop   chan struct{}
+	bell   chan struct{} // doorbell: at most one pending token
+
+	enc    *wire.Builder // REPL_APPEND payload, reused across batches
+	window []inflightBatch
+}
+
+// ring wakes the shipper if it is parked, or makes its next park return
+// at once. Never blocks.
+func (s *shipper) ring() {
+	select {
+	case s.bell <- struct{}{}:
+	default:
+	}
+}
+
 func (n *Node) shipClientOpts() client.Options {
 	opts := n.cfg.Client
 	opts.DialTimeout = n.cfg.HeartbeatInterval * 4
@@ -37,32 +80,30 @@ func (n *Node) shipClientOpts() client.Options {
 	return opts
 }
 
-// runShipper owns one follower for one leadership: dial, stream,
-// re-dial on error, until deposed or stopped.
-func (n *Node) runShipper(term, peerID uint64, addr string, stop chan struct{}) {
+// run dials, streams and re-dials on error, until deposed or stopped.
+func (s *shipper) run() {
+	n := s.n
 	defer n.shipWG.Done()
 	w := n.cfg.TL.NewWorker()
+	s.enc = wire.NewBuilder(4 << 10)
 	for {
 		select {
-		case <-stop:
+		case <-s.stop:
 			return
 		default:
 		}
-		if !n.leading(term) {
-			return
-		}
-		c, err := client.Dial(addr, n.shipClientOpts())
+		c, err := client.Dial(s.addr, n.shipClientOpts())
 		if err != nil {
-			n.setConnected(peerID, false)
-			if !sleepOr(stop, n.cfg.HeartbeatInterval) {
+			n.setConnected(s.peerID, false)
+			if !sleepOr(s.stop, n.cfg.HeartbeatInterval) {
 				return
 			}
 			continue
 		}
-		n.shipTo(term, peerID, c, w, stop)
+		s.stream(c, w)
 		c.Close()
-		n.setConnected(peerID, false)
-		if !sleepOr(stop, n.cfg.HeartbeatInterval/2) {
+		n.setConnected(s.peerID, false)
+		if !sleepOr(s.stop, n.cfg.HeartbeatInterval/2) {
 			return
 		}
 	}
@@ -74,16 +115,49 @@ type inflightBatch struct {
 	count int
 }
 
-// shipTo runs one connection's stream. It returns on any error (the
-// outer loop re-dials), on step-down, or on stop.
-func (n *Node) shipTo(term, peerID uint64, c *client.Conn, w *sim.Worker, stop chan struct{}) {
+// beginBatch starts a REPL_APPEND payload in s.enc — header and a zero
+// record count, which as it stands is a heartbeat — and returns where
+// the count sits.
+func (s *shipper) beginBatch() (countAt int) {
+	b := s.enc.Reset()
+	encodeAppendHeader(b, s.term, s.n.cfg.NodeID, s.n.CommitLSN(), s.epochs)
+	countAt = b.Len()
+	b.Uint32(0)
+	return countAt
+}
+
+// encodeBatch packs the records from cursor on into s.enc, straight
+// from the log's slots, and returns how many it packed.
+func (s *shipper) encodeBatch(cursor core.LSN) (int, error) {
+	n := s.n
+	countAt := s.beginBatch()
+	count, err := n.db.WAL().ReadFrom(cursor, n.cfg.BatchRecords, n.cfg.BatchBytes,
+		func(r wal.Record) { encodeRecord(s.enc, r) })
+	s.enc.SetUint32(countAt, uint32(count))
+	return count, err
+}
+
+// drain waits out the batches still in flight; their acks are for a
+// cursor the stream has abandoned.
+func (s *shipper) drain() {
+	for _, b := range s.window {
+		b.p.Wait()
+	}
+	clear(s.window)
+	s.window = s.window[:0]
+}
+
+// stream runs one connection. It returns on any error (run re-dials),
+// on step-down, or on stop — the stop channel closes on both.
+func (s *shipper) stream(c *client.Conn, w *sim.Worker) {
+	n := s.n
 	log := n.db.WAL()
 
 	// Handshake: learn the follower's position and verify its log is a
 	// prefix of ours (same term at its head). A longer log or a term
 	// mismatch means a divergent suffix from a dead leadership — the
 	// whole point of the check — and is repaired by snapshot.
-	f, err := c.Do(wire.OpReplHello, helloReq{NodeID: n.cfg.NodeID, Term: term}.encode())
+	f, err := c.Do(wire.OpReplHello, helloReq{NodeID: n.cfg.NodeID, Term: s.term}.encode())
 	if err != nil {
 		return
 	}
@@ -91,44 +165,41 @@ func (n *Node) shipTo(term, peerID uint64, c *client.Conn, w *sim.Worker, stop c
 	if err != nil {
 		return
 	}
-	if h.Term > term {
+	if h.Term > s.term {
 		n.observeTerm(h.Term)
 		return
 	}
 	cursor := h.Head + 1
 	if h.Head > log.Head() || (h.Head > 0 && n.termAt(h.Head) != h.LastTerm) {
 		n.logf("repl: node %d diverges at %d (term %d vs ours %d), resyncing",
-			peerID, h.Head, h.LastTerm, n.termAt(h.Head))
-		if !n.sendSnapshot(term, peerID, c, w, &cursor) {
+			s.peerID, h.Head, h.LastTerm, n.termAt(h.Head))
+		if !s.sendSnapshot(c, w, &cursor) {
 			return
 		}
 	} else {
-		n.setAck(peerID, h.Head, h.AppendedBytes, true)
+		n.setAck(s.peerID, h.Head, h.AppendedBytes, true)
 	}
 
-	var window []inflightBatch
+	s.window = s.window[:0]
+	hb := time.NewTimer(n.cfg.HeartbeatInterval)
+	defer hb.Stop()
+	stopTimer(hb)
 	lastSend := time.Now()
 	for {
 		select {
-		case <-stop:
+		case <-s.stop:
 			return
 		default:
 		}
-		if !n.leading(term) {
-			return
-		}
 
 		// Fill the window from the published horizon.
-		for len(window) < n.cfg.MaxInflight {
-			recs, rerr := log.ReadFrom(cursor, n.cfg.BatchRecords, n.cfg.BatchBytes)
+		for len(s.window) < n.cfg.MaxInflight {
+			count, rerr := s.encodeBatch(cursor)
 			if errors.Is(rerr, wal.ErrTruncated) {
 				// The follower fell behind the truncated tail. Drain
 				// the window, then resync by snapshot.
-				for _, b := range window {
-					b.p.Wait()
-				}
-				window = window[:0]
-				if !n.sendSnapshot(term, peerID, c, w, &cursor) {
+				s.drain()
+				if !s.sendSnapshot(c, w, &cursor) {
 					return
 				}
 				continue
@@ -137,74 +208,82 @@ func (n *Node) shipTo(term, peerID uint64, c *client.Conn, w *sim.Worker, stop c
 				n.logf("repl: read from %d: %v", cursor, rerr)
 				return
 			}
-			if len(recs) == 0 {
+			if count == 0 {
 				break // caught up
 			}
-			payload := n.appendPayload(term, recs)
-			window = append(window, inflightBatch{
-				p:     c.DoAsync(wire.OpReplAppend, payload),
-				last:  recs[len(recs)-1].LSN,
-				count: len(recs),
+			cursor += core.LSN(count)
+			s.window = append(s.window, inflightBatch{
+				p:     c.DoAsync(wire.OpReplAppend, s.enc.Bytes()),
+				last:  cursor - 1,
+				count: count,
 			})
-			cursor = recs[len(recs)-1].LSN + 1
 			lastSend = time.Now()
 		}
 
-		if len(window) == 0 {
-			// Caught up: heartbeat on the interval to assert
-			// leadership and refresh the follower's election timer.
-			if time.Since(lastSend) >= n.cfg.HeartbeatInterval {
-				hf, herr := c.Do(wire.OpReplAppend, n.appendPayload(term, nil))
+		if len(s.window) == 0 {
+			// Caught up. Heartbeat when the interval has passed, to
+			// assert leadership and refresh the follower's election
+			// timer; otherwise park until the doorbell or that moment.
+			idle := time.Since(lastSend)
+			if idle >= n.cfg.HeartbeatInterval {
+				s.beginBatch()
+				n.heartbeatsSent.Add(1)
+				hf, herr := c.Do(wire.OpReplAppend, s.enc.Bytes())
 				if herr != nil {
 					return
 				}
-				if !n.handleAck(term, peerID, c, w, &cursor, hf.Payload, 0) {
+				if !s.handleAck(c, w, &cursor, hf.Payload, 0) {
 					return
 				}
 				lastSend = time.Now()
+				continue
 			}
-			if !sleepOr(stop, time.Millisecond) {
+			hb.Reset(n.cfg.HeartbeatInterval - idle)
+			select {
+			case <-s.stop:
 				return
+			case <-s.bell:
+				stopTimer(hb)
+			case <-hb.C:
 			}
+			n.shipWakeups.Add(1)
 			continue
 		}
 
-		b := window[0]
-		window = window[1:]
+		b := s.window[0]
+		s.window = append(s.window[:0], s.window[1:]...)
 		af, werr := b.p.Wait()
 		if werr != nil {
 			return
 		}
-		if !n.handleAck(term, peerID, c, w, &cursor, af.Payload, b.count) {
+		if !s.handleAck(c, w, &cursor, af.Payload, b.count) {
 			return
 		}
 		// handleAck may have restarted the stream via snapshot; any
 		// batches still in flight are for the dead cursor — drain and
 		// drop them, the next fill re-reads from the new cursor.
-		if len(window) > 0 && cursor <= window[0].last {
-			for _, wb := range window {
-				wb.p.Wait()
-			}
-			window = window[:0]
+		if len(s.window) > 0 && cursor <= s.window[0].last {
+			s.drain()
 		}
 	}
 }
 
 // handleAck processes one REPL_APPEND response. Returns false when the
 // connection (or leadership) is done.
-func (n *Node) handleAck(term, peerID uint64, c *client.Conn, w *sim.Worker, cursor *core.LSN, payload []byte, count int) bool {
+func (s *shipper) handleAck(c *client.Conn, w *sim.Worker, cursor *core.LSN, payload []byte, count int) bool {
+	n := s.n
 	a, err := decodeAck(payload)
 	if err != nil {
 		return false
 	}
-	if a.Term > term {
+	if a.Term > s.term {
 		n.observeTerm(a.Term)
 		return false
 	}
 	if a.NeedSnap {
-		return n.sendSnapshot(term, peerID, c, w, cursor)
+		return s.sendSnapshot(c, w, cursor)
 	}
-	n.setAck(peerID, a.Head, a.AppendedBytes, true)
+	n.setAck(s.peerID, a.Head, a.AppendedBytes, true)
 	if count > 0 {
 		n.batchesShipped.Add(1)
 		n.recordsShipped.Add(uint64(count))
@@ -214,7 +293,8 @@ func (n *Node) handleAck(term, peerID uint64, c *client.Conn, w *sim.Worker, cur
 
 // sendSnapshot captures a stop-the-world engine image and installs it
 // on the follower, restarting the stream at PrimeLSN+1.
-func (n *Node) sendSnapshot(term, peerID uint64, c *client.Conn, w *sim.Worker, cursor *core.LSN) bool {
+func (s *shipper) sendSnapshot(c *client.Conn, w *sim.Worker, cursor *core.LSN) bool {
+	n := s.n
 	snap, err := n.db.CaptureSnapshot(w)
 	if err != nil {
 		n.logf("repl: snapshot capture: %v", err)
@@ -225,27 +305,27 @@ func (n *Node) sendSnapshot(term, peerID uint64, c *client.Conn, w *sim.Worker, 
 		n.logf("repl: snapshot marshal: %v", err)
 		return false
 	}
-	f, err := c.Do(wire.OpReplSnap, encodeSnap(term, n.cfg.NodeID, n.epochsCopy(), img))
+	f, err := c.Do(wire.OpReplSnap, encodeSnap(s.term, n.cfg.NodeID, s.epochs, img))
 	if err != nil {
-		n.logf("repl: snapshot send to node %d: %v", peerID, err)
+		n.logf("repl: snapshot send to node %d: %v", s.peerID, err)
 		return false
 	}
 	a, err := decodeAck(f.Payload)
 	if err != nil {
 		return false
 	}
-	if a.Term > term {
+	if a.Term > s.term {
 		n.observeTerm(a.Term)
 		return false
 	}
 	if a.NeedSnap || a.Head != snap.PrimeLSN {
-		n.logf("repl: node %d snapshot install landed at %d, want %d", peerID, a.Head, snap.PrimeLSN)
+		n.logf("repl: node %d snapshot install landed at %d, want %d", s.peerID, a.Head, snap.PrimeLSN)
 		return false
 	}
 	*cursor = snap.PrimeLSN + 1
-	n.setAck(peerID, a.Head, a.AppendedBytes, true)
+	n.setAck(s.peerID, a.Head, a.AppendedBytes, true)
 	n.snapsSent.Add(1)
 	n.logf("repl: node %d resynced by snapshot at lsn %d (%d pages)",
-		peerID, snap.PrimeLSN, len(snap.Pages))
+		s.peerID, snap.PrimeLSN, len(snap.Pages))
 	return true
 }

@@ -17,9 +17,16 @@ func fillSegments(n int) *Log {
 	return l
 }
 
+// readBatch collects one ReadFrom batch.
+func readBatch(l *Log, from core.LSN, maxRecords, maxBytes int) ([]Record, error) {
+	var recs []Record
+	_, err := l.ReadFrom(from, maxRecords, maxBytes, func(r Record) { recs = append(recs, r) })
+	return recs, err
+}
+
 func TestReadFromReturnsContiguousBatch(t *testing.T) {
 	l := fillSegments(10)
-	recs, err := l.ReadFrom(3, 4, 0)
+	recs, err := readBatch(l, 3, 4, 0)
 	if err != nil {
 		t.Fatalf("ReadFrom: %v", err)
 	}
@@ -32,7 +39,7 @@ func TestReadFromReturnsContiguousBatch(t *testing.T) {
 		}
 	}
 	// Caught up: empty batch, nil error.
-	recs, err = l.ReadFrom(11, 0, 0)
+	recs, err = readBatch(l, 11, 0, 0)
 	if err != nil || len(recs) != 0 {
 		t.Errorf("caught-up cursor = %d records, %v", len(recs), err)
 	}
@@ -40,12 +47,12 @@ func TestReadFromReturnsContiguousBatch(t *testing.T) {
 
 func TestReadFromByteBound(t *testing.T) {
 	l := fillSegments(10)
-	one, err := l.ReadFrom(1, 1, 0)
+	one, err := readBatch(l, 1, 1, 0)
 	if err != nil || len(one) != 1 {
 		t.Fatalf("ReadFrom(1,1,0) = %d, %v", len(one), err)
 	}
 	// A byte budget that fits exactly two records.
-	recs, err := l.ReadFrom(1, 0, 2*one[0].Size())
+	recs, err := readBatch(l, 1, 0, 2*one[0].Size())
 	if err != nil {
 		t.Fatalf("ReadFrom: %v", err)
 	}
@@ -53,7 +60,7 @@ func TestReadFromByteBound(t *testing.T) {
 		t.Errorf("byte-bounded batch = %d records, want 2", len(recs))
 	}
 	// A budget below one record still makes progress: one record minimum.
-	recs, err = l.ReadFrom(1, 0, 1)
+	recs, err = readBatch(l, 1, 0, 1)
 	if err != nil || len(recs) != 1 {
 		t.Errorf("tiny budget batch = %d records, %v", len(recs), err)
 	}
@@ -66,11 +73,11 @@ func TestReadFromByteBound(t *testing.T) {
 func TestReadFromBehindTail(t *testing.T) {
 	l := fillSegments(100)
 	l.Truncate(50)
-	if _, err := l.ReadFrom(10, 0, 0); !errors.Is(err, ErrTruncated) {
+	if _, err := readBatch(l, 10, 0, 0); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("ReadFrom(10) after Truncate(50): err = %v, want ErrTruncated", err)
 	}
 	// At the new tail the cursor works again.
-	recs, err := l.ReadFrom(50, 3, 0)
+	recs, err := readBatch(l, 50, 3, 0)
 	if err != nil || len(recs) != 3 || recs[0].LSN != 50 {
 		t.Fatalf("ReadFrom(50) = %d recs (first %v), %v", len(recs), recs, err)
 	}
@@ -98,13 +105,13 @@ func TestReadFromRetiredSegmentEdge(t *testing.T) {
 		core.LSN(2*segRecords + 1 - 1), // same edge spelled via the boundary
 	}
 	for _, from := range cases {
-		recs, err := l.ReadFrom(from, 1, 0)
+		recs, err := readBatch(l, from, 1, 0)
 		if !errors.Is(err, ErrTruncated) {
 			t.Errorf("ReadFrom(%d): recs=%v err=%v, want ErrTruncated", from, recs, err)
 		}
 	}
 	// Exactly at the surviving edge: a real record, the right one.
-	recs, err := l.ReadFrom(edge, 1, 0)
+	recs, err := readBatch(l, edge, 1, 0)
 	if err != nil || len(recs) != 1 || recs[0].LSN != edge || recs[0].Type != RecUpdate {
 		t.Fatalf("ReadFrom(%d) = %+v, %v; want the surviving record", edge, recs, err)
 	}
@@ -121,7 +128,7 @@ func TestScanSkipsWhereReadFromFails(t *testing.T) {
 	if first != core.LSN(segRecords+1) {
 		t.Errorf("Scan resumed at %d, want %d", first, segRecords+1)
 	}
-	if _, err := l.ReadFrom(1, 0, 0); !errors.Is(err, ErrTruncated) {
+	if _, err := readBatch(l, 1, 0, 0); !errors.Is(err, ErrTruncated) {
 		t.Errorf("ReadFrom(1): %v, want ErrTruncated", err)
 	}
 }
@@ -134,7 +141,7 @@ func TestRetainFloorClampsTruncate(t *testing.T) {
 		t.Fatalf("Tail = %d with retain floor 40, want 40", got)
 	}
 	// The floor keeps the shipping cursor alive.
-	if _, err := l.ReadFrom(40, 1, 0); err != nil {
+	if _, err := readBatch(l, 40, 1, 0); err != nil {
 		t.Fatalf("ReadFrom(40): %v", err)
 	}
 	// Clearing the floor releases the clamp.
@@ -161,13 +168,13 @@ func TestResetSplicesLogAtHead(t *testing.T) {
 	if _, err := l.Get(700); !errors.Is(err, ErrTruncated) {
 		t.Errorf("Get(700) after Reset: %v, want ErrTruncated", err)
 	}
-	recs, err := l.ReadFrom(701, 0, 0)
+	recs, err := readBatch(l, 701, 0, 0)
 	if err != nil || len(recs) != 1 || recs[0].LSN != 701 {
 		t.Fatalf("ReadFrom(701) = %v, %v", recs, err)
 	}
 }
 
-func TestMetaRoundTripsThroughArena(t *testing.T) {
+func TestMetaRoundTripsThroughSideTable(t *testing.T) {
 	l := NewLog(0)
 	meta := []byte("table:tpcb_account@data#3")
 	lsn := l.Append(Record{Type: RecTable, Meta: meta})

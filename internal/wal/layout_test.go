@@ -1,0 +1,201 @@
+package wal
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"ipa/internal/core"
+)
+
+// The slot is the unit the log retains per record: it must stay at its
+// documented size and free of pointers (the slot arrays are not scanned
+// by the garbage collector), and segmentBytes must match the structs.
+func TestSlotLayout(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != slotBytes || got > 64 {
+		t.Fatalf("slot is %d bytes, want %d (and at most 64)", got, slotBytes)
+	}
+	st := reflect.TypeOf(slot{})
+	for i := 0; i < st.NumField(); i++ {
+		switch k := st.Field(i).Type.Kind(); k {
+		case reflect.Ptr, reflect.Slice, reflect.Map, reflect.String, reflect.Interface,
+			reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Errorf("slot.%s holds a pointer (%v)", st.Field(i).Name, k)
+		}
+	}
+	if hdr := unsafe.Sizeof(segment{}); segmentBytes != segRecords*slotBytes+hdr {
+		t.Errorf("segmentBytes = %d, structs say %d", segmentBytes, segRecords*slotBytes+hdr)
+	}
+}
+
+func heapAlloc() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// The memory guard next to TestAppendZeroAllocs: what the log retains
+// per small update record. A million TPC-B-style updates (8-byte before
+// and after image) must cost at most 96 B each, all in — slot, images,
+// arena slack, segment headers and ring — and Stats must account for
+// what the heap shows.
+func TestRetainedBytesPerRecord(t *testing.T) {
+	const n = 1 << 20
+	before, after := make([]byte, 8), make([]byte, 8)
+	base := heapAlloc()
+	l := NewLog(0)
+	for i := 0; i < n; i++ {
+		l.Append(Record{Type: RecUpdate, TxID: 7, Page: core.PageID(i), Op: OpUpdate, Before: before, After: after})
+	}
+	grown := heapAlloc() - base
+	per := float64(grown) / n
+	st := l.Stats()
+	t.Logf("heap %.1f B/record, Stats.RetainedBytes %.1f B/record, UsedBytes %.1f B/record",
+		per, float64(st.RetainedBytes)/n, float64(st.UsedBytes)/n)
+	if per > 96 {
+		t.Errorf("log retains %.1f B per 16-byte-image record, want <= 96", per)
+	}
+	if d := float64(st.RetainedBytes) / float64(grown); d < 0.95 || d > 1.05 {
+		t.Errorf("Stats.RetainedBytes = %d but the heap grew by %d", st.RetainedBytes, grown)
+	}
+	// Truncation gives the memory back, and the stat follows.
+	l.Flush(l.Head())
+	l.Truncate(l.Head() + 1)
+	if st := l.Stats(); st.RetainedBytes > 2*segmentBytes {
+		t.Errorf("RetainedBytes = %d after truncating everything", st.RetainedBytes)
+	}
+	runtime.KeepAlive(l)
+}
+
+// pattern fills n bytes that differ per (seed, position), so a
+// misplaced or overlapping arena reservation cannot go unnoticed.
+func pattern(seed, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(seed*131 + i*7 + i>>8)
+	}
+	return b
+}
+
+func sameRecord(a, b Record) error {
+	if a.LSN != b.LSN || a.Type != b.Type || a.TxID != b.TxID || a.PrevLSN != b.PrevLSN ||
+		a.Page != b.Page || a.Op != b.Op || a.Slot != b.Slot || a.UndoNext != b.UndoNext {
+		return fmt.Errorf("fixed fields differ: %+v vs %+v", a, b)
+	}
+	if !bytes.Equal(a.Before, b.Before) || !bytes.Equal(a.After, b.After) || !bytes.Equal(a.Meta, b.Meta) {
+		return fmt.Errorf("payload of LSN %d differs (before %d/%d, after %d/%d, meta %d/%d bytes)",
+			a.LSN, len(a.Before), len(b.Before), len(a.After), len(b.After), len(a.Meta), len(b.Meta))
+	}
+	if !reflect.DeepEqual(a.ActiveTxs, b.ActiveTxs) || !reflect.DeepEqual(a.DirtyPages, b.DirtyPages) {
+		return fmt.Errorf("checkpoint tables of LSN %d differ", a.LSN)
+	}
+	return nil
+}
+
+// Every kind of record must come back from Get, Scan and ReadFrom
+// byte-identical to what was appended, before and after a truncation —
+// with image sizes that straddle the arena chunk edges (a reservation
+// that just fits, just does not, exceeds a chunk, is empty), Meta and
+// checkpoint tables in the side table, and all slot fields at their
+// extremes.
+func TestRecordsRoundTripByteExact(t *testing.T) {
+	sizes := []int{0, 1, 7, 8, 16, 100, 255, 256, 1000,
+		arenaChunkBytes/2 - 1, arenaChunkBytes / 2, arenaChunkBytes/2 + 1,
+		arenaChunkBytes - 1, arenaChunkBytes, arenaChunkBytes + 1, 3*arenaChunkBytes + 5}
+	l := NewLog(0)
+	var want []Record
+	add := func(r Record) {
+		r.LSN = l.Append(r)
+		want = append(want, r)
+	}
+	seed := 0
+	for round := 0; round < 5; round++ { // enough rounds to span four segments
+		for _, nb := range sizes {
+			for _, na := range sizes {
+				seed++
+				add(Record{
+					Type: RecUpdate, TxID: ^uint64(seed), PrevLSN: core.LSN(seed), Page: core.PageID(^uint64(0) - uint64(seed)),
+					Op: OpUpdate, Slot: uint16(65535 - seed), Before: pattern(seed, nb), After: pattern(-seed, na),
+				})
+			}
+			add(Record{Type: RecCLR, TxID: 3, Op: OpDelete, After: pattern(seed, nb), UndoNext: core.LSN(seed)})
+			add(Record{Type: RecAlloc, Meta: pattern(seed, nb+1)})
+			add(Record{Type: RecCheckpoint,
+				ActiveTxs:  map[uint64]core.LSN{uint64(nb): core.LSN(seed), 2: 20},
+				DirtyPages: map[core.PageID]core.LSN{core.PageID(nb): 70},
+			})
+			add(Record{Type: RecCommit, TxID: uint64(nb)})
+		}
+	}
+	add(Record{Type: RecCheckpoint}) // nil tables stay nil
+	add(Record{Type: RecTable, Meta: []byte("t"), Before: []byte{1}, After: []byte{2, 3}})
+	if len(want) < 2*segRecords {
+		t.Fatalf("table holds %d records, want it to span segments", len(want))
+	}
+
+	verify := func(step string, tail core.LSN) {
+		t.Helper()
+		live := want[tail-1:]
+		for _, w := range live {
+			got, err := l.Get(w.LSN)
+			if err != nil {
+				t.Fatalf("%s: Get(%d): %v", step, w.LSN, err)
+			}
+			if err := sameRecord(got, w); err != nil {
+				t.Fatalf("%s: Get: %v", step, err)
+			}
+		}
+		i := 0
+		l.Scan(1, func(got Record) bool {
+			if err := sameRecord(got, live[i]); err != nil {
+				t.Fatalf("%s: Scan: %v", step, err)
+			}
+			i++
+			return true
+		})
+		if i != len(live) {
+			t.Fatalf("%s: Scan visited %d records, want %d", step, i, len(live))
+		}
+		i = 0
+		for cursor := tail; ; {
+			n, err := l.ReadFrom(cursor, 100, 1<<20, func(got Record) {
+				if err := sameRecord(got, live[i]); err != nil {
+					t.Fatalf("%s: ReadFrom: %v", step, err)
+				}
+				i++
+			})
+			if err != nil {
+				t.Fatalf("%s: ReadFrom(%d): %v", step, cursor, err)
+			}
+			if n == 0 {
+				break
+			}
+			cursor += core.LSN(n)
+		}
+		if i != len(live) {
+			t.Fatalf("%s: ReadFrom visited %d records, want %d", step, i, len(live))
+		}
+		var sum uint64
+		for _, w := range live {
+			sum += uint64(w.Size())
+		}
+		if l.UsedBytes() != sum {
+			t.Fatalf("%s: UsedBytes = %d, want %d", step, l.UsedBytes(), sum)
+		}
+	}
+	verify("appended", 1)
+	l.Flush(l.Head())
+	cut := core.LSN(segRecords + segRecords/3) // mid-segment: one retired, one summed slot by slot
+	l.Truncate(cut)
+	verify("truncated", cut)
+	if got := want[len(want)-2]; got.ActiveTxs != nil {
+		t.Fatal("test table: expected the nil-table checkpoint second to last")
+	}
+	if r, _ := l.Get(want[len(want)-2].LSN); r.ActiveTxs != nil || r.DirtyPages != nil {
+		t.Errorf("nil checkpoint tables came back non-nil: %+v", r)
+	}
+}

@@ -23,9 +23,11 @@
 //     its LSN; a second fetch-add reserves its bytes in the space
 //     accounting. Concurrent appenders serialize only on these atomics.
 //   - Records live in a chunked ring of pre-sized segments (segRecords
-//     slots each). The appender copies its record — and its before/after
-//     images, once, into the segment's image arena — into the reserved
-//     slot, then *publishes* it by raising the slot's publication word.
+//     slots each). The appender fills the reserved slot — a compact,
+//     pointer-free header — copies its before/after images once, at
+//     their real size, into the segment's on-demand image arena, then
+//     *publishes* the slot by raising its publication word. The log
+//     retains the bytes a record has, not a fixed-size unit around them.
 //   - The readable horizon ("published") is the highest LSN up to which
 //     every slot is published, i.e. the log prefix with no holes. After
 //     publishing, an appender that closed the hole at published+1
@@ -174,22 +176,71 @@ const (
 	segRecords = 1 << segShift
 	segMask    = segRecords - 1
 
-	// arenaChunkBytes sizes a segment's image arena (and each overflow
-	// chunk): 128 B of before/after image per record on average, enough
-	// for the OLTP-style small updates the paper profiles. Records whose
-	// images overflow the arena fall back to chained overflow chunks, so
-	// arbitrarily large images remain correct and allocations stay
-	// amortised.
-	arenaChunkBytes = segRecords * 128
+	// arenaChunkBytes sizes the chunks of a segment's image arena. They
+	// are allocated on demand — a segment whose records carry no images
+	// allocates none, one of small OLTP updates (16 B of images per
+	// record) exactly one — so a segment retains its images plus at most
+	// one part-filled chunk, while allocations stay amortised at two per
+	// chunk. A record whose images exceed a chunk gets one of exactly
+	// their size.
+	arenaChunkBytes = 8 << 10
 )
 
-// slot is one record cell of a segment. pub is the publication word:
-// 0 = reserved (appender still copying), 1 = published (immutable).
-// Readers load pub with acquire semantics before touching rec, so the
-// record contents are race-free without a lock.
+// slot is one record cell of a segment: the fixed fields of a Record
+// plus the location of its images in the segment's arena. It holds no
+// pointers, so the garbage collector never scans the slot arrays.
+//
+//	 0  pub      u32  publication word: 0 = reserved, 1 = published
+//	 4  typ      u8   RecType
+//	 5  op       u8   PageOp
+//	 6  slotNo   u16  tuple slot within the page
+//	 8  txID     u64
+//	16  prev     u64  PrevLSN
+//	24  page     u64
+//	32  undoNext u64  CLRs only
+//	40  imgOff   u32  offset of Before in its arena chunk; After follows
+//	44  nBefore  u32
+//	48  nAfter   u32
+//	52  chunk    u16  arena chunk index within the segment
+//	54  side     bool Meta / checkpoint tables live in the side table
+//
+// Readers load pub (or the published horizon, which is raised only over
+// published slots) with acquire semantics before touching the rest, so
+// the contents are race-free without a lock.
 type slot struct {
-	rec Record
-	pub atomic.Uint32
+	pub      atomic.Uint32
+	typ      RecType
+	op       PageOp
+	slotNo   uint16
+	txID     uint64
+	prev     core.LSN
+	page     core.PageID
+	undoNext core.LSN
+	imgOff   uint32
+	nBefore  uint32
+	nAfter   uint32
+	chunk    uint16
+	side     bool
+}
+
+// chunk is one piece of a segment's image arena. Appenders reserve
+// space with a fetch-add on off and copy their images exactly once.
+// Chunks form a list through prev, newest first; idx is the position a
+// slot refers to.
+type chunk struct {
+	prev *chunk
+	idx  uint16
+	off  atomic.Uint64
+	buf  []byte
+}
+
+// sideRec holds what does not fit the fixed slot and is rare enough not
+// to deserve space in it: the Meta payload of RecAlloc/RecTable records
+// (copied) and a checkpoint's two tables (kept as handed in).
+type sideRec struct {
+	meta       []byte
+	activeTxs  map[uint64]core.LSN
+	dirtyPages map[core.PageID]core.LSN
 }
 
 // segment is one pre-sized chunk of the record ring, covering the fixed
@@ -198,47 +249,104 @@ type slot struct {
 // published slot stays immutable for its whole life.
 type segment struct {
 	firstLSN core.LSN
-	slots    [segRecords]slot
+	// slots is its own allocation so that it lands exactly in a
+	// pointer-free size class.
+	slots *[segRecords]slot
 
 	// bytes accumulates the Size() of published records, letting a full
 	// segment retire in O(1) during truncation.
 	bytes atomic.Uint64
 
-	// arena is the segment's image store: appenders reserve space with a
-	// fetch-add and copy before/after images exactly once. Overflow goes
-	// to chained chunks under overMu (rare; amortised one allocation per
-	// arenaChunkBytes of overflow).
-	arena    []byte
-	arenaOff atomic.Uint64
-
-	overMu  sync.Mutex
-	over    []byte
-	overOff int
+	// arena is the newest image chunk, the one appenders reserve from.
+	// mu serialises chunk installation and guards the side table; it is
+	// taken once per chunk and once per side record, never per append.
+	arena atomic.Pointer[chunk]
+	mu    sync.Mutex
+	side  map[uint16]*sideRec // slot index → side payload
+	mem   atomic.Uint64       // arena + side bytes, for Stats
 }
+
+// slotBytes is the size of a slot and segmentBytes what an empty
+// segment retains (slot array + header); TestSlotLayout holds them to
+// the structs.
+const (
+	slotBytes    = 56
+	segmentBytes = segRecords*slotBytes + 56
+)
 
 func newSegment(firstLSN core.LSN) *segment {
-	return &segment{firstLSN: firstLSN, arena: make([]byte, arenaChunkBytes)}
+	return &segment{firstLSN: firstLSN, slots: new([segRecords]slot)}
 }
 
-// reserveImages hands the appender n bytes of image storage.
-func (s *segment) reserveImages(n int) []byte {
-	end := s.arenaOff.Add(uint64(n))
-	if end <= uint64(len(s.arena)) {
-		return s.arena[end-uint64(n) : end : end]
-	}
-	s.overMu.Lock()
-	defer s.overMu.Unlock()
-	if len(s.over)-s.overOff < n {
-		c := arenaChunkBytes
-		if n > c {
-			c = n
+// reserveImages hands the appender n bytes of image storage: the chunk
+// and the offset within it.
+func (s *segment) reserveImages(n int) (*chunk, int) {
+	for {
+		c := s.arena.Load()
+		if c != nil {
+			if end := c.off.Add(uint64(n)); end <= uint64(len(c.buf)) {
+				return c, int(end) - n
+			}
 		}
-		s.over = make([]byte, c)
-		s.overOff = 0
+		s.mu.Lock()
+		if s.arena.Load() != c {
+			s.mu.Unlock()
+			continue // someone else installed a chunk; try it
+		}
+		size := arenaChunkBytes
+		if size < n {
+			size = n
+		}
+		nc := &chunk{prev: c, buf: make([]byte, size)}
+		if c != nil {
+			nc.idx = c.idx + 1
+		}
+		nc.off.Store(uint64(n)) // our reservation comes first
+		s.mem.Add(uint64(size))
+		s.arena.Store(nc)
+		s.mu.Unlock()
+		return nc, 0
 	}
-	b := s.over[s.overOff : s.overOff+n : s.overOff+n]
-	s.overOff += n
-	return b
+}
+
+// chunkAt returns the arena chunk with the given index. The list is a
+// handful of nodes long unless the segment holds very large images.
+func (s *segment) chunkAt(idx uint16) *chunk {
+	c := s.arena.Load()
+	for c.idx != idx {
+		c = c.prev
+	}
+	return c
+}
+
+// record materialises the published record at lsn. The images alias
+// the arena, which is immutable once the slot is published.
+func (s *segment) record(lsn core.LSN) Record {
+	i := (uint64(lsn) - 1) & segMask
+	sl := &s.slots[i]
+	r := Record{
+		LSN: lsn, Type: sl.typ, TxID: sl.txID, PrevLSN: sl.prev,
+		Page: sl.page, Op: sl.op, Slot: sl.slotNo, UndoNext: sl.undoNext,
+	}
+	if sl.nBefore+sl.nAfter > 0 {
+		buf := s.chunkAt(sl.chunk).buf
+		off := int(sl.imgOff)
+		mid := off + int(sl.nBefore)
+		end := mid + int(sl.nAfter)
+		if mid > off {
+			r.Before = buf[off:mid:mid]
+		}
+		if end > mid {
+			r.After = buf[mid:end:end]
+		}
+	}
+	if sl.side {
+		s.mu.Lock()
+		sd := s.side[uint16(i)]
+		s.mu.Unlock()
+		r.Meta, r.ActiveTxs, r.DirtyPages = sd.meta, sd.activeTxs, sd.dirtyPages
+	}
+	return r
 }
 
 // ring is an immutable snapshot of the segment table, swapped atomically
@@ -339,34 +447,48 @@ func NewLogConfig(cfg Config) *Log {
 // hot path performs no per-record allocation.
 func (l *Log) Append(r Record) core.LSN {
 	lsn := core.LSN(l.next.Add(1) - 1)
-	r.LSN = lsn
 	size := uint64(r.Size())
 	l.headBytes.Add(size)
 	seg := l.segment(lsn)
-	if n := len(r.Before) + len(r.After) + len(r.Meta); n > 0 {
-		buf := seg.reserveImages(n)
-		if nb := len(r.Before); nb > 0 {
-			copy(buf, r.Before)
-			r.Before = buf[:nb:nb]
-		}
-		if na := len(r.After); na > 0 {
-			off := len(r.Before)
-			copy(buf[off:], r.After)
-			r.After = buf[off : off+na : off+na]
-		}
-		if nm := len(r.Meta); nm > 0 {
-			off := len(r.Before) + len(r.After)
-			copy(buf[off:], r.Meta)
-			r.Meta = buf[off : off+nm : off+nm]
-		}
+	i := (uint64(lsn) - 1) & segMask
+	s := &seg.slots[i]
+	s.typ, s.op, s.slotNo = r.Type, r.Op, r.Slot
+	s.txID, s.prev, s.page, s.undoNext = r.TxID, r.PrevLSN, r.Page, r.UndoNext
+	if nb, na := len(r.Before), len(r.After); nb+na > 0 {
+		c, off := seg.reserveImages(nb + na)
+		copy(c.buf[off:], r.Before)
+		copy(c.buf[off+nb:], r.After)
+		s.chunk, s.imgOff, s.nBefore, s.nAfter = c.idx, uint32(off), uint32(nb), uint32(na)
 	}
-	s := &seg.slots[(uint64(lsn)-1)&segMask]
-	s.rec = r
+	if len(r.Meta) > 0 || r.ActiveTxs != nil || r.DirtyPages != nil {
+		sd := &sideRec{activeTxs: r.ActiveTxs, dirtyPages: r.DirtyPages}
+		if len(r.Meta) > 0 {
+			sd.meta = append([]byte(nil), r.Meta...)
+		}
+		seg.mu.Lock()
+		if seg.side == nil {
+			seg.side = make(map[uint16]*sideRec)
+		}
+		seg.side[uint16(i)] = sd
+		seg.mu.Unlock()
+		seg.mem.Add(sideRecBytes + uint64(len(r.Meta)) +
+			sideEntryBytes*uint64(len(r.ActiveTxs)+len(r.DirtyPages)))
+		s.side = true
+	}
 	seg.bytes.Add(size)
 	s.pub.Store(1)
 	l.advancePublished()
 	return lsn
 }
+
+// What a side record is charged in Stats.RetainedBytes: the struct and
+// its map-table slot, and per checkpoint-table entry a key, a value and
+// the hash table's load-factor slack. An estimate, unlike the slot and
+// arena bytes, which are exact.
+const (
+	sideRecBytes   = 96
+	sideEntryBytes = 32
+)
 
 // segment returns the segment that owns lsn, growing the ring if the
 // reservation ran ahead of it.
@@ -630,11 +752,10 @@ func (l *Log) Get(lsn core.LSN) (Record, error) {
 		}
 		return Record{}, fmt.Errorf("%w: %d (head at %d)", ErrNotFound, lsn, next)
 	}
-	s := &seg.slots[(uint64(lsn)-1)&segMask]
-	if s.pub.Load() == 0 {
+	if seg.slots[(uint64(lsn)-1)&segMask].pub.Load() == 0 {
 		return Record{}, fmt.Errorf("%w: %d (head at %d)", ErrNotFound, lsn, next)
 	}
-	return s.rec, nil
+	return seg.record(lsn), nil
 }
 
 // Scan calls fn for every record with LSN ≥ from, in order, until fn
@@ -668,7 +789,7 @@ func (l *Log) Scan(from core.LSN, fn func(Record) bool) {
 				continue
 			}
 		}
-		if !fn(seg.slots[(uint64(lsn)-1)&segMask].rec) {
+		if !fn(seg.record(lsn)) {
 			return
 		}
 	}
@@ -722,7 +843,7 @@ func (l *Log) Truncate(lsn core.LSN) {
 			stop = lsn
 		}
 		for ; cur < stop; cur++ {
-			freed += uint64(seg.slots[(uint64(cur)-1)&segMask].rec.Size())
+			freed += uint64(seg.record(cur).Size())
 		}
 	}
 	l.tailBytes.Add(freed)
@@ -739,19 +860,22 @@ func (l *Log) Truncate(lsn core.LSN) {
 	}
 }
 
-// ReadFrom returns a batch of consecutive records starting at exactly
+// ReadFrom visits a batch of consecutive records starting at exactly
 // `from`, bounded by maxRecords and maxBytes (≤ 0 means unbounded), up
-// to the contiguous published horizon. It is the replication shipping
-// cursor: unlike Scan — which silently skips over truncated segments to
-// the new tail — a cursor that has fallen behind the tail gets a clean
-// error wrapping ErrTruncated ("horizon behind tail"), including when it
-// resumes exactly at a retired-segment edge after a Truncate. The caller
-// (the shipping loop) reacts by switching to a full snapshot resync; a
-// zero record here would silently corrupt the follower's log.
+// to the contiguous published horizon, and returns how many it visited.
+// It is the replication shipping cursor: unlike Scan — which silently
+// skips over truncated segments to the new tail — a cursor that has
+// fallen behind the tail gets a clean error wrapping ErrTruncated
+// ("horizon behind tail"), including when it resumes exactly at a
+// retired-segment edge after a Truncate. The caller (the shipping loop)
+// reacts by switching to a full snapshot resync; a zero record here
+// would silently corrupt the follower's log.
 //
-// An empty batch with a nil error means the cursor is caught up with the
+// Records are handed to fn by value, straight from their slots, so the
+// shipper encodes them without an intermediate batch slice. Zero
+// visited with a nil error means the cursor is caught up with the
 // published horizon.
-func (l *Log) ReadFrom(from core.LSN, maxRecords, maxBytes int) ([]Record, error) {
+func (l *Log) ReadFrom(from core.LSN, maxRecords, maxBytes int, fn func(Record)) (int, error) {
 	if from < 1 {
 		from = 1
 	}
@@ -760,31 +884,32 @@ func (l *Log) ReadFrom(from core.LSN, maxRecords, maxBytes int) ([]Record, error
 	limit := core.LSN(l.published.Load())
 	r := l.ring.Load()
 	if f := core.LSN(l.first.Load()); from < f {
-		return nil, fmt.Errorf("%w: cursor horizon %d behind log tail %d", ErrTruncated, from, f)
+		return 0, fmt.Errorf("%w: cursor horizon %d behind log tail %d", ErrTruncated, from, f)
 	}
-	var out []Record
-	var bytes int
+	var n, bytes int
 	var seg *segment
 	for lsn := from; lsn <= limit; lsn++ {
-		if maxRecords > 0 && len(out) >= maxRecords {
+		if maxRecords > 0 && n >= maxRecords {
 			break
 		}
 		if seg == nil || lsn >= seg.firstLSN+segRecords {
 			if seg = r.segmentOf(lsn); seg == nil {
-				// A concurrent truncation retired the segment under the
-				// cursor — the records are gone, not skippable.
-				return nil, fmt.Errorf("%w: cursor horizon %d behind log tail %d",
+				// Truncate stores the tail before the ring, so a cursor in
+				// a retired segment already failed the check above; this
+				// guards the invariant — a zero record must never ship.
+				return n, fmt.Errorf("%w: cursor horizon %d behind log tail %d",
 					ErrTruncated, lsn, core.LSN(l.first.Load()))
 			}
 		}
-		rec := seg.slots[(uint64(lsn)-1)&segMask].rec
+		rec := seg.record(lsn)
 		if maxBytes > 0 && bytes > 0 && bytes+rec.Size() > maxBytes {
 			break
 		}
 		bytes += rec.Size()
-		out = append(out, rec)
+		fn(rec)
+		n++
 	}
-	return out, nil
+	return n, nil
 }
 
 // SetRetainFloor pins the truncation horizon for replication: Truncate
@@ -868,15 +993,24 @@ type Stats struct {
 	// in records, bucketed to powers of two.
 	BatchP50 uint64
 	BatchP99 uint64
-	// Space accounting and ring shape.
-	UsedBytes uint64
-	Usage     float64
-	Segments  int
+	// Space accounting and ring shape. UsedBytes is the log-device
+	// volume (Σ Record.Size of retained records); RetainedBytes is the
+	// memory the ring actually holds for them — slot arrays, image
+	// arena chunks and side records.
+	UsedBytes     uint64
+	RetainedBytes uint64
+	Usage         float64
+	Segments      int
 }
 
 // Stats assembles a snapshot. Lock-free; counters keep moving while it
 // is taken.
 func (l *Log) Stats() Stats {
+	segs := l.ring.Load().segs
+	retained := uint64(len(segs)) * segmentBytes
+	for _, seg := range segs {
+		retained += seg.mem.Load()
+	}
 	return Stats{
 		Reservations:  l.next.Load() - 1,
 		Published:     core.LSN(l.published.Load()),
@@ -887,7 +1021,8 @@ func (l *Log) Stats() Stats {
 		BatchP50:      l.batchQuantile(0.50),
 		BatchP99:      l.batchQuantile(0.99),
 		UsedBytes:     l.UsedBytes(),
+		RetainedBytes: retained,
 		Usage:         l.Usage(),
-		Segments:      len(l.ring.Load().segs),
+		Segments:      len(segs),
 	}
 }

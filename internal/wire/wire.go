@@ -58,6 +58,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -271,10 +272,29 @@ type Frame struct {
 	Payload []byte
 }
 
-// WriteFrame encodes and writes one frame. It issues a single Write so
-// concurrent writers serialised by a mutex never interleave partial
-// frames.
+// WriteFrame encodes and writes one frame. Writers of one connection
+// are serialised by a mutex, so a frame is never interleaved with
+// another. Into a *bufio.Writer — what every connection in the stack
+// writes through — the header is built in the writer's own buffer and
+// the payload copied once, with no allocation; any other writer gets
+// the frame in a single Write.
 func WriteFrame(w io.Writer, id uint64, kind byte, payload []byte) error {
+	if bw, ok := w.(*bufio.Writer); ok && bw.Size() >= headerLen {
+		if bw.Available() < headerLen {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		hdr := bw.AvailableBuffer()
+		hdr = binary.BigEndian.AppendUint32(hdr, uint32(8+1+len(payload)))
+		hdr = binary.BigEndian.AppendUint64(hdr, id)
+		hdr = append(hdr, kind)
+		if _, err := bw.Write(hdr); err != nil {
+			return err
+		}
+		_, err := bw.Write(payload)
+		return err
+	}
 	buf := make([]byte, headerLen+len(payload))
 	binary.BigEndian.PutUint32(buf[0:4], uint32(8+1+len(payload)))
 	binary.BigEndian.PutUint64(buf[4:12], id)
@@ -322,6 +342,23 @@ func NewBuilder(capacity int) *Builder {
 
 // Bytes returns the encoded payload.
 func (b *Builder) Bytes() []byte { return b.buf }
+
+// Reset empties the builder, keeping its buffer for the next payload.
+// The previous payload's bytes are overwritten, so Reset only once
+// nothing refers to them any more (a frame write copies them).
+func (b *Builder) Reset() *Builder {
+	b.buf = b.buf[:0]
+	return b
+}
+
+// Len returns the number of bytes encoded so far.
+func (b *Builder) Len() int { return len(b.buf) }
+
+// SetUint32 overwrites the big-endian u32 at off — a count or length
+// reserved with Uint32(0) before what it describes was encoded.
+func (b *Builder) SetUint32(off int, v uint32) {
+	binary.BigEndian.PutUint32(b.buf[off:off+4], v)
+}
 
 // Uint64 appends a big-endian u64.
 func (b *Builder) Uint64(v uint64) *Builder {
@@ -435,12 +472,13 @@ func (r *Reader) String() string {
 // Blob decodes a u32-length-prefixed byte slice (copied, so the caller
 // may retain it past the frame buffer).
 func (r *Reader) Blob() []byte {
-	n := int(r.Uint32())
-	p := r.take(n)
-	if p == nil {
-		return nil
-	}
-	return append([]byte(nil), p...)
+	return append([]byte(nil), r.BlobView()...)
+}
+
+// BlobView decodes a u32-length-prefixed byte slice without copying it:
+// the result aliases the payload and lives only as long as that buffer.
+func (r *Reader) BlobView() []byte {
+	return r.take(int(r.Uint32()))
 }
 
 // RID decodes a record id.

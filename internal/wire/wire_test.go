@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -144,5 +145,71 @@ func TestReaderHugeLength(t *testing.T) {
 	}
 	if err := r.Err(); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("Err = %v, want ErrBadRequest", err)
+	}
+}
+
+// Frames written through a bufio.Writer take the allocation-free path
+// (header built in the writer's buffer); they must read back identical
+// to the single-Write path, across buffer boundaries — a header that
+// does not fit what is left, a payload larger than the whole buffer —
+// and the path must not allocate.
+func TestWriteFrameBuffered(t *testing.T) {
+	var direct, buffered bytes.Buffer
+	bw := bufio.NewWriterSize(&buffered, 64)
+	sizes := []int{0, 1, 40, 51, 52, 63, 64, 65, 500}
+	for i, n := range sizes {
+		payload := bytes.Repeat([]byte{byte(i + 1)}, n)
+		if err := WriteFrame(&direct, uint64(i), OpReplAppend, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(bw, uint64(i), OpReplAppend, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(direct.Bytes(), buffered.Bytes()) {
+		t.Fatal("buffered frames differ from single-Write frames")
+	}
+	for i, n := range sizes {
+		f, err := ReadFrame(&buffered, 0)
+		if err != nil || f.ID != uint64(i) || f.Kind != OpReplAppend || len(f.Payload) != n {
+			t.Fatalf("frame %d = %+v, %v", i, f, err)
+		}
+	}
+
+	big := bufio.NewWriterSize(io.Discard, 32<<10)
+	payload := make([]byte, 1000)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := WriteFrame(big, 7, OpReplAppend, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("buffered WriteFrame allocates %.1f/frame, want 0", allocs)
+	}
+}
+
+func TestBuilderReuseAndBlobView(t *testing.T) {
+	b := NewBuilder(8)
+	at := b.Uint64(1).Len()
+	b.Uint32(0).Blob([]byte("abc"))
+	b.SetUint32(at, 3)
+	r := NewReader(b.Bytes())
+	if r.Uint64() != 1 || r.Uint32() != 3 {
+		t.Fatal("SetUint32 did not patch the reserved count")
+	}
+	view := r.BlobView()
+	if string(view) != "abc" || r.Err() != nil {
+		t.Fatalf("BlobView = %q, %v", view, r.Err())
+	}
+	if &view[0] != &b.Bytes()[16] {
+		t.Error("BlobView copied the payload")
+	}
+	if b.Reset().Len() != 0 || len(b.Uint16(9).Bytes()) != 2 {
+		t.Error("Reset did not empty the builder")
+	}
+	if NewReader([]byte{0, 0, 0, 9, 1}).BlobView() != nil {
+		t.Error("truncated BlobView returned data")
 	}
 }
