@@ -14,7 +14,7 @@
 //		c.UpdateFieldAsync(tx, "acct", rid, 8, delta),
 //		c.CommitAsync(tx),
 //	}
-//	for _, p := range ps { _, err := p.Wait(); ... }
+//	for _, p := range ps { _, err := p.Wait(); ... } // each Pending is waited once
 //
 // The server executes a connection's requests serially in order, and a
 // failed op poisons its transaction so the pipelined COMMIT aborts —
@@ -75,14 +75,15 @@ type Conn struct {
 
 	wmu   sync.Mutex // serialises writes and flushes
 	bw    *bufio.Writer
-	dirty bool // unflushed frames in bw
+	enc   wire.Builder // scratch: the request payload being encoded
+	dirty atomic.Bool  // unflushed frames in bw; set and cleared under wmu
 
-	nextID atomic.Uint64 // request ids
 	nextTx atomic.Uint64 // transaction handles
 
 	pmu     sync.Mutex
-	pending map[uint64]chan wire.Frame
-	readErr error // terminal receive-path error; connection is dead
+	nextID  uint64     // request ids: sequential, so in-flight ids are a window
+	pending []*Pending // the in-flight requests, a ring indexed by id; len is a power of two
+	readErr error      // terminal receive-path error; connection is dead
 	done    chan struct{}
 }
 
@@ -103,11 +104,11 @@ func Dial(addr string, opts Options) (*Conn, error) {
 				addr:    addr,
 				conn:    nc,
 				bw:      bufio.NewWriterSize(nc, 32<<10),
-				pending: make(map[uint64]chan wire.Frame),
+				pending: make([]*Pending, 16),
 				done:    make(chan struct{}),
 			}
 			go c.readLoop()
-			if _, err := c.send(wire.OpHello, []byte{wire.ProtoVersion}).Wait(); err != nil {
+			if _, err := c.send(wire.OpHello, []byte{wire.ProtoVersion}, nil).Wait(); err != nil {
 				c.Close()
 				if errors.Is(err, wire.ErrBadRequest) {
 					return nil, fmt.Errorf("client: dial %s: protocol version mismatch: %w", addr, err)
@@ -145,72 +146,122 @@ func (c *Conn) Healthy() bool {
 // NewTxID allocates a connection-unique transaction handle.
 func (c *Conn) NewTxID() uint64 { return c.nextTx.Add(1) }
 
-// readLoop dispatches responses to their waiting Pending by request id.
+// slot is where the pending ring keeps request id. Caller holds pmu.
+func (c *Conn) slot(id uint64) **Pending {
+	return &c.pending[id&uint64(len(c.pending)-1)]
+}
+
+// register gives p the next request id and enters it in the pending
+// ring, doubling the ring until p's slot is free: ids in flight are
+// distinct and span a window no wider than their count, so a ring at
+// least that wide holds them without collision. On a dead connection it
+// reports false and p fails at once instead.
+func (c *Conn) register(p *Pending) bool {
+	c.pmu.Lock()
+	c.nextID++
+	p.c, p.id, p.lost = c, c.nextID, c.readErr != nil
+	if p.lost {
+		c.pmu.Unlock()
+		p.ch <- wire.Frame{}
+		return false
+	}
+	for *c.slot(p.id) != nil {
+		old := c.pending
+		c.pending = make([]*Pending, 2*len(old))
+		for _, q := range old {
+			if q != nil {
+				*c.slot(q.id) = q
+			}
+		}
+	}
+	*c.slot(p.id) = p
+	c.pmu.Unlock()
+	return true
+}
+
+// readLoop hands each response to the Pending waiting for its request
+// id. It is the connection's only receive path.
 func (c *Conn) readLoop() {
 	defer close(c.done)
 	br := bufio.NewReaderSize(c.conn, 32<<10)
 	for {
 		f, err := wire.ReadFrame(br, c.opts.MaxFrame)
+		c.pmu.Lock()
 		if err != nil {
-			c.pmu.Lock()
 			c.readErr = fmt.Errorf("client: connection lost: %w", err)
-			for id, ch := range c.pending {
-				delete(c.pending, id)
-				close(ch)
+			for i, p := range c.pending {
+				if p != nil {
+					c.pending[i] = nil
+					p.lost = true
+					p.ch <- wire.Frame{}
+				}
 			}
 			c.pmu.Unlock()
 			return
 		}
-		c.pmu.Lock()
-		ch, ok := c.pending[f.ID]
-		if ok {
-			delete(c.pending, f.ID)
+		// The wake happens under pmu, so a Wait that times out finds
+		// its request either still in the ring or already answered. A
+		// response nobody waits for any more (it timed out) is dropped.
+		if s := c.slot(f.ID); *s != nil && (*s).id == f.ID {
+			p := *s
+			*s = nil
+			p.ch <- f // one slot, one wake per registration: never blocks
 		}
 		c.pmu.Unlock()
-		if ok {
-			ch <- f // buffered; never blocks
-		}
 	}
 }
 
-// Pending is an in-flight request. Wait resolves it.
+// Pending is an in-flight request. Wait resolves it — once: when Wait
+// returns, the Pending goes back to a pool and is reused by a later
+// request, so a second Wait (or any other use of the pointer) is a bug
+// that can steal another request's response.
 type Pending struct {
-	c  *Conn
-	id uint64
-	ch chan wire.Frame
+	c    *Conn
+	id   uint64
+	ch   chan wire.Frame // the wake: one slot, reused across requests
+	lost bool            // woken by connection loss, not a response; set before the wake
 }
 
-// send enqueues one request frame without flushing. The flush happens
-// in Wait (or the next synchronous call), so bursts of Async sends
-// coalesce into few syscalls.
-func (c *Conn) send(kind byte, payload []byte) *Pending {
-	id := c.nextID.Add(1)
-	ch := make(chan wire.Frame, 1)
-	c.pmu.Lock()
-	if err := c.readErr; err != nil {
-		c.pmu.Unlock()
-		close(ch)
-		return &Pending{c: c, id: id, ch: ch}
-	}
-	c.pending[id] = ch
-	c.pmu.Unlock()
+// pendings recycles Pendings, each with its channel.
+var pendings = sync.Pool{New: func() any { return &Pending{ch: make(chan wire.Frame, 1)} }}
 
+// send enqueues one request frame without flushing. The payload is
+// given (the raw requests of the replication layer) or, with enc, is
+// encoded by it into the connection's scratch builder under the write
+// lock, so a typed request costs no allocation. The flush happens in
+// Wait (or the next synchronous call), so bursts of Async sends
+// coalesce into few syscalls.
+func (c *Conn) send(kind byte, payload []byte, enc func(*wire.Builder)) *Pending {
+	p := pendings.Get().(*Pending)
+	if !c.register(p) {
+		return p
+	}
 	c.wmu.Lock()
-	if err := wire.WriteFrame(c.bw, id, kind, payload); err != nil {
+	if enc != nil {
+		enc(c.enc.Reset())
+		payload = c.enc.Bytes()
+	}
+	if err := wire.WriteFrame(c.bw, p.id, kind, payload); err != nil {
 		// A send-path failure is terminal: closing the conn makes
 		// readLoop fail this and every other pending request.
 		c.conn.Close()
 	} else {
-		c.dirty = true
+		c.dirty.Store(true)
 	}
 	c.wmu.Unlock()
-	return &Pending{c: c, id: id, ch: ch}
+	return p
 }
 
+// flush puts the frames sent so far on the wire. A clear dirty flag
+// means some flush that began after the caller's send has the lock (or
+// is done), so the caller's frames are covered without taking it.
 func (c *Conn) flush() {
+	if !c.dirty.Load() {
+		return
+	}
 	c.wmu.Lock()
-	if c.dirty {
-		c.dirty = false
+	if c.dirty.Load() {
+		c.dirty.Store(false)
 		if err := c.bw.Flush(); err != nil {
 			c.conn.Close()
 		}
@@ -243,40 +294,49 @@ func releaseTimer(t *time.Timer) {
 }
 
 // Wait blocks for the response, the request timeout, or connection
-// loss. On an error status it returns a *wire.StatusError that unwraps
-// to the matching sentinel. A response that has already arrived — the
-// usual case for all but the first Wait of a pipelined burst — is taken
-// without arming a timer.
+// loss, and may be called once (see Pending). On an error status it
+// returns a *wire.StatusError that unwraps to the matching sentinel. A
+// response that has already arrived — the usual case for all but the
+// first Wait of a pipelined burst — is taken without arming a timer.
 func (p *Pending) Wait() (wire.Frame, error) {
-	p.c.flush()
+	c := p.c
+	c.flush()
+	var f wire.Frame
 	select {
-	case f, ok := <-p.ch:
-		return p.resolve(f, ok)
+	case f = <-p.ch:
 	default:
+		timer := armTimer(c.opts.RequestTimeout)
+		select {
+		case f = <-p.ch:
+			releaseTimer(timer)
+		case <-timer.C:
+			releaseTimer(timer)
+			c.pmu.Lock()
+			s := c.slot(p.id)
+			timedOut := *s == p
+			if timedOut {
+				*s = nil // readLoop will drop the late response
+			}
+			c.pmu.Unlock()
+			if timedOut {
+				pendings.Put(p)
+				return wire.Frame{}, ErrTimeout
+			}
+			f = <-p.ch // the wake beat the timeout to pmu: it is in the channel
+		}
 	}
-	timer := armTimer(p.c.opts.RequestTimeout)
-	defer releaseTimer(timer)
-	select {
-	case f, ok := <-p.ch:
-		return p.resolve(f, ok)
-	case <-timer.C:
-		p.c.pmu.Lock()
-		delete(p.c.pending, p.id)
-		p.c.pmu.Unlock()
-		return wire.Frame{}, ErrTimeout
-	}
+	f, err := p.resolve(f)
+	pendings.Put(p)
+	return f, err
 }
 
-// resolve maps a received response (or the closed channel of a lost
-// connection) to Wait's result.
-func (p *Pending) resolve(f wire.Frame, ok bool) (wire.Frame, error) {
-	if !ok {
+// resolve maps a received response (or the wake of a lost connection)
+// to Wait's result.
+func (p *Pending) resolve(f wire.Frame) (wire.Frame, error) {
+	if p.lost {
 		p.c.pmu.Lock()
 		err := p.c.readErr
 		p.c.pmu.Unlock()
-		if err == nil {
-			err = errors.New("client: connection closed")
-		}
 		return wire.Frame{}, err
 	}
 	if f.Kind == wire.StatusRedirect {
@@ -292,29 +352,29 @@ func (p *Pending) resolve(f wire.Frame, ok bool) (wire.Frame, error) {
 	return f, nil
 }
 
-// do sends one request synchronously, retrying transient (StatusBusy)
-// rejections with exponential backoff up to MaxRetries attempts. Busy
-// rejections happen before the op executes, so the retry is always
-// safe.
 // Do sends one raw request synchronously with the transient-retry
 // policy. The replication layer uses it to carry opcodes the typed
 // wrappers don't cover.
 func (c *Conn) Do(kind byte, payload []byte) (wire.Frame, error) {
-	return c.do(kind, payload)
+	return c.do(kind, payload, nil)
 }
 
 // DoAsync enqueues one raw request and returns its Pending without
 // flushing, so repl batches coalesce like pipelined transactions.
 func (c *Conn) DoAsync(kind byte, payload []byte) *Pending {
-	return c.send(kind, payload)
+	return c.send(kind, payload, nil)
 }
 
-func (c *Conn) do(kind byte, payload []byte) (wire.Frame, error) {
+// do sends one request (see send) synchronously, retrying transient
+// (StatusBusy) rejections with exponential backoff up to MaxRetries
+// attempts. Busy rejections happen before the op executes, so the retry
+// is always safe.
+func (c *Conn) do(kind byte, payload []byte, enc func(*wire.Builder)) (wire.Frame, error) {
 	backoff := c.opts.RetryBackoff
 	var f wire.Frame
 	var err error
 	for attempt := 0; attempt < c.opts.MaxRetries; attempt++ {
-		f, err = c.send(kind, payload).Wait()
+		f, err = c.send(kind, payload, enc).Wait()
 		if err == nil || !wire.IsTransient(err) {
 			return f, err
 		}

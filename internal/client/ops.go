@@ -9,30 +9,30 @@ import (
 // Begin opens a transaction under a fresh handle and returns it.
 func (c *Conn) Begin() (uint64, error) {
 	tx := c.NewTxID()
-	_, err := c.do(wire.OpBegin, wire.NewBuilder(8).Uint64(tx).Bytes())
+	_, err := c.do(wire.OpBegin, nil, func(b *wire.Builder) { b.Uint64(tx) })
 	return tx, err
 }
 
 // BeginAsync opens a transaction under the given handle (from NewTxID)
 // without waiting for the response.
 func (c *Conn) BeginAsync(tx uint64) *Pending {
-	return c.send(wire.OpBegin, wire.NewBuilder(8).Uint64(tx).Bytes())
+	return c.send(wire.OpBegin, nil, func(b *wire.Builder) { b.Uint64(tx) })
 }
 
 // Commit commits a transaction.
 func (c *Conn) Commit(tx uint64) error {
-	_, err := c.do(wire.OpCommit, wire.NewBuilder(8).Uint64(tx).Bytes())
+	_, err := c.do(wire.OpCommit, nil, func(b *wire.Builder) { b.Uint64(tx) })
 	return err
 }
 
 // CommitAsync pipelines a commit.
 func (c *Conn) CommitAsync(tx uint64) *Pending {
-	return c.send(wire.OpCommit, wire.NewBuilder(8).Uint64(tx).Bytes())
+	return c.send(wire.OpCommit, nil, func(b *wire.Builder) { b.Uint64(tx) })
 }
 
 // Abort rolls a transaction back.
 func (c *Conn) Abort(tx uint64) error {
-	_, err := c.do(wire.OpAbort, wire.NewBuilder(8).Uint64(tx).Bytes())
+	_, err := c.do(wire.OpAbort, nil, func(b *wire.Builder) { b.Uint64(tx) })
 	return err
 }
 
@@ -49,15 +49,14 @@ func (c *Conn) Insert(tx uint64, table string, data []byte) (wire.RID, error) {
 
 // InsertAsync pipelines an insert; Wait's frame payload is the rid.
 func (c *Conn) InsertAsync(tx uint64, table string, data []byte) *Pending {
-	p := wire.NewBuilder(16 + len(table) + len(data)).
-		Uint64(tx).String(table).Blob(data).Bytes()
-	return c.send(wire.OpInsert, p)
+	return c.send(wire.OpInsert, nil, func(b *wire.Builder) {
+		b.Uint64(tx).String(table).Blob(data)
+	})
 }
 
 // Read fetches a committed tuple outside any transaction.
 func (c *Conn) Read(table string, rid wire.RID) ([]byte, error) {
-	p := wire.NewBuilder(16 + len(table)).String(table).RID(rid).Bytes()
-	f, err := c.do(wire.OpRead, p)
+	f, err := c.do(wire.OpRead, nil, func(b *wire.Builder) { b.String(table).RID(rid) })
 	if err != nil {
 		return nil, err
 	}
@@ -68,8 +67,7 @@ func (c *Conn) Read(table string, rid wire.RID) ([]byte, error) {
 
 // ReadAsync pipelines a read; Wait's frame payload is the tuple blob.
 func (c *Conn) ReadAsync(table string, rid wire.RID) *Pending {
-	p := wire.NewBuilder(16 + len(table)).String(table).RID(rid).Bytes()
-	return c.send(wire.OpRead, p)
+	return c.send(wire.OpRead, nil, func(b *wire.Builder) { b.String(table).RID(rid) })
 }
 
 // Update rewrites a whole tuple.
@@ -80,9 +78,9 @@ func (c *Conn) Update(tx uint64, table string, rid wire.RID, data []byte) error 
 
 // UpdateAsync pipelines a whole-tuple update.
 func (c *Conn) UpdateAsync(tx uint64, table string, rid wire.RID, data []byte) *Pending {
-	p := wire.NewBuilder(24 + len(table) + len(data)).
-		Uint64(tx).String(table).RID(rid).Blob(data).Bytes()
-	return c.send(wire.OpUpdate, p)
+	return c.send(wire.OpUpdate, nil, func(b *wire.Builder) {
+		b.Uint64(tx).String(table).RID(rid).Blob(data)
+	})
 }
 
 // UpdateField rewrites `val` bytes at byte offset `off` of a tuple —
@@ -94,9 +92,9 @@ func (c *Conn) UpdateField(tx uint64, table string, rid wire.RID, off int, val [
 
 // UpdateFieldAsync pipelines a field update.
 func (c *Conn) UpdateFieldAsync(tx uint64, table string, rid wire.RID, off int, val []byte) *Pending {
-	p := wire.NewBuilder(28 + len(table) + len(val)).
-		Uint64(tx).String(table).RID(rid).Uint32(uint32(off)).Blob(val).Bytes()
-	return c.send(wire.OpUpdateField, p)
+	return c.send(wire.OpUpdateField, nil, func(b *wire.Builder) {
+		b.Uint64(tx).String(table).RID(rid).Uint32(uint32(off)).Blob(val)
+	})
 }
 
 // AddField adds delta to the 8-byte little-endian word at byte offset
@@ -110,15 +108,14 @@ func (c *Conn) AddField(tx uint64, table string, rid wire.RID, off int, delta ui
 
 // AddFieldAsync pipelines a field increment.
 func (c *Conn) AddFieldAsync(tx uint64, table string, rid wire.RID, off int, delta uint64) *Pending {
-	p := wire.NewBuilder(36 + len(table)).
-		Uint64(tx).String(table).RID(rid).Uint32(uint32(off)).Uint64(delta).Bytes()
-	return c.send(wire.OpAddField, p)
+	return c.send(wire.OpAddField, nil, func(b *wire.Builder) {
+		b.Uint64(tx).String(table).RID(rid).Uint32(uint32(off)).Uint64(delta)
+	})
 }
 
 // Delete removes a tuple.
 func (c *Conn) Delete(tx uint64, table string, rid wire.RID) error {
-	p := wire.NewBuilder(24 + len(table)).Uint64(tx).String(table).RID(rid).Bytes()
-	_, err := c.do(wire.OpDelete, p)
+	_, err := c.do(wire.OpDelete, nil, func(b *wire.Builder) { b.Uint64(tx).String(table).RID(rid) })
 	return err
 }
 
@@ -130,8 +127,7 @@ type ScanEntry struct {
 
 // Scan returns up to limit committed tuples of a table (0 = all).
 func (c *Conn) Scan(table string, limit uint32) ([]ScanEntry, error) {
-	p := wire.NewBuilder(8 + len(table)).String(table).Uint32(limit).Bytes()
-	f, err := c.do(wire.OpScan, p)
+	f, err := c.do(wire.OpScan, nil, func(b *wire.Builder) { b.String(table).Uint32(limit) })
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +152,7 @@ func (c *Conn) Scan(table string, limit uint32) ([]ScanEntry, error) {
 // otherwise).
 func (c *Conn) BeginSnapshot() (tx uint64, snapshotLSN uint64, err error) {
 	tx = c.NewTxID()
-	f, err := c.do(wire.OpBeginSnapshot, wire.NewBuilder(8).Uint64(tx).Bytes())
+	f, err := c.do(wire.OpBeginSnapshot, nil, func(b *wire.Builder) { b.Uint64(tx) })
 	if err != nil {
 		return 0, 0, err
 	}
@@ -168,8 +164,7 @@ func (c *Conn) BeginSnapshot() (tx uint64, snapshotLSN uint64, err error) {
 // SnapshotRead fetches a tuple as of the snapshot transaction's pinned
 // LSN.
 func (c *Conn) SnapshotRead(tx uint64, table string, rid wire.RID) ([]byte, error) {
-	p := wire.NewBuilder(24 + len(table)).Uint64(tx).String(table).RID(rid).Bytes()
-	f, err := c.do(wire.OpSnapshotRead, p)
+	f, err := c.do(wire.OpSnapshotRead, nil, func(b *wire.Builder) { b.Uint64(tx).String(table).RID(rid) })
 	if err != nil {
 		return nil, err
 	}
@@ -181,8 +176,7 @@ func (c *Conn) SnapshotRead(tx uint64, table string, rid wire.RID) ([]byte, erro
 // SnapshotScan returns up to limit tuples (0 = all) visible at the
 // snapshot transaction's pinned LSN.
 func (c *Conn) SnapshotScan(tx uint64, table string, limit uint32) ([]ScanEntry, error) {
-	p := wire.NewBuilder(16 + len(table)).Uint64(tx).String(table).Uint32(limit).Bytes()
-	f, err := c.do(wire.OpSnapshotScan, p)
+	f, err := c.do(wire.OpSnapshotScan, nil, func(b *wire.Builder) { b.Uint64(tx).String(table).Uint32(limit) })
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +194,7 @@ func (c *Conn) SnapshotScan(tx uint64, table string, limit uint32) ([]ScanEntry,
 
 // Stats fetches the server's stats document as raw JSON.
 func (c *Conn) Stats() ([]byte, error) {
-	f, err := c.do(wire.OpStats, nil)
+	f, err := c.do(wire.OpStats, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -211,6 +205,6 @@ func (c *Conn) Stats() ([]byte, error) {
 
 // Ping round-trips an empty frame.
 func (c *Conn) Ping() error {
-	_, err := c.do(wire.OpPing, nil)
+	_, err := c.do(wire.OpPing, nil, nil)
 	return err
 }

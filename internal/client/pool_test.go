@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bufio"
 	"errors"
 	"net"
 	"testing"
@@ -20,7 +21,11 @@ func TestPoolGetAfterClose(t *testing.T) {
 }
 
 // fakeServer answers HELLO itself and delegates every other request to
-// handle, giving redirect tests a deterministic peer.
+// handle, giving redirect tests a deterministic peer. It serves the way
+// the real session does — requests decoded in place (handle's frame is
+// valid only during the call), replies flushed once per burst — and
+// allocates nothing of its own, so allocation guards on the client can
+// run against it.
 type fakeServer struct {
 	ln     net.Listener
 	handle func(f wire.Frame) (status byte, payload []byte)
@@ -39,26 +44,40 @@ func startFakeServer(t *testing.T, handle func(f wire.Frame) (byte, []byte)) *fa
 			if err != nil {
 				return
 			}
-			go func() {
-				defer nc.Close()
-				for {
-					f, err := wire.ReadFrame(nc, 0)
-					if err != nil {
-						return
-					}
-					status, payload := byte(wire.StatusOK), []byte(nil)
-					if f.Kind != wire.OpHello {
-						status, payload = s.handle(f)
-					}
-					if err := wire.WriteFrame(nc, f.ID, status, payload); err != nil {
-						return
-					}
-				}
-			}()
+			go s.serve(nc)
 		}
 	}()
 	t.Cleanup(func() { ln.Close() })
 	return s
+}
+
+func (s *fakeServer) serve(nc net.Conn) {
+	defer nc.Close()
+	br, bw := bufio.NewReader(nc), bufio.NewWriter(nc)
+	for {
+		if br.Buffered() < wire.HeaderLen {
+			if bw.Flush() != nil {
+				return
+			}
+		}
+		size, err := wire.PeekFrameSize(br, br.Size()-4)
+		if err != nil {
+			return
+		}
+		p, err := br.Peek(size)
+		if err != nil {
+			return
+		}
+		f := wire.ParseFrame(p)
+		status, payload := byte(wire.StatusOK), []byte(nil)
+		if f.Kind != wire.OpHello {
+			status, payload = s.handle(f)
+		}
+		if wire.WriteFrame(bw, f.ID, status, payload) != nil {
+			return
+		}
+		br.Discard(size)
+	}
 }
 
 func (s *fakeServer) addr() string { return s.ln.Addr().String() }

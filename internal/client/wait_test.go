@@ -66,3 +66,92 @@ func TestWaitTimersAreRecycledClean(t *testing.T) {
 		t.Errorf("Wait on an answered request allocates %.1f times", allocs)
 	}
 }
+
+// A request costs the client no allocation of its own: the payload is
+// encoded in the connection's scratch builder, the Pending and its
+// channel are recycled, the empty response is read without a buffer.
+// (One is allowed for a Pending the pool lost to a GC cycle.)
+func TestRequestAllocs(t *testing.T) {
+	srv := startFakeServer(t, func(wire.Frame) (byte, []byte) { return wire.StatusOK, nil })
+	c, err := Dial(srv.addr(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rid := wire.RID{Page: 7, Slot: 3}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := c.AddFieldAsync(1, "tpcb_account", rid, 8, 42).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("AddFieldAsync+Wait allocates %.0f times, want at most 1", allocs)
+	}
+}
+
+// The pending table is a ring indexed by request id. It must grow past
+// its initial size without losing or crossing a request, from many
+// goroutines at once, and a lost connection must wake everything in it.
+func TestPendingRing(t *testing.T) {
+	hang := make(chan struct{})
+	srv := startFakeServer(t, func(f wire.Frame) (byte, []byte) {
+		if f.Kind == wire.OpStats {
+			<-hang
+		}
+		return wire.StatusOK, append([]byte(nil), f.Payload...) // echo
+	})
+	c, err := Dial(srv.addr(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const senders, each = 8, 300 // 8 × 50 in flight: several doublings of the 16-slot ring
+	errs := make(chan error, senders)
+	for g := 0; g < senders; g++ {
+		go func(g int) {
+			for i := 0; i < each; i += 50 {
+				var ps [50]*Pending
+				for j := range ps {
+					ps[j] = c.DoAsync(wire.OpPing, wire.NewBuilder(8).Uint64(uint64(g<<32|(i+j))).Bytes())
+				}
+				for j, p := range ps {
+					f, err := p.Wait()
+					if err == nil && wire.NewReader(f.Payload).Uint64() != uint64(g<<32|(i+j)) {
+						err = errors.New("a Pending was woken with another request's response")
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < senders; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Requests parked behind one the server sits on; the connection dies.
+	var parked []*Pending
+	parked = append(parked, c.DoAsync(wire.OpStats, nil))
+	for i := 0; i < 40; i++ {
+		parked = append(parked, c.DoAsync(wire.OpPing, nil))
+	}
+	c.flush()
+	c.conn.Close()
+	for i, p := range parked {
+		if _, err := p.Wait(); err == nil || errors.Is(err, ErrTimeout) {
+			t.Fatalf("parked request %d after connection loss: %v, want the connection's error", i, err)
+		}
+	}
+	close(hang)
+	if _, err := c.DoAsync(wire.OpPing, nil).Wait(); err == nil {
+		t.Fatal("request on a dead connection succeeded")
+	}
+	if c.Healthy() {
+		t.Error("dead connection reports healthy")
+	}
+}

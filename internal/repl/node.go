@@ -134,10 +134,8 @@ type Node struct {
 	recBuf  []wal.Record // handleAppend's decoded batch, guarded by applyMu
 
 	mu          sync.Mutex
-	role        Role
 	term        uint64
 	votedFor    map[uint64]uint64 // term → candidate granted our vote
-	leaderID    uint64            // 0 = unknown
 	seenLeader  bool              // gates elections until first contact
 	lastContact time.Time
 	epochs      []epoch
@@ -149,6 +147,13 @@ type Node struct {
 	shipStop    chan struct{}      // per-leadership shipper kill switch
 	waiters     []*commitWaiter    // WaitCommitted calls parked on the slow path
 	stopped     bool
+
+	// role (a Role) and leaderID (0 = unknown) are written under mu and
+	// read lock-free by IsLeader and LeaderAddr: every request of every
+	// session asks, and must not queue behind shippers, acks and
+	// elections to hear the answer.
+	role     atomic.Int32
+	leaderID atomic.Uint64
 
 	// commit is the quorum-replicated horizon (leader). Written under
 	// mu; shippers and stats read it lock-free.
@@ -230,23 +235,23 @@ func (n *Node) logf(format string, args ...any) {
 	}
 }
 
-// IsLeader reports whether this node currently owns the log.
-func (n *Node) IsLeader() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.role == RoleLeader
+// is reports whether the node currently has role r.
+func (n *Node) is(r Role) bool { return Role(n.role.Load()) == r }
+
+// setRoleLocked is the one place role and leaderID change.
+func (n *Node) setRoleLocked(r Role, leaderID uint64) {
+	n.role.Store(int32(r))
+	n.leaderID.Store(leaderID)
 }
 
+// IsLeader reports whether this node currently owns the log. It takes
+// no lock.
+func (n *Node) IsLeader() bool { return n.is(RoleLeader) }
+
 // LeaderAddr returns the advertised address of the last known leader,
-// or "" when no leader is known (mid-election).
-func (n *Node) LeaderAddr() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.leaderID == 0 {
-		return ""
-	}
-	return n.cfg.Peers[n.leaderID]
-}
+// or "" when no leader is known (mid-election). It takes no lock: the
+// peer map is fixed at construction and has no entry for id 0.
+func (n *Node) LeaderAddr() string { return n.cfg.Peers[n.leaderID.Load()] }
 
 // commitWaiter is one WaitCommitted call parked until the commit
 // horizon reaches its LSN. Waiters are pooled with their channel and
@@ -275,7 +280,7 @@ func (n *Node) WaitCommitted(lsn core.LSN) error {
 	}
 	start := time.Now()
 	n.mu.Lock()
-	if n.role != RoleLeader || n.stopped {
+	if !n.is(RoleLeader) || n.stopped {
 		n.mu.Unlock()
 		return ErrNotLeader
 	}
@@ -369,22 +374,20 @@ func (n *Node) observeTermLocked(term uint64) {
 		return
 	}
 	n.term = term
-	if n.role == RoleLeader {
+	if n.is(RoleLeader) {
 		n.logf("repl: node %d deposed by term %d", n.cfg.NodeID, term)
 		n.stopShippersLocked()
 		n.failWaitersLocked()
 	}
-	n.role = RoleFollower
-	n.leaderID = 0
+	n.setRoleLocked(RoleFollower, 0)
 }
 
 // observeLeaderLocked processes contact from a node claiming to lead
 // `term`. Assumes term >= n.term already ensured by the caller.
 func (n *Node) observeLeaderLocked(term, leaderID uint64) {
 	n.observeTermLocked(term)
-	if term == n.term && n.role != RoleLeader {
-		n.role = RoleFollower
-		n.leaderID = leaderID
+	if term == n.term && !n.is(RoleLeader) {
+		n.setRoleLocked(RoleFollower, leaderID)
 		n.seenLeader = true
 		n.lastContact = time.Now()
 	}
@@ -421,7 +424,7 @@ func (n *Node) termAt(lsn core.LSN) uint64 {
 // runs on every ack, so the members' positions are insertion-sorted,
 // descending, into a reused scratch slice.
 func (n *Node) recomputeCommitLocked() {
-	if n.role != RoleLeader {
+	if !n.is(RoleLeader) {
 		return
 	}
 	lsns := append(n.quorumBuf[:0], n.db.WAL().Head())
@@ -451,7 +454,7 @@ func (n *Node) recomputeCommitLocked() {
 func (n *Node) setAck(peerID uint64, lsn core.LSN, bytes uint64, connected bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.role != RoleLeader {
+	if !n.is(RoleLeader) {
 		return
 	}
 	// No monotonicity clamp: a snapshot resync legitimately regresses
@@ -484,8 +487,7 @@ func (n *Node) setConnected(peerID uint64, connected bool) {
 // --- leadership transitions ------------------------------------------
 
 func (n *Node) becomeLeaderLocked(term uint64) {
-	n.role = RoleLeader
-	n.leaderID = n.cfg.NodeID
+	n.setRoleLocked(RoleLeader, n.cfg.NodeID)
 	n.seenLeader = true
 	n.lastContact = time.Now()
 	n.acks = make(map[uint64]peerAck)
@@ -535,7 +537,7 @@ func (n *Node) electionLoop() {
 		case <-tick.C:
 		}
 		n.mu.Lock()
-		if n.role == RoleLeader || !n.seenLeader || time.Since(n.lastContact) < timeout ||
+		if n.is(RoleLeader) || !n.seenLeader || time.Since(n.lastContact) < timeout ||
 			n.db.WAL().Head() < n.voteBar {
 			n.mu.Unlock()
 			continue
@@ -543,9 +545,8 @@ func (n *Node) electionLoop() {
 		// Leader is silent: campaign.
 		n.term++
 		term := n.term
-		n.role = RoleCandidate
+		n.setRoleLocked(RoleCandidate, 0)
 		n.votedFor[term] = n.cfg.NodeID
-		n.leaderID = 0
 		n.lastContact = time.Now()
 		lastLSN := n.db.WAL().Head()
 		lastTerm := n.termAtLocked(lastLSN)
@@ -557,8 +558,8 @@ func (n *Node) electionLoop() {
 		votes := n.requestVotes(term, lastLSN, lastTerm)
 		if votes*2 <= len(n.cfg.Peers) {
 			n.mu.Lock()
-			if n.role == RoleCandidate && n.term == term {
-				n.role = RoleFollower
+			if n.is(RoleCandidate) && n.term == term {
+				n.setRoleLocked(RoleFollower, n.leaderID.Load())
 			}
 			n.mu.Unlock()
 			timeout = n.cfg.ElectionTimeout + time.Duration(rng.Int63n(int64(n.cfg.ElectionTimeout)))
@@ -578,7 +579,7 @@ func (n *Node) promoteAndLead(term uint64) {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
 	n.mu.Lock()
-	if n.term != term || n.role != RoleCandidate {
+	if n.term != term || !n.is(RoleCandidate) {
 		n.mu.Unlock()
 		return
 	}
@@ -591,11 +592,11 @@ func (n *Node) promoteAndLead(term uint64) {
 	defer n.mu.Unlock()
 	if err != nil {
 		n.logf("repl: node %d promote failed: %v", n.cfg.NodeID, err)
-		n.role = RoleFollower
+		n.setRoleLocked(RoleFollower, n.leaderID.Load())
 		return
 	}
 	if n.term != term || n.stopped {
-		n.role = RoleFollower
+		n.setRoleLocked(RoleFollower, n.leaderID.Load())
 		return
 	}
 	n.becomeLeaderLocked(term)
@@ -657,7 +658,10 @@ func (n *Node) requestVotes(term uint64, lastLSN core.LSN, lastTerm uint64) int 
 
 // HandleFrame processes one repl-family request arriving on a server
 // session and returns (status, response payload). It implements the
-// server.Replicator interface.
+// server.Replicator interface. The payload is the session's read
+// buffer and belongs to the node only until HandleFrame returns:
+// handlers decode, apply and install before they return, and copy what
+// the engine keeps (see decodeRecord).
 func (n *Node) HandleFrame(kind byte, payload []byte) (byte, []byte) {
 	switch kind {
 	case wire.OpReplHello:
@@ -669,14 +673,14 @@ func (n *Node) HandleFrame(kind byte, payload []byte) (byte, []byte) {
 	case wire.OpVoteReq:
 		return n.handleVote(payload)
 	default:
-		return wire.StatusBadRequest, []byte(fmt.Sprintf("repl: unexpected opcode %d", kind))
+		return failResp(wire.StatusBadRequest, fmt.Errorf("repl: unexpected opcode %d", kind))
 	}
 }
 
 func (n *Node) handleHello(payload []byte) (byte, []byte) {
 	h, err := decodeHelloReq(payload)
 	if err != nil {
-		return wire.StatusBadRequest, []byte(err.Error())
+		return failResp(wire.StatusBadRequest, err)
 	}
 	n.mu.Lock()
 	if h.Term >= n.term {
@@ -707,10 +711,10 @@ func (n *Node) handleAppend(payload []byte) (byte, []byte) {
 	var ebuf [4]epoch
 	term, leaderID, commit, epochs, count, err := decodeAppendHeader(r, ebuf[:0])
 	if err != nil {
-		return wire.StatusBadRequest, []byte(err.Error())
+		return failResp(wire.StatusBadRequest, err)
 	}
 	n.mu.Lock()
-	if term < n.term || (term == n.term && n.role == RoleLeader) {
+	if term < n.term || (term == n.term && n.is(RoleLeader)) {
 		// Stale leader: tell it the real term so it steps down.
 		cur := n.term
 		n.mu.Unlock()
@@ -735,7 +739,7 @@ func (n *Node) handleAppend(payload []byte) (byte, []byte) {
 			rec, derr := decodeRecord(r)
 			if derr != nil {
 				n.applyMu.Unlock()
-				return wire.StatusBadRequest, []byte(derr.Error())
+				return failResp(wire.StatusBadRequest, derr)
 			}
 			recs = append(recs, rec)
 		}
@@ -755,10 +759,10 @@ func (n *Node) handleAppend(payload []byte) (byte, []byte) {
 func (n *Node) handleSnap(payload []byte) (byte, []byte) {
 	term, leaderID, epochs, image, err := decodeSnap(payload)
 	if err != nil {
-		return wire.StatusBadRequest, []byte(err.Error())
+		return failResp(wire.StatusBadRequest, err)
 	}
 	n.mu.Lock()
-	if term < n.term || (term == n.term && n.role == RoleLeader) {
+	if term < n.term || (term == n.term && n.is(RoleLeader)) {
 		cur := n.term
 		n.mu.Unlock()
 		return wire.StatusOK, n.ackNow(cur, false).encode()
@@ -768,7 +772,7 @@ func (n *Node) handleSnap(payload []byte) (byte, []byte) {
 
 	var snap engine.ReplicaSnapshot
 	if err := json.Unmarshal(image, &snap); err != nil {
-		return wire.StatusBadRequest, []byte(fmt.Sprintf("repl: bad snapshot image: %v", err))
+		return failResp(wire.StatusBadRequest, fmt.Errorf("repl: bad snapshot image: %v", err))
 	}
 	n.applyMu.Lock()
 	err = n.db.InstallSnapshot(n.w, &snap)
@@ -792,7 +796,7 @@ func (n *Node) handleSnap(payload []byte) (byte, []byte) {
 	}
 	n.applyMu.Unlock()
 	if err != nil {
-		return wire.StatusInternal, []byte(err.Error())
+		return failResp(wire.StatusInternal, err)
 	}
 	return wire.StatusOK, n.ackNow(term, false).encode()
 }
@@ -800,13 +804,13 @@ func (n *Node) handleSnap(payload []byte) (byte, []byte) {
 func (n *Node) handleVote(payload []byte) (byte, []byte) {
 	v, err := decodeVoteReq(payload)
 	if err != nil {
-		return wire.StatusBadRequest, []byte(err.Error())
+		return failResp(wire.StatusBadRequest, err)
 	}
 	n.mu.Lock()
 	n.observeTermLocked(v.Term)
 	granted := false
 	myLast := n.db.WAL().Head()
-	if v.Term == n.term && n.role != RoleLeader && myLast >= n.voteBar {
+	if v.Term == n.term && !n.is(RoleLeader) && myLast >= n.voteBar {
 		prev, voted := n.votedFor[v.Term]
 		myLastTerm := n.termAtLocked(myLast)
 		upToDate := v.LastTerm > myLastTerm ||
@@ -877,10 +881,10 @@ func (n *Node) Stats() Stats {
 	defer n.mu.Unlock()
 	s := Stats{
 		NodeID:        n.cfg.NodeID,
-		Role:          n.role.String(),
+		Role:          Role(n.role.Load()).String(),
 		Term:          n.term,
-		LeaderID:      n.leaderID,
-		LeaderAddr:    n.cfg.Peers[n.leaderID],
+		LeaderID:      n.leaderID.Load(),
+		LeaderAddr:    n.LeaderAddr(),
 		HeadLSN:       uint64(head),
 		CommitLSN:     n.commit.Load(),
 		AppliedLSN:    uint64(n.applier.AppliedLSN()),
@@ -894,7 +898,7 @@ func (n *Node) Stats() Stats {
 		ShipWakeups:    n.shipWakeups.Load(),
 		HeartbeatsSent: n.heartbeatsSent.Load(),
 	}
-	if n.role == RoleLeader && len(n.acks) > 0 {
+	if n.is(RoleLeader) && len(n.acks) > 0 {
 		s.Peers = make(map[string]PeerStats, len(n.acks))
 		for id, a := range n.acks {
 			ps := PeerStats{

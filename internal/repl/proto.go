@@ -21,6 +21,13 @@ import (
 	"ipa/internal/wire"
 )
 
+// failResp is an error response: like every error on the wire, its
+// body is the message as `bytes`, which is how the client decodes it.
+func failResp(status byte, err error) (byte, []byte) {
+	msg := err.Error()
+	return status, wire.NewBuilder(4 + len(msg)).Blob([]byte(msg)).Bytes()
+}
+
 // helloReq is REPL_HELLO: a leader introducing itself to a follower and
 // asking where its log ends.
 type helloReq struct {
@@ -258,6 +265,7 @@ func encodeSnap(term, leaderID uint64, epochs []epoch, image []byte) []byte {
 	return b.Bytes()
 }
 
+// decodeSnap reads what encodeSnap wrote; the image aliases p.
 func decodeSnap(p []byte) (term, leaderID uint64, epochs []epoch, image []byte, err error) {
 	r := wire.NewReader(p)
 	term, leaderID = r.Uint64(), r.Uint64()
@@ -268,6 +276,6 @@ func decodeSnap(p []byte) (term, leaderID uint64, epochs []epoch, image []byte, 
 			epochs = append(epochs, epoch{Term: r.Uint64(), From: core.LSN(r.Uint64())})
 		}
 	}
-	image = r.Blob()
+	image = r.BlobView()
 	return term, leaderID, epochs, image, r.Err()
 }

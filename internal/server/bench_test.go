@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bufio"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"ipa/internal/client"
 	"ipa/internal/metrics"
 	"ipa/internal/server"
+	"ipa/internal/wire"
 	"ipa/internal/workload"
 )
 
@@ -116,4 +118,47 @@ func benchServerTPCB(b *testing.B, conns, depth int) {
 	b.ReportMetric(float64(total.Quantile(0.50)), "p50-ns")
 	b.ReportMetric(float64(total.Quantile(0.99)), "p99-ns")
 	b.ReportMetric(float64(nAbort), "aborts")
+}
+
+// BenchmarkSessionBurst measures the serving path by itself: one raw
+// connection sends the TPC-B commit burst (BEGIN, three ADDFIELD, the
+// history INSERT, COMMIT — six frames in one write) and reads the six
+// replies, with nothing of internal/client in the loop. ns/op is one
+// burst's round trip, allocs/op (-benchmem) what the server allocates
+// for it on top of the engine, writes/burst the socket writes the
+// session answered it with (1: one flush per burst).
+func BenchmarkSessionBurst(b *testing.B) {
+	db, tl, _, _, rids := acctStack(b)
+	srv, conn, writes := rawServer(b, db, tl, server.Config{})
+	defer srv.Shutdown(10 * time.Second)
+	req := commitBurst(1, rids, 1).buf.Bytes()
+	br := bufio.NewReader(conn)
+	roundTrip := func() {
+		if _, err := conn.Write(req); err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			size, err := wire.PeekFrameSize(br, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := br.Peek(size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if f := wire.ParseFrame(p); f.Kind != wire.StatusOK {
+				b.Fatalf("request %d: status %d", f.ID, f.Kind)
+			}
+			br.Discard(size)
+		}
+	}
+	roundTrip() // resolves and caches the tables
+	before := writes.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(writes.Load()-before)/float64(b.N), "writes/burst")
 }

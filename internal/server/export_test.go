@@ -1,8 +1,38 @@
 package server
 
+import (
+	"net"
+	"time"
+
+	"ipa/internal/wire"
+)
+
 // OccupySlot claims one admission-semaphore slot, letting tests force
 // deterministic StatusBusy rejections. The returned func releases it.
 func (s *Server) OccupySlot() func() {
 	s.inflight <- struct{}{}
 	return func() { <-s.inflight }
 }
+
+// TestSession is a session without a network, for measuring what
+// serving a request costs on top of the engine call it wraps: requests
+// go straight into handle, replies into a connection that discards
+// them.
+type TestSession struct{ s *session }
+
+func (s *Server) NewTestSession() *TestSession {
+	return &TestSession{newSession(s, discardConn{})}
+}
+
+func (t *TestSession) Handle(f wire.Frame) { t.s.handle(f) }
+
+type discardConn struct{}
+
+func (discardConn) Read([]byte) (int, error)         { select {} }
+func (discardConn) Write(p []byte) (int, error)      { return len(p), nil }
+func (discardConn) Close() error                     { return nil }
+func (discardConn) LocalAddr() net.Addr              { return nil }
+func (discardConn) RemoteAddr() net.Addr             { return nil }
+func (discardConn) SetDeadline(time.Time) error      { return nil }
+func (discardConn) SetReadDeadline(time.Time) error  { return nil }
+func (discardConn) SetWriteDeadline(time.Time) error { return nil }

@@ -56,10 +56,9 @@ type Config struct {
 
 	MaxInflight    int           // global in-flight request cap (default 256)
 	AcquireTimeout time.Duration // admission wait before StatusBusy (default 2s)
-	ReadTimeout    time.Duration // per-frame read deadline / idle limit (default 2m)
+	ReadTimeout    time.Duration // limit on a frame's arrival and on idling between bursts (default 2m)
 	WriteTimeout   time.Duration // deadline per response flush (default 30s)
 	MaxFrame       int           // frame size limit (default wire.MaxFrame)
-	PipelineDepth  int           // per-session queued-request bound (default 64)
 
 	Logf func(format string, args ...any) // optional diagnostics sink
 }
@@ -79,9 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = wire.MaxFrame
-	}
-	if c.PipelineDepth <= 0 {
-		c.PipelineDepth = 64
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -124,8 +120,9 @@ type Server struct {
 	sessions map[*session]struct{}
 	sessWG   sync.WaitGroup
 
-	latMu sync.Mutex
-	opLat map[string]*metrics.Latency
+	// opLat holds per-op service times, indexed by opcode; slot 0 takes
+	// every opcode the protocol does not define.
+	opLat [wire.NumOps]metrics.Latency
 
 	adminMu  sync.Mutex
 	adminSrv *http.Server
@@ -149,7 +146,6 @@ func New(cfg Config) (*Server, error) {
 		db:       cfg.DB,
 		inflight: make(chan struct{}, cfg.MaxInflight),
 		sessions: make(map[*session]struct{}),
-		opLat:    make(map[string]*metrics.Latency),
 	}, nil
 }
 
@@ -274,18 +270,13 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	return s.db.Close()
 }
 
-// observe records one request's wall-clock service time under its op
-// name.
+// observe records one request's wall-clock service time under its
+// opcode.
 func (s *Server) observe(op byte, d time.Duration) {
-	name := wire.OpName(op)
-	s.latMu.Lock()
-	l, ok := s.opLat[name]
-	if !ok {
-		l = &metrics.Latency{}
-		s.opLat[name] = l
+	if op >= wire.NumOps {
+		op = 0
 	}
-	s.latMu.Unlock()
-	l.Add(d)
+	s.opLat[op].Add(d)
 }
 
 // StatsDocument snapshots engine stats, per-op latency histograms and
@@ -297,14 +288,10 @@ func (s *Server) StatsDocument() (StatsDocument, error) {
 		return StatsDocument{}, err
 	}
 	ops := make(map[string]metrics.LatencySnapshot)
-	s.latMu.Lock()
-	lats := make(map[string]*metrics.Latency, len(s.opLat))
-	for name, l := range s.opLat {
-		lats[name] = l
-	}
-	s.latMu.Unlock()
-	for name, l := range lats {
-		ops[name] = l.Snapshot()
+	for op := range s.opLat {
+		if snap := s.opLat[op].Snapshot(); snap.Count > 0 {
+			ops[wire.OpName(byte(op))] = snap
+		}
 	}
 	doc := StatsDocument{
 		Engine: es,

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"ipa/internal/core"
@@ -17,12 +16,20 @@ import (
 	"ipa/internal/wire"
 )
 
-// session serves one connection. A reader goroutine decodes frames into
-// a bounded queue; the session goroutine executes them serially in
-// arrival order and writes responses through a buffered writer that is
-// flushed whenever the queue runs empty. Serial execution is what makes
-// pipelined transactions sound: the ops of a BEGIN..COMMIT batch land
-// in exactly the order the client wrote them.
+// session serves one connection, run to completion on one goroutine:
+// read a request, admit it, execute it, append the reply to the write
+// buffer, and go on to the next request; the replies are flushed when
+// the read buffer holds no further complete request, i.e. once per
+// pipelined burst. Serial execution is what makes pipelined
+// transactions sound: the ops of a BEGIN..COMMIT batch land in exactly
+// the order the client wrote them.
+//
+// Payload lifetime: a request that fits the read buffer is decoded in
+// place, so its payload aliases that buffer and is valid only until
+// handle returns. Nothing reads the connection while a request is being
+// served, which is what makes this sound; anything that must outlive
+// the request (a table name entering the session's cache, a poison
+// message, an installed snapshot) is copied before handle returns.
 type session struct {
 	srv  *Server
 	conn net.Conn
@@ -30,14 +37,17 @@ type session struct {
 	bw   *bufio.Writer
 	w    *sim.Worker
 
-	queue chan wire.Frame
-
-	drainOnce sync.Once
+	out wire.Builder // the reply payload of the request being served
+	now time.Time    // when the request being served began
 
 	txs    map[uint64]*engine.Tx
 	poison map[uint64]string // txid → first failed op, set until COMMIT/ABORT
 	tables map[string]*engine.Table
 }
+
+// readBufSize bounds the requests decoded in place; a larger frame (a
+// snapshot install, a big REPL_APPEND) is read into memory of its own.
+const readBufSize = 32 << 10
 
 func newSession(s *Server, conn net.Conn) *session {
 	var w *sim.Worker
@@ -47,67 +57,100 @@ func newSession(s *Server, conn net.Conn) *session {
 	return &session{
 		srv:    s,
 		conn:   conn,
-		br:     bufio.NewReaderSize(conn, 32<<10),
+		br:     bufio.NewReaderSize(conn, readBufSize),
 		bw:     bufio.NewWriterSize(conn, 32<<10),
 		w:      w,
-		queue:  make(chan wire.Frame, s.cfg.PipelineDepth),
 		txs:    make(map[uint64]*engine.Tx),
 		poison: make(map[uint64]string),
 		tables: make(map[string]*engine.Table),
 	}
 }
 
-// startDrain unblocks the reader so the session stops accepting new
-// frames; requests already queued still execute.
+// errDraining ends a session that would otherwise wait for its next
+// request while the server drains.
+var errDraining = errors.New("server: draining")
+
+// startDrain unblocks a session waiting for its next request. The
+// caller has set srv.draining, which pause checks after arming its own
+// deadline, so whichever of the two deadlines lands last, the session
+// stops waiting.
 func (s *session) startDrain() {
-	s.drainOnce.Do(func() {
-		s.conn.SetReadDeadline(time.Now())
-	})
+	s.conn.SetReadDeadline(time.Now())
 }
 
 func (s *session) run() {
-	go s.readLoop()
-	s.execLoop()
-}
-
-func (s *session) readLoop() {
-	defer close(s.queue)
+	defer s.finish()
 	for {
-		if s.srv.draining.Load() {
-			return
-		}
-		s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.ReadTimeout))
-		f, err := wire.ReadFrame(s.br, s.srv.cfg.MaxFrame)
+		f, size, err := s.next()
 		if err != nil {
 			if err != io.EOF && !s.srv.draining.Load() {
 				s.srv.cfg.Logf("server: read %v: %v", s.conn.RemoteAddr(), err)
 			}
 			return
 		}
-		s.queue <- f
+		s.handle(f)
+		s.br.Discard(size) // release the in-place request (0 for a copied one)
 	}
 }
 
-func (s *session) execLoop() {
-	defer s.finish()
-	for {
-		// Flush buffered responses before blocking on an empty queue, so
-		// the tail of a pipelined batch reaches the client promptly.
-		select {
-		case f, ok := <-s.queue:
-			if !ok {
-				return
-			}
-			s.handle(f)
-		default:
-			s.flush()
-			f, ok := <-s.queue
-			if !ok {
-				return
-			}
-			s.handle(f)
-		}
+// next returns the next request. One that fits the read buffer is
+// decoded in place: its payload aliases the buffer, and size is what to
+// Discard once it is served. A larger one is read into memory of its
+// own (size 0).
+func (s *session) next() (wire.Frame, int, error) {
+	if err := s.await(wire.HeaderLen); err != nil {
+		return wire.Frame{}, 0, err
 	}
+	size, err := wire.PeekFrameSize(s.br, s.srv.cfg.MaxFrame)
+	if err != nil {
+		return wire.Frame{}, 0, err
+	}
+	if size > s.br.Size() {
+		if err := s.pause(); err != nil {
+			return wire.Frame{}, 0, err
+		}
+		f, err := wire.ReadFrame(s.br, s.srv.cfg.MaxFrame)
+		s.now = time.Now()
+		return f, 0, err
+	}
+	if err := s.await(size); err != nil {
+		return wire.Frame{}, 0, err
+	}
+	p, _ := s.br.Peek(size)
+	return wire.ParseFrame(p), size, nil
+}
+
+// await makes the next n bytes (at most the read buffer's size)
+// available to Peek. If the buffer already holds them the burst goes
+// on; otherwise the session pauses and reads, and the request that
+// arrives starts the clock anew.
+func (s *session) await(n int) error {
+	if s.br.Buffered() >= n {
+		return nil
+	}
+	if err := s.pause(); err != nil {
+		return err
+	}
+	_, err := s.br.Peek(n)
+	if err == io.EOF && s.br.Buffered() > 0 {
+		err = io.ErrUnexpectedEOF // the peer hung up inside a frame
+	}
+	s.now = time.Now()
+	return err
+}
+
+// pause is what precedes every read that can block: the buffered
+// requests are all served, so their replies are flushed, and the read
+// gets ReadTimeout to complete — the idle limit between bursts and the
+// stall limit inside a frame. A draining session ends here instead:
+// what it had buffered whole is answered, a partial frame is abandoned.
+func (s *session) pause() error {
+	s.flush()
+	s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.ReadTimeout))
+	if s.srv.draining.Load() {
+		return errDraining
+	}
+	return nil
 }
 
 // finish aborts transactions the client left open (disconnect or
@@ -127,22 +170,34 @@ func (s *session) finish() {
 	s.srv.removeSession(s)
 }
 
-func (s *session) flush() {
+// armWrite gives the socket write that follows WriteTimeout.
+func (s *session) armWrite() {
 	s.conn.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout))
+}
+
+func (s *session) flush() {
+	if s.bw.Buffered() == 0 {
+		return
+	}
+	s.armWrite()
 	if err := s.bw.Flush(); err != nil && !s.srv.draining.Load() {
 		s.srv.cfg.Logf("server: write %v: %v", s.conn.RemoteAddr(), err)
 	}
 }
 
 func (s *session) reply(id uint64, status byte, payload []byte) {
-	s.conn.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout))
-	// Errors surface at the next flush; execution continues so queued
+	if wire.HeaderLen+len(payload) > s.bw.Available() {
+		s.armWrite() // this reply spills the write buffer onto the socket
+	}
+	// Errors surface at the next flush; execution continues so buffered
 	// transactions still resolve (commit or abort) server-side.
 	_ = wire.WriteFrame(s.bw, id, status, payload)
 }
 
 // handle admits one request through the global in-flight semaphore,
-// executes it, responds, and records its service time. Ops addressing a
+// executes it, responds, and records its service time: from the end of
+// the request before it in the burst (or the read that brought it in)
+// to its own end — one clock reading per request. Ops addressing a
 // transaction already open on this session bypass admission: the
 // transaction was admitted at BEGIN, and BUSY-rejecting one op of a
 // pipelined BEGIN..COMMIT burst would otherwise commit the remainder —
@@ -150,19 +205,15 @@ func (s *session) reply(id uint64, status byte, payload []byte) {
 // ops that touch no open transaction state (BEGIN itself, reads, or
 // stragglers after a rejected BEGIN, which fail StatusTxClosed).
 func (s *session) handle(f wire.Frame) {
-	start := time.Now()
 	admitted := false
-	if !s.txExempt(f) && !sysExempt(f.Kind) {
-		timer := time.NewTimer(s.srv.cfg.AcquireTimeout)
-		select {
-		case s.srv.inflight <- struct{}{}:
-			timer.Stop()
-			admitted = true
-		case <-timer.C:
+	if !sysExempt(f.Kind) && !s.txExempt(f) {
+		if !s.admit() {
 			s.srv.busyRejected.Add(1)
-			s.reply(f.ID, wire.StatusBusy, errPayload("server at capacity, retry"))
+			s.reply(f.ID, wire.StatusBusy, s.errPayload("server at capacity, retry"))
+			s.now = time.Now()
 			return
 		}
+		admitted = true
 	}
 	s.srv.requests.Add(1)
 	status, payload := s.exec(f)
@@ -170,7 +221,30 @@ func (s *session) handle(f wire.Frame) {
 		<-s.srv.inflight
 	}
 	s.reply(f.ID, status, payload)
-	s.srv.observe(f.Kind, time.Since(start))
+	if s.out.Len() > readBufSize {
+		s.out = wire.Builder{} // a scan-sized reply buffer is not worth keeping
+	}
+	end := time.Now()
+	s.srv.observe(f.Kind, end.Sub(s.now))
+	s.now = end
+}
+
+// admit takes an in-flight slot, waiting up to AcquireTimeout for one
+// only when none is free.
+func (s *session) admit() bool {
+	select {
+	case s.srv.inflight <- struct{}{}:
+		return true
+	default:
+	}
+	timer := time.NewTimer(s.srv.cfg.AcquireTimeout)
+	defer timer.Stop()
+	select {
+	case s.srv.inflight <- struct{}{}:
+		return true
+	case <-timer.C:
+		return false
+	}
 }
 
 // txExempt reports whether f is a tx-scoped op whose transaction is
@@ -202,13 +276,14 @@ func sysExempt(kind byte) bool {
 	return false
 }
 
-// errPayload encodes an error response body.
-func errPayload(msg string) []byte {
-	return wire.NewBuilder(len(msg) + 4).Blob([]byte(msg)).Bytes()
+// errPayload encodes an error response body into the session's reply
+// builder.
+func (s *session) errPayload(msg string) []byte {
+	return s.out.Reset().Blob([]byte(msg)).Bytes()
 }
 
 // fail maps an engine or decode error onto its wire status.
-func fail(err error) (byte, []byte) {
+func (s *session) fail(err error) (byte, []byte) {
 	var status byte
 	switch {
 	case errors.Is(err, engine.ErrClosed):
@@ -229,18 +304,21 @@ func fail(err error) (byte, []byte) {
 	default:
 		status = wire.StatusInternal
 	}
-	return status, errPayload(err.Error())
+	return status, s.errPayload(err.Error())
 }
 
-func (s *session) table(name string) (*engine.Table, error) {
-	if t, ok := s.tables[name]; ok {
+// table resolves a table name decoded in place: the lookup does not
+// copy it, a miss copies it once into the session's cache.
+func (s *session) table(name []byte) (*engine.Table, error) {
+	if t, ok := s.tables[string(name)]; ok {
 		return t, nil
 	}
-	t, err := s.srv.db.Table(name)
+	owned := string(name)
+	t, err := s.srv.db.Table(owned)
 	if err != nil {
 		return nil, err
 	}
-	s.tables[name] = t
+	s.tables[owned] = t
 	return t, nil
 }
 
@@ -256,7 +334,8 @@ func (s *session) tx(id uint64) (*engine.Tx, bool, bool) {
 }
 
 // exec runs one decoded request and returns the response status and
-// payload. Mutating ops that fail poison their transaction: every later
+// payload; the payload is built in s.out and valid until the next
+// request. Mutating ops that fail poison their transaction: every later
 // op of that transaction answers StatusTxPoisoned without executing,
 // and its COMMIT aborts instead — so a client that pipelines
 // BEGIN..COMMIT blindly can never commit a half-applied transaction.
@@ -271,8 +350,7 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 		case wire.OpBegin, wire.OpCommit, wire.OpAbort, wire.OpInsert,
 			wire.OpRead, wire.OpUpdate, wire.OpUpdateField, wire.OpAddField,
 			wire.OpDelete, wire.OpScan:
-			addr := rep.LeaderAddr()
-			return wire.StatusRedirect, wire.NewBuilder(len(addr) + 4).String(addr).Bytes()
+			return wire.StatusRedirect, s.out.Reset().String(rep.LeaderAddr()).Bytes()
 		}
 	}
 
@@ -283,10 +361,10 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 
 	case wire.OpHello:
 		if len(f.Payload) != 1 {
-			return wire.StatusBadRequest, errPayload("malformed HELLO")
+			return wire.StatusBadRequest, s.errPayload("malformed HELLO")
 		}
 		if f.Payload[0] != wire.ProtoVersion {
-			return wire.StatusBadRequest, errPayload(fmt.Sprintf(
+			return wire.StatusBadRequest, s.errPayload(fmt.Sprintf(
 				"protocol version mismatch: client speaks %d, server speaks %d",
 				f.Payload[0], wire.ProtoVersion))
 		}
@@ -294,21 +372,21 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 
 	case wire.OpReplHello, wire.OpReplAppend, wire.OpReplSnap, wire.OpVoteReq:
 		if s.srv.cfg.Repl == nil {
-			return wire.StatusBadRequest, errPayload("replication not configured on this server")
+			return wire.StatusBadRequest, s.errPayload("replication not configured on this server")
 		}
 		return s.srv.cfg.Repl.HandleFrame(f.Kind, f.Payload)
 
 	case wire.OpBegin:
 		id := r.Uint64()
 		if err := r.Err(); err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		if _, open := s.txs[id]; open {
-			return wire.StatusBadRequest, errPayload("txid already open on this connection")
+			return wire.StatusBadRequest, s.errPayload("txid already open on this connection")
 		}
 		tx, err := s.srv.db.Begin(s.w)
 		if err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		s.txs[id] = tx
 		return wire.StatusOK, nil
@@ -316,11 +394,11 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 	case wire.OpCommit, wire.OpAbort:
 		id := r.Uint64()
 		if err := r.Err(); err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		tx, ok, poisoned := s.tx(id)
 		if !ok {
-			return fail(engine.ErrTxClosed)
+			return s.fail(engine.ErrTxClosed)
 		}
 		delete(s.txs, id)
 		if poisoned {
@@ -332,7 +410,7 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 			if f.Kind == wire.OpAbort {
 				return wire.StatusOK, nil
 			}
-			return wire.StatusTxPoisoned, errPayload("aborted: " + reason)
+			return wire.StatusTxPoisoned, s.errPayload("aborted: " + reason)
 		}
 		var err error
 		if f.Kind == wire.OpCommit {
@@ -344,7 +422,7 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 				// the commit MAY still survive (the error says so);
 				// the safe direction, since the client retries reads.
 				if werr := s.srv.cfg.Repl.WaitCommitted(tx.CommitLSN()); werr != nil {
-					return wire.StatusInternal, errPayload(
+					return wire.StatusInternal, s.errPayload(
 						"commit durable locally but not quorum-acknowledged: " + werr.Error())
 				}
 			}
@@ -352,21 +430,21 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 			err = tx.Abort()
 		}
 		if err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		return wire.StatusOK, nil
 
 	case wire.OpInsert:
-		id, name, data := r.Uint64(), r.String(), r.Blob()
+		id, name, data := r.Uint64(), r.StringView(), r.BlobView()
 		if err := r.Err(); err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		tx, ok, poisoned := s.tx(id)
 		if !ok {
-			return fail(engine.ErrTxClosed)
+			return s.fail(engine.ErrTxClosed)
 		}
 		if poisoned {
-			return wire.StatusTxPoisoned, errPayload(s.poison[id])
+			return wire.StatusTxPoisoned, s.errPayload(s.poison[id])
 		}
 		tbl, err := s.table(name)
 		if err != nil {
@@ -376,208 +454,192 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 		if err != nil {
 			return s.poisonTx(id, err)
 		}
-		return wire.StatusOK, wire.NewBuilder(10).RID(netRID(rid)).Bytes()
+		return wire.StatusOK, s.out.Reset().RID(netRID(rid)).Bytes()
 
 	case wire.OpRead:
-		name, rid := r.String(), r.RID()
+		name, rid := r.StringView(), r.RID()
 		if err := r.Err(); err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		tbl, err := s.table(name)
 		if err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		data, err := tbl.Read(s.w, coreRID(rid))
 		if err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
-		return wire.StatusOK, wire.NewBuilder(len(data) + 4).Blob(data).Bytes()
+		return wire.StatusOK, s.out.Reset().Blob(data).Bytes()
 
 	case wire.OpUpdate:
-		id, name, rid, data := r.Uint64(), r.String(), r.RID(), r.Blob()
+		id, name, rid, data := r.Uint64(), r.StringView(), r.RID(), r.BlobView()
 		if err := r.Err(); err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		return s.mutate(id, name, func(tx *engine.Tx, tbl *engine.Table) error {
 			return tbl.Update(tx, coreRID(rid), data)
 		})
 
 	case wire.OpUpdateField:
-		id, name, rid := r.Uint64(), r.String(), r.RID()
-		off, val := r.Uint32(), r.Blob()
+		id, name, rid := r.Uint64(), r.StringView(), r.RID()
+		off, val := r.Uint32(), r.BlobView()
 		if err := r.Err(); err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		return s.mutate(id, name, func(tx *engine.Tx, tbl *engine.Table) error {
 			return tbl.UpdateField(tx, coreRID(rid), int(off), val)
 		})
 
 	case wire.OpAddField:
-		id, name, rid := r.Uint64(), r.String(), r.RID()
+		id, name, rid := r.Uint64(), r.StringView(), r.RID()
 		off, delta := r.Uint32(), r.Uint64()
 		if err := r.Err(); err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		return s.mutate(id, name, func(tx *engine.Tx, tbl *engine.Table) error {
 			return tbl.AddField(tx, coreRID(rid), int(off), delta)
 		})
 
 	case wire.OpDelete:
-		id, name, rid := r.Uint64(), r.String(), r.RID()
+		id, name, rid := r.Uint64(), r.StringView(), r.RID()
 		if err := r.Err(); err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		return s.mutate(id, name, func(tx *engine.Tx, tbl *engine.Table) error {
 			return tbl.Delete(tx, coreRID(rid))
 		})
 
 	case wire.OpScan:
-		name, limit := r.String(), r.Uint32()
+		name, limit := r.StringView(), r.Uint32()
 		if err := r.Err(); err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		tbl, err := s.table(name)
 		if err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
-		// Responses are size-capped: a scan that would exceed the frame
-		// limit fails instead of building a frame the client's ReadFrame
-		// must reject (which would tear down the whole connection).
-		budget := s.srv.cfg.MaxFrame - 256 // frame header plus slack
-		b := wire.NewBuilder(4096)
-		b.Uint32(0) // patched with the count below
-		var count uint32
-		var truncated bool
-		err = tbl.Scan(s.w, func(rid core.RID, tuple []byte) bool {
-			if len(b.Bytes())+14+len(tuple) > budget {
-				truncated = true
-				return false
-			}
-			b.RID(netRID(rid)).Blob(tuple)
-			count++
-			return limit == 0 || count < limit
-		})
-		if err != nil {
-			return fail(err)
-		}
-		if truncated {
-			return wire.StatusBadRequest, errPayload(fmt.Sprintf(
-				"scan response would exceed the %d-byte frame limit; retry with a smaller limit",
-				s.srv.cfg.MaxFrame))
-		}
-		payload := b.Bytes()
-		payload[0] = byte(count >> 24)
-		payload[1] = byte(count >> 16)
-		payload[2] = byte(count >> 8)
-		payload[3] = byte(count)
-		return wire.StatusOK, payload
+		return s.scan(tbl, nil, limit)
 
 	case wire.OpBeginSnapshot:
 		id := r.Uint64()
 		if err := r.Err(); err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		if _, open := s.txs[id]; open {
-			return wire.StatusBadRequest, errPayload("txid already open on this connection")
+			return wire.StatusBadRequest, s.errPayload("txid already open on this connection")
 		}
 		tx, err := s.srv.db.BeginSnapshot(s.w)
 		if err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		s.txs[id] = tx
-		return wire.StatusOK, wire.NewBuilder(8).Uint64(uint64(tx.SnapshotLSN())).Bytes()
+		return wire.StatusOK, s.out.Reset().Uint64(uint64(tx.SnapshotLSN())).Bytes()
 
 	case wire.OpSnapshotRead:
-		id, name, rid := r.Uint64(), r.String(), r.RID()
+		id, name, rid := r.Uint64(), r.StringView(), r.RID()
 		if err := r.Err(); err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		tx, ok, poisoned := s.tx(id)
 		if !ok {
-			return fail(engine.ErrTxClosed)
+			return s.fail(engine.ErrTxClosed)
 		}
 		if poisoned {
-			return wire.StatusTxPoisoned, errPayload(s.poison[id])
+			return wire.StatusTxPoisoned, s.errPayload(s.poison[id])
 		}
 		tbl, err := s.table(name)
 		if err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		// Snapshot reads never poison: a miss (ErrNoTuple) or decode slip
 		// leaves the snapshot transaction usable, because reads mutate
 		// nothing and cannot half-apply.
 		data, err := tbl.ReadSnapshot(tx, coreRID(rid))
 		if err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
-		return wire.StatusOK, wire.NewBuilder(len(data) + 4).Blob(data).Bytes()
+		return wire.StatusOK, s.out.Reset().Blob(data).Bytes()
 
 	case wire.OpSnapshotScan:
-		id, name, limit := r.Uint64(), r.String(), r.Uint32()
+		id, name, limit := r.Uint64(), r.StringView(), r.Uint32()
 		if err := r.Err(); err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		tx, ok, poisoned := s.tx(id)
 		if !ok {
-			return fail(engine.ErrTxClosed)
+			return s.fail(engine.ErrTxClosed)
 		}
 		if poisoned {
-			return wire.StatusTxPoisoned, errPayload(s.poison[id])
+			return wire.StatusTxPoisoned, s.errPayload(s.poison[id])
 		}
 		tbl, err := s.table(name)
 		if err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
-		budget := s.srv.cfg.MaxFrame - 256
-		b := wire.NewBuilder(4096)
-		b.Uint32(0)
-		var count uint32
-		var truncated bool
-		err = tbl.ScanSnapshot(tx, func(rid core.RID, tuple []byte) bool {
-			if len(b.Bytes())+14+len(tuple) > budget {
-				truncated = true
-				return false
-			}
-			b.RID(netRID(rid)).Blob(tuple)
-			count++
-			return limit == 0 || count < limit
-		})
-		if err != nil {
-			return fail(err)
-		}
-		if truncated {
-			return wire.StatusBadRequest, errPayload(fmt.Sprintf(
-				"scan response would exceed the %d-byte frame limit; retry with a smaller limit",
-				s.srv.cfg.MaxFrame))
-		}
-		payload := b.Bytes()
-		binary.BigEndian.PutUint32(payload[:4], count)
-		return wire.StatusOK, payload
+		return s.scan(tbl, tx, limit)
 
 	case wire.OpStats:
 		doc, err := s.srv.StatsDocument()
 		if err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
 		raw, err := json.Marshal(doc)
 		if err != nil {
-			return fail(err)
+			return s.fail(err)
 		}
-		return wire.StatusOK, wire.NewBuilder(len(raw) + 4).Blob(raw).Bytes()
+		return wire.StatusOK, s.out.Reset().Blob(raw).Bytes()
 
 	default:
-		return wire.StatusBadRequest, errPayload("unknown opcode")
+		return wire.StatusBadRequest, s.errPayload("unknown opcode")
 	}
 }
 
+// scan builds the response of SCAN (snap nil: latest committed) and
+// SNAPSCAN (as of snap's pinned LSN): a count, then up to limit (0 =
+// all) rid/tuple pairs. Responses are size-capped: a scan that would
+// exceed the frame limit fails instead of building a frame the client's
+// ReadFrame must reject (which would tear down the whole connection).
+func (s *session) scan(tbl *engine.Table, snap *engine.Tx, limit uint32) (byte, []byte) {
+	budget := s.srv.cfg.MaxFrame - 256 // frame header plus slack
+	b := s.out.Reset()
+	b.Uint32(0) // the count, set below
+	var count uint32
+	truncated := false
+	visit := func(rid core.RID, tuple []byte) bool {
+		if b.Len()+14+len(tuple) > budget {
+			truncated = true
+			return false
+		}
+		b.RID(netRID(rid)).Blob(tuple)
+		count++
+		return limit == 0 || count < limit
+	}
+	var err error
+	if snap != nil {
+		err = tbl.ScanSnapshot(snap, visit)
+	} else {
+		err = tbl.Scan(s.w, visit)
+	}
+	if err != nil {
+		return s.fail(err)
+	}
+	if truncated {
+		return wire.StatusBadRequest, s.errPayload(fmt.Sprintf(
+			"scan response would exceed the %d-byte frame limit; retry with a smaller limit",
+			s.srv.cfg.MaxFrame))
+	}
+	b.SetUint32(0, count)
+	return wire.StatusOK, b.Bytes()
+}
+
 // mutate runs one tx-scoped write op with the shared poison checks.
-func (s *session) mutate(id uint64, name string, op func(*engine.Tx, *engine.Table) error) (byte, []byte) {
+func (s *session) mutate(id uint64, name []byte, op func(*engine.Tx, *engine.Table) error) (byte, []byte) {
 	tx, ok, poisoned := s.tx(id)
 	if !ok {
-		return fail(engine.ErrTxClosed)
+		return s.fail(engine.ErrTxClosed)
 	}
 	if poisoned {
-		return wire.StatusTxPoisoned, errPayload(s.poison[id])
+		return wire.StatusTxPoisoned, s.errPayload(s.poison[id])
 	}
 	tbl, err := s.table(name)
 	if err != nil {
@@ -595,7 +657,7 @@ func (s *session) poisonTx(id uint64, err error) (byte, []byte) {
 	if _, ok := s.poison[id]; !ok {
 		s.poison[id] = err.Error()
 	}
-	return fail(err)
+	return s.fail(err)
 }
 
 func netRID(r core.RID) wire.RID  { return wire.RID{Page: uint64(r.Page), Slot: r.Slot} }

@@ -89,6 +89,10 @@ const (
 	OpVoteReq    // term u64, candidate u64, last LSN u64
 	OpVoteResp   // tag byte in responses: term u64, granted u8
 	OpAddField   // tx u64, table, rid, off u32, delta u64: locked server-side +=
+
+	// NumOps is one past the highest opcode: the size of a table indexed
+	// by opcode.
+	NumOps
 )
 
 // ProtoVersion is the protocol revision byte carried by OpHello. Peers
@@ -262,8 +266,9 @@ type RID struct {
 // of a bench table, small enough to bound a bad peer.
 const MaxFrame = 64 << 20
 
-// frame header: u32 length + u64 id + u8 kind.
-const headerLen = 4 + 8 + 1
+// HeaderLen is the size of a frame header: u32 length + u64 id + u8
+// kind. It is also the size of the smallest frame.
+const HeaderLen = 4 + 8 + 1
 
 // Frame is one decoded protocol frame.
 type Frame struct {
@@ -279,8 +284,8 @@ type Frame struct {
 // the payload copied once, with no allocation; any other writer gets
 // the frame in a single Write.
 func WriteFrame(w io.Writer, id uint64, kind byte, payload []byte) error {
-	if bw, ok := w.(*bufio.Writer); ok && bw.Size() >= headerLen {
-		if bw.Available() < headerLen {
+	if bw, ok := w.(*bufio.Writer); ok && bw.Size() >= HeaderLen {
+		if bw.Available() < HeaderLen {
 			if err := bw.Flush(); err != nil {
 				return err
 			}
@@ -295,7 +300,7 @@ func WriteFrame(w io.Writer, id uint64, kind byte, payload []byte) error {
 		_, err := bw.Write(payload)
 		return err
 	}
-	buf := make([]byte, headerLen+len(payload))
+	buf := make([]byte, HeaderLen+len(payload))
 	binary.BigEndian.PutUint32(buf[0:4], uint32(8+1+len(payload)))
 	binary.BigEndian.PutUint64(buf[4:12], id)
 	buf[12] = kind
@@ -304,24 +309,95 @@ func WriteFrame(w io.Writer, id uint64, kind byte, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, rejecting frames larger than maxFrame
-// (≤ 0 selects MaxFrame).
-func ReadFrame(r io.Reader, maxFrame int) (Frame, error) {
+// frameSize validates a frame's length prefix (the first 4 bytes of hdr)
+// and returns the size of the whole frame on the wire, prefix included.
+func frameSize(hdr []byte, maxFrame int) (int, error) {
 	if maxFrame <= 0 {
 		maxFrame = MaxFrame
 	}
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n < 9 {
+		return 0, fmt.Errorf("%w: frame length %d below header", ErrBadRequest, n)
+	}
+	if n > maxFrame {
+		return 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
+	}
+	return 4 + n, nil
+}
+
+// PeekFrameSize returns the size on the wire (header included) of the
+// next frame in br without consuming anything, rejecting frames larger
+// than maxFrame (≤ 0 selects MaxFrame). It blocks until br holds a
+// whole header; a caller that must not block checks br.Buffered()
+// against HeaderLen first. Together with ParseFrame this is the
+// in-place read path:
+//
+//	size, _ := PeekFrameSize(br, max)   // size ≤ br.Size(), or use ReadFrame
+//	p, _ := br.Peek(size)
+//	f := ParseFrame(p)                  // f.Payload aliases br's buffer
+//	...                                 // use f; read nothing else from br
+//	br.Discard(size)
+func PeekFrameSize(br *bufio.Reader, maxFrame int) (int, error) {
+	hdr, err := br.Peek(HeaderLen)
+	if err != nil {
+		// A stream that ends inside a frame is truncated, not finished.
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, err
+	}
+	return frameSize(hdr, maxFrame)
+}
+
+// ParseFrame decodes the whole frame held in p (PeekFrameSize bytes).
+// The payload aliases p and is valid only as long as p is.
+func ParseFrame(p []byte) Frame {
+	return Frame{
+		ID:      binary.BigEndian.Uint64(p[4:12]),
+		Kind:    p[12],
+		Payload: p[HeaderLen:],
+	}
+}
+
+// ReadFrame reads one frame, rejecting frames larger than maxFrame
+// (≤ 0 selects MaxFrame). The payload is the caller's to keep. From a
+// *bufio.Reader — what every connection in the stack reads through —
+// the header is decoded in the reader's buffer, so the payload is the
+// only allocation and an empty payload costs none.
+func ReadFrame(r io.Reader, maxFrame int) (Frame, error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok || br.Size() < HeaderLen {
+		return readFrameUnbuffered(r, maxFrame)
+	}
+	size, err := PeekFrameSize(br, maxFrame)
+	if err != nil {
+		return Frame{}, err
+	}
+	hdr, _ := br.Peek(HeaderLen) // PeekFrameSize just showed these bytes
+	f := Frame{ID: binary.BigEndian.Uint64(hdr[4:12]), Kind: hdr[12]}
+	br.Discard(HeaderLen)
+	if size > HeaderLen {
+		f.Payload = make([]byte, size-HeaderLen)
+		if _, err := io.ReadFull(br, f.Payload); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Frame{}, err
+		}
+	}
+	return f, nil
+}
+
+func readFrameUnbuffered(r io.Reader, maxFrame int) (Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n < 9 {
-		return Frame{}, fmt.Errorf("%w: frame length %d below header", ErrBadRequest, n)
+	size, err := frameSize(hdr[:], maxFrame)
+	if err != nil {
+		return Frame{}, err
 	}
-	if n > maxFrame {
-		return Frame{}, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, n, maxFrame)
-	}
-	body := make([]byte, n)
+	body := make([]byte, size-4)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return Frame{}, err
 	}
@@ -332,7 +408,8 @@ func ReadFrame(r io.Reader, maxFrame int) (Frame, error) {
 	}, nil
 }
 
-// Builder appends wire-encoded values to a payload buffer.
+// Builder appends wire-encoded values to a payload buffer. The zero
+// value is an empty builder ready for use.
 type Builder struct{ buf []byte }
 
 // NewBuilder returns a builder with the given capacity hint.
@@ -461,12 +538,13 @@ func (r *Reader) Uint16() uint16 {
 
 // String decodes a u16-length-prefixed string.
 func (r *Reader) String() string {
-	n := int(r.Uint16())
-	p := r.take(n)
-	if p == nil {
-		return ""
-	}
-	return string(p)
+	return string(r.StringView())
+}
+
+// StringView decodes a u16-length-prefixed string without copying it:
+// the result aliases the payload, like BlobView.
+func (r *Reader) StringView() []byte {
+	return r.take(int(r.Uint16()))
 }
 
 // Blob decodes a u32-length-prefixed byte slice (copied, so the caller

@@ -213,3 +213,89 @@ func TestBuilderReuseAndBlobView(t *testing.T) {
 		t.Error("truncated BlobView returned data")
 	}
 }
+
+// Through a bufio.Reader the header is decoded in the reader's buffer:
+// a frame without payload — most responses — is read without
+// allocating, one with a payload allocates just that, and a stream that
+// ends or misbehaves gives the errors the unbuffered path gives.
+func TestReadFrameBuffered(t *testing.T) {
+	encode := func(id uint64, payload []byte) []byte {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, id, StatusOK, payload); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	src := bytes.NewReader(nil)
+	br := bufio.NewReader(src)
+	read := func(stream []byte, maxFrame int) (Frame, error) {
+		src.Reset(stream)
+		br.Reset(src)
+		return ReadFrame(br, maxFrame)
+	}
+
+	empty, full := encode(5, nil), encode(6, []byte("payload"))
+	for _, c := range []struct {
+		stream []byte
+		allocs float64
+	}{{empty, 0}, {full, 1}} {
+		var f Frame
+		var err error
+		if got := testing.AllocsPerRun(100, func() { f, err = read(c.stream, 0) }); got != c.allocs {
+			t.Errorf("ReadFrame of a %d-byte payload allocates %.0f times, want %.0f", len(f.Payload), got, c.allocs)
+		}
+		if err != nil || f.Kind != StatusOK || len(f.Payload) != len(c.stream)-HeaderLen {
+			t.Fatalf("frame = %+v, %v", f, err)
+		}
+	}
+
+	if _, err := read(nil, 0); err != io.EOF {
+		t.Errorf("empty stream: %v, want io.EOF", err)
+	}
+	for _, cut := range []int{3, HeaderLen - 1, len(full) - 2} { // in the prefix, the header, the payload
+		if _, err := read(full[:cut], 0); err != io.ErrUnexpectedEOF {
+			t.Errorf("stream cut at %d: %v, want io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+	if _, err := read(full, 8); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversized frame: %v", err)
+	}
+	if _, err := read(append([]byte{0, 0, 0, 3}, make([]byte, 9)...), 0); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("undersized frame: %v", err)
+	}
+}
+
+// The in-place path: PeekFrameSize, Peek, ParseFrame, Discard decode a
+// frame where it lies in the reader's buffer, copying nothing.
+func TestParseFrameInPlace(t *testing.T) {
+	var stream bytes.Buffer
+	payload := NewBuilder(32).String("tpcb_branch").Blob([]byte("abc")).Bytes()
+	if err := WriteFrame(&stream, 11, OpInsert, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(&stream, 12, OpPing, nil); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(&stream)
+	size, err := PeekFrameSize(br, 0)
+	if err != nil || size != HeaderLen+len(payload) {
+		t.Fatalf("PeekFrameSize = %d, %v", size, err)
+	}
+	p, _ := br.Peek(size)
+	f := ParseFrame(p)
+	if f.ID != 11 || f.Kind != OpInsert || !bytes.Equal(f.Payload, payload) {
+		t.Fatalf("frame = %+v", f)
+	}
+	if &f.Payload[0] != &p[HeaderLen] {
+		t.Error("ParseFrame copied the payload")
+	}
+	r := NewReader(f.Payload)
+	name := r.StringView()
+	if string(name) != "tpcb_branch" || &name[0] != &f.Payload[2] {
+		t.Errorf("StringView = %q, or a copy of it", name)
+	}
+	br.Discard(size)
+	if f2, err := ReadFrame(br, 0); err != nil || f2.ID != 12 {
+		t.Fatalf("frame after the in-place one = %+v, %v", f2, err)
+	}
+}
