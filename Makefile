@@ -2,7 +2,7 @@
 # lands. `make check` is what CI (and ROADMAP.md) means by tier-1.
 GO ?= go
 
-.PHONY: check tier1 vet build test race bench bench-compare bench-test bench-repl bench-wal bench-htap bench-olcindex bench-index bench-schemes bench-server bench-prev bench-all fmt fmt-check
+.PHONY: check tier1 vet build test race race-regress fuzz-smoke bench bench-compare bench-test bench-repl bench-wal bench-htap bench-olcindex bench-index bench-schemes bench-server bench-prev bench-all fmt fmt-check
 
 check: fmt-check vet build race
 
@@ -11,7 +11,7 @@ check: fmt-check vet build race
 # (internal/repl) and the applier replay/snapshot/promote tests
 # (internal/engine), so "tier1 green" means acked commits survive a
 # leader crash under the race detector.
-tier1: check test
+tier1: check test race-regress
 
 # gofmt cleanliness is part of the gate: a dirty tree means a tool or a
 # hand-edit skipped formatting.
@@ -37,6 +37,26 @@ test:
 # the gate, not an optional extra.
 race:
 	$(GO) test -race ./...
+
+# Regressions for races that one pass of `go test -race` rarely meets,
+# repeated until it does. TestYCSBMixes/coarse: the coarse B+tree
+# changing a node page while the cleaner's flush diffs it (failed most
+# runs before the tree took frame latches). TestAddFieldLostUpdate:
+# eight goroutines adding to one row through the single-pass field
+# update. internal/buffer's Concurrent tests: getters waiting on a load
+# whose done-channel only the first waiter creates, and the shard stress
+# around them.
+race-regress:
+	$(GO) test -race -count=20 -run 'TestYCSBMixes/coarse' ./internal/workload
+	$(GO) test -race -count=10 -run 'TestAddFieldLostUpdate' ./internal/engine
+	$(GO) test -race -count=10 -run 'Concurrent' ./internal/buffer
+
+# Each native fuzz target for 10 s. Their seed corpora run as ordinary
+# tests in `make test`; this looks a little further. One target per
+# invocation is a `go test -fuzz` rule.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzReplAppendDecode -fuzztime 10s ./internal/repl
+	$(GO) test -run xxx -fuzz FuzzWALRecordRoundTrip -fuzztime 10s ./internal/wal
 
 # The benchmark of the whole stack (bench/, its own module; contract in
 # BENCHMARK.json): 4 workloads untraced and traced, layer probes and the

@@ -56,6 +56,55 @@ func TestHitPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// The same invariant for an uncontended miss: with the victim's frame
+// buffer already bound and its flushed-image capacity kept, fetching a
+// page over a clean victim allocates nothing — in particular no loadDone
+// channel, which only a second getter of the page in flight makes.
+func TestMissPathZeroAllocs(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			const pages = 64
+			st := newFakeStore(64)
+			for id := core.PageID(1); id <= pages; id++ {
+				img := make([]byte, 64)
+				img[0] = byte(id)
+				st.pages[id] = img
+			}
+			p, err := New(Config{Frames: 16, PageSize: 64, Shards: shards, DirtyThreshold: 2.0}, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := core.PageID(1)
+			cycle := func() {
+				fr, err := p.Get(nil, id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fr.Data[0] != byte(id) {
+					t.Fatalf("page %d holds %d", id, fr.Data[0])
+				}
+				if err := p.Unpin(nil, fr, false, 0); err != nil {
+					t.Fatal(err)
+				}
+				id = id%pages + 1
+			}
+			// Two rounds over four times the pool: every frame is bound and
+			// has held a page, and each Get from here on is a miss.
+			for i := 0; i < 2*pages; i++ {
+				cycle()
+			}
+			before := p.Stats().Misses
+			allocs := testing.AllocsPerRun(200, cycle)
+			if got := p.Stats().Misses - before; got != 201 {
+				t.Fatalf("%d misses in 201 cycles; the loop must miss every time", got)
+			}
+			if allocs != 0 {
+				t.Errorf("uncontended miss allocates %v per op, want 0", allocs)
+			}
+		})
+	}
+}
+
 // The memory guard next to TestHitPathZeroAllocs: a pool's cost follows
 // the pages bound to it, not its configured capacity. The served stacks
 // run 131072 frames of 1 KiB over a database of a few thousand pages;

@@ -112,7 +112,10 @@ type Frame struct {
 
 	// Miss-fetch protocol: the loader sets loading and fetches outside
 	// the shard mutex; concurrent getters pin the frame and wait on
-	// loadDone.
+	// loadDone. A second getter is rare, so the channel is made by the
+	// first one that finds loading set (under the shard mutex) and the
+	// loader closes it only if it is there: an uncontended miss
+	// allocates none.
 	loading  bool
 	loadDone chan struct{}
 	loadErr  error
@@ -387,7 +390,11 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 			fr.pin++
 			fr.ref = true
 			s.stats.hits.Add(1)
-			loading, done := fr.loading, fr.loadDone
+			loading := fr.loading
+			if loading && fr.loadDone == nil {
+				fr.loadDone = make(chan struct{})
+			}
+			done := fr.loadDone
 			s.mu.Unlock()
 			if loading {
 				<-done
@@ -427,7 +434,6 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 		fr.UsedSlots = 0
 		fr.RecLSN = 0
 		fr.loading = true
-		fr.loadDone = make(chan struct{})
 		fr.loadErr = nil
 		s.table[id] = fr
 		s.mu.Unlock()
@@ -445,15 +451,24 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 			delete(s.table, id)
 			fr.pin-- // our pin; waiters drop theirs when they see loadErr
 			fr.ID = core.InvalidPageID
-			close(fr.loadDone)
+			fr.loadFinishedLocked()
 			s.mu.Unlock()
 			return nil, err
 		}
 		fr.UsedSlots = used
 		fr.Flushed = append(flushedBuf, fr.Data...)
-		close(fr.loadDone)
+		fr.loadFinishedLocked()
 		s.mu.Unlock()
 		return fr, nil
+	}
+}
+
+// loadFinishedLocked releases the getters waiting for the load, if any.
+// Caller holds the shard mutex and has cleared loading.
+func (fr *Frame) loadFinishedLocked() {
+	if fr.loadDone != nil {
+		close(fr.loadDone)
+		fr.loadDone = nil
 	}
 }
 

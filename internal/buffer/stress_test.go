@@ -372,3 +372,88 @@ func TestStealDirtyEvictionStress(t *testing.T) {
 		}
 	}
 }
+
+// gatedStore holds every Fetch at a gate until the test opens it, and
+// can make the fetch fail.
+type gatedStore struct {
+	concurrentStore
+	entered chan struct{} // one token per Fetch that reached the gate
+	gate    chan struct{}
+	err     error
+}
+
+func (s *gatedStore) Fetch(w *sim.Worker, id core.PageID, buf []byte) (int, error) {
+	s.entered <- struct{}{}
+	<-s.gate
+	if s.err != nil {
+		return 0, s.err
+	}
+	return s.concurrentStore.Fetch(w, id, buf)
+}
+
+// TestConcurrentMissWaitsForLoader: getters that find a page's load in
+// flight wait for it — on a channel the first of them creates, since
+// the loader makes none — and then share the loaded frame, or all see
+// the load's error and leave the frame free. One Fetch serves them all.
+func TestConcurrentMissWaitsForLoader(t *testing.T) {
+	for _, fetchErr := range []error{nil, errors.New("gated: fetch failed")} {
+		st := &gatedStore{
+			concurrentStore: concurrentStore{pages: map[core.PageID][]byte{7: {7, 7, 7}}},
+			entered:         make(chan struct{}, 1),
+			gate:            make(chan struct{}),
+			err:             fetchErr,
+		}
+		p, err := New(Config{Frames: 4, PageSize: 64, DirtyThreshold: 2.0}, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const getters = 6
+		var wg sync.WaitGroup
+		frames := make([]*Frame, getters)
+		errs := make([]error, getters)
+		get := func(i int) {
+			defer wg.Done()
+			frames[i], errs[i] = p.Get(nil, 7)
+		}
+		wg.Add(1)
+		go get(0)
+		<-st.entered // the loader is inside Fetch, the frame is marked loading
+		for i := 1; i < getters; i++ {
+			wg.Add(1)
+			go get(i)
+		}
+		// The waiters count as hits the moment they find the frame; only
+		// then is the gate opened, so they really wait on the load.
+		for p.Stats().Hits < getters-1 {
+			runtime.Gosched()
+		}
+		close(st.gate)
+		wg.Wait()
+		if m := p.Stats().Misses; m != 1 {
+			t.Errorf("%d misses for one page, want 1 (a second Fetch would have blocked at the gate)", m)
+		}
+		for i := range frames {
+			if !errors.Is(errs[i], fetchErr) {
+				t.Errorf("getter %d: error %v, want %v", i, errs[i], fetchErr)
+			}
+			if fetchErr != nil {
+				continue
+			}
+			if frames[i] != frames[0] || frames[i].Data[0] != 7 {
+				t.Errorf("getter %d got frame %p (first byte %d), the loader %p", i, frames[i], frames[i].Data[0], frames[0])
+			}
+			if err := p.Unpin(nil, frames[i], false, 0); err != nil {
+				t.Error(err)
+			}
+		}
+		if fetchErr != nil && p.Contains(7) {
+			t.Error("failed load left the page in the table")
+		}
+		// Every pin was dropped: all four frames can be claimed again.
+		for id := core.PageID(100); id < 104; id++ {
+			if _, err := p.GetNew(nil, id); err != nil {
+				t.Errorf("frame still pinned after the load: %v", err)
+			}
+		}
+	}
+}

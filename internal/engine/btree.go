@@ -25,10 +25,16 @@ import (
 // lookups and range scans run shared (in parallel with each other and
 // with all heap operations), mutations run exclusive. No latch crabbing:
 // the per-index latch is coarse but never blocks operations on other
-// indexes, tables, or regions. Tree pages are pinned during node access,
-// which keeps the flush paths (that latch only unpinned frames) off
-// them. The coarse tree is the paper-fidelity default; OLCIndex is the
-// scalable alternative (see index.go and DESIGN.md "Index latching").
+// indexes, tables, or regions. The tree latch orders tree operations
+// against each other but not against the flush paths: the cleaner claims
+// a dirty frame while it is unpinned and reads its image a moment later,
+// by which time a tree operation may have pinned the same frame. So node
+// contents are read under the frame's shared latch and changed under its
+// exclusive latch, like heap pages. Order: tree latch, then frame latch;
+// a frame latch is never held across pool.Get or newPage (which may
+// evict, and so flush, some other frame). The coarse tree is the
+// paper-fidelity default; OLCIndex is the scalable alternative (see
+// index.go and DESIGN.md "Index latching").
 type CoarseIndex struct {
 	db   *DB
 	st   *PageStore
@@ -78,15 +84,14 @@ func (ix *CoarseIndex) Stats() IndexStats { return ix.stats.snapshot(IndexCoarse
 
 type node struct {
 	fr   *buffer.Frame
-	pg   *page.Page
+	pg   page.Page
 	leaf bool
 	cap  int // max entries
 }
 
 // attachNode decodes a frame as a tree node. Both tree kinds share it
 // (and the entire on-page node layout). The caller must hold the frame
-// pinned; under OLC it must additionally hold the frame latch, since
-// page.Attach reads header bytes.
+// pinned and latched, since page.Attach reads header bytes.
 func attachNode(st *PageStore, fr *buffer.Frame) (*node, error) {
 	pg, err := page.Attach(fr.Data, st.layout)
 	if err != nil {
@@ -211,8 +216,10 @@ func (ix *CoarseIndex) Lookup(w *sim.Worker, key uint64) (core.RID, bool, error)
 		if err != nil {
 			return core.RID{}, false, err
 		}
+		fr.RLatch()
 		n, err := ix.node(fr)
 		if err != nil {
+			fr.RUnlatch()
 			db.pool.Unpin(w, fr, false, 0)
 			return core.RID{}, false, err
 		}
@@ -222,10 +229,12 @@ func (ix *CoarseIndex) Lookup(w *sim.Worker, key uint64) (core.RID, bool, error)
 			if found {
 				rid = n.leafRID(pos)
 			}
+			fr.RUnlatch()
 			db.pool.Unpin(w, fr, false, 0)
 			return rid, found, nil
 		}
 		next := n.route(key)
+		fr.RUnlatch()
 		db.pool.Unpin(w, fr, false, 0)
 		cur = next
 	}
@@ -251,8 +260,10 @@ func (ix *CoarseIndex) Insert(w *sim.Worker, key uint64, rid core.RID) error {
 	if err != nil {
 		return err
 	}
+	fr.Latch()
 	n, err := ix.node(fr)
 	if err != nil {
+		fr.Unlatch()
 		db.pool.Unpin(w, fr, false, 0)
 		return err
 	}
@@ -260,6 +271,7 @@ func (ix *CoarseIndex) Insert(w *sim.Worker, key uint64, rid core.RID) error {
 	n.setInt(0, sepKey, newChild)
 	n.setCount(1)
 	ix.root = pg.ID()
+	fr.Unlatch()
 	return db.pool.Unpin(w, fr, true, db.log.Head())
 }
 
@@ -271,29 +283,39 @@ func (ix *CoarseIndex) insertRec(w *sim.Worker, nodeID core.PageID, key uint64, 
 	if err != nil {
 		return 0, core.InvalidPageID, err
 	}
+	fr.Latch()
 	n, err := ix.node(fr)
 	if err != nil {
+		fr.Unlatch()
 		db.pool.Unpin(w, fr, false, 0)
 		return 0, core.InvalidPageID, err
 	}
 	if n.leaf {
 		pos, found := n.leafSearch(key)
 		if found {
+			fr.Unlatch()
 			db.pool.Unpin(w, fr, false, 0)
 			return 0, core.InvalidPageID, fmt.Errorf("%w: %d", ErrKeyExists, key)
 		}
 		if n.count() < n.cap {
 			insertLeafAt(n, pos, key, rid)
+			fr.Unlatch()
 			return 0, core.InvalidPageID, db.pool.Unpin(w, fr, true, db.log.Head())
 		}
-		// Split the leaf.
+		// Split the leaf. The latch is dropped around the allocation; the
+		// exclusive tree latch keeps every other writer off the node.
+		fr.Unlatch()
 		rfr, rpg, err := db.newPage(w, ix.st, 0, page.FlagIndex|page.FlagLeaf)
 		if err != nil {
 			db.pool.Unpin(w, fr, false, 0)
 			return 0, core.InvalidPageID, err
 		}
+		fr.Latch()
+		rfr.Latch()
 		rn, err := ix.node(rfr)
 		if err != nil {
+			rfr.Unlatch()
+			fr.Unlatch()
 			db.pool.Unpin(w, fr, false, 0)
 			db.pool.Unpin(w, rfr, false, 0)
 			return 0, core.InvalidPageID, err
@@ -315,6 +337,8 @@ func (ix *CoarseIndex) insertRec(w *sim.Worker, nodeID core.PageID, key uint64, 
 			p, _ := n.leafSearch(key)
 			insertLeafAt(n, p, key, rid)
 		}
+		rfr.Unlatch()
+		fr.Unlatch()
 		head := db.log.Head()
 		if err := db.pool.Unpin(w, fr, true, head); err != nil {
 			return 0, core.InvalidPageID, err
@@ -326,8 +350,9 @@ func (ix *CoarseIndex) insertRec(w *sim.Worker, nodeID core.PageID, key uint64, 
 	}
 
 	child := n.route(key)
-	// Release the parent pin during descent (no latch coupling needed:
+	// Release the parent during descent (no latch coupling needed:
 	// mutations hold the tree latch exclusively).
+	fr.Unlatch()
 	db.pool.Unpin(w, fr, false, 0)
 	sepKey, newChild, err := ix.insertRec(w, child, key, rid)
 	if err != nil || newChild == core.InvalidPageID {
@@ -338,23 +363,31 @@ func (ix *CoarseIndex) insertRec(w *sim.Worker, nodeID core.PageID, key uint64, 
 	if err != nil {
 		return 0, core.InvalidPageID, err
 	}
+	fr.Latch()
 	n, err = ix.node(fr)
 	if err != nil {
+		fr.Unlatch()
 		db.pool.Unpin(w, fr, false, 0)
 		return 0, core.InvalidPageID, err
 	}
 	if n.count() < n.cap {
 		insertIntAt(n, sepKey, newChild)
+		fr.Unlatch()
 		return 0, core.InvalidPageID, db.pool.Unpin(w, fr, true, db.log.Head())
 	}
 	// Split the internal node.
+	fr.Unlatch()
 	rfr, rpg, err := db.newPage(w, ix.st, 0, page.FlagIndex)
 	if err != nil {
 		db.pool.Unpin(w, fr, false, 0)
 		return 0, core.InvalidPageID, err
 	}
+	fr.Latch()
+	rfr.Latch()
 	rn, err := ix.node(rfr)
 	if err != nil {
+		rfr.Unlatch()
+		fr.Unlatch()
 		db.pool.Unpin(w, fr, false, 0)
 		db.pool.Unpin(w, rfr, false, 0)
 		return 0, core.InvalidPageID, err
@@ -374,6 +407,8 @@ func (ix *CoarseIndex) insertRec(w *sim.Worker, nodeID core.PageID, key uint64, 
 	} else {
 		insertIntAt(n, sepKey, newChild)
 	}
+	rfr.Unlatch()
+	fr.Unlatch()
 	head := db.log.Head()
 	if err := db.pool.Unpin(w, fr, true, head); err != nil {
 		return 0, core.InvalidPageID, err
@@ -419,21 +454,26 @@ func (ix *CoarseIndex) Update(w *sim.Worker, key uint64, rid core.RID) error {
 		if err != nil {
 			return err
 		}
+		fr.Latch()
 		n, err := ix.node(fr)
 		if err != nil {
+			fr.Unlatch()
 			db.pool.Unpin(w, fr, false, 0)
 			return err
 		}
 		if n.leaf {
 			pos, found := n.leafSearch(key)
 			if !found {
+				fr.Unlatch()
 				db.pool.Unpin(w, fr, false, 0)
 				return fmt.Errorf("engine: index %q has no key %d", ix.name, key)
 			}
 			n.setLeaf(pos, key, rid)
+			fr.Unlatch()
 			return db.pool.Unpin(w, fr, true, db.log.Head())
 		}
 		next := n.route(key)
+		fr.Unlatch()
 		db.pool.Unpin(w, fr, false, 0)
 		cur = next
 	}
@@ -454,14 +494,17 @@ func (ix *CoarseIndex) Delete(w *sim.Worker, key uint64) (bool, error) {
 		if err != nil {
 			return false, err
 		}
+		fr.Latch()
 		n, err := ix.node(fr)
 		if err != nil {
+			fr.Unlatch()
 			db.pool.Unpin(w, fr, false, 0)
 			return false, err
 		}
 		if n.leaf {
 			pos, found := n.leafSearch(key)
 			if !found {
+				fr.Unlatch()
 				db.pool.Unpin(w, fr, false, 0)
 				return false, nil
 			}
@@ -469,9 +512,11 @@ func (ix *CoarseIndex) Delete(w *sim.Worker, key uint64) (bool, error) {
 				n.setLeaf(i, n.leafKey(i+1), n.leafRID(i+1))
 			}
 			n.setCount(n.count() - 1)
+			fr.Unlatch()
 			return true, db.pool.Unpin(w, fr, true, db.log.Head())
 		}
 		next := n.route(key)
+		fr.Unlatch()
 		db.pool.Unpin(w, fr, false, 0)
 		cur = next
 	}
@@ -494,18 +539,22 @@ func (ix *CoarseIndex) Range(w *sim.Worker, lo, hi uint64, fn func(key uint64, r
 			db.stateMu.RUnlock()
 			return err
 		}
+		fr.RLatch()
 		n, err := ix.node(fr)
 		if err != nil {
+			fr.RUnlatch()
 			db.pool.Unpin(w, fr, false, 0)
 			ix.treeMu.RUnlock()
 			db.stateMu.RUnlock()
 			return err
 		}
 		if n.leaf {
+			fr.RUnlatch()
 			db.pool.Unpin(w, fr, false, 0)
 			break
 		}
 		next := n.route(lo)
+		fr.RUnlatch()
 		db.pool.Unpin(w, fr, false, 0)
 		cur = next
 	}
@@ -522,8 +571,10 @@ func (ix *CoarseIndex) Range(w *sim.Worker, lo, hi uint64, fn func(key uint64, r
 			db.stateMu.RUnlock()
 			return err
 		}
+		fr.RLatch()
 		n, err := ix.node(fr)
 		if err != nil {
+			fr.RUnlatch()
 			db.pool.Unpin(w, fr, false, 0)
 			ix.treeMu.RUnlock()
 			db.stateMu.RUnlock()
@@ -545,6 +596,7 @@ func (ix *CoarseIndex) Range(w *sim.Worker, lo, hi uint64, fn func(key uint64, r
 			items = append(items, kv{k, n.leafRID(i)})
 		}
 		next := n.pg.NextPage()
+		fr.RUnlatch()
 		db.pool.Unpin(w, fr, false, 0)
 		ix.treeMu.RUnlock()
 		db.stateMu.RUnlock()

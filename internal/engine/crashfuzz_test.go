@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"ipa/internal/core"
+	"ipa/internal/flash"
 	"ipa/internal/noftl"
 )
 
@@ -186,4 +189,246 @@ func TestCrashDuringHeavyStealing(t *testing.T) {
 			t.Errorf("row %d = %d, want 0 (loser undone)", i, sch.GetUint(got, 1))
 		}
 	}
+}
+
+// newSchemeRig opens a DB over one "main" region flushed with the given
+// storage scheme, with or without the MVCC version store.
+func newSchemeRig(t *testing.T, storage noftl.Storage, mvcc bool, frames int) *testRig {
+	t.Helper()
+	arr, err := flash.New(flash.Config{
+		Geometry: flash.Geometry{
+			Chips: 2, BlocksPerChip: 32, PagesPerBlock: 8,
+			PageSize: 512, OOBSize: 32, Cell: flash.SLC,
+		},
+		Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := noftl.Open(arr)
+	rc := noftl.RegionConfig{Name: "main", Storage: storage, BlocksPerChip: 32, OverProvision: 0.2}
+	if storage == noftl.StorageIPA {
+		rc.Mode, rc.Scheme = noftl.ModeSLC, core.NewScheme(2, 4)
+	}
+	if _, err := dev.CreateRegion(rc); err != nil {
+		t.Fatal(err)
+	}
+	db, err := New(dev, Options{PageSize: 512, BufferFrames: frames, DirtyThreshold: 2.0, MVCC: mvcc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &testRig{dev: dev, db: db}
+}
+
+// fieldScript is a fixed interleaving of five transactions that mixes
+// the field updates (AddField, UpdateField: OpPatch records) with
+// whole-tuple Update, Insert and Delete on 40 rows of 24 bytes: several
+// patches to one tuple, patches after a growing Update relocated the
+// tuple, an explicit abort, a transaction that never ends, and commits
+// in between. Every step appends to the log; run executes steps
+// [0, upTo) and returns the rows as the committed transactions among
+// them leave the table.
+type fieldScript struct {
+	db   *DB
+	tbl  *Table
+	rids []core.RID
+
+	committed map[core.RID][]byte
+	txs       map[int]*Tx
+	staged    map[int]map[core.RID][]byte // nil value = deleted
+}
+
+const fieldScriptSteps = 31
+
+func (s *fieldScript) row(tx int, rid core.RID) []byte {
+	if r, ok := s.staged[tx][rid]; ok {
+		return append([]byte(nil), r...)
+	}
+	return append([]byte(nil), s.committed[rid]...)
+}
+
+func (s *fieldScript) run(t *testing.T, upTo int) {
+	t.Helper()
+	begin := func(tx int) func() error {
+		return func() (err error) {
+			s.txs[tx], err = s.db.Begin(nil)
+			s.staged[tx] = map[core.RID][]byte{}
+			return err
+		}
+	}
+	add := func(tx, row, off int, delta uint64) func() error {
+		return func() error {
+			rid := s.rids[row]
+			r := s.row(tx, rid)
+			binary.LittleEndian.PutUint64(r[off:], binary.LittleEndian.Uint64(r[off:])+delta)
+			s.staged[tx][rid] = r
+			return s.tbl.AddField(s.txs[tx], rid, off, delta)
+		}
+	}
+	set := func(tx, row, off int, val string) func() error {
+		return func() error {
+			rid := s.rids[row]
+			r := s.row(tx, rid)
+			copy(r[off:], val)
+			s.staged[tx][rid] = r
+			return s.tbl.UpdateField(s.txs[tx], rid, off, []byte(val))
+		}
+	}
+	update := func(tx, row int, suffix string) func() error {
+		return func() error {
+			rid := s.rids[row]
+			r := append(s.row(tx, rid)[:24], suffix...)
+			s.staged[tx][rid] = r
+			return s.tbl.Update(s.txs[tx], rid, r)
+		}
+	}
+	del := func(tx, row int) func() error {
+		return func() error {
+			s.staged[tx][s.rids[row]] = nil
+			return s.tbl.Delete(s.txs[tx], s.rids[row])
+		}
+	}
+	insert := func(tx int) func() error {
+		return func() error {
+			r := make([]byte, 24)
+			copy(r[16:], "inserted")
+			rid, err := s.tbl.Insert(s.txs[tx], r)
+			s.rids = append(s.rids, rid) // row 40
+			s.staged[tx][rid] = r
+			return err
+		}
+	}
+	commit := func(tx int) func() error {
+		return func() error {
+			for rid, r := range s.staged[tx] {
+				if r == nil {
+					delete(s.committed, rid)
+				} else {
+					s.committed[rid] = r
+				}
+			}
+			return s.txs[tx].Commit()
+		}
+	}
+	abort := func(tx int) func() error { return func() error { return s.txs[tx].Abort() } }
+
+	steps := []func() error{
+		begin(1), add(1, 0, 8, 5), add(1, 0, 8, 7), set(1, 1, 16, "one"),
+		begin(2), update(2, 2, "-grown-and-relocated"), add(2, 2, 8, 3),
+		commit(1),
+		set(2, 2, 30, "PATCH"), add(2, 3, 8, 9), abort(2),
+		begin(3), add(3, 0, 8, 100), update(3, 0, ""), add(3, 0, 8, ^uint64(0)),
+		begin(4), add(4, 20, 8, 1), set(4, 21, 16, "loser"), update(4, 21, "-loser-grows"), add(4, 21, 8, 2),
+		commit(3),
+		begin(5), del(5, 4), insert(5), add(5, 40, 8, 77), set(5, 5, 0, "five"), update(5, 39, "-tail"), add(5, 39, 8, 1),
+		commit(5),
+		add(4, 22, 8, 4), set(4, 20, 17, "x"), // transaction 4 never ends
+	}
+	if len(steps) != fieldScriptSteps {
+		t.Fatalf("script has %d steps, fieldScriptSteps says %d", len(steps), fieldScriptSteps)
+	}
+	for i, step := range steps[:upTo] {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+}
+
+// TestCrashAtEveryStepFieldUpdates crashes the scripted workload after
+// every one of its steps — so at every LSN an API call can end on — for
+// each storage scheme with the version store off and on, steals a
+// varying number of dirty pages first, recovers (mapping rebuilt from
+// flash, then redo and undo), and requires exactly the committed rows.
+// With MVCC on, a snapshot taken just before the crash must show the
+// same rows: the patched tuples' before-images resolve to committed
+// state.
+func TestCrashAtEveryStepFieldUpdates(t *testing.T) {
+	for _, storage := range []noftl.Storage{noftl.StorageOOP, noftl.StorageIPA, noftl.StoragePDL} {
+		for _, mvcc := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/mvcc=%v", storage, mvcc), func(t *testing.T) {
+				for crashAt := 1; crashAt <= fieldScriptSteps; crashAt++ {
+					crashFieldScript(t, storage, mvcc, crashAt)
+				}
+			})
+		}
+	}
+}
+
+func crashFieldScript(t *testing.T, storage noftl.Storage, mvcc bool, crashAt int) {
+	r := newSchemeRig(t, storage, mvcc, 6)
+	defer r.db.Close()
+	tbl, err := r.db.CreateTable("t", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &fieldScript{
+		db: r.db, tbl: tbl, committed: map[core.RID][]byte{},
+		txs: map[int]*Tx{}, staged: map[int]map[core.RID][]byte{},
+	}
+	// 40 rows over a six-frame pool. Every third insert is a spacer,
+	// deleted again, so each page has room for the script's growing
+	// Updates whatever the scheme's page layout.
+	tx := mustBegin(r.db, nil)
+	for i := 0; i < 60; i++ {
+		row := make([]byte, 24)
+		binary.LittleEndian.PutUint64(row, uint64(i))
+		copy(row[16:], "--------")
+		rid, err := tbl.Insert(tx, row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 2 {
+			if err := tbl.Delete(tx, rid); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		s.rids = append(s.rids, rid)
+		s.committed[rid] = row
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.db.FlushAll(nil); err != nil {
+		t.Fatal(err)
+	}
+	s.run(t, crashAt)
+
+	verify := func(when string, read func(core.RID) ([]byte, error)) {
+		t.Helper()
+		for i, rid := range s.rids {
+			got, err := read(rid)
+			want, live := s.committed[rid]
+			switch {
+			case !live && errors.Is(err, ErrNoTuple):
+			case !live:
+				t.Fatalf("crash at step %d, %s: row %d = %x, %v; want no tuple", crashAt, when, i, got, err)
+			case err != nil:
+				t.Fatalf("crash at step %d, %s: row %d: %v", crashAt, when, i, err)
+			case !bytes.Equal(got, want):
+				t.Fatalf("crash at step %d, %s: row %d = %x, want %x", crashAt, when, i, got, want)
+			}
+		}
+	}
+	if mvcc {
+		snap, err := r.db.BeginSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verify("snapshot before the crash", func(rid core.RID) ([]byte, error) { return tbl.ReadSnapshot(snap, rid) })
+		snap.Abort()
+	}
+	if _, err := r.db.Pool().FlushOldest(nil, crashAt%4); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.db.SimulateCrash(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.db.Store("main").RecoverMapping(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.db.Recover(nil); err != nil {
+		t.Fatalf("crash at step %d: recover: %v", crashAt, err)
+	}
+	verify("after recovery", func(rid core.RID) ([]byte, error) { return tbl.Read(nil, rid) })
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ipa/internal/core"
-	"ipa/internal/flash"
 	"ipa/internal/noftl"
 )
 
@@ -16,29 +15,7 @@ import (
 // differentials to dedicated log blocks).
 func newPDLRig(t *testing.T, frames int) *testRig {
 	t.Helper()
-	g := flash.Geometry{
-		Chips: 2, BlocksPerChip: 32, PagesPerBlock: 8,
-		PageSize: 512, OOBSize: 32, Cell: flash.SLC,
-	}
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := noftl.Open(arr)
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "main", Storage: noftl.StoragePDL, BlocksPerChip: 32, OverProvision: 0.2,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	db, err := New(dev, Options{
-		PageSize: 512, BufferFrames: frames, DirtyThreshold: 2.0,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &testRig{dev: dev, db: db}
+	return newSchemeRig(t, noftl.StoragePDL, false, frames)
 }
 
 // TestPDLEngineRoundTrip drives the full flush path through the PDL

@@ -83,8 +83,7 @@ func (db *DB) Recover(w *sim.Worker) (RecoveryReport, error) {
 		if r.Type != wal.RecUpdate && r.Type != wal.RecCLR {
 			return true
 		}
-		img := r.After
-		applied, err := db.redoOne(w, r.Page, r.Op, int(r.Slot), img, r.LSN)
+		applied, err := db.redoOne(w, r)
 		if err != nil {
 			redoErr = fmt.Errorf("engine: redo LSN %d on page %d: %w", r.LSN, r.Page, err)
 			return false
@@ -123,7 +122,8 @@ func (db *DB) Recover(w *sim.Worker) (RecoveryReport, error) {
 // redoOne applies one logged operation if the page does not already
 // reflect it (PageLSN guard). Pages that were never flushed before the
 // crash are recreated empty. Runs with stateMu held exclusively.
-func (db *DB) redoOne(w *sim.Worker, id core.PageID, op wal.PageOp, slot int, img []byte, lsn core.LSN) (bool, error) {
+func (db *DB) redoOne(w *sim.Worker, r wal.Record) (bool, error) {
+	id, lsn := r.Page, r.LSN
 	st := db.pageDir.get(id)
 	if st == nil {
 		return false, fmt.Errorf("page %d has no store", id)
@@ -153,7 +153,7 @@ func (db *DB) redoOne(w *sim.Worker, id core.PageID, op wal.PageOp, slot int, im
 	if pg.LSN() >= lsn {
 		return false, db.pool.Unpin(w, fr, false, 0)
 	}
-	if err := applyOp(pg, op, slot, img); err != nil {
+	if err := applyOp(&pg, r.Op, int(r.Slot), int(r.Off), r.After); err != nil {
 		db.pool.Unpin(w, fr, false, 0)
 		return false, err
 	}

@@ -30,7 +30,11 @@ import (
 //     as a pending version entry BEFORE touching the heap — even when
 //     the PageLSN guard later skips the heap apply (a snapshot-primed
 //     follower's heap may already reflect the update, but the chain
-//     entry must exist so snapshot readers can resolve past it).
+//     entry must exist so snapshot readers can resolve past it). The
+//     image is the record's Before for whole-tuple ops, this page's own
+//     tuple for an OpPatch (which ships only the bytes it changes), and
+//     rebuilt from the transaction's chain when the apply is skipped
+//     (imageBeforeTx).
 //  3. Apply the physiological op only if PageLSN < record LSN.
 //
 // Commits register the (parity-known) commit LSN in the version
@@ -94,7 +98,9 @@ func (a *Applier) Resync() {
 
 // Apply replays one contiguous batch. Records at or below the applied
 // head are skipped (duplicate delivery after a reconnect); a gap above
-// it fails with ErrApplyGap.
+// it fails with ErrApplyGap. The records' images and Meta may alias a
+// buffer the caller reuses after Apply returns: the log, the page and
+// the version store each take their own copy.
 func (a *Applier) Apply(recs []wal.Record) error {
 	db := a.db
 	db.stateMu.RLock()
@@ -308,25 +314,79 @@ func (a *Applier) applyPageOp(rec wal.Record, install bool) error {
 		db.pool.Unpin(a.w, fr, false, 0)
 		return err
 	}
+	redo := pg.LSN() < rec.LSN
 	if install && db.vs != nil {
+		// The version store keeps its image; rec.Before is the caller's.
 		rid := core.RID{Page: rec.Page, Slot: rec.Slot}
-		db.vs.installPending(rid, rec.TxID, rec.Before, rec.Op == wal.OpInsert)
+		switch {
+		case !redo:
+			img, absent := a.imageBeforeTx(&pg, rec)
+			db.vs.setPending(rid, rec.TxID, img, absent)
+		case rec.Op == wal.OpPatch:
+			// An OpPatch ships only the bytes it changes; the whole
+			// before-tuple is the one on this page, about to be patched.
+			if tup, err := pg.ReadTuple(int(rec.Slot)); err == nil {
+				db.vs.installPending(rid, rec.TxID, append([]byte(nil), tup...), false)
+			}
+		default:
+			db.vs.installPending(rid, rec.TxID, append([]byte(nil), rec.Before...), rec.Op == wal.OpInsert)
+		}
 	}
-	dirty := false
-	if pg.LSN() < rec.LSN {
-		if err := applyOp(pg, rec.Op, int(rec.Slot), rec.After); err != nil {
+	if redo {
+		if err := applyOp(&pg, rec.Op, int(rec.Slot), int(rec.Off), rec.After); err != nil {
 			fr.Unlatch()
 			db.pool.Unpin(a.w, fr, false, 0)
 			return err
 		}
 		pg.SetLSN(rec.LSN)
-		dirty = true
 	}
 	fr.Unlatch()
-	if dirty {
+	if redo {
 		return db.pool.Unpin(a.w, fr, true, rec.LSN)
 	}
 	return db.pool.Unpin(a.w, fr, false, 0)
+}
+
+// imageBeforeTx rebuilds the tuple at rec's RID as it was before rec's
+// transaction touched it, for a record the PageLSN guard skips: a
+// snapshot-primed page already reflects rec — and whatever else the
+// transaction did to the tuple up to the snapshot's capture, which an
+// OpPatch's few bytes of before-image cannot undo alone. So the page's
+// tuple is walked back through the transaction's records, newest first,
+// along the chain in the follower's own log (a snapshot primes below
+// the first record of every transaction in flight, so the chain is
+// whole). Each skipped record of the transaction on the tuple redoes
+// the walk from itself, so the image is exact once the stream has
+// replayed the last of them. Changes another, already committed
+// transaction made to the tuple between the prime point and the capture
+// stay in the image; they matter only to a snapshot pinned before the
+// stream has replayed them.
+func (a *Applier) imageBeforeTx(pg *page.Page, rec wal.Record) (img []byte, absent bool) {
+	if tup, err := pg.ReadTuple(int(rec.Slot)); err == nil {
+		img = append([]byte(nil), tup...)
+	}
+	for r := rec; ; {
+		if r.Type == wal.RecUpdate && r.Page == rec.Page && r.Slot == rec.Slot {
+			switch r.Op {
+			case wal.OpPatch:
+				if int(r.Off)+len(r.Before) <= len(img) {
+					copy(img[r.Off:], r.Before)
+				}
+			case wal.OpUpdate, wal.OpDelete:
+				img, absent = append([]byte(nil), r.Before...), false
+			case wal.OpInsert:
+				img, absent = nil, true
+			}
+		}
+		if r.PrevLSN == 0 {
+			return img, absent
+		}
+		prev, err := a.db.log.Get(r.PrevLSN)
+		if err != nil {
+			return img, absent
+		}
+		r = prev
+	}
 }
 
 // Promote finishes the follower's transition to primary: every

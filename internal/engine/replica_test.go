@@ -287,3 +287,94 @@ func TestApplierPromote(t *testing.T) {
 		t.Fatalf("post-promotion write: %q", got)
 	}
 }
+
+// TestApplierPatchBeforeImages: an OpPatch ships only the bytes it
+// changes, so the follower's version store takes the whole before-tuple
+// from its own page — as it stands when the record is redone, and
+// walked back through the transaction's records when a snapshot-primed
+// page already reflects them. Either way a follower snapshot taken while
+// the transaction is still open must read the tuple exactly as it was
+// before the transaction: two fields of one row patched, one field
+// patched twice, a patch on top of a whole-tuple update and under one.
+func TestApplierPatchBeforeImages(t *testing.T) {
+	for _, join := range []string{"stream", "snapshot"} {
+		t.Run(join, func(t *testing.T) {
+			primary := newReplRig(t)
+			defer primary.Close()
+			follower := newReplRig(t)
+			defer follower.Close()
+			a, err := follower.NewApplier(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			ptb, err := primary.CreateTable("acct", "r1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rids := patchRows(t, primary, ptb, 4)
+			want := scanAll(t, ptb)
+
+			open := mustBegin(primary, nil)
+			for _, step := range []func() error{
+				func() error { return ptb.AddField(open, rids[0], 8, 5) },                   // two fields
+				func() error { return ptb.UpdateField(open, rids[0], 16, []byte("dirty")) }, // of one row
+				func() error { return ptb.AddField(open, rids[1], 8, 1) },                   // one field,
+				func() error { return ptb.AddField(open, rids[1], 8, 2) },                   // twice
+				func() error { return ptb.Update(open, rids[2], []byte("rewritten-whole-and-longer")) },
+				func() error { return ptb.UpdateField(open, rids[2], 3, []byte("PATCH")) },
+				func() error { return ptb.AddField(open, rids[3], 8, 9) },
+				func() error { return ptb.Update(open, rids[3], []byte("patched-then-rewritten")) },
+			} {
+				if err := step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			if join == "snapshot" {
+				snap, err := primary.CaptureSnapshot(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := follower.InstallSnapshot(nil, snap); err != nil {
+					t.Fatal(err)
+				}
+				a.Resync()
+			}
+			// Records past the capture are redone on the follower either way.
+			if err := ptb.UpdateField(open, rids[1], 16, []byte("later")); err != nil {
+				t.Fatal(err)
+			}
+			if err := ptb.AddField(open, rids[0], 0, 1); err != nil {
+				t.Fatal(err)
+			}
+			shipAll(t, primary, a)
+
+			ftb, err := follower.Table("acct")
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffStates(t, scanAll(t, ptb), scanAll(t, ftb)) // the heap has the open transaction's bytes
+			snap, err := follower.BeginSnapshot(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Abort()
+			got := make(map[core.RID][]byte)
+			if err := ftb.ScanSnapshot(snap, func(rid core.RID, row []byte) bool {
+				got[rid] = append([]byte(nil), row...)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			diffStates(t, want, got)
+
+			// The primary dies; promotion undoes the patches from the
+			// follower's own log.
+			if err := a.Promote(); err != nil {
+				t.Fatal(err)
+			}
+			diffStates(t, want, scanAll(t, ftb))
+		})
+	}
+}

@@ -138,7 +138,7 @@ func (t *Table) Insert(tx *Tx, data []byte) (core.RID, error) {
 	if db.vs != nil {
 		db.vs.installPending(rid, tx.id, nil, true)
 	}
-	lsn := tx.logUpdate(id, wal.OpInsert, slot, nil, data)
+	lsn := tx.logUpdate(id, wal.OpInsert, slot, 0, nil, data)
 	pg.SetLSN(lsn)
 	fr.Unlatch()
 	if err := db.pool.Unpin(tx.w, fr, true, lsn); err != nil {
@@ -178,7 +178,7 @@ func (t *Table) insertInto(tx *Tx, id core.PageID, data []byte) (core.RID, error
 	if db.vs != nil {
 		db.vs.installPending(rid, tx.id, nil, true)
 	}
-	lsn := tx.logUpdate(id, wal.OpInsert, slot, nil, data)
+	lsn := tx.logUpdate(id, wal.OpInsert, slot, 0, nil, data)
 	pg.SetLSN(lsn)
 	fr.Unlatch()
 	if err := db.pool.Unpin(tx.w, fr, true, lsn); err != nil {
@@ -403,7 +403,7 @@ func (t *Table) Update(tx *Tx, rid core.RID, data []byte) error {
 		db.pool.Unpin(tx.w, fr, false, 0)
 		return err
 	}
-	lsn := tx.logUpdate(rid.Page, wal.OpUpdate, int(rid.Slot), before, data)
+	lsn := tx.logUpdate(rid.Page, wal.OpUpdate, int(rid.Slot), 0, before, data)
 	pg.SetLSN(lsn)
 	fr.Unlatch()
 	if err := db.pool.Unpin(tx.w, fr, true, lsn); err != nil {
@@ -415,19 +415,10 @@ func (t *Table) Update(tx *Tx, rid core.RID, data []byte) error {
 // UpdateField performs the OLTP pattern the paper analyses: a
 // read-modify-write of a byte range within the tuple (e.g. one numeric
 // attribute), leaving the rest untouched — which is what keeps update
-// deltas small. The tuple lock is taken before the base tuple is read,
-// so the RMW is atomic against concurrent writers; reading first would
-// silently merge val into a stale image and lose their updates.
+// deltas small. The log record is as small as the change: an OpPatch
+// carrying val and the bytes it replaces.
 func (t *Table) UpdateField(tx *Tx, rid core.RID, off int, val []byte) error {
-	cur, err := t.ReadLocked(tx, rid)
-	if err != nil {
-		return err
-	}
-	if off < 0 || off+len(val) > len(cur) {
-		return fmt.Errorf("engine: field [%d,%d) outside tuple of %d bytes", off, off+len(val), len(cur))
-	}
-	copy(cur[off:], val)
-	return t.Update(tx, rid, cur)
+	return t.patchField(tx, rid, off, val, false, 0)
 }
 
 // AddField adds delta to the 8-byte little-endian word at off — the
@@ -437,15 +428,81 @@ func (t *Table) UpdateField(tx *Tx, rid core.RID, off int, val []byte) error {
 // client-side reads (the anomaly an absolute write computed from an
 // unlocked read suffers).
 func (t *Table) AddField(tx *Tx, rid core.RID, off int, delta uint64) error {
-	cur, err := t.ReadLocked(tx, rid)
+	return t.patchField(tx, rid, off, nil, true, delta)
+}
+
+// patchField is the one implementation of a field update: with add, the
+// 8-byte word at off grows by delta; without, val replaces the bytes at
+// off. One pass — the tuple lock, one pin, one exclusive latch — under
+// which the base bytes are read, the record is logged and the page is
+// patched, so the read-modify-write is atomic against concurrent
+// writers and no copy of the tuple is made (the MVCC before-image
+// excepted, which the version store keeps).
+func (t *Table) patchField(tx *Tx, rid core.RID, off int, val []byte, add bool, delta uint64) error {
+	db := t.db
+	if tx.status != txActive {
+		return fmt.Errorf("%w: tx %d", ErrTxClosed, tx.id)
+	}
+	if tx.readOnly {
+		return fmt.Errorf("%w: tx %d", ErrReadOnlyTx, tx.id)
+	}
+	db.stateMu.RLock()
+	defer db.stateMu.RUnlock()
+	if err := tx.lockRID(rid); err != nil {
+		return err
+	}
+	fr, err := db.pool.Get(tx.w, rid.Page)
 	if err != nil {
 		return err
 	}
-	if off < 0 || off+8 > len(cur) {
-		return fmt.Errorf("engine: field [%d,%d) outside tuple of %d bytes", off, off+8, len(cur))
+	fr.Latch()
+	lsn, err := t.patchLatched(tx, fr.Data, rid, off, val, add, delta)
+	fr.Unlatch()
+	if err != nil {
+		db.pool.Unpin(tx.w, fr, false, 0)
+		return err
 	}
-	binary.LittleEndian.PutUint64(cur[off:], binary.LittleEndian.Uint64(cur[off:])+delta)
-	return t.Update(tx, rid, cur)
+	if err := db.pool.Unpin(tx.w, fr, true, lsn); err != nil {
+		return err
+	}
+	return db.maybeReclaim(tx.w)
+}
+
+// patchLatched logs and applies a field update to the page image buf,
+// whose exclusive latch the caller holds, and returns the record's LSN.
+// The record is appended first, straight from the page (Before) and the
+// caller's bytes (After): the log copies both, so neither needs a
+// buffer of its own.
+func (t *Table) patchLatched(tx *Tx, buf []byte, rid core.RID, off int, val []byte, add bool, delta uint64) (core.LSN, error) {
+	pg, err := page.Attach(buf, t.st.layout)
+	if err != nil {
+		return 0, err
+	}
+	tup, err := pg.ReadTuple(int(rid.Slot))
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v: %v", ErrNoTuple, rid, err)
+	}
+	n := len(val)
+	if add {
+		n = 8
+	}
+	if off < 0 || off > len(tup) || n > len(tup)-off {
+		return 0, fmt.Errorf("engine: field of %d bytes at %d outside tuple of %d bytes", n, off, len(tup))
+	}
+	field := tup[off : off+n]
+	if add {
+		val = tx.word[:]
+		binary.LittleEndian.PutUint64(val, binary.LittleEndian.Uint64(field)+delta)
+	}
+	if db := t.db; db.vs != nil {
+		// Under the exclusive latch, before the heap mutation: a snapshot
+		// reader that sees the new heap state must find this before-image.
+		db.vs.installPending(rid, tx.id, append([]byte(nil), tup...), false)
+	}
+	lsn := tx.logUpdate(rid.Page, wal.OpPatch, int(rid.Slot), off, field, val)
+	copy(field, val)
+	pg.SetLSN(lsn)
+	return lsn, nil
 }
 
 // Delete removes the tuple at rid.
@@ -488,7 +545,7 @@ func (t *Table) Delete(tx *Tx, rid core.RID) error {
 		db.pool.Unpin(tx.w, fr, false, 0)
 		return err
 	}
-	lsn := tx.logUpdate(rid.Page, wal.OpDelete, int(rid.Slot), before, nil)
+	lsn := tx.logUpdate(rid.Page, wal.OpDelete, int(rid.Slot), 0, before, nil)
 	pg.SetLSN(lsn)
 	fr.Unlatch()
 	return db.pool.Unpin(tx.w, fr, true, lsn)

@@ -82,6 +82,11 @@ type Tx struct {
 	// commitLSN is set by Commit; the replication layer waits for it to
 	// reach a quorum of followers before acking the client.
 	commitLSN core.LSN
+
+	// word holds the sum AddField computes while the log copies it: a
+	// slice handed to wal.Append counts as escaping, so a stack array
+	// would cost an allocation per call.
+	word [8]byte
 }
 
 // Begin starts a transaction bound to the worker (nil is fine for
@@ -166,10 +171,10 @@ func (tx *Tx) releaseLocks() {
 // on). The images are passed through uncopied: wal.Append copies them
 // once, into log-owned arena storage, so this path performs no
 // intermediate allocation.
-func (tx *Tx) logUpdate(pg core.PageID, op wal.PageOp, slot int, before, after []byte) core.LSN {
+func (tx *Tx) logUpdate(pg core.PageID, op wal.PageOp, slot, off int, before, after []byte) core.LSN {
 	lsn := tx.db.log.Append(wal.Record{
 		Type: wal.RecUpdate, TxID: tx.id, PrevLSN: tx.lastLSN.load(),
-		Page: pg, Op: op, Slot: uint16(slot),
+		Page: pg, Op: op, Slot: uint16(slot), Off: uint16(off),
 		Before: before,
 		After:  after,
 	})
@@ -312,10 +317,10 @@ func (db *DB) undoOne(w *sim.Worker, txID uint64, rec wal.Record) error {
 	undoOp, undoImg := invertOp(rec)
 	clr := db.log.Append(wal.Record{
 		Type: wal.RecCLR, TxID: txID,
-		Page: rec.Page, Op: undoOp, Slot: rec.Slot, After: undoImg,
+		Page: rec.Page, Op: undoOp, Slot: rec.Slot, Off: rec.Off, After: undoImg,
 		UndoNext: rec.PrevLSN,
 	})
-	if err := applyOp(pg, undoOp, int(rec.Slot), undoImg); err != nil {
+	if err := applyOp(&pg, undoOp, int(rec.Slot), int(rec.Off), undoImg); err != nil {
 		fr.Unlatch()
 		db.pool.Unpin(w, fr, false, 0)
 		return err
@@ -334,13 +339,18 @@ func invertOp(rec wal.Record) (wal.PageOp, []byte) {
 		return wal.OpInsert, rec.Before
 	case wal.OpUpdate:
 		return wal.OpUpdate, rec.Before
+	case wal.OpPatch:
+		return wal.OpPatch, rec.Before
 	default:
 		return wal.OpNone, nil
 	}
 }
 
-// applyOp performs a physiological page operation.
-func applyOp(pg *page.Page, op wal.PageOp, slot int, img []byte) error {
+// applyOp performs a physiological page operation: redo of an update
+// record or a CLR, and the undo a CLR describes. off is read by OpPatch
+// only. A patch that does not fit the tuple the page holds — a log that
+// is not this page's history — is an error, never a write.
+func applyOp(pg *page.Page, op wal.PageOp, slot, off int, img []byte) error {
 	switch op {
 	case wal.OpInsert:
 		return pg.InsertAt(slot, img)
@@ -348,6 +358,16 @@ func applyOp(pg *page.Page, op wal.PageOp, slot int, img []byte) error {
 		return pg.Update(slot, img)
 	case wal.OpDelete:
 		return pg.Delete(slot)
+	case wal.OpPatch:
+		tup, err := pg.ReadTuple(slot)
+		if err != nil {
+			return err
+		}
+		if off+len(img) > len(tup) {
+			return fmt.Errorf("engine: patch [%d,%d) outside tuple of %d bytes", off, off+len(img), len(tup))
+		}
+		copy(tup[off:], img)
+		return nil
 	case wal.OpNone:
 		return nil
 	default:

@@ -152,6 +152,23 @@ func (vs *versionStore) installPending(rid core.RID, owner uint64, before []byte
 	vs.installed.Add(1)
 }
 
+// setPending is installPending for an image that later records of the
+// same transaction refine: the replication applier rebuilding
+// before-images on a snapshot-primed page (see Applier.imageBeforeTx).
+// It replaces the data of the owner's pending entry instead of keeping
+// the first; entries already handed to readers are not written to.
+func (vs *versionStore) setPending(rid core.RID, owner uint64, before []byte, absent bool) {
+	sh := vs.shard(rid)
+	sh.mu.Lock()
+	if ch := sh.chains[rid]; ch != nil && len(ch.entries) > 0 && ch.entries[0].commit == 0 {
+		ch.entries[0].data, ch.entries[0].absent = before, absent
+		sh.mu.Unlock()
+		return
+	}
+	sh.mu.Unlock()
+	vs.installPending(rid, owner, before, absent)
+}
+
 // stampCommitted tags the transaction's pending entries with its commit
 // LSN. Runs after the commit record is appended (and registered
 // in-flight) and before locks release. The abort path reuses it with

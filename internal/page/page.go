@@ -116,16 +116,18 @@ func Format(buf []byte, l Layout, id core.PageID) (*Page, error) {
 	return p, nil
 }
 
-// Attach wraps an existing logical page image.
-func Attach(buf []byte, l Layout) (*Page, error) {
+// Attach wraps an existing logical page image. The view is returned by
+// value: it is three words and a layout, attached once per page access
+// on every hot path, and a caller that keeps it in a local variable
+// pays no heap allocation for it.
+func Attach(buf []byte, l Layout) (Page, error) {
 	if len(buf) != l.PageSize {
-		return nil, fmt.Errorf("%w: buffer %d bytes, layout %d", ErrTooSmall, len(buf), l.PageSize)
+		return Page{}, fmt.Errorf("%w: buffer %d bytes, layout %d", ErrTooSmall, len(buf), l.PageSize)
 	}
-	p := &Page{buf: buf, l: l}
 	if got := int(binary.LittleEndian.Uint16(buf[22:])); got != l.Scheme.AreaSize() {
-		return nil, fmt.Errorf("%w: delta area %d on page, layout says %d", ErrCorrupt, got, l.Scheme.AreaSize())
+		return Page{}, fmt.Errorf("%w: delta area %d on page, layout says %d", ErrCorrupt, got, l.Scheme.AreaSize())
 	}
-	return p, nil
+	return Page{buf: buf, l: l}, nil
 }
 
 func wipeErased(b []byte) {

@@ -14,6 +14,7 @@ import (
 	"ipa/internal/client"
 	"ipa/internal/core"
 	"ipa/internal/engine"
+	"ipa/internal/wal"
 	"ipa/internal/wire"
 )
 
@@ -154,9 +155,14 @@ func TestStepDownIsSeenWithoutNodeLock(t *testing.T) {
 // A request payload belongs to the node only until HandleFrame returns
 // (it is the session's read buffer). Every payload here is overwritten
 // the moment its handler returns — as the next burst would overwrite it
-// — and the followers must still end up with the leader's rows: one fed
-// the whole log by REPL_APPEND, one installed from a REPL_SNAPSHOT and
-// fed the rest.
+// — and the followers must still end up with the leader's log and the
+// leader's rows: one fed the whole log by REPL_APPEND, one installed
+// from a REPL_SNAPSHOT and fed the rest. The leader's transactions
+// rewrite rows whole, add to a field and overwrite a field, so the log
+// carries OpPatch records; the snapshot pinned on the streamed follower
+// after the first round must keep reading that round's rows — the
+// values before the second round's patches — from before-images the
+// follower took from its own pages.
 func TestHandlersDoNotRetainPayloads(t *testing.T) {
 	cl, err := NewCluster(ClusterConfig{N: 1})
 	if err != nil {
@@ -183,8 +189,16 @@ func TestHandlersDoNotRetainPayloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			rids = append(rids, rid)
-			for i := 0; i < len(rids); i += 3 { // rewrite some older rows whole
-				if err := tbl.Update(tx, rids[i], bytes.Repeat([]byte{byte(r + i + 100)}, 40)); err != nil {
+			for i := range rids[:len(rids)-1] { // change the older rows: whole, by a delta, by a field
+				switch i % 3 {
+				case 0:
+					err = tbl.Update(tx, rids[i], bytes.Repeat([]byte{byte(r + i + 100)}, 40))
+				case 1:
+					err = tbl.AddField(tx, rids[i], 8, uint64(r+1)<<20)
+				case 2:
+					err = tbl.UpdateField(tx, rids[i], 21, []byte{byte(r), byte(i), 0xFE})
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -241,6 +255,38 @@ func TestHandlersDoNotRetainPayloads(t *testing.T) {
 			if a := deliver(n, wire.OpReplAppend, ship.enc.Bytes()); a.Head != cursor-1 {
 				t.Fatalf("follower head %d after a batch ending at %d", a.Head, cursor-1)
 			}
+		}
+	}
+	// sameLog: the follower's log is the leader's, record for record and
+	// byte for byte, from the follower's tail to its head — the field
+	// updates' OpPatch records with their offsets and images included.
+	sameLog := func(n *Node, what string) {
+		t.Helper()
+		llog, flog := lead.DB.WAL(), n.db.WAL()
+		if flog.Head() != llog.Head() {
+			t.Fatalf("%s: log head %d, the leader's is %d", what, flog.Head(), llog.Head())
+		}
+		patches := 0
+		for lsn := flog.Tail(); lsn <= flog.Head(); lsn++ {
+			want, err := llog.Get(lsn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := flog.Get(lsn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Type != want.Type || got.TxID != want.TxID || got.PrevLSN != want.PrevLSN || got.Page != want.Page ||
+				got.Op != want.Op || got.Slot != want.Slot || got.Off != want.Off || got.UndoNext != want.UndoNext ||
+				!bytes.Equal(got.Before, want.Before) || !bytes.Equal(got.After, want.After) || !bytes.Equal(got.Meta, want.Meta) {
+				t.Fatalf("%s: LSN %d is %+v, the leader logged %+v", what, lsn, got, want)
+			}
+			if got.Op == wal.OpPatch {
+				patches++
+			}
+		}
+		if patches == 0 {
+			t.Fatalf("%s: no OpPatch record in the log; the test no longer ships field updates", what)
 		}
 	}
 	leaderRows := func() map[core.RID][]byte {
@@ -307,8 +353,42 @@ func TestHandlersDoNotRetainPayloads(t *testing.T) {
 	write(10)
 	second := leaderRows()
 	catchUp(installed, snap.PrimeLSN+1)
+	sameLog(installed, "snapshot-installed follower")
 	audit(installed, pin(installed), second, "snapshot-installed follower")
 	catchUp(streamed, streamed.db.WAL().Head()+1)
+	sameLog(streamed, "streamed follower")
 	audit(streamed, pin(streamed), second, "streamed follower, second round")
 	audit(streamed, old, first, "streamed follower, earlier snapshot")
+}
+
+// A peer that speaks the protocol before REPL_APPEND carried the first
+// LSN and the OpPatch offset is refused at HELLO, not misparsed later.
+func TestOldProtocolVersionIsRefused(t *testing.T) {
+	cl, err := NewCluster(ClusterConfig{N: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	nc, err := net.Dial("tcp", cl.Members[0].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(nc)
+	for _, c := range []struct {
+		version byte
+		status  byte
+	}{{wire.ProtoVersion - 1, wire.StatusBadRequest}, {wire.ProtoVersion, wire.StatusOK}} {
+		if err := wire.WriteFrame(nc, uint64(c.version), wire.OpHello, []byte{c.version}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := wire.ReadFrame(br, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Kind != c.status {
+			t.Errorf("HELLO version %d answered status %d, want %d", c.version, f.Kind, c.status)
+		}
+	}
 }

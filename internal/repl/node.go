@@ -168,6 +168,7 @@ type Node struct {
 	elections      atomic.Uint64
 	batchesShipped atomic.Uint64
 	recordsShipped atomic.Uint64
+	bytesShipped   atomic.Uint64 // REPL_APPEND payload bytes, all followers
 	snapsSent      atomic.Uint64
 	snapsRecv      atomic.Uint64
 	shipWakeups    atomic.Uint64 // a parked shipper woke (doorbell or heartbeat timer)
@@ -660,8 +661,9 @@ func (n *Node) requestVotes(term uint64, lastLSN core.LSN, lastTerm uint64) int 
 // session and returns (status, response payload). It implements the
 // server.Replicator interface. The payload is the session's read
 // buffer and belongs to the node only until HandleFrame returns:
-// handlers decode, apply and install before they return, and copy what
-// the engine keeps (see decodeRecord).
+// handlers decode, apply and install before they return, and what the
+// engine keeps it copies itself (decoded records alias the payload; see
+// decodeRecord).
 func (n *Node) HandleFrame(kind byte, payload []byte) (byte, []byte) {
 	switch kind {
 	case wire.OpReplHello:
@@ -709,7 +711,7 @@ func (n *Node) ackNow(term uint64, needSnap bool) ack {
 func (n *Node) handleAppend(payload []byte) (byte, []byte) {
 	r := wire.NewReader(payload)
 	var ebuf [4]epoch
-	term, leaderID, commit, epochs, count, err := decodeAppendHeader(r, ebuf[:0])
+	term, leaderID, commit, epochs, first, count, err := decodeAppendHeader(r, ebuf[:0])
 	if err != nil {
 		return failResp(wire.StatusBadRequest, err)
 	}
@@ -735,8 +737,8 @@ func (n *Node) handleAppend(payload []byte) (byte, []byte) {
 		// stream allocates it once, not per batch.
 		n.applyMu.Lock()
 		recs := n.recBuf[:0]
-		for ; count > 0; count-- {
-			rec, derr := decodeRecord(r)
+		for lsn := first; count > 0; count, lsn = count-1, lsn+1 {
+			rec, derr := decodeRecord(r, lsn)
 			if derr != nil {
 				n.applyMu.Unlock()
 				return failResp(wire.StatusBadRequest, derr)
@@ -847,17 +849,20 @@ type PeerStats struct {
 
 // Stats is the node's replication snapshot for /stats.
 type Stats struct {
-	NodeID        uint64 `json:"node_id"`
-	Role          string `json:"role"`
-	Term          uint64 `json:"term"`
-	LeaderID      uint64 `json:"leader_id"`
-	LeaderAddr    string `json:"leader_addr"`
-	HeadLSN       uint64 `json:"head_lsn"`
-	CommitLSN     uint64 `json:"commit_lsn"`
-	AppliedLSN    uint64 `json:"applied_lsn"`
-	Elections     uint64 `json:"elections"`
-	BatchesSent   uint64 `json:"batches_sent"`
-	RecordsSent   uint64 `json:"records_sent"`
+	NodeID      uint64 `json:"node_id"`
+	Role        string `json:"role"`
+	Term        uint64 `json:"term"`
+	LeaderID    uint64 `json:"leader_id"`
+	LeaderAddr  string `json:"leader_addr"`
+	HeadLSN     uint64 `json:"head_lsn"`
+	CommitLSN   uint64 `json:"commit_lsn"`
+	AppliedLSN  uint64 `json:"applied_lsn"`
+	Elections   uint64 `json:"elections"`
+	BatchesSent uint64 `json:"batches_sent"`
+	RecordsSent uint64 `json:"records_sent"`
+	// BytesShipped sums the REPL_APPEND payloads sent to all followers,
+	// heartbeats included.
+	BytesShipped  uint64 `json:"bytes_shipped"`
 	SnapshotsSent uint64 `json:"snapshots_sent"`
 	SnapshotsRecv uint64 `json:"snapshots_received"`
 	// QuorumWait is the time successful WaitCommitted calls spent (the
@@ -891,6 +896,7 @@ func (n *Node) Stats() Stats {
 		Elections:     n.elections.Load(),
 		BatchesSent:   n.batchesShipped.Load(),
 		RecordsSent:   n.recordsShipped.Load(),
+		BytesShipped:  n.bytesShipped.Load(),
 		SnapshotsSent: n.snapsSent.Load(),
 		SnapshotsRecv: n.snapsRecv.Load(),
 

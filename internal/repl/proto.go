@@ -162,93 +162,148 @@ func decodeVoteResp(p []byte) (voteResp, error) {
 // --- WAL record batches (REPL_APPEND) --------------------------------
 
 // encodeAppendHeader starts a REPL_APPEND payload: the leader's term,
-// id, commit horizon and epoch table. The record count (u32) and the
-// records follow (see shipper.encodeBatch; an empty batch is a
-// heartbeat). The follower adopts the epochs with the records: a
-// record's term is the term of the leadership that CREATED it, which
-// only the epoch table knows — a new leader re-ships old-term records,
-// so tagging them with the shipping term would make every failover look
-// like divergence. The commit horizon feeds the follower's vote bar: it
-// must never help elect a candidate whose log ends below an LSN it
-// knows was quorum-committed.
-func encodeAppendHeader(b *wire.Builder, term, leaderID uint64, commit core.LSN, epochs []epoch) {
+// id, commit horizon and epoch table, and the LSN of the first record.
+// The record count (u32) and the records follow (see
+// shipper.encodeBatch; an empty batch is a heartbeat). Records carry no
+// LSN of their own: a batch is a run of consecutive log slots. The
+// follower adopts the epochs with the records: a record's term is the
+// term of the leadership that CREATED it, which only the epoch table
+// knows — a new leader re-ships old-term records, so tagging them with
+// the shipping term would make every failover look like divergence. The
+// commit horizon feeds the follower's vote bar: it must never help
+// elect a candidate whose log ends below an LSN it knows was
+// quorum-committed.
+func encodeAppendHeader(b *wire.Builder, term, leaderID uint64, commit core.LSN, epochs []epoch, first core.LSN) {
 	b.Uint64(term).Uint64(leaderID).Uint64(uint64(commit))
 	b.Uint32(uint32(len(epochs)))
 	for _, e := range epochs {
 		b.Uint64(e.Term).Uint64(uint64(e.From))
 	}
+	b.Uint64(uint64(first))
 }
 
 // decodeAppendHeader reads what encodeAppendHeader wrote plus the record
 // count, leaving r at the first record. The epochs are appended to buf.
-func decodeAppendHeader(r *wire.Reader, buf []epoch) (term, leaderID uint64, commit core.LSN, epochs []epoch, count int, err error) {
+func decodeAppendHeader(r *wire.Reader, buf []epoch) (term, leaderID uint64, commit core.LSN, epochs []epoch, first core.LSN, count int, err error) {
 	term, leaderID = r.Uint64(), r.Uint64()
 	commit = core.LSN(r.Uint64())
 	epochs = buf
 	for ne := int(r.Uint32()); ne > 0 && r.Err() == nil; ne-- {
 		epochs = append(epochs, epoch{Term: r.Uint64(), From: core.LSN(r.Uint64())})
 	}
+	first = core.LSN(r.Uint64())
 	count = int(r.Uint32())
-	return term, leaderID, commit, epochs, count, r.Err()
+	return term, leaderID, commit, epochs, first, count, r.Err()
 }
+
+// A shipped record is a 32-byte fixed part — type u8, op u8, flags u16,
+// slot u16, off u16, tx u64, prev LSN u64, page u64 — followed by the
+// sections its flags announce, in this order. A small record costs on
+// the wire what it costs in the log: an OpPatch of an 8-byte field is
+// 56 bytes.
+const (
+	recHasUndoNext = 1 << iota // undoNext u64 (CLRs)
+	recHasImages               // before bytes, after bytes
+	recHasMeta                 // meta bytes (RecAlloc, RecTable)
+	recHasTables               // checkpoint tables: n u32, n×(u64, u64), twice
+	recFlagsKnown  = 1<<iota - 1
+)
 
 // encodeRecord serialises one wal.Record, including the checkpoint
 // tables (so shipped checkpoints keep LSN parity and drive
 // follower-local truncation).
 func encodeRecord(b *wire.Builder, r wal.Record) {
-	b.Uint64(uint64(r.LSN))
-	b.Uint16(uint16(r.Type))
-	b.Uint64(r.TxID)
-	b.Uint64(uint64(r.PrevLSN))
-	b.Uint64(uint64(r.Page))
-	b.Uint16(uint16(r.Op))
-	b.Uint16(r.Slot)
-	b.Uint64(uint64(r.UndoNext))
-	b.Blob(r.Before)
-	b.Blob(r.After)
-	b.Blob(r.Meta)
-	b.Uint32(uint32(len(r.ActiveTxs)))
-	for id, lsn := range r.ActiveTxs {
-		b.Uint64(id).Uint64(uint64(lsn))
+	var flags uint32
+	if r.UndoNext != 0 {
+		flags |= recHasUndoNext
 	}
-	b.Uint32(uint32(len(r.DirtyPages)))
-	for id, lsn := range r.DirtyPages {
-		b.Uint64(uint64(id)).Uint64(uint64(lsn))
+	if len(r.Before)+len(r.After) > 0 {
+		flags |= recHasImages
+	}
+	if len(r.Meta) > 0 {
+		flags |= recHasMeta
+	}
+	if r.ActiveTxs != nil || r.DirtyPages != nil {
+		flags |= recHasTables
+	}
+	b.Uint32(uint32(r.Type)<<24 | uint32(r.Op)<<16 | flags)
+	b.Uint16(r.Slot).Uint16(r.Off)
+	b.Uint64(r.TxID).Uint64(uint64(r.PrevLSN)).Uint64(uint64(r.Page))
+	if flags&recHasUndoNext != 0 {
+		b.Uint64(uint64(r.UndoNext))
+	}
+	if flags&recHasImages != 0 {
+		b.Blob(r.Before).Blob(r.After)
+	}
+	if flags&recHasMeta != 0 {
+		b.Blob(r.Meta)
+	}
+	if flags&recHasTables != 0 {
+		b.Uint32(uint32(len(r.ActiveTxs)))
+		for id, lsn := range r.ActiveTxs {
+			b.Uint64(id).Uint64(uint64(lsn))
+		}
+		b.Uint32(uint32(len(r.DirtyPages)))
+		for id, lsn := range r.DirtyPages {
+			b.Uint64(uint64(id)).Uint64(uint64(lsn))
+		}
 	}
 }
 
-// decodeRecord reads one record. After and Meta alias the payload — the
-// applier copies them into the log and the page and keeps neither — but
-// Before is copied: the version store retains it as the pending version.
-func decodeRecord(r *wire.Reader) (wal.Record, error) {
+// decodeRecord reads the record that sits at lsn in its batch. Before,
+// After and Meta alias the payload: the applier copies them into the
+// log, the page and the version store and keeps none. Only the shape of
+// a record is judged here — whether an OpPatch fits its tuple is the
+// applier's call, made against the page under its latch.
+func decodeRecord(r *wire.Reader, lsn core.LSN) (wal.Record, error) {
+	head := r.Uint32()
+	flags := head & 0xFFFF
 	rec := wal.Record{
-		LSN:     core.LSN(r.Uint64()),
-		Type:    wal.RecType(r.Uint16()),
+		LSN:     lsn,
+		Type:    wal.RecType(head >> 24),
+		Op:      wal.PageOp(head >> 16),
+		Slot:    r.Uint16(),
+		Off:     r.Uint16(),
 		TxID:    r.Uint64(),
 		PrevLSN: core.LSN(r.Uint64()),
 		Page:    core.PageID(r.Uint64()),
-		Op:      wal.PageOp(r.Uint16()),
-		Slot:    r.Uint16(),
 	}
-	rec.UndoNext = core.LSN(r.Uint64())
-	rec.Before = r.Blob()
-	rec.After = r.BlobView()
-	rec.Meta = r.BlobView()
-	if n := int(r.Uint32()); n > 0 && r.Err() == nil {
-		rec.ActiveTxs = make(map[uint64]core.LSN, n)
-		for i := 0; i < n; i++ {
-			id, lsn := r.Uint64(), core.LSN(r.Uint64())
-			rec.ActiveTxs[id] = lsn
+	if flags&recHasUndoNext != 0 {
+		rec.UndoNext = core.LSN(r.Uint64())
+	}
+	if flags&recHasImages != 0 {
+		rec.Before = r.BlobView()
+		rec.After = r.BlobView()
+	}
+	if flags&recHasMeta != 0 {
+		rec.Meta = r.BlobView()
+	}
+	if flags&recHasTables != 0 {
+		if n := int(r.Uint32()); n > 0 && r.Err() == nil {
+			rec.ActiveTxs = make(map[uint64]core.LSN)
+			for i := 0; i < n && r.Err() == nil; i++ {
+				id, lsn := r.Uint64(), core.LSN(r.Uint64())
+				rec.ActiveTxs[id] = lsn
+			}
+		}
+		if n := int(r.Uint32()); n > 0 && r.Err() == nil {
+			rec.DirtyPages = make(map[core.PageID]core.LSN)
+			for i := 0; i < n && r.Err() == nil; i++ {
+				id, lsn := core.PageID(r.Uint64()), core.LSN(r.Uint64())
+				rec.DirtyPages[id] = lsn
+			}
 		}
 	}
-	if n := int(r.Uint32()); n > 0 && r.Err() == nil {
-		rec.DirtyPages = make(map[core.PageID]core.LSN, n)
-		for i := 0; i < n; i++ {
-			id, lsn := core.PageID(r.Uint64()), core.LSN(r.Uint64())
-			rec.DirtyPages[id] = lsn
-		}
+	if err := r.Err(); err != nil {
+		return wal.Record{}, err
 	}
-	return rec, r.Err()
+	if flags&^recFlagsKnown != 0 {
+		return wal.Record{}, fmt.Errorf("repl: record %d has unknown flags %#x", lsn, flags)
+	}
+	if rec.Op == wal.OpPatch && rec.Type == wal.RecUpdate && len(rec.Before) != len(rec.After) {
+		return wal.Record{}, fmt.Errorf("repl: record %d patches %d bytes over %d", lsn, len(rec.After), len(rec.Before))
+	}
+	return rec, nil
 }
 
 // encodeSnap packs a REPL_SNAPSHOT: the leader's term, id and epoch

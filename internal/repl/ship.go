@@ -118,9 +118,9 @@ type inflightBatch struct {
 // beginBatch starts a REPL_APPEND payload in s.enc — header and a zero
 // record count, which as it stands is a heartbeat — and returns where
 // the count sits.
-func (s *shipper) beginBatch() (countAt int) {
+func (s *shipper) beginBatch(first core.LSN) (countAt int) {
 	b := s.enc.Reset()
-	encodeAppendHeader(b, s.term, s.n.cfg.NodeID, s.n.CommitLSN(), s.epochs)
+	encodeAppendHeader(b, s.term, s.n.cfg.NodeID, s.n.CommitLSN(), s.epochs, first)
 	countAt = b.Len()
 	b.Uint32(0)
 	return countAt
@@ -130,11 +130,17 @@ func (s *shipper) beginBatch() (countAt int) {
 // from the log's slots, and returns how many it packed.
 func (s *shipper) encodeBatch(cursor core.LSN) (int, error) {
 	n := s.n
-	countAt := s.beginBatch()
+	countAt := s.beginBatch(cursor)
 	count, err := n.db.WAL().ReadFrom(cursor, n.cfg.BatchRecords, n.cfg.BatchBytes,
 		func(r wal.Record) { encodeRecord(s.enc, r) })
 	s.enc.SetUint32(countAt, uint32(count))
 	return count, err
+}
+
+// send puts the payload in s.enc on the wire as a REPL_APPEND.
+func (s *shipper) send(c *client.Conn) *client.Pending {
+	s.n.bytesShipped.Add(uint64(s.enc.Len()))
+	return c.DoAsync(wire.OpReplAppend, s.enc.Bytes())
 }
 
 // drain waits out the batches still in flight; their acks are for a
@@ -213,7 +219,7 @@ func (s *shipper) stream(c *client.Conn, w *sim.Worker) {
 			}
 			cursor += core.LSN(count)
 			s.window = append(s.window, inflightBatch{
-				p:     c.DoAsync(wire.OpReplAppend, s.enc.Bytes()),
+				p:     s.send(c),
 				last:  cursor - 1,
 				count: count,
 			})
@@ -226,9 +232,9 @@ func (s *shipper) stream(c *client.Conn, w *sim.Worker) {
 			// timer; otherwise park until the doorbell or that moment.
 			idle := time.Since(lastSend)
 			if idle >= n.cfg.HeartbeatInterval {
-				s.beginBatch()
+				s.beginBatch(cursor)
 				n.heartbeatsSent.Add(1)
-				hf, herr := c.Do(wire.OpReplAppend, s.enc.Bytes())
+				hf, herr := s.send(c).Wait()
 				if herr != nil {
 					return
 				}

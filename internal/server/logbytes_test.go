@@ -1,0 +1,92 @@
+package server_test
+
+import (
+	"encoding/json"
+	"math/rand"
+	"testing"
+	"time"
+
+	"ipa/internal/client"
+	"ipa/internal/repl"
+	"ipa/internal/workload"
+)
+
+// What a served TPC-B transaction costs in log bytes, read off the
+// stats document the way an operator would (STATS op → JSON):
+// engine.WAL.AppendedBytes on the leader and repl.bytes_shipped, the
+// REPL_APPEND payload bytes, per follower. Three 8-byte balance adds
+// are logged and shipped as OpPatch records carrying 8-byte images, so
+// the transaction — BEGIN, three patches, a 28-byte history insert,
+// COMMIT, END — stays under 520 bytes in both. With whole-tuple images
+// for the adds it was about 1 020 appended and 1 140 shipped.
+func TestServedTPCBLogAndShipBytes(t *testing.T) {
+	cl, err := repl.NewCluster(repl.ClusterConfig{N: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	lead := cl.Members[0]
+	if err := workload.NewTPCB(lead.DB, "data", 2, 200).Load(lead.TL.NewWorker()); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(lead.Addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	drv := workload.NewNetTPCB()
+	if err := drv.Init(c); err != nil {
+		t.Fatal(err)
+	}
+
+	type doc struct {
+		Engine struct {
+			WAL struct{ AppendedBytes uint64 }
+		} `json:"engine"`
+		Repl repl.Stats `json:"repl"`
+	}
+	// settled reads the document once every follower has acked the
+	// leader's whole log, so shipped bytes cover what was appended.
+	settled := func() doc {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			raw, err := c.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var d doc
+			if err := json.Unmarshal(raw, &d); err != nil {
+				t.Fatal(err)
+			}
+			caughtUp := len(d.Repl.Peers) == 2
+			for _, p := range d.Repl.Peers {
+				caughtUp = caughtUp && p.AckedLSN == d.Repl.HeadLSN
+			}
+			if caughtUp {
+				return d
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("followers did not catch up: %+v", d.Repl)
+			}
+		}
+	}
+
+	const txs = 300
+	rng := rand.New(rand.NewSource(1))
+	before := settled()
+	for i := 0; i < txs; i++ {
+		if err := drv.RunOne(c, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := settled()
+	appended := float64(after.Engine.WAL.AppendedBytes-before.Engine.WAL.AppendedBytes) / txs
+	shipped := float64(after.Repl.BytesShipped-before.Repl.BytesShipped) / txs / 2
+	t.Logf("per transaction: %.0f B appended, %.0f B shipped per follower", appended, shipped)
+	if appended < 300 || appended > 520 {
+		t.Errorf("a served TPC-B transaction appends %.0f B of log, want 300..520", appended)
+	}
+	if shipped < 300 || shipped > 520 {
+		t.Errorf("a served TPC-B transaction ships %.0f B per follower, want 300..520", shipped)
+	}
+}

@@ -83,7 +83,7 @@ func pattern(seed, n int) []byte {
 
 func sameRecord(a, b Record) error {
 	if a.LSN != b.LSN || a.Type != b.Type || a.TxID != b.TxID || a.PrevLSN != b.PrevLSN ||
-		a.Page != b.Page || a.Op != b.Op || a.Slot != b.Slot || a.UndoNext != b.UndoNext {
+		a.Page != b.Page || a.Op != b.Op || a.Slot != b.Slot || a.Off != b.Off || a.UndoNext != b.UndoNext {
 		return fmt.Errorf("fixed fields differ: %+v vs %+v", a, b)
 	}
 	if !bytes.Equal(a.Before, b.Before) || !bytes.Equal(a.After, b.After) || !bytes.Equal(a.Meta, b.Meta) {
@@ -96,43 +96,54 @@ func sameRecord(a, b Record) error {
 	return nil
 }
 
-// Every kind of record must come back from Get, Scan and ReadFrom
-// byte-identical to what was appended, before and after a truncation —
-// with image sizes that straddle the arena chunk edges (a reservation
-// that just fits, just does not, exceeds a chunk, is empty), Meta and
+// roundTripRecords is the table behind TestRecordsRoundTripByteExact and
+// the seed corpus of FuzzWALRecordRoundTrip: every kind of record, with
+// image sizes that straddle the arena chunk edges (a reservation that
+// just fits, just does not, exceeds a chunk, is empty), Meta and
 // checkpoint tables in the side table, and all slot fields at their
-// extremes.
-func TestRecordsRoundTripByteExact(t *testing.T) {
+// extremes. Five rounds span four segments.
+func roundTripRecords() []Record {
 	sizes := []int{0, 1, 7, 8, 16, 100, 255, 256, 1000,
 		arenaChunkBytes/2 - 1, arenaChunkBytes / 2, arenaChunkBytes/2 + 1,
 		arenaChunkBytes - 1, arenaChunkBytes, arenaChunkBytes + 1, 3*arenaChunkBytes + 5}
-	l := NewLog(0)
-	var want []Record
-	add := func(r Record) {
-		r.LSN = l.Append(r)
-		want = append(want, r)
-	}
+	var recs []Record
 	seed := 0
-	for round := 0; round < 5; round++ { // enough rounds to span four segments
+	for round := 0; round < 5; round++ {
 		for _, nb := range sizes {
 			for _, na := range sizes {
 				seed++
-				add(Record{
+				recs = append(recs, Record{
 					Type: RecUpdate, TxID: ^uint64(seed), PrevLSN: core.LSN(seed), Page: core.PageID(^uint64(0) - uint64(seed)),
 					Op: OpUpdate, Slot: uint16(65535 - seed), Before: pattern(seed, nb), After: pattern(-seed, na),
 				})
 			}
-			add(Record{Type: RecCLR, TxID: 3, Op: OpDelete, After: pattern(seed, nb), UndoNext: core.LSN(seed)})
-			add(Record{Type: RecAlloc, Meta: pattern(seed, nb+1)})
-			add(Record{Type: RecCheckpoint,
-				ActiveTxs:  map[uint64]core.LSN{uint64(nb): core.LSN(seed), 2: 20},
-				DirtyPages: map[core.PageID]core.LSN{core.PageID(nb): 70},
-			})
-			add(Record{Type: RecCommit, TxID: uint64(nb)})
+			recs = append(recs,
+				Record{Type: RecUpdate, TxID: 5, PrevLSN: core.LSN(seed), Page: 9, Op: OpPatch,
+					Slot: uint16(seed), Off: uint16(65535 - seed), Before: pattern(seed, nb), After: pattern(-seed, nb)},
+				Record{Type: RecCLR, TxID: 5, Page: 9, Op: OpPatch, Slot: uint16(seed), Off: uint16(nb),
+					After: pattern(seed, nb), UndoNext: core.LSN(seed)},
+				Record{Type: RecCLR, TxID: 3, Op: OpDelete, After: pattern(seed, nb), UndoNext: core.LSN(seed)},
+				Record{Type: RecAlloc, Meta: pattern(seed, nb+1)},
+				Record{Type: RecCheckpoint,
+					ActiveTxs:  map[uint64]core.LSN{uint64(nb): core.LSN(seed), 2: 20},
+					DirtyPages: map[core.PageID]core.LSN{core.PageID(nb): 70},
+				},
+				Record{Type: RecCommit, TxID: uint64(nb)})
 		}
 	}
-	add(Record{Type: RecCheckpoint}) // nil tables stay nil
-	add(Record{Type: RecTable, Meta: []byte("t"), Before: []byte{1}, After: []byte{2, 3}})
+	return append(recs,
+		Record{Type: RecCheckpoint}, // nil tables stay nil
+		Record{Type: RecTable, Meta: []byte("t"), Before: []byte{1}, After: []byte{2, 3}})
+}
+
+// Every kind of record must come back from Get, Scan and ReadFrom
+// byte-identical to what was appended, before and after a truncation.
+func TestRecordsRoundTripByteExact(t *testing.T) {
+	l := NewLog(0)
+	want := roundTripRecords()
+	for i := range want {
+		want[i].LSN = l.Append(want[i])
+	}
 	if len(want) < 2*segRecords {
 		t.Fatalf("table holds %d records, want it to span segments", len(want))
 	}

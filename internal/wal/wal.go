@@ -113,6 +113,12 @@ const (
 	OpUpdate        // tuple at Slot replaced; Before/After = tuple images
 	OpDelete        // tuple at Slot deleted; Before = tuple image
 	OpFormat        // page formatted (allocation); no images
+	// OpPatch overwrites bytes [Off, Off+len(After)) of the tuple at Slot —
+	// the logged form of a field update (Table.UpdateField/AddField).
+	// Before/After carry only the bytes that change, so an 8-byte update
+	// costs an 8-byte undo and an 8-byte redo image, and the tuple may
+	// move within its page between the record and its redo or undo.
+	OpPatch
 )
 
 // Record is one log entry. Update/CLR records are physiological: they
@@ -132,6 +138,7 @@ type Record struct {
 	Page   core.PageID
 	Op     PageOp
 	Slot   uint16
+	Off    uint16 // OpPatch only: where in the tuple the images apply
 	Before []byte // undo image (empty for CLRs)
 	After  []byte // redo image
 
@@ -148,8 +155,9 @@ type Record struct {
 	DirtyPages map[core.PageID]core.LSN
 }
 
-// Size is the bytes the record occupies in the log (a fixed header plus
-// images), driving log-space accounting.
+// Size is the bytes the record occupies in the log (a fixed header,
+// which has room for an OpPatch's offset, plus the images at their real
+// length), driving log-space accounting.
 //
 // Checkpoint records carry the two checkpoint tables: each costs an
 // 8-byte entry count plus 24 bytes per entry (16 B of key/value payload
@@ -186,6 +194,11 @@ const (
 	arenaChunkBytes = 8 << 10
 )
 
+// A slot addresses its images with a 16-bit chunk offset: a reservation
+// either lands inside an arenaChunkBytes chunk or sits at offset 0 of a
+// chunk made to its size.
+const _ = uint16(arenaChunkBytes - 1)
+
 // slot is one record cell of a segment: the fixed fields of a Record
 // plus the location of its images in the segment's arena. It holds no
 // pointers, so the garbage collector never scans the slot arrays.
@@ -198,7 +211,8 @@ const (
 //	16  prev     u64  PrevLSN
 //	24  page     u64
 //	32  undoNext u64  CLRs only
-//	40  imgOff   u32  offset of Before in its arena chunk; After follows
+//	40  imgOff   u16  offset of Before in its arena chunk; After follows
+//	42  off      u16  OpPatch: offset of the images within the tuple
 //	44  nBefore  u32
 //	48  nAfter   u32
 //	52  chunk    u16  arena chunk index within the segment
@@ -216,7 +230,8 @@ type slot struct {
 	prev     core.LSN
 	page     core.PageID
 	undoNext core.LSN
-	imgOff   uint32
+	imgOff   uint16
+	off      uint16
 	nBefore  uint32
 	nAfter   uint32
 	chunk    uint16
@@ -326,7 +341,7 @@ func (s *segment) record(lsn core.LSN) Record {
 	sl := &s.slots[i]
 	r := Record{
 		LSN: lsn, Type: sl.typ, TxID: sl.txID, PrevLSN: sl.prev,
-		Page: sl.page, Op: sl.op, Slot: sl.slotNo, UndoNext: sl.undoNext,
+		Page: sl.page, Op: sl.op, Slot: sl.slotNo, Off: sl.off, UndoNext: sl.undoNext,
 	}
 	if sl.nBefore+sl.nAfter > 0 {
 		buf := s.chunkAt(sl.chunk).buf
@@ -452,13 +467,13 @@ func (l *Log) Append(r Record) core.LSN {
 	seg := l.segment(lsn)
 	i := (uint64(lsn) - 1) & segMask
 	s := &seg.slots[i]
-	s.typ, s.op, s.slotNo = r.Type, r.Op, r.Slot
+	s.typ, s.op, s.slotNo, s.off = r.Type, r.Op, r.Slot, r.Off
 	s.txID, s.prev, s.page, s.undoNext = r.TxID, r.PrevLSN, r.Page, r.UndoNext
 	if nb, na := len(r.Before), len(r.After); nb+na > 0 {
 		c, off := seg.reserveImages(nb + na)
 		copy(c.buf[off:], r.Before)
 		copy(c.buf[off+nb:], r.After)
-		s.chunk, s.imgOff, s.nBefore, s.nAfter = c.idx, uint32(off), uint32(nb), uint32(na)
+		s.chunk, s.imgOff, s.nBefore, s.nAfter = c.idx, uint16(off), uint32(nb), uint32(na)
 	}
 	if len(r.Meta) > 0 || r.ActiveTxs != nil || r.DirtyPages != nil {
 		sd := &sideRec{activeTxs: r.ActiveTxs, dirtyPages: r.DirtyPages}
@@ -993,10 +1008,12 @@ type Stats struct {
 	// in records, bucketed to powers of two.
 	BatchP50 uint64
 	BatchP99 uint64
-	// Space accounting and ring shape. UsedBytes is the log-device
-	// volume (Σ Record.Size of retained records); RetainedBytes is the
-	// memory the ring actually holds for them — slot arrays, image
+	// Space accounting and ring shape. AppendedBytes is the log volume
+	// ever appended (Σ Record.Size, monotonic — see Log.AppendedBytes);
+	// UsedBytes the part of it still retained; RetainedBytes is the
+	// memory the ring actually holds for that — slot arrays, image
 	// arena chunks and side records.
+	AppendedBytes uint64
 	UsedBytes     uint64
 	RetainedBytes uint64
 	Usage         float64
@@ -1020,6 +1037,7 @@ func (l *Log) Stats() Stats {
 		Absorbed:      l.absorbed.Load(),
 		BatchP50:      l.batchQuantile(0.50),
 		BatchP99:      l.batchQuantile(0.99),
+		AppendedBytes: l.AppendedBytes(),
 		UsedBytes:     l.UsedBytes(),
 		RetainedBytes: retained,
 		Usage:         l.Usage(),

@@ -83,7 +83,7 @@ const (
 	OpSnapshotScan
 	OpHello      // version byte → — (BAD_REQUEST on mismatch)
 	OpReplHello  // node id u64, term u64, from LSN u64 → term u64, start LSN u64
-	OpReplAppend // term u64, leader u64, commit LSN u64, count u32, count×record
+	OpReplAppend // term u64, leader u64, commit LSN u64, epochs, first LSN u64, count u32, count×record
 	OpReplAck    // tag byte in responses: term u64, acked LSN u64, appended bytes u64
 	OpReplSnap   // term u64, leader u64, snapshot blob → ack
 	OpVoteReq    // term u64, candidate u64, last LSN u64
@@ -99,8 +99,12 @@ const (
 // (clients and replicas alike) send it before anything else; a server
 // that sees a different version answers BAD_REQUEST instead of
 // misparsing the frames that would follow. Bumped whenever the opcode
-// family or a payload layout changes incompatibly.
-const ProtoVersion byte = 1
+// family or a payload layout changes incompatibly:
+//
+//	1  PR 5 client protocol, PR 10 REPL_* family
+//	2  REPL_APPEND: first LSN in the batch header, flag-sectioned
+//	   records with the OpPatch field offset (wal.Record.Off)
+const ProtoVersion byte = 2
 
 // OpName returns the wire name of an opcode (used as the metrics key of
 // the server's per-op latency histograms).
