@@ -2,7 +2,7 @@
 # lands. `make check` is what CI (and ROADMAP.md) means by tier-1.
 GO ?= go
 
-.PHONY: check tier1 vet build test race race-regress fuzz-smoke bench bench-compare bench-test bench-repl bench-wal bench-htap bench-olcindex bench-index bench-schemes bench-server bench-prev bench-all fmt fmt-check
+.PHONY: check tier1 vet build test race race-regress fuzz-smoke bench bench-compare bench-pairs bench-test bench-repl bench-wal bench-htap bench-olcindex bench-index bench-schemes bench-server bench-prev bench-all fmt fmt-check
 
 check: fmt-check vet build race
 
@@ -45,11 +45,18 @@ race:
 # eight goroutines adding to one row through the single-pass field
 # update. internal/buffer's Concurrent tests: getters waiting on a load
 # whose done-channel only the first waiter creates, and the shard stress
-# around them.
+# around them. TestPageTable: the flat page translation table read,
+# swapped and compare-and-swapped while it grows. TestFlushedImage: after
+# every flush storage equals the frame — the property a page write
+# outside Frame.Latch breaks — under the follower's applier and under
+# concurrent TPC-B and YCSB terminals (its crash-recovery leg,
+# TestCrashAtEveryStepFieldUpdates, is deterministic and runs in `test`).
 race-regress:
 	$(GO) test -race -count=20 -run 'TestYCSBMixes/coarse' ./internal/workload
 	$(GO) test -race -count=10 -run 'TestAddFieldLostUpdate' ./internal/engine
 	$(GO) test -race -count=10 -run 'Concurrent' ./internal/buffer
+	$(GO) test -race -count=10 -run 'TestPageTable' ./internal/core
+	$(GO) test -race -count=5 -run 'TestFlushedImage' ./internal/engine
 
 # Each native fuzz target for 10 s. Their seed corpora run as ordinary
 # tests in `make test`; this looks a little further. One target per
@@ -72,6 +79,17 @@ bench-compare:
 
 bench-test:
 	cd bench && $(GO) test ./...
+
+# A performance claim on one workload, measured the way it has to be on
+# a box whose speed drifts: N alternating pairs of BASE (unpacked under
+# .bench_build/) and the working tree, same seed within a pair; prints
+# medians, quartiles and pairs won per end-to-end metric. ~1 min a pair.
+# SEED, the first pair's seed, defaults to the clock.
+W ?= ycsb-read-flash
+BASE ?= HEAD
+N ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh $(W) $(BASE) $(N) $(SEED)
 
 # The replicated-cluster experiment from PR 10 (evidence in
 # BENCH_PR10.json): a 3-node in-process cluster under 16-terminal TPC-B

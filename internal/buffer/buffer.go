@@ -4,25 +4,36 @@
 // dirty fraction passes a threshold, 12.5% hardcoded in Shore-MT) or the
 // paper's *non-eager* alternative (Sec. 8.4, Tables 9 vs 10).
 //
-// The pool is where the paper's approach plugs in: every frame carries,
-// next to the current logical image, the logical image as of the last
-// flush. On eviction the storage manager diffs the two to decide between
-// an In-Place Append (write_delta) and an out-of-place page write.
+// The pool is where the paper's approach plugs in: a frame that is being
+// changed carries, next to the current logical image, the logical image
+// as of the last flush. On eviction the storage manager diffs the two to
+// decide between an In-Place Append (write_delta) and an out-of-place
+// page write. The second image is captured by the first exclusive Latch
+// after a load or a flush (see ImageState), so a page that is only read
+// costs one copy — the fetch — and one buffer.
+//
+// The latch rule. Page bytes change only between Latch and Unlatch. A
+// pin alone entitles its holder to read under RLatch, not to write: the
+// capture happens in Latch, so a change made without it is taken for
+// part of the flushed image and never reaches storage. That holds for a
+// page from GetNew too: formatting it is a change like any other.
 //
 // Concurrency model. The pool is split into Config.Shards independent
 // shards, frames partitioned by hash(PageID). Each shard owns its own
-// mutex, page table, frame slice, CLOCK hand, dirty counter and stats
-// cell, so pool operations on pages in different shards never contend —
-// the same padded-shard pattern as the flash array's per-chip state. A
-// shard mutex guards only that shard's frame table and frame *state*
-// (pin counts, dirty flags, CLOCK metadata); page *contents* (Data,
-// Flushed, UsedSlots, New) are guarded by a per-frame reader/writer
-// latch. All store I/O — fetches on a miss, flushes on eviction,
-// cleaning — runs outside the shard mutexes, so fetch/flush on different
-// pages (and different regions) proceed in parallel. The latch order is
-// strict: a frame latch is never acquired while a shard mutex is held, a
-// shard mutex may be acquired while a latch is held, and no two shard
-// mutexes are ever held at once.
+// mutex, frame slice, CLOCK hand, dirty counter and stats cell, so pool
+// operations on pages in different shards never contend — the same
+// padded-shard pattern as the flash array's per-chip state. The page
+// table is one flat array for the whole pool (core.PageTable); the entry
+// of a page id is guarded by the mutex of the shard the id routes to. A
+// shard mutex guards only those entries and its frames' *state* (pin
+// counts, dirty flags, CLOCK metadata); page *contents* (Data, Flushed
+// and its ImageState, UsedSlots, New) are guarded by a per-frame
+// reader/writer latch. All store I/O — fetches on a miss, flushes on
+// eviction, cleaning — runs outside the shard mutexes, so fetch/flush on
+// different pages (and different regions) proceed in parallel. The latch
+// order is strict: a frame latch is never acquired while a shard mutex
+// is held, a shard mutex may be acquired while a latch is held, and no
+// two shard mutexes are ever held at once.
 //
 // Determinism. Shards=1 (the default) degenerates to a single global
 // CLOCK whose eviction order is bit-identical to the historical
@@ -58,10 +69,30 @@ type Store interface {
 	// used on the physical page.
 	Fetch(w *sim.Worker, id core.PageID, buf []byte) (usedSlots int, err error)
 	// Flush persists a frame, choosing between write_delta and an
-	// out-of-place write. On success it must update fr.Flushed,
-	// fr.UsedSlots and clear fr.New.
+	// out-of-place write; the pool calls it with the frame's exclusive
+	// latch held. When it wrote fr.Data it must call fr.MarkFlushed,
+	// update fr.UsedSlots and clear fr.New.
 	Flush(w *sim.Worker, fr *Frame) error
 }
+
+// ImageState says what a frame knows about the page's image in storage.
+type ImageState uint8
+
+const (
+	// ImageNone: the page has no copy in storage (GetNew, or the frame is
+	// not bound). Its first flush writes the whole page out of place.
+	ImageNone ImageState = iota
+	// ImageClean: Data has equalled the stored logical image ever since
+	// the load or the last flush, and Flushed holds nothing. The next
+	// Latch captures Data into Flushed before anything changes. A flush
+	// that finds a dirty frame in this state has nothing to write: the
+	// Unpin(dirty) that made it dirty landed after a flush that had
+	// claimed the frame earlier and already wrote the change.
+	ImageClean
+	// ImageCaptured: Flushed is the logical image as of the load or the
+	// last flush; Data may differ from it.
+	ImageCaptured
+)
 
 // Frame is one buffer slot.
 type Frame struct {
@@ -71,10 +102,12 @@ type Frame struct {
 	// frame's life, so pool memory follows the working set rather than
 	// the configured capacity; a never-bound frame has Data == nil.
 	Data []byte
-	// Flushed is the logical image as of the last flush (nil for a page
-	// that has never been written to storage). Diffing Data against
-	// Flushed yields the exact <value,offset> pairs of the delta-record.
+	// Flushed is the logical image as of the last flush, valid while
+	// Image() is ImageCaptured; in the other states only its capacity is
+	// kept. Diffing Data against Flushed yields the exact <value,offset>
+	// pairs of the delta-record.
 	Flushed []byte
+	image   ImageState
 	// UsedSlots is N_E in the paper: delta-records already programmed on
 	// the physical page.
 	UsedSlots int
@@ -85,10 +118,13 @@ type Frame struct {
 	Dirty  bool
 	RecLSN core.LSN // LSN that first dirtied the frame (for checkpoints)
 
-	// latch guards the page contents (Data, Flushed, UsedSlots, New)
-	// against concurrent access: engine readers hold it shared, engine
-	// mutators and the flush paths hold it exclusively. Pin the frame
-	// before latching; never latch while holding a shard mutex.
+	// latch guards the page contents (Data, Flushed, image, UsedSlots,
+	// New) against concurrent access: engine readers hold it shared,
+	// engine mutators and the flush paths hold it exclusively. Mutators
+	// take it through Latch/TryLatch and change Data only while they hold
+	// it — that is where the flushed image is captured; the flush paths
+	// lock it directly and never capture. Pin the frame before latching;
+	// never latch while holding a shard mutex.
 	latch sync.RWMutex
 
 	// ver is the frame's optimistic-lock-coupling version word, stored
@@ -121,8 +157,29 @@ type Frame struct {
 	loadErr  error
 }
 
-// Latch acquires the frame's content latch exclusively (for mutation).
-func (fr *Frame) Latch() { fr.latch.Lock() }
+// Latch acquires the frame's content latch exclusively (for mutation),
+// capturing the flushed image if the frame has been clean since its load
+// or last flush.
+func (fr *Frame) Latch() {
+	fr.latch.Lock()
+	fr.capture()
+}
+
+func (fr *Frame) capture() {
+	if fr.image == ImageClean {
+		fr.Flushed = append(fr.Flushed[:0], fr.Data...)
+		fr.image = ImageCaptured
+	}
+}
+
+// Image returns the state of the frame's flushed image. The caller holds
+// the latch.
+func (fr *Frame) Image() ImageState { return fr.image }
+
+// MarkFlushed records that storage now holds Data as the page's logical
+// image. A Store calls it from Flush, under the exclusive latch the pool
+// took, after every write of the page.
+func (fr *Frame) MarkFlushed() { fr.image = ImageClean }
 
 // Unlatch releases an exclusive latch.
 func (fr *Frame) Unlatch() { fr.latch.Unlock() }
@@ -135,7 +192,13 @@ func (fr *Frame) RUnlatch() { fr.latch.RUnlock() }
 
 // TryLatch attempts the exclusive content latch without blocking. OLC
 // writers use it to count latch waits before falling back to Latch.
-func (fr *Frame) TryLatch() bool { return fr.latch.TryLock() }
+func (fr *Frame) TryLatch() bool {
+	if !fr.latch.TryLock() {
+		return false
+	}
+	fr.capture()
+	return true
+}
 
 // TryRLatch attempts the shared content latch without blocking.
 func (fr *Frame) TryRLatch() bool { return fr.latch.TryRLock() }
@@ -161,7 +224,7 @@ type Config struct {
 	PageSize int
 
 	// Shards splits the pool into independent partitions — each with its
-	// own mutex, page table, CLOCK hand and dirty accounting — routed by
+	// own mutex, CLOCK hand and dirty accounting — routed by
 	// hash(PageID). Zero or one selects the single-shard pool, whose
 	// global CLOCK eviction order is bit-identical to the historical
 	// implementation (what every paper experiment uses). Values are
@@ -251,12 +314,12 @@ type statsCell struct {
 func dec(c *atomic.Uint64) { c.Add(^uint64(0)) }
 
 // poolShard is one partition of the pool: a subset of the frames with
-// its own mutex, page table, CLOCK hand, dirty counter and stats cell.
-// Operations on pages routed to different shards never contend.
+// its own mutex, CLOCK hand, dirty counter and stats cell. mu also
+// guards the Pool.table entries of the page ids routed here. Operations
+// on pages routed to different shards never contend.
 type poolShard struct {
 	mu     sync.Mutex
 	frames []*Frame
-	table  map[core.PageID]*Frame
 	hand   int
 
 	// dirty and stats are atomics so DirtyFraction/Stats never lock; the
@@ -278,12 +341,19 @@ type Pool struct {
 	shardShift uint // 64 - log2(len(shards)); fibonacci-hash routing
 	nframes    int  // total frames across shards (fixed at construction)
 
+	// table maps a resident page id to its frame (nil = not resident).
+	// An entry is read and written under shardOf(id).mu.
+	table core.PageTable[*Frame]
+
 	// cleanGate admits one cleaner pass at a time; triggers arriving
 	// while a pass runs are dropped (the running pass covers them).
 	// cleanNext (guarded by cleanGate) rotates the shard a pass starts
-	// at, so cleaning pressure spreads round-robin across shards.
-	cleanGate sync.Mutex
-	cleanNext int
+	// at, so cleaning pressure spreads round-robin across shards;
+	// cleanBatch (same guard) is the pass's claim list, kept for its
+	// capacity.
+	cleanGate  sync.Mutex
+	cleanNext  int
+	cleanBatch []claimed
 
 	// verEpoch issues frame-binding epochs for the OLC version words
 	// (see Frame.ver).
@@ -319,7 +389,6 @@ func New(cfg Config, store Store) (*Pool, error) {
 			count++
 		}
 		s.frames = make([]*Frame, count)
-		s.table = make(map[core.PageID]*Frame, count)
 		for j := range s.frames {
 			fr := &Frame{}
 			fr.home.Store(s)
@@ -379,6 +448,24 @@ func (p *Pool) DirtyFraction() float64 {
 	return float64(dirty) / float64(p.nframes)
 }
 
+// resident returns the frame id is bound to, or nil. The caller holds
+// shardOf(id).mu.
+func (p *Pool) resident(id core.PageID) *Frame {
+	if e := p.table.Lookup(id); e != nil {
+		return *e
+	}
+	return nil
+}
+
+// unbindLocked takes fr's page out of the table and leaves fr free — and
+// a free frame is always ImageNone, so binding one need not say so. The
+// caller holds the mutex of fr's shard, which is the one fr.ID routes to.
+func (p *Pool) unbindLocked(fr *Frame) {
+	*p.table.Lookup(fr.ID) = nil
+	fr.ID = core.InvalidPageID
+	fr.image = ImageNone
+}
+
 // Get pins the page, fetching it from the store on a miss. The fetch
 // happens outside the shard mutex; concurrent getters of the same page
 // wait for the in-flight fetch instead of issuing their own.
@@ -386,7 +473,7 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 	s := p.shardOf(id)
 	for {
 		s.mu.Lock()
-		if fr, ok := s.table[id]; ok {
+		if fr := p.resident(id); fr != nil {
 			fr.pin++
 			fr.ref = true
 			s.stats.hits.Add(1)
@@ -408,13 +495,18 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 			}
 			return fr, nil
 		}
+		entry, err := p.table.Entry(id)
+		if err != nil {
+			s.mu.Unlock()
+			return nil, err
+		}
 		s.stats.misses.Add(1)
 		fr, err := p.acquireVictimLocked(s, w)
 		if err != nil {
 			s.mu.Unlock()
 			return nil, err
 		}
-		if _, raced := s.table[id]; raced {
+		if *entry != nil {
 			// Someone loaded the page while we were evicting: leave the
 			// reclaimed frame free and retry as a hit.
 			dec(&s.stats.misses)
@@ -426,16 +518,11 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 		fr.ref = true
 		fr.New = false
 		fr.stampVersion(p.verEpoch.Add(1))
-		// Flushed must read nil while the load is in flight (it marks "no
-		// flushed image"), but its capacity is a full page — keep it for
-		// the post-load copy instead of allocating a fresh one per miss.
-		flushedBuf := fr.Flushed[:0]
-		fr.Flushed = nil
 		fr.UsedSlots = 0
 		fr.RecLSN = 0
 		fr.loading = true
 		fr.loadErr = nil
-		s.table[id] = fr
+		*entry = fr
 		s.mu.Unlock()
 
 		if fr.Data == nil {
@@ -448,15 +535,14 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 		fr.loading = false
 		if err != nil {
 			fr.loadErr = err
-			delete(s.table, id)
 			fr.pin-- // our pin; waiters drop theirs when they see loadErr
-			fr.ID = core.InvalidPageID
+			p.unbindLocked(fr)
 			fr.loadFinishedLocked()
 			s.mu.Unlock()
 			return nil, err
 		}
 		fr.UsedSlots = used
-		fr.Flushed = append(flushedBuf, fr.Data...)
+		fr.image = ImageClean
 		fr.loadFinishedLocked()
 		s.mu.Unlock()
 		return fr, nil
@@ -473,13 +559,17 @@ func (fr *Frame) loadFinishedLocked() {
 }
 
 // GetNew pins a frame for a freshly allocated page that has no physical
-// copy yet. The caller formats fr.Data; the first flush will be an
-// out-of-place write.
+// copy yet. The caller formats fr.Data, under Latch like every change;
+// the first flush will be an out-of-place write.
 func (p *Pool) GetNew(w *sim.Worker, id core.PageID) (*Frame, error) {
 	s := p.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if fr, ok := s.table[id]; ok {
+	entry, err := p.table.Entry(id)
+	if err != nil {
+		return nil, err
+	}
+	if fr := *entry; fr != nil {
 		fr.pin++
 		fr.ref = true
 		return fr, nil
@@ -488,7 +578,7 @@ func (p *Pool) GetNew(w *sim.Worker, id core.PageID) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if exist, raced := s.table[id]; raced {
+	if exist := *entry; exist != nil {
 		// acquireVictimLocked may drop s.mu (dirty-victim flush, cross-
 		// shard steal); someone may have installed the page meanwhile.
 		// Return that frame and leave the reclaimed one free, instead of
@@ -503,7 +593,6 @@ func (p *Pool) GetNew(w *sim.Worker, id core.PageID) (*Frame, error) {
 	fr.New = true
 	fr.stampVersion(p.verEpoch.Add(1))
 	fr.Dirty = false
-	fr.Flushed = nil
 	fr.UsedSlots = 0
 	fr.RecLSN = 0
 	if fr.Data == nil {
@@ -511,7 +600,7 @@ func (p *Pool) GetNew(w *sim.Worker, id core.PageID) (*Frame, error) {
 	} else {
 		clear(fr.Data)
 	}
-	s.table[id] = fr
+	*entry = fr
 	return fr, nil
 }
 
@@ -574,6 +663,14 @@ func (p *Pool) flushClaimed(w *sim.Worker, fr *Frame, recLSN core.LSN) error {
 	return err
 }
 
+// claimed is a frame a flush path took, or means to take, with
+// claimLocked, and the recLSN it had: the one to restore if the flush
+// fails, and FlushOldest's sort key.
+type claimed struct {
+	fr     *Frame
+	recLSN core.LSN
+}
+
 // CleanerPass flushes up to one batch of dirty unpinned frames, charged
 // to the configured cleaner worker (or w if none). Only one pass runs at
 // a time; triggers arriving during a pass return immediately. Shards are
@@ -590,11 +687,7 @@ func (p *Pool) CleanerPass(w *sim.Worker) error {
 	} else if w != nil {
 		cw.SetNow(w.Now()) // the cleaner acts concurrently with the trigger
 	}
-	type claimed struct {
-		fr     *Frame
-		recLSN core.LSN
-	}
-	var batch []claimed
+	batch := p.cleanBatch[:0]
 	nshards := len(p.shards)
 	budget := p.cfg.cleanBatch()
 	perShard := budget / nshards
@@ -623,6 +716,7 @@ func (p *Pool) CleanerPass(w *sim.Worker) error {
 		}
 		s.mu.Unlock()
 	}
+	p.cleanBatch = batch
 	for _, c := range batch {
 		if err := p.flushClaimed(cw, c.fr, c.recLSN); err != nil {
 			return err
@@ -676,12 +770,10 @@ func (p *Pool) stealFrame(to *poolShard) *Frame {
 				continue
 			}
 			if fr.ID != core.InvalidPageID {
-				delete(s.table, fr.ID)
+				p.unbindLocked(fr)
 				s.stats.evictions.Add(1)
-				fr.ID = core.InvalidPageID
 			}
 			fr.New = false
-			fr.Flushed = nil
 			fr.ref = false
 			// Re-home before the frame leaves this shard's critical
 			// section so lockHome observers retry against the new owner.
@@ -709,8 +801,7 @@ func (s *poolShard) removeFrameLocked(i int) {
 	}
 }
 
-// victimLocked returns a free, unpinned frame not present in the shard's
-// page table, evicting (and flushing) as needed using the CLOCK policy.
+// victimLocked returns a free, unpinned frame bound to no page, evicting (and flushing) as needed using the CLOCK policy.
 // It is called with s.mu held and returns with s.mu held, but may
 // release the mutex while flushing a dirty victim (during which the
 // shard's frame slice can grow or shrink via stealing — the loop
@@ -740,9 +831,8 @@ func (p *Pool) victimLocked(s *poolShard, w *sim.Worker) (*Frame, error) {
 			return fr, nil
 		}
 		if !fr.Dirty {
-			delete(s.table, fr.ID)
+			p.unbindLocked(fr)
 			s.stats.evictions.Add(1)
-			fr.ID = core.InvalidPageID
 			return fr, nil
 		}
 		// Dirty victim: flush it outside the shard mutex, then re-check —
@@ -772,9 +862,8 @@ func (p *Pool) victimLocked(s *poolShard, w *sim.Worker) (*Frame, error) {
 		}
 		s.stats.evictionFlush.Add(1)
 		if fr.pin == 0 && !fr.Dirty && !fr.loading {
-			delete(s.table, fr.ID)
+			p.unbindLocked(fr)
 			s.stats.evictions.Add(1)
-			fr.ID = core.InvalidPageID
 			return fr, nil
 		}
 	}
@@ -840,10 +929,6 @@ func (p *Pool) flushAllShard(s *poolShard, w *sim.Worker) error {
 // rescanning the whole pool under a lock for every flush; each is
 // revalidated at claim time since the pool moves on while flushes run.
 func (p *Pool) FlushOldest(w *sim.Worker, n int) (int, error) {
-	type cand struct {
-		fr     *Frame
-		recLSN core.LSN
-	}
 	var total int64
 	for i := range p.shards {
 		total += p.shards[i].dirty.Load()
@@ -851,13 +936,13 @@ func (p *Pool) FlushOldest(w *sim.Worker, n int) (int, error) {
 	if total < 0 {
 		total = 0
 	}
-	cands := make([]cand, 0, total)
+	cands := make([]claimed, 0, total)
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
 		for _, fr := range s.frames {
 			if fr.Dirty && fr.pin == 0 && !fr.loading {
-				cands = append(cands, cand{fr, fr.RecLSN})
+				cands = append(cands, claimed{fr, fr.RecLSN})
 			}
 		}
 		s.mu.Unlock()
@@ -935,8 +1020,8 @@ func (p *Pool) Drop(id core.PageID) error {
 	s := p.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fr, ok := s.table[id]
-	if !ok {
+	fr := p.resident(id)
+	if fr == nil {
 		return nil
 	}
 	if fr.pin > 0 {
@@ -946,10 +1031,8 @@ func (p *Pool) Drop(id core.PageID) error {
 		fr.Dirty = false
 		s.dirty.Add(-1)
 	}
-	delete(s.table, id)
-	fr.ID = core.InvalidPageID
+	p.unbindLocked(fr)
 	fr.New = false
-	fr.Flushed = nil
 	return nil
 }
 
@@ -958,6 +1041,5 @@ func (p *Pool) Contains(id core.PageID) bool {
 	s := p.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.table[id]
-	return ok
+	return p.resident(id) != nil
 }

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -101,6 +102,9 @@ func TestGetNewAndGetRoundTrip(t *testing.T) {
 	}
 }
 
+// A miss copies the page once, into Data; the flushed image is captured
+// by the first exclusive latch, with the bytes that were fetched, and not
+// again until a flush.
 func TestMissFetchesFromStore(t *testing.T) {
 	st := newFakeStore(64)
 	img := make([]byte, 64)
@@ -114,12 +118,76 @@ func TestMissFetchesFromStore(t *testing.T) {
 	if fr.Data[3] != 9 {
 		t.Error("fetched data wrong")
 	}
-	if fr.Flushed == nil || fr.Flushed[3] != 9 {
-		t.Error("Flushed snapshot not taken on fetch")
+	if fr.Image() != ImageClean || fr.Flushed != nil {
+		t.Errorf("after the miss: image state %d, Flushed %v; want ImageClean and no copy", fr.Image(), fr.Flushed)
 	}
-	p.Unpin(nil, fr, false, 0)
+	fr.RLatch()
+	fr.RUnlatch()
+	if fr.Image() != ImageClean {
+		t.Error("a shared latch captured the flushed image")
+	}
+	fr.Latch()
+	if fr.Image() != ImageCaptured || !bytes.Equal(fr.Flushed, img) {
+		t.Errorf("first Latch: image state %d, Flushed %v; want the fetched bytes", fr.Image(), fr.Flushed)
+	}
+	fr.Data[3] = 10
+	fr.Unlatch()
+	if !fr.TryLatch() {
+		t.Fatal("TryLatch failed on a free latch")
+	}
+	if fr.Flushed[3] != 9 {
+		t.Error("second latch re-captured a changed page")
+	}
+	fr.Unlatch()
+	p.Unpin(nil, fr, true, 1)
 	if p.Stats().Misses != 1 {
 		t.Errorf("Misses = %d", p.Stats().Misses)
+	}
+	// A store that wrote the page says so; the next latch captures anew.
+	fr.MarkFlushed()
+	if !fr.TryLatch() {
+		t.Fatal("TryLatch failed on a free latch")
+	}
+	if fr.Image() != ImageCaptured || fr.Flushed[3] != 10 {
+		t.Errorf("latch after a flush: image state %d, Flushed[3] = %d; want a fresh capture", fr.Image(), fr.Flushed[3])
+	}
+	fr.Unlatch()
+}
+
+// GetNew pages and pages whose load failed have no stored image: no
+// latch captures one, and rebinding the frame resets the state.
+func TestImageStateNoneForNewAndFailedLoads(t *testing.T) {
+	st := newFakeStore(64)
+	p := newPool(t, 1, st)
+	fr, err := p.GetNew(nil, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr.Latch()
+	if fr.Image() != ImageNone {
+		t.Errorf("GetNew + Latch: image state %d, want ImageNone", fr.Image())
+	}
+	fr.Data[0] = 1
+	fr.Unlatch()
+	p.Unpin(nil, fr, false, 0)
+	if _, err := p.Get(nil, 5); err == nil {
+		t.Fatal("missing page fetch succeeded")
+	}
+	if fr.Image() != ImageNone {
+		t.Errorf("failed load: image state %d, want ImageNone", fr.Image())
+	}
+	st.pages[6] = make([]byte, 64)
+	if fr, err = p.Get(nil, 6); err != nil {
+		t.Fatal(err)
+	}
+	fr.Latch()
+	fr.Unlatch()
+	p.Unpin(nil, fr, false, 0)
+	if err := p.Drop(6); err != nil {
+		t.Fatal(err)
+	}
+	if fr.Image() != ImageNone {
+		t.Errorf("Drop: image state %d, want ImageNone", fr.Image())
 	}
 }
 
@@ -379,4 +447,33 @@ func TestCleanNotifyReplacesInlineCleaner(t *testing.T) {
 	if p.DirtyFraction() > 0.25 {
 		t.Errorf("dirty fraction %v above threshold after CleanerPass", p.DirtyFraction())
 	}
+}
+
+// A page id beyond core.MaxPageID is an error from Get and GetNew, and
+// costs no frame: the single frame still serves the next page.
+func TestPageIDBeyondTheBound(t *testing.T) {
+	st := newFakeStore(64)
+	p := newPool(t, 1, st)
+	for _, id := range []core.PageID{core.MaxPageID + 1, 1 << 40, ^core.PageID(0)} {
+		if _, err := p.Get(nil, id); !errors.Is(err, core.ErrPageIDRange) {
+			t.Errorf("Get(%d): %v, want ErrPageIDRange", id, err)
+		}
+		if _, err := p.GetNew(nil, id); !errors.Is(err, core.ErrPageIDRange) {
+			t.Errorf("GetNew(%d): %v, want ErrPageIDRange", id, err)
+		}
+		if p.Contains(id) {
+			t.Errorf("page %d is resident", id)
+		}
+		if err := p.Drop(id); err != nil {
+			t.Errorf("Drop(%d): %v", id, err)
+		}
+	}
+	if s := p.Stats(); s.Misses != 0 || s.Evictions != 0 {
+		t.Errorf("refused ids counted as pool traffic: %+v", s)
+	}
+	fr, err := p.GetNew(nil, core.MaxPageID)
+	if err != nil {
+		t.Fatalf("GetNew(MaxPageID): %v", err)
+	}
+	p.Unpin(nil, fr, false, 0)
 }

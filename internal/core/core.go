@@ -201,8 +201,79 @@ func (s Scheme) Encode(d DeltaRecord, dst []byte) error {
 // its control byte has been programmed.
 func SlotPresent(slot []byte) bool { return len(slot) > 0 && slot[0] != Erased }
 
-// Decode parses one encoded delta-record slot. An erased slot decodes to
-// an empty record and present=false.
+// ApplyArea replays a physical page image's delta-records onto it — the
+// decoder of the fetch path. The records sit in the s.N slots of
+// s.RecordSize() bytes that start at page[area]; they are applied in slot
+// order up to the first erased slot, and their number is returned. Every
+// present slot is checked before the first byte changes: a corrupt
+// record (body count beyond M, an offset beyond the page) fails the whole
+// image with ErrCorruptDelta and leaves it as it was read. The pairs are
+// applied straight from the slot bytes, so this allocates nothing.
+//
+// A pair aimed at page[area:] is skipped: the slots must stay as they
+// were validated, and what follows them is not part of the logical image
+// (the caller resets it). That also skips the unused metadata pairs,
+// whose offset reads 0xFFFF.
+func (s Scheme) ApplyArea(page []byte, area int) (applied int, err error) {
+	if s.Disabled() {
+		return 0, nil
+	}
+	if area < 0 || area+s.AreaSize() > len(page) {
+		return 0, fmt.Errorf("%w: delta area [%d,%d) outside a %d-byte page", ErrBadScheme, area, area+s.AreaSize(), len(page))
+	}
+	rs := s.RecordSize()
+	for ; applied < s.N; applied++ {
+		slot := page[area+applied*rs:][:rs]
+		if !SlotPresent(slot) {
+			break
+		}
+		n := int(slot[0])
+		if n > s.M {
+			return 0, fmt.Errorf("%w: body count %d exceeds M=%d", ErrCorruptDelta, n, s.M)
+		}
+		for pos := 1; pos < 1+3*n; pos += 3 {
+			if off := pairOff(slot, pos); off >= len(page) {
+				return 0, fmt.Errorf("%w: body offset %d beyond page size %d", ErrCorruptDelta, off, len(page))
+			}
+		}
+		for pos := 1 + 3*s.M; pos < rs; pos += 3 {
+			if off := pairOff(slot, pos); off >= len(page) && !metaPairUnused(slot, pos) {
+				return 0, fmt.Errorf("%w: meta offset %d beyond page size %d", ErrCorruptDelta, off, len(page))
+			}
+		}
+	}
+	for i := 0; i < applied; i++ {
+		slot := page[area+i*rs:][:rs]
+		applyPairs(page[:area], slot[1:1+3*int(slot[0])])
+		applyPairs(page[:area], slot[1+3*s.M:])
+	}
+	return applied, nil
+}
+
+// applyPairs writes the encoded <value, offset> pairs that fall inside
+// dst.
+func applyPairs(dst, pairs []byte) {
+	for pos := 0; pos < len(pairs); pos += 3 {
+		if off := pairOff(pairs, pos); off < len(dst) {
+			dst[off] = pairs[pos]
+		}
+	}
+}
+
+// pairOff reads the page offset of the encoded pair at pos.
+func pairOff(slot []byte, pos int) int { return int(slot[pos+1])<<8 | int(slot[pos+2]) }
+
+// metaPairUnused reports whether a metadata pair was left erased (see
+// Decode for why the value byte is part of the test).
+func metaPairUnused(slot []byte, pos int) bool {
+	return slot[pos] == Erased && slot[pos+1] == Erased && slot[pos+2] == Erased
+}
+
+// Decode parses one encoded delta-record slot into its pairs. An erased
+// slot decodes to an empty record and present=false. Decode and
+// DeltaRecord.Apply are the reference ApplyArea is tested against
+// (TestApplyAreaMatchesDecodeApply) and the way to look inside a record;
+// the fetch path does not call them.
 func (s Scheme) Decode(slot []byte) (d DeltaRecord, present bool, err error) {
 	if len(slot) != s.RecordSize() {
 		return DeltaRecord{}, false, fmt.Errorf("%w: slot %d bytes, want %d", ErrCorruptDelta, len(slot), s.RecordSize())

@@ -163,6 +163,88 @@ func TestApply(t *testing.T) {
 	}
 }
 
+// TestApplyAreaMatchesDecodeApply holds the fetch path's decoder to the
+// reference: on random page images whose delta area carries random
+// records — well-formed ones, and ones with a body count beyond M or an
+// offset beyond the page — ApplyArea fails exactly when decoding and
+// applying every record does, then leaving the image untouched, and
+// otherwise produces the same logical bytes below the area, the same
+// record count, and the slots as they were.
+func TestApplyAreaMatchesDecodeApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	pair := func(limit int) Pair { return Pair{Off: uint16(rng.Intn(limit)), Val: byte(rng.Intn(256))} }
+	failed, applied := 0, 0
+	for iter := 0; iter < 2000; iter++ {
+		s := Scheme{N: 1 + rng.Intn(4), M: 1 + rng.Intn(6), V: rng.Intn(4)}
+		rs := s.RecordSize()
+		page := make([]byte, 256+rng.Intn(256))
+		rng.Read(page)
+		area := len(page) - s.AreaSize()
+		for i := area; i < len(page); i++ {
+			page[i] = Erased
+		}
+		// Offsets reach into the area and, one image in four, past the page.
+		limit := len(page)
+		if iter%4 == 0 {
+			limit += 8
+		}
+		for i, used := 0, rng.Intn(s.N+1); i < used; i++ {
+			d := DeltaRecord{}
+			for j := rng.Intn(s.M + 1); j > 0; j-- {
+				d.Body = append(d.Body, pair(limit))
+			}
+			for j := rng.Intn(s.V + 1); j > 0; j-- {
+				d.Meta = append(d.Meta, pair(limit))
+			}
+			slot := page[area+i*rs:][:rs]
+			if err := s.Encode(d, slot); err != nil {
+				t.Fatal(err)
+			}
+			if iter%7 == 0 && rng.Intn(2) == 0 {
+				slot[0] = byte(s.M + 1 + rng.Intn(100))
+			}
+		}
+
+		want := append([]byte(nil), page...)
+		wantN, wantErr := 0, error(nil)
+		var recs []DeltaRecord
+		for i := 0; i < s.N && wantErr == nil; i++ {
+			d, present, err := s.Decode(page[area+i*rs:][:rs])
+			if wantErr = err; err != nil || !present {
+				break
+			}
+			recs = append(recs, d)
+		}
+		for _, d := range recs {
+			if wantErr == nil {
+				wantErr = d.Apply(want)
+				wantN++
+			}
+		}
+
+		got := append([]byte(nil), page...)
+		n, err := s.ApplyArea(got, area)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("iter %d %v: ApplyArea error %v, reference %v", iter, s, err, wantErr)
+		}
+		if err != nil {
+			failed++
+			if n != 0 || !bytes.Equal(got, page) {
+				t.Fatalf("iter %d %v: a failed ApplyArea (%v) reported %d records or changed the image", iter, s, err, n)
+			}
+			continue
+		}
+		applied += n
+		if n != wantN || !bytes.Equal(got[:area], want[:area]) || !bytes.Equal(got[area:], page[area:]) {
+			t.Fatalf("iter %d %v: ApplyArea applied %d records, reference %d; logical bytes equal: %v, slots untouched: %v",
+				iter, s, n, wantN, bytes.Equal(got[:area], want[:area]), bytes.Equal(got[area:], page[area:]))
+		}
+	}
+	if failed < 50 || applied < 1000 {
+		t.Fatalf("only %d corrupt images and %d applied records: the generator no longer covers both", failed, applied)
+	}
+}
+
 func TestDiffSplitsBodyAndMeta(t *testing.T) {
 	flushed := make([]byte, 32)
 	current := make([]byte, 32)

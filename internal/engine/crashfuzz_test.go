@@ -195,6 +195,13 @@ func TestCrashDuringHeavyStealing(t *testing.T) {
 // storage scheme, with or without the MVCC version store.
 func newSchemeRig(t *testing.T, storage noftl.Storage, mvcc bool, frames int) *testRig {
 	t.Helper()
+	return newSchemeRigOpts(t, storage, Options{PageSize: 512, BufferFrames: frames, DirtyThreshold: 2.0, MVCC: mvcc})
+}
+
+// newSchemeRigOpts is newSchemeRig with the engine options spelled out
+// (512-byte pages are the device's).
+func newSchemeRigOpts(t *testing.T, storage noftl.Storage, opts Options) *testRig {
+	t.Helper()
 	arr, err := flash.New(flash.Config{
 		Geometry: flash.Geometry{
 			Chips: 2, BlocksPerChip: 32, PagesPerBlock: 8,
@@ -213,7 +220,7 @@ func newSchemeRig(t *testing.T, storage noftl.Storage, mvcc bool, frames int) *t
 	if _, err := dev.CreateRegion(rc); err != nil {
 		t.Fatal(err)
 	}
-	db, err := New(dev, Options{PageSize: 512, BufferFrames: frames, DirtyThreshold: 2.0, MVCC: mvcc})
+	db, err := New(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,21 +361,22 @@ func TestCrashAtEveryStepFieldUpdates(t *testing.T) {
 	}
 }
 
-func crashFieldScript(t *testing.T, storage noftl.Storage, mvcc bool, crashAt int) {
-	r := newSchemeRig(t, storage, mvcc, 6)
-	defer r.db.Close()
-	tbl, err := r.db.CreateTable("t", "main")
+// loadFieldScript creates the script's table "t" in region "main" and
+// loads and flushes its rows: 40 of them over what the tests make a
+// six-frame pool. Every third insert is a spacer, deleted again, so each
+// page has room for the script's growing Updates whatever the scheme's
+// page layout.
+func loadFieldScript(t *testing.T, db *DB) *fieldScript {
+	t.Helper()
+	tbl, err := db.CreateTable("t", "main")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := &fieldScript{
-		db: r.db, tbl: tbl, committed: map[core.RID][]byte{},
+		db: db, tbl: tbl, committed: map[core.RID][]byte{},
 		txs: map[int]*Tx{}, staged: map[int]map[core.RID][]byte{},
 	}
-	// 40 rows over a six-frame pool. Every third insert is a spacer,
-	// deleted again, so each page has room for the script's growing
-	// Updates whatever the scheme's page layout.
-	tx := mustBegin(r.db, nil)
+	tx := mustBegin(db, nil)
 	for i := 0; i < 60; i++ {
 		row := make([]byte, 24)
 		binary.LittleEndian.PutUint64(row, uint64(i))
@@ -389,9 +397,23 @@ func crashFieldScript(t *testing.T, storage noftl.Storage, mvcc bool, crashAt in
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.db.FlushAll(nil); err != nil {
+	if err := db.FlushAll(nil); err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+func crashFieldScript(t *testing.T, storage noftl.Storage, mvcc bool, crashAt int) {
+	r := newSchemeRig(t, storage, mvcc, 6)
+	defer r.db.Close()
+	// Every flush of the run — the script's, the steals before the crash,
+	// and those redo and undo cause after it — must leave storage equal
+	// to the frame.
+	if err := r.db.VerifyFlushedImages(func(err error) { t.Errorf("crash at step %d: %v", crashAt, err) }); err != nil {
+		t.Fatal(err)
+	}
+	s := loadFieldScript(t, r.db)
+	tbl := s.tbl
 	s.run(t, crashAt)
 
 	verify := func(when string, read func(core.RID) ([]byte, error)) {
@@ -431,4 +453,19 @@ func crashFieldScript(t *testing.T, storage noftl.Storage, mvcc bool, crashAt in
 		t.Fatalf("crash at step %d: recover: %v", crashAt, err)
 	}
 	verify("after recovery", func(rid core.RID) ([]byte, error) { return tbl.Read(nil, rid) })
+	// What redo and undo rebuilt in the pool must reach flash like any
+	// other change: flush it, lose the pool again, and read it back.
+	if err := r.db.FlushAll(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.db.SimulateCrash(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.db.Store("main").RecoverMapping(nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.db.Recover(nil); err != nil {
+		t.Fatalf("crash at step %d: second recover: %v", crashAt, err)
+	}
+	verify("after flushing the recovered pages and a second crash", func(rid core.RID) ([]byte, error) { return tbl.Read(nil, rid) })
 }

@@ -192,10 +192,11 @@ type DB struct {
 	tablespaces map[string]string // tablespace name → region name (DDL)
 	indexes     map[string]Index  // by index name (Stats observability)
 
-	// pageDir maps every allocated page to its owning store (sharded; on
-	// the buffer pool's fetch/flush path). locks is the sharded no-wait
-	// tuple lock table: conflicting updates fail immediately with
-	// ErrLockConflict and locks are held until commit/abort.
+	// pageDir maps every allocated page to its owning store (a flat table
+	// read without a lock; on the buffer pool's fetch/flush path). locks
+	// is the sharded no-wait tuple lock table: conflicting updates fail
+	// immediately with ErrLockConflict and locks are held until
+	// commit/abort.
 	pageDir pageDir
 	locks   lockTable
 
@@ -243,6 +244,10 @@ type DB struct {
 
 	maintErrMu sync.Mutex
 	maintErr   error
+
+	// wrapStore, when a test sets it, is put between every pool newPool
+	// builds and the router (see VerifyFlushedImages in export_test.go).
+	wrapStore func(buffer.Store) buffer.Store
 }
 
 // router dispatches buffer.Store calls to the page's owning store.
@@ -279,7 +284,11 @@ func (db *DB) newPool(frames int) (*buffer.Pool, error) {
 	if db.opts.BackgroundMaintenance {
 		cfg.CleanNotify = db.pokeMaintenance
 	}
-	return buffer.New(cfg, router{db})
+	var store buffer.Store = router{db}
+	if db.wrapStore != nil {
+		store = db.wrapStore(store)
+	}
+	return buffer.New(cfg, store)
 }
 
 // New creates a database over a NoFTL device.
@@ -475,29 +484,38 @@ func (db *DB) Store(regionName string) *PageStore {
 }
 
 // allocPage assigns a fresh page id owned by the store.
-func (db *DB) allocPage(st *PageStore) core.PageID {
+func (db *DB) allocPage(st *PageStore) (core.PageID, error) {
 	id := core.PageID(db.nextPage.Add(1))
-	db.pageDir.put(id, st)
-	return id
+	if err := db.pageDir.put(id, st); err != nil {
+		return core.InvalidPageID, err
+	}
+	return id, nil
 }
 
 // newPage allocates and formats a new page, returning it pinned. The
 // caller holds stateMu shared.
 func (db *DB) newPage(w *sim.Worker, st *PageStore, owner uint64, flags uint16) (*buffer.Frame, *page.Page, error) {
-	id := db.allocPage(st)
+	id, err := db.allocPage(st)
+	if err != nil {
+		return nil, nil, err
+	}
 	fr, err := db.pool.GetNew(w, id)
 	if err != nil {
 		db.pageDir.delete(id)
 		return nil, nil, err
 	}
+	fr.Latch()
 	pg, err := page.Format(fr.Data, st.layout, id)
+	if err == nil {
+		pg.SetOwner(owner)
+		pg.SetFlags(flags)
+	}
+	fr.Unlatch()
 	if err != nil {
 		db.pool.Unpin(w, fr, false, 0)
 		db.pageDir.delete(id)
 		return nil, nil, err
 	}
-	pg.SetOwner(owner)
-	pg.SetFlags(flags)
 	if db.opts.Replicated {
 		// Published before the page's first update record (same
 		// goroutine), so a follower always learns the page's store

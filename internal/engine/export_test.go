@@ -1,7 +1,12 @@
 package engine
 
 import (
+	"bytes"
+	"fmt"
+
+	"ipa/internal/buffer"
 	"ipa/internal/core"
+	"ipa/internal/sim"
 	"ipa/internal/wal"
 )
 
@@ -9,4 +14,57 @@ import (
 // update-logging path (logUpdate → wal.Append) in isolation.
 func (tx *Tx) LogUpdate(pg core.PageID, op wal.PageOp, slot int, before, after []byte) core.LSN {
 	return tx.logUpdate(pg, op, slot, 0, before, after)
+}
+
+// imageCheckStore is the flushed-image property as a buffer.Store: after
+// every successful Flush it fetches the page back from the store below
+// and requires the logical image storage now holds to equal the frame
+// (the delta-record area aside, which belongs to storage). It holds for
+// out-of-place writes, In-Place Appends, PDL appends and — the case that
+// guards the latch rule — for flushes skipped because the frame's bytes
+// supposedly never changed: bytes written without Frame.Latch fold into
+// the captured image and are missing from storage here.
+type imageCheckStore struct {
+	buffer.Store
+	db   *DB
+	fail func(error)
+}
+
+func (s imageCheckStore) Flush(w *sim.Worker, fr *buffer.Frame) error {
+	if err := s.Store.Flush(w, fr); err != nil {
+		return err
+	}
+	stored := make([]byte, len(fr.Data))
+	if _, err := s.Store.Fetch(w, fr.ID, stored); err != nil {
+		s.fail(fmt.Errorf("page %d: fetch after flush: %w", fr.ID, err))
+		return nil
+	}
+	body := s.db.pageDir.get(fr.ID).layout.DeltaAreaStart()
+	if !bytes.Equal(stored[:body], fr.Data[:body]) {
+		at := 0
+		for stored[at] == fr.Data[at] {
+			at++
+		}
+		s.fail(fmt.Errorf("page %d: after a flush storage differs from the frame at byte %d (stored %#x, frame %#x)",
+			fr.ID, at, stored[at], fr.Data[at]))
+	}
+	return nil
+}
+
+// VerifyFlushedImages puts the flushed-image check under the database's
+// buffer pool — the current one, which must not have been used yet, and
+// every pool built later (crash, resize, snapshot install). fail is
+// called, possibly from several goroutines, for every violation.
+func (db *DB) VerifyFlushedImages(fail func(error)) error {
+	db.stateMu.Lock()
+	defer db.stateMu.Unlock()
+	db.wrapStore = func(st buffer.Store) buffer.Store {
+		return imageCheckStore{Store: st, db: db, fail: fail}
+	}
+	pool, err := db.newPool(db.opts.BufferFrames)
+	if err != nil {
+		return err
+	}
+	db.pool = pool
+	return nil
 }

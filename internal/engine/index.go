@@ -127,6 +127,7 @@ func (db *DB) CreateIndexKind(name, regionName string, kind IndexKind) (Index, e
 		return nil, err
 	}
 	root := pg.ID()
+	// Dirty by newPage's format, which ran under the latch.
 	if err := db.pool.Unpin(nil, fr, true, db.log.Head()); err != nil {
 		return nil, err
 	}

@@ -121,7 +121,10 @@ func (db *DB) Recover(w *sim.Worker) (RecoveryReport, error) {
 
 // redoOne applies one logged operation if the page does not already
 // reflect it (PageLSN guard). Pages that were never flushed before the
-// crash are recreated empty. Runs with stateMu held exclusively.
+// crash are recreated empty. Runs with stateMu held exclusively — no
+// other goroutine touches the page, but the frame latch is still taken:
+// Latch is what captures the frame's flushed image, and bytes redone
+// without it would count as already stored and never be flushed.
 func (db *DB) redoOne(w *sim.Worker, r wal.Record) (bool, error) {
 	id, lsn := r.Page, r.LSN
 	st := db.pageDir.get(id)
@@ -137,7 +140,10 @@ func (db *DB) redoOne(w *sim.Worker, r wal.Record) (bool, error) {
 			if err != nil {
 				return false, err
 			}
-			if _, err := page.Format(fr.Data, st.layout, id); err != nil {
+			fr.Latch()
+			_, err = page.Format(fr.Data, st.layout, id)
+			fr.Unlatch()
+			if err != nil {
 				db.pool.Unpin(w, fr, false, 0)
 				return false, err
 			}
@@ -153,11 +159,16 @@ func (db *DB) redoOne(w *sim.Worker, r wal.Record) (bool, error) {
 	if pg.LSN() >= lsn {
 		return false, db.pool.Unpin(w, fr, false, 0)
 	}
-	if err := applyOp(&pg, r.Op, int(r.Slot), int(r.Off), r.After); err != nil {
+	fr.Latch()
+	err = applyOp(&pg, r.Op, int(r.Slot), int(r.Off), r.After)
+	if err == nil {
+		pg.SetLSN(lsn)
+	}
+	fr.Unlatch()
+	if err != nil {
 		db.pool.Unpin(w, fr, false, 0)
 		return false, err
 	}
-	pg.SetLSN(lsn)
 	return true, db.pool.Unpin(w, fr, true, lsn)
 }
 

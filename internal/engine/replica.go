@@ -178,11 +178,16 @@ func (a *Applier) applyOne(rec wal.Record) error {
 		if err != nil {
 			return err
 		}
+		if err := checkWireID(pid, db.nextPage.Load()); err != nil {
+			return err
+		}
 		st, err := db.AttachRegion(region)
 		if err != nil {
 			return err
 		}
-		db.pageDir.put(pid, st)
+		if err := db.pageDir.put(pid, st); err != nil {
+			return err
+		}
 		bumpAtomic(&db.nextPage, uint64(pid))
 		if owner != 0 {
 			if t := a.tableByID(owner); t != nil {
@@ -302,7 +307,10 @@ func (a *Applier) applyPageOp(rec wal.Record, install bool) error {
 		if err != nil {
 			return err
 		}
-		if _, err := page.Format(fr.Data, st.layout, rec.Page); err != nil {
+		fr.Latch()
+		_, err = page.Format(fr.Data, st.layout, rec.Page)
+		fr.Unlatch()
+		if err != nil {
 			db.pool.Unpin(a.w, fr, false, 0)
 			return err
 		}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"ipa/internal/core"
@@ -376,5 +377,91 @@ func TestApplierPatchBeforeImages(t *testing.T) {
 			}
 			diffStates(t, want, scanAll(t, ftb))
 		})
+	}
+}
+
+// TestWirePageIDsBeyondTheBound: page ids that arrive from another node
+// are arbitrary 64-bit values. One beyond core.MaxPageID, or below it but
+// far from every id issued so far (each would pin a page-table chunk of
+// its own), is refused with an error — by a RecAlloc, by a page
+// operation, by a snapshot image — and moves nothing: not the allocator's
+// high-water mark, and not the state a refused snapshot would have
+// replaced.
+func TestWirePageIDsBeyondTheBound(t *testing.T) {
+	primary := newReplRig(t)
+	defer primary.Close()
+	follower := newReplRig(t)
+	defer follower.Close()
+	ptb, err := primary.CreateTable("acct", "r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := mustBegin(primary, nil)
+	rid, err := ptb.Insert(tx, []byte("kept"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := follower.NewApplier(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipAll(t, primary, a)
+	nextPage := follower.nextPage.Load()
+
+	for _, id := range []core.PageID{1 << 12, 1 << 20, core.MaxPageID,
+		core.MaxPageID + 1, 1 << 40, 1 << 63, ^core.PageID(0)} {
+		next := a.AppliedLSN() + 1
+		err := a.Apply([]wal.Record{{LSN: next, Type: wal.RecAlloc, Meta: encodeAllocMeta(id, 0, "r1")}})
+		if !errors.Is(err, core.ErrPageIDRange) {
+			t.Errorf("RecAlloc of page %d: %v, want ErrPageIDRange", id, err)
+		}
+		a.Resync() // the refused record was logged for parity; step over it
+		err = a.Apply([]wal.Record{{LSN: a.AppliedLSN() + 1, Type: wal.RecUpdate, TxID: 9,
+			Page: id, Op: wal.OpPatch, Before: []byte{1}, After: []byte{2}}})
+		if err == nil {
+			t.Errorf("page operation on page %d applied", id)
+		}
+		a.Resync()
+		if got := follower.nextPage.Load(); got != nextPage {
+			t.Fatalf("page %d moved the allocator from %d to %d", id, nextPage, got)
+		}
+
+		snap, err := primary.CaptureSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Pages[0].ID = id
+		if err := follower.InstallSnapshot(nil, snap); !errors.Is(err, core.ErrPageIDRange) {
+			t.Errorf("snapshot with page %d: %v, want ErrPageIDRange", id, err)
+		}
+		if snap, err = primary.CaptureSnapshot(nil); err != nil {
+			t.Fatal(err)
+		}
+		snap.NextPage = uint64(id)
+		if err := follower.InstallSnapshot(nil, snap); !errors.Is(err, core.ErrPageIDRange) {
+			t.Errorf("snapshot with next page %d: %v, want ErrPageIDRange", id, err)
+		}
+	}
+	ftb, err := follower.Table("acct")
+	if err != nil {
+		t.Fatalf("a refused snapshot discarded the catalog: %v", err)
+	}
+	if got, err := ftb.Read(nil, rid); err != nil || string(got) != "kept" {
+		t.Fatalf("after the refusals the follower reads %q, %v", got, err)
+	}
+
+	// The window is exact: its last id is taken and moves the mark.
+	edge := core.PageID(nextPage + wireIDWindow)
+	err = a.Apply([]wal.Record{{LSN: a.AppliedLSN() + 1, Type: wal.RecAlloc, Meta: encodeAllocMeta(edge+1, 0, "r1")}})
+	if !errors.Is(err, core.ErrPageIDRange) {
+		t.Errorf("RecAlloc of page %d at mark %d: %v, want ErrPageIDRange", edge+1, nextPage, err)
+	}
+	a.Resync()
+	err = a.Apply([]wal.Record{{LSN: a.AppliedLSN() + 1, Type: wal.RecAlloc, Meta: encodeAllocMeta(edge, 0, "r1")}})
+	if err != nil || follower.nextPage.Load() != uint64(edge) {
+		t.Errorf("RecAlloc of page %d at mark %d: %v, mark now %d", edge, nextPage, err, follower.nextPage.Load())
 	}
 }

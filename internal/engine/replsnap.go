@@ -45,6 +45,11 @@ type ReplicaSnapshot struct {
 	Pages    []PageImage `json:"pages"`
 }
 
+// snapIDSpread bounds a snapshot's allocator mark by its page count (see
+// InstallSnapshot): each page table then holds at most 16 entries, 128 B,
+// per page image installed.
+const snapIDSpread = 16
+
 // CaptureSnapshot builds a consistent engine image. Stop-the-world (the
 // state latch is held exclusively), so the heap, catalog and
 // transaction table are mutually consistent; uncommitted changes in the
@@ -119,6 +124,21 @@ func (db *DB) InstallSnapshot(w *sim.Worker, snap *ReplicaSnapshot) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
+	// The image came over the wire: refuse ids the page tables cannot
+	// hold, or can hold only sparsely (wireIDWindow), before anything of
+	// the current state is discarded. The allocator mark of an honest
+	// image is the number of its pages plus the ids that went to index
+	// pages and failed allocations, nowhere near snapIDSpread times it;
+	// and it issued every id the image carries.
+	if err := checkWireID(core.PageID(snap.NextPage), snapIDSpread*uint64(len(snap.Pages))); err != nil {
+		return fmt.Errorf("engine: snapshot next page: %w", err)
+	}
+	for _, pi := range snap.Pages {
+		if uint64(pi.ID) > snap.NextPage {
+			return fmt.Errorf("engine: snapshot page %d is beyond its next page %d: %w",
+				pi.ID, snap.NextPage, core.ErrPageIDRange)
+		}
+	}
 
 	pool, err := db.newPool(db.opts.BufferFrames)
 	if err != nil {
@@ -152,7 +172,9 @@ func (db *DB) InstallSnapshot(w *sim.Worker, snap *ReplicaSnapshot) error {
 		if err != nil {
 			return err
 		}
-		db.pageDir.put(pi.ID, st)
+		if err := db.pageDir.put(pi.ID, st); err != nil {
+			return err
+		}
 		fr, err := db.pool.GetNew(w, pi.ID)
 		if err != nil {
 			return err
@@ -162,7 +184,9 @@ func (db *DB) InstallSnapshot(w *sim.Worker, snap *ReplicaSnapshot) error {
 			return fmt.Errorf("engine: snapshot page %d is %d bytes, frame holds %d",
 				pi.ID, len(pi.Data), len(fr.Data))
 		}
+		fr.Latch()
 		copy(fr.Data, pi.Data)
+		fr.Unlatch()
 		pg, err := page.Attach(fr.Data, st.layout)
 		if err != nil {
 			db.pool.Unpin(w, fr, false, 0)

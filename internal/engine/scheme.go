@@ -21,7 +21,7 @@ import (
 // FlushUpdate serves an update flush of an existing page (the caller
 // has already diffed the frame against its last flushed image; cs is
 // non-empty). On success it must leave fr's flush bookkeeping
-// (Flushed snapshot, UsedSlots, New) consistent with how the page was
+// (MarkFlushed, UsedSlots, New) consistent with how the page was
 // written. Materialize folds any scheme-held state (e.g. PDL
 // differential records) into the base image read from flash; it
 // returns the number of bytes applied. Epoch pairs with Materialize:
@@ -128,7 +128,7 @@ func (p pdlScheme) FlushUpdate(w *sim.Worker, fr *buffer.Frame, cs *core.ChangeS
 	}
 	err = p.dl.Append(w, fr.ID, pg.LSN(), cs)
 	if err == nil {
-		fr.Flushed = append(fr.Flushed[:0], fr.Data...)
+		fr.MarkFlushed()
 		return FlushDelta, nil
 	}
 	if !errors.Is(err, noftl.ErrPDLRecordTooLarge) && !errors.Is(err, noftl.ErrPDLNoSpace) {
@@ -178,11 +178,7 @@ func (s *PageStore) newScheme(kind noftl.Storage) (StorageScheme, error) {
 	}
 }
 
-func (s *PageStore) currentScheme() StorageScheme {
-	s.schemeMu.RLock()
-	defer s.schemeMu.RUnlock()
-	return s.scheme
-}
+func (s *PageStore) currentScheme() StorageScheme { return *s.scheme.Load() }
 
 // Storage returns the scheme the store currently flushes with.
 func (s *PageStore) Storage() noftl.Storage { return s.currentScheme().Kind() }
@@ -197,7 +193,8 @@ func (s *PageStore) Storage() noftl.Storage { return s.currentScheme().Kind() }
 func (s *PageStore) SetStorage(w *sim.Worker, kind noftl.Storage) error {
 	s.schemeMu.Lock()
 	defer s.schemeMu.Unlock()
-	if s.scheme.Kind() == kind {
+	cur := s.currentScheme()
+	if cur.Kind() == kind {
 		return nil
 	}
 	switch kind {
@@ -213,7 +210,7 @@ func (s *PageStore) SetStorage(w *sim.Worker, kind noftl.Storage) error {
 	default:
 		return fmt.Errorf("engine: unknown storage %d", int(kind))
 	}
-	if s.scheme.Kind() == noftl.StoragePDL && s.dl != nil {
+	if cur.Kind() == noftl.StoragePDL && s.dl != nil {
 		if err := s.dl.MergeAll(w); err != nil {
 			return err
 		}
@@ -222,7 +219,7 @@ func (s *PageStore) SetStorage(w *sim.Worker, kind noftl.Storage) error {
 	if err != nil {
 		return err
 	}
-	s.scheme = next
+	s.scheme.Store(&next)
 	return nil
 }
 

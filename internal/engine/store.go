@@ -93,12 +93,13 @@ type PageStore struct {
 	sect   ecc.Sections
 	useECC bool
 
-	// scheme is the pluggable write-reduction scheme (see scheme.go);
-	// schemeMu guards runtime switches (SetStorage). dl is the PDL
-	// differential log, created lazily for PDL stores and kept across
-	// scheme switches so a later switch back finds its state.
-	schemeMu sync.RWMutex
-	scheme   StorageScheme
+	// scheme is the pluggable write-reduction scheme (see scheme.go),
+	// read on every fetch and flush; schemeMu serialises the runtime
+	// switches that replace it (SetStorage). dl is the PDL differential
+	// log, created lazily for PDL stores and kept across scheme switches
+	// so a later switch back finds its state.
+	schemeMu sync.Mutex
+	scheme   atomic.Pointer[StorageScheme]
 	dl       *noftl.DiffLog
 
 	ctr        storeCounters
@@ -115,21 +116,23 @@ type PageStore struct {
 	// capacity across flushes.
 	csPool sync.Pool
 
-	sinkMu sync.RWMutex
-	sink   TraceSink
+	sink atomic.Pointer[TraceSink] // nil = no recorder attached
 }
 
 // SetTraceSink attaches a trace recorder (nil detaches).
 func (s *PageStore) SetTraceSink(ts TraceSink) {
-	s.sinkMu.Lock()
-	s.sink = ts
-	s.sinkMu.Unlock()
+	if ts == nil {
+		s.sink.Store(nil)
+		return
+	}
+	s.sink.Store(&ts)
 }
 
 func (s *PageStore) traceSink() TraceSink {
-	s.sinkMu.RLock()
-	defer s.sinkMu.RUnlock()
-	return s.sink
+	if ts := s.sink.Load(); ts != nil {
+		return *ts
+	}
+	return nil
 }
 
 // NewPageStore creates a store over a region. pageSize is the database
@@ -170,7 +173,7 @@ func NewPageStore(region *noftl.Region, pageSize int, useECC bool) (*PageStore, 
 	if err != nil {
 		return nil, err
 	}
-	s.scheme = scheme
+	s.scheme.Store(&scheme)
 	return s, nil
 }
 
@@ -319,9 +322,10 @@ func (s *PageStore) Flush(w *sim.Worker, fr *buffer.Frame) error {
 }
 
 func (s *PageStore) flush(w *sim.Worker, fr *buffer.Frame) (FlushKind, error) {
-	// A brand-new page has no physical copy: IPA is not applicable, the
-	// first write is always a whole-page out-of-place program.
-	if fr.New || fr.Flushed == nil {
+	switch {
+	case fr.New || fr.Image() == buffer.ImageNone:
+		// A brand-new page has no physical copy: IPA is not applicable,
+		// the first write is always a whole-page out-of-place program.
 		if err := s.writeOutOfPlace(w, fr); err != nil {
 			return 0, err
 		}
@@ -329,6 +333,10 @@ func (s *PageStore) flush(w *sim.Worker, fr *buffer.Frame) (FlushKind, error) {
 			sink.RecordEvict(fr.ID, 0, 0, true)
 		}
 		return FlushOutOfPlace, nil
+	case fr.Image() == buffer.ImageClean:
+		// Nobody latched the frame exclusively since its load or last
+		// flush, so it still equals the stored image (the empty diff).
+		return FlushSkipped, nil
 	}
 	pg, err := page.Attach(fr.Data, s.layout)
 	if err != nil {
@@ -376,7 +384,7 @@ func (s *PageStore) writeDelta(w *sim.Worker, fr *buffer.Frame, recs []core.Delt
 		return err
 	}
 	fr.UsedSlots += len(recs)
-	fr.Flushed = append(fr.Flushed[:0], fr.Data...)
+	fr.MarkFlushed()
 	return nil
 }
 
@@ -392,7 +400,7 @@ func (s *PageStore) writeOutOfPlace(w *sim.Worker, fr *buffer.Frame) error {
 	}
 	fr.UsedSlots = 0
 	fr.New = false
-	fr.Flushed = append(fr.Flushed[:0], fr.Data...)
+	fr.MarkFlushed()
 	return nil
 }
 
@@ -461,8 +469,8 @@ func (s *PageStore) RecoverMapping(w *sim.Worker) (int, error) {
 			return true
 		}
 		id := pg.ID()
-		if id == core.InvalidPageID {
-			return true
+		if id == core.InvalidPageID || id > core.MaxPageID {
+			return true // not a page this engine wrote
 		}
 		if cur, ok := best[id]; !ok || pg.LSN() > cur.lsn {
 			best[id] = winner{ppn: pp.PPN, lsn: pg.LSN()}

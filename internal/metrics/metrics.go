@@ -7,20 +7,23 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Hist is an exact histogram over small non-negative integers (update
 // sizes in bytes). Values above the cap are clamped into the overflow
-// bucket. Safe for concurrent use.
+// bucket. Safe for concurrent use and lock-free: every field is an
+// atomic counter, so a reader that overlaps an Add may see that
+// observation in one field and not yet in another; with no Add in flight
+// every read is exact.
 type Hist struct {
-	mu     sync.Mutex
-	counts []uint64
-	over   uint64
-	total  uint64
-	sum    uint64
+	counts []atomic.Uint64
+	over   atomic.Uint64
+	total  atomic.Uint64
+	sum    atomic.Uint64
 }
 
 // NewHist creates a histogram covering values 0..max.
@@ -28,7 +31,7 @@ func NewHist(max int) *Hist {
 	if max < 1 {
 		max = 1
 	}
-	return &Hist{counts: make([]uint64, max+1)}
+	return &Hist{counts: make([]atomic.Uint64, max+1)}
 }
 
 // Add records one observation.
@@ -36,40 +39,32 @@ func (h *Hist) Add(v int) {
 	if v < 0 {
 		v = 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.total++
-	h.sum += uint64(v)
+	h.total.Add(1)
+	h.sum.Add(uint64(v))
 	if v >= len(h.counts) {
-		h.over++
+		h.over.Add(1)
 		return
 	}
-	h.counts[v]++
+	h.counts[v].Add(1)
 }
 
 // Count returns the number of observations.
-func (h *Hist) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
+func (h *Hist) Count() uint64 { return h.total.Load() }
 
 // Mean returns the average observation.
 func (h *Hist) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
+	total := h.total.Load()
+	if total == 0 {
 		return 0
 	}
-	return float64(h.sum) / float64(h.total)
+	return float64(h.sum.Load()) / float64(total)
 }
 
 // FractionLE returns the fraction of observations ≤ v — the paper's
 // "≤ 3 bytes lies at the 55th percentile" reads as FractionLE(3) = 0.55.
 func (h *Hist) FractionLE(v int) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
+	total := h.total.Load()
+	if total == 0 {
 		return 0
 	}
 	if v >= len(h.counts) {
@@ -77,9 +72,9 @@ func (h *Hist) FractionLE(v int) float64 {
 	}
 	var c uint64
 	for i := 0; i <= v; i++ {
-		c += h.counts[i]
+		c += h.counts[i].Load()
 	}
-	return float64(c) / float64(h.total)
+	return float64(c) / float64(total)
 }
 
 // PercentileLE returns FractionLE scaled to a percentile (0-100).
@@ -88,18 +83,17 @@ func (h *Hist) PercentileLE(v int) float64 { return 100 * h.FractionLE(v) }
 // Quantile returns the smallest value v with FractionLE(v) ≥ q
 // (0 < q ≤ 1). The overflow bucket reports as the cap.
 func (h *Hist) Quantile(q float64) int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
+	total := h.total.Load()
+	if total == 0 {
 		return 0
 	}
-	need := uint64(math.Ceil(q * float64(h.total)))
+	need := uint64(math.Ceil(q * float64(total)))
 	if need == 0 {
 		need = 1
 	}
 	var c uint64
-	for i, n := range h.counts {
-		c += n
+	for i := range h.counts {
+		c += h.counts[i].Load()
 		if c >= need {
 			return i
 		}
@@ -118,23 +112,23 @@ func (h *Hist) CDF(points []int) []float64 {
 
 // Reset clears all observations.
 func (h *Hist) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	for i := range h.counts {
-		h.counts[i] = 0
+		h.counts[i].Store(0)
 	}
-	h.over, h.total, h.sum = 0, 0, 0
+	h.over.Store(0)
+	h.total.Store(0)
+	h.sum.Store(0)
 }
 
 // Latency records durations with exact mean/min/max and approximate
-// quantiles via power-of-two bucketing. Safe for concurrent use.
+// quantiles via power-of-two bucketing. Safe for concurrent use and
+// lock-free, with the same caveat as Hist: a read that overlaps an Add
+// may count it in one field and not yet in another.
 type Latency struct {
-	mu      sync.Mutex
-	count   uint64
-	sum     time.Duration
-	min     time.Duration
-	max     time.Duration
-	buckets [64]uint64 // bucket i holds durations in [2^i, 2^(i+1)) ns
+	sum     atomic.Int64
+	minP1   atomic.Int64 // smallest observation plus one; 0 = none yet
+	max     atomic.Int64
+	buckets [64]atomic.Uint64 // bucket i holds durations in [2^i, 2^(i+1)) ns
 }
 
 // Add records one duration.
@@ -142,79 +136,97 @@ func (l *Latency) Add(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.count == 0 || d < l.min {
-		l.min = d
-	}
-	if d > l.max {
-		l.max = d
-	}
-	l.count++
-	l.sum += d
-	l.buckets[bucketOf(d)]++
+	l.observeMin(int64(d))
+	l.observeMax(int64(d))
+	l.sum.Add(int64(d))
+	l.buckets[bucketOf(d)].Add(1)
 }
 
-func bucketOf(d time.Duration) int {
-	n := int64(d)
-	b := 0
-	for n > 1 && b < 63 {
-		n >>= 1
-		b++
+func (l *Latency) observeMin(n int64) {
+	for {
+		cur := l.minP1.Load()
+		if cur != 0 && cur-1 <= n || l.minP1.CompareAndSwap(cur, n+1) {
+			return
+		}
 	}
-	return b
+}
+
+func (l *Latency) observeMax(n int64) {
+	for {
+		cur := l.max.Load()
+		if cur >= n || l.max.CompareAndSwap(cur, n) {
+			return
+		}
+	}
+}
+
+// bucketOf is floor(log2(d)), with 0 and 1 ns sharing bucket 0.
+func bucketOf(d time.Duration) int {
+	if d <= 1 {
+		return 0
+	}
+	return bits.Len64(uint64(d)) - 1
 }
 
 // Count returns the number of observations.
 func (l *Latency) Count() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.count
+	_, n := l.loadBuckets()
+	return n
 }
 
 // Mean returns the average duration.
 func (l *Latency) Mean() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.count == 0 {
+	n := l.Count()
+	if n == 0 {
 		return 0
 	}
-	return l.sum / time.Duration(l.count)
+	return time.Duration(l.sum.Load()) / time.Duration(n)
 }
 
 // Min returns the smallest observation.
 func (l *Latency) Min() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.min
+	if m := l.minP1.Load(); m != 0 {
+		return time.Duration(m - 1)
+	}
+	return 0
 }
 
 // Max returns the largest observation.
-func (l *Latency) Max() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.max
+func (l *Latency) Max() time.Duration { return time.Duration(l.max.Load()) }
+
+// loadBuckets copies the histogram out and returns how many observations
+// it holds. There is no separate counter: a count and the quantiles taken
+// against it always come from one copy.
+func (l *Latency) loadBuckets() (b [64]uint64, n uint64) {
+	for i := range l.buckets {
+		b[i] = l.buckets[i].Load()
+		n += b[i]
+	}
+	return b, n
 }
 
 // Quantile returns an upper bound of the q-quantile (bucket upper edge).
 func (l *Latency) Quantile(q float64) time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.count == 0 {
+	b, n := l.loadBuckets()
+	return quantileOf(&b, n, q, l.Max())
+}
+
+func quantileOf(buckets *[64]uint64, count uint64, q float64, max time.Duration) time.Duration {
+	if count == 0 {
 		return 0
 	}
-	need := uint64(math.Ceil(q * float64(l.count)))
+	need := uint64(math.Ceil(q * float64(count)))
 	if need == 0 {
 		need = 1
 	}
 	var c uint64
-	for i, n := range l.buckets {
+	for i, n := range buckets {
 		c += n
 		if c >= need {
 			return time.Duration(int64(1) << uint(i+1))
 		}
 	}
-	return l.max
+	return max
 }
 
 // LatencySnapshot is an exported, JSON-marshalable view of a Latency
@@ -231,82 +243,55 @@ type LatencySnapshot struct {
 	Buckets []uint64 `json:"buckets"` // power-of-two histogram, trimmed of trailing zeros
 }
 
-// Snapshot captures the recorder's current state in one lock
-// acquisition.
+// Snapshot captures the recorder's current state. Count and the
+// quantiles are those of the bucket copy it returns.
 func (l *Latency) Snapshot() LatencySnapshot {
-	l.mu.Lock()
+	b, n := l.loadBuckets()
 	s := LatencySnapshot{
-		Count: l.count,
-		MinNs: int64(l.min),
-		MaxNs: int64(l.max),
+		Count: n,
+		MinNs: int64(l.Min()),
+		MaxNs: int64(l.Max()),
 	}
-	if l.count > 0 {
-		s.MeanNs = int64(l.sum) / int64(l.count)
+	if n > 0 {
+		s.MeanNs = l.sum.Load() / int64(n)
 	}
-	s.P50Ns = int64(l.quantileLocked(0.50))
-	s.P95Ns = int64(l.quantileLocked(0.95))
-	s.P99Ns = int64(l.quantileLocked(0.99))
+	s.P50Ns = int64(quantileOf(&b, n, 0.50, l.Max()))
+	s.P95Ns = int64(quantileOf(&b, n, 0.95, l.Max()))
+	s.P99Ns = int64(quantileOf(&b, n, 0.99, l.Max()))
 	last := -1
-	for i, n := range l.buckets {
-		if n != 0 {
+	for i, c := range b {
+		if c != 0 {
 			last = i
 		}
 	}
-	s.Buckets = append([]uint64(nil), l.buckets[:last+1]...)
-	l.mu.Unlock()
+	s.Buckets = append([]uint64(nil), b[:last+1]...)
 	return s
 }
 
-// quantileLocked is Quantile with l.mu already held.
-func (l *Latency) quantileLocked(q float64) time.Duration {
-	if l.count == 0 {
-		return 0
-	}
-	need := uint64(math.Ceil(q * float64(l.count)))
-	if need == 0 {
-		need = 1
-	}
-	var c uint64
-	for i, n := range l.buckets {
-		c += n
-		if c >= need {
-			return time.Duration(int64(1) << uint(i+1))
-		}
-	}
-	return l.max
-}
-
 // Merge folds another recorder's observations into l. Benchmarks give
-// each worker its own recorder (no shared lock on the timed path) and
+// each worker its own recorder (nothing shared on the timed path) and
 // merge afterwards.
 func (l *Latency) Merge(o *Latency) {
-	o.mu.Lock()
-	count, sum, min, max, buckets := o.count, o.sum, o.min, o.max, o.buckets
-	o.mu.Unlock()
-	if count == 0 {
+	b, n := o.loadBuckets()
+	if n == 0 {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.count == 0 || min < l.min {
-		l.min = min
+	l.observeMin(int64(o.Min()))
+	l.observeMax(int64(o.Max()))
+	for i, c := range b {
+		l.buckets[i].Add(c)
 	}
-	if max > l.max {
-		l.max = max
-	}
-	l.count += count
-	l.sum += sum
-	for i := range buckets {
-		l.buckets[i] += buckets[i]
-	}
+	l.sum.Add(o.sum.Load())
 }
 
 // Reset clears all observations.
 func (l *Latency) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.count, l.sum, l.min, l.max = 0, 0, 0, 0
-	l.buckets = [64]uint64{}
+	l.sum.Store(0)
+	l.minP1.Store(0)
+	l.max.Store(0)
+	for i := range l.buckets {
+		l.buckets[i].Store(0)
+	}
 }
 
 // Series is a labelled sequence of (x, y) points used by the figure

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -230,5 +231,76 @@ func TestLatencySnapshot(t *testing.T) {
 	}
 	if back.Count != s.Count || back.P99Ns != s.P99Ns || len(back.Buckets) != len(s.Buckets) {
 		t.Fatalf("JSON round trip lost data: %+v vs %+v", back, s)
+	}
+}
+
+// Add takes no lock: goroutines recording into one Latency and one Hist
+// at once lose nothing, every snapshot taken meanwhile agrees with
+// itself (its count is its bucket mass, its quantiles lie within its
+// min and max bucket), and bucketOf still files a duration under
+// floor(log2).
+func TestConcurrentAddLosesNothing(t *testing.T) {
+	for d, want := range map[time.Duration]int{0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 1023: 9, 1024: 10, 1<<62 + 1: 62} {
+		if got := bucketOf(d); got != want {
+			t.Errorf("bucketOf(%d) = %d, want %d", d, got, want)
+		}
+	}
+	const workers, each = 4, 20000
+	var l Latency
+	h := NewHist(64)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := l.Snapshot()
+			var mass uint64
+			for _, n := range s.Buckets {
+				mass += n
+			}
+			if mass != s.Count {
+				t.Errorf("snapshot count %d, bucket mass %d", s.Count, mass)
+				return
+			}
+			if s.Count > 0 && (s.P50Ns > s.P99Ns || s.P99Ns > 2*int64(workers*each)) {
+				t.Errorf("snapshot quantiles out of order or range: %+v", s)
+				return
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				v := w*each + i + 1 // every value from 1 to workers*each, once
+				l.Add(time.Duration(v))
+				h.Add(v % 70) // 64..69 overflow
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-done
+	const n = workers * each
+	if l.Count() != n || l.Min() != 1 || l.Max() != n || l.Mean() != time.Duration((n+1)/2) {
+		t.Errorf("latency: count %d min %v max %v mean %v; want %d, 1, %d, %d",
+			l.Count(), l.Min(), l.Max(), l.Mean(), n, n, (n+1)/2)
+	}
+	if h.Count() != n {
+		t.Errorf("hist: count %d, want %d", h.Count(), n)
+	}
+	var mass uint64
+	for v := 0; v <= 64; v++ {
+		mass = uint64(h.FractionLE(v)*float64(n) + 0.5)
+	}
+	if over := uint64(n) - mass; over != h.over.Load() || over == 0 {
+		t.Errorf("hist: %d observations above the cap by the CDF, %d in the overflow bucket", over, h.over.Load())
 	}
 }

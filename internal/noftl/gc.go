@@ -267,14 +267,10 @@ func (r *Region) collectLocked(w *sim.Worker, cs *chipState, background bool) er
 		// Re-point the mapping at the copy — unless a racing write
 		// already moved the page on, in which case the copy is garbage
 		// and its slot simply stays invalid.
-		ms := r.mapShardOf(id)
-		ms.mu.Lock()
-		if ms.m[id] == ppn {
-			ms.m[id] = dst
+		if r.l2p.Lookup(id).CompareAndSwap(entryOf(ppn), entryOf(dst)) {
 			cs.reverse[dst] = id
 			r.bumpValidLocked(cs, dst)
 		}
-		ms.mu.Unlock()
 		if background {
 			// Yield between page moves: a block's worth of migrations is
 			// far too long to stall the chip's foreground I/O for.
@@ -414,14 +410,10 @@ func (r *Region) maybeLevelLocked(w *sim.Worker, cs *chipState) {
 		cs.stats.WLMigrations++
 		delete(cs.reverse, ppn)
 		coldest.valid--
-		ms := r.mapShardOf(id)
-		ms.mu.Lock()
-		if ms.m[id] == ppn {
-			ms.m[id] = dst
+		if r.l2p.Lookup(id).CompareAndSwap(entryOf(ppn), entryOf(dst)) {
 			cs.reverse[dst] = id
 			r.bumpValidLocked(cs, dst)
 		}
-		ms.mu.Unlock()
 	}
 	if _, err := arr.Erase(w, coldest.id); err != nil && !errors.Is(err, flash.ErrWornOut) {
 		restore()

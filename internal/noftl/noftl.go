@@ -19,18 +19,20 @@
 // The region is sharded per chip: every chip has its own chipState with
 // its own lock, active block, free-block heap, victim heap and reverse
 // map, so allocation and garbage collection on one chip never contend
-// with I/O on another. The logical→physical map is split over 64
-// RWMutex-guarded shards keyed by page id. Lock ordering is strict:
-// a chip lock may be taken while holding no lock, and a map-shard lock
-// only while holding at most one chip lock; no two chip locks are ever
-// held together (cross-chip work is deferred until the first lock is
-// dropped). Flash I/O for a page happens under its chip's lock — that is
-// what serialises programs into an active block (StrictProgramOrder) and
-// keeps erases from racing reads.
+// with I/O on another. The logical→physical map is a flat array of
+// atomic entries indexed by page id (core.PageTable), as in any
+// page-mapping FTL: reading it is one load and takes no lock; an entry
+// changes — by swap or compare-and-swap — only under the lock of a chip
+// that holds the page's old or new copy. A chip lock may be taken while
+// holding no lock, and no two chip locks are ever held together
+// (cross-chip work is deferred until the first lock is dropped). Flash
+// I/O for a page happens under its chip's lock — that is what serialises
+// programs into an active block (StrictProgramOrder) and keeps erases
+// from racing reads.
 //
-// Lock-free lookups (PPNOf, the entry of Read/Write) are validated after
-// the chip lock is acquired: if GC migrated the page meanwhile, the
-// operation retries against the new location.
+// Lookups (PPNOf, the entry of Read/Write) are validated after the chip
+// lock is acquired: if GC migrated the page meanwhile, the operation
+// retries against the new location.
 package noftl
 
 import (
@@ -351,15 +353,11 @@ func (cs *chipState) migBuffers(g flash.Geometry) (data, oob []byte) {
 	return cs.migData, cs.migOOB
 }
 
-// mapShards is the fan-out of the logical→physical map. 64 shards keep
-// the per-shard RWMutex essentially uncontended at 16 workers while the
-// whole array stays small enough to embed in the Region.
-const mapShards = 64
+// An entry of the logical→physical map is the page's PPN plus one, so
+// that the zero entry reads "not mapped".
+func entryOf(ppn flash.PPN) uint64 { return uint64(ppn) + 1 }
 
-type mapShard struct {
-	mu sync.RWMutex
-	m  map[core.PageID]flash.PPN
-}
+func ppnOf(entry uint64) (ppn flash.PPN, mapped bool) { return flash.PPN(entry - 1), entry != 0 }
 
 // Region is a slice of the device with its own IPA mode, mapping and
 // garbage collector. Methods are safe for concurrent use.
@@ -371,11 +369,11 @@ type Region struct {
 	byChip     []*chipState       // indexed by global chip id; nil outside the region
 	blockIndex map[int]*blockMeta // by global block id; read-only after creation
 
-	maps    [mapShards]mapShard
-	mapped  atomic.Int64  // current mapping size (logical-capacity accounting)
-	rr      atomic.Uint64 // round-robin cursor for placing new pages
-	tick    atomic.Uint64 // invalidation clock for cost-benefit block ages
-	logical int           // logical page capacity
+	l2p     core.PageTable[atomic.Uint64] // logical→physical, see entryOf
+	mapped  atomic.Int64                  // current mapping size (logical-capacity accounting)
+	rr      atomic.Uint64                 // round-robin cursor for placing new pages
+	tick    atomic.Uint64                 // invalidation clock for cost-benefit block ages
+	logical int                           // logical page capacity
 
 	// Background-GC lifecycle (nil/unused under GCForeground).
 	closed atomic.Bool
@@ -474,9 +472,6 @@ func (d *Device) CreateRegion(rc RegionConfig) (*Region, error) {
 		chips:      append([]int(nil), chips...),
 		byChip:     make([]*chipState, d.geom.Chips),
 		blockIndex: make(map[int]*blockMeta),
-	}
-	for i := range r.maps {
-		r.maps[i].m = make(map[core.PageID]flash.PPN)
 	}
 	physPages := 0
 	for _, c := range chips {
@@ -586,19 +581,14 @@ func (r *Region) ResetStats() {
 	}
 }
 
-func (r *Region) mapShardOf(id core.PageID) *mapShard {
-	return &r.maps[uint64(id)&(mapShards-1)]
-}
-
 // lookup reads the current mapping of a logical page without any chip
 // lock. The result may be stale by the time the caller acts on it;
 // mutating paths revalidate under the owning chip's lock.
 func (r *Region) lookup(id core.PageID) (flash.PPN, bool) {
-	ms := r.mapShardOf(id)
-	ms.mu.RLock()
-	p, ok := ms.m[id]
-	ms.mu.RUnlock()
-	return p, ok
+	if e := r.l2p.Lookup(id); e != nil {
+		return ppnOf(e.Load())
+	}
+	return 0, false
 }
 
 func (r *Region) chipOf(ppn flash.PPN) *chipState {
@@ -661,7 +651,11 @@ func (r *Region) ReadInto(w *sim.Worker, id core.PageID, data, oob []byte) error
 // the per-chip collector is woken instead and the writer only throttles
 // at the hard reserve.
 func (r *Region) Write(w *sim.Worker, id core.PageID, data, oob []byte) error {
-	prev, existed := r.lookup(id)
+	entry, err := r.l2p.Entry(id)
+	if err != nil {
+		return fmt.Errorf("noftl: write page %d: %w", id, err)
+	}
+	prev, existed := ppnOf(entry.Load())
 	if !existed {
 		if r.mapped.Add(1) > int64(r.logical) {
 			r.mapped.Add(-1)
@@ -695,16 +689,11 @@ func (r *Region) Write(w *sim.Worker, id core.PageID, data, oob []byte) error {
 	// Install the new mapping and retire the previous copy. The lookup
 	// above may be stale: GC can have migrated the previous copy, and a
 	// racing Free/first-write can have removed or created the entry. The
-	// map shard is re-read under its lock and the capacity counter is
-	// settled against what is actually replaced.
+	// swap returns what is actually replaced and the capacity counter is
+	// settled against that.
 	var staleCross flash.PPN
 	dropCross := false
-	ms := r.mapShardOf(id)
-	ms.mu.Lock()
-	cur, had := ms.m[id]
-	ms.m[id] = ppn
-	ms.mu.Unlock()
-	if had {
+	if cur, had := ppnOf(entry.Swap(entryOf(ppn))); had {
 		if !existed {
 			// Two first-writes raced; the entry is already counted.
 			r.mapped.Add(-1)
@@ -907,15 +896,10 @@ func (r *Region) Free(id core.PageID) error {
 		}
 		cs := r.chipOf(ppn)
 		cs.mu.Lock()
-		ms := r.mapShardOf(id)
-		ms.mu.Lock()
-		if cur, ok := ms.m[id]; !ok || cur != ppn {
-			ms.mu.Unlock()
+		if !r.l2p.Lookup(id).CompareAndSwap(entryOf(ppn), 0) {
 			cs.mu.Unlock()
 			continue
 		}
-		delete(ms.m, id)
-		ms.mu.Unlock()
 		r.invalidateLocked(cs, ppn)
 		cs.mu.Unlock()
 		r.mapped.Add(-1)

@@ -511,3 +511,37 @@ func TestStaticWearLeveling(t *testing.T) {
 		t.Errorf("wear spread with leveling %d ≥ without %d", leveled, unleveled)
 	}
 }
+
+// A page id beyond core.MaxPageID is nobody's page: every lookup misses,
+// and Write and Adopt refuse it without mapping or programming anything.
+func TestPageIDBeyondTheBound(t *testing.T) {
+	dev := newDevice(t, flash.SLC, 1, 8, 8, 256)
+	r, _ := dev.CreateRegion(RegionConfig{Name: "d", Mode: ModeSLC, BlocksPerChip: 8})
+	if err := r.Write(nil, 1, pageOf(dev, 1), nil); err != nil {
+		t.Fatal(err)
+	}
+	ppn, _ := r.PPNOf(1)
+	for _, id := range []core.PageID{core.MaxPageID + 1, 1 << 40, ^core.PageID(0)} {
+		if err := r.Write(nil, id, pageOf(dev, 2), nil); !errors.Is(err, core.ErrPageIDRange) {
+			t.Errorf("Write(%d): %v, want ErrPageIDRange", id, err)
+		}
+		if r.Contains(id) || r.CanAppend(id) {
+			t.Errorf("page %d is mapped", id)
+		}
+		if _, _, err := r.Read(nil, id); !errors.Is(err, ErrUnknownPage) {
+			t.Errorf("Read(%d): %v, want ErrUnknownPage", id, err)
+		}
+		if err := r.Free(id); !errors.Is(err, ErrUnknownPage) {
+			t.Errorf("Free(%d): %v, want ErrUnknownPage", id, err)
+		}
+		if err := r.Adopt(map[core.PageID]flash.PPN{1: ppn, id: ppn + 1}); !errors.Is(err, core.ErrPageIDRange) {
+			t.Errorf("Adopt with page %d: %v, want ErrPageIDRange", id, err)
+		}
+	}
+	if got := r.Stats().OutOfPlaceWrites; got != 1 {
+		t.Errorf("%d pages programmed, want the one in range", got)
+	}
+	if r.MappedPages() != 1 || !r.Contains(1) {
+		t.Errorf("the refusals disturbed the mapping: %d pages mapped", r.MappedPages())
+	}
+}

@@ -68,27 +68,27 @@ func (r *Region) ScanPhysical(w *sim.Worker, fn func(p PhysicalPage) bool) error
 // block), free pool and victim heaps. Physical copies not present in the
 // mapping are garbage and will be reclaimed by the collector.
 func (r *Region) Adopt(mapping map[core.PageID]flash.PPN) error {
-	// Validate every target lies in this region.
+	// Validate every target lies in this region, and every id in the
+	// table's range (the ids come from page headers read off flash).
 	for id, ppn := range mapping {
 		if r.blockIndex[r.dev.geom.BlockOf(ppn)] == nil {
 			return fmt.Errorf("noftl: adopt page %d: ppn %d outside region %q", id, ppn, r.cfg.Name)
+		}
+		if id > core.MaxPageID {
+			return fmt.Errorf("noftl: adopt page %d: %w", id, core.ErrPageIDRange)
 		}
 	}
 	if len(mapping) > r.logical {
 		return fmt.Errorf("%w: adopting %d pages into capacity %d", ErrRegionFull, len(mapping), r.logical)
 	}
 	// Install the forward map.
-	for i := range r.maps {
-		ms := &r.maps[i]
-		ms.mu.Lock()
-		ms.m = make(map[core.PageID]flash.PPN)
-		ms.mu.Unlock()
-	}
+	r.l2p.Reset()
 	for id, ppn := range mapping {
-		ms := r.mapShardOf(id)
-		ms.mu.Lock()
-		ms.m[id] = ppn
-		ms.mu.Unlock()
+		e, err := r.l2p.Entry(id)
+		if err != nil {
+			return err
+		}
+		e.Store(entryOf(ppn))
 	}
 	r.mapped.Store(int64(len(mapping)))
 	// Re-derive per-chip state from flash.

@@ -483,37 +483,19 @@ func UsedDeltaSlots(raw []byte, l Layout) int {
 }
 
 // Reconstruct converts a physical page image (fresh from flash) into the
-// logical image: delta-records are decoded and applied in slot order and
+// logical image: delta-records are applied in slot order
+// (core.Scheme.ApplyArea: all of them or, if one is corrupt, none) and
 // the delta area is reset to the erased state. It returns the number of
 // delta-records that were applied.
 func Reconstruct(raw []byte, l Layout) (applied int, err error) {
 	if len(raw) != l.PageSize {
 		return 0, fmt.Errorf("%w: image %d bytes, layout %d", ErrTooSmall, len(raw), l.PageSize)
 	}
-	if l.Scheme.Disabled() {
-		return 0, nil
+	das := l.DeltaAreaStart()
+	if applied, err = l.Scheme.ApplyArea(raw, das); err != nil {
+		return 0, err
 	}
-	rs := l.Scheme.RecordSize()
-	var recs []core.DeltaRecord
-	for i := 0; i < l.Scheme.N; i++ {
-		off := l.DeltaSlotOff(i)
-		slot := raw[off : off+rs]
-		rec, present, derr := l.Scheme.Decode(slot)
-		if derr != nil {
-			return 0, derr
-		}
-		if !present {
-			break
-		}
-		recs = append(recs, rec)
-	}
-	for _, rec := range recs {
-		if aerr := rec.Apply(raw); aerr != nil {
-			return applied, aerr
-		}
-		applied++
-	}
-	wipeErased(raw[l.DeltaAreaStart():])
+	wipeErased(raw[das:])
 	return applied, nil
 }
 

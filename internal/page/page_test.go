@@ -526,3 +526,118 @@ func TestPropertyTupleChurn(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// physicalWith returns a formatted page with one tuple, as flash would
+// hold it with recs appended, plus the tuple's offset.
+func physicalWith(t *testing.T, recs ...core.DeltaRecord) (physical []byte, tupOff int) {
+	t.Helper()
+	p := newPage(t)
+	s, err := p.Insert([]byte{1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tupOff, _ = p.slot(s)
+	physical = append([]byte(nil), p.Buf()...)
+	if len(recs) > 0 {
+		off, data, err := EncodeRecords(testLayout, 0, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(physical[off:], data)
+	}
+	return physical, tupOff
+}
+
+// A corrupt delta-record — in whichever slot, body or metadata pair —
+// fails the page before any record is applied: the image stays exactly
+// as it was read.
+func TestReconstructCorruptRecords(t *testing.T) {
+	good := func(off int) core.DeltaRecord {
+		return core.DeltaRecord{Body: []core.Pair{{Off: uint16(off), Val: 9}}, Meta: []core.Pair{{Off: 8, Val: 7}}}
+	}
+	rs := testLayout.Scheme.RecordSize()
+	cases := map[string]func(physical []byte){
+		"body count beyond M": func(physical []byte) {
+			physical[testLayout.DeltaSlotOff(1)] = byte(testLayout.Scheme.M + 1)
+		},
+		"body offset beyond the page": func(physical []byte) {
+			slot := physical[testLayout.DeltaSlotOff(1):][:rs]
+			slot[2], slot[3] = 0xF0, 0x00
+		},
+		"meta offset beyond the page": func(physical []byte) {
+			slot := physical[testLayout.DeltaSlotOff(1):][:rs]
+			m := 1 + 3*testLayout.Scheme.M
+			slot[m+1], slot[m+2] = 0xF0, 0x00
+		},
+		"unused meta pair with a value": func(physical []byte) {
+			slot := physical[testLayout.DeltaSlotOff(0):][:rs]
+			slot[rs-3] = 0x00 // offset stays 0xFFFF
+		},
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, tupOff := physicalWith(t)
+			physical, _ := physicalWith(t, good(tupOff), good(tupOff+1))
+			corrupt(physical)
+			before := append([]byte(nil), physical...)
+			n, err := Reconstruct(physical, testLayout)
+			if !errors.Is(err, core.ErrCorruptDelta) || n != 0 {
+				t.Fatalf("Reconstruct = (%d, %v), want ErrCorruptDelta", n, err)
+			}
+			if !bytes.Equal(physical, before) {
+				t.Error("a corrupt page was partly reconstructed")
+			}
+		})
+	}
+}
+
+// A pair aimed into the delta area changes nothing that survives (the
+// area is wiped) and must not be able to rewrite a later record after it
+// was validated.
+func TestReconstructPairAimedAtDeltaArea(t *testing.T) {
+	physical, tupOff := physicalWith(t)
+	// Record 0 rewrites the high offset byte of record 1's first body
+	// pair, from "the tuple" to far beyond the page.
+	target := testLayout.DeltaSlotOff(1) + 2
+	r0 := core.DeltaRecord{Body: []core.Pair{{Off: uint16(target), Val: 0xF0}}}
+	r1 := core.DeltaRecord{Body: []core.Pair{{Off: uint16(tupOff), Val: 9}}}
+	off, data, err := EncodeRecords(testLayout, 0, []core.DeltaRecord{r0, r1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(physical[off:], data)
+	n, err := Reconstruct(physical, testLayout)
+	if err != nil || n != 2 {
+		t.Fatalf("Reconstruct = (%d, %v)", n, err)
+	}
+	if physical[tupOff] != 9 {
+		t.Errorf("tuple byte = %d, want record 1 applied as it was stored", physical[tupOff])
+	}
+}
+
+// The fetch path applies delta-records on about a third of its misses;
+// doing so allocates nothing.
+func TestReconstructZeroAllocs(t *testing.T) {
+	full := core.DeltaRecord{}
+	for i := 0; i < testLayout.Scheme.M; i++ {
+		full.Body = append(full.Body, core.Pair{Off: uint16(HeaderSize + i), Val: byte(i)})
+	}
+	for i := 0; i < testLayout.Scheme.V; i++ {
+		full.Meta = append(full.Meta, core.Pair{Off: uint16(8 + i), Val: byte(i)})
+	}
+	recs := make([]core.DeltaRecord, testLayout.Scheme.N)
+	for i := range recs {
+		recs[i] = full
+	}
+	physical, _ := physicalWith(t, recs...)
+	area := append([]byte(nil), physical[testLayout.DeltaAreaStart():]...)
+	allocs := testing.AllocsPerRun(200, func() {
+		copy(physical[testLayout.DeltaAreaStart():], area) // Reconstruct wipes it
+		if n, err := Reconstruct(physical, testLayout); err != nil || n != len(recs) {
+			t.Fatalf("Reconstruct = (%d, %v)", n, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Reconstruct: %.1f allocs/op, want 0", allocs)
+	}
+}

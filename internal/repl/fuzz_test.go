@@ -2,6 +2,8 @@ package repl
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 	"time"
 
@@ -21,6 +23,7 @@ type fuzzLeader struct {
 	head   core.LSN // last LSN of the prefix
 	suffix []byte   // REPL_APPEND body with what follows it
 	page   core.PageID
+	alloc  wal.Record // the RecAlloc of page, as the leader logged it
 }
 
 func newFuzzLeader(tb testing.TB) *fuzzLeader {
@@ -63,6 +66,14 @@ func newFuzzLeader(tb testing.TB) *fuzzLeader {
 		page: rids[0].Page,
 	}
 	l.prefix = l.batch(tb, 1)
+	if _, err := lead.DB.WAL().ReadFrom(1, 1<<20, 1<<30, func(r wal.Record) {
+		if r.Type == wal.RecAlloc && l.alloc.Type == 0 {
+			l.alloc = r
+			l.alloc.Meta = append([]byte(nil), r.Meta...)
+		}
+	}); err != nil || l.alloc.Type != wal.RecAlloc {
+		tb.Fatalf("no RecAlloc in the leader's log (%v)", err)
+	}
 
 	tx = begin()
 	must(tbl.AddField(tx, rids[0], 8, 7))
@@ -103,9 +114,12 @@ func (l *fuzzLeader) handmade(recs ...wal.Record) []byte {
 // does not panic, answers OK with a well-formed ack or BAD_REQUEST, and
 // no row changes that no record in the body addresses — a patch whose
 // offset or length does not fit its tuple would run into the next row
-// (the page is full), and must be refused instead. The seeds are a real
-// batch with every kind of record, and patches that overrun their tuple
-// in each way.
+// (the page is full), and must be refused instead — and the handler
+// allocates in proportion to the body, whatever page ids it names. The
+// seeds are a real batch with every kind of record, patches that overrun
+// their tuple in each way, page allocations and page operations whose
+// page id is far beyond core.MaxPageID, and ones below it but far from
+// every id the leader issued.
 func FuzzReplAppendDecode(f *testing.F) {
 	l := newFuzzLeader(f)
 	patch := func(typ wal.RecType, slot, off uint16, nBefore, nAfter int) wal.Record {
@@ -130,6 +144,30 @@ func FuzzReplAppendDecode(f *testing.F) {
 	f.Add(l.handmade(begin, patch(wal.RecUpdate, 60000, 0, 8, 8)))    // no such slot
 	f.Add(l.handmade(begin, wal.Record{Type: wal.RecUpdate, TxID: 99, // no such page
 		Page: l.page + 1000, Op: wal.OpPatch, Before: []byte{1}, After: []byte{2}}))
+	allocOf := func(id core.PageID) wal.Record {
+		alloc := l.alloc
+		alloc.Meta = append([]byte(nil), alloc.Meta...)
+		binary.BigEndian.PutUint64(alloc.Meta, uint64(id)) // the page id leads the RecAlloc meta,
+		binary.BigEndian.PutUint64(alloc.Meta[8:], 0)      // then its owner: none, the scan below skips it
+		return alloc
+	}
+	for _, id := range []core.PageID{1 << 20, core.MaxPageID, 1 << 40, 1 << 63, ^core.PageID(0)} {
+		f.Add(l.handmade(allocOf(id)))
+		hostile := patch(wal.RecUpdate, 0, 8, 8, 8)
+		hostile.Page = id
+		f.Add(l.handmade(begin, hostile))
+		f.Add(l.handmade(allocOf(id), begin, hostile))
+	}
+	// 4096 allocations below the bound, one to a page-table chunk (128 MiB
+	// of chunks in the page directory alone if they were taken), and as
+	// sparse as the follower accepts (every 64th id).
+	for _, step := range []core.PageID{4096, 64} {
+		var run []wal.Record
+		for i := core.PageID(1); i <= 4096; i++ {
+			run = append(run, allocOf(l.page+1+i*step))
+		}
+		f.Add(l.handmade(run...))
+	}
 	f.Add(l.suffix[:len(l.suffix)/2]) // truncated mid-record
 	f.Add([]byte{})
 
@@ -166,7 +204,15 @@ func FuzzReplAppendDecode(f *testing.F) {
 		}
 		before := rows()
 
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
 		status, resp := n.HandleFrame(wire.OpReplAppend, append([]byte(nil), body...))
+		runtime.ReadMemStats(&m1)
+		// The most a body may cost is what it logs plus, for each page
+		// allocation, 64 page-table entries (engine.wireIDWindow).
+		if grown := m1.TotalAlloc - m0.TotalAlloc; grown > 1<<20+64*uint64(len(body)) {
+			t.Fatalf("handling a %d-byte body allocated %d KiB", len(body), grown>>10)
+		}
 		switch status {
 		case wire.StatusOK:
 			if _, err := decodeAck(resp); err != nil {
