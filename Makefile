@@ -2,7 +2,7 @@
 # lands. `make check` is what CI (and ROADMAP.md) means by tier-1.
 GO ?= go
 
-.PHONY: check tier1 vet build test race race-regress fuzz-smoke bench bench-compare bench-pairs bench-test bench-repl bench-wal bench-htap bench-olcindex bench-index bench-schemes bench-server bench-prev bench-all fmt fmt-check
+.PHONY: check tier1 vet build test race race-regress fuzz-smoke bench bench-compare bench-pairs bench-test bench-server bench-all loc fmt fmt-check
 
 check: fmt-check vet build race
 
@@ -91,111 +91,30 @@ N ?= 10
 bench-pairs:
 	bash scripts/bench-pairs.sh $(W) $(BASE) $(N) $(SEED)
 
-# The replicated-cluster experiment from PR 10 (evidence in
-# BENCH_PR10.json): a 3-node in-process cluster under 16-terminal TPC-B
-# load over the wire protocol, reporting follower replication lag, then
-# the primary crash-killed mid-run: failover time until the new leader
-# serves, the post-failover phase, and an audit that every acknowledged
-# commit survived. Wall-clock numbers (elections run on real timers).
-REPL_BENCH_OUT ?= BENCH_PR10.json
-bench-repl:
-	$(GO) run ./cmd/ipabench -exp repl -out $(REPL_BENCH_OUT)
-
-# The scalable-WAL benchmarks from PR 9 (evidence in
-# BENCH_PR9.json): BenchmarkWALAppend exercises the reservation-based
-# append path bare (goroutines {1,4,16} × before/after image sizes
-# {16 B, 256 B}, with periodic group flushes and ring truncations;
-# -benchmem proves the allocation-free hot path), and
-# BenchmarkConcurrentTPCB shows the end-to-end effect on 16-worker
-# committed-work ns/op. Wall-clock numbers, so the TPC-B grid runs 3
-# counts.
-WAL_BENCH_OUT ?= BENCH_PR9.json
-bench-wal:
-	rm -f /tmp/bench_wal_raw.txt
-	$(GO) test -run xxx -bench 'BenchmarkWALAppend' -benchtime 200000x \
-		-benchmem ./internal/wal/ >> /tmp/bench_wal_raw.txt
-	for i in 1 2 3; do \
-		$(GO) test -run xxx -bench 'BenchmarkConcurrentTPCB' -benchtime 3000x \
-			-benchmem ./internal/workload/ >> /tmp/bench_wal_raw.txt || exit 1; done
-	cat /tmp/bench_wal_raw.txt
-	$(GO) run ./cmd/benchjson < /tmp/bench_wal_raw.txt > $(WAL_BENCH_OUT)
-	rm -f /tmp/bench_wal_raw.txt
-
-# The HTAP matrix from the previous PR (evidence in BENCH_PR8.json):
-# TPC-B writers with a full-table balance scan mixed in, run scan-free
-# (baseline), with locking reads (no-wait aborts) and with MVCC
-# snapshot reads (lock-free), under uniform and Zipfian skew at 16 real
-# terminals. Every completed scan verifies the TPC-B balance-sum
-# invariant at its read point, so the run doubles as a consistency
-# audit.
-HTAP_BENCH_OUT ?= BENCH_PR8.json
-bench-htap:
-	$(GO) run ./cmd/ipabench -exp htap -out $(HTAP_BENCH_OUT)
-
-# The index-latching comparison from the previous PR (evidence in
-# BENCH_PR7.json): the same bare-index operation stream (point lookups
-# vs scattered inserts over a warm pool) run under the coarse tree-wide
-# latch and optimistic lock coupling, across 1/4/16 workers and
-# read95/mixed50 mixes, recording simulated ns/op plus OLC restart and
-# latch-wait counters as JSON. Fully deterministic, so one pass is the
-# measurement.
-OLC_BENCH_OUT ?= BENCH_PR7.json
-bench-olcindex:
-	$(GO) run ./cmd/ipabench -exp index -out $(OLC_BENCH_OUT)
-
-# Wall-clock flavour of the same comparison plus the full-stack YCSB
-# context runs (tables, transactions, WAL, real terminal goroutines):
-# the Go benchmark harness emits sim ns/op, wallns/op, restarts/op and
-# latchwaits/op per (tree, mix, workers) cell as JSON. Includes the
-# snapscan-zipf mix (read80/scan20 Zipfian, scans resolved through the
-# MVCC version store at a pinned snapshot LSN).
-INDEX_BENCH_OUT ?= BENCH_INDEX.json
-bench-index:
-	rm -f /tmp/bench_index_raw.txt
-	$(GO) test -run xxx -bench 'BenchmarkIndexOps' -benchtime 20000x \
-		./internal/workload/ >> /tmp/bench_index_raw.txt
-	$(GO) test -run xxx -bench 'BenchmarkIndexYCSB' -benchtime 2000x \
-		./internal/workload/ >> /tmp/bench_index_raw.txt
-	cat /tmp/bench_index_raw.txt
-	$(GO) run ./cmd/benchjson < /tmp/bench_index_raw.txt > $(INDEX_BENCH_OUT)
-	rm -f /tmp/bench_index_raw.txt
-
-# The storage-scheme comparison from the previous PR (evidence in
-# BENCH_PR6.json): TPC-B and TATP under oop vs ipa vs pdl.
-SCHEMES_BENCH_OUT ?= BENCH_PR6.json
-bench-schemes:
-	$(GO) run ./cmd/ipabench -exp schemes -out $(SCHEMES_BENCH_OUT)
-
-# The network service benchmarks (evidence in BENCH_PR5.json):
-# end-to-end TPC-B over the wire protocol across a connections ×
-# pipelining-depth grid, and BenchmarkSessionBurst — one raw connection,
-# the TPC-B commit burst, nothing of internal/client in the loop:
-# ns, allocations and server socket writes per burst. 5 counts recorded
-# as JSON.
-SERVER_BENCH_OUT ?= BENCH_PR5.json
+# The network service benchmarks, go-bench text: end-to-end TPC-B over
+# the wire protocol across a connections × pipelining-depth grid, and
+# BenchmarkSessionBurst — one raw connection, the TPC-B commit burst,
+# nothing of internal/client in the loop: ns, allocations and server
+# socket writes per burst.
 bench-server:
-	rm -f /tmp/bench_raw.txt
-	for i in 1 2 3 4 5; do \
-		$(GO) test -run xxx -bench 'BenchmarkServerTPCB|BenchmarkSessionBurst' -benchtime 2000x \
-			-benchmem ./internal/server/ >> /tmp/bench_raw.txt || exit 1; done
-	cat /tmp/bench_raw.txt
-	$(GO) run ./cmd/benchjson < /tmp/bench_raw.txt > $(SERVER_BENCH_OUT)
-	rm -f /tmp/bench_raw.txt
-
-bench-prev:
-	$(GO) test -run xxx -bench 'BenchmarkPageDiff$$|BenchmarkFlashProgramDelta$$' \
-		-benchmem -count=5 . > /tmp/bench_prev.txt
-	$(GO) test -run xxx -bench 'BenchmarkBufferGet' \
-		-benchmem -count=5 ./internal/buffer/ >> /tmp/bench_prev.txt
-	for i in 1 2 3 4 5; do \
-		$(GO) test -run xxx -bench 'BenchmarkConcurrentTPCB' -benchtime 3000x \
-			-benchmem ./internal/workload/ >> /tmp/bench_prev.txt || exit 1; done
-	$(GO) test -run xxx -bench 'BenchmarkGCInterference' -benchtime 1000000x \
-		-count=5 ./internal/noftl/ >> /tmp/bench_prev.txt
-	cat /tmp/bench_prev.txt
+	$(GO) test -run xxx -bench 'BenchmarkServerTPCB|BenchmarkSessionBurst' -benchtime 2000x \
+		-benchmem -count=5 ./internal/server/
 
 bench-all:
 	$(GO) test -bench=. -benchmem -run xxx ./...
+
+# Go line counts of the root module (bench/ is its own module), per
+# package directory, non-test and test files apart: the figure ROADMAP
+# quotes and simplicity PRs are measured in.
+ROOT_GO = find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*'
+loc:
+	@for d in $$($(ROOT_GO) -exec dirname {} \; | sort -u); do \
+		printf '%-28s %7d %7d\n' $$d \
+			$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' -exec cat {} + | wc -l) \
+			$$(find $$d -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l); done
+	@printf '%-28s %7d %7d\n' 'total (non-test, test)' \
+		$$($(ROOT_GO) -not -name '*_test.go' -exec cat {} + | wc -l) \
+		$$($(ROOT_GO) -name '*_test.go' -exec cat {} + | wc -l)
 
 fmt:
 	gofmt -l -w .

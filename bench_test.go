@@ -61,7 +61,7 @@ func BenchmarkFig10(b *testing.B)   { benchTable(b, "fig10") }
 func BenchmarkLongevity(b *testing.B) { benchTable(b, "longevity") }
 
 // BenchmarkIndexExperiment regenerates the index-latching comparison
-// (coarse RW mutex vs optimistic lock coupling, BENCH_PR7).
+// (coarse RW mutex vs optimistic lock coupling).
 func BenchmarkIndexExperiment(b *testing.B) { benchTable(b, "index") }
 
 // --- micro-benchmarks of the hot IPA paths ----------------------------

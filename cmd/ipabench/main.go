@@ -39,7 +39,6 @@ func main() {
 	conns := flag.Int("conns", 8, "client connections for -net")
 	txPerConn := flag.Int("tx", 500, "transactions per connection for -net")
 	seed := flag.Int64("seed", 42, "rng seed for -net")
-	out := flag.String("out", "", "also write the experiment's JSON result to this file (schemes and index only)")
 	flag.Parse()
 
 	if *netAddr != "" {
@@ -67,52 +66,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ipabench: %v\n", err)
 			os.Exit(1)
 		}
-		return
-	}
-	if *out != "" {
-		var data []byte
-		var table *experiments.Table
-		var err error
-		switch *exp {
-		case "schemes":
-			var rows []experiments.SchemeRow
-			if rows, err = experiments.RunSchemes(p); err == nil {
-				table = experiments.SchemesTable(rows)
-				data, err = experiments.SchemesJSON(p, rows)
-			}
-		case "index":
-			var rows []experiments.IndexRow
-			if rows, err = experiments.RunIndexBench(p); err == nil {
-				table = experiments.IndexTable(rows)
-				data, err = experiments.IndexJSON(p, rows)
-			}
-		case "htap":
-			var rows []experiments.HTAPRow
-			if rows, err = experiments.RunHTAPBench(p); err == nil {
-				table = experiments.HTAPTable(rows)
-				data, err = experiments.HTAPJSON(p, rows)
-			}
-		case "repl":
-			var rows []experiments.ReplRow
-			var sum *experiments.ReplSummary
-			if rows, sum, err = experiments.RunReplBench(p); err == nil {
-				table = experiments.ReplTable(rows, sum)
-				data, err = experiments.ReplJSON(p, rows, sum)
-			}
-		default:
-			fmt.Fprintln(os.Stderr, "ipabench: -out is only supported with -exp schemes, index, htap or repl")
-			os.Exit(2)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ipabench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "ipabench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(table.Render())
-		fmt.Printf("wrote %s\n", *out)
 		return
 	}
 	t, err := experiments.ByID(*exp, p)

@@ -208,7 +208,10 @@ func preload(db *engine.DB, tl *sim.Timeline, scale, accountsPerBranch int) erro
 }
 
 // buildStack assembles flash → NoFTL region → engine, sized for the
-// requested TPC-B preload, and loads the tables.
+// requested TPC-B preload, and loads the tables. The engine gets the
+// pool shards and MVCC of a cluster member, so BEGIN_SNAPSHOT works
+// standalone too and the benchmark's served workloads measure this
+// configuration.
 func buildStack(pageSize, chips, scale, accountsPerBranch int, ipa bool) (*engine.DB, *sim.Timeline, error) {
 	accounts := scale * accountsPerBranch
 	dataBytes := accounts*120 + accounts*20 + 1<<20
@@ -242,7 +245,8 @@ func buildStack(pageSize, chips, scale, accountsPerBranch int, ipa bool) (*engin
 		return nil, nil, err
 	}
 	db, err := engine.New(dev, engine.Options{
-		PageSize: pageSize, BufferFrames: pages + 64, Timeline: tl,
+		PageSize: pageSize, BufferFrames: pages + 64,
+		PoolShards: repl.DefaultPoolShards, MVCC: true, Timeline: tl,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -244,12 +244,6 @@ type Config struct {
 	// so cleaning occupies flash chips without blocking the transaction
 	// that triggered it (steal/no-force). Nil charges the calling worker.
 	Cleaner *sim.Worker
-	// CleanNotify, when set, replaces the inline CleanerPass that Unpin
-	// runs on crossing the dirty threshold: the pool calls it (without
-	// holding any lock) and the owner is expected to run CleanerPass from
-	// its own maintenance thread. This takes cleaning off the transaction
-	// path entirely.
-	CleanNotify func()
 }
 
 func (c Config) dirtyThreshold() float64 {
@@ -624,10 +618,6 @@ func (p *Pool) Unpin(w *sim.Worker, fr *Frame, dirty bool, recLSN core.LSN) erro
 	}
 	s.mu.Unlock()
 	if p.DirtyFraction() > p.cfg.dirtyThreshold() {
-		if p.cfg.CleanNotify != nil {
-			p.cfg.CleanNotify()
-			return nil
-		}
 		return p.CleanerPass(w)
 	}
 	return nil

@@ -406,49 +406,6 @@ func TestChurnManyPages(t *testing.T) {
 	}
 }
 
-// CleanNotify must replace the inline cleaner: crossing the dirty
-// threshold fires the notification and flushes nothing; an explicit
-// CleanerPass (what the notified owner runs) then does the flushing.
-func TestCleanNotifyReplacesInlineCleaner(t *testing.T) {
-	st := newFakeStore(64)
-	notified := 0
-	p, err := New(Config{
-		Frames: 8, PageSize: 64, DirtyThreshold: 0.25, CleanBatch: 4,
-		CleanNotify: func() { notified++ },
-	}, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := core.PageID(1); id <= 3; id++ {
-		fr, err := p.GetNew(nil, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fr.Data[0] = byte(id)
-		if err := p.Unpin(nil, fr, true, core.LSN(id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if notified == 0 {
-		t.Fatal("dirty threshold crossed without a notification")
-	}
-	if got := p.Stats().CleanerFlushes; got != 0 {
-		t.Fatalf("Unpin flushed %d pages inline despite CleanNotify", got)
-	}
-	if len(st.flushes) != 0 {
-		t.Fatalf("store saw %d flushes before CleanerPass", len(st.flushes))
-	}
-	if err := p.CleanerPass(nil); err != nil {
-		t.Fatal(err)
-	}
-	if p.Stats().CleanerFlushes == 0 || len(st.flushes) == 0 {
-		t.Error("explicit CleanerPass flushed nothing")
-	}
-	if p.DirtyFraction() > 0.25 {
-		t.Errorf("dirty fraction %v above threshold after CleanerPass", p.DirtyFraction())
-	}
-}
-
 // A page id beyond core.MaxPageID is an error from Get and GetNew, and
 // costs no frame: the single frame still serves the next page.
 func TestPageIDBeyondTheBound(t *testing.T) {

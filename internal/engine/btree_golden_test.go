@@ -10,21 +10,21 @@ import (
 	"ipa/internal/core"
 )
 
-// goldenTreeFingerprint hashes every reachable node of the coarse tree —
-// page id, flags, entry count, entries, leaf chaining — plus the Range
-// iteration order, into one stable hex digest. Any change to the on-page
-// node layout, the split algorithm, allocation order, or iteration order
+// goldenTreeFingerprint hashes every reachable node of a tree — page id,
+// flags, entry count, entries, leaf chaining — plus the Range iteration
+// order, into one stable hex digest. Any change to the on-page node
+// layout, the split algorithm, allocation order, or iteration order
 // changes the digest.
-func goldenTreeFingerprint(t *testing.T, ix *CoarseIndex) string {
+func goldenTreeFingerprint(t *testing.T, db *DB, ix Index) string {
 	t.Helper()
-	db := ix.db
+	st := db.Store("main")
 	h := fnv.New64a()
 	put := func(v uint64) {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	queue := []core.PageID{ix.Root()}
+	queue := []core.PageID{ix.(interface{ Root() core.PageID }).Root()}
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
@@ -32,7 +32,7 @@ func goldenTreeFingerprint(t *testing.T, ix *CoarseIndex) string {
 		if err != nil {
 			t.Fatalf("get node %d: %v", id, err)
 		}
-		n, err := ix.node(fr)
+		n, err := attachNode(st, fr)
 		if err != nil {
 			t.Fatalf("attach node %d: %v", id, err)
 		}
@@ -70,14 +70,20 @@ func goldenTreeFingerprint(t *testing.T, ix *CoarseIndex) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// TestCoarseTreeGoldenLayout pins the coarse tree's physical page layout
-// and iteration order to the digest captured before the index layer grew
-// the pluggable interface and the OLC tree: the paper-fidelity default
-// must keep producing byte-identical trees. If this fails, the coarse
-// path changed behaviour — that is a bug unless the layout change is
-// deliberate and documented.
+// TestCoarseTreeGoldenLayout pins the physical page layout and iteration
+// order of both trees to the digest captured from the coarse tree before
+// the index layer grew the pluggable interface: single-threaded, the OLC
+// tree makes the same splits and allocates pages in the same order, so
+// it builds byte-identical trees. (What differs between the kinds is the
+// order of their buffer pool accesses, not the tree; see DESIGN.md,
+// "Index latching".) If this fails, a tree changed behaviour — that is a
+// bug unless the layout change is deliberate and documented.
 func TestCoarseTreeGoldenLayout(t *testing.T) {
-	_, ix := newIndexRig(t, 64)
+	forEachKind(t, testTreeGoldenLayout)
+}
+
+func testTreeGoldenLayout(t *testing.T, kind IndexKind) {
+	r, ix := newIndexRigKind(t, 64, kind)
 	rng := rand.New(rand.NewSource(7))
 	keys := rng.Perm(1500)
 	for _, k := range keys {
@@ -100,7 +106,7 @@ func TestCoarseTreeGoldenLayout(t *testing.T) {
 		}
 	}
 	const want = "5420316e61bd1eb2"
-	if got := goldenTreeFingerprint(t, ix); got != want {
-		t.Fatalf("coarse tree fingerprint = %s, want %s", got, want)
+	if got := goldenTreeFingerprint(t, r.db, ix); got != want {
+		t.Fatalf("%v tree fingerprint = %s, want %s", kind, got, want)
 	}
 }

@@ -16,16 +16,6 @@ import (
 // differs.
 var indexKinds = []IndexKind{IndexCoarse, IndexOLC}
 
-func newIndexRig(t *testing.T, frames int) (*testRig, *CoarseIndex) {
-	t.Helper()
-	r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 4), frames, false)
-	ix, err := r.db.CreateIndex("ix", "main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, ix.(*CoarseIndex)
-}
-
 func newIndexRigKind(t *testing.T, frames int, kind IndexKind) (*testRig, Index) {
 	t.Helper()
 	r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 4), frames, false)

@@ -7,8 +7,8 @@ import (
 )
 
 // TestErrClosedDeterministic: once Close has returned, Begin, Checkpoint
-// and Stats must all fail with ErrClosed — no racing the maintenance
-// drain. The server layer's graceful shutdown relies on this ordering.
+// and Stats must all fail with ErrClosed. The server layer's graceful
+// shutdown relies on this ordering.
 func TestErrClosedDeterministic(t *testing.T) {
 	db := newTwoRegionRig(t, 32)
 	tbl, err := db.CreateTable("t", "r1")
@@ -36,14 +36,14 @@ func TestErrClosedDeterministic(t *testing.T) {
 	}
 }
 
-// TestCloseIdempotent: repeated Close calls return the first outcome and
-// do not double-drain the maintenance goroutine (with background
-// maintenance enabled the second drain would close a closed channel).
+// TestCloseIdempotent: repeated Close calls, in sequence and at once,
+// drain the MVCC version reaper exactly once (a second drain racing the
+// first would close a closed channel).
 func TestCloseIdempotent(t *testing.T) {
 	g := rigGeometry()
 	db := newRigWithOptions(t, g, Options{
 		PageSize: g.PageSize, BufferFrames: 32,
-		BackgroundMaintenance: true, DirtyThreshold: 2.0,
+		MVCC: true, DirtyThreshold: 2.0,
 	})
 	for i := 0; i < 3; i++ {
 		if err := db.Close(); err != nil {
@@ -65,13 +65,13 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // TestSimulateCrashReopens: SimulateCrash models a process restart, so a
-// closed instance comes back open (maintenance restarted) and normal
+// closed instance comes back open (version reaper restarted) and normal
 // work resumes after Recover.
 func TestSimulateCrashReopens(t *testing.T) {
 	g := rigGeometry()
 	db := newRigWithOptions(t, g, Options{
 		PageSize: g.PageSize, BufferFrames: 32,
-		BackgroundMaintenance: true, DirtyThreshold: 2.0,
+		MVCC: true, DirtyThreshold: 2.0,
 	})
 	tbl, err := db.CreateTable("t", "r1")
 	if err != nil {

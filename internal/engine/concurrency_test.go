@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ipa/internal/core"
 	"ipa/internal/flash"
@@ -323,7 +322,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative log capacity", Options{PageSize: 512, BufferFrames: 16, LogCapacity: -1}, 512},
 		{"reclaim threshold ≥ 1", Options{PageSize: 512, BufferFrames: 16, LogReclaimThreshold: 1.5}, 512},
 		{"negative dirty threshold", Options{PageSize: 512, BufferFrames: 16, DirtyThreshold: -0.5}, 512},
-		{"negative reclaim batch", Options{PageSize: 512, BufferFrames: 16, ReclaimFlushBatch: -3}, 512},
 		{"negative pool shards", Options{PageSize: 512, BufferFrames: 16, PoolShards: -2}, 512},
 	}
 	for _, c := range cases {
@@ -348,85 +346,5 @@ func TestErrorSentinels(t *testing.T) {
 	}
 	if err := tx.Commit(); !errors.Is(err, ErrTxClosed) {
 		t.Errorf("double commit = %v, want ErrTxClosed", err)
-	}
-	if !errors.Is(ErrTxDone, ErrTxClosed) {
-		t.Error("ErrTxDone must alias ErrTxClosed")
-	}
-}
-
-// TestBackgroundMaintenance drives enough committed churn through a
-// small log and buffer that the maintenance goroutine must run cleaner
-// passes, log reclaims and checkpoints — while the workload threads
-// themselves never carry that work. Close must surface no errors.
-func TestBackgroundMaintenance(t *testing.T) {
-	g := flash.Geometry{
-		Chips: 4, BlocksPerChip: 64, PagesPerBlock: 8,
-		PageSize: 512, OOBSize: 32, Cell: flash.SLC,
-	}
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := noftl.Open(arr)
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "r1", Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 3),
-		BlocksPerChip: 32, OverProvision: 0.2,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	db, err := New(dev, Options{
-		PageSize: 512, BufferFrames: 32, DirtyThreshold: 0.1,
-		LogCapacity: 16 << 10, LogReclaimThreshold: 0.2,
-		ReclaimFlushBatch: 4, BackgroundMaintenance: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := db.CreateTable("t1", "r1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rids := seedTuples(t, db, tbl, 32, 'm')
-
-	deadline := time.Now().Add(10 * time.Second)
-	for round := 0; ; round++ {
-		tx := mustBegin(db, nil)
-		for i, rid := range rids {
-			val := fmt.Sprintf("m seed %04d value %010d", i, round)
-			if err := tbl.Update(tx, rid, []byte(val)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		s, err := db.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Pool.CleanerFlushes > 0 && s.LogReclaims > 0 && s.Checkpoints > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("maintenance goroutine idle after %d rounds: cleaner=%d reclaims=%d ckpts=%d",
-				round, s.Pool.CleanerFlushes, s.LogReclaims, s.Checkpoints)
-		}
-		runtime.Gosched()
-	}
-	// The last committed round must be durable through the background
-	// machinery exactly as through the inline path.
-	for i, rid := range rids {
-		got, err := tbl.Read(nil, rid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got[:11]) != fmt.Sprintf("m seed %04d", i) {
-			t.Errorf("tuple %d corrupted: %q", i, got)
-		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatalf("Close after background maintenance: %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ipa/internal/buffer"
 	"ipa/internal/core"
@@ -22,11 +21,10 @@ var (
 	// ErrBadOptions is returned by Options.Validate for nonsense configs.
 	ErrBadOptions = errors.New("engine: invalid options")
 	// ErrClosed is returned by Begin, Checkpoint and Stats once Close has
-	// returned. The flag is raised under the engine state latch before the
-	// maintenance goroutine is drained, so a caller that observes Close
-	// returning can rely on every later Begin failing — the server layer's
-	// graceful shutdown depends on this being deterministic, not a race
-	// against the drain.
+	// returned. The flag is raised under the engine state latch, so a
+	// caller that observes Close returning can rely on every later Begin
+	// failing — the server layer's graceful shutdown depends on this being
+	// deterministic.
 	ErrClosed = errors.New("engine: database closed")
 )
 
@@ -49,25 +47,14 @@ type Options struct {
 	PoolShards int
 	// LogCapacity in bytes; 0 means unbounded (no log-space pressure).
 	LogCapacity int
-	// CommitWindow lets a WAL group-commit leader linger before flushing
-	// so its batch can absorb more committers under heavy load. The
-	// default 0 flushes immediately — required by the paper experiments,
-	// whose flush counts and reclaim timing are deterministic.
-	CommitWindow time.Duration
 	// LogReclaimThreshold: reclaim log space (flushing old dirty pages and
 	// checkpointing) when usage exceeds this fraction. Zero selects 0.35,
 	// inside Shore-MT's eager 25–50% window.
 	LogReclaimThreshold float64
-	// DirtyThreshold / CleanBatch tune the buffer cleaner (see buffer
-	// package); DirtyThreshold 0 = eager 12.5%, 0.75 = the paper's
-	// non-eager configuration. Values above 1 disable cleaning.
+	// DirtyThreshold tunes the buffer cleaner (see buffer package): 0 =
+	// eager 12.5%, 0.75 = the paper's non-eager configuration. Values
+	// above 1 disable cleaning.
 	DirtyThreshold float64
-	CleanBatch     int
-	// ReclaimFlushBatch is how many of the oldest dirty pages one
-	// log-space reclaim pass flushes before checkpointing. Zero selects
-	// pool/4+1, the historical default; the reclaim is insensitive to the
-	// exact batch as long as it scales with the pool.
-	ReclaimFlushBatch int
 	// UseECC enables sectioned ECC in the OOB area.
 	UseECC bool
 	// IndexKind selects the B+tree implementation CreateIndex builds.
@@ -78,12 +65,6 @@ type Options struct {
 	// production-style deployments. Individual indexes can override via
 	// CreateIndexKind.
 	IndexKind IndexKind
-	// BackgroundMaintenance moves buffer cleaning and log-space
-	// reclamation (FlushOldest + fuzzy checkpoint) off the transaction
-	// path onto a dedicated maintenance goroutine — Shore-MT's page
-	// cleaner thread. The default (false) keeps both inline, preserving
-	// the paper's measured semantics. Call Close to stop the goroutine.
-	BackgroundMaintenance bool
 	// MVCC enables multi-version snapshot reads: committed updates link
 	// their before-images (tagged with the commit LSN) into a sharded
 	// per-RID version store, DB.BeginSnapshot pins a read-only snapshot
@@ -139,20 +120,11 @@ func (o Options) Validate(flashPageSize int) error {
 	if o.LogCapacity < 0 {
 		return fmt.Errorf("%w: LogCapacity %d", ErrBadOptions, o.LogCapacity)
 	}
-	if o.CommitWindow < 0 {
-		return fmt.Errorf("%w: CommitWindow %v", ErrBadOptions, o.CommitWindow)
-	}
 	if o.LogReclaimThreshold < 0 || o.LogReclaimThreshold >= 1 {
 		return fmt.Errorf("%w: LogReclaimThreshold %v (need [0,1))", ErrBadOptions, o.LogReclaimThreshold)
 	}
 	if o.DirtyThreshold < 0 {
 		return fmt.Errorf("%w: DirtyThreshold %v", ErrBadOptions, o.DirtyThreshold)
-	}
-	if o.CleanBatch < 0 {
-		return fmt.Errorf("%w: CleanBatch %d", ErrBadOptions, o.CleanBatch)
-	}
-	if o.ReclaimFlushBatch < 0 {
-		return fmt.Errorf("%w: ReclaimFlushBatch %d", ErrBadOptions, o.ReclaimFlushBatch)
 	}
 	if o.PoolShards < 0 {
 		return fmt.Errorf("%w: PoolShards %d", ErrBadOptions, o.PoolShards)
@@ -226,24 +198,12 @@ type DB struct {
 	checkpoints atomic.Uint64
 	reclaims    atomic.Uint64
 
-	// Background maintenance (Options.BackgroundMaintenance): one
-	// goroutine drains maintCh and runs cleaner passes and log-space
-	// reclaims so transaction workers never carry them. maintCh has
-	// capacity 1 — a pending poke already covers later ones.
-	maintCh   chan struct{}
-	maintStop chan struct{}
-	maintWG   sync.WaitGroup
-
 	// closed is raised by Close (under stateMu exclusive) and lowered by
 	// SimulateCrash, which models a process restart and therefore reopens
-	// the instance. closeMu serialises Close calls so repeats return the
-	// first outcome instead of double-draining the maintenance goroutine.
-	closed   atomic.Bool
-	closeMu  sync.Mutex
-	closeErr error
-
-	maintErrMu sync.Mutex
-	maintErr   error
+	// the instance. closeMu serialises Close and SimulateCrash so the
+	// version reaper is stopped and restarted exactly once each.
+	closed  atomic.Bool
+	closeMu sync.Mutex
 
 	// wrapStore, when a test sets it, is put between every pool newPool
 	// builds and the router (see VerifyFlushedImages in export_test.go).
@@ -278,11 +238,7 @@ func (db *DB) newPool(frames int) (*buffer.Pool, error) {
 		PageSize:       db.opts.pageSize(),
 		Shards:         db.opts.PoolShards,
 		DirtyThreshold: db.opts.DirtyThreshold,
-		CleanBatch:     db.opts.CleanBatch,
 		Cleaner:        db.cleaner,
-	}
-	if db.opts.BackgroundMaintenance {
-		cfg.CleanNotify = db.pokeMaintenance
 	}
 	var store buffer.Store = router{db}
 	if db.wrapStore != nil {
@@ -297,11 +253,8 @@ func New(dev *noftl.Device, opts Options) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
-		dev: dev,
-		log: wal.NewLogConfig(wal.Config{
-			Capacity:     opts.LogCapacity,
-			CommitWindow: opts.CommitWindow,
-		}),
+		dev:    dev,
+		log:    wal.NewLog(opts.LogCapacity),
 		opts:   opts,
 		stores: make(map[string]*PageStore),
 		tables: make(map[string]*Table),
@@ -310,20 +263,11 @@ func New(dev *noftl.Device, opts Options) (*DB, error) {
 	if opts.Timeline != nil {
 		db.cleaner = opts.Timeline.NewWorker()
 	}
-	if opts.BackgroundMaintenance {
-		// maintCh is created exactly once: pokeMaintenance reads it
-		// without synchronisation, so restarts only replace the stop
-		// channel and the goroutine, never the poke channel.
-		db.maintCh = make(chan struct{}, 1)
-	}
 	pool, err := db.newPool(opts.BufferFrames)
 	if err != nil {
 		return nil, err
 	}
 	db.pool = pool
-	if opts.BackgroundMaintenance {
-		db.startMaintenance()
-	}
 	if opts.MVCC {
 		db.vs = newVersionStore()
 		db.vs.startReaper(db.log.Head)
@@ -331,87 +275,17 @@ func New(dev *noftl.Device, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// startMaintenance launches the maintenance goroutine. Called from New
-// and from SimulateCrash when it reopens a closed instance.
-func (db *DB) startMaintenance() {
-	stop := make(chan struct{})
-	db.maintStop = stop
-	db.maintWG.Add(1)
-	go db.maintenanceLoop(stop)
-}
-
-// pokeMaintenance wakes the maintenance goroutine without blocking.
-func (db *DB) pokeMaintenance() {
-	if db.maintCh == nil {
-		return
-	}
-	select {
-	case db.maintCh <- struct{}{}:
-	default:
-	}
-}
-
-// maintenanceLoop services pokes from the buffer pool (dirty threshold
-// crossed) and from committers (log past the reclaim threshold).
-func (db *DB) maintenanceLoop(stop chan struct{}) {
-	defer db.maintWG.Done()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-db.maintCh:
-		}
-		if err := db.maintenancePass(); err != nil {
-			db.maintErrMu.Lock()
-			if db.maintErr == nil {
-				db.maintErr = err
-			}
-			db.maintErrMu.Unlock()
-		}
-	}
-}
-
-// maintenancePass is one background round: a cleaner pass, then — if the
-// log is past the reclaim threshold — a FlushOldest batch and a fuzzy
-// checkpoint, exactly what maybeReclaim does inline in foreground mode.
-func (db *DB) maintenancePass() error {
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
-	if db.inRecovery {
-		return nil
-	}
-	w := db.cleaner
-	if err := db.pool.CleanerPass(w); err != nil {
-		return err
-	}
-	if db.log.Capacity() == 0 || db.log.Usage() <= db.opts.reclaimThreshold() {
-		return nil
-	}
-	db.ckptMu.Lock()
-	defer db.ckptMu.Unlock()
-	if db.log.Usage() <= db.opts.reclaimThreshold() {
-		return nil
-	}
-	db.reclaims.Add(1)
-	if _, err := db.pool.FlushOldest(w, db.reclaimBatch()); err != nil {
-		return err
-	}
-	return db.checkpointLocked(w)
-}
-
 // Close shuts the instance down: the closed flag is raised under the
 // exclusive state latch (so every Begin/Checkpoint/Stats that starts
 // after Close returns deterministically fails with ErrClosed), then the
-// background maintenance goroutine and the MVCC version reaper are
-// drained (no-ops without Options.BackgroundMaintenance /
-// Options.MVCC). Repeated calls are idempotent: they
-// return the first call's error without draining twice. SimulateCrash
-// reopens a closed instance — it models the process restarting.
+// MVCC version reaper is drained (a no-op without Options.MVCC).
+// Repeated calls do nothing. SimulateCrash reopens a closed instance —
+// it models the process restarting. The error is always nil.
 func (db *DB) Close() error {
 	db.closeMu.Lock()
 	defer db.closeMu.Unlock()
 	if db.closed.Load() {
-		return db.closeErr
+		return nil
 	}
 	// Raise the flag with the state latch held exclusively: in-flight
 	// operations (holding it shared) finish first, and any operation
@@ -419,18 +293,10 @@ func (db *DB) Close() error {
 	db.stateMu.Lock()
 	db.closed.Store(true)
 	db.stateMu.Unlock()
-	if db.maintStop != nil {
-		close(db.maintStop)
-		db.maintWG.Wait()
-		db.maintStop = nil
-	}
 	if db.vs != nil {
 		db.vs.stopReaper()
 	}
-	db.maintErrMu.Lock()
-	db.closeErr = db.maintErr
-	db.maintErrMu.Unlock()
-	return db.closeErr
+	return nil
 }
 
 // Pool exposes the buffer pool.
@@ -542,10 +408,6 @@ func (db *DB) maybeReclaim(w *sim.Worker) error {
 	if db.log.Capacity() == 0 || db.log.Usage() <= db.opts.reclaimThreshold() {
 		return nil
 	}
-	if db.opts.BackgroundMaintenance {
-		db.pokeMaintenance()
-		return nil
-	}
 	if !db.ckptMu.TryLock() {
 		return nil // a reclaim/checkpoint is already running
 	}
@@ -560,19 +422,12 @@ func (db *DB) maybeReclaim(w *sim.Worker) error {
 	} else if w != nil {
 		cw.SetNow(w.Now())
 	}
-	if _, err := db.pool.FlushOldest(cw, db.reclaimBatch()); err != nil {
+	// A quarter of the pool per pass: the reclaim is insensitive to the
+	// exact batch as long as it scales with the pool.
+	if _, err := db.pool.FlushOldest(cw, db.pool.Size()/4+1); err != nil {
 		return err
 	}
 	return db.checkpointLocked(w)
-}
-
-// reclaimBatch resolves Options.ReclaimFlushBatch against the current
-// pool size. Caller holds stateMu shared.
-func (db *DB) reclaimBatch() int {
-	if b := db.opts.ReclaimFlushBatch; b > 0 {
-		return b
-	}
-	return db.pool.Size()/4 + 1
 }
 
 // Checkpoint takes a fuzzy checkpoint and truncates the log. After
@@ -659,7 +514,7 @@ func (db *DB) ResizePool(w *sim.Worker, frames int) error {
 //
 // A crash models the process dying and restarting, so a previously
 // Closed instance comes back open: the closed flag is cleared and the
-// maintenance goroutine restarted. This is what lets the server
+// version reaper restarted. This is what lets the server
 // integration tests shut down gracefully, then "reopen the device" and
 // verify WAL recovery on the same instance.
 func (db *DB) SimulateCrash() error {
@@ -686,10 +541,6 @@ func (db *DB) SimulateCrash() error {
 	}
 	if db.closed.Load() {
 		db.closed.Store(false)
-		db.closeErr = nil
-		if db.opts.BackgroundMaintenance {
-			db.startMaintenance()
-		}
 		if db.vs != nil {
 			db.vs.startReaper(db.log.Head)
 		}

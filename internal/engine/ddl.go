@@ -39,7 +39,7 @@ func (db *DB) Exec(stmt string) error {
 	case "REGION":
 		if err := checkOptionKeys("REGION", name, opts,
 			"IPA_MODE", "SCHEME", "STORAGE", "MAX_CHIPS", "BLOCKS_PER_CHIP",
-			"MAX_SIZE", "OVERPROVISION", "GC", "GC_POLICY", "GC_VICTIM"); err != nil {
+			"MAX_SIZE", "OVERPROVISION", "GC_VICTIM"); err != nil {
 			return err
 		}
 		return db.execCreateRegion(name, opts)
@@ -199,15 +199,6 @@ func (db *DB) execCreateRegion(name string, opts map[string]string) error {
 		}
 		rc.OverProvision = pct / 100
 	}
-	for _, key := range []string{"GC", "GC_POLICY"} {
-		if v, ok := opts[key]; ok {
-			p, err := parseGCPolicy(key, v)
-			if err != nil {
-				return err
-			}
-			rc.GCPolicy = p
-		}
-	}
 	if v, ok := opts["GC_VICTIM"]; ok {
 		gv, err := parseGCVictim(v)
 		if err != nil {
@@ -263,19 +254,6 @@ func parseStorage(v string) (noftl.Storage, error) {
 		return noftl.StorageOOP, nil
 	default:
 		return 0, fmt.Errorf("engine: unknown STORAGE %q (want IPA, PDL or OOP)", v)
-	}
-}
-
-// parseGCPolicy reads a GC / GC_POLICY value; key is echoed into the
-// error so the message names the option the user actually wrote.
-func parseGCPolicy(key, v string) (noftl.GCPolicy, error) {
-	switch strings.ToLower(v) {
-	case "foreground", "inline":
-		return noftl.GCForeground, nil
-	case "background":
-		return noftl.GCBackground, nil
-	default:
-		return 0, fmt.Errorf("engine: unknown %s %q (want FOREGROUND or BACKGROUND)", key, v)
 	}
 }
 

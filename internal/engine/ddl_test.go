@@ -100,11 +100,11 @@ func TestDDLOptions(t *testing.T) {
 	}
 }
 
-// TestDDLStorageOptions covers the STORAGE / GC_POLICY / GC_VICTIM
-// surface added with the pluggable-scheme API.
+// TestDDLStorageOptions covers the STORAGE / GC_VICTIM surface added
+// with the pluggable-scheme API.
 func TestDDLStorageOptions(t *testing.T) {
 	db := newDDLRig(t, flash.SLC)
-	if err := db.Exec("CREATE REGION rPDL (BLOCKS_PER_CHIP=16, STORAGE=pdl, GC_VICTIM=cost-benefit, GC_POLICY=foreground)"); err != nil {
+	if err := db.Exec("CREATE REGION rPDL (BLOCKS_PER_CHIP=16, STORAGE=pdl, GC_VICTIM=cost-benefit)"); err != nil {
 		t.Fatal(err)
 	}
 	r := db.Device().Region("rPDL")
@@ -176,7 +176,8 @@ func TestDDLErrors(t *testing.T) {
 		"CREATE TABLE t (TABLESPACE=missing)",
 		"CREATE REGION r (BLOCKS_PER_CHIP=8, IPA_MODE=pSLC)", // pSLC on SLC device
 		"CREATE REGION r (BLOCKS_PER_CHIP=8, STORAGE=log-structured)",
-		"CREATE REGION r (BLOCKS_PER_CHIP=8, GC_POLICY=lazy)",
+		"CREATE REGION r (BLOCKS_PER_CHIP=8, GC_POLICY=foreground)", // no such key any more
+		"CREATE REGION r (BLOCKS_PER_CHIP=8, GC=background)",
 		"CREATE REGION r (BLOCKS_PER_CHIP=8, GC_VICTIM=oldest)",
 		"CREATE REGION r (BLOCKS_PER_CHIP=8, STROAGE=pdl)", // typo must not be ignored
 		"CREATE TABLESPACE ts (REGION=rOK, COMPRESSION=on)",
@@ -197,8 +198,8 @@ func TestDDLErrors(t *testing.T) {
 	wantPrefix := []struct{ stmt, frag string }{
 		{"CREATE REGION r (BLOCKS_PER_CHIP=8, STORAGE=log-structured)", `unknown STORAGE "log-structured"`},
 		{"CREATE REGION r (BLOCKS_PER_CHIP=8, GC_VICTIM=oldest)", `unknown GC_VICTIM "oldest"`},
-		{"CREATE REGION r (BLOCKS_PER_CHIP=8, GC_POLICY=lazy)", `unknown GC_POLICY "lazy"`},
-		{"CREATE REGION r (BLOCKS_PER_CHIP=8, GC=lazy)", `unknown GC "lazy"`},
+		{"CREATE REGION r (BLOCKS_PER_CHIP=8, GC_POLICY=foreground)", "unknown option GC_POLICY in CREATE REGION r"},
+		{"CREATE REGION r (BLOCKS_PER_CHIP=8, GC=background)", "unknown option GC in CREATE REGION r"},
 		{"CREATE REGION r (BLOCKS_PER_CHIP=8, STROAGE=pdl)", "unknown option STROAGE in CREATE REGION r"},
 		{"CREATE REGION r (BLOCKS_PER_CHIP=8, ZZZ=1, AAA=2)", "unknown option AAA in CREATE REGION r"},
 		{"CREATE INDEX i (REGION=rOK, UNIQUE=yes)", "unknown option UNIQUE in CREATE INDEX i"},

@@ -258,7 +258,7 @@ func TestAbortRollsBack(t *testing.T) {
 	if _, err := tbl.Read(nil, rid2); !errors.Is(err, ErrNoTuple) {
 		t.Errorf("aborted insert visible: %v", err)
 	}
-	if err := tx2.Commit(); !errors.Is(err, ErrTxDone) {
+	if err := tx2.Commit(); !errors.Is(err, ErrTxClosed) {
 		t.Errorf("commit after abort: %v", err)
 	}
 }

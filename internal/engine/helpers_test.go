@@ -29,8 +29,7 @@ func rigGeometry() flash.Geometry {
 }
 
 // newRigWithOptions builds a two-region device and opens a DB over it
-// with caller-chosen engine options (the lifecycle tests need
-// BackgroundMaintenance on).
+// with caller-chosen engine options.
 func newRigWithOptions(t *testing.T, g flash.Geometry, opts Options) *DB {
 	t.Helper()
 	arr, err := flash.New(flash.Config{

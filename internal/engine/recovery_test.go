@@ -256,10 +256,10 @@ func TestTxDoubleFinish(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Commit(); !errors.Is(err, ErrTxDone) {
+	if err := tx.Commit(); !errors.Is(err, ErrTxClosed) {
 		t.Errorf("double commit: %v", err)
 	}
-	if err := tx.Abort(); !errors.Is(err, ErrTxDone) {
+	if err := tx.Abort(); !errors.Is(err, ErrTxClosed) {
 		t.Errorf("abort after commit: %v", err)
 	}
 }

@@ -49,8 +49,8 @@ import (
 //     commit <= S is fully stamped and fully visible — a snapshot can
 //     never observe a half-stamped transaction.
 //
-//   - Pruning: a background reaper (same doorbell/drain pattern as the
-//     PR 3 maintenance goroutine) trims every chain suffix whose commit
+//   - Pruning: a background reaper (parked on a capacity-1 doorbell,
+//     drained by Close) trims every chain suffix whose commit
 //     LSN is <= the prune bound: min(active snapshot LSNs, in-flight
 //     commit LSNs - 1), or the log head when both sets are empty.
 //     Pending entries are never pruned.

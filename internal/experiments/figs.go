@@ -198,7 +198,9 @@ func Longevity(p Params) (*Table, error) {
 	}
 	tx := p.tx(12000)
 	run := func(s core.Scheme) (*Out, uint32, error) {
-		o, err := Execute(Spec{Bench: "tpcb", Scheme: s, BufferPct: 0.20, Eager: true, Tx: tx})
+		o, err := Execute(Spec{
+			Bench: "tpcb", Scale: tpcbSweepScale, Scheme: s, BufferPct: 0.20, Eager: true, Tx: tx,
+		})
 		if err != nil {
 			return nil, 0, err
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"ipa/internal/core"
@@ -24,41 +23,41 @@ import (
 
 // HTAPRow is one (distribution, scan mode) cell at 16 workers.
 type HTAPRow struct {
-	Dist    string `json:"dist"`  // uniform | zipfian
-	Scans   string `json:"scans"` // none | locking | snapshot
-	Workers int    `json:"workers"`
-	Tx      int    `json:"tx"` // requested operations (commits + aborts)
+	Dist    string // uniform | zipfian
+	Scans   string // none | locking | snapshot
+	Workers int
+	Tx      int // requested operations (commits + aborts)
 
-	Committed uint64 `json:"committed"`
+	Committed uint64
 	// Writer latency is simulated time over committed Account_Update
 	// transactions.
-	WriterNsPerOp float64 `json:"writer_ns_per_op"`
-	WriterP99Ns   float64 `json:"writer_p99_ns"`
+	WriterNsPerOp float64
+	WriterP99Ns   float64
 	// WriterAborts counts Account_Update transactions that lost the
 	// no-wait lock race; ScanAborts counts BalanceScan read transactions
 	// that did (the read-path abort class MVCC retires).
-	WriterAborts uint64  `json:"writer_aborts"`
-	ScanAborts   uint64  `json:"scan_aborts"`
-	ScansOK      uint64  `json:"scans_ok"`
-	ScanNsPerOp  float64 `json:"scan_ns_per_op,omitempty"`
+	WriterAborts uint64
+	ScanAborts   uint64
+	ScansOK      uint64
+	ScanNsPerOp  float64
 
 	// Version-store counters after the run (MVCC is enabled for every
 	// cell; only snapshot scans populate the store with readers).
-	SnapshotScans  uint64 `json:"snapshot_scans"`
-	VersionsPruned uint64 `json:"versions_pruned"`
-	VersionsLive   int64  `json:"versions_live"`
+	SnapshotScans  uint64
+	VersionsPruned uint64
+	VersionsLive   int64
 }
 
 // HTAPSummary states the acceptance headlines, computed per
 // distribution from the matrix rows.
 type HTAPSummary struct {
-	Dist string `json:"dist"`
+	Dist string
 	// ScanAbortReductionPct is the drop in read-path aborts going from
 	// locking to snapshot scans (100 = all retired).
-	ScanAbortReductionPct float64 `json:"scan_abort_reduction_pct"`
+	ScanAbortReductionPct float64
 	// WriterP99VsBaselinePct is snapshot-mode writer p99 relative to the
 	// scan-free baseline (0 = identical, positive = slower).
-	WriterP99VsBaselinePct float64 `json:"writer_p99_vs_baseline_pct"`
+	WriterP99VsBaselinePct float64
 }
 
 // htapDB builds the 16-chip concurrent stack with MVCC enabled.
@@ -191,11 +190,6 @@ func HTAP(p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return HTAPTable(rows), nil
-}
-
-// HTAPTable renders already-computed rows.
-func HTAPTable(rows []HTAPRow) *Table {
 	t := &Table{
 		ID:     "htap",
 		Title:  "HTAP: TPC-B writers + full-table balance scans, locking vs MVCC snapshot reads (16 workers)",
@@ -218,15 +212,5 @@ func HTAPTable(rows []HTAPRow) *Table {
 	t.Notes = append(t.Notes,
 		"every completed scan verifies the TPC-B balance-sum invariant at its read point (snapshot LSN for MVCC)",
 		"ns/op is simulated time over committed transactions; aborts are no-wait lock-race losses")
-	return t
-}
-
-// HTAPJSON marshals rows and summaries for BENCH_PR8.json.
-func HTAPJSON(p Params, rows []HTAPRow) ([]byte, error) {
-	return json.MarshalIndent(struct {
-		Experiment string        `json:"experiment"`
-		Quick      bool          `json:"quick"`
-		Rows       []HTAPRow     `json:"rows"`
-		Summary    []HTAPSummary `json:"summary"`
-	}{Experiment: "htap", Quick: p.Quick, Rows: rows, Summary: HTAPSummaries(rows)}, "", "  ")
+	return t, nil
 }

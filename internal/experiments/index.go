@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"ipa/internal/core"
@@ -23,18 +22,18 @@ import (
 
 // IndexRow is one (tree, mix, workers) cell of the comparison.
 type IndexRow struct {
-	Tree    string `json:"tree"`
-	Mix     string `json:"mix"`
-	ReadPct int    `json:"read_pct"`
-	Workers int    `json:"workers"`
-	Ops     int    `json:"ops"`
+	Tree    string
+	Mix     string
+	ReadPct int
+	Workers int
+	Ops     int
 	// NsPerOp is simulated nanoseconds per operation (makespan / ops).
-	NsPerOp float64 `json:"ns_per_op"`
+	NsPerOp float64
 	// RestartsPerOp counts optimistic descents invalidated by a
 	// concurrent structural change (OLC only; coarse never restarts).
-	RestartsPerOp float64 `json:"restarts_per_op"`
+	RestartsPerOp float64
 	// LatchWaitsPerOp counts blocked latch acquisitions (OLC only).
-	LatchWaitsPerOp float64 `json:"latch_waits_per_op"`
+	LatchWaitsPerOp float64
 }
 
 // indexBenchDB builds the standard concurrent stack for index runs:
@@ -117,12 +116,6 @@ func Index(p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return IndexTable(rows), nil
-}
-
-// IndexTable renders already-computed rows (so one matrix run can feed
-// both the table and the JSON artifact).
-func IndexTable(rows []IndexRow) *Table {
 	t := &Table{
 		ID:     "index",
 		Title:  "Index latching: coarse RW mutex vs optimistic lock coupling",
@@ -139,14 +132,5 @@ func IndexTable(rows []IndexRow) *Table {
 		"ns/op is simulated time (makespan/ops): coarse pays a tree-wide latch horizon, OLC runs horizon-free",
 		"restarts/op and latchwaits/op are OLC's residual contention cost; coarse never restarts",
 		"warm buffer pool: the tree is fully cached, so the latch (not the append chip) is the bottleneck")
-	return t
-}
-
-// IndexJSON marshals already-computed rows for BENCH_PR7.json.
-func IndexJSON(p Params, rows []IndexRow) ([]byte, error) {
-	return json.MarshalIndent(struct {
-		Experiment string     `json:"experiment"`
-		Quick      bool       `json:"quick"`
-		Rows       []IndexRow `json:"rows"`
-	}{Experiment: "index", Quick: p.Quick, Rows: rows}, "", "  ")
+	return t, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -24,31 +23,31 @@ import (
 
 // ReplRow is one load phase (before or after the failover).
 type ReplRow struct {
-	Phase      string  `json:"phase"` // steady-state | post-failover
-	Workers    int     `json:"workers"`
-	DurationMs float64 `json:"duration_ms"`
+	Phase      string // steady-state | post-failover
+	Workers    int
+	DurationMs float64
 
-	Acked       uint64  `json:"acked"`
-	AckedPerSec float64 `json:"acked_per_sec"`
-	Aborts      uint64  `json:"aborts"`
-	Unknown     uint64  `json:"unknown_outcomes"`
+	Acked       uint64
+	AckedPerSec float64
+	Aborts      uint64
+	Unknown     uint64
 
 	// Follower lag sampled from the leader every few milliseconds while
 	// the load runs, max/mean across samples and connected peers.
-	LagRecordsMean float64 `json:"lag_records_mean"`
-	LagRecordsMax  uint64  `json:"lag_records_max"`
-	LagBytesMean   float64 `json:"lag_bytes_mean"`
-	LagBytesMax    uint64  `json:"lag_bytes_max"`
+	LagRecordsMean float64
+	LagRecordsMax  uint64
+	LagBytesMean   float64
+	LagBytesMax    uint64
 }
 
 // ReplSummary is the failover headline.
 type ReplSummary struct {
-	FailoverMs    float64 `json:"failover_ms"` // kill → new leader serving
-	NewLeaderTerm uint64  `json:"new_leader_term"`
+	FailoverMs    float64 // kill → new leader serving
+	NewLeaderTerm uint64
 	// AckedSurvived confirms the post-run audit: every commit
 	// acknowledged to a client was found in the new leader's history
 	// table.
-	AckedSurvived bool `json:"acked_survived"`
+	AckedSurvived bool
 }
 
 // replPhase drives the cluster for d with nWorkers terminals while
@@ -223,11 +222,6 @@ func Repl(p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ReplTable(rows, sum), nil
-}
-
-// ReplTable renders already-computed rows.
-func ReplTable(rows []ReplRow, sum *ReplSummary) *Table {
 	t := &Table{
 		ID:     "repl",
 		Title:  "Replication: 3-node cluster, TPC-B over the wire, primary crash-killed between phases (16 workers)",
@@ -242,23 +236,10 @@ func ReplTable(rows []ReplRow, sum *ReplSummary) *Table {
 			fmt.Sprintf("%.1f / %d", r.LagRecordsMean, r.LagRecordsMax),
 			fmt.Sprintf("%.0f / %d", r.LagBytesMean, r.LagBytesMax))
 	}
-	if sum != nil {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"failover: new leader (term %d) serving after %.1f ms; every acked commit survived: %v",
-			sum.NewLeaderTerm, sum.FailoverMs, sum.AckedSurvived))
-	}
-	t.Notes = append(t.Notes,
+	t.Notes = append(t.Notes, fmt.Sprintf(
+		"failover: new leader (term %d) serving after %.1f ms; every acked commit survived: %v",
+		sum.NewLeaderTerm, sum.FailoverMs, sum.AckedSurvived),
 		"lag sampled from the leader's per-peer shipping state every 5 ms while the load runs",
 		"commits acknowledge only after the commit record reaches a quorum (semi-synchronous)")
-	return t
-}
-
-// ReplJSON marshals rows and summary for BENCH_PR10.json.
-func ReplJSON(p Params, rows []ReplRow, sum *ReplSummary) ([]byte, error) {
-	return json.MarshalIndent(struct {
-		Experiment string       `json:"experiment"`
-		Quick      bool         `json:"quick"`
-		Rows       []ReplRow    `json:"rows"`
-		Summary    *ReplSummary `json:"summary"`
-	}{Experiment: "repl", Quick: p.Quick, Rows: rows, Summary: sum}, "", "  ")
+	return t, nil
 }

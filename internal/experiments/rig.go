@@ -52,11 +52,6 @@ type Spec struct {
 	Terminals int
 	Seed      int64
 	UseECC    bool
-	// GCPolicy selects the region's garbage-collection mode. The zero
-	// value (noftl.GCForeground) keeps the paper's deterministic inline
-	// collection; GCBackground is for interference studies only and makes
-	// runs schedule-dependent.
-	GCPolicy noftl.GCPolicy
 	// Storage selects the region's write-reduction scheme. The zero value
 	// (noftl.StorageIPA) is the paper's path; StoragePDL and StorageOOP
 	// force a plain layout (no delta area, IPA off).
@@ -200,11 +195,10 @@ func Execute(s Spec) (*Out, error) {
 	if _, err := dev.CreateRegion(noftl.RegionConfig{
 		Name: "data", Mode: s.Mode, Scheme: s.Scheme,
 		BlocksPerChip: blocksPerChip, OverProvision: 0.10,
-		GCPolicy: s.GCPolicy, Storage: s.Storage, GCVictim: s.GCVictim,
+		Storage: s.Storage, GCVictim: s.GCVictim,
 	}); err != nil {
 		return nil, err
 	}
-	defer dev.Close()
 
 	opts := engine.Options{
 		PageSize: s.PageSize, BufferFrames: pages + 64,

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"ipa/internal/core"
@@ -17,19 +16,19 @@ import (
 
 // SchemeRow is one (bench, storage) cell of the comparison.
 type SchemeRow struct {
-	Bench        string  `json:"bench"`
-	Storage      string  `json:"storage"`
-	Transactions uint64  `json:"transactions"`
-	TxPerSec     float64 `json:"tx_per_sec"`
+	Bench        string
+	Storage      string
+	Transactions uint64
+	TxPerSec     float64
 	// BytesPerTx is flash bytes programmed (pages, delta-records and PDL
 	// differentials alike, as counted by the array) per committed
 	// transaction.
-	BytesPerTx float64 `json:"bytes_programmed_per_tx"`
+	BytesPerTx float64
 	// GCMigrationsPerTx is GC page migrations per committed transaction.
-	GCMigrationsPerTx float64 `json:"gc_migrations_per_tx"`
+	GCMigrationsPerTx float64
 	// IPAFraction is the fraction of update I/Os served as appends
 	// (delta-records or PDL differentials).
-	IPAFraction float64 `json:"ipa_fraction"`
+	IPAFraction float64
 }
 
 var schemeMatrix = []struct {
@@ -78,12 +77,6 @@ func Schemes(p Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SchemesTable(rows), nil
-}
-
-// SchemesTable renders already-computed rows (so one matrix run can
-// feed both the table and the JSON artifact).
-func SchemesTable(rows []SchemeRow) *Table {
 	t := &Table{
 		ID:     "schemes",
 		Title:  "Storage-scheme comparison: oop vs ipa vs pdl",
@@ -99,14 +92,5 @@ func SchemesTable(rows []SchemeRow) *Table {
 	t.Notes = append(t.Notes,
 		"bytes/tx counts every byte the flash array programs (pages, delta-records, PDL differentials) per committed tx",
 		"ipa appends into the page's own delta area; pdl appends differential records to per-chip log blocks and merges on read")
-	return t
-}
-
-// SchemesJSON marshals already-computed rows for BENCH_PR6.json.
-func SchemesJSON(p Params, rows []SchemeRow) ([]byte, error) {
-	return json.MarshalIndent(struct {
-		Experiment string      `json:"experiment"`
-		Quick      bool        `json:"quick"`
-		Rows       []SchemeRow `json:"rows"`
-	}{Experiment: "schemes", Quick: p.Quick, Rows: rows}, "", "  ")
+	return t, nil
 }

@@ -273,8 +273,17 @@ func Table5(p Params) (*Table, error) {
 	return t, nil
 }
 
-// openSSDTable is the shared shape of Tables 6 and 8.
-func openSSDTable(id, title, bench string, scheme core.Scheme, p Params) (*Table, error) {
+// tpcbSweepScale is the TPC-B scale of the experiments that size the
+// buffer at 10% or 20% of the database (Tables 6 and 7, longevity). At
+// the default scale the database is ~75 pages and both fractions fall
+// under Execute's 16-frame floor, so they would run one and the same
+// configuration; at this scale it is ~290 pages and they resolve to ~29
+// and ~58 frames.
+const tpcbSweepScale = 4
+
+// openSSDTable is the shared shape of Tables 6 and 8; scale is the
+// workload scale of all three runs.
+func openSSDTable(id, title, bench string, scale int, scheme core.Scheme, p Params) (*Table, error) {
 	t := &Table{
 		ID:    id,
 		Title: title,
@@ -290,21 +299,21 @@ func openSSDTable(id, title, bench string, scheme core.Scheme, p Params) (*Table
 		dur = 3 * time.Second
 	}
 	base, err := Execute(Spec{
-		Bench: bench, Testbed: OpenSSD, Scheme: core.Scheme{},
+		Bench: bench, Scale: scale, Testbed: OpenSSD, Scheme: core.Scheme{},
 		BufferPct: 0.10, Eager: true, Duration: dur,
 	})
 	if err != nil {
 		return nil, err
 	}
 	pslc, err := Execute(Spec{
-		Bench: bench, Testbed: OpenSSD, Scheme: scheme, Mode: noftl.ModePSLC,
+		Bench: bench, Scale: scale, Testbed: OpenSSD, Scheme: scheme, Mode: noftl.ModePSLC,
 		BufferPct: 0.10, Eager: true, Duration: dur,
 	})
 	if err != nil {
 		return nil, err
 	}
 	odd, err := Execute(Spec{
-		Bench: bench, Testbed: OpenSSD, Scheme: scheme, Mode: noftl.ModeOddMLC,
+		Bench: bench, Scale: scale, Testbed: OpenSSD, Scheme: scheme, Mode: noftl.ModeOddMLC,
 		BufferPct: 0.10, Eager: true, Duration: dur,
 	})
 	if err != nil {
@@ -331,7 +340,7 @@ func openSSDTable(id, title, bench string, scheme core.Scheme, p Params) (*Table
 // and odd-MLC modes vs the [0×0] baseline.
 func Table6(p Params) (*Table, error) {
 	t, err := openSSDTable("table6",
-		"TPC-B on OpenSSD profile: [0×0] vs [2×4] pSLC / odd-MLC", "tpcb", core.NewScheme(2, 4), p)
+		"TPC-B on OpenSSD profile: [0×0] vs [2×4] pSLC / odd-MLC", "tpcb", tpcbSweepScale, core.NewScheme(2, 4), p)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +352,7 @@ func Table6(p Params) (*Table, error) {
 // Table8 reproduces Table 8: TPC-C on the OpenSSD profile with [2×3].
 func Table8(p Params) (*Table, error) {
 	t, err := openSSDTable("table8",
-		"TPC-C on OpenSSD profile: [0×0] vs [2×3] pSLC / odd-MLC", "tpcc", core.NewScheme(2, 3), p)
+		"TPC-C on OpenSSD profile: [0×0] vs [2×3] pSLC / odd-MLC", "tpcc", 1, core.NewScheme(2, 3), p)
 	if err != nil {
 		return nil, err
 	}
@@ -371,12 +380,17 @@ func Table7(p Params) (*Table, error) {
 	outs := map[key]*Out{}
 	for _, b := range []float64{0.10, 0.20} {
 		for _, s := range []core.Scheme{{}, core.NewScheme(2, 4), core.NewScheme(3, 4)} {
-			o, err := Execute(Spec{Bench: "tpcb", Scheme: s, BufferPct: b, Eager: true, Duration: dur})
+			o, err := Execute(Spec{
+				Bench: "tpcb", Scale: tpcbSweepScale, Scheme: s, BufferPct: b, Eager: true, Duration: dur,
+			})
 			if err != nil {
 				return nil, err
 			}
 			outs[key{b, s}] = o
 		}
+	}
+	if lo, hi := outs[key{0.10, core.Scheme{}}].Frames, outs[key{0.20, core.Scheme{}}].Frames; lo == hi {
+		return nil, fmt.Errorf("experiments: table7: buffers 10%% and 20%% both resolve to %d frames", lo)
 	}
 	t.AddRow("OOP vs IPA", "-",
 		oopVsIPA(outs[key{0.10, core.NewScheme(2, 4)}].Region.IPAFraction()),

@@ -222,11 +222,6 @@ func New(cfg Config, tl *sim.Timeline) (*Array, error) {
 // Geometry returns the array's geometry.
 func (a *Array) Geometry() Geometry { return a.geom }
 
-// Timeline returns the sim timeline chip occupancy is charged to, or nil
-// when the array was built without timing. Callers that spawn their own
-// I/O issuers (e.g. background collectors) derive their workers from it.
-func (a *Array) Timeline() *sim.Timeline { return a.tl }
-
 // shardOf returns the chip shard holding p plus p's page index within it.
 // The chip index feeds the shard lock's address, so the common
 // power-of-two geometry takes a shift/mask instead of a 64-bit divide.

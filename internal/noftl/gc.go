@@ -4,210 +4,22 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"time"
 
 	"ipa/internal/flash"
 	"ipa/internal/sim"
 )
 
-// This file is the region's garbage collector and static wear leveler,
-// shared by both GC policies. collectLocked is the single reclamation
-// primitive: foreground mode calls it inline from allocLocked (holding
-// the chip lock throughout, so a sequential workload is fully
-// deterministic), background mode calls it from the chip's collector
-// goroutine, yielding the chip lock between page migrations so writers
-// and readers interleave with an ongoing collection.
-//
-// Background scheduling is a per-chip watermark scheme:
-//
-//	idle          freeLen >  softWater    collector parked on its doorbell
-//	soft          freeLen <= softWater    collector woken, writers unaffected
-//	hard          freeLen <= gcReserve    the writer that hits the floor
-//	                                      collects one block inline (a
-//	                                      counted GC stall)
-//	exhausted     collection failed       collector parks; writers keep
-//	                                      using the pool's slack and fail
-//	                                      over across chips, surfacing
-//	                                      ErrNoSpace only when nothing
-//	                                      anywhere is reclaimable
-//
-// Any page invalidation clears `exhausted` — an invalidation is exactly
-// what turns a fully-valid victim into a collectable one.
-
-func (r *Region) backgroundOn() bool {
-	return r.cfg.GCPolicy == GCBackground && !r.closed.Load()
-}
-
-// wakeCollector rings the chip's doorbell without blocking; a pending
-// token already guarantees the collector will re-check the watermark.
-func (r *Region) wakeCollector(cs *chipState) {
-	select {
-	case cs.wake <- struct{}{}:
-	default:
-	}
-}
-
-// startCollectors launches one collector goroutine per chip, each with
-// its own sim.Worker so the simulated time its migrations consume lands
-// on the chip's timeline like any other I/O issuer.
-func (r *Region) startCollectors() {
-	r.stop = make(chan struct{})
-	tl := r.dev.arr.Timeline()
-	for _, c := range r.chips {
-		cs := r.byChip[c]
-		var w *sim.Worker
-		if tl != nil {
-			w = tl.NewWorker()
-		}
-		r.wg.Add(1)
-		go r.runCollector(cs, w)
-	}
-}
-
-// runCollector is the per-chip background collector: parked on the
-// doorbell, it collects until the pool is back above the soft watermark
-// or nothing can be reclaimed.
-func (r *Region) runCollector(cs *chipState, w *sim.Worker) {
-	defer r.wg.Done()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-cs.wake:
-		}
-		if w != nil {
-			// Start charging simulated time at the chip's current busy
-			// horizon: collection occupies the chip after the I/O that is
-			// already queued, not retroactively.
-			w.SetNow(r.dev.arr.Timeline().BusyUntil(cs.chip))
-		}
-		for {
-			select {
-			case <-r.stop:
-				return
-			default:
-			}
-			cs.mu.Lock()
-			if cs.freeLen() > r.cfg.softWater() || cs.exhausted {
-				cs.mu.Unlock()
-				break
-			}
-			err := r.collectLocked(w, cs, true)
-			if err != nil && r.retireParkedLocked(cs) {
-				err = r.collectLocked(w, cs, true)
-			}
-			if err != nil {
-				// Nothing reclaimable right now: latch it so the collector
-				// parks instead of spinning. The next invalidation on the
-				// chip clears the latch and rings the doorbell.
-				cs.exhausted = true
-			}
-			cs.mu.Unlock()
-			if err != nil {
-				break
-			}
-		}
-	}
-}
-
-// throttleLocked is the hard-reserve backpressure under background GC:
-// the writer that hits the floor rings the collector's doorbell and
-// yields the chip for a short, bounded real-time window; if the pool is
-// still at the floor afterwards, the writer pays for one reclamation
-// pass itself — exactly the foreground path. Every visit is a counted
-// GC stall either way.
-//
-// The wait is a bounded poll on purpose, not a condition variable:
-// parking until "a block returns to the pool" has no deadlock-free
-// formulation here — a fully compacted chip (every programmed page
-// valid) produces no invalidations to wake anyone up, and under
-// failover all writers can end up parked on such chips at once. A
-// bounded poll always terminates, and the inline fallback makes the
-// writer self-sufficient.
-func (r *Region) throttleLocked(w *sim.Worker, cs *chipState) error {
-	reserve := r.cfg.gcReserve()
-	cs.stats.GCStalls++
-	t0 := time.Now()
-	r.wakeCollector(cs)
-	// Gosched, never sleep: an inline collect costs only a few µs of
-	// real time, so yielding the scheduler a few times is the most a
-	// handoff attempt is ever worth.
-	for spin := 0; spin < 64 && cs.freeLen() <= reserve && !cs.exhausted && !r.closed.Load(); spin++ {
-		cs.mu.Unlock()
-		runtime.Gosched()
-		cs.mu.Lock()
-	}
-	if cs.freeLen() > reserve {
-		cs.stats.GCStallTime += time.Since(t0)
-		return nil
-	}
-	err := r.collectLocked(w, cs, false)
-	if err != nil && r.retireParkedLocked(cs) {
-		// The chip's invalid mass was parked in the full write point or
-		// the migration target; both are victims now, so retry.
-		err = r.collectLocked(w, cs, false)
-	}
-	cs.stats.GCStallTime += time.Since(t0)
-	if err == nil {
-		return nil
-	}
-	if cs.freeLen() > 1 {
-		return nil // unreclaimable right now, but the pool has slack
-	}
-	if a := cs.active; a != nil && a.next < r.usablePagesPerBlock() {
-		return nil // the partial write point still has room
-	}
-	return err
-}
-
-// retireParkedLocked pushes the chip's full write point and its
-// migration target into the victim heap when they hold invalid pages.
-// GC repacks survivors into fully-valid blocks, so under heavy churn the
-// chip's entire invalid mass can sit in these two blocks — which the
-// victim heap cannot see — while every heap victim is fully valid;
-// retiring them is what turns "unreclaimable" back into progress. The
-// migration target is retired even partially programmed (its free tail
-// is sacrificed): with all victims full it would never fill up, and its
-// invalid pages would be stuck forever. The active is retired only when
-// full — a partial active still serves writes. Returns whether anything
-// was retired.
-func (r *Region) retireParkedLocked(cs *chipState) bool {
-	usable := r.usablePagesPerBlock()
-	changed := false
-	if a := cs.active; a != nil && a.next >= usable && a.valid < usable {
-		r.retireActiveLocked(cs)
-		changed = true
-	}
-	if mt := cs.migTarget; mt != nil && mt.valid < mt.next {
-		mt.collecting = false
-		cs.migTarget = nil
-		cs.addVictim(mt)
-		changed = true
-	}
-	return changed
-}
-
-// Close stops the region's background collectors. The region stays
-// usable afterwards: with the collectors gone, allocation falls back to
-// inline collection, the foreground behaviour. Idempotent.
-func (r *Region) Close() {
-	if r.closed.Swap(true) {
-		return
-	}
-	if r.stop != nil {
-		close(r.stop)
-	}
-	r.wg.Wait()
-}
+// This file is the region's garbage collector and static wear leveler.
+// collectLocked is the single reclamation primitive: the writer that
+// finds its chip's free pool at the reserve calls it inline from
+// allocLocked and holds the chip lock throughout — the interference the
+// paper's Sec. 8 tables measure, and fully deterministic under a
+// sequential workload.
 
 // collectLocked reclaims one block on the chip: the cheapest victim
 // (fewest valid pages, from the victim heap) is migrated and erased.
-// Called with cs.mu held and returns with it held; when background is
-// set, the lock is yielded between page migrations so foreground I/O on
-// the chip interleaves with the collection (the victim is parked in the
-// `collecting` state, invisible to both heaps, across the gaps).
-func (r *Region) collectLocked(w *sim.Worker, cs *chipState, background bool) error {
+// Called with cs.mu held.
+func (r *Region) collectLocked(w *sim.Worker, cs *chipState) error {
 	victim := r.selectVictimLocked(cs)
 	if victim == nil {
 		return fmt.Errorf("%w: no victim on chip %d", ErrNoSpace, cs.chip)
@@ -259,9 +71,6 @@ func (r *Region) collectLocked(w *sim.Worker, cs *chipState, background bool) er
 		}
 		cs.stats.GCTime += rlat + plat
 		cs.stats.GCPageMigrations++
-		if background {
-			cs.stats.BGPageMigrations++
-		}
 		delete(cs.reverse, ppn)
 		victim.valid--
 		// Re-point the mapping at the copy — unless a racing write
@@ -271,12 +80,6 @@ func (r *Region) collectLocked(w *sim.Worker, cs *chipState, background bool) er
 			cs.reverse[dst] = id
 			r.bumpValidLocked(cs, dst)
 		}
-		if background {
-			// Yield between page moves: a block's worth of migrations is
-			// far too long to stall the chip's foreground I/O for.
-			cs.mu.Unlock()
-			cs.mu.Lock()
-		}
 	}
 	elat, err := arr.Erase(w, victim.id)
 	if err != nil && !errors.Is(err, flash.ErrWornOut) {
@@ -285,14 +88,10 @@ func (r *Region) collectLocked(w *sim.Worker, cs *chipState, background bool) er
 	}
 	cs.stats.GCTime += elat
 	cs.stats.GCErases++
-	if background {
-		cs.stats.BGErases++
-	}
 	victim.collecting = false
 	victim.valid = 0
 	victim.next = 0
 	cs.pushFree(victim, arr.EraseCount(victim.id))
-	cs.exhausted = false // reclamation works again; un-latch the give-up
 	r.maybeLevelLocked(w, cs)
 	return nil
 }
@@ -427,40 +226,11 @@ func (r *Region) maybeLevelLocked(w *sim.Worker, cs *chipState) {
 }
 
 // allocMigrationTargetLocked returns a destination PPN for a migrated
-// page. Victims under evacuation are in the `collecting` state and so
-// can never be handed back as a target.
-//
-// Background-policy regions migrate into a dedicated per-chip target
-// block instead of the shared active: writers fill the active during the
-// collection's lock-yield gaps, and if the collector competed for the
-// same pages it would pop extra free blocks mid-collection — the reserve
-// can empty before the victim's erase returns a block, wedging the chip
-// with reclaimable victims still on the heap. Foreground regions keep
-// the original migrate-into-active behaviour, so the paper experiments
-// stay deterministic and bit-identical.
+// page: the next slot of the chip's write point, which migrations share
+// with host writes. Victims under evacuation are in the `collecting`
+// state and so can never be handed back as a target.
 func (r *Region) allocMigrationTargetLocked(cs *chipState) (flash.PPN, error) {
 	usable := r.usablePagesPerBlock()
-	if r.cfg.GCPolicy == GCBackground {
-		if mt := cs.migTarget; mt != nil {
-			if mt.next < usable {
-				ppn := r.pageSlotToPPN(mt.id, mt.next)
-				mt.next++
-				return ppn, nil
-			}
-			// Full: the target becomes an ordinary occupied block.
-			mt.collecting = false
-			cs.migTarget = nil
-			cs.addVictim(mt)
-		}
-		if nb := cs.popFree(); nb != nil {
-			nb.collecting = true
-			nb.next = 1
-			nb.valid = 0
-			cs.migTarget = nb
-			return r.pageSlotToPPN(nb.id, 0), nil
-		}
-		// Pool empty: fall through to the active block as a last resort.
-	}
 	for {
 		act := cs.active
 		if act != nil && act.next < usable {

@@ -1,23 +1,11 @@
 package noftl
 
 import (
-	"errors"
 	"testing"
 
 	"ipa/internal/core"
 	"ipa/internal/flash"
 )
-
-func TestGCPolicyString(t *testing.T) {
-	for p, want := range map[GCPolicy]string{GCForeground: "foreground", GCBackground: "background"} {
-		if p.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(p), p.String(), want)
-		}
-	}
-	if GCPolicy(7).String() != "GCPolicy(7)" {
-		t.Errorf("unknown policy string = %q", GCPolicy(7).String())
-	}
-}
 
 // The free heap must pop blocks by (erase count, id) — the exact order
 // the old linear scan selected — and keep freeIdx consistent.
@@ -75,132 +63,19 @@ func TestVictimHeapGreedySelection(t *testing.T) {
 	}
 }
 
-// Background GC must reclaim space without the writer ever collecting
-// inline: same churn as TestGarbageCollectionReclaimsSpace but with
-// collector goroutines doing the work.
-func TestBackgroundGCReclaimsSpace(t *testing.T) {
-	dev := newDevice(t, flash.SLC, 2, 8, 8, 256)
-	r, err := dev.CreateRegion(RegionConfig{
-		Name: "d", Mode: ModeSLC, BlocksPerChip: 8, OverProvision: 0.3,
-		GCReserve: 2, GCPolicy: GCBackground,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.GCPolicy() != GCBackground {
-		t.Fatalf("GCPolicy = %v", r.GCPolicy())
-	}
-	capPages := r.LogicalCapacity()
-	for i := 0; i < capPages; i++ {
-		if err := r.Write(nil, core.PageID(i+1), pageOf(dev, byte(i)), nil); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
-		}
-	}
-	for round := 0; round < 10; round++ {
-		for i := 0; i < capPages; i++ {
-			if err := r.Write(nil, core.PageID(i+1), pageOf(dev, byte(round)), nil); err != nil {
-				t.Fatalf("round %d page %d: %v", round, i, err)
-			}
-		}
-	}
-	s := r.Stats()
-	if s.GCErases == 0 {
-		t.Error("no GC erases after 10 overwrite rounds")
-	}
-	if s.BGErases == 0 || s.BGPageMigrations == 0 {
-		t.Errorf("background collectors idle: %+v", s)
-	}
-	for i := 0; i < capPages; i++ {
-		got, _, err := r.Read(nil, core.PageID(i+1))
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if got[0] != 9 {
-			t.Fatalf("page %d holds round %d, want 9", i, got[0])
-		}
-	}
-}
-
-// After Close the region must stay writable: allocation falls back to
-// inline collection (foreground path) with no background counters moving.
-func TestBackgroundGCCloseFallsBackInline(t *testing.T) {
-	dev := newDevice(t, flash.SLC, 1, 8, 8, 256)
-	r, err := dev.CreateRegion(RegionConfig{
-		Name: "d", Mode: ModeSLC, BlocksPerChip: 8, OverProvision: 0.3,
-		GCReserve: 2, GCPolicy: GCBackground,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
-	r.Close() // idempotent
-	capPages := r.LogicalCapacity()
-	for round := 0; round < 10; round++ {
-		for i := 0; i < capPages; i++ {
-			if err := r.Write(nil, core.PageID(i+1), pageOf(dev, byte(round)), nil); err != nil {
-				t.Fatalf("round %d page %d: %v", round, i, err)
-			}
-		}
-	}
-	s := r.Stats()
-	if s.GCErases == 0 {
-		t.Error("no inline collection after Close")
-	}
-	if s.BGErases != 0 || s.BGPageMigrations != 0 {
-		t.Errorf("background counters moved after Close: %+v", s)
-	}
-	dev.Close() // covers Device.Close over an already-closed region
-}
-
-// ErrNoSpace must still surface under background GC when the region is
-// genuinely unreclaimable (every block fully valid).
-func TestBackgroundGCExhaustion(t *testing.T) {
-	dev := newDevice(t, flash.SLC, 1, 4, 4, 256)
-	r, err := dev.CreateRegion(RegionConfig{
-		Name: "d", Mode: ModeSLC, BlocksPerChip: 4, OverProvision: 0.05,
-		GCReserve: 1, GCPolicy: GCBackground,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	// OverProvision 0.05 → logical 15 of 16 physical pages. Filling all
-	// 15 leaves one slot of slack: further *new* pages fail on capacity,
-	// and enough churn of a full region must eventually hit ErrNoSpace
-	// rather than deadlock the throttled writer.
-	capPages := r.LogicalCapacity()
-	var last error
-	for i := 0; i < capPages; i++ {
-		if last = r.Write(nil, core.PageID(i+1), pageOf(dev, 1), nil); last != nil {
-			break
-		}
-	}
-	for round := 0; last == nil && round < 8; round++ {
-		for i := 0; i < capPages; i++ {
-			if last = r.Write(nil, core.PageID(i+1), pageOf(dev, byte(round)), nil); last != nil {
-				break
-			}
-		}
-	}
-	if last != nil && !errors.Is(last, ErrNoSpace) {
-		t.Fatalf("expected ErrNoSpace or success, got %v", last)
-	}
-}
-
-// Static wear leveling under background GC: cold data pinning low-wear
-// blocks must still be evacuated (through the sharded free-pool heap)
-// and survive intact.
+// Static wear leveling runs behind the collector, never on a host
+// request of its own: cold data pinning low-wear blocks must be moved to
+// other physical pages (through the sharded free-pool heap) and survive
+// intact.
 func TestBackgroundWearLevelingEvacuatesCold(t *testing.T) {
 	dev := newDevice(t, flash.SLC, 1, 24, 8, 256)
 	r, err := dev.CreateRegion(RegionConfig{
 		Name: "d", Mode: ModeSLC, BlocksPerChip: 24,
-		OverProvision: 0.3, WearDelta: 3, GCPolicy: GCBackground,
+		OverProvision: 0.3, WearDelta: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	capPages := r.LogicalCapacity()
 	for i := 0; i < capPages/2; i++ {
 		if err := r.Write(nil, core.PageID(i+1), pageOf(dev, 1), nil); err != nil {
@@ -218,7 +93,6 @@ func TestBackgroundWearLevelingEvacuatesCold(t *testing.T) {
 			}
 		}
 	}
-	r.Close() // quiesce collectors before asserting
 	s := r.Stats()
 	if s.WLMigrations == 0 || s.WLErases == 0 {
 		t.Fatalf("wear leveler never ran: %+v", s)

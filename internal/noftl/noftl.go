@@ -8,8 +8,9 @@
 //     applied selectively per database object;
 //   - page-level logical→physical mapping with out-of-place writes;
 //   - a greedy garbage collector with page migrations and wear-aware
-//     free-block selection, runnable inline (foreground, the paper's
-//     measured configuration) or as one background collector per chip;
+//     free-block selection, run inline by the writer that finds its
+//     chip's free pool at the reserve (the paper's measured
+//     configuration);
 //   - the paper's write_delta I/O command (Sec. 7), which appends a
 //     delta-record to the very same physical flash page a database page
 //     resides on.
@@ -90,32 +91,6 @@ func (m IPAMode) String() string {
 	}
 }
 
-// GCPolicy selects when a region's garbage collector runs.
-type GCPolicy int
-
-const (
-	// GCForeground collects inline in the writing thread when a chip's
-	// free pool reaches the reserve — the interference the paper measures,
-	// and fully deterministic under a sequential workload. The default.
-	GCForeground GCPolicy = iota
-	// GCBackground runs one collector goroutine per chip, woken at the
-	// soft free-block watermark so writers almost never collect inline.
-	// Writers throttle at the hard reserve and receive ErrNoSpace only
-	// when the collector cannot reclaim anything at all.
-	GCBackground
-)
-
-func (p GCPolicy) String() string {
-	switch p {
-	case GCForeground:
-		return "foreground"
-	case GCBackground:
-		return "background"
-	default:
-		return fmt.Sprintf("GCPolicy(%d)", int(p))
-	}
-}
-
 // RegionConfig mirrors the paper's CREATE REGION statement (Figure 3).
 type RegionConfig struct {
 	Name   string
@@ -146,15 +121,6 @@ type RegionConfig struct {
 	// coldest block's content is migrated so the under-worn block joins
 	// the free pool. Zero disables static wear leveling.
 	WearDelta int
-	// GCPolicy selects foreground (inline, deterministic) or background
-	// (per-chip collector goroutines) garbage collection. The zero value
-	// is GCForeground, preserving the paper-experiment semantics.
-	GCPolicy GCPolicy
-	// GCSoftWater is the per-chip free-block level at which a background
-	// collector is woken, giving it a head start before writers reach the
-	// hard reserve. Zero (or any value <= the reserve) selects
-	// gcReserve()+2. Ignored under GCForeground.
-	GCSoftWater int
 }
 
 func (rc RegionConfig) overProvision() float64 {
@@ -174,13 +140,6 @@ func (rc RegionConfig) gcReserve() int {
 	return rc.GCReserve
 }
 
-func (rc RegionConfig) softWater() int {
-	if rc.GCSoftWater > rc.gcReserve() {
-		return rc.GCSoftWater
-	}
-	return rc.gcReserve() + 2
-}
-
 // Stats are the per-region counters the paper reports.
 type Stats struct {
 	HostReads        uint64 // logical page reads
@@ -191,14 +150,9 @@ type Stats struct {
 	WLMigrations     uint64 // pages moved by static wear leveling
 	WLErases         uint64 // erases performed by static wear leveling
 
-	// Background-GC visibility: BGPageMigrations/BGErases are the subset
-	// of GCPageMigrations/GCErases performed by background collectors;
-	// GCStalls counts writer throttle episodes at the hard reserve and
-	// GCStallTime the wall-clock time spent in them.
-	BGPageMigrations uint64
-	BGErases         uint64
-	GCStalls         uint64
-	GCStallTime      time.Duration
+	// GCStalls is always zero: nothing counts into it. It stays only
+	// because the benchmark's noftl.gc_stalls row reads it.
+	GCStalls uint64
 
 	// Latency sums (simulated) for response-time reporting.
 	ReadTime  time.Duration
@@ -244,10 +198,6 @@ func (s *Stats) add(o Stats) {
 	s.GCErases += o.GCErases
 	s.WLMigrations += o.WLMigrations
 	s.WLErases += o.WLErases
-	s.BGPageMigrations += o.BGPageMigrations
-	s.BGErases += o.BGErases
-	s.GCStalls += o.GCStalls
-	s.GCStallTime += o.GCStallTime
 	s.ReadTime += o.ReadTime
 	s.WriteTime += o.WriteTime
 	s.DeltaTime += o.DeltaTime
@@ -288,19 +238,7 @@ type chipState struct {
 	freePool blockHeap    // erased blocks, min (eraseSnap, id)
 	victims  blockHeap    // occupied non-active blocks, min (valid, id)
 	active   *blockMeta   // current write point, nil between blocks
-	// migTarget is the dedicated migration destination of background-policy
-	// regions (nil in foreground regions, which migrate into the active
-	// block). Keeping collector traffic off the active block means writers
-	// filling it during a collection's lock-yield gaps cannot drain the
-	// reserve the collector itself needs to finish.
-	migTarget *blockMeta
-	reverse   map[flash.PPN]core.PageID
-
-	// exhausted latches a failed collection so the background collector
-	// parks instead of spinning on an unreclaimable chip; any page
-	// invalidation (or a later successful collect) clears it.
-	exhausted bool
-	wake      chan struct{} // collector doorbell, cap 1
+	reverse  map[flash.PPN]core.PageID
 
 	stats Stats
 
@@ -374,11 +312,6 @@ type Region struct {
 	rr      atomic.Uint64                 // round-robin cursor for placing new pages
 	tick    atomic.Uint64                 // invalidation clock for cost-benefit block ages
 	logical int                           // logical page capacity
-
-	// Background-GC lifecycle (nil/unused under GCForeground).
-	closed atomic.Bool
-	stop   chan struct{}
-	wg     sync.WaitGroup
 }
 
 // Device owns the flash array and hands out regions.
@@ -415,23 +348,11 @@ func (d *Device) Region(name string) *Region {
 	return d.regions[name]
 }
 
-// Close stops the background collectors of every region (see
-// Region.Close). Safe to call more than once.
-func (d *Device) Close() {
-	d.mu.Lock()
-	regs := make([]*Region, 0, len(d.regions))
-	for _, r := range d.regions {
-		regs = append(regs, r)
-	}
-	d.mu.Unlock()
-	for _, r := range regs {
-		r.Close()
-	}
-}
+// Close does nothing: a device owns no goroutine and no resource to
+// release. It stays only because the benchmark's stacks call it.
+func (d *Device) Close() {}
 
-// CreateRegion carves a new region out of unassigned blocks. Under
-// GCBackground it also starts one collector goroutine per chip; call
-// Region.Close (or Device.Close) to stop them.
+// CreateRegion carves a new region out of unassigned blocks.
 func (d *Device) CreateRegion(rc RegionConfig) (*Region, error) {
 	if err := rc.Validate(); err != nil {
 		return nil, err
@@ -492,9 +413,6 @@ func (d *Device) CreateRegion(rc RegionConfig) (*Region, error) {
 		return nil, fmt.Errorf("noftl: region %q has no logical capacity", rc.Name)
 	}
 	d.regions[rc.Name] = r
-	if rc.GCPolicy == GCBackground {
-		r.startCollectors()
-	}
 	return r, nil
 }
 
@@ -502,7 +420,6 @@ func newChipState(chip int) *chipState {
 	cs := &chipState{
 		chip:    chip,
 		reverse: make(map[flash.PPN]core.PageID),
-		wake:    make(chan struct{}, 1),
 	}
 	cs.freePool = blockHeap{less: freeLess, setIdx: func(bm *blockMeta, i int) { bm.freeIdx = i }}
 	cs.victims = blockHeap{less: victimLess, setIdx: func(bm *blockMeta, i int) { bm.victIdx = i }}
@@ -541,9 +458,6 @@ func (r *Region) Mode() IPAMode { return r.cfg.Mode }
 
 // Scheme returns the region's [N×M] scheme.
 func (r *Region) Scheme() core.Scheme { return r.cfg.Scheme }
-
-// GCPolicy returns the region's garbage-collection policy.
-func (r *Region) GCPolicy() GCPolicy { return r.cfg.GCPolicy }
 
 // Storage returns the region's write-reduction scheme.
 func (r *Region) Storage() Storage { return r.cfg.Storage }
@@ -646,10 +560,8 @@ func (r *Region) ReadInto(w *sim.Worker, id core.PageID, data, oob []byte) error
 
 // Write stores a full logical page out-of-place: the page is programmed
 // at the region's write point and any previous version is invalidated.
-// Under GCForeground, garbage collection runs inline when free space is
-// low — exactly the interference the paper measures; under GCBackground
-// the per-chip collector is woken instead and the writer only throttles
-// at the hard reserve.
+// Garbage collection runs inline when free space is low — exactly the
+// interference the paper measures.
 func (r *Region) Write(w *sim.Worker, id core.PageID, data, oob []byte) error {
 	entry, err := r.l2p.Entry(id)
 	if err != nil {
@@ -730,36 +642,23 @@ func (r *Region) Write(w *sim.Worker, id core.PageID, data, oob []byte) error {
 // allocFailover retries allocation on every chip of the region except
 // the one already tried, in round-robin order from the write's original
 // cursor position. On success it returns with the winning chip's lock
-// held (the caller installs the mapping and unlocks).
-//
-// Under background GC a failed sweep is usually transient, not terminal:
-// in-flight collections hold their victims off the heaps and chips sit
-// at the reserve floor until an erase lands, so the sweep is repeated
-// with short real-time sleeps — the collectors run on their own
-// goroutines and need wall-clock time, not a condition variable, to make
-// progress (sleeping writers can never deadlock; parked ones can). Only
-// when repeated sweeps stay empty is the first chip's error surfaced.
+// held (the caller installs the mapping and unlocks); when no chip can
+// allocate, the first chip's error is surfaced.
 func (r *Region) allocFailover(w *sim.Worker, tried, start int, firstErr error) (flash.PPN, *chipState, error) {
-	const maxRounds = 400 // * 50µs: ~20ms of grace before ErrNoSpace
-	for round := 0; ; round++ {
-		for i := 0; i < len(r.chips); i++ {
-			c := r.chips[(start+i)%len(r.chips)]
-			if round == 0 && c == tried {
-				continue
-			}
-			cs := r.byChip[c]
-			cs.mu.Lock()
-			ppn, err := r.allocLocked(w, cs)
-			if err == nil {
-				return ppn, cs, nil
-			}
-			cs.mu.Unlock()
+	for i := 0; i < len(r.chips); i++ {
+		c := r.chips[(start+i)%len(r.chips)]
+		if c == tried {
+			continue
 		}
-		if !r.backgroundOn() || round >= maxRounds {
-			return 0, nil, firstErr
+		cs := r.byChip[c]
+		cs.mu.Lock()
+		ppn, err := r.allocLocked(w, cs)
+		if err == nil {
+			return ppn, cs, nil
 		}
-		time.Sleep(50 * time.Microsecond)
+		cs.mu.Unlock()
 	}
+	return 0, nil, firstErr
 }
 
 // bumpValidLocked counts a new valid page on ppn's block (the caller
@@ -772,8 +671,7 @@ func (r *Region) bumpValidLocked(cs *chipState, ppn flash.PPN) {
 
 // invalidateLocked retires one physical copy on cs's chip: the block
 // loses a valid page (re-ordering the victim heap) and the reverse entry
-// disappears. Clearing exhausted lets a parked collector try again — an
-// invalidation is precisely what creates a collectable victim.
+// disappears.
 func (r *Region) invalidateLocked(cs *chipState, ppn flash.PPN) {
 	if bm := r.blockIndex[r.dev.geom.BlockOf(ppn)]; bm != nil && bm.valid > 0 {
 		bm.valid--
@@ -783,10 +681,6 @@ func (r *Region) invalidateLocked(cs *chipState, ppn flash.PPN) {
 		}
 	}
 	delete(cs.reverse, ppn)
-	cs.exhausted = false
-	if r.backgroundOn() && cs.freeLen() <= r.cfg.softWater() {
-		r.wakeCollector(cs)
-	}
 }
 
 // dropStaleCopy invalidates a copy of id on a chip other than the one
@@ -921,10 +815,9 @@ func (r *Region) retireActiveLocked(cs *chipState) {
 	}
 }
 
-// allocLocked returns the next usable PPN on the chip. Under foreground
-// GC it collects inline at the reserve (the interference the paper
-// measures); under background GC it wakes the chip's collector at the
-// soft watermark and throttles at the hard reserve.
+// allocLocked returns the next usable PPN on the chip, collecting one
+// block inline when the free pool is at the reserve (the interference
+// the paper measures).
 func (r *Region) allocLocked(w *sim.Worker, cs *chipState) (flash.PPN, error) {
 	usable := r.usablePagesPerBlock()
 	maxAttempts := 2*len(cs.blocks) + 4
@@ -938,45 +831,25 @@ func (r *Region) allocLocked(w *sim.Worker, cs *chipState) (flash.PPN, error) {
 			r.retireActiveLocked(cs)
 		}
 		if cs.freeLen() <= r.cfg.gcReserve() {
-			if r.backgroundOn() {
-				if err := r.throttleLocked(w, cs); err != nil {
-					return 0, err
-				}
-				if a := cs.active; a != nil && a.next < usable {
-					continue
-				}
-				if cs.freeLen() < 2 {
-					// Never pop the last free block under background GC: a
-					// collection that cannot allocate a migration destination
-					// wedges the chip at 100% full, with its over-provisioned
-					// space unreachable. Fail over to another chip instead.
-					return 0, fmt.Errorf("%w: reserve floor on chip %d of region %q",
-						ErrNoSpace, cs.chip, r.cfg.Name)
-				}
-			} else {
-				// The pool is low: reclaim first. Collection may itself
-				// install a partially-filled active block (its migration
-				// target); reuse it rather than popping another block, or
-				// the pool drains.
-				err := r.collectLocked(w, cs, false)
-				if a := cs.active; a != nil && a.next < usable {
-					continue
-				}
-				if err != nil && cs.freeLen() == 0 {
-					return 0, err
-				}
+			// The pool is low: reclaim first. Collection migrates into the
+			// write point and may leave a partially-filled one behind;
+			// reuse it rather than popping another block, or the pool
+			// drains.
+			err := r.collectLocked(w, cs)
+			if a := cs.active; a != nil && a.next < usable {
+				continue
 			}
-		} else if r.backgroundOn() && cs.freeLen() <= r.cfg.softWater() {
-			r.wakeCollector(cs)
+			if err != nil && cs.freeLen() == 0 {
+				return 0, err
+			}
 		}
 		nb := cs.popFree()
 		if nb == nil {
 			return 0, fmt.Errorf("%w: chip %d of region %q", ErrNoSpace, cs.chip, r.cfg.Name)
 		}
 		if cs.active != nil {
-			// Racing writers can install and fill a write point during
-			// throttleLocked's lock-yield gaps; retire it rather than
-			// orphaning a block no heap can see.
+			// Collection filled the write point it installed to the last
+			// slot; retire it rather than orphaning a block no heap can see.
 			r.retireActiveLocked(cs)
 		}
 		nb.active = true

@@ -623,7 +623,6 @@ func (dl *DiffLog) releaseBlockLocked(w *sim.Worker, victim *logBlock) error {
 	victim.bm.valid = 0
 	victim.bm.next = 0
 	cs.pushFree(victim.bm, arr.EraseCount(victim.bm.id))
-	cs.exhausted = false
 	cs.mu.Unlock()
 	delete(dl.byBlock, victim.bm.id)
 	pc := dl.chips[victim.chip]

@@ -19,9 +19,7 @@ import (
 // equivalent of an FTL rebuilding its tables from OOB metadata.
 //
 // Both entry points are recovery paths and expect a quiesced region: no
-// concurrent writers, and background collectors either not yet started
-// or idle (freshly created regions qualify — Adopt runs before any
-// write has pulled the free pool below the soft watermark).
+// concurrent writers (which are also the region's only collectors).
 
 // PhysicalPage is one programmed page surfaced by ScanPhysical.
 type PhysicalPage struct {
@@ -99,8 +97,6 @@ func (r *Region) Adopt(mapping map[core.PageID]flash.PPN) error {
 		cs.mu.Lock()
 		cs.reverse = make(map[flash.PPN]core.PageID)
 		cs.active = nil
-		cs.migTarget = nil
-		cs.exhausted = false
 		cs.freePool.reset()
 		cs.victims.reset()
 		for _, bm := range cs.blocks {

@@ -15,10 +15,10 @@ import (
 )
 
 // The -race stress gate of this package: two regions share one array,
-// each hammered by concurrent writers while background collectors and
-// the static wear leveler run on every chip. Afterwards every shadow
-// entry must read back, physical locations must be unique, and a
-// ScanPhysical + Adopt rebuild must reproduce a consistent region.
+// each hammered by concurrent writers that collect and wear-level
+// inline on every chip. Afterwards every shadow entry must read back,
+// physical locations must be unique, and a ScanPhysical + Adopt rebuild
+// must reproduce a consistent region.
 func TestConcurrentGCStress(t *testing.T) {
 	const (
 		chips         = 4
@@ -40,15 +40,13 @@ func TestConcurrentGCStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := Open(arr)
-	defer dev.Close()
 
 	regions := make([]*Region, 2)
 	for i := range regions {
 		regions[i], err = dev.CreateRegion(RegionConfig{
 			Name: fmt.Sprintf("r%d", i), Mode: ModeSLC,
 			BlocksPerChip: blocksPerChip / 2, OverProvision: 0.25,
-			GCReserve: 2, GCSoftWater: 4, WearDelta: 6,
-			GCPolicy: GCBackground,
+			GCReserve: 2, WearDelta: 6,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -116,10 +114,6 @@ func TestConcurrentGCStress(t *testing.T) {
 		}
 		t.Fatal(err)
 	}
-	for _, r := range regions {
-		r.Close()
-	}
-
 	for ri, r := range regions {
 		s := r.Stats()
 		if s.GCErases == 0 {
@@ -205,8 +199,8 @@ func dumpChips(r *Region) string {
 				full++
 			}
 		}
-		fmt.Fprintf(&b, "  chip %d: free=%d occupied=%d fullValidBlocks=%d totValid=%d reverse=%d exhausted=%v\n",
-			cs.chip, cs.freeLen(), occupied, full, totValid, len(cs.reverse), cs.exhausted)
+		fmt.Fprintf(&b, "  chip %d: free=%d occupied=%d fullValidBlocks=%d totValid=%d reverse=%d\n",
+			cs.chip, cs.freeLen(), occupied, full, totValid, len(cs.reverse))
 		cs.mu.Unlock()
 	}
 	return b.String()

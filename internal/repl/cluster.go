@@ -66,15 +66,20 @@ func (c *ClusterConfig) defaults() {
 	if c.BufferFrames <= 0 {
 		c.BufferFrames = 1024
 	}
-	if c.PoolShards <= 0 {
-		c.PoolShards = 8
-	}
 }
 
+// DefaultPoolShards is the buffer pool shard count of a served stack:
+// what NewMemberDB turns 0 into, and what cmd/ipaserver gives its
+// standalone engine.
+const DefaultPoolShards = 8
+
 // NewMemberDB builds one member's flash → NoFTL → engine stack with
-// replication and MVCC on. Exported for cmd/ipaserver, which runs one
-// member per process.
+// replication and MVCC on; poolShards 0 selects DefaultPoolShards.
+// Exported for cmd/ipaserver, which runs one member per process.
 func NewMemberDB(chips, blocksPerChip, pageSize, bufferFrames, poolShards, logCapacity int) (*engine.DB, *sim.Timeline, error) {
+	if poolShards <= 0 {
+		poolShards = DefaultPoolShards
+	}
 	g := flash.Geometry{
 		Chips: chips, BlocksPerChip: blocksPerChip, PagesPerBlock: 32,
 		PageSize: pageSize, OOBSize: 64, Cell: flash.SLC,
@@ -217,7 +222,7 @@ func (c *Cluster) Pool(opts client.Options) *client.Pool {
 }
 
 // Close stops every member. Killed members still get their engines
-// closed so the test process does not leak maintenance goroutines.
+// closed so the test process does not leak version-reaper goroutines.
 func (c *Cluster) Close() {
 	for _, m := range c.Members {
 		if m.closed {

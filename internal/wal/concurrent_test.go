@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,39 +12,46 @@ import (
 	"ipa/internal/core"
 )
 
-// Regression for the historical vestigial unlock/relock in GroupFlush:
-// a flushing leader must never block concurrent Appends. The leader
-// here lingers in a generous CommitWindow while the main goroutine
-// pushes hundreds of appends; they must all complete (and the published
-// horizon advance past them) before the flush finishes.
+// A flushing leader must never block concurrent Appends. The leader
+// here is held in its flush by an LSN below its own that is reserved
+// but not yet published (an appender caught mid-copy) while the main
+// goroutine pushes hundreds of appends; they must all complete before
+// the flush does, and the flush then covers them.
 func TestGroupFlushDoesNotBlockAppends(t *testing.T) {
-	l := NewLogConfig(Config{CommitWindow: 200 * time.Millisecond})
+	l := NewLog(0)
+	hole := core.LSN(l.next.Add(1) - 1)
+	holeSeg := l.segment(hole)
 	first := l.Append(Record{Type: RecUpdate, TxID: 1})
 
-	started := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
-		close(started)
 		l.GroupFlush(first)
 		close(done)
 	}()
-	<-started
+	for leading := false; !leading; runtime.Gosched() {
+		l.flushMu.Lock()
+		leading = l.flushing
+		l.flushMu.Unlock()
+	}
 
 	const extra = 500
+	last := first
 	for i := 0; i < extra; i++ {
-		l.Append(Record{Type: RecUpdate, TxID: 2, After: []byte{byte(i)}})
+		last = l.Append(Record{Type: RecUpdate, TxID: 2, After: []byte{byte(i)}})
 	}
-	if head := l.Head(); head != first+extra {
-		t.Fatalf("Head = %d during flush, want %d", head, first+extra)
+	if last != first+extra {
+		t.Fatalf("last LSN appended during the flush = %d, want %d", last, first+extra)
 	}
 	select {
 	case <-done:
-		t.Fatal("flush completed before the concurrent appends — appends were blocked behind the leader")
+		t.Fatal("flush completed over an unpublished record")
 	default:
 	}
+	holeSeg.slots[(uint64(hole)-1)&segMask].pub.Store(1)
+	l.advancePublished()
 	<-done
-	// The lingering leader absorbs everything published when it flushes,
-	// so the horizon covers the concurrent appends too.
+	// The leader absorbs everything published when it flushes, so the
+	// horizon covers the concurrent appends too.
 	if f := l.Flushed(); f != first+extra {
 		t.Fatalf("Flushed = %d after leader completed, want %d", f, first+extra)
 	}

@@ -384,18 +384,6 @@ func (r *ring) segmentOf(lsn core.LSN) *segment {
 	return r.segs[sn-r.firstSeg]
 }
 
-// Config tunes a log instance beyond the device capacity.
-type Config struct {
-	// Capacity is the log device size in bytes; 0 = unbounded (no
-	// log-space pressure).
-	Capacity int
-	// CommitWindow lets a group-commit leader linger before flushing so
-	// the batch can grow under heavy load (see GroupFlush). The default
-	// 0 flushes immediately, keeping default-option runs byte-identical
-	// to the historical log.
-	CommitWindow time.Duration
-}
-
 // Log is an in-memory write-ahead log with byte-accurate space
 // accounting. LSNs are 1-based sequence numbers; the zero LSN means
 // "none".
@@ -424,8 +412,6 @@ type Log struct {
 	// (0 = no floor). See SetRetainFloor.
 	retainFloor atomic.Uint64
 
-	commitWindow time.Duration
-
 	// Group-flush state: one leader flushes on behalf of every committer
 	// whose records are already published; followers covered by the
 	// in-flight flush wait on its done channel and are absorbed without
@@ -441,14 +427,10 @@ type Log struct {
 	batchHist     [batchBuckets]atomic.Uint64
 }
 
-// NewLog creates a log with the given capacity in bytes (0 = unbounded).
+// NewLog creates a log with the given capacity in bytes (0 = unbounded,
+// no log-space pressure).
 func NewLog(capacity int) *Log {
-	return NewLogConfig(Config{Capacity: capacity})
-}
-
-// NewLogConfig creates a log from a full configuration.
-func NewLogConfig(cfg Config) *Log {
-	l := &Log{capacity: uint64(cfg.Capacity), commitWindow: cfg.CommitWindow}
+	l := &Log{capacity: uint64(capacity)}
 	l.next.Store(1)
 	l.first.Store(1)
 	l.ring.Store(&ring{})
@@ -599,10 +581,9 @@ func (l *Log) advanceFlushed(lsn core.LSN) (core.LSN, bool) {
 // GroupFlush makes all records up to lsn durable using adaptive,
 // pipelined leader-based group commit:
 //
-//   - The first committer to arrive becomes the leader. It may linger
-//     for Config.CommitWindow (default 0) to let the batch grow, then
-//     absorbs everything contiguously published at that moment and
-//     flushes once.
+//   - The first committer to arrive becomes the leader. It absorbs
+//     everything contiguously published at that moment and flushes
+//     once.
 //   - Committers arriving while a flush is in flight never block
 //     appends: if the in-flight flush already covers their LSN they
 //     wait only for its completion and are absorbed; otherwise they
@@ -652,9 +633,6 @@ func (l *Log) GroupFlush(lsn core.LSN) {
 // happens with no lock held, so concurrent Appends and arriving
 // followers are never blocked behind a flushing leader.
 func (l *Log) lead(lsn core.LSN, done chan struct{}) {
-	if l.commitWindow > 0 {
-		time.Sleep(l.commitWindow)
-	}
 	target := l.waitPublished(lsn)
 	l.flushMu.Lock()
 	if target > l.flushTarget {
@@ -946,8 +924,8 @@ func (l *Log) AppendedBytes() uint64 { return l.headBytes.Load() }
 // horizon sit at head, and all retained records are dropped. Installing
 // a replica snapshot uses this to splice the follower's log onto the
 // primary's LSN sequence; it must happen in place (not by swapping the
-// Log pointer) because long-lived goroutines — the MVCC reaper, the
-// maintenance loop — captured this instance. The caller guarantees no
+// Log pointer) because a long-lived goroutine — the MVCC reaper —
+// captured this instance. The caller guarantees no
 // concurrent appends or reads (the engine holds its state latch
 // exclusively).
 func (l *Log) Reset(head core.LSN) {
