@@ -90,7 +90,7 @@ func run(bench string, tx, maxN, pageSize int) error {
 	}
 
 	// Per-table storage-scheme advice (ipa vs pdl vs oop).
-	decisions, err := db.AdviseStorage(w, advisor.Options{Goal: advisor.Performance, MaxN: maxN, PageSize: pageSize}, false)
+	decisions, err := db.AdviseStorage(w, advisor.Options{Goal: advisor.Performance, MaxN: maxN, PageSize: pageSize})
 	if err != nil {
 		return err
 	}

@@ -153,7 +153,7 @@ func main() {
 
 	// Per-table storage advice: which write-reduction scheme each table's
 	// own update-size CDF warrants (ipa / pdl / oop).
-	decisions, err := db.AdviseStorage(w, advisor.Options{Goal: advisor.Performance, MaxN: 3, PageSize: 4096}, false)
+	decisions, err := db.AdviseStorage(w, advisor.Options{Goal: advisor.Performance, MaxN: 3, PageSize: 4096})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,15 +6,13 @@ import (
 
 	"ipa/internal/advisor"
 	"ipa/internal/core"
-	"ipa/internal/noftl"
 	"ipa/internal/sim"
 )
 
-// This file is the engine side of the live scheme advisor (paper Sec.
-// 8.4 turned into a control loop): the WAL is profiled into per-table
-// update-size CDFs, each table gets a storage-scheme recommendation,
-// and — opt-in — the recommendation is applied to the table's region
-// through PageStore.SetStorage.
+// This file is the engine side of the scheme advisor (paper Sec. 8.4):
+// the WAL is profiled into per-table update-size CDFs and each table
+// gets a storage-scheme recommendation. A region's scheme is fixed when
+// the region is created; acting on the advice is DDL.
 
 // WALProfile builds the advisor's update-size profile from the
 // database's write-ahead log. This replaces reaching through the
@@ -35,11 +33,9 @@ func (db *DB) WALTableProfiles() map[string]*advisor.Profile {
 	}
 	db.catMu.Unlock()
 	for _, t := range tables {
-		t.mu.Lock()
-		for _, id := range t.pages {
+		for _, id := range t.heapPages() {
 			owner[id] = t.name
 		}
-		t.mu.Unlock()
 	}
 	return advisor.FromLogByTable(db.log, func(id core.PageID) (string, bool) {
 		name, ok := owner[id]
@@ -47,30 +43,18 @@ func (db *DB) WALTableProfiles() map[string]*advisor.Profile {
 	})
 }
 
-// StorageDecision is one table's advice from AdviseStorage, plus
-// whether it was auto-applied.
+// StorageDecision is one table's advice from AdviseStorage.
 type StorageDecision struct {
 	Table   string
 	Region  string
 	Samples int
 	Advice  advisor.StorageAdvice
-	// Applied is set when auto-apply switched the table's region to the
-	// recommended scheme (or it already ran that scheme); false when
-	// apply was off, the region cannot host the scheme, or another
-	// table's advice won the region.
-	Applied bool
-	// Note carries the apply outcome ("already ipa", an incompatibility
-	// reason, ...).
-	Note string
 }
 
 // AdviseStorage profiles the WAL per table and recommends a storage
 // scheme for each (the paper's Table 1 comparison as a live decision).
-// With apply set, each region is switched to the scheme recommended for
-// its most-sampled table — the opt-in auto-apply hook; regions whose
-// layout cannot host the recommendation keep their scheme, with the
-// reason in Note. Tables with no WAL samples are skipped.
-func (db *DB) AdviseStorage(w *sim.Worker, opts advisor.Options, apply bool) ([]StorageDecision, error) {
+// Tables with no WAL samples are skipped.
+func (db *DB) AdviseStorage(w *sim.Worker, opts advisor.Options) ([]StorageDecision, error) {
 	if opts.PageSize <= 0 {
 		opts.PageSize = db.opts.PageSize
 	}
@@ -101,34 +85,5 @@ func (db *DB) AdviseStorage(w *sim.Worker, opts advisor.Options, apply bool) ([]
 			Table: t.name, Region: t.region, Samples: p.Len(), Advice: adv,
 		})
 	}
-	if !apply {
-		return decisions, nil
-	}
-	// One scheme per region: the most-sampled table's advice wins.
-	winner := make(map[string]int) // region → index into decisions
-	for i, d := range decisions {
-		if j, ok := winner[d.Region]; !ok || d.Samples > decisions[j].Samples {
-			winner[d.Region] = i
-		}
-	}
-	for region, i := range winner {
-		d := &decisions[i]
-		if err := db.SetRegionStorage(w, region, d.Advice.Storage); err != nil {
-			d.Note = err.Error()
-			continue
-		}
-		d.Applied = true
-		d.Note = fmt.Sprintf("region %q now %v", region, d.Advice.Storage)
-	}
 	return decisions, nil
-}
-
-// SetRegionStorage switches the named region's storage scheme (see
-// PageStore.SetStorage for the layout constraints).
-func (db *DB) SetRegionStorage(w *sim.Worker, region string, kind noftl.Storage) error {
-	st := db.Store(region)
-	if st == nil {
-		return fmt.Errorf("engine: region %q not attached", region)
-	}
-	return st.SetStorage(w, kind)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"ipa/internal/buffer"
 	"ipa/internal/core"
 	"ipa/internal/page"
 	"ipa/internal/sim"
@@ -80,52 +79,37 @@ func (ix *CoarseIndex) Root() core.PageID {
 // always zero for the coarse tree.
 func (ix *CoarseIndex) Stats() IndexStats { return ix.stats.snapshot(IndexCoarse) }
 
-// --- node accessors (operate on raw frame data) -----------------------
+// --- node accessors ----------------------------------------------------
+//
+// A node is a pageRef whose page carries FlagIndex: both tree kinds read
+// and change nodes through these methods, under the handle's latch.
 
-type node struct {
-	fr   *buffer.Frame
-	pg   page.Page
-	leaf bool
-	cap  int // max entries
-}
+func (n *pageRef) leaf() bool { return n.Flags()&page.FlagLeaf != 0 }
 
-// attachNode decodes a frame as a tree node. Both tree kinds share it
-// (and the entire on-page node layout). The caller must hold the frame
-// pinned and latched, since page.Attach reads header bytes.
-func attachNode(st *PageStore, fr *buffer.Frame) (*node, error) {
-	pg, err := page.Attach(fr.Data, st.layout)
-	if err != nil {
-		return nil, err
+// full reports whether the node holds as many entries as its body fits.
+func (n *pageRef) full() bool {
+	body := n.Layout().DeltaAreaStart() - nodeBodyOff
+	if n.leaf() {
+		return n.count() >= body/leafEntrySize
 	}
-	n := &node{fr: fr, pg: pg, leaf: pg.Flags()&page.FlagLeaf != 0}
-	body := st.layout.DeltaAreaStart() - nodeBodyOff
-	if n.leaf {
-		n.cap = body / leafEntrySize
-	} else {
-		n.cap = (body - 8) / intEntrySize
-	}
-	return n, nil
+	return n.count() >= (body-8)/intEntrySize
 }
 
-func (ix *CoarseIndex) node(fr *buffer.Frame) (*node, error) {
-	return attachNode(ix.st, fr)
-}
-
-func (n *node) count() int {
+func (n *pageRef) count() int {
 	return int(binary.LittleEndian.Uint16(n.fr.Data[nodeCountOff:]))
 }
 
-func (n *node) setCount(c int) {
+func (n *pageRef) setCount(c int) {
 	binary.LittleEndian.PutUint16(n.fr.Data[nodeCountOff:], uint16(c))
 }
 
 // leaf entries
-func (n *node) leafKey(i int) uint64 {
+func (n *pageRef) leafKey(i int) uint64 {
 	off := nodeBodyOff + i*leafEntrySize
 	return binary.LittleEndian.Uint64(n.fr.Data[off:])
 }
 
-func (n *node) leafRID(i int) core.RID {
+func (n *pageRef) leafRID(i int) core.RID {
 	off := nodeBodyOff + i*leafEntrySize
 	return core.RID{
 		Page: core.PageID(binary.LittleEndian.Uint64(n.fr.Data[off+8:])),
@@ -133,7 +117,7 @@ func (n *node) leafRID(i int) core.RID {
 	}
 }
 
-func (n *node) setLeaf(i int, key uint64, rid core.RID) {
+func (n *pageRef) setLeaf(i int, key uint64, rid core.RID) {
 	off := nodeBodyOff + i*leafEntrySize
 	binary.LittleEndian.PutUint64(n.fr.Data[off:], key)
 	binary.LittleEndian.PutUint64(n.fr.Data[off+8:], uint64(rid.Page))
@@ -141,32 +125,32 @@ func (n *node) setLeaf(i int, key uint64, rid core.RID) {
 }
 
 // internal entries
-func (n *node) child0() core.PageID {
+func (n *pageRef) child0() core.PageID {
 	return core.PageID(binary.LittleEndian.Uint64(n.fr.Data[nodeBodyOff:]))
 }
 
-func (n *node) setChild0(id core.PageID) {
+func (n *pageRef) setChild0(id core.PageID) {
 	binary.LittleEndian.PutUint64(n.fr.Data[nodeBodyOff:], uint64(id))
 }
 
-func (n *node) intKey(i int) uint64 {
+func (n *pageRef) intKey(i int) uint64 {
 	off := nodeBodyOff + 8 + i*intEntrySize
 	return binary.LittleEndian.Uint64(n.fr.Data[off:])
 }
 
-func (n *node) intChild(i int) core.PageID {
+func (n *pageRef) intChild(i int) core.PageID {
 	off := nodeBodyOff + 8 + i*intEntrySize
 	return core.PageID(binary.LittleEndian.Uint64(n.fr.Data[off+8:]))
 }
 
-func (n *node) setInt(i int, key uint64, child core.PageID) {
+func (n *pageRef) setInt(i int, key uint64, child core.PageID) {
 	off := nodeBodyOff + 8 + i*intEntrySize
 	binary.LittleEndian.PutUint64(n.fr.Data[off:], key)
 	binary.LittleEndian.PutUint64(n.fr.Data[off+8:], uint64(child))
 }
 
 // leafSearch returns the position of key (found) or its insertion point.
-func (n *node) leafSearch(key uint64) (pos int, found bool) {
+func (n *pageRef) leafSearch(key uint64) (pos int, found bool) {
 	lo, hi := 0, n.count()
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -183,8 +167,16 @@ func (n *node) leafSearch(key uint64) (pos int, found bool) {
 	return lo, false
 }
 
+// lookup returns the RID a leaf stores under key.
+func (n *pageRef) lookup(key uint64) (core.RID, bool) {
+	if pos, found := n.leafSearch(key); found {
+		return n.leafRID(pos), true
+	}
+	return core.RID{}, false
+}
+
 // route returns the child to follow for key in an internal node.
-func (n *node) route(key uint64) core.PageID {
+func (n *pageRef) route(key uint64) core.PageID {
 	lo, hi := 0, n.count()
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -200,226 +192,13 @@ func (n *node) route(key uint64) core.PageID {
 	return n.intChild(lo - 1)
 }
 
-// --- operations --------------------------------------------------------
+// --- node changes, shared by both tree kinds ---------------------------
+//
+// Each runs under the exclusive latches of the nodes it names; the
+// caller releases them (and, in the OLC tree, bumps their versions
+// first).
 
-// Lookup returns the RID stored under key.
-func (ix *CoarseIndex) Lookup(w *sim.Worker, key uint64) (core.RID, bool, error) {
-	ix.stats.lookups.Add(1)
-	db := ix.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
-	ix.treeMu.RLock()
-	defer ix.treeMu.RUnlock()
-	cur := ix.root
-	for {
-		fr, err := db.pool.Get(w, cur)
-		if err != nil {
-			return core.RID{}, false, err
-		}
-		fr.RLatch()
-		n, err := ix.node(fr)
-		if err != nil {
-			fr.RUnlatch()
-			db.pool.Unpin(w, fr, false, 0)
-			return core.RID{}, false, err
-		}
-		if n.leaf {
-			pos, found := n.leafSearch(key)
-			var rid core.RID
-			if found {
-				rid = n.leafRID(pos)
-			}
-			fr.RUnlatch()
-			db.pool.Unpin(w, fr, false, 0)
-			return rid, found, nil
-		}
-		next := n.route(key)
-		fr.RUnlatch()
-		db.pool.Unpin(w, fr, false, 0)
-		cur = next
-	}
-}
-
-// Insert adds key → rid. Duplicate keys are rejected.
-func (ix *CoarseIndex) Insert(w *sim.Worker, key uint64, rid core.RID) error {
-	ix.stats.inserts.Add(1)
-	db := ix.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
-	ix.treeMu.Lock()
-	defer ix.treeMu.Unlock()
-	sepKey, newChild, err := ix.insertRec(w, ix.root, key, rid)
-	if err != nil {
-		return err
-	}
-	if newChild == core.InvalidPageID {
-		return nil
-	}
-	// Root split: grow the tree by one level.
-	fr, pg, err := db.newPage(w, ix.st, 0, page.FlagIndex)
-	if err != nil {
-		return err
-	}
-	fr.Latch()
-	n, err := ix.node(fr)
-	if err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(w, fr, false, 0)
-		return err
-	}
-	n.setChild0(ix.root)
-	n.setInt(0, sepKey, newChild)
-	n.setCount(1)
-	ix.root = pg.ID()
-	fr.Unlatch()
-	return db.pool.Unpin(w, fr, true, db.log.Head())
-}
-
-// insertRec descends to the leaf; on split it returns the separator key
-// and the new right sibling's id.
-func (ix *CoarseIndex) insertRec(w *sim.Worker, nodeID core.PageID, key uint64, rid core.RID) (uint64, core.PageID, error) {
-	db := ix.db
-	fr, err := db.pool.Get(w, nodeID)
-	if err != nil {
-		return 0, core.InvalidPageID, err
-	}
-	fr.Latch()
-	n, err := ix.node(fr)
-	if err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(w, fr, false, 0)
-		return 0, core.InvalidPageID, err
-	}
-	if n.leaf {
-		pos, found := n.leafSearch(key)
-		if found {
-			fr.Unlatch()
-			db.pool.Unpin(w, fr, false, 0)
-			return 0, core.InvalidPageID, fmt.Errorf("%w: %d", ErrKeyExists, key)
-		}
-		if n.count() < n.cap {
-			insertLeafAt(n, pos, key, rid)
-			fr.Unlatch()
-			return 0, core.InvalidPageID, db.pool.Unpin(w, fr, true, db.log.Head())
-		}
-		// Split the leaf. The latch is dropped around the allocation; the
-		// exclusive tree latch keeps every other writer off the node.
-		fr.Unlatch()
-		rfr, rpg, err := db.newPage(w, ix.st, 0, page.FlagIndex|page.FlagLeaf)
-		if err != nil {
-			db.pool.Unpin(w, fr, false, 0)
-			return 0, core.InvalidPageID, err
-		}
-		fr.Latch()
-		rfr.Latch()
-		rn, err := ix.node(rfr)
-		if err != nil {
-			rfr.Unlatch()
-			fr.Unlatch()
-			db.pool.Unpin(w, fr, false, 0)
-			db.pool.Unpin(w, rfr, false, 0)
-			return 0, core.InvalidPageID, err
-		}
-		mid := n.count() / 2
-		moved := n.count() - mid
-		for i := 0; i < moved; i++ {
-			rn.setLeaf(i, n.leafKey(mid+i), n.leafRID(mid+i))
-		}
-		rn.setCount(moved)
-		n.setCount(mid)
-		rn.pg.SetNextPage(n.pg.NextPage())
-		n.pg.SetNextPage(rpg.ID())
-		sep := rn.leafKey(0)
-		if key >= sep {
-			p, _ := rn.leafSearch(key)
-			insertLeafAt(rn, p, key, rid)
-		} else {
-			p, _ := n.leafSearch(key)
-			insertLeafAt(n, p, key, rid)
-		}
-		rfr.Unlatch()
-		fr.Unlatch()
-		head := db.log.Head()
-		if err := db.pool.Unpin(w, fr, true, head); err != nil {
-			return 0, core.InvalidPageID, err
-		}
-		if err := db.pool.Unpin(w, rfr, true, head); err != nil {
-			return 0, core.InvalidPageID, err
-		}
-		return sep, rpg.ID(), nil
-	}
-
-	child := n.route(key)
-	// Release the parent during descent (no latch coupling needed:
-	// mutations hold the tree latch exclusively).
-	fr.Unlatch()
-	db.pool.Unpin(w, fr, false, 0)
-	sepKey, newChild, err := ix.insertRec(w, child, key, rid)
-	if err != nil || newChild == core.InvalidPageID {
-		return 0, core.InvalidPageID, err
-	}
-	// Re-pin the parent to install the new separator.
-	fr, err = db.pool.Get(w, nodeID)
-	if err != nil {
-		return 0, core.InvalidPageID, err
-	}
-	fr.Latch()
-	n, err = ix.node(fr)
-	if err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(w, fr, false, 0)
-		return 0, core.InvalidPageID, err
-	}
-	if n.count() < n.cap {
-		insertIntAt(n, sepKey, newChild)
-		fr.Unlatch()
-		return 0, core.InvalidPageID, db.pool.Unpin(w, fr, true, db.log.Head())
-	}
-	// Split the internal node.
-	fr.Unlatch()
-	rfr, rpg, err := db.newPage(w, ix.st, 0, page.FlagIndex)
-	if err != nil {
-		db.pool.Unpin(w, fr, false, 0)
-		return 0, core.InvalidPageID, err
-	}
-	fr.Latch()
-	rfr.Latch()
-	rn, err := ix.node(rfr)
-	if err != nil {
-		rfr.Unlatch()
-		fr.Unlatch()
-		db.pool.Unpin(w, fr, false, 0)
-		db.pool.Unpin(w, rfr, false, 0)
-		return 0, core.InvalidPageID, err
-	}
-	mid := n.count() / 2
-	upKey := n.intKey(mid)
-	rn.setChild0(n.intChild(mid))
-	cnt := 0
-	for i := mid + 1; i < n.count(); i++ {
-		rn.setInt(cnt, n.intKey(i), n.intChild(i))
-		cnt++
-	}
-	rn.setCount(cnt)
-	n.setCount(mid)
-	if sepKey >= upKey {
-		insertIntAt(rn, sepKey, newChild)
-	} else {
-		insertIntAt(n, sepKey, newChild)
-	}
-	rfr.Unlatch()
-	fr.Unlatch()
-	head := db.log.Head()
-	if err := db.pool.Unpin(w, fr, true, head); err != nil {
-		return 0, core.InvalidPageID, err
-	}
-	if err := db.pool.Unpin(w, rfr, true, head); err != nil {
-		return 0, core.InvalidPageID, err
-	}
-	return upKey, rpg.ID(), nil
-}
-
-func insertLeafAt(n *node, pos int, key uint64, rid core.RID) {
+func (n *pageRef) insertLeafAt(pos int, key uint64, rid core.RID) {
 	for i := n.count(); i > pos; i-- {
 		n.setLeaf(i, n.leafKey(i-1), n.leafRID(i-1))
 	}
@@ -427,7 +206,16 @@ func insertLeafAt(n *node, pos int, key uint64, rid core.RID) {
 	n.setCount(n.count() + 1)
 }
 
-func insertIntAt(n *node, key uint64, child core.PageID) {
+// removeLeafAt drops entry pos (lazy deletion: leaves are never merged,
+// which is adequate for the OLTP workloads where deletes are rare).
+func (n *pageRef) removeLeafAt(pos int) {
+	for i := pos; i < n.count()-1; i++ {
+		n.setLeaf(i, n.leafKey(i+1), n.leafRID(i+1))
+	}
+	n.setCount(n.count() - 1)
+}
+
+func (n *pageRef) insertIntAt(key uint64, child core.PageID) {
 	pos := 0
 	for pos < n.count() && n.intKey(pos) < key {
 		pos++
@@ -439,6 +227,215 @@ func insertIntAt(n *node, key uint64, child core.PageID) {
 	n.setCount(n.count() + 1)
 }
 
+// splitLeaf moves the upper half of the full leaf n to its new, empty
+// right sibling rn, chains rn after n and inserts key → rid on the side
+// it belongs to. It returns the separator: rn's first key.
+func splitLeaf(n, rn *pageRef, key uint64, rid core.RID) uint64 {
+	mid := n.count() / 2
+	moved := n.count() - mid
+	for i := 0; i < moved; i++ {
+		rn.setLeaf(i, n.leafKey(mid+i), n.leafRID(mid+i))
+	}
+	rn.setCount(moved)
+	n.setCount(mid)
+	rn.SetNextPage(n.NextPage())
+	n.SetNextPage(rn.fr.ID)
+	sep := rn.leafKey(0)
+	side := n
+	if key >= sep {
+		side = rn
+	}
+	pos, _ := side.leafSearch(key)
+	side.insertLeafAt(pos, key, rid)
+	return sep
+}
+
+// splitInternal moves the entries above the middle one of the full
+// internal node n to its new, empty right sibling rn, inserts key →
+// child on the side it belongs to and returns the middle key, which
+// moves up.
+func splitInternal(n, rn *pageRef, key uint64, child core.PageID) uint64 {
+	mid := n.count() / 2
+	upKey := n.intKey(mid)
+	rn.setChild0(n.intChild(mid))
+	cnt := 0
+	for i := mid + 1; i < n.count(); i++ {
+		rn.setInt(cnt, n.intKey(i), n.intChild(i))
+		cnt++
+	}
+	rn.setCount(cnt)
+	n.setCount(mid)
+	if key >= upKey {
+		rn.insertIntAt(key, child)
+	} else {
+		n.insertIntAt(key, child)
+	}
+	return upKey
+}
+
+// setRoot makes the new, empty internal node n the root over left and
+// right, split at sep: the tree grows by one level.
+func (n *pageRef) setRoot(left core.PageID, sep uint64, right core.PageID) {
+	n.setChild0(left)
+	n.setInt(0, sep, right)
+	n.setCount(1)
+}
+
+// indexEntry is one key of a range scan, buffered while its leaf is
+// latched and handed to the callback once it is not.
+type indexEntry struct {
+	key uint64
+	rid core.RID
+}
+
+// leafRange appends the leaf's entries in [lo, hi] to items. done
+// reports an entry above hi: the scan ends in this leaf.
+func (n *pageRef) leafRange(lo, hi uint64, items []indexEntry) (_ []indexEntry, done bool) {
+	start, _ := n.leafSearch(lo)
+	for i := start; i < n.count(); i++ {
+		k := n.leafKey(i)
+		if k > hi {
+			return items, true
+		}
+		items = append(items, indexEntry{k, n.leafRID(i)})
+	}
+	return items, false
+}
+
+// --- operations --------------------------------------------------------
+
+// leafFor descends from the root to the leaf owning key and returns it
+// pinned and latched; every node on the way is latched the same way,
+// exclusively if excl, and released before its child is fetched. The
+// caller holds stateMu shared and the tree latch.
+func (ix *CoarseIndex) leafFor(w *sim.Worker, key uint64, excl bool) (pageRef, error) {
+	cur := ix.root
+	for {
+		n, err := ix.db.pinPage(w, ix.st, cur, excl)
+		if err != nil || n.leaf() {
+			return n, err
+		}
+		cur = n.route(key)
+		n.unpin()
+	}
+}
+
+// Lookup returns the RID stored under key.
+func (ix *CoarseIndex) Lookup(w *sim.Worker, key uint64) (core.RID, bool, error) {
+	ix.stats.lookups.Add(1)
+	db := ix.db
+	db.stateMu.RLock()
+	defer db.stateMu.RUnlock()
+	ix.treeMu.RLock()
+	defer ix.treeMu.RUnlock()
+	n, err := ix.leafFor(w, key, false)
+	if err != nil {
+		return core.RID{}, false, err
+	}
+	rid, found := n.lookup(key)
+	n.unpin()
+	return rid, found, nil
+}
+
+// Insert adds key → rid. Duplicate keys are rejected.
+func (ix *CoarseIndex) Insert(w *sim.Worker, key uint64, rid core.RID) error {
+	ix.stats.inserts.Add(1)
+	db := ix.db
+	db.stateMu.RLock()
+	defer db.stateMu.RUnlock()
+	ix.treeMu.Lock()
+	defer ix.treeMu.Unlock()
+	sepKey, newChild, err := ix.insertRec(w, ix.root, key, rid)
+	if err != nil || newChild == core.InvalidPageID {
+		return err
+	}
+	// Root split: grow the tree by one level.
+	n, err := db.newPage(w, ix.st, 0, page.FlagIndex)
+	if err != nil {
+		return err
+	}
+	n.setRoot(ix.root, sepKey, newChild)
+	ix.root = n.fr.ID
+	return n.unpinDirty(db.log.Head())
+}
+
+// insertRec descends to the leaf; on split it returns the separator key
+// and the new right sibling's id.
+func (ix *CoarseIndex) insertRec(w *sim.Worker, nodeID core.PageID, key uint64, rid core.RID) (uint64, core.PageID, error) {
+	db := ix.db
+	n, err := db.pinPage(w, ix.st, nodeID, true)
+	if err != nil {
+		return 0, core.InvalidPageID, err
+	}
+	if n.leaf() {
+		pos, found := n.leafSearch(key)
+		if found {
+			n.unpin()
+			return 0, core.InvalidPageID, fmt.Errorf("%w: %d", ErrKeyExists, key)
+		}
+		if !n.full() {
+			n.insertLeafAt(pos, key, rid)
+			return 0, core.InvalidPageID, n.unpinDirty(db.log.Head())
+		}
+		rn, err := ix.sibling(w, &n)
+		if err != nil {
+			return 0, core.InvalidPageID, err
+		}
+		return ix.splitDone(&n, &rn, splitLeaf(&n, &rn, key, rid))
+	}
+
+	child := n.route(key)
+	// Release the parent during descent (no latch coupling needed:
+	// mutations hold the tree latch exclusively).
+	n.unpin()
+	sepKey, newChild, err := ix.insertRec(w, child, key, rid)
+	if err != nil || newChild == core.InvalidPageID {
+		return 0, core.InvalidPageID, err
+	}
+	// Re-pin the parent to install the new separator.
+	n, err = db.pinPage(w, ix.st, nodeID, true)
+	if err != nil {
+		return 0, core.InvalidPageID, err
+	}
+	if !n.full() {
+		n.insertIntAt(sepKey, newChild)
+		return 0, core.InvalidPageID, n.unpinDirty(db.log.Head())
+	}
+	rn, err := ix.sibling(w, &n)
+	if err != nil {
+		return 0, core.InvalidPageID, err
+	}
+	return ix.splitDone(&n, &rn, splitInternal(&n, &rn, sepKey, newChild))
+}
+
+// sibling allocates the right sibling a split of the full node n fills,
+// and returns both exclusively latched. n's latch is dropped around the
+// allocation (a frame latch is not held across a fetch or an
+// allocation); the exclusive tree latch keeps every other writer off the
+// node meanwhile. On error n is released.
+func (ix *CoarseIndex) sibling(w *sim.Worker, n *pageRef) (pageRef, error) {
+	flags := n.Flags()
+	n.unlatch()
+	rn, err := ix.db.newPage(w, ix.st, 0, flags)
+	if err != nil {
+		n.unpin()
+		return pageRef{}, err
+	}
+	n.latch(true)
+	return rn, nil
+}
+
+// splitDone releases the two halves of a split, both changed, and
+// reports the separator and the new right sibling to the level above.
+func (ix *CoarseIndex) splitDone(n, rn *pageRef, sep uint64) (uint64, core.PageID, error) {
+	right, head := rn.fr.ID, ix.db.log.Head()
+	err := n.unpinDirty(head)
+	if e := rn.unpinDirty(head); err == nil {
+		err = e
+	}
+	return sep, right, err
+}
+
 // Update changes the RID stored under an existing key (e.g. after a
 // tuple relocation).
 func (ix *CoarseIndex) Update(w *sim.Worker, key uint64, rid core.RID) error {
@@ -448,39 +445,20 @@ func (ix *CoarseIndex) Update(w *sim.Worker, key uint64, rid core.RID) error {
 	defer db.stateMu.RUnlock()
 	ix.treeMu.Lock()
 	defer ix.treeMu.Unlock()
-	cur := ix.root
-	for {
-		fr, err := db.pool.Get(w, cur)
-		if err != nil {
-			return err
-		}
-		fr.Latch()
-		n, err := ix.node(fr)
-		if err != nil {
-			fr.Unlatch()
-			db.pool.Unpin(w, fr, false, 0)
-			return err
-		}
-		if n.leaf {
-			pos, found := n.leafSearch(key)
-			if !found {
-				fr.Unlatch()
-				db.pool.Unpin(w, fr, false, 0)
-				return fmt.Errorf("engine: index %q has no key %d", ix.name, key)
-			}
-			n.setLeaf(pos, key, rid)
-			fr.Unlatch()
-			return db.pool.Unpin(w, fr, true, db.log.Head())
-		}
-		next := n.route(key)
-		fr.Unlatch()
-		db.pool.Unpin(w, fr, false, 0)
-		cur = next
+	n, err := ix.leafFor(w, key, true)
+	if err != nil {
+		return err
 	}
+	pos, found := n.leafSearch(key)
+	if !found {
+		n.unpin()
+		return fmt.Errorf("engine: index %q has no key %d", ix.name, key)
+	}
+	n.setLeaf(pos, key, rid)
+	return n.unpinDirty(db.log.Head())
 }
 
-// Delete removes a key (lazy deletion: leaves are never merged, which is
-// adequate for the OLTP workloads where deletes are rare).
+// Delete removes a key, reporting whether it was there.
 func (ix *CoarseIndex) Delete(w *sim.Worker, key uint64) (bool, error) {
 	ix.stats.deletes.Add(1)
 	db := ix.db
@@ -488,38 +466,17 @@ func (ix *CoarseIndex) Delete(w *sim.Worker, key uint64) (bool, error) {
 	defer db.stateMu.RUnlock()
 	ix.treeMu.Lock()
 	defer ix.treeMu.Unlock()
-	cur := ix.root
-	for {
-		fr, err := db.pool.Get(w, cur)
-		if err != nil {
-			return false, err
-		}
-		fr.Latch()
-		n, err := ix.node(fr)
-		if err != nil {
-			fr.Unlatch()
-			db.pool.Unpin(w, fr, false, 0)
-			return false, err
-		}
-		if n.leaf {
-			pos, found := n.leafSearch(key)
-			if !found {
-				fr.Unlatch()
-				db.pool.Unpin(w, fr, false, 0)
-				return false, nil
-			}
-			for i := pos; i < n.count()-1; i++ {
-				n.setLeaf(i, n.leafKey(i+1), n.leafRID(i+1))
-			}
-			n.setCount(n.count() - 1)
-			fr.Unlatch()
-			return true, db.pool.Unpin(w, fr, true, db.log.Head())
-		}
-		next := n.route(key)
-		fr.Unlatch()
-		db.pool.Unpin(w, fr, false, 0)
-		cur = next
+	n, err := ix.leafFor(w, key, true)
+	if err != nil {
+		return false, err
 	}
+	pos, found := n.leafSearch(key)
+	if !found {
+		n.unpin()
+		return false, nil
+	}
+	n.removeLeafAt(pos)
+	return true, n.unpinDirty(db.log.Head())
 }
 
 // Range visits keys in [lo, hi] in order until fn returns false. The
@@ -528,87 +485,47 @@ func (ix *CoarseIndex) Delete(w *sim.Worker, key uint64) (bool, error) {
 func (ix *CoarseIndex) Range(w *sim.Worker, lo, hi uint64, fn func(key uint64, rid core.RID) bool) error {
 	ix.stats.scans.Add(1)
 	db := ix.db
-	// Descend to the leaf containing lo.
+	// Find the leaf containing lo. It is fetched again below, with every
+	// other leaf of the chain, under latches taken afresh.
 	db.stateMu.RLock()
 	ix.treeMu.RLock()
-	cur := ix.root
-	for {
-		fr, err := db.pool.Get(w, cur)
-		if err != nil {
-			ix.treeMu.RUnlock()
-			db.stateMu.RUnlock()
-			return err
-		}
-		fr.RLatch()
-		n, err := ix.node(fr)
-		if err != nil {
-			fr.RUnlatch()
-			db.pool.Unpin(w, fr, false, 0)
-			ix.treeMu.RUnlock()
-			db.stateMu.RUnlock()
-			return err
-		}
-		if n.leaf {
-			fr.RUnlatch()
-			db.pool.Unpin(w, fr, false, 0)
-			break
-		}
-		next := n.route(lo)
-		fr.RUnlatch()
-		db.pool.Unpin(w, fr, false, 0)
-		cur = next
+	n, err := ix.leafFor(w, lo, false)
+	cur := core.InvalidPageID
+	if err == nil {
+		cur = n.fr.ID
+		n.unpin()
 	}
 	ix.treeMu.RUnlock()
 	db.stateMu.RUnlock()
+	if err != nil {
+		return err
+	}
 	// Walk the leaf chain, buffering each leaf's entries and invoking the
 	// callback outside the latch.
+	var items []indexEntry
 	for cur != core.InvalidPageID {
 		db.stateMu.RLock()
 		ix.treeMu.RLock()
-		fr, err := db.pool.Get(w, cur)
-		if err != nil {
-			ix.treeMu.RUnlock()
-			db.stateMu.RUnlock()
-			return err
-		}
-		fr.RLatch()
-		n, err := ix.node(fr)
-		if err != nil {
-			fr.RUnlatch()
-			db.pool.Unpin(w, fr, false, 0)
-			ix.treeMu.RUnlock()
-			db.stateMu.RUnlock()
-			return err
-		}
-		type kv struct {
-			k uint64
-			r core.RID
-		}
-		var items []kv
+		n, err := db.pinPage(w, ix.st, cur, false)
 		done := false
-		start, _ := n.leafSearch(lo)
-		for i := start; i < n.count(); i++ {
-			k := n.leafKey(i)
-			if k > hi {
-				done = true
-				break
-			}
-			items = append(items, kv{k, n.leafRID(i)})
+		if err == nil {
+			items, done = n.leafRange(lo, hi, items[:0])
+			cur = n.NextPage()
+			n.unpin()
 		}
-		next := n.pg.NextPage()
-		fr.RUnlatch()
-		db.pool.Unpin(w, fr, false, 0)
 		ix.treeMu.RUnlock()
 		db.stateMu.RUnlock()
+		if err != nil {
+			return err
+		}
 		for _, it := range items {
-			if !fn(it.k, it.r) {
+			if !fn(it.key, it.rid) {
 				return nil
 			}
 		}
 		if done {
 			return nil
 		}
-		cur = next
 	}
 	return nil
 }

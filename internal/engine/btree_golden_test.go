@@ -28,25 +28,21 @@ func goldenTreeFingerprint(t *testing.T, db *DB, ix Index) string {
 	for len(queue) > 0 {
 		id := queue[0]
 		queue = queue[1:]
-		fr, err := db.pool.Get(nil, id)
+		n, err := db.pinPage(nil, st, id, false)
 		if err != nil {
-			t.Fatalf("get node %d: %v", id, err)
-		}
-		n, err := attachNode(st, fr)
-		if err != nil {
-			t.Fatalf("attach node %d: %v", id, err)
+			t.Fatalf("pin node %d: %v", id, err)
 		}
 		put(uint64(id))
-		put(uint64(n.pg.Flags()))
+		put(uint64(n.Flags()))
 		put(uint64(n.count()))
-		if n.leaf {
+		if n.leaf() {
 			for i := 0; i < n.count(); i++ {
 				rid := n.leafRID(i)
 				put(n.leafKey(i))
 				put(uint64(rid.Page))
 				put(uint64(rid.Slot))
 			}
-			put(uint64(n.pg.NextPage()))
+			put(uint64(n.NextPage()))
 		} else {
 			put(uint64(n.child0()))
 			queue = append(queue, n.child0())
@@ -56,7 +52,7 @@ func goldenTreeFingerprint(t *testing.T, db *DB, ix Index) string {
 				queue = append(queue, n.intChild(i))
 			}
 		}
-		db.pool.Unpin(nil, fr, false, 0)
+		n.unpin()
 	}
 	// Fold in the observable iteration order as well.
 	if err := ix.Range(nil, 0, 1<<63, func(k uint64, rid core.RID) bool {

@@ -9,7 +9,6 @@ import (
 	"ipa/internal/buffer"
 	"ipa/internal/core"
 	"ipa/internal/noftl"
-	"ipa/internal/page"
 	"ipa/internal/sim"
 	"ipa/internal/wal"
 )
@@ -315,9 +314,6 @@ func (db *DB) Pool() *buffer.Pool {
 // DB.Stats().
 func (db *DB) Device() *noftl.Device { return db.dev }
 
-// Checkpoints returns how many checkpoints have been taken.
-func (db *DB) Checkpoints() uint64 { return db.checkpoints.Load() }
-
 // AttachRegion makes a NoFTL region usable as a tablespace, creating its
 // page store.
 func (db *DB) AttachRegion(regionName string) (*PageStore, error) {
@@ -358,37 +354,27 @@ func (db *DB) allocPage(st *PageStore) (core.PageID, error) {
 	return id, nil
 }
 
-// newPage allocates and formats a new page, returning it pinned. The
-// caller holds stateMu shared.
-func (db *DB) newPage(w *sim.Worker, st *PageStore, owner uint64, flags uint16) (*buffer.Frame, *page.Page, error) {
+// newPage allocates a page of st and returns it formatted, pinned and
+// exclusively latched. The caller holds stateMu shared.
+func (db *DB) newPage(w *sim.Worker, st *PageStore, owner uint64, flags uint16) (pageRef, error) {
 	id, err := db.allocPage(st)
 	if err != nil {
-		return nil, nil, err
+		return pageRef{}, err
 	}
-	fr, err := db.pool.GetNew(w, id)
+	pg, err := db.formatNew(w, st, id)
 	if err != nil {
 		db.pageDir.delete(id)
-		return nil, nil, err
+		return pageRef{}, err
 	}
-	fr.Latch()
-	pg, err := page.Format(fr.Data, st.layout, id)
-	if err == nil {
-		pg.SetOwner(owner)
-		pg.SetFlags(flags)
-	}
-	fr.Unlatch()
-	if err != nil {
-		db.pool.Unpin(w, fr, false, 0)
-		db.pageDir.delete(id)
-		return nil, nil, err
-	}
+	pg.SetOwner(owner)
+	pg.SetFlags(flags)
 	if db.opts.Replicated {
 		// Published before the page's first update record (same
 		// goroutine), so a follower always learns the page's store
 		// before it must redo onto it.
 		db.log.Append(wal.Record{Type: wal.RecAlloc, Meta: encodeAllocMeta(id, owner, st.region.Name())})
 	}
-	return fr, pg, nil
+	return pg, nil
 }
 
 // WAL exposes the write-ahead log for the replication layer (stream

@@ -122,13 +122,12 @@ func (db *DB) CreateIndexKind(name, regionName string, kind IndexKind) (Index, e
 	}
 	db.stateMu.RLock()
 	defer db.stateMu.RUnlock()
-	fr, pg, err := db.newPage(nil, st, 0, page.FlagIndex|page.FlagLeaf)
+	pg, err := db.newPage(nil, st, 0, page.FlagIndex|page.FlagLeaf)
 	if err != nil {
 		return nil, err
 	}
-	root := pg.ID()
-	// Dirty by newPage's format, which ran under the latch.
-	if err := db.pool.Unpin(nil, fr, true, db.log.Head()); err != nil {
+	root := pg.fr.ID
+	if err := pg.unpinDirty(db.log.Head()); err != nil {
 		return nil, err
 	}
 	var ix Index

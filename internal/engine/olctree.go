@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"ipa/internal/buffer"
 	"ipa/internal/core"
 	"ipa/internal/page"
 	"ipa/internal/sim"
@@ -73,20 +72,22 @@ func (ix *OLCIndex) Root() core.PageID { return core.PageID(ix.root.Load()) }
 // Stats snapshots the operation and contention counters.
 func (ix *OLCIndex) Stats() IndexStats { return ix.stats.snapshot(IndexOLC) }
 
-// rlatch takes a shared frame latch, counting the wait if contended.
-func (ix *OLCIndex) rlatch(fr *buffer.Frame) {
-	if !fr.TryRLatch() {
+// latch takes n's frame latch, counting the wait if it is contended.
+func (ix *OLCIndex) latch(n *pageRef, excl bool) {
+	if !n.tryLatch(excl) {
 		ix.stats.latchWaits.Add(1)
-		fr.RLatch()
+		n.latch(excl)
 	}
 }
 
-// latch takes an exclusive frame latch, counting the wait if contended.
-func (ix *OLCIndex) latch(fr *buffer.Frame) {
-	if !fr.TryLatch() {
-		ix.stats.latchWaits.Add(1)
-		fr.Latch()
+// pinLatched pins page id and latches it. The node is not attached yet:
+// the caller first validates the step that led to it.
+func (ix *OLCIndex) pinLatched(w *sim.Worker, id core.PageID, excl bool) (pageRef, error) {
+	n, err := ix.db.pin(w, id)
+	if err == nil {
+		ix.latch(&n, excl)
 	}
+	return n, err
 }
 
 // restartWait records one descent restart and, every few consecutive
@@ -99,9 +100,8 @@ func (ix *OLCIndex) restartWait(attempt int) {
 }
 
 // descend walks from the root to the leaf owning key and returns it
-// pinned and latched — shared, or exclusive when exclusive is set (the
-// leaf-local write path). The caller holds db.stateMu shared and must
-// unlatch+unpin the returned frame.
+// pinned and latched — shared, or exclusively when excl is set (the
+// leaf-local write path). The caller holds db.stateMu shared.
 //
 // Validation protocol, per step: the parent stays pinned (not latched)
 // while the child is fetched; after latching the child, the parent's
@@ -109,77 +109,65 @@ func (ix *OLCIndex) restartWait(attempt int) {
 // stale (the child may have split and the key moved right), so the
 // descent restarts. For the first step the root pointer's own version
 // plays the parent role.
-func (ix *OLCIndex) descend(w *sim.Worker, key uint64, exclusive bool) (*buffer.Frame, *node, error) {
-	db := ix.db
+func (ix *OLCIndex) descend(w *sim.Worker, key uint64, excl bool) (pageRef, error) {
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			ix.restartWait(attempt - 1)
 		}
 		rv := ix.rootVer.Load()
 		cur := core.PageID(ix.root.Load())
-		var parent *buffer.Frame // pinned, unlatched
+		var parent pageRef // pinned, unlatched; the zero handle above the root
 		var parentVer uint64
 		// valid reports whether the step that led to the latched node is
 		// still current.
 		valid := func() bool {
-			if parent == nil {
+			if parent.fr == nil {
 				return ix.rootVer.Load() == rv
 			}
-			return parent.Version() == parentVer
+			return parent.fr.Version() == parentVer
 		}
-		release := func(fr *buffer.Frame) {
-			if fr != nil {
-				db.pool.Unpin(w, fr, false, 0)
-			}
-			if parent != nil {
-				db.pool.Unpin(w, parent, false, 0)
+		unpinParent := func() {
+			if parent.fr != nil {
+				parent.unpin()
 			}
 		}
 		for {
-			fr, err := db.pool.Get(w, cur)
+			n, err := ix.pinLatched(w, cur, false)
 			if err != nil {
-				release(nil)
-				return nil, nil, err
+				unpinParent()
+				return pageRef{}, err
 			}
-			ix.rlatch(fr)
 			if !valid() {
-				fr.RUnlatch()
-				release(fr)
+				n.unpin()
+				unpinParent()
 				break // restart from the root
 			}
-			n, err := attachNode(ix.st, fr)
-			if err != nil {
-				fr.RUnlatch()
-				release(fr)
-				return nil, nil, err
+			if err := n.attach(ix.st); err != nil {
+				unpinParent()
+				return pageRef{}, err
 			}
-			if n.leaf {
-				if exclusive {
+			if n.leaf() {
+				if excl {
 					// Re-take the latch exclusively and re-validate: the
 					// leaf may have split in the gap (in which case the
 					// parent's version — or rootVer for a root leaf —
 					// changed and the key may belong right of here).
-					fr.RUnlatch()
-					ix.latch(fr)
+					n.unlatch()
+					ix.latch(&n, true)
 					if !valid() {
-						fr.Unlatch()
-						release(fr)
+						n.unpin()
+						unpinParent()
 						break // restart from the root
 					}
 				}
-				if parent != nil {
-					db.pool.Unpin(w, parent, false, 0)
-				}
-				return fr, n, nil
+				unpinParent()
+				return n, nil
 			}
-			next := n.route(key)
-			ver := fr.Version()
-			fr.RUnlatch()
-			if parent != nil {
-				db.pool.Unpin(w, parent, false, 0)
-			}
-			parent, parentVer = fr, ver
-			cur = next
+			cur = n.route(key)
+			ver := n.fr.Version()
+			n.unlatch()
+			unpinParent()
+			parent, parentVer = n, ver
 		}
 	}
 }
@@ -190,17 +178,12 @@ func (ix *OLCIndex) Lookup(w *sim.Worker, key uint64) (core.RID, bool, error) {
 	db := ix.db
 	db.stateMu.RLock()
 	defer db.stateMu.RUnlock()
-	fr, n, err := ix.descend(w, key, false)
+	n, err := ix.descend(w, key, false)
 	if err != nil {
 		return core.RID{}, false, err
 	}
-	pos, found := n.leafSearch(key)
-	var rid core.RID
-	if found {
-		rid = n.leafRID(pos)
-	}
-	fr.RUnlatch()
-	db.pool.Unpin(w, fr, false, 0)
+	rid, found := n.lookup(key)
+	n.unpin()
 	return rid, found, nil
 }
 
@@ -210,20 +193,18 @@ func (ix *OLCIndex) Update(w *sim.Worker, key uint64, rid core.RID) error {
 	db := ix.db
 	db.stateMu.RLock()
 	defer db.stateMu.RUnlock()
-	fr, n, err := ix.descend(w, key, true)
+	n, err := ix.descend(w, key, true)
 	if err != nil {
 		return err
 	}
 	pos, found := n.leafSearch(key)
 	if !found {
-		fr.Unlatch()
-		db.pool.Unpin(w, fr, false, 0)
+		n.unpin()
 		return fmt.Errorf("engine: index %q has no key %d", ix.name, key)
 	}
 	n.setLeaf(pos, key, rid)
-	fr.BumpVersion()
-	fr.Unlatch()
-	return db.pool.Unpin(w, fr, true, db.log.Head())
+	n.fr.BumpVersion()
+	return n.unpinDirty(db.log.Head())
 }
 
 // Delete removes a key (lazy deletion, like the coarse tree: leaves are
@@ -233,23 +214,18 @@ func (ix *OLCIndex) Delete(w *sim.Worker, key uint64) (bool, error) {
 	db := ix.db
 	db.stateMu.RLock()
 	defer db.stateMu.RUnlock()
-	fr, n, err := ix.descend(w, key, true)
+	n, err := ix.descend(w, key, true)
 	if err != nil {
 		return false, err
 	}
 	pos, found := n.leafSearch(key)
 	if !found {
-		fr.Unlatch()
-		db.pool.Unpin(w, fr, false, 0)
+		n.unpin()
 		return false, nil
 	}
-	for i := pos; i < n.count()-1; i++ {
-		n.setLeaf(i, n.leafKey(i+1), n.leafRID(i+1))
-	}
-	n.setCount(n.count() - 1)
-	fr.BumpVersion()
-	fr.Unlatch()
-	return true, db.pool.Unpin(w, fr, true, db.log.Head())
+	n.removeLeafAt(pos)
+	n.fr.BumpVersion()
+	return true, n.unpinDirty(db.log.Head())
 }
 
 // Insert adds key → rid. Duplicate keys are rejected. The fast path is
@@ -260,24 +236,21 @@ func (ix *OLCIndex) Insert(w *sim.Worker, key uint64, rid core.RID) error {
 	db := ix.db
 	db.stateMu.RLock()
 	defer db.stateMu.RUnlock()
-	fr, n, err := ix.descend(w, key, true)
+	n, err := ix.descend(w, key, true)
 	if err != nil {
 		return err
 	}
 	pos, found := n.leafSearch(key)
 	if found {
-		fr.Unlatch()
-		db.pool.Unpin(w, fr, false, 0)
+		n.unpin()
 		return fmt.Errorf("%w: %d", ErrKeyExists, key)
 	}
-	if n.count() < n.cap {
-		insertLeafAt(n, pos, key, rid)
-		fr.BumpVersion()
-		fr.Unlatch()
-		return db.pool.Unpin(w, fr, true, db.log.Head())
+	if !n.full() {
+		n.insertLeafAt(pos, key, rid)
+		n.fr.BumpVersion()
+		return n.unpinDirty(db.log.Head())
 	}
-	fr.Unlatch()
-	db.pool.Unpin(w, fr, false, 0)
+	n.unpin()
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			ix.restartWait(attempt - 1)
@@ -290,10 +263,10 @@ func (ix *OLCIndex) Insert(w *sim.Worker, key uint64, rid core.RID) error {
 }
 
 // heldNode is one exclusively latched, pinned node of a pessimistic
-// descent.
+// descent; changed marks those the insert wrote to.
 type heldNode struct {
-	fr *buffer.Frame
-	n  *node
+	pageRef
+	changed bool
 }
 
 // insertPessimistic is the split path: descend from the root holding
@@ -307,183 +280,108 @@ type heldNode struct {
 func (ix *OLCIndex) insertPessimistic(w *sim.Worker, key uint64, rid core.RID) (done bool, err error) {
 	db := ix.db
 	var stack []heldNode // latched top-down; stack[0] is the shallowest
-	// modified collects frames whose contents changed; their versions
-	// are all bumped before any latch is released.
-	var modified []*buffer.Frame
-	releaseStack := func() {
-		for i := len(stack) - 1; i >= 0; i-- {
-			stack[i].fr.Unlatch()
-			db.pool.Unpin(w, stack[i].fr, false, 0)
-		}
-		stack = nil
-	}
-	// finish bumps and releases everything; dirty frames carry the log
-	// head as recLSN. Called on success and on mid-split errors alike
-	// (modifications already made must become visible either way).
-	finish := func() error {
-		for _, fr := range modified {
-			fr.BumpVersion()
+	// release gives back everything held, deepest first, on success and
+	// on errors alike (what a split got done must become visible either
+	// way). The versions of all changed nodes are bumped before any latch
+	// drops, so no reader can validate a half-installed split; changed
+	// frames carry the log head as recLSN.
+	release := func() error {
+		for i := range stack {
+			if stack[i].changed {
+				stack[i].fr.BumpVersion()
+			}
 		}
 		head := db.log.Head()
-		var unpinErr error
-		dirty := make(map[*buffer.Frame]bool, len(modified))
-		for _, fr := range modified {
-			dirty[fr] = true
-		}
+		var err error
 		for i := len(stack) - 1; i >= 0; i-- {
-			fr := stack[i].fr
-			fr.Unlatch()
 			var e error
-			if dirty[fr] {
-				e = db.pool.Unpin(w, fr, true, head)
+			if h := &stack[i]; h.changed {
+				e = h.unpinDirty(head)
 			} else {
-				e = db.pool.Unpin(w, fr, false, 0)
+				e = h.unpin()
 			}
-			if unpinErr == nil {
-				unpinErr = e
+			if err == nil {
+				err = e
 			}
 		}
 		stack = nil
-		return unpinErr
+		return err
 	}
 
 	rv := ix.rootVer.Load()
-	rootID := core.PageID(ix.root.Load())
-	fr, err := db.pool.Get(w, rootID)
+	n, err := ix.pinLatched(w, core.PageID(ix.root.Load()), true)
 	if err != nil {
 		return false, err
 	}
-	ix.latch(fr)
 	if ix.rootVer.Load() != rv {
 		// The root moved before we latched it; retry from the new root.
-		fr.Unlatch()
-		db.pool.Unpin(w, fr, false, 0)
+		n.unpin()
 		return false, nil
 	}
-	n, err := attachNode(ix.st, fr)
-	if err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(w, fr, false, 0)
+	if err := n.attach(ix.st); err != nil {
 		return false, err
 	}
-	stack = append(stack, heldNode{fr, n})
+	stack = append(stack, heldNode{pageRef: n})
 	// From here on the root (and later the whole retained path) is
 	// exclusively latched: no concurrent writer can change it, so the
 	// descent needs no further validation.
-	for !n.leaf {
-		childID := n.route(key)
-		cfr, err := db.pool.Get(w, childID)
+	for !n.leaf() {
+		if n, err = ix.pinLatched(w, n.route(key), true); err == nil {
+			err = n.attach(ix.st)
+		}
 		if err != nil {
-			releaseStack()
+			release()
 			return false, err
 		}
-		ix.latch(cfr)
-		cn, err := attachNode(ix.st, cfr)
-		if err != nil {
-			cfr.Unlatch()
-			db.pool.Unpin(w, cfr, false, 0)
-			releaseStack()
-			return false, err
-		}
-		if cn.count() < cn.cap {
+		if !n.full() {
 			// The child bounds any split from below: ancestors are safe.
-			releaseStack()
+			release()
 		}
-		stack = append(stack, heldNode{cfr, cn})
-		n = cn
+		stack = append(stack, heldNode{pageRef: n})
 	}
 
-	leaf := stack[len(stack)-1]
-	pos, found := leaf.n.leafSearch(key)
+	leaf := len(stack) - 1 // n is a copy of stack[leaf]: same frame, same bytes
+	pos, found := n.leafSearch(key)
 	if found {
-		releaseStack()
+		release()
 		return true, fmt.Errorf("%w: %d", ErrKeyExists, key)
 	}
-	if leaf.n.count() < leaf.n.cap {
+	if !n.full() {
 		// Another splitter made room while we walked down.
-		insertLeafAt(leaf.n, pos, key, rid)
-		modified = append(modified, leaf.fr)
-		return true, finish()
+		n.insertLeafAt(pos, key, rid)
+		stack[leaf].changed = true
+		return true, release()
 	}
 
-	// Split the leaf. New pages come back pinned from newPage and are
-	// latched immediately: the moment the left sibling's NextPage points
-	// at them, chain walkers may try to latch them.
-	rfr, rpg, err := db.newPage(w, ix.st, 0, page.FlagIndex|page.FlagLeaf)
+	// Split the leaf, then install the separator, splitting full internal
+	// nodes on the way up the retained stack. A new page comes back from
+	// newPage latched: the moment the left sibling's NextPage points at
+	// it, chain walkers may try to latch it. New siblings go on top of the
+	// stack, where release finds them; they take no separator.
+	rn, err := db.newPage(w, ix.st, 0, page.FlagIndex|page.FlagLeaf)
 	if err != nil {
-		releaseStack()
+		release()
 		return true, err
 	}
-	ix.latch(rfr)
-	rn, err := attachNode(ix.st, rfr)
-	if err != nil {
-		rfr.Unlatch()
-		db.pool.Unpin(w, rfr, false, 0)
-		releaseStack()
-		return true, err
-	}
-	ln := leaf.n
-	mid := ln.count() / 2
-	moved := ln.count() - mid
-	for i := 0; i < moved; i++ {
-		rn.setLeaf(i, ln.leafKey(mid+i), ln.leafRID(mid+i))
-	}
-	rn.setCount(moved)
-	ln.setCount(mid)
-	rn.pg.SetNextPage(ln.pg.NextPage())
-	ln.pg.SetNextPage(rpg.ID())
-	sep := rn.leafKey(0)
-	if key >= sep {
-		p, _ := rn.leafSearch(key)
-		insertLeafAt(rn, p, key, rid)
-	} else {
-		p, _ := ln.leafSearch(key)
-		insertLeafAt(ln, p, key, rid)
-	}
-	stack = append(stack, heldNode{rfr, rn})
-	modified = append(modified, leaf.fr, rfr)
-	carryKey, carryChild := sep, rpg.ID()
-
-	// Install the separator, splitting full internal nodes on the way
-	// up. The loop walks the retained stack above the leaf (and its new
-	// sibling, which sits on top and takes no separator).
-	for i := len(stack) - 3; i >= 0; i-- {
-		h := stack[i]
-		if h.n.count() < h.n.cap {
-			insertIntAt(h.n, carryKey, carryChild)
-			modified = append(modified, h.fr)
+	carryKey, carryChild := splitLeaf(&n, &rn, key, rid), rn.fr.ID
+	stack[leaf].changed = true
+	stack = append(stack, heldNode{rn, true})
+	for i := leaf - 1; i >= 0; i-- {
+		h := stack[i].pageRef
+		if !h.full() {
+			h.insertIntAt(carryKey, carryChild)
+			stack[i].changed = true
 			carryChild = core.InvalidPageID
 			break
 		}
-		ifr, ipg, err := db.newPage(w, ix.st, 0, page.FlagIndex)
+		in, err := db.newPage(w, ix.st, 0, page.FlagIndex)
 		if err != nil {
-			return true, finish() // splits so far stay installed
+			release() // splits so far stay installed
+			return true, err
 		}
-		ix.latch(ifr)
-		in, err := attachNode(ix.st, ifr)
-		if err != nil {
-			ifr.Unlatch()
-			db.pool.Unpin(w, ifr, false, 0)
-			return true, finish()
-		}
-		m := h.n.count() / 2
-		upKey := h.n.intKey(m)
-		in.setChild0(h.n.intChild(m))
-		cnt := 0
-		for j := m + 1; j < h.n.count(); j++ {
-			in.setInt(cnt, h.n.intKey(j), h.n.intChild(j))
-			cnt++
-		}
-		in.setCount(cnt)
-		h.n.setCount(m)
-		if carryKey >= upKey {
-			insertIntAt(in, carryKey, carryChild)
-		} else {
-			insertIntAt(h.n, carryKey, carryChild)
-		}
-		stack = append(stack, heldNode{ifr, in})
-		modified = append(modified, h.fr, ifr)
-		carryKey, carryChild = upKey, ipg.ID()
+		carryKey, carryChild = splitInternal(&h, &in, carryKey, carryChild), in.fr.ID
+		stack[i].changed = true
+		stack = append(stack, heldNode{in, true})
 	}
 	if carryChild != core.InvalidPageID {
 		// The carry consumed the whole retained stack, so the node that
@@ -493,29 +391,20 @@ func (ix *OLCIndex) insertPessimistic(w *sim.Worker, key uint64, rid core.RID) (
 		// ours since): grow the tree by one level. This covers both a
 		// full root leaf (the upward loop never ran) and a full
 		// internal root.
-		nfr, npg, err := db.newPage(w, ix.st, 0, page.FlagIndex)
+		nn, err := db.newPage(w, ix.st, 0, page.FlagIndex)
 		if err != nil {
-			return true, finish()
+			release()
+			return true, err
 		}
-		ix.latch(nfr)
-		nn, err := attachNode(ix.st, nfr)
-		if err != nil {
-			nfr.Unlatch()
-			db.pool.Unpin(w, nfr, false, 0)
-			return true, finish()
-		}
-		nn.setChild0(stack[0].fr.ID)
-		nn.setInt(0, carryKey, carryChild)
-		nn.setCount(1)
-		stack = append(stack, heldNode{nfr, nn})
-		modified = append(modified, nfr)
+		nn.setRoot(stack[0].fr.ID, carryKey, carryChild)
+		stack = append(stack, heldNode{nn, true})
 		// Publish the new root, then bump rootVer: a reader that still
 		// descends from the old root will fail its version check (the
-		// old root's version bumps in finish before any latch drops).
-		ix.root.Store(uint64(npg.ID()))
+		// old root's version bumps in release before any latch drops).
+		ix.root.Store(uint64(nn.fr.ID))
 		ix.rootVer.Add(1)
 	}
-	return true, finish()
+	return true, release()
 }
 
 // Range visits keys in [lo, hi] in order until fn returns false. Each
@@ -526,35 +415,17 @@ func (ix *OLCIndex) Range(w *sim.Worker, lo, hi uint64, fn func(key uint64, rid 
 	ix.stats.scans.Add(1)
 	db := ix.db
 	db.stateMu.RLock()
-	fr, n, err := ix.descend(w, lo, false)
-	if err != nil {
-		db.stateMu.RUnlock()
-		return err
-	}
-	type kv struct {
-		k uint64
-		r core.RID
-	}
-	var items []kv
-	for {
-		// fr is pinned and share-latched here, stateMu held shared.
-		items = items[:0]
-		done := false
-		start, _ := n.leafSearch(lo)
-		for i := start; i < n.count(); i++ {
-			k := n.leafKey(i)
-			if k > hi {
-				done = true
-				break
-			}
-			items = append(items, kv{k, n.leafRID(i)})
-		}
-		next := n.pg.NextPage()
-		fr.RUnlatch()
-		db.pool.Unpin(w, fr, false, 0)
+	n, err := ix.descend(w, lo, false)
+	var items []indexEntry
+	for err == nil {
+		// n is pinned and share-latched here, stateMu held shared.
+		var done bool
+		items, done = n.leafRange(lo, hi, items[:0])
+		next := n.NextPage()
+		n.unpin()
 		db.stateMu.RUnlock()
 		for _, it := range items {
-			if !fn(it.k, it.r) {
+			if !fn(it.key, it.rid) {
 				return nil
 			}
 		}
@@ -562,18 +433,10 @@ func (ix *OLCIndex) Range(w *sim.Worker, lo, hi uint64, fn func(key uint64, rid 
 			return nil
 		}
 		db.stateMu.RLock()
-		fr, err = db.pool.Get(w, next)
-		if err != nil {
-			db.stateMu.RUnlock()
-			return err
-		}
-		ix.rlatch(fr)
-		n, err = attachNode(ix.st, fr)
-		if err != nil {
-			fr.RUnlatch()
-			db.pool.Unpin(w, fr, false, 0)
-			db.stateMu.RUnlock()
-			return err
+		if n, err = ix.pinLatched(w, next, false); err == nil {
+			err = n.attach(ix.st)
 		}
 	}
+	db.stateMu.RUnlock()
+	return err
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ipa/internal/core"
-	"ipa/internal/page"
 	"ipa/internal/sim"
 	"ipa/internal/wal"
 )
@@ -120,56 +119,32 @@ func (db *DB) Recover(w *sim.Worker) (RecoveryReport, error) {
 }
 
 // redoOne applies one logged operation if the page does not already
-// reflect it (PageLSN guard). Pages that were never flushed before the
-// crash are recreated empty. Runs with stateMu held exclusively — no
-// other goroutine touches the page, but the frame latch is still taken:
-// Latch is what captures the frame's flushed image, and bytes redone
-// without it would count as already stored and never be flushed.
+// reflect it (PageLSN guard). Runs with stateMu held exclusively — no
+// other goroutine touches the page, but a change still needs the
+// exclusive frame latch: that latch is what captures the frame's flushed
+// image, and bytes redone without it would count as already stored and
+// never be flushed. A record the guard skips takes it shared only, and
+// copies nothing.
 func (db *DB) redoOne(w *sim.Worker, r wal.Record) (bool, error) {
-	id, lsn := r.Page, r.LSN
-	st := db.pageDir.get(id)
+	st := db.pageDir.get(r.Page)
 	if st == nil {
-		return false, fmt.Errorf("page %d has no store", id)
+		return false, fmt.Errorf("page %d has no store", r.Page)
 	}
-	fr, err := db.pool.Get(w, id)
+	pg, err := db.pinRedo(w, st, r.Page, false)
 	if err != nil {
-		// The page was allocated but never reached flash: recreate it and
-		// let redo rebuild its contents from the log.
-		if !st.region.Contains(id) {
-			fr, err = db.pool.GetNew(w, id)
-			if err != nil {
-				return false, err
-			}
-			fr.Latch()
-			_, err = page.Format(fr.Data, st.layout, id)
-			fr.Unlatch()
-			if err != nil {
-				db.pool.Unpin(w, fr, false, 0)
-				return false, err
-			}
-		} else {
-			return false, err
-		}
-	}
-	pg, err := page.Attach(fr.Data, st.layout)
-	if err != nil {
-		db.pool.Unpin(w, fr, false, 0)
 		return false, err
 	}
-	if pg.LSN() >= lsn {
-		return false, db.pool.Unpin(w, fr, false, 0)
+	if pg.LSN() >= r.LSN {
+		return false, pg.unpin()
 	}
-	fr.Latch()
-	err = applyOp(&pg, r.Op, int(r.Slot), int(r.Off), r.After)
-	if err == nil {
-		pg.SetLSN(lsn)
-	}
-	fr.Unlatch()
-	if err != nil {
-		db.pool.Unpin(w, fr, false, 0)
+	pg.unlatch()
+	pg.latch(true)
+	if err := applyOp(&pg.Page, r.Op, int(r.Slot), int(r.Off), r.After); err != nil {
+		pg.unpin()
 		return false, err
 	}
-	return true, db.pool.Unpin(w, fr, true, lsn)
+	pg.SetLSN(r.LSN)
+	return true, pg.unpinDirty(r.LSN)
 }
 
 // RestoreCatalog re-registers a table after a simulated restart. In a

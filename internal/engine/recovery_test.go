@@ -180,8 +180,8 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	if r.db.WAL().UsedBytes() >= before {
 		t.Errorf("checkpoint did not reclaim log space: %d → %d", before, r.db.WAL().UsedBytes())
 	}
-	if r.db.Checkpoints() != 1 {
-		t.Errorf("Checkpoints = %d", r.db.Checkpoints())
+	if stats, err := r.db.Stats(); err != nil || stats.Checkpoints != 1 {
+		t.Errorf("Checkpoints = %d (%v)", stats.Checkpoints, err)
 	}
 	// Recovery still works on the truncated log.
 	r.db.SimulateCrash()
@@ -216,8 +216,8 @@ func TestLogSpaceReclamationForcesFlushes(t *testing.T) {
 	if writes == 0 {
 		t.Error("no flushes despite log pressure — eager reclamation broken")
 	}
-	if r.db.Checkpoints() == 0 {
-		t.Error("no checkpoints taken under log pressure")
+	if stats, err := r.db.Stats(); err != nil || stats.Checkpoints == 0 {
+		t.Errorf("no checkpoints taken under log pressure (%v)", err)
 	}
 	if r.db.WAL().Usage() > 1.0 {
 		t.Errorf("log overflowed: usage %v", r.db.WAL().Usage())

@@ -297,29 +297,8 @@ func (a *Applier) applyPageOp(rec wal.Record, install bool) error {
 	if st == nil {
 		return fmt.Errorf("engine: replicated op on unknown page %d (LSN %d)", rec.Page, rec.LSN)
 	}
-	fr, err := db.pool.Get(a.w, rec.Page)
+	pg, err := db.pinRedo(a.w, st, rec.Page, true)
 	if err != nil {
-		// Allocated but never flushed here: recreate empty, as redo does.
-		if st.region.Contains(rec.Page) {
-			return err
-		}
-		fr, err = db.pool.GetNew(a.w, rec.Page)
-		if err != nil {
-			return err
-		}
-		fr.Latch()
-		_, err = page.Format(fr.Data, st.layout, rec.Page)
-		fr.Unlatch()
-		if err != nil {
-			db.pool.Unpin(a.w, fr, false, 0)
-			return err
-		}
-	}
-	fr.Latch()
-	pg, err := page.Attach(fr.Data, st.layout)
-	if err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(a.w, fr, false, 0)
 		return err
 	}
 	redo := pg.LSN() < rec.LSN
@@ -328,7 +307,7 @@ func (a *Applier) applyPageOp(rec wal.Record, install bool) error {
 		rid := core.RID{Page: rec.Page, Slot: rec.Slot}
 		switch {
 		case !redo:
-			img, absent := a.imageBeforeTx(&pg, rec)
+			img, absent := a.imageBeforeTx(&pg.Page, rec)
 			db.vs.setPending(rid, rec.TxID, img, absent)
 		case rec.Op == wal.OpPatch:
 			// An OpPatch ships only the bytes it changes; the whole
@@ -340,19 +319,15 @@ func (a *Applier) applyPageOp(rec wal.Record, install bool) error {
 			db.vs.installPending(rid, rec.TxID, append([]byte(nil), rec.Before...), rec.Op == wal.OpInsert)
 		}
 	}
-	if redo {
-		if err := applyOp(&pg, rec.Op, int(rec.Slot), int(rec.Off), rec.After); err != nil {
-			fr.Unlatch()
-			db.pool.Unpin(a.w, fr, false, 0)
-			return err
-		}
-		pg.SetLSN(rec.LSN)
+	if !redo {
+		return pg.unpin()
 	}
-	fr.Unlatch()
-	if redo {
-		return db.pool.Unpin(a.w, fr, true, rec.LSN)
+	if err := applyOp(&pg.Page, rec.Op, int(rec.Slot), int(rec.Off), rec.After); err != nil {
+		pg.unpin()
+		return err
 	}
-	return db.pool.Unpin(a.w, fr, false, 0)
+	pg.SetLSN(rec.LSN)
+	return pg.unpinDirty(rec.LSN)
 }
 
 // imageBeforeTx rebuilds the tuple at rec's RID as it was before rec's

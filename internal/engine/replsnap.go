@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ipa/internal/core"
-	"ipa/internal/page"
 	"ipa/internal/sim"
 )
 
@@ -98,12 +97,12 @@ func (db *DB) CaptureSnapshot(w *sim.Worker) (*ReplicaSnapshot, error) {
 		t.mu.Unlock()
 		snap.Tables = append(snap.Tables, tm)
 		for _, pid := range tm.Pages {
-			fr, err := db.pool.Get(w, pid)
+			pg, err := db.pinPage(w, t.st, pid, false)
 			if err != nil {
 				return nil, fmt.Errorf("engine: snapshot page %d: %w", pid, err)
 			}
-			img := append([]byte(nil), fr.Data...)
-			if err := db.pool.Unpin(w, fr, false, 0); err != nil {
+			img := append([]byte(nil), pg.Buf()...)
+			if err := pg.unpin(); err != nil {
 				return nil, err
 			}
 			snap.Pages = append(snap.Pages, PageImage{ID: pid, Region: tm.Region, Data: img})
@@ -175,24 +174,21 @@ func (db *DB) InstallSnapshot(w *sim.Worker, snap *ReplicaSnapshot) error {
 		if err := db.pageDir.put(pi.ID, st); err != nil {
 			return err
 		}
-		fr, err := db.pool.GetNew(w, pi.ID)
+		pg, err := db.pinNew(w, pi.ID)
 		if err != nil {
 			return err
 		}
-		if len(fr.Data) != len(pi.Data) {
-			db.pool.Unpin(w, fr, false, 0)
+		pg.latch(true)
+		if len(pi.Data) != len(pg.fr.Data) {
+			pg.unpin()
 			return fmt.Errorf("engine: snapshot page %d is %d bytes, frame holds %d",
-				pi.ID, len(pi.Data), len(fr.Data))
+				pi.ID, len(pi.Data), len(pg.fr.Data))
 		}
-		fr.Latch()
-		copy(fr.Data, pi.Data)
-		fr.Unlatch()
-		pg, err := page.Attach(fr.Data, st.layout)
-		if err != nil {
-			db.pool.Unpin(w, fr, false, 0)
+		copy(pg.fr.Data, pi.Data)
+		if err := pg.attach(st); err != nil {
 			return err
 		}
-		if err := db.pool.Unpin(w, fr, true, pg.LSN()); err != nil {
+		if err := pg.unpinDirty(pg.LSN()); err != nil {
 			return err
 		}
 	}

@@ -165,63 +165,19 @@ func (s *PageStore) newScheme(kind noftl.Storage) (StorageScheme, error) {
 	case noftl.StorageOOP:
 		return oopScheme{s: s}, nil
 	case noftl.StoragePDL:
-		if s.dl == nil {
-			dl, err := noftl.NewDiffLog(s.region, noftl.PDLConfig{EncodeOOB: s.pdlOOB()})
-			if err != nil {
-				return nil, err
-			}
-			s.dl = dl
+		dl, err := noftl.NewDiffLog(s.region, noftl.PDLConfig{EncodeOOB: s.pdlOOB()})
+		if err != nil {
+			return nil, err
 		}
-		return pdlScheme{s: s, dl: s.dl}, nil
+		s.dl = dl
+		return pdlScheme{s: s, dl: dl}, nil
 	default:
 		return nil, fmt.Errorf("engine: unknown storage %d", int(kind))
 	}
 }
 
-func (s *PageStore) currentScheme() StorageScheme { return *s.scheme.Load() }
-
-// Storage returns the scheme the store currently flushes with.
-func (s *PageStore) Storage() noftl.Storage { return s.currentScheme().Kind() }
-
-// SetStorage switches the store's write-reduction scheme at runtime
-// (the advisor's auto-apply hook). Switching away from PDL first folds
-// every outstanding differential into its base page. Switching to IPA
-// requires the region to have been created with an IPA layout (a delta
-// area cannot be retrofitted onto pages already written without one),
-// and switching to PDL requires the opposite — no delta area — since
-// merges rewrite raw base images.
-func (s *PageStore) SetStorage(w *sim.Worker, kind noftl.Storage) error {
-	s.schemeMu.Lock()
-	defer s.schemeMu.Unlock()
-	cur := s.currentScheme()
-	if cur.Kind() == kind {
-		return nil
-	}
-	switch kind {
-	case noftl.StorageIPA:
-		if s.layout.Scheme.Disabled() || s.region.Mode() == noftl.ModeNone {
-			return fmt.Errorf("engine: region %q was not created with an IPA layout", s.region.Name())
-		}
-	case noftl.StoragePDL:
-		if !s.layout.Scheme.Disabled() {
-			return fmt.Errorf("engine: region %q has an IPA delta area; PDL requires a plain layout", s.region.Name())
-		}
-	case noftl.StorageOOP:
-	default:
-		return fmt.Errorf("engine: unknown storage %d", int(kind))
-	}
-	if cur.Kind() == noftl.StoragePDL && s.dl != nil {
-		if err := s.dl.MergeAll(w); err != nil {
-			return err
-		}
-	}
-	next, err := s.newScheme(kind)
-	if err != nil {
-		return err
-	}
-	s.scheme.Store(&next)
-	return nil
-}
+// Storage returns the scheme the store flushes with.
+func (s *PageStore) Storage() noftl.Storage { return s.scheme.Kind() }
 
 // pdlOOB returns the DiffLog's OOB encoder hook: merged base images get
 // the same body ECC an out-of-place flush would attach.

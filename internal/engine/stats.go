@@ -29,17 +29,11 @@ type Stats struct {
 	Aborts AbortStats
 	MVCC   MVCCStats
 
-	// Write-ahead log.
-	LogFlushes   uint64 // flush operations that moved the durable horizon
-	LogAbsorbed  uint64 // commits absorbed by another committer's group flush
-	LogUsedBytes uint64 // live log volume
-	LogUsage     float64
-
-	// WAL is the full log contention snapshot: append reservations,
-	// published/durable horizons, leader batches with batch-size
-	// p50/p99, absorbed followers, and ring shape. The Log* fields
-	// above remain as the stable summary; WAL carries the counters the
-	// reservation-based append path adds.
+	// WAL is the write-ahead log's snapshot: flushes that moved the
+	// durable horizon, commits absorbed by another committer's group
+	// flush, live volume and usage, append reservations, published and
+	// durable horizons, leader batches with batch-size p50/p99, and ring
+	// shape.
 	WAL wal.Stats
 
 	// Buffer pool (hits, misses, evictions, cleaner activity).
@@ -94,16 +88,12 @@ func (db *DB) Stats() (Stats, error) {
 			Explicit:      db.abortsExplicit.Load(),
 			LockConflicts: db.lockConflicts.Load(),
 		},
-		MVCC:         db.vs.stats(),
-		LogFlushes:   db.log.Flushes(),
-		LogAbsorbed:  db.log.Absorbed(),
-		LogUsedBytes: db.log.UsedBytes(),
-		LogUsage:     db.log.Usage(),
-		WAL:          db.log.Stats(),
-		Pool:         pool.Stats(),
-		Flash:        db.dev.Array().Stats(),
-		Regions:      make(map[string]noftl.Stats),
-		Stores:       make(map[string]StoreStats),
+		MVCC:    db.vs.stats(),
+		WAL:     db.log.Stats(),
+		Pool:    pool.Stats(),
+		Flash:   db.dev.Array().Stats(),
+		Regions: make(map[string]noftl.Stats),
+		Stores:  make(map[string]StoreStats),
 	}
 	db.catMu.Lock()
 	stores := make(map[string]*PageStore, len(db.stores))

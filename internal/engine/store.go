@@ -93,14 +93,11 @@ type PageStore struct {
 	sect   ecc.Sections
 	useECC bool
 
-	// scheme is the pluggable write-reduction scheme (see scheme.go),
-	// read on every fetch and flush; schemeMu serialises the runtime
-	// switches that replace it (SetStorage). dl is the PDL differential
-	// log, created lazily for PDL stores and kept across scheme switches
-	// so a later switch back finds its state.
-	schemeMu sync.Mutex
-	scheme   atomic.Pointer[StorageScheme]
-	dl       *noftl.DiffLog
+	// scheme is the pluggable write-reduction scheme (see scheme.go), set
+	// once from the region's storage; dl is the differential log of a PDL
+	// store (nil otherwise), which RecoverMapping rebuilds.
+	scheme StorageScheme
+	dl     *noftl.DiffLog
 
 	ctr        storeCounters
 	netBytes   *metrics.Hist
@@ -173,7 +170,7 @@ func NewPageStore(region *noftl.Region, pageSize int, useECC bool) (*PageStore, 
 	if err != nil {
 		return nil, err
 	}
-	s.scheme.Store(&scheme)
+	s.scheme = scheme
 	return s, nil
 }
 
@@ -197,7 +194,7 @@ func (s *PageStore) Stats() StoreStats {
 		GrossBytes:     s.grossBytes,
 		FetchLatency:   s.fetchLat,
 		FlushLatency:   s.flushLat,
-		Scheme:         s.currentScheme().Stats(),
+		Scheme:         s.scheme.Stats(),
 	}
 }
 
@@ -206,7 +203,7 @@ func (s *PageStore) Stats() StoreStats {
 // image plus the used-slot count (N_E).
 func (s *PageStore) Fetch(w *sim.Worker, id core.PageID, buf []byte) (int, error) {
 	start := now(w)
-	scheme := s.currentScheme()
+	scheme := s.scheme
 	var used, applied int
 	// Epoch loop: a PDL merge can fold a page's differential records into
 	// a rewritten base image between our base read and Materialize — the
@@ -361,7 +358,7 @@ func (s *PageStore) flush(w *sim.Worker, fr *buffer.Frame) (FlushKind, error) {
 		sink.RecordEvict(fr.ID, cs.BodyBytes(), cs.BodyBytes()+cs.MetaBytes(), false)
 	}
 	// The IPA-vs-PDL-vs-OOP decision itself is pluggable; see scheme.go.
-	return s.currentScheme().FlushUpdate(w, fr, cs)
+	return s.scheme.FlushUpdate(w, fr, cs)
 }
 
 // writeDelta encodes the planned records into contiguous delta slots and
@@ -516,7 +513,7 @@ func (s *PageStore) Free(id core.PageID) error {
 	if err := s.region.Free(id); err != nil {
 		return err
 	}
-	s.currentScheme().Invalidate(id)
+	s.scheme.Invalidate(id)
 	return nil
 }
 

@@ -85,11 +85,8 @@ func (t *Table) Pages() int {
 // Insert appends a tuple, logging the operation under tx.
 func (t *Table) Insert(tx *Tx, data []byte) (core.RID, error) {
 	db := t.db
-	if tx.status != txActive {
-		return core.RID{}, fmt.Errorf("%w: tx %d", ErrTxClosed, tx.id)
-	}
-	if tx.readOnly {
-		return core.RID{}, fmt.Errorf("%w: tx %d", ErrReadOnlyTx, tx.id)
+	if err := tx.writable(); err != nil {
+		return core.RID{}, err
 	}
 	db.stateMu.RLock()
 	defer db.stateMu.RUnlock()
@@ -97,115 +94,82 @@ func (t *Table) Insert(tx *Tx, data []byte) (core.RID, error) {
 	defer t.mu.Unlock()
 	// Try the current insertion target first.
 	if t.last != core.InvalidPageID {
-		rid, err := t.insertInto(tx, t.last, data)
-		if err == nil {
-			return rid, nil
-		}
-		if !errors.Is(err, page.ErrPageFull) {
+		pg, err := db.pinPage(tx.w, t.st, t.last, true)
+		if err != nil {
 			return core.RID{}, err
 		}
+		rid, err := t.insertInto(tx, pg, data)
+		if !errors.Is(err, page.ErrPageFull) {
+			return rid, err
+		}
 	}
-	// Allocate a fresh page and chain it.
-	fr, pg, err := db.newPage(tx.w, t.st, t.id, 0)
+	// Allocate a fresh page and chain it. Its latch is dropped while the
+	// previous tail is fetched: a frame latch is not held across a fetch.
+	pg, err := db.newPage(tx.w, t.st, t.id, 0)
 	if err != nil {
 		return core.RID{}, err
 	}
-	id := pg.ID()
+	pg.unlatch()
+	id := pg.fr.ID
 	if t.last != core.InvalidPageID {
-		// Link the previous tail to the new page.
 		if err := t.setNext(tx.w, t.last, id); err != nil {
-			db.pool.Unpin(tx.w, fr, false, 0)
+			pg.unpin()
 			return core.RID{}, err
 		}
 	}
 	t.pages = append(t.pages, id)
 	t.last = id
-	fr.Latch()
-	slot, err := pg.Insert(data)
+	pg.latch(true)
+	rid, err := t.insertInto(tx, pg, data)
 	if err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(tx.w, fr, false, 0)
-		return core.RID{}, err
-	}
-	rid := core.RID{Page: id, Slot: uint16(slot)}
-	if err := tx.lockRID(rid); err != nil {
-		// A fresh slot can only collide with a deleted-but-locked tuple.
-		pg.Delete(slot)
-		fr.Unlatch()
-		db.pool.Unpin(tx.w, fr, false, 0)
-		return core.RID{}, err
-	}
-	if db.vs != nil {
-		db.vs.installPending(rid, tx.id, nil, true)
-	}
-	lsn := tx.logUpdate(id, wal.OpInsert, slot, 0, nil, data)
-	pg.SetLSN(lsn)
-	fr.Unlatch()
-	if err := db.pool.Unpin(tx.w, fr, true, lsn); err != nil {
 		return core.RID{}, err
 	}
 	return rid, db.maybeReclaim(tx.w)
 }
 
-// insertInto inserts into an existing page. Caller holds stateMu shared
-// and t.mu.
-func (t *Table) insertInto(tx *Tx, id core.PageID, data []byte) (core.RID, error) {
+// insertInto inserts into the exclusively latched page pg, which it takes
+// over and releases. Caller holds stateMu shared and t.mu.
+func (t *Table) insertInto(tx *Tx, pg pageRef, data []byte) (core.RID, error) {
 	db := t.db
-	fr, err := db.pool.Get(tx.w, id)
-	if err != nil {
-		return core.RID{}, err
-	}
-	fr.Latch()
-	pg, err := page.Attach(fr.Data, t.st.layout)
-	if err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(tx.w, fr, false, 0)
-		return core.RID{}, err
-	}
 	slot, err := pg.Insert(data)
 	if err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(tx.w, fr, false, 0)
+		pg.unpin()
 		return core.RID{}, err
 	}
-	rid := core.RID{Page: id, Slot: uint16(slot)}
-	if err := tx.lockRID(rid); err != nil {
+	rid := core.RID{Page: pg.fr.ID, Slot: uint16(slot)}
+	// page.Insert reuses a slot that a transaction still rolling back has
+	// freed on the page but holds locked until it ends. That is no
+	// conflict of this transaction's making (so not lockRID, which would
+	// count one and mark the transaction): the slot goes back and the page
+	// counts as full, which moves Insert on to a fresh page, whose RIDs
+	// nobody can hold.
+	ok, fresh, owner := db.locks.acquire(rid, tx.id)
+	if !ok {
 		pg.Delete(slot)
-		fr.Unlatch()
-		db.pool.Unpin(tx.w, fr, false, 0)
-		return core.RID{}, err
+		pg.unpin()
+		return core.RID{}, fmt.Errorf("%w: free slot %v is locked by tx %d", page.ErrPageFull, rid, owner)
+	}
+	if fresh {
+		tx.held = append(tx.held, rid)
 	}
 	if db.vs != nil {
 		db.vs.installPending(rid, tx.id, nil, true)
 	}
-	lsn := tx.logUpdate(id, wal.OpInsert, slot, 0, nil, data)
+	lsn := tx.logUpdate(rid.Page, wal.OpInsert, slot, 0, nil, data)
 	pg.SetLSN(lsn)
-	fr.Unlatch()
-	if err := db.pool.Unpin(tx.w, fr, true, lsn); err != nil {
-		return core.RID{}, err
-	}
-	return rid, nil
+	return rid, pg.unpinDirty(lsn)
 }
 
 // setNext updates the heap chain pointer of a page (metadata-only
 // change, itself absorbed as a delta when flushed). Caller holds stateMu
 // shared.
 func (t *Table) setNext(w *sim.Worker, id, next core.PageID) error {
-	fr, err := t.db.pool.Get(w, id)
+	pg, err := t.db.pinPage(w, t.st, id, true)
 	if err != nil {
-		return err
-	}
-	fr.Latch()
-	pg, err := page.Attach(fr.Data, t.st.layout)
-	if err != nil {
-		fr.Unlatch()
-		t.db.pool.Unpin(w, fr, false, 0)
 		return err
 	}
 	pg.SetNextPage(next)
-	lsn := pg.LSN()
-	fr.Unlatch()
-	return t.db.pool.Unpin(w, fr, true, lsn)
+	return pg.unpinDirty(pg.LSN())
 }
 
 // Read copies the tuple at rid.
@@ -219,28 +183,17 @@ func (t *Table) Read(w *sim.Worker, rid core.RID) ([]byte, error) {
 // readHeap copies the current heap tuple at rid under the page's shared
 // latch. Caller holds stateMu shared.
 func (t *Table) readHeap(w *sim.Worker, rid core.RID) ([]byte, error) {
-	db := t.db
-	fr, err := db.pool.Get(w, rid.Page)
+	pg, err := t.db.pinPage(w, t.st, rid.Page, false)
 	if err != nil {
 		return nil, err
 	}
-	fr.RLatch()
-	var out []byte
-	pg, err := page.Attach(fr.Data, t.st.layout)
-	if err == nil {
-		var tup []byte
-		tup, err = pg.ReadTuple(int(rid.Slot))
-		if err != nil {
-			err = fmt.Errorf("%w: %v: %v", ErrNoTuple, rid, err)
-		} else {
-			out = append([]byte(nil), tup...)
-		}
-	}
-	fr.RUnlatch()
-	db.pool.Unpin(w, fr, false, 0)
+	tup, err := pg.ReadTuple(int(rid.Slot))
 	if err != nil {
-		return nil, err
+		pg.unpin()
+		return nil, fmt.Errorf("%w: %v: %v", ErrNoTuple, rid, err)
 	}
+	out := append([]byte(nil), tup...)
+	pg.unpin()
 	return out, nil
 }
 
@@ -250,11 +203,8 @@ func (t *Table) readHeap(w *sim.Worker, rid core.RID) ([]byte, error) {
 // fails immediately with ErrLockConflict when a writer holds the tuple.
 func (t *Table) ReadLocked(tx *Tx, rid core.RID) ([]byte, error) {
 	db := t.db
-	if tx.status != txActive {
-		return nil, fmt.Errorf("%w: tx %d", ErrTxClosed, tx.id)
-	}
-	if tx.readOnly {
-		return nil, fmt.Errorf("%w: tx %d", ErrReadOnlyTx, tx.id)
+	if err := tx.writable(); err != nil {
+		return nil, err
 	}
 	db.stateMu.RLock()
 	defer db.stateMu.RUnlock()
@@ -291,6 +241,34 @@ func (t *Table) ReadSnapshot(tx *Tx, rid core.RID) ([]byte, error) {
 	return heap, heapErr
 }
 
+// pageTuples copies the tuples of heap page id under its shared latch,
+// one entry per slot: nil for a deleted slot (a live tuple is never
+// empty).
+func (t *Table) pageTuples(w *sim.Worker, id core.PageID) ([][]byte, error) {
+	db := t.db
+	db.stateMu.RLock()
+	defer db.stateMu.RUnlock()
+	pg, err := db.pinPage(w, t.st, id, false)
+	if err != nil {
+		return nil, err
+	}
+	tups := make([][]byte, pg.SlotCount())
+	for s := range tups {
+		if tup, err := pg.ReadTuple(s); err == nil {
+			tups[s] = append([]byte(nil), tup...)
+		}
+	}
+	pg.unpin()
+	return tups, nil
+}
+
+// heapPages snapshots the heap chain.
+func (t *Table) heapPages() []core.PageID {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]core.PageID(nil), t.pages...)
+}
+
 // ScanSnapshot visits every tuple visible at the snapshot transaction's
 // pinned LSN, in heap order, until fn returns false. Each page's slots
 // are copied under the shared latch, then resolved through the version
@@ -307,50 +285,20 @@ func (t *Table) ScanSnapshot(tx *Tx, fn func(rid core.RID, tuple []byte) bool) e
 		return fmt.Errorf("%w: tx %d", ErrNotSnapshot, tx.id)
 	}
 	db.vs.snapScans.Add(1)
-	t.mu.Lock()
-	pages := append([]core.PageID(nil), t.pages...)
-	t.mu.Unlock()
-	for _, id := range pages {
-		type slotState struct {
-			tup  []byte
-			live bool
-		}
-		var slots []slotState
-		db.stateMu.RLock()
-		fr, err := db.pool.Get(tx.w, id)
+	for _, id := range t.heapPages() {
+		tups, err := t.pageTuples(tx.w, id)
 		if err != nil {
-			db.stateMu.RUnlock()
 			return err
 		}
-		fr.RLatch()
-		pg, err := page.Attach(fr.Data, t.st.layout)
-		if err != nil {
-			fr.RUnlatch()
-			db.pool.Unpin(tx.w, fr, false, 0)
-			db.stateMu.RUnlock()
-			return err
-		}
-		slots = make([]slotState, pg.SlotCount())
-		for s := range slots {
-			if tup, err := pg.ReadTuple(s); err == nil {
-				slots[s] = slotState{tup: append([]byte(nil), tup...), live: true}
-			}
-		}
-		fr.RUnlatch()
-		db.pool.Unpin(tx.w, fr, false, 0)
-		db.stateMu.RUnlock()
-		for s, st := range slots {
+		for s, tup := range tups {
 			rid := core.RID{Page: id, Slot: uint16(s)}
 			data, absent, override := db.vs.resolve(rid, tx.snapshot)
-			var tup []byte
 			switch {
 			case override && absent:
 				continue // not visible at the snapshot
 			case override:
 				tup = append([]byte(nil), data...)
-			case st.live:
-				tup = st.tup
-			default:
+			case tup == nil:
 				continue // deleted, with no retained history
 			}
 			if !fn(rid, tup) {
@@ -361,36 +309,36 @@ func (t *Table) ScanSnapshot(tx *Tx, fn func(rid core.RID, tuple []byte) bool) e
 	return nil
 }
 
+// pinTuple is the head of every RID-addressed write: tx takes the tuple
+// lock, and the tuple's page comes back exclusively latched together
+// with the tuple's bytes on it. Caller holds stateMu shared.
+func (t *Table) pinTuple(tx *Tx, rid core.RID) (pageRef, []byte, error) {
+	if err := tx.writable(); err != nil {
+		return pageRef{}, nil, err
+	}
+	if err := tx.lockRID(rid); err != nil {
+		return pageRef{}, nil, err
+	}
+	pg, err := t.db.pinPage(tx.w, t.st, rid.Page, true)
+	if err != nil {
+		return pageRef{}, nil, err
+	}
+	tup, err := pg.ReadTuple(int(rid.Slot))
+	if err != nil {
+		pg.unpin()
+		return pageRef{}, nil, fmt.Errorf("%w: %v: %v", ErrNoTuple, rid, err)
+	}
+	return pg, tup, nil
+}
+
 // Update replaces the tuple at rid, logging before/after images.
 func (t *Table) Update(tx *Tx, rid core.RID, data []byte) error {
 	db := t.db
-	if tx.status != txActive {
-		return fmt.Errorf("%w: tx %d", ErrTxClosed, tx.id)
-	}
-	if tx.readOnly {
-		return fmt.Errorf("%w: tx %d", ErrReadOnlyTx, tx.id)
-	}
 	db.stateMu.RLock()
 	defer db.stateMu.RUnlock()
-	if err := tx.lockRID(rid); err != nil {
-		return err
-	}
-	fr, err := db.pool.Get(tx.w, rid.Page)
+	pg, old, err := t.pinTuple(tx, rid)
 	if err != nil {
 		return err
-	}
-	fr.Latch()
-	pg, err := page.Attach(fr.Data, t.st.layout)
-	if err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(tx.w, fr, false, 0)
-		return err
-	}
-	old, err := pg.ReadTuple(int(rid.Slot))
-	if err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(tx.w, fr, false, 0)
-		return fmt.Errorf("%w: %v: %v", ErrNoTuple, rid, err)
 	}
 	before := append([]byte(nil), old...)
 	if db.vs != nil {
@@ -399,14 +347,12 @@ func (t *Table) Update(tx *Tx, rid core.RID, data []byte) error {
 		db.vs.installPending(rid, tx.id, before, false)
 	}
 	if err := pg.Update(int(rid.Slot), data); err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(tx.w, fr, false, 0)
+		pg.unpin()
 		return err
 	}
 	lsn := tx.logUpdate(rid.Page, wal.OpUpdate, int(rid.Slot), 0, before, data)
 	pg.SetLSN(lsn)
-	fr.Unlatch()
-	if err := db.pool.Unpin(tx.w, fr, true, lsn); err != nil {
+	if err := pg.unpinDirty(lsn); err != nil {
 		return err
 	}
 	return db.maybeReclaim(tx.w)
@@ -440,157 +386,75 @@ func (t *Table) AddField(tx *Tx, rid core.RID, off int, delta uint64) error {
 // excepted, which the version store keeps).
 func (t *Table) patchField(tx *Tx, rid core.RID, off int, val []byte, add bool, delta uint64) error {
 	db := t.db
-	if tx.status != txActive {
-		return fmt.Errorf("%w: tx %d", ErrTxClosed, tx.id)
-	}
-	if tx.readOnly {
-		return fmt.Errorf("%w: tx %d", ErrReadOnlyTx, tx.id)
-	}
 	db.stateMu.RLock()
 	defer db.stateMu.RUnlock()
-	if err := tx.lockRID(rid); err != nil {
-		return err
-	}
-	fr, err := db.pool.Get(tx.w, rid.Page)
+	pg, tup, err := t.pinTuple(tx, rid)
 	if err != nil {
 		return err
-	}
-	fr.Latch()
-	lsn, err := t.patchLatched(tx, fr.Data, rid, off, val, add, delta)
-	fr.Unlatch()
-	if err != nil {
-		db.pool.Unpin(tx.w, fr, false, 0)
-		return err
-	}
-	if err := db.pool.Unpin(tx.w, fr, true, lsn); err != nil {
-		return err
-	}
-	return db.maybeReclaim(tx.w)
-}
-
-// patchLatched logs and applies a field update to the page image buf,
-// whose exclusive latch the caller holds, and returns the record's LSN.
-// The record is appended first, straight from the page (Before) and the
-// caller's bytes (After): the log copies both, so neither needs a
-// buffer of its own.
-func (t *Table) patchLatched(tx *Tx, buf []byte, rid core.RID, off int, val []byte, add bool, delta uint64) (core.LSN, error) {
-	pg, err := page.Attach(buf, t.st.layout)
-	if err != nil {
-		return 0, err
-	}
-	tup, err := pg.ReadTuple(int(rid.Slot))
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v: %v", ErrNoTuple, rid, err)
 	}
 	n := len(val)
 	if add {
 		n = 8
 	}
 	if off < 0 || off > len(tup) || n > len(tup)-off {
-		return 0, fmt.Errorf("engine: field of %d bytes at %d outside tuple of %d bytes", n, off, len(tup))
+		pg.unpin()
+		return fmt.Errorf("engine: field of %d bytes at %d outside tuple of %d bytes", n, off, len(tup))
 	}
 	field := tup[off : off+n]
 	if add {
 		val = tx.word[:]
 		binary.LittleEndian.PutUint64(val, binary.LittleEndian.Uint64(field)+delta)
 	}
-	if db := t.db; db.vs != nil {
+	if db.vs != nil {
 		// Under the exclusive latch, before the heap mutation: a snapshot
 		// reader that sees the new heap state must find this before-image.
 		db.vs.installPending(rid, tx.id, append([]byte(nil), tup...), false)
 	}
+	// The record is appended first, straight from the page (Before) and
+	// the caller's bytes (After): the log copies both, so neither needs a
+	// buffer of its own.
 	lsn := tx.logUpdate(rid.Page, wal.OpPatch, int(rid.Slot), off, field, val)
 	copy(field, val)
 	pg.SetLSN(lsn)
-	return lsn, nil
+	if err := pg.unpinDirty(lsn); err != nil {
+		return err
+	}
+	return db.maybeReclaim(tx.w)
 }
 
 // Delete removes the tuple at rid.
 func (t *Table) Delete(tx *Tx, rid core.RID) error {
 	db := t.db
-	if tx.status != txActive {
-		return fmt.Errorf("%w: tx %d", ErrTxClosed, tx.id)
-	}
-	if tx.readOnly {
-		return fmt.Errorf("%w: tx %d", ErrReadOnlyTx, tx.id)
-	}
 	db.stateMu.RLock()
 	defer db.stateMu.RUnlock()
-	if err := tx.lockRID(rid); err != nil {
-		return err
-	}
-	fr, err := db.pool.Get(tx.w, rid.Page)
+	pg, old, err := t.pinTuple(tx, rid)
 	if err != nil {
 		return err
-	}
-	fr.Latch()
-	pg, err := page.Attach(fr.Data, t.st.layout)
-	if err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(tx.w, fr, false, 0)
-		return err
-	}
-	old, err := pg.ReadTuple(int(rid.Slot))
-	if err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(tx.w, fr, false, 0)
-		return fmt.Errorf("%w: %v: %v", ErrNoTuple, rid, err)
 	}
 	before := append([]byte(nil), old...)
 	if db.vs != nil {
 		db.vs.installPending(rid, tx.id, before, false)
 	}
 	if err := pg.Delete(int(rid.Slot)); err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(tx.w, fr, false, 0)
+		pg.unpin()
 		return err
 	}
 	lsn := tx.logUpdate(rid.Page, wal.OpDelete, int(rid.Slot), 0, before, nil)
 	pg.SetLSN(lsn)
-	fr.Unlatch()
-	return db.pool.Unpin(tx.w, fr, true, lsn)
+	return pg.unpinDirty(lsn)
 }
 
 // Scan visits every live tuple in heap order until fn returns false. The
 // callback runs with no latches held, so it may perform table reads;
 // tuples inserted concurrently may or may not be seen.
 func (t *Table) Scan(w *sim.Worker, fn func(rid core.RID, tuple []byte) bool) error {
-	db := t.db
-	t.mu.Lock()
-	pages := append([]core.PageID(nil), t.pages...)
-	t.mu.Unlock()
-	for _, id := range pages {
-		type item struct {
-			rid core.RID
-			tup []byte
-		}
-		var items []item
-		db.stateMu.RLock()
-		fr, err := db.pool.Get(w, id)
+	for _, id := range t.heapPages() {
+		tups, err := t.pageTuples(w, id)
 		if err != nil {
-			db.stateMu.RUnlock()
 			return err
 		}
-		fr.RLatch()
-		pg, err := page.Attach(fr.Data, t.st.layout)
-		if err != nil {
-			fr.RUnlatch()
-			db.pool.Unpin(w, fr, false, 0)
-			db.stateMu.RUnlock()
-			return err
-		}
-		for s := 0; s < pg.SlotCount(); s++ {
-			tup, err := pg.ReadTuple(s)
-			if err != nil {
-				continue // deleted slot
-			}
-			items = append(items, item{core.RID{Page: id, Slot: uint16(s)}, append([]byte(nil), tup...)})
-		}
-		fr.RUnlatch()
-		db.pool.Unpin(w, fr, false, 0)
-		db.stateMu.RUnlock()
-		for _, it := range items {
-			if !fn(it.rid, it.tup) {
+		for s, tup := range tups {
+			if tup != nil && !fn(core.RID{Page: id, Slot: uint16(s)}, tup) {
 				return nil
 			}
 		}

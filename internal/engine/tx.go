@@ -139,6 +139,18 @@ func (tx *Tx) SnapshotLSN() core.LSN { return tx.snapshot }
 // The server's quorum wait keys on it.
 func (tx *Tx) CommitLSN() core.LSN { return tx.commitLSN }
 
+// writable reports why tx may not write or lock: it has ended, or it is
+// a read-only snapshot.
+func (tx *Tx) writable() error {
+	if tx.status != txActive {
+		return fmt.Errorf("%w: tx %d", ErrTxClosed, tx.id)
+	}
+	if tx.readOnly {
+		return fmt.Errorf("%w: tx %d", ErrReadOnlyTx, tx.id)
+	}
+	return nil
+}
+
 // lockRID acquires (or re-acquires) the exclusive tuple lock through the
 // sharded no-wait lock table.
 func (tx *Tx) lockRID(rid core.RID) error {
@@ -298,15 +310,8 @@ func (db *DB) undoOne(w *sim.Worker, txID uint64, rec wal.Record) error {
 	if st == nil {
 		return fmt.Errorf("engine: undo on unknown page %d", rec.Page)
 	}
-	fr, err := db.pool.Get(w, rec.Page)
+	pg, err := db.pinPage(w, st, rec.Page, true)
 	if err != nil {
-		return err
-	}
-	fr.Latch()
-	pg, err := page.Attach(fr.Data, st.layout)
-	if err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(w, fr, false, 0)
 		return err
 	}
 	undoOp, undoImg := invertOp(rec)
@@ -315,14 +320,12 @@ func (db *DB) undoOne(w *sim.Worker, txID uint64, rec wal.Record) error {
 		Page: rec.Page, Op: undoOp, Slot: rec.Slot, Off: rec.Off, After: undoImg,
 		UndoNext: rec.PrevLSN,
 	})
-	if err := applyOp(&pg, undoOp, int(rec.Slot), int(rec.Off), undoImg); err != nil {
-		fr.Unlatch()
-		db.pool.Unpin(w, fr, false, 0)
+	if err := applyOp(&pg.Page, undoOp, int(rec.Slot), int(rec.Off), undoImg); err != nil {
+		pg.unpin()
 		return err
 	}
 	pg.SetLSN(clr)
-	fr.Unlatch()
-	return db.pool.Unpin(w, fr, true, clr)
+	return pg.unpinDirty(clr)
 }
 
 // invertOp returns the compensating operation for an update record.

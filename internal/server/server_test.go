@@ -206,9 +206,9 @@ func TestServerIntegration(t *testing.T) {
 		t.Fatalf("admin JSON does not decode: %v", err)
 	}
 	resp.Body.Close()
-	// LogFlushes is non-zero as soon as any commit is acknowledged;
+	// WAL.Flushes is non-zero as soon as any commit is acknowledged;
 	// Flash.Programs would race the first buffer-pool eviction.
-	if doc.Engine.LogFlushes == 0 {
+	if doc.Engine.WAL.Flushes == 0 {
 		t.Error("admin engine stats empty mid-load")
 	}
 	for _, op := range []string{"BEGIN", "COMMIT", "INSERT"} {

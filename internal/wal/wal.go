@@ -714,10 +714,6 @@ func (l *Log) batchQuantile(q float64) uint64 {
 	return 1 << (batchBuckets - 1)
 }
 
-// Absorbed returns how many GroupFlush calls were satisfied by another
-// committer's flush (the group-commit win). Lock-free.
-func (l *Log) Absorbed() uint64 { return l.absorbed.Load() }
-
 // Flushed returns the durable horizon. Lock-free.
 func (l *Log) Flushed() core.LSN { return core.LSN(l.flushed.Load()) }
 

@@ -3,7 +3,6 @@ package workload
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,19 +20,9 @@ import (
 // no-wait tuple-lock race (engine.ErrLockConflict) count as aborts —
 // the driver, like a real terminal, retries with its next transaction.
 func RunParallel(wl Workload, terminals []*sim.Worker, txTotal int, seed int64) (Results, error) {
-	if len(terminals) == 0 {
-		return Results{}, fmt.Errorf("workload: no terminals")
-	}
-	res := Results{
-		Workload:  wl.Name(),
-		TxLatency: &metrics.Latency{},
-		PerType:   make(map[string]*metrics.Latency),
-	}
-	var start sim.Time
-	for i := range terminals {
-		if terminals[i].Now() > start {
-			start = terminals[i].Now()
-		}
+	res, start, err := newResults(wl, terminals)
+	if err != nil {
+		return res, err
 	}
 
 	// Per-terminal tallies, merged after the barrier (no lock on the hot
@@ -66,7 +55,7 @@ func RunParallel(wl Workload, terminals []*sim.Worker, txTotal int, seed int64) 
 		go func(t int) {
 			defer wg.Done()
 			w := terminals[t]
-			rng := rand.New(rand.NewSource(seed + int64(t)*7919))
+			rng := terminalRNG(seed, t)
 			for i := 0; i < quota(t); i++ {
 				if stop.Load() {
 					return
@@ -116,15 +105,6 @@ func RunParallel(wl Workload, terminals []*sim.Worker, txTotal int, seed int64) 
 			res.AbortedPerType[name] += n
 		}
 	}
-	var end sim.Time
-	for i := range terminals {
-		if terminals[i].Now() > end {
-			end = terminals[i].Now()
-		}
-	}
-	res.SimSeconds = (end - start).Seconds()
-	if res.SimSeconds > 0 {
-		res.Throughput = float64(res.Transactions) / res.SimSeconds
-	}
+	res.finish(terminals, start)
 	return res, nil
 }

@@ -53,38 +53,38 @@ type Results struct {
 // execute *more* transactions (and issue more host I/Os), exactly how
 // Tables 6-10 report throughput next to absolute I/O counts.
 func RunForDuration(wl Workload, terminals []*sim.Worker, dur time.Duration, seed int64) (Results, error) {
-	if len(terminals) == 0 {
-		return Results{}, fmt.Errorf("workload: no terminals")
-	}
-	res := Results{
-		Workload:  wl.Name(),
-		TxLatency: &metrics.Latency{},
-		PerType:   make(map[string]*metrics.Latency),
+	const hardCap = 10_000_000 // runaway guard
+	return runSerial(wl, terminals, seed, hardCap, dur)
+}
+
+// Run executes txTotal transactions spread over the given terminal
+// workers, round-robin, measuring simulated latency per transaction.
+// Terminals interleave in simulated time through chip queueing even
+// though execution here is sequential and deterministic.
+func Run(wl Workload, terminals []*sim.Worker, txTotal int, seed int64) (Results, error) {
+	const noDeadline = time.Duration(1 << 62)
+	return runSerial(wl, terminals, seed, txTotal, noDeadline)
+}
+
+// runSerial is the one serial driver loop: step i belongs to terminal
+// i mod n, and the run ends after steps steps or once every terminal's
+// clock is dur past the start, whichever comes first. A terminal past
+// the deadline sits its steps out.
+func runSerial(wl Workload, terminals []*sim.Worker, seed int64, steps int, dur time.Duration) (Results, error) {
+	res, start, err := newResults(wl, terminals)
+	if err != nil {
+		return res, err
 	}
 	rngs := make([]*rand.Rand, len(terminals))
 	for i := range rngs {
-		rngs[i] = rand.New(rand.NewSource(seed + int64(i)*7919))
-	}
-	var start sim.Time
-	for i := range terminals {
-		if terminals[i].Now() > start {
-			start = terminals[i].Now()
-		}
+		rngs[i] = terminalRNG(seed, i)
 	}
 	deadline := start + sim.Time(dur)
-	const hardCap = 10_000_000 // runaway guard
-	for i := 0; i < hardCap; i++ {
+	for i := 0; i < steps; i++ {
 		t := i % len(terminals)
 		w := terminals[t]
 		if w.Now() >= deadline {
-			done := true
-			for _, o := range terminals {
-				if o.Now() < deadline {
-					done = false
-					break
-				}
-			}
-			if done {
+			if earliest(terminals) >= deadline {
 				break
 			}
 			continue
@@ -106,73 +106,57 @@ func RunForDuration(wl Workload, terminals []*sim.Worker, dur time.Duration, see
 		}
 		pl.Add(lat)
 	}
-	var end sim.Time
-	for i := range terminals {
-		if terminals[i].Now() > end {
-			end = terminals[i].Now()
-		}
-	}
-	res.SimSeconds = (end - start).Seconds()
-	if res.SimSeconds > 0 {
-		res.Throughput = float64(res.Transactions) / res.SimSeconds
-	}
+	res.finish(terminals, start)
 	return res, nil
 }
 
-// Run executes txTotal transactions spread over the given terminal
-// workers, round-robin, measuring simulated latency per transaction.
-// Terminals interleave in simulated time through chip queueing even
-// though execution here is sequential and deterministic.
-func Run(wl Workload, terminals []*sim.Worker, txTotal int, seed int64) (Results, error) {
+// terminalRNG seeds terminal t's generator, the same way in every
+// driver, so a terminal draws the same transactions serial or parallel.
+func terminalRNG(seed int64, t int) *rand.Rand {
+	return rand.New(rand.NewSource(seed + int64(t)*7919))
+}
+
+// newResults starts a measured run: empty results and the start time,
+// the clock of the terminal furthest ahead.
+func newResults(wl Workload, terminals []*sim.Worker) (Results, sim.Time, error) {
 	if len(terminals) == 0 {
-		return Results{}, fmt.Errorf("workload: no terminals")
+		return Results{}, 0, fmt.Errorf("workload: no terminals")
 	}
 	res := Results{
 		Workload:  wl.Name(),
 		TxLatency: &metrics.Latency{},
 		PerType:   make(map[string]*metrics.Latency),
 	}
-	rngs := make([]*rand.Rand, len(terminals))
-	for i := range rngs {
-		rngs[i] = rand.New(rand.NewSource(seed + int64(i)*7919))
-	}
-	var start sim.Time
-	for i := range terminals {
-		if terminals[i].Now() > start {
-			start = terminals[i].Now()
-		}
-	}
-	for i := 0; i < txTotal; i++ {
-		t := i % len(terminals)
-		w := terminals[t]
-		before := w.Now()
-		w.Compute(TxCPUTime)
-		name, err := wl.RunOne(w, rngs[t])
-		if err != nil {
-			res.Aborted++
-			continue
-		}
-		lat := time.Duration(w.Now() - before)
-		res.Transactions++
-		res.TxLatency.Add(lat)
-		pl := res.PerType[name]
-		if pl == nil {
-			pl = &metrics.Latency{}
-			res.PerType[name] = pl
-		}
-		pl.Add(lat)
-	}
-	var end sim.Time
-	for i := range terminals {
-		if terminals[i].Now() > end {
-			end = terminals[i].Now()
-		}
-	}
-	res.SimSeconds = (end - start).Seconds()
+	return res, latest(terminals), nil
+}
+
+// finish closes a run that began at start: the makespan ends at the
+// clock of the terminal furthest ahead.
+func (res *Results) finish(terminals []*sim.Worker, start sim.Time) {
+	res.SimSeconds = (latest(terminals) - start).Seconds()
 	if res.SimSeconds > 0 {
 		res.Throughput = float64(res.Transactions) / res.SimSeconds
 	}
-	return res, nil
+}
+
+func latest(terminals []*sim.Worker) sim.Time {
+	var t sim.Time
+	for _, w := range terminals {
+		if w.Now() > t {
+			t = w.Now()
+		}
+	}
+	return t
+}
+
+func earliest(terminals []*sim.Worker) sim.Time {
+	t := terminals[0].Now()
+	for _, w := range terminals[1:] {
+		if w.Now() < t {
+			t = w.Now()
+		}
+	}
+	return t
 }
 
 // NURand is TPC-C's non-uniform random function NURand(A, x, y).
