@@ -2,9 +2,9 @@
 # lands. `make check` is what CI (and ROADMAP.md) means by tier-1.
 GO ?= go
 
-.PHONY: check tier1 pins vet build test race race-regress fuzz-smoke bench bench-compare bench-pairs bench-test bench-server bench-all loc fmt fmt-check
+.PHONY: check tier1 pins rig-deps vet build test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all loc fmt fmt-check
 
-check: fmt-check pins vet build race
+check: fmt-check pins rig-deps vet build race
 
 # tier1 is the replication-aware spelling of the gate: the full -race
 # suite includes the 3-node kill-the-primary failover test
@@ -38,6 +38,12 @@ pins:
 	if [ -n "$$out" ]; then \
 		echo "page pinned, latched or attached by hand (use pageRef, internal/engine/pageref.go):"; \
 		echo "$$out"; exit 1; fi
+
+# The paper rig links no network stack: every `ipabench -exp` id is
+# simulated time from a fixed seed, and what runs on real timers and
+# sockets is measured by bench/.
+rig-deps:
+	@! $(GO) list -deps ./internal/experiments | grep -x 'ipa/internal/\(repl\|server\|client\|wire\)'
 
 # bench/ is a module of its own that compiles against internal/client,
 # internal/server and internal/wire; `./...` here does not reach it, so
@@ -88,6 +94,13 @@ race-regress:
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReplAppendDecode -fuzztime 10s ./internal/repl
 	$(GO) test -run xxx -fuzz FuzzWALRecordRoundTrip -fuzztime 10s ./internal/wal
+	$(GO) test -run xxx -fuzz FuzzWireFrame -fuzztime 10s ./internal/wire
+
+# `ipabench -exp all` of BASE (unpacked under .bench_build/) against the
+# working tree, diffed; exits 1 on any difference. EXPFLAGS=-quick for
+# the 4 s version. What to run before regenerating a golden.
+exp-diff:
+	bash scripts/exp-diff.sh $(BASE) $(EXPFLAGS)
 
 # The benchmark of the whole stack (bench/, its own module; contract in
 # BENCHMARK.json): 4 workloads untraced and traced, layer probes and the

@@ -1,8 +1,8 @@
-// Package ipa's root benchmark harness: one testing.B benchmark per
-// table and figure of the paper's evaluation (regenerating the
-// experiment at reduced scale and reporting its headline metric), plus
-// micro-benchmarks of the core IPA operations and ablation benchmarks
-// for the design choices called out in DESIGN.md.
+// Package ipa's root benchmark harness: BenchmarkExperiment/<id> for
+// every table and figure of the paper's evaluation (regenerating the
+// experiment at reduced scale), plus micro-benchmarks of the core IPA
+// operations and ablation benchmarks for the design choices called out
+// in DESIGN.md.
 //
 // Run: go test -bench=. -benchmem
 package ipa
@@ -23,46 +23,26 @@ import (
 
 var quick = experiments.Params{Quick: true}
 
-// benchTable runs one experiment per iteration and fails the benchmark
-// on error; the rendered output is the artefact, time is secondary.
-func benchTable(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.ByID(id, quick)
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if len(t.Rows) == 0 {
-			b.Fatalf("%s: empty table", id)
-		}
+// BenchmarkExperiment regenerates every experiment of the id table
+// (`ipabench -list`), one sub-benchmark per id, and fails on an error or
+// an empty table; the rendered output is the artefact, time is secondary.
+//
+//	go test -run xxx -bench 'BenchmarkExperiment/table9$' -benchtime 1x
+func BenchmarkExperiment(b *testing.B) {
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t, err := experiments.ByID(id, quick)
+				if err != nil {
+					b.Fatalf("%s: %v", id, err)
+				}
+				if len(t.Rows) == 0 {
+					b.Fatalf("%s: empty table", id)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkTable1(b *testing.B)  { benchTable(b, "table1") }
-func BenchmarkTable2(b *testing.B)  { benchTable(b, "table2") }
-func BenchmarkTable3(b *testing.B)  { benchTable(b, "table3") }
-func BenchmarkTable4(b *testing.B)  { benchTable(b, "table4") }
-func BenchmarkTable5(b *testing.B)  { benchTable(b, "table5") }
-func BenchmarkTable6(b *testing.B)  { benchTable(b, "table6") }
-func BenchmarkTable7(b *testing.B)  { benchTable(b, "table7") }
-func BenchmarkTable8(b *testing.B)  { benchTable(b, "table8") }
-func BenchmarkTable9(b *testing.B)  { benchTable(b, "table9") }
-func BenchmarkTable10(b *testing.B) { benchTable(b, "table10") }
-func BenchmarkTable11(b *testing.B) { benchTable(b, "table11") }
-func BenchmarkFig1(b *testing.B)    { benchTable(b, "fig1") }
-func BenchmarkFig6(b *testing.B)    { benchTable(b, "fig6") }
-func BenchmarkFig7(b *testing.B)    { benchTable(b, "fig7") }
-func BenchmarkFig8(b *testing.B)    { benchTable(b, "fig8") }
-func BenchmarkFig9(b *testing.B)    { benchTable(b, "fig9") }
-func BenchmarkFig10(b *testing.B)   { benchTable(b, "fig10") }
-
-// BenchmarkLongevity regenerates the conclusion-level longevity claim
-// (erase counts and peak block wear, [0×0] vs [2×4]).
-func BenchmarkLongevity(b *testing.B) { benchTable(b, "longevity") }
-
-// BenchmarkIndexExperiment regenerates the index-latching comparison
-// (coarse RW mutex vs optimistic lock coupling).
-func BenchmarkIndexExperiment(b *testing.B) { benchTable(b, "index") }
 
 // --- micro-benchmarks of the hot IPA paths ----------------------------
 

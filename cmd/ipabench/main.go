@@ -1,11 +1,13 @@
 // Command ipabench regenerates the paper's evaluation tables and
 // figures. Each experiment builds the full stack (flash array → NoFTL →
-// storage engine → workload) and prints the same rows the paper reports.
+// storage engine → workload) and prints the same rows the paper reports,
+// in simulated time from a fixed seed: the output of every id is the
+// same bytes on every run.
 //
 // Usage:
 //
 //	ipabench -exp table1          # one experiment
-//	ipabench -exp all             # everything (slow)
+//	ipabench -exp all             # everything (~40 s)
 //	ipabench -exp table9 -quick   # reduced scale
 //	ipabench -list                # enumerate experiment ids
 //
@@ -20,19 +22,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"ipa/internal/experiments"
 )
 
-var ids = []string{
-	"table1", "table2", "table3", "table4", "table5", "table6",
-	"table7", "table8", "table9", "table10", "table11",
-	"fig1", "fig6", "fig7", "fig8", "fig9", "fig10", "longevity",
-	"schemes", "index", "htap", "repl",
-}
-
 func main() {
-	exp := flag.String("exp", "", "experiment id (table1..table11, fig1, fig6..fig10, or 'all')")
+	ids := experiments.IDs()
+	exp := flag.String("exp", "", "experiment id: "+strings.Join(ids, ", ")+", or 'all'")
 	quick := flag.Bool("quick", false, "reduced scale for fast runs")
 	list := flag.Bool("list", false, "list experiment ids")
 	netAddr := flag.String("net", "", "bench a running ipaserver at this address instead of an experiment")

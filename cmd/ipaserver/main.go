@@ -35,10 +35,7 @@ import (
 	"syscall"
 	"time"
 
-	"ipa/internal/core"
 	"ipa/internal/engine"
-	"ipa/internal/flash"
-	"ipa/internal/noftl"
 	"ipa/internal/repl"
 	"ipa/internal/server"
 	"ipa/internal/sim"
@@ -52,7 +49,7 @@ func main() {
 	accounts := flag.Int("accounts", 2000, "TPC-B accounts per branch")
 	pageSize := flag.Int("page-size", 4096, "engine page size in bytes")
 	chips := flag.Int("chips", 16, "flash chips (parallel units)")
-	ipa := flag.Bool("ipa", true, "enable in-place appends ([2x3] scheme) on the data region")
+	ipa := flag.Bool("ipa", true, "enable in-place appends ([2x3] scheme) on the data region (standalone only: cluster members always append in place)")
 	inflight := flag.Int("inflight", 256, "global in-flight request cap")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	nodeID := flag.Uint64("node-id", 0, "this member's id within -peers (cluster mode)")
@@ -60,16 +57,14 @@ func main() {
 	flag.Parse()
 
 	var (
-		db   *engine.DB
-		tl   *sim.Timeline
-		node *repl.Node
-		err  error
+		peers     map[uint64]string
+		bootstrap bool
+		err       error
 	)
 	listenAddr := *addr
 	if *peersFlag != "" {
-		peers, perr := parsePeers(*peersFlag)
-		if perr != nil {
-			log.Fatalf("ipaserver: -peers: %v", perr)
+		if peers, err = parsePeers(*peersFlag); err != nil {
+			log.Fatalf("ipaserver: -peers: %v", err)
 		}
 		if _, ok := peers[*nodeID]; !ok {
 			log.Fatalf("ipaserver: -node-id %d not present in -peers", *nodeID)
@@ -77,16 +72,19 @@ func main() {
 		listenAddr = peers[*nodeID]
 		// The lowest id bootstraps term 1; everyone else joins as a
 		// follower and replays the leader's log (including the preload).
-		bootstrap := true
+		bootstrap = true
 		for id := range peers {
 			if id < *nodeID {
 				bootstrap = false
 			}
 		}
-		db, tl, err = buildMember(*pageSize, *chips, *scale, *accounts)
-		if err != nil {
-			log.Fatalf("ipaserver: %v", err)
-		}
+	}
+	db, tl, err := buildEngine(*pageSize, *chips, *scale, *accounts, *ipa, peers != nil)
+	if err != nil {
+		log.Fatalf("ipaserver: %v", err)
+	}
+	var node *repl.Node
+	if peers != nil {
 		node, err = repl.NewNode(repl.Config{
 			NodeID: *nodeID, Peers: peers, DB: db, TL: tl,
 			Bootstrap: bootstrap, Logf: log.Printf,
@@ -94,18 +92,17 @@ func main() {
 		if err != nil {
 			log.Fatalf("ipaserver: %v", err)
 		}
-		if bootstrap && *scale > 0 {
-			if err := preload(db, tl, *scale, *accounts); err != nil {
-				log.Fatalf("ipaserver: %v", err)
-			}
-		}
 		log.Printf("ipaserver: cluster node %d (bootstrap=%v), peers %s",
 			*nodeID, bootstrap, *peersFlag)
-	} else {
-		db, tl, err = buildStack(*pageSize, *chips, *scale, *accounts, *ipa)
-		if err != nil {
+	}
+	if *scale > 0 && (peers == nil || bootstrap) {
+		wl := workload.NewTPCB(db, "data", *scale, *accounts)
+		start := time.Now()
+		if err := wl.Load(tl.NewWorker()); err != nil {
 			log.Fatalf("ipaserver: %v", err)
 		}
+		log.Printf("ipaserver: preloaded TPC-B scale %d (%d accounts) in %v",
+			*scale, wl.Accounts(), time.Since(start).Round(time.Millisecond))
 	}
 
 	cfg := server.Config{
@@ -183,82 +180,18 @@ func parsePeers(s string) (map[uint64]string, error) {
 	return peers, nil
 }
 
-// buildMember assembles one replicated cluster member's stack (MVCC and
-// replication always on; the log is unbounded so late joiners can
-// stream from LSN 1).
-func buildMember(pageSize, chips, scale, accountsPerBranch int) (*engine.DB, *sim.Timeline, error) {
+// buildEngine assembles the flash → NoFTL → engine stack of both modes
+// (repl.NewMemberDB), sized for the requested TPC-B preload: raw flash
+// three times the loaded database and a pool that holds all of it. A
+// cluster member is replicated and ignores -ipa=false (members replay
+// one physical log, so all of them run [2×3]); nothing else differs.
+func buildEngine(pageSize, chips, scale, accountsPerBranch int, ipa, member bool) (*engine.DB, *sim.Timeline, error) {
 	accounts := scale * accountsPerBranch
 	dataBytes := accounts*120 + accounts*20 + 1<<20
 	pages := dataBytes/pageSize + 64
-	pagesPerBlock := 64
-	blocksPerChip := pages*3/(chips*pagesPerBlock) + 4
-	return repl.NewMemberDB(chips, blocksPerChip, pageSize, pages+64, 0, 0)
-}
-
-// preload loads the TPC-B tables on the bootstrap member.
-func preload(db *engine.DB, tl *sim.Timeline, scale, accountsPerBranch int) error {
-	wl := workload.NewTPCB(db, "data", scale, accountsPerBranch)
-	start := time.Now()
-	if err := wl.Load(tl.NewWorker()); err != nil {
-		return err
-	}
-	log.Printf("ipaserver: preloaded TPC-B scale %d (%d accounts) in %v",
-		scale, wl.Accounts(), time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// buildStack assembles flash → NoFTL region → engine, sized for the
-// requested TPC-B preload, and loads the tables. The engine gets the
-// pool shards and MVCC of a cluster member, so BEGIN_SNAPSHOT works
-// standalone too and the benchmark's served workloads measure this
-// configuration.
-func buildStack(pageSize, chips, scale, accountsPerBranch int, ipa bool) (*engine.DB, *sim.Timeline, error) {
-	accounts := scale * accountsPerBranch
-	dataBytes := accounts*120 + accounts*20 + 1<<20
-	pages := dataBytes/pageSize + 64
-	capPages := pages * 3
-	pagesPerBlock := 64
-	blocksPerChip := capPages/(chips*pagesPerBlock) + 4
-
-	g := flash.Geometry{
-		Chips: chips, BlocksPerChip: blocksPerChip, PagesPerBlock: pagesPerBlock,
-		PageSize: pageSize, OOBSize: pageSize / 16, Cell: flash.SLC,
-	}
-	tl := sim.NewTimeline(chips)
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-	}, tl)
-	if err != nil {
-		return nil, nil, err
-	}
-	dev := noftl.Open(arr)
-	scheme := core.NewScheme(2, 3)
-	mode := noftl.ModeSLC
-	if !ipa {
-		scheme = core.Scheme{}
-		mode = noftl.ModeNone
-	}
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "data", Mode: mode, Scheme: scheme,
-		BlocksPerChip: blocksPerChip, OverProvision: 0.10,
-	}); err != nil {
-		return nil, nil, err
-	}
-	db, err := engine.New(dev, engine.Options{
+	return repl.NewMemberDB(repl.MemberSpec{
+		Chips: chips, BlocksPerChip: pages*3/(chips*repl.PagesPerBlock) + 4,
 		PageSize: pageSize, BufferFrames: pages + 64,
-		PoolShards: repl.DefaultPoolShards, MVCC: true, Timeline: tl,
+		Standalone: !member, NoIPA: !ipa && !member,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if scale > 0 {
-		wl := workload.NewTPCB(db, "data", scale, accountsPerBranch)
-		start := time.Now()
-		if err := wl.Load(tl.NewWorker()); err != nil {
-			return nil, nil, err
-		}
-		log.Printf("ipaserver: preloaded TPC-B scale %d (%d accounts) in %v",
-			scale, wl.Accounts(), time.Since(start).Round(time.Millisecond))
-	}
-	return db, tl, nil
 }

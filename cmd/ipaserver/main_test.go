@@ -3,26 +3,35 @@ package main
 import (
 	"testing"
 
-	"ipa/internal/engine"
+	"ipa/internal/flash"
 	"ipa/internal/repl"
-	"ipa/internal/sim"
 )
 
-// Both stacks ipaserver can serve — standalone and cluster member — are
-// the stack the benchmark measures: a sharded pool, and MVCC on, so
-// BEGIN_SNAPSHOT is answered rather than refused with ErrMVCCDisabled.
+// Both stacks ipaserver can serve — standalone and cluster member — come
+// from the one builder and are the stack the benchmark measures: a
+// sharded pool, MVCC on (BEGIN_SNAPSHOT is answered rather than refused
+// with ErrMVCCDisabled), the same flash geometry and the same
+// over-provisioning. Only Options.Replicated tells them apart.
 func TestServedStacksAnswerBeginSnapshot(t *testing.T) {
-	builds := map[string]func() (*engine.DB, *sim.Timeline, error){
-		"standalone": func() (*engine.DB, *sim.Timeline, error) { return buildStack(4096, 16, 1, 200, true) },
-		"member":     func() (*engine.DB, *sim.Timeline, error) { return buildMember(4096, 16, 1, 200) },
+	type shape struct {
+		geom    flash.Geometry
+		logical int // region capacity in pages: geometry less over-provisioning
 	}
-	for name, build := range builds {
+	shapes := map[bool]shape{}
+	for _, member := range []bool{false, true} {
+		name := "standalone"
+		if member {
+			name = "member"
+		}
 		t.Run(name, func(t *testing.T) {
-			db, tl, err := build()
+			db, tl, err := buildEngine(4096, 16, 1, 200, true, member)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer db.Close()
+			if db.Replicated() != member {
+				t.Errorf("Replicated = %v, want %v", db.Replicated(), member)
+			}
 			if got := db.Pool().Shards(); got != repl.DefaultPoolShards {
 				t.Errorf("pool shards = %d, want %d", got, repl.DefaultPoolShards)
 			}
@@ -33,6 +42,29 @@ func TestServedStacksAnswerBeginSnapshot(t *testing.T) {
 			if err := snap.Commit(); err != nil {
 				t.Fatal(err)
 			}
+			region := db.Device().Region("data")
+			if region.Scheme().Disabled() {
+				t.Error("data region has IPA off")
+			}
+			shapes[member] = shape{db.Device().Geometry(), region.LogicalCapacity()}
 		})
+	}
+	if shapes[false] != shapes[true] {
+		t.Errorf("standalone serves %+v, a member %+v", shapes[false], shapes[true])
+	}
+	if g := shapes[true].geom; g.PagesPerBlock != repl.PagesPerBlock {
+		t.Errorf("blocks of %d pages, sized for %d", g.PagesPerBlock, repl.PagesPerBlock)
+	}
+}
+
+// -ipa=false reaches the standalone region as [0×0].
+func TestStandaloneWithoutIPA(t *testing.T) {
+	db, _, err := buildEngine(4096, 16, 1, 200, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if s := db.Device().Region("data").Scheme(); !s.Disabled() {
+		t.Errorf("scheme = %v, want disabled", s)
 	}
 }

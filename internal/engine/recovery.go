@@ -146,13 +146,3 @@ func (db *DB) redoOne(w *sim.Worker, r wal.Record) (bool, error) {
 	pg.SetLSN(r.LSN)
 	return true, pg.unpinDirty(r.LSN)
 }
-
-// RestoreCatalog re-registers a table after a simulated restart. In a
-// full system the catalog would live in bootstrapped pages; here it is
-// engine metadata that survives the crash, but helper tests use this to
-// rebuild DB handles.
-func (db *DB) RestoreCatalog(t *Table) {
-	db.catMu.Lock()
-	defer db.catMu.Unlock()
-	db.tables[t.name] = t
-}

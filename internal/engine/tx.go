@@ -127,9 +127,6 @@ func (db *DB) BeginSnapshot(w *sim.Worker) (*Tx, error) {
 // ID returns the transaction id.
 func (tx *Tx) ID() uint64 { return tx.id }
 
-// ReadOnly reports whether this is a snapshot (read-only) transaction.
-func (tx *Tx) ReadOnly() bool { return tx.readOnly }
-
 // SnapshotLSN returns the pinned snapshot LSN (0 for ordinary
 // transactions).
 func (tx *Tx) SnapshotLSN() core.LSN { return tx.snapshot }

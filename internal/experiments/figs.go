@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"ipa/internal/core"
 	"ipa/internal/metrics"
@@ -231,86 +230,4 @@ func Longevity(p Params) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"paper conclusion: IPA roughly doubles flash longevity under update-intensive OLTP")
 	return t, nil
-}
-
-// All runs every experiment and concatenates the rendered tables.
-func All(p Params) (string, error) {
-	type exp struct {
-		id string
-		fn func(Params) (*Table, error)
-	}
-	exps := []exp{
-		{"table1", Table1}, {"table2", Table2}, {"table3", Table3},
-		{"table4", Table4}, {"table5", Table5}, {"table6", Table6},
-		{"table7", Table7}, {"table8", Table8}, {"table9", Table9},
-		{"table10", Table10}, {"table11", Table11},
-		{"fig1", Fig1}, {"fig6", Fig6}, {"fig7", Fig7}, {"fig8", Fig8},
-		{"fig9", Fig9}, {"fig10", Fig10}, {"longevity", Longevity},
-		{"schemes", Schemes},
-		{"index", Index},
-		{"htap", HTAP},
-		{"repl", Repl},
-	}
-	var b strings.Builder
-	for _, e := range exps {
-		t, err := e.fn(p)
-		if err != nil {
-			return b.String(), fmt.Errorf("%s: %w", e.id, err)
-		}
-		b.WriteString(t.Render())
-		b.WriteByte('\n')
-	}
-	return b.String(), nil
-}
-
-// ByID runs one experiment by its identifier.
-func ByID(id string, p Params) (*Table, error) {
-	switch id {
-	case "table1":
-		return Table1(p)
-	case "table2":
-		return Table2(p)
-	case "table3":
-		return Table3(p)
-	case "table4":
-		return Table4(p)
-	case "table5":
-		return Table5(p)
-	case "table6":
-		return Table6(p)
-	case "table7":
-		return Table7(p)
-	case "table8":
-		return Table8(p)
-	case "table9":
-		return Table9(p)
-	case "table10":
-		return Table10(p)
-	case "table11":
-		return Table11(p)
-	case "fig1":
-		return Fig1(p)
-	case "fig6":
-		return Fig6(p)
-	case "fig7":
-		return Fig7(p)
-	case "fig8":
-		return Fig8(p)
-	case "fig9":
-		return Fig9(p)
-	case "fig10":
-		return Fig10(p)
-	case "longevity":
-		return Longevity(p)
-	case "schemes":
-		return Schemes(p)
-	case "index":
-		return Index(p)
-	case "htap":
-		return HTAP(p)
-	case "repl":
-		return Repl(p)
-	default:
-		return nil, fmt.Errorf("experiments: unknown id %q", id)
-	}
 }

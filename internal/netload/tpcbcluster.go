@@ -1,4 +1,4 @@
-package workload
+package netload
 
 import (
 	"math/rand"

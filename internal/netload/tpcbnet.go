@@ -1,4 +1,9 @@
-package workload
+// Package netload holds the TPC-B drivers that load a running server
+// over the wire protocol: NetTPCB on one connection, ClusterTPCB through
+// a leader-following pool. They are apart from internal/workload so that
+// the paper rig (internal/experiments), which imports that package, links
+// none of client, wire, server or repl.
+package netload
 
 import (
 	"errors"

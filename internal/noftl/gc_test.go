@@ -118,7 +118,7 @@ func TestBackgroundWearLevelingEvacuatesCold(t *testing.T) {
 func TestAdoptRebuildsShardedState(t *testing.T) {
 	dev := newDevice(t, flash.SLC, 2, 8, 8, 256)
 	r, err := dev.CreateRegion(RegionConfig{
-		Name: "d", Mode: ModeSLC, BlocksPerChip: 8, OverProvision: 0.3, GCReserve: 2,
+		Name: "d", Mode: ModeSLC, BlocksPerChip: 8, OverProvision: 0.3,
 	})
 	if err != nil {
 		t.Fatal(err)

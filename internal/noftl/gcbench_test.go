@@ -22,7 +22,7 @@ func BenchmarkGCInterference(b *testing.B) {
 	dev := newDevice(b, flash.SLC, workers, 64, 8, 512)
 	r, err := dev.CreateRegion(RegionConfig{
 		Name: "bench", Mode: ModeSLC, BlocksPerChip: 64,
-		OverProvision: 0.22, GCReserve: 2,
+		OverProvision: 0.22,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -113,9 +113,6 @@ type RegionConfig struct {
 	// out of the logical capacity to give the garbage collector slack.
 	// Zero selects the paper's 10%.
 	OverProvision float64
-	// GCReserve is the per-chip low-water mark of free blocks that
-	// triggers garbage collection. Zero selects 2.
-	GCReserve int
 	// WearDelta triggers static wear leveling: when the erase-count gap
 	// between the most- and least-worn block of a chip exceeds this, the
 	// coldest block's content is migrated so the under-worn block joins
@@ -130,15 +127,11 @@ func (rc RegionConfig) overProvision() float64 {
 	return rc.OverProvision
 }
 
-func (rc RegionConfig) gcReserve() int {
-	// Below 2 the collector can find itself without a migration target
-	// (one block erasing, none free to receive valid pages), so 2 is the
-	// floor as well as the default.
-	if rc.GCReserve < 2 {
-		return 2
-	}
-	return rc.GCReserve
-}
+// gcReserve is the per-chip low-water mark of free blocks that triggers
+// garbage collection. Below 2 the collector can find itself without a
+// migration target (one block erasing, none free to receive valid
+// pages).
+const gcReserve = 2
 
 // Stats are the per-region counters the paper reports.
 type Stats struct {
@@ -830,7 +823,7 @@ func (r *Region) allocLocked(w *sim.Worker, cs *chipState) (flash.PPN, error) {
 			}
 			r.retireActiveLocked(cs)
 		}
-		if cs.freeLen() <= r.cfg.gcReserve() {
+		if cs.freeLen() <= gcReserve {
 			// The pool is low: reclaim first. Collection migrates into the
 			// write point and may leave a partially-filled one behind;
 			// reuse it rather than popping another block, or the pool

@@ -213,7 +213,7 @@ func TestOddMLCAppendsOnlyOnLSB(t *testing.T) {
 func TestGarbageCollectionReclaimsSpace(t *testing.T) {
 	dev := newDevice(t, flash.SLC, 1, 8, 8, 256)
 	r, _ := dev.CreateRegion(RegionConfig{
-		Name: "d", Mode: ModeSLC, BlocksPerChip: 8, OverProvision: 0.3, GCReserve: 2,
+		Name: "d", Mode: ModeSLC, BlocksPerChip: 8, OverProvision: 0.3,
 	})
 	cap := r.LogicalCapacity()
 	// Fill logical capacity, then keep overwriting to force GC.
@@ -249,7 +249,7 @@ func TestGCMigratesDeltaRecordsIntact(t *testing.T) {
 	dev := newDevice(t, flash.SLC, 1, 8, 8, 256)
 	r, _ := dev.CreateRegion(RegionConfig{
 		Name: "d", Mode: ModeSLC, Scheme: core.NewScheme(2, 3),
-		BlocksPerChip: 8, OverProvision: 0.3, GCReserve: 2,
+		BlocksPerChip: 8, OverProvision: 0.3,
 	})
 	// Write one page with a delta, then churn others until GC migrates it.
 	if err := r.Write(nil, 1, pageOf(dev, 0x55), nil); err != nil {
@@ -282,7 +282,7 @@ func TestGCMigratesDeltaRecordsIntact(t *testing.T) {
 
 func TestRegionFull(t *testing.T) {
 	dev := newDevice(t, flash.SLC, 1, 4, 4, 256)
-	r, _ := dev.CreateRegion(RegionConfig{Name: "d", Mode: ModeSLC, BlocksPerChip: 4, OverProvision: 0.5, GCReserve: 1})
+	r, _ := dev.CreateRegion(RegionConfig{Name: "d", Mode: ModeSLC, BlocksPerChip: 4, OverProvision: 0.5})
 	cap := r.LogicalCapacity()
 	for i := 0; i < cap; i++ {
 		if err := r.Write(nil, core.PageID(i+1), pageOf(dev, 1), nil); err != nil {
@@ -379,7 +379,7 @@ func TestChurnConsistency(t *testing.T) {
 	dev := newDevice(t, flash.SLC, 2, 16, 8, 256)
 	r, _ := dev.CreateRegion(RegionConfig{
 		Name: "d", Mode: ModeSLC, Scheme: core.NewScheme(2, 3),
-		BlocksPerChip: 16, OverProvision: 0.25, GCReserve: 2,
+		BlocksPerChip: 16, OverProvision: 0.25,
 	})
 	type state struct {
 		fill  byte

@@ -377,7 +377,7 @@ func (dl *DiffLog) openBlockLocked(pc *pdlChip) (*logBlock, error) {
 	}
 	cs := dl.r.byChip[pc.chip]
 	cs.mu.Lock()
-	if cs.freeLen() <= dl.r.cfg.gcReserve() {
+	if cs.freeLen() <= gcReserve {
 		cs.mu.Unlock()
 		return nil, fmt.Errorf("%w: chip %d free pool at reserve", ErrPDLNoSpace, pc.chip)
 	}

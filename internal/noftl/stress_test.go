@@ -45,8 +45,7 @@ func TestConcurrentGCStress(t *testing.T) {
 	for i := range regions {
 		regions[i], err = dev.CreateRegion(RegionConfig{
 			Name: fmt.Sprintf("r%d", i), Mode: ModeSLC,
-			BlocksPerChip: blocksPerChip / 2, OverProvision: 0.25,
-			GCReserve: 2, WearDelta: 6,
+			BlocksPerChip: blocksPerChip / 2, OverProvision: 0.25, WearDelta: 6,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -211,7 +210,7 @@ func dumpChips(r *Region) string {
 func TestRacingFirstWrites(t *testing.T) {
 	dev := newDevice(t, flash.SLC, 4, 8, 8, 256)
 	r, err := dev.CreateRegion(RegionConfig{
-		Name: "d", Mode: ModeSLC, BlocksPerChip: 8, OverProvision: 0.3, GCReserve: 2,
+		Name: "d", Mode: ModeSLC, BlocksPerChip: 8, OverProvision: 0.3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -69,20 +69,39 @@ func (c *ClusterConfig) defaults() {
 }
 
 // DefaultPoolShards is the buffer pool shard count of a served stack:
-// what NewMemberDB turns 0 into, and what cmd/ipaserver gives its
-// standalone engine.
+// what NewMemberDB turns 0 into.
 const DefaultPoolShards = 8
 
-// NewMemberDB builds one member's flash → NoFTL → engine stack with
-// replication and MVCC on; poolShards 0 selects DefaultPoolShards.
-// Exported for cmd/ipaserver, which runs one member per process.
-func NewMemberDB(chips, blocksPerChip, pageSize, bufferFrames, poolShards, logCapacity int) (*engine.DB, *sim.Timeline, error) {
-	if poolShards <= 0 {
-		poolShards = DefaultPoolShards
+// PagesPerBlock is the erase-block size NewMemberDB builds, for callers
+// that size BlocksPerChip from a page count.
+const PagesPerBlock = 32
+
+// MemberSpec sizes one served flash → NoFTL → engine stack.
+type MemberSpec struct {
+	Chips         int
+	BlocksPerChip int
+	PageSize      int
+	BufferFrames  int
+	PoolShards    int // 0 = DefaultPoolShards
+	LogCapacity   int // 0 = unbounded (new members replay from LSN 1)
+	// Standalone leaves Options.Replicated off: the engine of a server
+	// that is no cluster member.
+	Standalone bool
+	// NoIPA makes the region [0×0] / ModeNone instead of [2×3] SLC.
+	NoIPA bool
+}
+
+// NewMemberDB builds the one stack every server serves: SLC flash, one
+// "data" region with 15 % over-provisioning, a sharded pool and MVCC
+// on. A cluster member and cmd/ipaserver's standalone engine differ
+// only in Options.Replicated.
+func NewMemberDB(s MemberSpec) (*engine.DB, *sim.Timeline, error) {
+	if s.PoolShards <= 0 {
+		s.PoolShards = DefaultPoolShards
 	}
 	g := flash.Geometry{
-		Chips: chips, BlocksPerChip: blocksPerChip, PagesPerBlock: 32,
-		PageSize: pageSize, OOBSize: 64, Cell: flash.SLC,
+		Chips: s.Chips, BlocksPerChip: s.BlocksPerChip, PagesPerBlock: PagesPerBlock,
+		PageSize: s.PageSize, OOBSize: 64, Cell: flash.SLC,
 	}
 	tl := sim.NewTimeline(g.Chips)
 	arr, err := flash.New(flash.Config{
@@ -92,19 +111,23 @@ func NewMemberDB(chips, blocksPerChip, pageSize, bufferFrames, poolShards, logCa
 		return nil, nil, err
 	}
 	dev := noftl.Open(arr)
+	mode, scheme := noftl.ModeSLC, core.NewScheme(2, 3)
+	if s.NoIPA {
+		mode, scheme = noftl.ModeNone, core.Scheme{}
+	}
 	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "data", Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 3),
-		BlocksPerChip: blocksPerChip, OverProvision: 0.15,
+		Name: "data", Mode: mode, Scheme: scheme,
+		BlocksPerChip: s.BlocksPerChip, OverProvision: 0.15,
 	}); err != nil {
 		return nil, nil, err
 	}
 	db, err := engine.New(dev, engine.Options{
-		PageSize:     pageSize,
-		BufferFrames: bufferFrames,
-		PoolShards:   poolShards,
-		LogCapacity:  logCapacity,
+		PageSize:     s.PageSize,
+		BufferFrames: s.BufferFrames,
+		PoolShards:   s.PoolShards,
+		LogCapacity:  s.LogCapacity,
 		MVCC:         true,
-		Replicated:   true,
+		Replicated:   !s.Standalone,
 		Timeline:     tl,
 	})
 	if err != nil {
@@ -135,8 +158,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{}
 	for i := 0; i < cfg.N; i++ {
 		id := uint64(i + 1)
-		db, tl, err := NewMemberDB(cfg.Chips, cfg.BlocksPerChip, cfg.PageSize,
-			cfg.BufferFrames, cfg.PoolShards, cfg.LogCapacity)
+		db, tl, err := NewMemberDB(MemberSpec{
+			Chips: cfg.Chips, BlocksPerChip: cfg.BlocksPerChip, PageSize: cfg.PageSize,
+			BufferFrames: cfg.BufferFrames, PoolShards: cfg.PoolShards, LogCapacity: cfg.LogCapacity,
+		})
 		if err != nil {
 			c.Close()
 			return nil, err

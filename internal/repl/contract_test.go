@@ -210,7 +210,7 @@ func TestHandlersDoNotRetainPayloads(t *testing.T) {
 
 	follower := func(id uint64) *Node {
 		t.Helper()
-		db, tl, err := NewMemberDB(8, 256, 1024, 1024, 8, 0)
+		db, tl, err := NewMemberDB(MemberSpec{Chips: 8, BlocksPerChip: 256, PageSize: 1024, BufferFrames: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 
 	"ipa/internal/client"
 	"ipa/internal/engine"
+	"ipa/internal/netload"
 	"ipa/internal/wire"
 	"ipa/internal/workload"
 )
@@ -149,7 +150,7 @@ func TestClusterFailover(t *testing.T) {
 
 	pool := cl.Pool(client.Options{RequestTimeout: 3 * time.Second})
 	defer pool.Close()
-	ct := workload.NewClusterTPCB()
+	ct := netload.NewClusterTPCB()
 	if err := ct.Init(pool); err != nil {
 		t.Fatalf("init: %v", err)
 	}
@@ -183,7 +184,7 @@ func TestClusterFailover(t *testing.T) {
 					if killed {
 						phase2++
 					}
-				case workload.Aborted(err):
+				case netload.Aborted(err):
 					aborts++
 				case fatalLoadErr(err):
 					mu.Unlock()

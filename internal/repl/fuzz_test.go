@@ -172,7 +172,7 @@ func FuzzReplAppendDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		db, tl, err := NewMemberDB(2, 16, 1024, 64, 1, 0)
+		db, tl, err := NewMemberDB(MemberSpec{Chips: 2, BlocksPerChip: 16, PageSize: 1024, BufferFrames: 64, PoolShards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 
 	"ipa/internal/client"
 	"ipa/internal/metrics"
+	"ipa/internal/netload"
 	"ipa/internal/server"
 	"ipa/internal/wire"
 	"ipa/internal/workload"
@@ -51,7 +52,7 @@ func benchServerTPCB(b *testing.B, conns, depth int) {
 		defer c.Close()
 		cs[i] = c
 	}
-	drv := workload.NewNetTPCB()
+	drv := netload.NewNetTPCB()
 	if err := drv.Init(cs[0]); err != nil {
 		b.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func benchServerTPCB(b *testing.B, conns, depth int) {
 				switch {
 				case err == nil:
 					committed[w]++
-				case workload.Aborted(err):
+				case netload.Aborted(err):
 					// Optimistic RMW on shared branch/teller rows: a clean
 					// no-wait abort, counted but not retried.
 					aborted[w]++

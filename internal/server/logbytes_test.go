@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ipa/internal/client"
+	"ipa/internal/netload"
 	"ipa/internal/repl"
 	"ipa/internal/workload"
 )
@@ -34,7 +35,7 @@ func TestServedTPCBLogAndShipBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	drv := workload.NewNetTPCB()
+	drv := netload.NewNetTPCB()
 	if err := drv.Init(c); err != nil {
 		t.Fatal(err)
 	}

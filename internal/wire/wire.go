@@ -403,6 +403,10 @@ func readFrameUnbuffered(r io.Reader, maxFrame int) (Frame, error) {
 	}
 	body := make([]byte, size-4)
 	if _, err := io.ReadFull(r, body); err != nil {
+		// A stream that ends right after a length prefix is truncated too.
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return Frame{}, err
 	}
 	return Frame{

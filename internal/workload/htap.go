@@ -14,12 +14,10 @@ import (
 type ScanMode int
 
 const (
-	// ScanModeNone runs pure TPC-B — the scan-free writer baseline.
-	ScanModeNone ScanMode = iota
 	// ScanModeLocking reads every tuple under the no-wait tuple lock:
 	// the pre-MVCC baseline, where a long scan races every writer and
 	// one busy tuple aborts the whole read.
-	ScanModeLocking
+	ScanModeLocking ScanMode = iota
 	// ScanModeSnapshot reads through an MVCC snapshot transaction:
 	// no locks, no aborts, writers undisturbed.
 	ScanModeSnapshot
@@ -28,8 +26,6 @@ const (
 // String names the mode for results and tables.
 func (m ScanMode) String() string {
 	switch m {
-	case ScanModeNone:
-		return "none"
 	case ScanModeLocking:
 		return "locking"
 	case ScanModeSnapshot:
@@ -38,7 +34,8 @@ func (m ScanMode) String() string {
 	return fmt.Sprintf("ScanMode(%d)", int(m))
 }
 
-// HTAP is the hybrid workload for the MVCC experiment: TPC-B
+// HTAP is the hybrid workload of the concurrent snapshot-vs-writer
+// audit (TestHTAPSnapshotConsistency and its siblings): TPC-B
 // Account_Update writers with an analytical full-table balance scan
 // mixed in (one scan per ScanEvery operations per terminal, drawn
 // probabilistically). The scan totals the account, teller and branch
@@ -51,7 +48,7 @@ func (m ScanMode) String() string {
 //     committing mid-scan could only touch tuples the scan had not yet
 //     reached, and the scan visits accounts before tellers before
 //     branches — the same order writers lock). A busy tuple aborts the
-//     scan with ErrLockConflict: the read-path abort the benchmark
+//     scan with ErrLockConflict: the read-path abort the audit
 //     counts.
 //   - snapshot mode: tuples resolve through the version store at the
 //     pinned snapshot LSN, which is a committed prefix of history, so
@@ -62,7 +59,7 @@ type HTAP struct {
 
 	Mode ScanMode
 	// ScanEvery is the expected number of operations per scan per
-	// terminal (default 50). Ignored in ScanModeNone.
+	// terminal (default 50).
 	ScanEvery int
 
 	accountRIDs []core.RID
@@ -113,13 +110,13 @@ func (h *HTAP) Load(w *sim.Worker) error {
 }
 
 // RunOne implements Workload: mostly Account_Update, with a BalanceScan
-// every ~ScanEvery operations when a scan mode is configured.
+// every ~ScanEvery operations.
 func (h *HTAP) RunOne(w *sim.Worker, rng *rand.Rand) (string, error) {
 	every := h.ScanEvery
 	if every <= 0 {
 		every = 50
 	}
-	if h.Mode != ScanModeNone && rng.Intn(every) == 0 {
+	if rng.Intn(every) == 0 {
 		return "BalanceScan", h.runScan(w)
 	}
 	return h.TPCB.RunOne(w, rng)
@@ -200,7 +197,7 @@ func (h *HTAP) runScan(w *sim.Worker) error {
 			return err
 		}
 	default:
-		return fmt.Errorf("htap: no scan mode configured")
+		return fmt.Errorf("htap: unknown scan mode %v", h.Mode)
 	}
 	h.ScansRun.Add(1)
 	return nil

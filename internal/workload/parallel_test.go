@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ipa/internal/core"
 	"ipa/internal/engine"
@@ -134,6 +136,45 @@ func TestRunParallelErrorPropagation(t *testing.T) {
 	// The partial tallies survive for the caller's post-mortem.
 	if res.Workload != "faulty" {
 		t.Fatalf("results lost: %+v", res)
+	}
+}
+
+// TestRunSerialReturnsTheError: the serial drivers step every terminal
+// from one goroutine, so a RunOne error cannot be a lost lock race. Both
+// return it with the terminal and step it came from and stop there,
+// instead of counting an abort and printing a slightly smaller number.
+func TestRunSerialReturnsTheError(t *testing.T) {
+	const terminals, failAt = 3, 8 // the 8th call is step 7, terminal 1
+	drivers := map[string]func(Workload, []*sim.Worker) (Results, error){
+		"Run": func(wl Workload, ws []*sim.Worker) (Results, error) {
+			return Run(wl, ws, 100, 42)
+		},
+		"RunForDuration": func(wl Workload, ws []*sim.Worker) (Results, error) {
+			return RunForDuration(wl, ws, time.Second, 42)
+		},
+	}
+	for name, drive := range drivers {
+		t.Run(name, func(t *testing.T) {
+			tl := sim.NewTimeline(1)
+			ws := make([]*sim.Worker, terminals)
+			for i := range ws {
+				ws[i] = tl.NewWorker()
+			}
+			wl := &faultyWorkload{failAt: failAt}
+			res, err := drive(wl, ws)
+			if !errors.Is(err, errBoom) {
+				t.Fatalf("err = %v, want the injected failure", err)
+			}
+			if !strings.Contains(err.Error(), "terminal 1, step 7") {
+				t.Errorf("err = %q, want it to name terminal 1, step 7", err)
+			}
+			if calls := wl.calls.Load(); calls != failAt {
+				t.Errorf("ran %d transactions, want the run to stop at %d", calls, failAt)
+			}
+			if res.Transactions != failAt-1 || res.Aborted != 0 {
+				t.Errorf("committed %d aborted %d, want %d and 0", res.Transactions, res.Aborted, failAt-1)
+			}
+		})
 	}
 }
 

@@ -27,7 +27,7 @@ type TPCB struct {
 
 	// Zipfian skews the account choice (ZipfS steepness, default 1.1
 	// when zero) instead of TPC-B's uniform draw — the hot-account
-	// contention the HTAP benchmark uses to provoke no-wait aborts.
+	// contention the HTAP audit uses to provoke no-wait aborts.
 	Zipfian bool
 	ZipfS   float64
 

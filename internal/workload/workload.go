@@ -42,7 +42,7 @@ type Results struct {
 	TxLatency    *metrics.Latency
 	PerType      map[string]*metrics.Latency
 	// AbortedPerType splits Aborted by the transaction type that lost
-	// its no-wait lock race (RunParallel only) — how the HTAP benchmark
+	// its no-wait lock race (RunParallel only) — how the HTAP audit
 	// separates writer aborts from read-path (scan) aborts.
 	AbortedPerType map[string]uint64
 }
@@ -93,8 +93,10 @@ func runSerial(wl Workload, terminals []*sim.Worker, seed int64, steps int, dur 
 		w.Compute(TxCPUTime)
 		name, err := wl.RunOne(w, rngs[t])
 		if err != nil {
-			res.Aborted++
-			continue
+			// One goroutine steps every terminal, so no transaction can
+			// lose a lock race: an error here is a failure of the stack
+			// (flash full, a corrupted page), not an abort to count.
+			return res, fmt.Errorf("workload: terminal %d, step %d: %w", t, i, err)
 		}
 		lat := time.Duration(w.Now() - before)
 		res.Transactions++
