@@ -2,9 +2,9 @@
 # lands. `make check` is what CI (and ROADMAP.md) means by tier-1.
 GO ?= go
 
-.PHONY: check tier1 pins rig-deps vet build test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all loc fmt fmt-check
+.PHONY: check tier1 pins sim-clock rig-deps vet build test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all loc fmt fmt-check
 
-check: fmt-check pins rig-deps vet build race
+check: fmt-check pins sim-clock rig-deps vet build race
 
 # tier1 is the replication-aware spelling of the gate: the full -race
 # suite includes the 3-node kill-the-primary failover test
@@ -37,6 +37,25 @@ pins:
 	@out="$$(grep -n '$(PINS_IDIOM)' $$($(PINS_FILES)) | grep -v '$(PINS_ALLOW)')"; \
 	if [ -n "$$out" ]; then \
 		echo "page pinned, latched or attached by hand (use pageRef, internal/engine/pageref.go):"; \
+		echo "$$out"; exit 1; fi
+
+# A worker's simulated clock is advanced by a queue only inside
+# internal/sim (Timeline.Acquire's per-chip horizons): that is the one
+# queueing structure PAPER.md's substitution table promises, and the one
+# ROADMAP item 4 audits. Outside it, Worker.SetNow may only align a
+# clock with another worker's — a cleaner worker started at its
+# trigger's time (engine/db.go, buffer/buffer.go), terminals started at
+# the loader's (experiments/rig.go, examples/banking). This target fails
+# on any other call in the root module's non-test Go, which is how a
+# second horizon (PR 22 deleted one, workload's latchSim) would come
+# back. bench/ is its own module and starts its workers at
+# Timeline.Horizon().
+SIM_CLOCK_ALLOW = ^\(internal/engine/db\|internal/buffer/buffer\|internal/experiments/rig\|examples/banking/main\)\.go:[0-9]*:.*\.SetNow([a-z]*\.Now())
+sim-clock:
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' 'SetNow(' internal cmd examples \
+		| grep -v '^internal/sim/' | grep -v '$(SIM_CLOCK_ALLOW)')"; \
+	if [ -n "$$out" ]; then \
+		echo "a simulated clock set outside internal/sim (only <worker>.SetNow(<other>.Now()) at the listed sites is allowed):"; \
 		echo "$$out"; exit 1; fi
 
 # The paper rig links no network stack: every `ipabench -exp` id is

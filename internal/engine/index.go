@@ -52,7 +52,7 @@ const (
 	IndexOLC
 )
 
-// String names the kind the way DDL and bench labels spell it.
+// String names the kind the way test and bench labels spell it.
 func (k IndexKind) String() string {
 	switch k {
 	case IndexCoarse:

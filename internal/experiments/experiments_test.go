@@ -223,34 +223,3 @@ func TestFigCDFsQuick(t *testing.T) {
 		t.Log("\n" + tab.Render())
 	}
 }
-
-func TestIndexBenchOLCWins(t *testing.T) {
-	// The index experiment's headline claim: at 16 workers the OLC tree
-	// beats the coarse latch on simulated ns/op for both the read-heavy
-	// and the mixed mix, and at 1 worker the two are at parity (OLC's
-	// advantage is concurrency, not single-threaded speed).
-	rows, err := RunIndexBench(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell := func(tree, mix string, workers int) *IndexRow {
-		for i := range rows {
-			r := &rows[i]
-			if r.Tree == tree && r.Mix == mix && r.Workers == workers {
-				return r
-			}
-		}
-		t.Fatalf("missing row %s/%s/w%d", tree, mix, workers)
-		return nil
-	}
-	for _, mix := range []string{"read95", "mixed50"} {
-		c, o := cell("coarse", mix, 16), cell("olc", mix, 16)
-		if o.NsPerOp >= c.NsPerOp {
-			t.Errorf("%s/16: olc %.1f ns/op not below coarse %.1f", mix, o.NsPerOp, c.NsPerOp)
-		}
-		c1, o1 := cell("coarse", mix, 1), cell("olc", mix, 1)
-		if ratio := o1.NsPerOp / c1.NsPerOp; ratio < 0.9 || ratio > 1.1 {
-			t.Errorf("%s/1: single-worker parity broken: olc %.1f vs coarse %.1f", mix, o1.NsPerOp, c1.NsPerOp)
-		}
-	}
-}

@@ -29,7 +29,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	golden := []struct{ id, want string }{
 		{"table1", "6e09482a15d22293122826b5ad98f169b5472fd008df1022585efa5fef3172c2"},
 		{"table9", "2118d6ff8cede64a690ef05194fb2e4b5b635c0cac7d44cce3d88df43ca820ab"},
-		{"all", "53ef5bc6eebd7e1e253c43638555e18c27ccd94917780a1ce9f9cff5b37bdef7"},
+		{"all", "04a5617b2e9e5d1e239b1344820cdc8bef8ce08cfc857ac0250b625da342a2da"},
 	}
 	for _, g := range golden {
 		t.Run(g.id, func(t *testing.T) {

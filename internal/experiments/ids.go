@@ -21,7 +21,7 @@ var table = []struct {
 	{"table10", Table10}, {"table11", Table11},
 	{"fig1", Fig1}, {"fig6", Fig6}, {"fig7", Fig7}, {"fig8", Fig8},
 	{"fig9", Fig9}, {"fig10", Fig10}, {"longevity", Longevity},
-	{"schemes", Schemes}, {"index", Index},
+	{"schemes", Schemes},
 }
 
 // IDs lists the experiment identifiers in table order.

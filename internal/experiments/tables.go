@@ -281,6 +281,24 @@ func Table5(p Params) (*Table, error) {
 // and ~58 frames.
 const tpcbSweepScale = 4
 
+// metricRows are the host-I/O, GC, latency and throughput rows of Tables
+// 6–10, in the order the paper prints them.
+var metricRows = []struct {
+	name      string
+	f         func(*Out) float64
+	ioLatency bool
+}{
+	{name: "Host Reads", f: func(o *Out) float64 { return float64(o.Region.HostReads) }},
+	{name: "Host Writes", f: func(o *Out) float64 { return float64(o.Region.HostWrites()) }},
+	{name: "GC Page Migrations", f: func(o *Out) float64 { return float64(o.Region.GCPageMigrations) }},
+	{name: "GC Erases", f: func(o *Out) float64 { return float64(o.Region.GCErases) }},
+	{name: "Migrations/HostWrite", f: func(o *Out) float64 { return o.Region.MigrationsPerHostWrite() }},
+	{name: "Erases/HostWrite", f: func(o *Out) float64 { return o.Region.ErasesPerHostWrite() }},
+	{name: "READ I/O [µs]", f: func(o *Out) float64 { return float64(o.Store.FetchLatency.Mean().Microseconds()) }, ioLatency: true},
+	{name: "WRITE I/O [µs]", f: func(o *Out) float64 { return float64(o.Store.FlushLatency.Mean().Microseconds()) }, ioLatency: true},
+	{name: "Tx Throughput", f: func(o *Out) float64 { return o.Results.Throughput }},
+}
+
 // openSSDTable is the shared shape of Tables 6 and 8; scale is the
 // workload scale of all three runs.
 func openSSDTable(id, title, bench string, scale int, scheme core.Scheme, p Params) (*Table, error) {
@@ -321,18 +339,14 @@ func openSSDTable(id, title, bench string, scale int, scheme core.Scheme, p Para
 	}
 	t.AddRow("OOP vs IPA", "-", oopVsIPA(pslc.Region.IPAFraction()), "",
 		oopVsIPA(odd.Region.IPAFraction()), "")
-	add := func(name string, f func(*Out) float64) {
-		b, ps, od := f(base), f(pslc), f(odd)
-		t.AddRow(name, fmtFloat(b), fmtFloat(ps), fmt.Sprintf("%+.0f", rel(b, ps)),
+	for _, m := range metricRows {
+		if m.ioLatency {
+			continue // Tables 6 and 8 of the paper report no I/O latency
+		}
+		b, ps, od := m.f(base), m.f(pslc), m.f(odd)
+		t.AddRow(m.name, fmtFloat(b), fmtFloat(ps), fmt.Sprintf("%+.0f", rel(b, ps)),
 			fmtFloat(od), fmt.Sprintf("%+.0f", rel(b, od)))
 	}
-	add("Host Reads", func(o *Out) float64 { return float64(o.Region.HostReads) })
-	add("Host Writes", func(o *Out) float64 { return float64(o.Region.HostWrites()) })
-	add("GC Page Migrations", func(o *Out) float64 { return float64(o.Region.GCPageMigrations) })
-	add("GC Erases", func(o *Out) float64 { return float64(o.Region.GCErases) })
-	add("Migrations/HostWrite", func(o *Out) float64 { return o.Region.MigrationsPerHostWrite() })
-	add("Erases/HostWrite", func(o *Out) float64 { return o.Region.ErasesPerHostWrite() })
-	add("Tx Throughput", func(o *Out) float64 { return o.Results.Throughput })
 	return t, nil
 }
 
@@ -398,27 +412,17 @@ func Table7(p Params) (*Table, error) {
 		"-",
 		oopVsIPA(outs[key{0.20, core.NewScheme(2, 4)}].Region.IPAFraction()),
 		oopVsIPA(outs[key{0.20, core.NewScheme(3, 4)}].Region.IPAFraction()))
-	add := func(name string, f func(*Out) float64) {
-		var cells []any
-		cells = append(cells, name)
+	for _, m := range metricRows {
+		cells := []any{m.name}
 		for _, b := range []float64{0.10, 0.20} {
-			base := f(outs[key{b, core.Scheme{}}])
+			base := m.f(outs[key{b, core.Scheme{}}])
 			cells = append(cells, fmtFloat(base))
 			for _, s := range []core.Scheme{core.NewScheme(2, 4), core.NewScheme(3, 4)} {
-				cells = append(cells, fmt.Sprintf("%+.0f", rel(base, f(outs[key{b, s}]))))
+				cells = append(cells, fmt.Sprintf("%+.0f", rel(base, m.f(outs[key{b, s}]))))
 			}
 		}
 		t.AddRow(cells...)
 	}
-	add("Host Reads", func(o *Out) float64 { return float64(o.Region.HostReads) })
-	add("Host Writes", func(o *Out) float64 { return float64(o.Region.HostWrites()) })
-	add("GC Page Migrations", func(o *Out) float64 { return float64(o.Region.GCPageMigrations) })
-	add("GC Erases", func(o *Out) float64 { return float64(o.Region.GCErases) })
-	add("Migrations/HostWrite", func(o *Out) float64 { return o.Region.MigrationsPerHostWrite() })
-	add("Erases/HostWrite", func(o *Out) float64 { return o.Region.ErasesPerHostWrite() })
-	add("READ I/O [µs]", func(o *Out) float64 { return float64(o.Store.FetchLatency.Mean().Microseconds()) })
-	add("WRITE I/O [µs]", func(o *Out) float64 { return float64(o.Store.FlushLatency.Mean().Microseconds()) })
-	add("Tx Throughput", func(o *Out) float64 { return o.Results.Throughput })
 	t.Notes = append(t.Notes,
 		"paper: −48..−58% migrations, −55..−64% erases, +31..+44% throughput, −40..−52% read latency")
 	return t, nil
@@ -455,23 +459,14 @@ func bufferSweep(id, title string, eager bool, schemeFor func(buf float64) core.
 		}
 		t.AddRow(cells...)
 	}
-	add := func(name string, f func(*Out) float64) {
-		cells := []any{name}
+	for _, m := range metricRows {
+		cells := []any{m.name}
 		for i := range buffers {
-			b := f(bases[i])
-			cells = append(cells, fmtFloat(b), fmt.Sprintf("%+.1f", rel(b, f(ipas[i]))))
+			b := m.f(bases[i])
+			cells = append(cells, fmtFloat(b), fmt.Sprintf("%+.1f", rel(b, m.f(ipas[i]))))
 		}
 		t.AddRow(cells...)
 	}
-	add("Host Reads", func(o *Out) float64 { return float64(o.Region.HostReads) })
-	add("Host Writes", func(o *Out) float64 { return float64(o.Region.HostWrites()) })
-	add("GC Page Migrations", func(o *Out) float64 { return float64(o.Region.GCPageMigrations) })
-	add("GC Erases", func(o *Out) float64 { return float64(o.Region.GCErases) })
-	add("Migrations/HostWrite", func(o *Out) float64 { return o.Region.MigrationsPerHostWrite() })
-	add("Erases/HostWrite", func(o *Out) float64 { return o.Region.ErasesPerHostWrite() })
-	add("READ I/O [µs]", func(o *Out) float64 { return float64(o.Store.FetchLatency.Mean().Microseconds()) })
-	add("WRITE I/O [µs]", func(o *Out) float64 { return float64(o.Store.FlushLatency.Mean().Microseconds()) })
-	add("Tx Throughput", func(o *Out) float64 { return o.Results.Throughput })
 	return t, nil
 }
 

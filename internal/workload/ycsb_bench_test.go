@@ -8,64 +8,13 @@ import (
 	"ipa/internal/sim"
 )
 
-// The index benchmarks report *simulated* time as ns/op — the same time
-// base every experiment in this repo uses ("derived from simulated
-// time, never from wall-clock", internal/sim) — so the coarse-vs-OLC
-// comparison is deterministic in shape and independent of host core
-// count. Wall-clock time is still emitted as wallns/op, and the OLC
-// contention counters ride along as restarts/op and latchwaits/op.
-
-// reportIndex emits the shared metric set for one measured interval.
-func reportIndex(b *testing.B, simNs float64, before, after engine.IndexStats) {
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "wallns/op")
-	b.ReportMetric(simNs/float64(b.N), "ns/op")
-	b.ReportMetric(float64(after.Restarts-before.Restarts)/float64(b.N), "restarts/op")
-	b.ReportMetric(float64(after.LatchWaits-before.LatchWaits)/float64(b.N), "latchwaits/op")
-}
-
-// BenchmarkIndexOps is the headline latching comparison: a warm buffer
-// pool (the tree fully cached, the way OLC B+trees are benchmarked in
-// the literature) and bare index operations — point lookups against
-// scattered inserts, no tables, transactions or WAL. The coarse tree
-// serialises every insert against every reader through the latchSim
-// horizon; OLC writers hold only the leaf they touch, so the per-worker
-// clocks advance independently.
-func BenchmarkIndexOps(b *testing.B) {
-	const preload = 20000
-	for _, kind := range []engine.IndexKind{engine.IndexCoarse, engine.IndexOLC} {
-		for _, mix := range []struct {
-			name    string
-			readPct int
-		}{{"read95", 95}, {"mixed50", 50}} {
-			for _, workers := range []int{1, 4, 16} {
-				name := fmt.Sprintf("tree=%s/mix=%s/workers=%d", kind, mix.name, workers)
-				b.Run(name, func(b *testing.B) {
-					db, tl := newConcurrentDBShards(b, 2048, 8)
-					b.ResetTimer()
-					res, err := RunIndexOps(db, tl, "main", IndexOpsConfig{
-						Kind: kind, ReadPct: mix.readPct, Workers: workers,
-						Preload: preload, Ops: b.N, Seed: 3,
-					})
-					b.StopTimer()
-					if err != nil {
-						b.Fatal(err)
-					}
-					reportIndex(b, float64(res.SimTime), res.Before, res.After)
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkIndexYCSB is the full-stack context benchmark: YCSB mixes
-// through table + transaction + WAL + buffer pool, coarse vs OLC tree,
-// 1..16 real terminal goroutines. Insert percentages are what exercise
-// the tree's write path (table updates leave RIDs, and therefore the
-// index, untouched under IPA). At transaction scale the 50µs
-// transaction CPU and the heap I/O dilute the index latch, so the
-// trees sit much closer together here than in BenchmarkIndexOps —
-// which is itself a finding: the coarse default is safe until the
-// index becomes the hot path.
+// BenchmarkIndexYCSB is the coarse-vs-OLC comparison on real
+// goroutines: YCSB mixes through table + transaction + WAL + buffer
+// pool, 1..16 terminals. ns/op is Go's wall clock (so it depends on the
+// host's core count); restarts/op and latchwaits/op are the OLC tree's
+// contention counters, zero for the coarse tree. Insert percentages are
+// what exercise the tree's write path (table updates leave RIDs, and
+// therefore the index, untouched under IPA).
 func BenchmarkIndexYCSB(b *testing.B) {
 	mixes := []struct {
 		name                 string
@@ -97,7 +46,6 @@ func BenchmarkIndexYCSB(b *testing.B) {
 					y.ReadPct, y.UpdatePct, y.InsertPct = mix.read, mix.update, mix.insert
 					y.Zipfian = mix.zipf
 					y.SnapshotScan = mix.snap
-					y.LatchSim = true
 					if err := y.Load(tl.NewWorker()); err != nil {
 						b.Fatal(err)
 					}
@@ -117,7 +65,9 @@ func BenchmarkIndexYCSB(b *testing.B) {
 					if int(res.Transactions) != b.N {
 						b.Fatalf("committed %d of %d", res.Transactions, b.N)
 					}
-					reportIndex(b, res.SimSeconds*1e9, before, y.Index().Stats())
+					after := y.Index().Stats()
+					b.ReportMetric(float64(after.Restarts-before.Restarts)/float64(b.N), "restarts/op")
+					b.ReportMetric(float64(after.LatchWaits-before.LatchWaits)/float64(b.N), "latchwaits/op")
 				})
 			}
 		}
