@@ -2,9 +2,9 @@
 # lands. `make check` is what CI (and ROADMAP.md) means by tier-1.
 GO ?= go
 
-.PHONY: check tier1 pins sim-clock rig-deps vet build test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all loc fmt fmt-check
+.PHONY: check tier1 pins sim-clock rig-deps footprint vet build test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all loc fmt fmt-check
 
-check: fmt-check pins sim-clock rig-deps vet build race
+check: fmt-check pins sim-clock rig-deps footprint vet build race
 
 # tier1 is the replication-aware spelling of the gate: the full -race
 # suite includes the 3-node kill-the-primary failover test
@@ -63,6 +63,16 @@ sim-clock:
 # sockets is measured by bench/.
 rig-deps:
 	@! $(GO) list -deps ./internal/experiments | grep -x 'ipa/internal/\(repl\|server\|client\|wire\)'
+
+# Memory follows the data, not the configured capacity: an idle device
+# holds no page bytes, an erase gives a block's back, an empty pool holds
+# one pointer a frame, and the served stack — sized for 64 MiB of flash
+# and 131 072 frames — starts in a few MiB. A change that makes capacity
+# cost memory again (a slab in flash.New, a header loop in buffer.New, a
+# recovery scan that touches erased pages) fails one of these four.
+footprint:
+	$(GO) test -count=1 -run 'IdleDevice|EraseReleases|LazyFrames|MemberFootprint' \
+		./internal/flash ./internal/buffer ./internal/repl
 
 # bench/ is a module of its own that compiles against internal/client,
 # internal/server and internal/wire; `./...` here does not reach it, so

@@ -125,8 +125,11 @@ func TestPoolLazyFrames(t *testing.T) {
 	}
 	empty := heap() - base
 	t.Logf("empty pool of %d x %d B frames retains %.1f MB", frames, pageSize, float64(empty)/(1<<20))
-	if empty > 32<<20 {
-		t.Fatalf("empty pool retains %d MB, want < 32 (eager pool: %d MB)", empty>>20, frames*pageSize>>20)
+	if empty > 2<<20 {
+		t.Fatalf("empty pool retains %d KB, want < 2 MB: one pointer a frame (eager pool: %d MB)", empty>>10, frames*pageSize>>20)
+	}
+	if got := p.Stats().FramesAllocated; got != 0 {
+		t.Errorf("FramesAllocated = %d in an empty pool", got)
 	}
 
 	// Bind 4096 pages: each costs its frame buffer, nothing else grows.
@@ -143,6 +146,9 @@ func TestPoolLazyFrames(t *testing.T) {
 		if err := p.Unpin(nil, fr, false, 0); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if got := p.Stats().FramesAllocated; got != bound {
+		t.Errorf("FramesAllocated = %d after binding %d pages", got, bound)
 	}
 	grown := heap() - base - empty
 	if max := uint64(bound * pageSize * 5 / 4); grown > max {

@@ -292,6 +292,11 @@ type Stats struct {
 	Evictions      uint64
 	EvictionFlush  uint64 // dirty evictions (flush on the critical path)
 	CleanerFlushes uint64 // background cleaner flushes
+
+	// FramesAllocated is a gauge: the frame slots that have been handed
+	// out at least once and so own a header (and, once bound, a page
+	// buffer). The rest of Config.Frames is capacity nobody has used.
+	FramesAllocated uint64
 }
 
 // statsCell is one shard's counters. All fields are atomics so Stats()
@@ -302,6 +307,7 @@ type statsCell struct {
 	evictions      atomic.Uint64
 	evictionFlush  atomic.Uint64
 	cleanerFlushes atomic.Uint64
+	allocated      atomic.Uint64
 }
 
 // dec undoes one Add(1) on an atomic counter (two's-complement add).
@@ -312,7 +318,12 @@ func dec(c *atomic.Uint64) { c.Add(^uint64(0)) }
 // guards the Pool.table entries of the page ids routed here. Operations
 // on pages routed to different shards never contend.
 type poolShard struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// frames is the shard's CLOCK ring. A nil slot is a frame nobody has
+	// been handed yet: it stands for a free, clean, unpinned, unreferenced
+	// frame, every sweep treats it as one, and the sweep that hands it out
+	// (victimLocked, stealFrame) allocates the header — so the order frames
+	// are handed out and evicted in does not depend on when that happens.
 	frames []*Frame
 	hand   int
 
@@ -354,9 +365,10 @@ type Pool struct {
 	verEpoch atomic.Uint64
 }
 
-// New creates a pool with cfg.Frames empty frames. A frame's page buffer
-// is allocated on first binding (see Frame.Data), so an oversized pool
-// costs only its frame headers until pages are actually resident.
+// New creates a pool with room for cfg.Frames frames. A frame's header is
+// allocated when its slot is first handed out and its page buffer on first
+// binding (see Frame.Data), so an oversized pool costs one pointer per
+// frame until pages are actually resident.
 func New(cfg Config, store Store) (*Pool, error) {
 	if cfg.Frames < 1 {
 		return nil, fmt.Errorf("buffer: %d frames", cfg.Frames)
@@ -383,13 +395,17 @@ func New(cfg Config, store Store) (*Pool, error) {
 			count++
 		}
 		s.frames = make([]*Frame, count)
-		for j := range s.frames {
-			fr := &Frame{}
-			fr.home.Store(s)
-			s.frames[j] = fr
-		}
 	}
 	return p, nil
+}
+
+// newFrame allocates the header of one of s's slots, handed out for the
+// first time.
+func (s *poolShard) newFrame() *Frame {
+	fr := &Frame{}
+	fr.home.Store(s)
+	s.stats.allocated.Add(1)
+	return fr
 }
 
 // Size returns the number of frames.
@@ -429,6 +445,7 @@ func (p *Pool) Stats() Stats {
 		out.Evictions += c.evictions.Load()
 		out.EvictionFlush += c.evictionFlush.Load()
 		out.CleanerFlushes += c.cleanerFlushes.Load()
+		out.FramesAllocated += c.allocated.Load()
 	}
 	return out
 }
@@ -696,7 +713,7 @@ func (p *Pool) CleanerPass(w *sim.Worker) error {
 		n := len(s.frames)
 		for i := 0; i < n && quota > 0; i++ {
 			fr := s.frames[(s.hand+i)%n]
-			if !fr.Dirty || fr.pin > 0 || fr.loading {
+			if fr == nil || !fr.Dirty || fr.pin > 0 || fr.loading {
 				continue
 			}
 			batch = append(batch, claimed{fr, fr.RecLSN})
@@ -756,7 +773,9 @@ func (p *Pool) stealFrame(to *poolShard) *Frame {
 			continue
 		}
 		for j, fr := range s.frames {
-			if fr.pin > 0 || fr.loading || fr.Dirty {
+			if fr == nil {
+				fr = s.newFrame()
+			} else if fr.pin > 0 || fr.loading || fr.Dirty {
 				continue
 			}
 			if fr.ID != core.InvalidPageID {
@@ -809,6 +828,10 @@ func (p *Pool) victimLocked(s *poolShard, w *sim.Worker) (*Frame, error) {
 			s.hand = 0
 		}
 		fr := s.frames[s.hand]
+		if fr == nil {
+			fr = s.newFrame()
+			s.frames[s.hand] = fr
+		}
 		s.hand = (s.hand + 1) % n
 		if fr.pin > 0 || fr.loading {
 			continue
@@ -890,7 +913,7 @@ func (p *Pool) flushAllShard(s *poolShard, w *sim.Worker) error {
 		}
 		for scanned := 0; scanned < n; scanned++ {
 			f := s.frames[(pos+scanned)%n]
-			if !f.Dirty {
+			if f == nil || !f.Dirty {
 				continue
 			}
 			if f.pin > 0 {
@@ -931,7 +954,7 @@ func (p *Pool) FlushOldest(w *sim.Worker, n int) (int, error) {
 		s := &p.shards[i]
 		s.mu.Lock()
 		for _, fr := range s.frames {
-			if fr.Dirty && fr.pin == 0 && !fr.loading {
+			if fr != nil && fr.Dirty && fr.pin == 0 && !fr.loading {
 				cands = append(cands, claimed{fr, fr.RecLSN})
 			}
 		}
@@ -977,7 +1000,7 @@ func (p *Pool) DirtyPages() map[core.PageID]core.LSN {
 		s := &p.shards[i]
 		s.mu.Lock()
 		for _, fr := range s.frames {
-			if fr.Dirty {
+			if fr != nil && fr.Dirty {
 				dpt[fr.ID] = fr.RecLSN
 			}
 		}
@@ -995,7 +1018,7 @@ func (p *Pool) OldestRecLSN() core.LSN {
 		s := &p.shards[i]
 		s.mu.Lock()
 		for _, fr := range s.frames {
-			if fr.Dirty && (min == 0 || fr.RecLSN < min) {
+			if fr != nil && fr.Dirty && (min == 0 || fr.RecLSN < min) {
 				min = fr.RecLSN
 			}
 		}

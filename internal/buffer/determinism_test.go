@@ -88,9 +88,11 @@ var deterministicGolden = []core.PageID{
 }
 
 // deterministicGoldenStats is the seed pool's counter snapshot for the
-// same script.
+// same script, and the one gauge it did not have: every one of the 8
+// frames has been handed out by the end.
 var deterministicGoldenStats = Stats{
 	Hits: 66, Misses: 134, Evictions: 149, EvictionFlush: 30, CleanerFlushes: 37,
+	FramesAllocated: 8,
 }
 
 func TestShards1EvictionOrderGolden(t *testing.T) {

@@ -227,11 +227,12 @@ func (n *pageRef) insertIntAt(key uint64, child core.PageID) {
 	n.setCount(n.count() + 1)
 }
 
-// splitLeaf moves the upper half of the full leaf n to its new, empty
-// right sibling rn, chains rn after n and inserts key → rid on the side
-// it belongs to. It returns the separator: rn's first key.
-func splitLeaf(n, rn *pageRef, key uint64, rid core.RID) uint64 {
-	mid := n.count() / 2
+// splitLeaf moves the entries from mid on of the full leaf n to its new,
+// empty right sibling rn, chains rn after n and inserts key → rid on the
+// side it belongs to. It returns the separator: rn's first key. With mid
+// at n's count nothing moves and rn starts out with the new key alone,
+// which is right only for a key above every entry of n.
+func splitLeaf(n, rn *pageRef, mid int, key uint64, rid core.RID) uint64 {
 	moved := n.count() - mid
 	for i := 0; i < moved; i++ {
 		rn.setLeaf(i, n.leafKey(mid+i), n.leafRID(mid+i))
@@ -240,14 +241,13 @@ func splitLeaf(n, rn *pageRef, key uint64, rid core.RID) uint64 {
 	n.setCount(mid)
 	rn.SetNextPage(n.NextPage())
 	n.SetNextPage(rn.fr.ID)
-	sep := rn.leafKey(0)
 	side := n
-	if key >= sep {
+	if moved == 0 || key >= rn.leafKey(0) {
 		side = rn
 	}
 	pos, _ := side.leafSearch(key)
 	side.insertLeafAt(pos, key, rid)
-	return sep
+	return rn.leafKey(0)
 }
 
 // splitInternal moves the entries above the middle one of the full
@@ -381,7 +381,7 @@ func (ix *CoarseIndex) insertRec(w *sim.Worker, nodeID core.PageID, key uint64, 
 		if err != nil {
 			return 0, core.InvalidPageID, err
 		}
-		return ix.splitDone(&n, &rn, splitLeaf(&n, &rn, key, rid))
+		return ix.splitDone(&n, &rn, splitLeaf(&n, &rn, n.count()/2, key, rid))
 	}
 
 	child := n.route(key)

@@ -363,7 +363,15 @@ func (ix *OLCIndex) insertPessimistic(w *sim.Worker, key uint64, rid core.RID) (
 		release()
 		return true, err
 	}
-	carryKey, carryChild := splitLeaf(&n, &rn, key, rid), rn.fr.ID
+	// A key beyond the last leaf's last entry is taken for one of an
+	// ascending load: the leaf stays full and the new sibling starts with
+	// that key alone, where halving would leave every leaf but the last
+	// half empty for good.
+	mid := n.count() / 2
+	if pos == n.count() && n.NextPage() == core.InvalidPageID {
+		mid = n.count()
+	}
+	carryKey, carryChild := splitLeaf(&n, &rn, mid, key, rid), rn.fr.ID
 	stack[leaf].changed = true
 	stack = append(stack, heldNode{rn, true})
 	for i := leaf - 1; i >= 0; i-- {

@@ -114,6 +114,10 @@ type Stats struct {
 	BitErrors     uint64 // injected on reads
 	Interference  uint64 // injected by delta programs
 	LeakedBits    uint64 // persistent retention leaks injected
+
+	// ResidentBytes is a gauge ResetStats leaves alone: the memory of the
+	// blocks holding a programmed page right now (see blockMem).
+	ResidentBytes uint64
 }
 
 // add accumulates another counter cell (shard aggregation).
@@ -130,14 +134,29 @@ func (s *Stats) add(o Stats) {
 	s.LeakedBits += o.LeakedBits
 }
 
+// blockMem is the memory of one erase unit: PagesPerBlock × (PageSize +
+// OOBSize) bytes, each page followed by its spare area so that a read
+// streams one contiguous run. A page's bytes exist from its program to its
+// block's erase: an erased block has no buffer, and in a block that has
+// one the bytes of a page not yet programmed are whatever the buffer's
+// last use left there. Nothing ever fills a block with 0xFF, so every path
+// that can meet an erased page asks the page state, never the bytes.
+// programmed counts the pages programmed since the erase; the read path
+// asks it first, because a full block has no erased page to look for and
+// the count shares a cache line with buf.
+type blockMem struct {
+	buf        []byte
+	programmed int
+}
+
 // chipShard is the state of one flash chip (die). Every field a flash
 // operation touches is partitioned by PPN→chip, so each chip carries its
 // own mutex, fault-injection RNG and stats cell: operations on different
 // chips never contend, matching the I/O parallelism of the real array.
 type chipShard struct {
 	mu       chipLock
-	data     []byte      // page data, PagesPerChip × PageSize
-	oob      []byte      // spare area, PagesPerChip × OOBSize
+	blocks   []blockMem  // per block in chip
+	free     [][]byte    // buffers of erased blocks, for the next block programmed
 	state    []pageState // per page in chip
 	appends  []uint16    // ISPP re-programs since the initial program
 	lastProg []int16     // per block in chip: highest programmed page (-1 = none)
@@ -165,6 +184,7 @@ type Array struct {
 	pagesPerChip int
 	totalPages   int
 	chipShift    int  // log2(pagesPerChip) when it is a power of two, else -1
+	blockShift   int  // log2(pages per block) when it is a power of two, else -1
 	allLSB       bool // SLC: every page accepts ISPP re-programs
 	interfere    bool // interference injection armed (rate > 0, MLC/TLC)
 
@@ -192,6 +212,7 @@ func New(cfg Config, tl *sim.Timeline) (*Array, error) {
 		pagesPerChip: g.PagesPerChip(),
 		totalPages:   g.TotalPages(),
 		chipShift:    log2Exact(g.PagesPerChip()),
+		blockShift:   log2Exact(g.PagesPerBlock),
 		allLSB:       g.Cell.PagesPerWordline() == 1,
 		interfere:    cfg.InterferenceRate > 0 && g.Cell != SLC,
 		shards:       make([]chipShard, g.Chips),
@@ -199,8 +220,7 @@ func New(cfg Config, tl *sim.Timeline) (*Array, error) {
 	}
 	for c := range a.shards {
 		sh := &a.shards[c]
-		sh.data = make([]byte, a.pagesPerChip*g.PageSize)
-		sh.oob = make([]byte, a.pagesPerChip*g.OOBSize)
+		sh.blocks = make([]blockMem, g.BlocksPerChip)
 		sh.state = make([]pageState, a.pagesPerChip)
 		sh.appends = make([]uint16, a.pagesPerChip)
 		sh.lastProg = make([]int16, g.BlocksPerChip)
@@ -212,9 +232,6 @@ func New(cfg Config, tl *sim.Timeline) (*Array, error) {
 		for i := range sh.lastProg {
 			sh.lastProg[i] = -1
 		}
-		// A fresh device reads as erased everywhere.
-		fillErased(sh.data)
-		fillErased(sh.oob)
 	}
 	return a, nil
 }
@@ -247,6 +264,9 @@ func (a *Array) Stats() Stats {
 		sh := &a.shards[c]
 		sh.mu.Lock()
 		total.add(sh.stats)
+		for i := range sh.blocks {
+			total.ResidentBytes += uint64(len(sh.blocks[i].buf))
+		}
 		sh.mu.Unlock()
 	}
 	return total
@@ -325,14 +345,47 @@ func (a *Array) ppnError(p PPN) error {
 	return fmt.Errorf("%w: ppn %d of %d", ErrBounds, p, a.totalPages)
 }
 
-func (sh *chipShard) pageData(lp, pageSize int) []byte {
-	off := lp * pageSize
-	return sh.data[off : off+pageSize]
+// blockOf splits a chip page index into its block within the chip and the
+// page's index within that block — like shardOf, a shift and a mask on
+// the usual power-of-two block size.
+func (a *Array) blockOf(lp int) (lb, pi int) {
+	ppb := a.geom.PagesPerBlock
+	if a.blockShift >= 0 {
+		return lp >> a.blockShift, lp & (ppb - 1)
+	}
+	lb = lp / ppb
+	return lb, lp - lb*ppb
 }
 
-func (sh *chipShard) pageOOB(lp, oobSize int) []byte {
-	off := lp * oobSize
-	return sh.oob[off : off+oobSize]
+// pageIn returns the data and the spare area of page pi in a block's
+// buffer.
+func (a *Array) pageIn(buf []byte, pi int) (data, spare []byte) {
+	d := pi * (a.geom.PageSize + a.geom.OOBSize)
+	s := d + a.geom.PageSize
+	return buf[d:s], buf[s : s+a.geom.OOBSize]
+}
+
+// storedPage returns the bytes of chip page lp, which is programmed.
+func (a *Array) storedPage(sh *chipShard, lp int) (data, spare []byte) {
+	lb, pi := a.blockOf(lp)
+	return a.pageIn(sh.blocks[lb].buf, pi)
+}
+
+// startPage brings the erased page pi of block lb into being for a
+// program that can no longer fail, and returns its bytes — stale ones: the
+// caller writes all of them. The first page of a block gives the block a
+// buffer, a freed one if the chip has any. The caller holds sh.mu.
+func (a *Array) startPage(sh *chipShard, lb, pi int) (data, spare []byte) {
+	b := &sh.blocks[lb]
+	if b.buf == nil {
+		if n := len(sh.free); n > 0 {
+			b.buf, sh.free = sh.free[n-1], sh.free[:n-1]
+		} else {
+			b.buf = make([]byte, a.geom.PagesPerBlock*(a.geom.PageSize+a.geom.OOBSize))
+		}
+	}
+	b.programmed++
+	return a.pageIn(b.buf, pi)
 }
 
 func (a *Array) occupy(w *sim.Worker, p PPN, d time.Duration) time.Duration {
@@ -374,11 +427,16 @@ func (a *Array) ReadInto(w *sim.Worker, p PPN, data, oob []byte) (lat time.Durat
 	}
 	sh, lp := a.shardOf(p)
 	sh.mu.Lock()
-	if data != nil {
-		copy(data, sh.pageData(lp, a.geom.PageSize))
-	}
-	if oob != nil {
-		copy(oob, sh.pageOOB(lp, a.geom.OOBSize))
+	lb, pi := a.blockOf(lp)
+	if b := &sh.blocks[lb]; b.programmed < a.geom.PagesPerBlock && sh.state[lp] == pageErased {
+		// No bytes to copy: the caller gets what uncharged cells read as.
+		fillErased(data)
+		fillErased(oob)
+	} else {
+		// A nil buffer discards that part: it takes no bytes.
+		page, spare := a.pageIn(b.buf, pi)
+		copy(data, page)
+		copy(oob, spare)
 	}
 	sh.stats.Reads++
 	// The transfer moves data plus spare area; count both (the OOB bytes
@@ -418,19 +476,19 @@ func (a *Array) Program(w *sim.Worker, p PPN, data, oob []byte) (lat time.Durati
 		sh.mu.Unlock()
 		return 0, fmt.Errorf("%w: ppn %d", ErrNotErased, p)
 	}
+	lb, pi := a.blockOf(lp)
 	if a.cfg.StrictProgramOrder {
-		lb := lp / a.geom.PagesPerBlock
-		if int16(a.geom.PageInBlock(p)) <= sh.lastProg[lb] {
+		if int16(pi) <= sh.lastProg[lb] {
 			last := sh.lastProg[lb]
 			sh.mu.Unlock()
-			return 0, fmt.Errorf("%w: page %d after %d in block %d", ErrProgramOrder, a.geom.PageInBlock(p), last, a.geom.BlockOf(p))
+			return 0, fmt.Errorf("%w: page %d after %d in block %d", ErrProgramOrder, pi, last, a.geom.BlockOf(p))
 		}
-		sh.lastProg[lb] = int16(a.geom.PageInBlock(p))
+		sh.lastProg[lb] = int16(pi)
 	}
-	copy(sh.pageData(lp, a.geom.PageSize), data)
-	if oob != nil {
-		copy(sh.pageOOB(lp, a.geom.OOBSize), oob)
-	}
+	page, spare := a.startPage(sh, lb, pi)
+	copy(page, data)
+	// Whatever of the spare area the caller does not program stays erased.
+	fillErased(spare[copy(spare, oob):])
 	sh.state[lp] = pageProgrammed
 	sh.appends[lp] = 0
 	sh.stats.Programs++
@@ -473,24 +531,29 @@ func (a *Array) ProgramDelta(w *sim.Worker, p PPN, off int, delta []byte, oobOff
 	// blocks are populated this way, one record batch at a time. The page
 	// joins the programmed population so IsErased/scan-based rebuild see
 	// it, and MLC program order is enforced exactly as for a full Program.
+	lb, pi := a.blockOf(lp)
 	freshProgram := sh.state[lp] == pageErased
-	if freshProgram && a.cfg.StrictProgramOrder {
-		lb := lp / a.geom.PagesPerBlock
-		if int16(a.geom.PageInBlock(p)) <= sh.lastProg[lb] {
-			last := sh.lastProg[lb]
-			sh.mu.Unlock()
-			return 0, fmt.Errorf("%w: page %d after %d in block %d", ErrProgramOrder, a.geom.PageInBlock(p), last, a.geom.BlockOf(p))
-		}
+	if freshProgram && a.cfg.StrictProgramOrder && int16(pi) <= sh.lastProg[lb] {
+		last := sh.lastProg[lb]
+		sh.mu.Unlock()
+		return 0, fmt.Errorf("%w: page %d after %d in block %d", ErrProgramOrder, pi, last, a.geom.BlockOf(p))
 	}
-	base := lp * ps
-	page := sh.data[base : base+ps]
+	var page, spare []byte
+	if freshProgram {
+		// Nothing below can refuse a program of uncharged cells, so the
+		// page may come into being here: that one page, erased.
+		page, spare = a.startPage(sh, lb, pi)
+		fillErased(page)
+		fillErased(spare)
+	} else {
+		page, spare = a.pageIn(sh.blocks[lb].buf, pi)
+	}
 	if i := chargeViolation(page[off:off+len(delta)], delta); i >= 0 {
 		old, b := page[off+i], delta[i]
 		sh.mu.Unlock()
 		return 0, fmt.Errorf("%w: ppn %d offset %d: %#02x over %#02x", ErrBitIncrease, p, off+i, b, old)
 	}
 	if len(oobDelta) > 0 {
-		spare := sh.pageOOB(lp, a.geom.OOBSize)
 		if i := chargeViolation(spare[oobOff:oobOff+len(oobDelta)], oobDelta); i >= 0 {
 			sh.mu.Unlock()
 			return 0, fmt.Errorf("%w: ppn %d oob offset %d", ErrBitIncrease, p, oobOff+i)
@@ -499,7 +562,7 @@ func (a *Array) ProgramDelta(w *sim.Worker, p PPN, off int, delta []byte, oobOff
 	}
 	if freshProgram {
 		if a.cfg.StrictProgramOrder {
-			sh.lastProg[lp/a.geom.PagesPerBlock] = int16(a.geom.PageInBlock(p))
+			sh.lastProg[lb] = int16(pi)
 		}
 		sh.state[lp] = pageProgrammed
 	}
@@ -513,9 +576,8 @@ func (a *Array) ProgramDelta(w *sim.Worker, p PPN, off int, delta []byte, oobOff
 	// claim is actually exercised). The neighbour shares p's block, hence
 	// its chip shard.
 	if a.interfere && sh.rng.Float64() < a.cfg.InterferenceRate {
-		if n := p + 1; int(n) < a.geom.TotalPages() && !a.geom.IsLSB(n) &&
-			a.geom.BlockOf(n) == a.geom.BlockOf(p) && sh.state[lp+1] == pageProgrammed && len(delta) > 0 {
-			victim := sh.pageData(lp+1, a.geom.PageSize)
+		if pi+1 < a.geom.PagesPerBlock && !a.geom.IsLSB(p+1) && sh.state[lp+1] == pageProgrammed && len(delta) > 0 {
+			victim, _ := a.pageIn(sh.blocks[lb].buf, pi+1)
 			bit := sh.rng.Intn(len(delta) * 8)
 			victim[off+bit/8] &^= 1 << (bit % 8) // interference only adds charge
 			sh.stats.Interference++
@@ -545,8 +607,10 @@ func (a *Array) Erase(w *sim.Worker, block int) (lat time.Duration, err error) {
 		sh.state[i] = pageErased
 		sh.appends[i] = 0
 	}
-	fillErased(sh.data[first*a.geom.PageSize : (first+n)*a.geom.PageSize])
-	fillErased(sh.oob[first*a.geom.OOBSize : (first+n)*a.geom.OOBSize])
+	if b := &sh.blocks[lb]; b.buf != nil {
+		sh.free = append(sh.free, b.buf)
+		*b = blockMem{}
+	}
 	sh.lastProg[lb] = -1
 	sh.erases[lb]++
 	sh.stats.Erases++
@@ -581,12 +645,11 @@ func (a *Array) Reprogram(w *sim.Worker, p PPN, data, oob []byte) (lat time.Dura
 		sh.mu.Unlock()
 		return 0, fmt.Errorf("flash: reprogram of erased ppn %d", p)
 	}
-	page := sh.pageData(lp, a.geom.PageSize)
+	page, spare := a.storedPage(sh, lp)
 	if i := chargeViolation(page, data); i >= 0 {
 		sh.mu.Unlock()
 		return 0, fmt.Errorf("%w: ppn %d offset %d (unrepairable in place)", ErrBitIncrease, p, i)
 	}
-	spare := sh.pageOOB(lp, a.geom.OOBSize)
 	if oob != nil {
 		if i := chargeViolation(spare, oob); i >= 0 {
 			sh.mu.Unlock()
@@ -614,7 +677,10 @@ func (a *Array) InjectLeak(p PPN, n int) (int, error) {
 	sh, lp := a.shardOf(p)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	page := sh.pageData(lp, a.geom.PageSize)
+	if sh.state[lp] == pageErased {
+		return 0, nil // uncharged cells have nothing to leak
+	}
+	page, _ := a.storedPage(sh, lp)
 	leaked := 0
 	for try := 0; try < 64*n && leaked < n; try++ {
 		bit := sh.rng.Intn(len(page) * 8)

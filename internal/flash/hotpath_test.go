@@ -3,6 +3,7 @@ package flash
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -157,5 +158,71 @@ func TestReadStatsCountOOBBytes(t *testing.T) {
 	}
 	if got, want := arr.Stats().BytesRead, uint64(g.PageSize+g.OOBSize); got != want {
 		t.Errorf("BytesRead after one read = %d, want %d (data+OOB)", got, want)
+	}
+}
+
+// benchGeometry is the device of the whole-stack benchmark's flash
+// workloads (bench/stack.go): 16 chips, a pages-per-chip count that is
+// not a power of two, 64-page blocks of 4 KiB pages with 256 B spares.
+var benchGeometry = Geometry{Chips: 16, BlocksPerChip: 41, PagesPerBlock: 64, PageSize: 4096, OOBSize: 256, Cell: SLC}
+
+// benchArray returns that device with every page programmed, and the page
+// image and spare area it was programmed with.
+func benchArray(b *testing.B) (*Array, []byte, []byte) {
+	b.Helper()
+	arr, err := New(Config{Geometry: benchGeometry, Timing: SLCTiming(), Endurance: 1 << 30}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	img, oob := make([]byte, benchGeometry.PageSize), make([]byte, benchGeometry.OOBSize)
+	for i := range img {
+		img[i] = byte(i * 7)
+	}
+	for p := 0; p < benchGeometry.TotalPages(); p++ {
+		if _, err := arr.Program(nil, PPN(p), img, oob); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return arr, img, oob
+}
+
+// BenchmarkArrayRandomRead is the device read path of both flash
+// workloads: uniform-random ReadInto (data and spare) over a fully
+// programmed array. The page order is drawn before the clock starts.
+func BenchmarkArrayRandomRead(b *testing.B) {
+	arr, _, oob := benchArray(b)
+	rng := rand.New(rand.NewSource(1))
+	order := make([]PPN, 1<<16)
+	for i := range order {
+		order[i] = PPN(rng.Intn(benchGeometry.TotalPages()))
+	}
+	data := make([]byte, benchGeometry.PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := arr.ReadInto(nil, order[i&(len(order)-1)], data, oob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkArrayEraseProgramBlock is one garbage-collection cycle of a
+// block as the device sees it in steady state — every block has been
+// programmed before — erase, then program every page with its spare area,
+// walking the blocks of the array round-robin.
+func BenchmarkArrayEraseProgramBlock(b *testing.B) {
+	arr, img, oob := benchArray(b)
+	blocks := benchGeometry.TotalBlocks()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk := i % blocks
+		if _, err := arr.Erase(nil, blk); err != nil {
+			b.Fatal(err)
+		}
+		first := benchGeometry.FirstPageOfBlock(blk)
+		for pi := 0; pi < benchGeometry.PagesPerBlock; pi++ {
+			if _, err := arr.Program(nil, first+PPN(pi), img, oob); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -11,10 +11,11 @@ import (
 // the right outcome and the unlock side of a full mutex (an atomic
 // add/CAS) costs as much as the work it protects. A spinlock's unlock is
 // a plain atomic store, which roughly halves the per-operation locking
-// tax on the device hot path. The longest hold is a block-erase fill
-// (a few µs on large geometries); the backoff yields the processor after
-// a burst of failed probes so waiters degrade to cooperative scheduling
-// rather than burning a core.
+// tax on the device hot path. The longest hold is the first program into
+// a block on a chip with no freed buffer to reuse (one allocation, a few
+// µs on large geometries); the backoff yields the processor after a burst
+// of failed probes so waiters degrade to cooperative scheduling rather
+// than burning a core.
 type chipLock struct {
 	v atomic.Uint32
 }

@@ -211,6 +211,11 @@ func TestServerIntegration(t *testing.T) {
 	if doc.Engine.WAL.Flushes == 0 {
 		t.Error("admin engine stats empty mid-load")
 	}
+	// The footprint gauges ride the same document: inserts have bound
+	// frames by now, whatever the device holds.
+	if doc.Engine.Pool.FramesAllocated == 0 {
+		t.Error("admin engine stats: Pool.FramesAllocated = 0 mid-load")
+	}
 	for _, op := range []string{"BEGIN", "COMMIT", "INSERT"} {
 		snap, ok := doc.Ops[op]
 		if !ok || snap.Count == 0 || len(snap.Buckets) == 0 {
