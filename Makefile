@@ -26,13 +26,13 @@ fmt-check:
 # the protocol is kept where one file can be read for it. This target
 # fails when another non-test file of the package pins, unpins, latches
 # or attaches by hand. The exceptions, and why:
-#   store.go, scheme.go: page.Attach only — the flush side. The pool has
+#   store.go: page.Attach only — the flush side. The pool has
 #     claimed the frame and holds its latch when it calls Flush, and
 #     RecoverMapping attaches a private copy of a scanned flash page, not
 #     a frame.
 PINS_FILES = ls internal/engine/*.go | grep -v '_test\.go$$\|/pageref\.go$$'
 PINS_IDIOM = page\.Attach(\|pool\.\(Get\|GetNew\|Unpin\)(\|\.\(Try\)\?R\?Latch()\|\.R\?Unlatch()
-PINS_ALLOW = ^internal/engine/\(store\|scheme\)\.go:[0-9]*:.*page\.Attach(
+PINS_ALLOW = ^internal/engine/store\.go:[0-9]*:.*page\.Attach(
 pins:
 	@out="$$(grep -n '$(PINS_IDIOM)' $$($(PINS_FILES)) | grep -v '$(PINS_ALLOW)')"; \
 	if [ -n "$$out" ]; then \
@@ -124,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzReplAppendDecode -fuzztime 10s ./internal/repl
 	$(GO) test -run xxx -fuzz FuzzWALRecordRoundTrip -fuzztime 10s ./internal/wal
 	$(GO) test -run xxx -fuzz FuzzWireFrame -fuzztime 10s ./internal/wire
+	$(GO) test -run xxx -fuzz FuzzPDLRecord -fuzztime 10s ./internal/noftl
 
 # `ipabench -exp all` of BASE (unpacked under .bench_build/) against the
 # working tree, diffed; exits 1 on any difference. EXPFLAGS=-quick for

@@ -89,7 +89,8 @@ func run(bench string, tx, maxN, pageSize int) error {
 		fmt.Printf("             %s\n", rec.Rationale)
 	}
 
-	// Per-table storage-scheme advice (ipa vs pdl vs oop).
+	// Per-table storage-scheme advice: ipa with appends, pdl, or ipa on
+	// [0×0] (out of place), told apart by the region scheme.
 	decisions, err := db.AdviseStorage(w, advisor.Options{Goal: advisor.Performance, MaxN: maxN, PageSize: pageSize})
 	if err != nil {
 		return err
@@ -97,8 +98,8 @@ func run(bench string, tx, maxN, pageSize int) error {
 	if len(decisions) > 0 {
 		fmt.Printf("\nstorage advice (per table, from %s):\n", wl.Name())
 		for _, d := range decisions {
-			fmt.Printf("  %-12s %-6v (p50 %4dB, p90 %4dB, %d samples) — %s\n",
-				d.Table, d.Advice.Storage, d.Advice.P50, d.Advice.P90, d.Samples, d.Advice.Rationale)
+			fmt.Printf("  %-12s %-3v %-7v (p50 %4dB, p90 %4dB, %d samples) — %s\n",
+				d.Table, d.Advice.Storage, d.Advice.RegionScheme(), d.Advice.P50, d.Advice.P90, d.Samples, d.Advice.Rationale)
 		}
 	}
 	return nil

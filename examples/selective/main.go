@@ -152,15 +152,16 @@ func main() {
 	}
 
 	// Per-table storage advice: which write-reduction scheme each table's
-	// own update-size CDF warrants (ipa / pdl / oop).
+	// own update-size CDF warrants (ipa with appends, pdl, or ipa on [0×0]
+	// — out of place — told apart by the region scheme).
 	decisions, err := db.AdviseStorage(w, advisor.Options{Goal: advisor.Performance, MaxN: 3, PageSize: 4096})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nper-table storage advice:")
 	for _, d := range decisions {
-		fmt.Printf("  %-10s in %-7s → %-4v (p90 %4dB over %d samples)\n",
-			d.Table, d.Region, d.Advice.Storage, d.Advice.P90, d.Samples)
+		fmt.Printf("  %-10s in %-7s → %-3v %-7v (p90 %4dB over %d samples)\n",
+			d.Table, d.Region, d.Advice.Storage, d.Advice.RegionScheme(), d.Advice.P90, d.Samples)
 	}
 }
 

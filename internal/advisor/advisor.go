@@ -301,7 +301,7 @@ type StorageAdvice struct {
 	Storage noftl.Storage
 	// Scheme is the [N×M×V] recommendation that would serve an IPA
 	// region for this table (meaningful whatever Storage says, for
-	// comparison).
+	// comparison); RegionScheme is the one to create the region with.
 	Scheme SchemeRecommendation
 	// P50 and P90 are the quantiles of the net update-size CDF the
 	// decision is based on.
@@ -310,13 +310,28 @@ type StorageAdvice struct {
 	Rationale string
 }
 
+// minIPACoverage is the fraction of a table's flushes one delta-record
+// must absorb for the advisor to recommend in-place appends.
+const minIPACoverage = 0.5
+
+// RegionScheme is the scheme a region following the advice is created
+// with: the recommended [N×M×V] when the advice is to append in place,
+// the disabled [0×0] otherwise (a PDL region has no delta area, and an
+// IPA region on [0×0] is the out-of-place baseline).
+func (a StorageAdvice) RegionScheme() core.Scheme {
+	if a.Storage == noftl.StorageIPA && a.Scheme.CoveredFraction >= minIPACoverage {
+		return a.Scheme.Scheme
+	}
+	return core.Scheme{}
+}
+
 // RecommendStorage proposes a storage scheme for one table's profile.
 // The decision mirrors the paper's framing: IPA when the bulk of the
 // table's updates fit a delta-record (CoveredFraction >= 1/2), PDL when
 // updates are small page differentials (90th percentile within a
-// quarter page) that IPA's fixed record cannot absorb, and plain
-// out-of-place writes for large-update tables where both schemes
-// degrade to page rewrites anyway.
+// quarter page) that IPA's fixed record cannot absorb, and IPA on the
+// disabled [0×0] scheme — plain out-of-place writes — for large-update
+// tables where both schemes degrade to page rewrites anyway.
 func RecommendStorage(p *Profile, opts Options) (StorageAdvice, error) {
 	rec, err := RecommendScheme(p, opts)
 	if err != nil {
@@ -329,7 +344,7 @@ func RecommendStorage(p *Profile, opts Options) (StorageAdvice, error) {
 	}
 	pdlBudget := opts.PageSize / 4
 	switch {
-	case rec.CoveredFraction >= 0.5:
+	case rec.CoveredFraction >= minIPACoverage:
 		a.Storage = noftl.StorageIPA
 		a.Rationale = fmt.Sprintf("ipa: %.0f%% of flushes fit one %s delta-record",
 			rec.CoveredFraction*100, rec.Scheme)
@@ -338,8 +353,8 @@ func RecommendStorage(p *Profile, opts Options) (StorageAdvice, error) {
 		a.Rationale = fmt.Sprintf("pdl: updates exceed the delta-record budget but stay small (p90 %dB <= %dB differential budget)",
 			a.P90, pdlBudget)
 	default:
-		a.Storage = noftl.StorageOOP
-		a.Rationale = fmt.Sprintf("oop: large updates (p90 %dB) degrade both ipa and pdl to page rewrites", a.P90)
+		a.Storage = noftl.StorageIPA
+		a.Rationale = fmt.Sprintf("ipa on [0×0]: large updates (p90 %dB) degrade both appends and pdl to page rewrites", a.P90)
 	}
 	return a, nil
 }

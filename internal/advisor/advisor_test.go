@@ -2,9 +2,11 @@ package advisor
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ipa/internal/core"
+	"ipa/internal/noftl"
 	"ipa/internal/wal"
 )
 
@@ -89,6 +91,60 @@ func TestRecommendClamps(t *testing.T) {
 	}
 	if rec.Scheme.N != 1 {
 		t.Errorf("N = %d, want clamped maxN 1", rec.Scheme.N)
+	}
+}
+
+// TestRecommendStorageVerdicts covers the three outcomes of
+// RecommendStorage — appends in place, page-differential logging, and
+// the out-of-place baseline — which share two storage values and are
+// told apart by the region scheme.
+func TestRecommendStorageVerdicts(t *testing.T) {
+	uniform := func(net int) *Profile {
+		p := &Profile{}
+		for i := 0; i < 100; i++ {
+			p.Add(net, 12)
+		}
+		return p
+	}
+	cases := []struct {
+		name      string
+		p         *Profile
+		storage   noftl.Storage
+		appends   bool // the region scheme is the recommended [N×M×V]
+		rationale string
+	}{
+		{"small updates", tpccProfile(), noftl.StorageIPA, true, "ipa: "},
+		// 600 B exceeds the largest delta-record but not a quarter page.
+		{"small differentials", uniform(600), noftl.StoragePDL, false, "pdl: "},
+		{"page rewrites", uniform(2000), noftl.StorageIPA, false, "ipa on [0×0]: "},
+	}
+	for _, c := range cases {
+		a, err := RecommendStorage(c.p, Options{Goal: Performance, MaxN: 3, PageSize: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Storage != c.storage {
+			t.Errorf("%s: storage %v, want %v", c.name, a.Storage, c.storage)
+		}
+		want := core.Scheme{}
+		if c.appends {
+			want = a.Scheme.Scheme
+			if want.Disabled() {
+				t.Errorf("%s: recommended scheme %v appends nothing", c.name, want)
+			}
+		}
+		if got := a.RegionScheme(); got != want {
+			t.Errorf("%s: region scheme %v, want %v", c.name, got, want)
+		}
+		if !strings.HasPrefix(a.Rationale, c.rationale) {
+			t.Errorf("%s: rationale %q, want prefix %q", c.name, a.Rationale, c.rationale)
+		}
+		if a.P50 > a.P90 || a.P90 != c.p.NetQuantile(0.90) {
+			t.Errorf("%s: p50 %d, p90 %d", c.name, a.P50, a.P90)
+		}
+	}
+	if _, err := RecommendStorage(&Profile{}, Options{PageSize: 4096}); err == nil {
+		t.Error("empty profile accepted")
 	}
 }
 

@@ -191,16 +191,16 @@ func TestCrashDuringHeavyStealing(t *testing.T) {
 	}
 }
 
-// newSchemeRig opens a DB over one "main" region flushed with the given
-// storage scheme, with or without the MVCC version store.
-func newSchemeRig(t *testing.T, storage noftl.Storage, mvcc bool, frames int) *testRig {
+// newCellRig opens a DB over one "main" region of the given cell, with
+// or without the MVCC version store.
+func newCellRig(t *testing.T, cell RegionCell, mvcc bool, frames int) *testRig {
 	t.Helper()
-	return newSchemeRigOpts(t, storage, Options{PageSize: 512, BufferFrames: frames, DirtyThreshold: 2.0, MVCC: mvcc})
+	return newCellRigOpts(t, cell, Options{PageSize: 512, BufferFrames: frames, DirtyThreshold: 2.0, MVCC: mvcc})
 }
 
-// newSchemeRigOpts is newSchemeRig with the engine options spelled out
+// newCellRigOpts is newCellRig with the engine options spelled out
 // (512-byte pages are the device's).
-func newSchemeRigOpts(t *testing.T, storage noftl.Storage, opts Options) *testRig {
+func newCellRigOpts(t *testing.T, cell RegionCell, opts Options) *testRig {
 	t.Helper()
 	arr, err := flash.New(flash.Config{
 		Geometry: flash.Geometry{
@@ -213,11 +213,7 @@ func newSchemeRigOpts(t *testing.T, storage noftl.Storage, opts Options) *testRi
 		t.Fatal(err)
 	}
 	dev := noftl.Open(arr)
-	rc := noftl.RegionConfig{Name: "main", Storage: storage, BlocksPerChip: 32, OverProvision: 0.2}
-	if storage == noftl.StorageIPA {
-		rc.Mode, rc.Scheme = noftl.ModeSLC, core.NewScheme(2, 4)
-	}
-	if _, err := dev.CreateRegion(rc); err != nil {
+	if _, err := dev.CreateRegion(cell.Config("main", 32)); err != nil {
 		t.Fatal(err)
 	}
 	db, err := New(dev, opts)
@@ -342,19 +338,20 @@ func (s *fieldScript) run(t *testing.T, upTo int) {
 }
 
 // TestCrashAtEveryStepFieldUpdates crashes the scripted workload after
-// every one of its steps — so at every LSN an API call can end on — for
-// each storage scheme with the version store off and on, steals a
-// varying number of dirty pages first, recovers (mapping rebuilt from
-// flash, then redo and undo), and requires exactly the committed rows.
+// every one of its steps — so at every LSN an API call can end on — in
+// each region cell ([0×0], [2×4], pdl) with the version store off and
+// on, steals a varying number of dirty pages first, recovers (mapping
+// rebuilt from flash, then redo and undo), and requires exactly the
+// committed rows.
 // With MVCC on, a snapshot taken just before the crash must show the
 // same rows: the patched tuples' before-images resolve to committed
 // state.
 func TestCrashAtEveryStepFieldUpdates(t *testing.T) {
-	for _, storage := range []noftl.Storage{noftl.StorageOOP, noftl.StorageIPA, noftl.StoragePDL} {
+	for _, cell := range RegionCells {
 		for _, mvcc := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/mvcc=%v", storage, mvcc), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/mvcc=%v", cell.Name, mvcc), func(t *testing.T) {
 				for crashAt := 1; crashAt <= fieldScriptSteps; crashAt++ {
-					crashFieldScript(t, storage, mvcc, crashAt)
+					crashFieldScript(t, cell, mvcc, crashAt)
 				}
 			})
 		}
@@ -403,8 +400,8 @@ func loadFieldScript(t *testing.T, db *DB) *fieldScript {
 	return s
 }
 
-func crashFieldScript(t *testing.T, storage noftl.Storage, mvcc bool, crashAt int) {
-	r := newSchemeRig(t, storage, mvcc, 6)
+func crashFieldScript(t *testing.T, cell RegionCell, mvcc bool, crashAt int) {
+	r := newCellRig(t, cell, mvcc, 6)
 	defer r.db.Close()
 	// Every flush of the run — the script's, the steals before the crash,
 	// and those redo and undo cause after it — must leave storage equal

@@ -231,9 +231,9 @@ func parseStorage(v string) (noftl.Storage, error) {
 	case "pdl":
 		return noftl.StoragePDL, nil
 	case "oop":
-		return noftl.StorageOOP, nil
+		return 0, fmt.Errorf("engine: STORAGE %q is not a scheme: create the region without SCHEME, which writes every page out of place", v)
 	default:
-		return 0, fmt.Errorf("engine: unknown STORAGE %q (want IPA, PDL or OOP)", v)
+		return 0, fmt.Errorf("engine: unknown STORAGE %q (want IPA or PDL)", v)
 	}
 }
 

@@ -100,8 +100,8 @@ func TestDDLOptions(t *testing.T) {
 	}
 }
 
-// TestDDLStorageOptions covers the STORAGE / GC_VICTIM surface added
-// with the pluggable-scheme API.
+// TestDDLStorageOptions covers the STORAGE / GC_VICTIM surface of
+// CREATE REGION.
 func TestDDLStorageOptions(t *testing.T) {
 	db := newDDLRig(t, flash.SLC)
 	if err := db.Exec("CREATE REGION rPDL (BLOCKS_PER_CHIP=16, STORAGE=pdl, GC_VICTIM=cost-benefit)"); err != nil {
@@ -114,45 +114,58 @@ func TestDDLStorageOptions(t *testing.T) {
 	if r.GCVictim() != noftl.CostBenefitVictim {
 		t.Errorf("gc victim = %v, want cost-benefit", r.GCVictim())
 	}
-	if st := db.Store("rPDL"); st.Storage() != noftl.StoragePDL {
-		t.Errorf("store storage = %v, want pdl", st.Storage())
-	}
-	if err := db.Exec("CREATE REGION rOOP (BLOCKS_PER_CHIP=8, STORAGE=oop)"); err != nil {
-		t.Fatal(err)
-	}
-	if st := db.Store("rOOP"); st.Storage() != noftl.StorageOOP {
-		t.Errorf("store storage = %v, want oop", st.Storage())
+	if got := db.Store("rPDL").Stats().Scheme.Storage; got != noftl.StoragePDL {
+		t.Errorf("store storage = %v, want pdl", got)
 	}
 	// Explicit STORAGE=ipa with an IPA layout is the default path.
 	if err := db.Exec("CREATE REGION rIPA (BLOCKS_PER_CHIP=8, STORAGE=ipa, IPA_MODE=slc, SCHEME=2x4)"); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.Store("rIPA"); st.Storage() != noftl.StorageIPA {
-		t.Errorf("store storage = %v, want ipa", st.Storage())
+	if got := db.Store("rIPA").Stats().Scheme.Storage; got != noftl.StorageIPA {
+		t.Errorf("store storage = %v, want ipa", got)
 	}
-	// A PDL table takes writes end to end.
-	if err := db.Exec("CREATE TABLE tp (REGION=rPDL)"); err != nil {
+	// A region created without SCHEME is the out-of-place baseline.
+	if err := db.Exec("CREATE REGION rOOP (BLOCKS_PER_CHIP=8)"); err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := db.Table("tp")
-	if err != nil {
-		t.Fatal(err)
+	// Both take a one-byte update end to end: a PDL append, and an
+	// out-of-place rewrite.
+	updateOne := func(region string) {
+		t.Helper()
+		if err := db.Exec("CREATE TABLE t" + region + " (REGION=" + region + ")"); err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := db.Table("t" + region)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := mustBegin(db, nil)
+		rid, err := tbl.Insert(tx, make([]byte, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx.Commit()
+		db.FlushAll(nil)
+		tx2 := mustBegin(db, nil)
+		if err := tbl.UpdateField(tx2, rid, 0, []byte{9}); err != nil {
+			t.Fatal(err)
+		}
+		tx2.Commit()
+		db.FlushAll(nil)
 	}
-	tx := mustBegin(db, nil)
-	rid, err := tbl.Insert(tx, make([]byte, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx.Commit()
-	db.FlushAll(nil)
-	tx2 := mustBegin(db, nil)
-	if err := tbl.UpdateField(tx2, rid, 0, []byte{9}); err != nil {
-		t.Fatal(err)
-	}
-	tx2.Commit()
-	db.FlushAll(nil)
+	updateOne("rPDL")
 	if got := db.Store("rPDL").Stats().Scheme.PDL.Appends; got != 1 {
 		t.Errorf("pdl appends = %d, want 1", got)
+	}
+	oopBefore := db.Store("rOOP").Stats().FlushesOOP
+	updateOne("rOOP")
+	st := db.Store("rOOP")
+	if ss := st.Stats(); ss.FlushesDelta != 0 || ss.FlushesOOP < oopBefore+2 {
+		t.Errorf("region without SCHEME: %d delta and %d out-of-place flushes, want 0 and ≥ 2 (load, update)",
+			ss.FlushesDelta, ss.FlushesOOP-oopBefore)
+	}
+	if dw := st.Region().Stats().DeltaWrites; dw != 0 {
+		t.Errorf("region without SCHEME: %d delta writes, want 0", dw)
 	}
 }
 
@@ -182,11 +195,12 @@ func TestDDLErrors(t *testing.T) {
 		"CREATE REGION r (BLOCKS_PER_CHIP=8, STROAGE=pdl)", // typo must not be ignored
 		"CREATE TABLESPACE ts (REGION=rOK, COMPRESSION=on)",
 		"CREATE TABLE t (REGION=rOK, PARTITIONS=4)",
-		// PDL and OOP regions write raw page images; an IPA delta layout
-		// or mode would be re-applied over merged bases.
+		// PDL regions write raw page images; an IPA delta layout or mode
+		// would be re-applied over merged bases.
 		"CREATE REGION r (BLOCKS_PER_CHIP=8, STORAGE=pdl, SCHEME=2x4)",
 		"CREATE REGION r (BLOCKS_PER_CHIP=8, STORAGE=pdl, IPA_MODE=slc)",
-		"CREATE REGION r (BLOCKS_PER_CHIP=8, STORAGE=oop, SCHEME=2x4)",
+		// Out of place is a region without SCHEME, not a storage scheme.
+		"CREATE REGION r (BLOCKS_PER_CHIP=8, STORAGE=oop)",
 	}
 	for _, s := range bad {
 		if err := db.Exec(s); err == nil {
@@ -197,6 +211,7 @@ func TestDDLErrors(t *testing.T) {
 	// errors like pSLC-on-SLC come from noftl and are exempt).
 	wantPrefix := []struct{ stmt, frag string }{
 		{"CREATE REGION r (BLOCKS_PER_CHIP=8, STORAGE=log-structured)", `unknown STORAGE "log-structured"`},
+		{"CREATE REGION r (BLOCKS_PER_CHIP=8, STORAGE=oop)", "create the region without SCHEME, which writes every page out of place"},
 		{"CREATE REGION r (BLOCKS_PER_CHIP=8, GC_VICTIM=oldest)", `unknown GC_VICTIM "oldest"`},
 		{"CREATE REGION r (BLOCKS_PER_CHIP=8, GC_POLICY=foreground)", "unknown option GC_POLICY in CREATE REGION r"},
 		{"CREATE REGION r (BLOCKS_PER_CHIP=8, GC=background)", "unknown option GC in CREATE REGION r"},

@@ -6,9 +6,37 @@ import (
 
 	"ipa/internal/buffer"
 	"ipa/internal/core"
+	"ipa/internal/noftl"
 	"ipa/internal/sim"
 	"ipa/internal/wal"
 )
+
+// RegionCell is one way a region serves update flushes. The tests that
+// cross the engine with storage run all of RegionCells.
+type RegionCell struct {
+	Name    string
+	Storage noftl.Storage
+	Scheme  core.Scheme
+}
+
+// The three cells: in-place appends on [2×4], page-differential
+// logging, and the out-of-place baseline, an IPA region on the disabled
+// [0×0] scheme (labelled oop, as in `ipabench -exp schemes`).
+var (
+	CellIPA     = RegionCell{"ipa", noftl.StorageIPA, core.NewScheme(2, 4)}
+	CellPDL     = RegionCell{"pdl", noftl.StoragePDL, core.Scheme{}}
+	RegionCells = []RegionCell{{"oop", noftl.StorageIPA, core.Scheme{}}, CellIPA, CellPDL}
+)
+
+// Config returns the configuration of a region in the cell, with 20 %
+// over-provisioning and IPA_MODE slc where the scheme appends.
+func (c RegionCell) Config(name string, blocksPerChip int) noftl.RegionConfig {
+	rc := noftl.RegionConfig{Name: name, Storage: c.Storage, Scheme: c.Scheme, BlocksPerChip: blocksPerChip, OverProvision: 0.2}
+	if !c.Scheme.Disabled() {
+		rc.Mode = noftl.ModeSLC
+	}
+	return rc
+}
 
 // LogUpdate exposes tx.logUpdate so allocation guards can measure the
 // update-logging path (logUpdate → wal.Append) in isolation.

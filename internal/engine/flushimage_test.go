@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ipa/internal/noftl"
 	"ipa/internal/wal"
 )
 
@@ -19,14 +18,14 @@ import (
 // back and changed again all along the stream. TPC-B and YCSB run under the same
 // check in flushimage_workload_test.go.
 func TestFlushedImageApplier(t *testing.T) {
-	for _, storage := range []noftl.Storage{noftl.StorageOOP, noftl.StorageIPA, noftl.StoragePDL} {
+	for _, cell := range RegionCells {
 		for _, mvcc := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/mvcc=%v", storage, mvcc), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/mvcc=%v", cell.Name, mvcc), func(t *testing.T) {
 				opts := Options{PageSize: 512, BufferFrames: 6, DirtyThreshold: 2.0, MVCC: mvcc, Replicated: true}
-				primary := newSchemeRigOpts(t, storage, opts)
+				primary := newCellRigOpts(t, cell, opts)
 				defer primary.db.Close()
 				opts.BufferFrames = 2
-				follower := newSchemeRigOpts(t, storage, opts)
+				follower := newCellRigOpts(t, cell, opts)
 				defer follower.db.Close()
 				if err := follower.db.VerifyFlushedImages(func(err error) { t.Error(err) }); err != nil {
 					t.Fatal(err)

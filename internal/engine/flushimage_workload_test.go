@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ipa/internal/core"
 	"ipa/internal/engine"
 	"ipa/internal/flash"
 	"ipa/internal/noftl"
@@ -21,9 +20,9 @@ import (
 // with the eager cleaner on, so flushes come from evictions, cleaner
 // passes and log reclaims while other terminals change the same pages.
 func TestFlushedImageWorkloads(t *testing.T) {
-	for _, storage := range []noftl.Storage{noftl.StorageOOP, noftl.StorageIPA, noftl.StoragePDL} {
+	for _, cell := range engine.RegionCells {
 		for _, mvcc := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v/mvcc=%v", storage, mvcc), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/mvcc=%v", cell.Name, mvcc), func(t *testing.T) {
 				g := flash.Geometry{
 					Chips: 4, BlocksPerChip: 64, PagesPerBlock: 16,
 					PageSize: 1024, OOBSize: 64, Cell: flash.SLC,
@@ -36,11 +35,7 @@ func TestFlushedImageWorkloads(t *testing.T) {
 					t.Fatal(err)
 				}
 				dev := noftl.Open(arr)
-				rc := noftl.RegionConfig{Name: "main", Storage: storage, BlocksPerChip: 64, OverProvision: 0.2}
-				if storage == noftl.StorageIPA {
-					rc.Mode, rc.Scheme = noftl.ModeSLC, core.NewScheme(2, 4)
-				}
-				if _, err := dev.CreateRegion(rc); err != nil {
+				if _, err := dev.CreateRegion(cell.Config("main", 64)); err != nil {
 					t.Fatal(err)
 				}
 				db, err := engine.New(dev, engine.Options{

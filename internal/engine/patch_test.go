@@ -285,7 +285,7 @@ func TestPatchRedoUndoCLR(t *testing.T) {
 // latch, so no increment is lost. Run under -race.
 func TestAddFieldLostUpdate(t *testing.T) {
 	for _, mvcc := range []bool{false, true} {
-		db := newSchemeRig(t, noftl.StorageIPA, mvcc, 16).db
+		db := newCellRig(t, CellIPA, mvcc, 16).db
 		tbl, err := db.CreateTable("t", "main")
 		if err != nil {
 			t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // differentials to dedicated log blocks).
 func newPDLRig(t *testing.T, frames int) *testRig {
 	t.Helper()
-	return newSchemeRig(t, noftl.StoragePDL, false, frames)
+	return newCellRig(t, CellPDL, false, frames)
 }
 
 // TestPDLEngineRoundTrip drives the full flush path through the PDL

@@ -135,17 +135,17 @@ func TestAdoptValidation(t *testing.T) {
 // must find that out from the page states alone — a scan that read erased
 // pages through their bytes would have to bring every block into memory.
 func TestRecoverMappingLeavesEmptyDeviceEmpty(t *testing.T) {
-	for _, storage := range []noftl.Storage{noftl.StorageIPA, noftl.StoragePDL} {
-		r := newSchemeRig(t, storage, false, 8)
+	for _, cell := range []RegionCell{CellIPA, CellPDL} {
+		r := newCellRig(t, cell, false, 8)
 		if _, err := r.db.CreateTable("t", "main"); err != nil {
 			t.Fatal(err)
 		}
 		n, err := r.db.Store("main").RecoverMapping(nil)
 		if err != nil || n != 0 {
-			t.Fatalf("%v: RecoverMapping of an empty region = %d, %v", storage, n, err)
+			t.Fatalf("%s: RecoverMapping of an empty region = %d, %v", cell.Name, n, err)
 		}
 		if got := r.dev.Array().Stats().ResidentBytes; got != 0 {
-			t.Errorf("%v: the rebuild left %d bytes of an empty device resident", storage, got)
+			t.Errorf("%s: the rebuild left %d bytes of an empty device resident", cell.Name, got)
 		}
 	}
 }

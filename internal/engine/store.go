@@ -64,6 +64,13 @@ type StoreStats struct {
 	Scheme SchemeStats
 }
 
+// SchemeStats reports which scheme a store runs and the scheme's own
+// counters (only PDL keeps state outside the region).
+type SchemeStats struct {
+	Storage noftl.Storage
+	PDL     noftl.PDLStats // zero unless Storage == StoragePDL
+}
+
 // storeCounters are the live counters behind StoreStats, updated with
 // atomics so concurrent fetch/flush paths never serialise on stats.
 type storeCounters struct {
@@ -93,11 +100,11 @@ type PageStore struct {
 	sect   ecc.Sections
 	useECC bool
 
-	// scheme is the pluggable write-reduction scheme (see scheme.go), set
-	// once from the region's storage; dl is the differential log of a PDL
-	// store (nil otherwise), which RecoverMapping rebuilds.
-	scheme StorageScheme
-	dl     *noftl.DiffLog
+	// dl is the differential log of a PDL region and nil for an IPA
+	// region: Fetch, flush and Free take the PDL path exactly when it is
+	// set, and RecoverMapping rebuilds it. An IPA region on the disabled
+	// [0×0] scheme is the out-of-place baseline.
+	dl *noftl.DiffLog
 
 	ctr        storeCounters
 	netBytes   *metrics.Hist
@@ -166,11 +173,19 @@ func NewPageStore(region *noftl.Region, pageSize int, useECC bool) (*PageStore, 
 	if useECC && region.OOBSize() < s.sect.TotalCodeLen() {
 		return nil, fmt.Errorf("%w: need %d, have %d", ErrOOBTooSmall, s.sect.TotalCodeLen(), region.OOBSize())
 	}
-	scheme, err := s.newScheme(region.Storage())
-	if err != nil {
-		return nil, err
+	if region.Storage() == noftl.StoragePDL {
+		var encodeOOB func([]byte) []byte
+		if useECC {
+			// Merged base images get the body ECC an out-of-place flush
+			// would attach.
+			encodeOOB = func(data []byte) []byte { return ecc.Encode(data[:s.sect.BodyLen]) }
+		}
+		dl, err := noftl.NewDiffLog(region, noftl.PDLConfig{EncodeOOB: encodeOOB})
+		if err != nil {
+			return nil, err
+		}
+		s.dl = dl
 	}
-	s.scheme = scheme
 	return s, nil
 }
 
@@ -183,7 +198,7 @@ func (s *PageStore) Region() *noftl.Region { return s.region }
 // Stats returns a snapshot of the store's counters (see StoreStats for
 // which fields are copies and which are live recorders).
 func (s *PageStore) Stats() StoreStats {
-	return StoreStats{
+	st := StoreStats{
 		Fetches:        s.ctr.fetches.Load(),
 		DeltaApply:     s.ctr.deltaApply.Load(),
 		ECCCorrected:   s.ctr.eccCorrected.Load(),
@@ -194,8 +209,12 @@ func (s *PageStore) Stats() StoreStats {
 		GrossBytes:     s.grossBytes,
 		FetchLatency:   s.fetchLat,
 		FlushLatency:   s.flushLat,
-		Scheme:         s.scheme.Stats(),
+		Scheme:         SchemeStats{Storage: s.region.Storage()},
 	}
+	if s.dl != nil {
+		st.Scheme.PDL = s.dl.Stats()
+	}
+	return st
 }
 
 // Fetch implements buffer.Store: read the physical image, verify and
@@ -203,21 +222,23 @@ func (s *PageStore) Stats() StoreStats {
 // image plus the used-slot count (N_E).
 func (s *PageStore) Fetch(w *sim.Worker, id core.PageID, buf []byte) (int, error) {
 	start := now(w)
-	scheme := s.scheme
 	var used, applied int
 	// Epoch loop: a PDL merge can fold a page's differential records into
-	// a rewritten base image between our base read and Materialize — the
-	// stale base would then materialise to a pre-merge image. The scheme
+	// a rewritten base image between our base read and ApplyTo — the
+	// stale base would then materialise to a pre-merge image. The log
 	// bumps its epoch per merge; an unchanged epoch across the whole
-	// read+materialise proves the composition was consistent. IPA and OOP
-	// have a constant epoch, so the loop runs exactly once there.
+	// read+apply proves the composition was consistent. An IPA region has
+	// no log, so the loop runs exactly once there.
 	for {
-		e0 := scheme.Epoch()
+		var e0 uint64
+		if s.dl != nil {
+			e0 = s.dl.Epoch()
+		}
 		var err error
-		if used, applied, err = s.fetchOnce(w, id, buf, scheme); err != nil {
+		if used, applied, err = s.fetchOnce(w, id, buf); err != nil {
 			return 0, err
 		}
-		if scheme.Epoch() == e0 {
+		if s.dl == nil || s.dl.Epoch() == e0 {
 			break
 		}
 	}
@@ -235,7 +256,7 @@ func (s *PageStore) Fetch(w *sim.Worker, id core.PageID, buf []byte) (int, error
 // fetchOnce performs one read+reconstruct+materialise attempt. It
 // returns the used delta-slot count and how many differential bytes or
 // records were applied on top of the raw image.
-func (s *PageStore) fetchOnce(w *sim.Worker, id core.PageID, buf []byte, scheme StorageScheme) (used, applied int, err error) {
+func (s *PageStore) fetchOnce(w *sim.Worker, id core.PageID, buf []byte) (used, applied int, err error) {
 	// The physical image lands directly in the caller's frame buffer and
 	// is reconstructed there in place — no intermediate copy. The OOB area
 	// is only needed for ECC verification, from a pooled scratch buffer.
@@ -264,11 +285,14 @@ func (s *PageStore) fetchOnce(w *sim.Worker, id core.PageID, buf []byte, scheme 
 	if err != nil {
 		return 0, 0, fmt.Errorf("engine: reconstruct page %d: %w", id, err)
 	}
-	m, err := scheme.Materialize(w, id, buf)
-	if err != nil {
-		return 0, 0, fmt.Errorf("engine: materialize page %d: %w", id, err)
+	if s.dl != nil {
+		m, err := s.dl.ApplyTo(w, id, buf)
+		if err != nil {
+			return 0, 0, fmt.Errorf("engine: materialize page %d: %w", id, err)
+		}
+		applied += m
 	}
-	return used, applied + m, nil
+	return used, applied, nil
 }
 
 // correctSections verifies ECC_initial over the body and ECC_delta_i over
@@ -357,8 +381,45 @@ func (s *PageStore) flush(w *sim.Worker, fr *buffer.Frame) (FlushKind, error) {
 	if sink := s.traceSink(); sink != nil {
 		sink.RecordEvict(fr.ID, cs.BodyBytes(), cs.BodyBytes()+cs.MetaBytes(), false)
 	}
-	// The IPA-vs-PDL-vs-OOP decision itself is pluggable; see scheme.go.
-	return s.scheme.FlushUpdate(w, fr, cs)
+	if s.dl != nil {
+		// Page-differential logging: the differential goes to the region's
+		// log blocks as one record. An oversized differential or a full log
+		// falls back to a full rewrite, and the page's records are dropped
+		// BEFORE that write: a merge serialised behind the log's mutex
+		// could otherwise fold them over the fresh base image and
+		// resurrect stale bytes.
+		err := s.dl.Append(w, fr.ID, pg.LSN(), cs)
+		if err == nil {
+			fr.MarkFlushed()
+			return FlushDelta, nil
+		}
+		if !errors.Is(err, noftl.ErrPDLRecordTooLarge) && !errors.Is(err, noftl.ErrPDLNoSpace) {
+			return 0, err
+		}
+		s.dl.Invalidate(fr.ID)
+	} else if s.region.CanAppend(fr.ID) {
+		// In-place appends: plan [N×M×V] delta-records for the differential
+		// and program them into the page's delta area; a differential over
+		// the budget is written out of place. A region on the disabled
+		// [0×0] scheme (IPA_MODE none) never gets here: it is the
+		// out-of-place baseline.
+		recs, perr := s.layout.Scheme.Plan(*cs, fr.UsedSlots)
+		if perr == nil && len(recs) > 0 {
+			if err := s.writeDelta(w, fr, recs); err == nil {
+				return FlushDelta, nil
+			} else if !errors.Is(err, noftl.ErrNotAppendable) {
+				return 0, err
+			}
+			// Not appendable after all (e.g. chip budget raced out):
+			// fall through to the out-of-place path.
+		} else if perr != nil && perr != core.ErrSchemeOverflow {
+			return 0, perr
+		}
+	}
+	if err := s.writeOutOfPlace(w, fr); err != nil {
+		return 0, err
+	}
+	return FlushOutOfPlace, nil
 }
 
 // writeDelta encodes the planned records into contiguous delta slots and
@@ -441,7 +502,6 @@ func (s *PageStore) RecoverMapping(w *sim.Worker) (int, error) {
 		lsn core.LSN
 	}
 	best := make(map[core.PageID]winner)
-	var scanErr error
 	pdlBlock := -1
 	err := s.region.ScanPhysical(w, func(pp noftl.PhysicalPage) bool {
 		// A PDL log block announces itself on its first page; its pages
@@ -477,9 +537,6 @@ func (s *PageStore) RecoverMapping(w *sim.Worker) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if scanErr != nil {
-		return 0, scanErr
-	}
 	mapping := make(map[core.PageID]flash.PPN, len(best))
 	for id, wn := range best {
 		mapping[id] = wn.ppn
@@ -504,8 +561,8 @@ func (s *PageStore) RecoverMapping(w *sim.Worker) (int, error) {
 	return len(mapping), nil
 }
 
-// Free releases the physical copy of a page and any scheme-held state
-// (e.g. PDL differential records) referencing it.
+// Free releases the physical copy of a page and, in a PDL region, the
+// differential records referencing it.
 func (s *PageStore) Free(id core.PageID) error {
 	if !s.region.Contains(id) {
 		return nil
@@ -513,7 +570,9 @@ func (s *PageStore) Free(id core.PageID) error {
 	if err := s.region.Free(id); err != nil {
 		return err
 	}
-	s.scheme.Invalidate(id)
+	if s.dl != nil {
+		s.dl.Invalidate(id)
+	}
 	return nil
 }
 

@@ -53,8 +53,8 @@ type Spec struct {
 	Seed      int64
 	UseECC    bool
 	// Storage selects the region's write-reduction scheme. The zero value
-	// (noftl.StorageIPA) is the paper's path; StoragePDL and StorageOOP
-	// force a plain layout (no delta area, IPA off).
+	// (noftl.StorageIPA) is the paper's path, out of place on the [0×0]
+	// Scheme; StoragePDL forces a plain layout (no delta area, IPA off).
 	Storage noftl.Storage
 	// GCVictim selects the GC victim policy (greedy by default).
 	GCVictim noftl.GCVictim
@@ -84,8 +84,8 @@ func (s Spec) withDefaults() Spec {
 		s.Seed = 42
 	}
 	if s.Storage != noftl.StorageIPA {
-		// PDL and OOP regions write raw page images: no delta layout, IPA
-		// off (see noftl.RegionConfig.Validate).
+		// PDL regions write raw page images: no delta layout, IPA off
+		// (see noftl.RegionConfig.Validate).
 		s.Scheme = core.Scheme{}
 		s.Mode = noftl.ModeNone
 		return s

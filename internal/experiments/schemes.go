@@ -7,9 +7,10 @@ import (
 	"ipa/internal/noftl"
 )
 
-// This file is the scheme-comparison matrix of the pluggable-storage
-// API: the same OLTP work run under plain out-of-place writes (oop),
-// In-Place Appends (ipa) and Page-Differential Logging (pdl), reporting
+// This file is the scheme-comparison matrix of the per-region storage
+// API: the same OLTP work run under plain out-of-place writes (oop, an
+// IPA region on the disabled [0×0] scheme), In-Place Appends on [2×4]
+// (ipa) and Page-Differential Logging (pdl), reporting
 // the three costs the schemes trade against each other — transaction
 // throughput, flash bytes programmed per committed transaction, and GC
 // page migrations per transaction.
@@ -36,7 +37,7 @@ var schemeMatrix = []struct {
 	storage noftl.Storage
 	scheme  core.Scheme
 }{
-	{"oop", noftl.StorageOOP, core.Scheme{}},
+	{"oop", noftl.StorageIPA, core.Scheme{}},
 	{"ipa", noftl.StorageIPA, core.NewScheme(2, 4)},
 	{"pdl", noftl.StoragePDL, core.Scheme{}},
 }

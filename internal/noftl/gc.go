@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"ipa/internal/flash"
 	"ipa/internal/sim"
@@ -24,22 +25,38 @@ func (r *Region) collectLocked(w *sim.Worker, cs *chipState) error {
 	if victim == nil {
 		return fmt.Errorf("%w: no victim on chip %d", ErrNoSpace, cs.chip)
 	}
-	usable := r.usablePagesPerBlock()
-	if victim.valid >= usable {
+	if victim.valid >= r.usablePagesPerBlock() {
 		return fmt.Errorf("%w: best victim fully valid on chip %d", ErrNoSpace, cs.chip)
 	}
-	cs.removeVictim(victim)
-	victim.collecting = true
-	restore := func() {
-		victim.collecting = false
-		cs.addVictim(victim)
+	moved, lat, err := r.evacuateLocked(w, cs, victim)
+	cs.stats.GCPageMigrations += uint64(moved)
+	cs.stats.GCTime += lat
+	if err != nil {
+		return err
 	}
-	// Migrate every still-valid page. The raw physical image (including
-	// any programmed delta-records and OOB codes) moves as-is, so the new
-	// location decodes identically.
+	cs.stats.GCErases++
+	r.maybeLevelLocked(w, cs)
+	return nil
+}
+
+// evacuateLocked takes bm off the victim heap, migrates every
+// still-valid page to the chip's write point, erases bm and returns it to
+// the free pool. It reports the pages moved and the device time spent,
+// also on an error, after which bm is back on the victim heap with
+// whatever pages remain valid. The raw physical image (including any
+// programmed delta-records and OOB codes) moves as-is, so the new
+// location decodes identically. Called with cs.mu held.
+func (r *Region) evacuateLocked(w *sim.Worker, cs *chipState, bm *blockMeta) (moved int, lat time.Duration, err error) {
+	cs.removeVictim(bm)
+	bm.collecting = true
+	restore := func() {
+		bm.collecting = false
+		cs.addVictim(bm)
+	}
 	arr := r.dev.arr
+	usable := r.usablePagesPerBlock()
 	for slot := 0; slot < usable; slot++ {
-		ppn := r.pageSlotToPPN(victim.id, slot)
+		ppn := r.pageSlotToPPN(bm.id, slot)
 		id, valid := cs.reverse[ppn]
 		if !valid {
 			continue
@@ -48,31 +65,31 @@ func (r *Region) collectLocked(w *sim.Worker, cs *chipState) error {
 			// Stale copy: a racing first-write re-homed the page to
 			// another chip. Drop it instead of resurrecting it.
 			delete(cs.reverse, ppn)
-			if victim.valid > 0 {
-				victim.valid--
+			if bm.valid > 0 {
+				bm.valid--
 			}
 			continue
 		}
 		dst, err := r.allocMigrationTargetLocked(cs)
 		if err != nil {
 			restore()
-			return err
+			return moved, lat, err
 		}
 		data, oob := cs.migBuffers(r.dev.geom)
 		rlat, err := arr.ReadInto(w, ppn, data, oob)
 		if err != nil {
 			restore()
-			return err
+			return moved, lat, err
 		}
 		plat, err := arr.Program(w, dst, data, oob)
 		if err != nil {
 			restore()
-			return err
+			return moved, lat, err
 		}
-		cs.stats.GCTime += rlat + plat
-		cs.stats.GCPageMigrations++
+		lat += rlat + plat
+		moved++
 		delete(cs.reverse, ppn)
-		victim.valid--
+		bm.valid--
 		// Re-point the mapping at the copy — unless a racing write
 		// already moved the page on, in which case the copy is garbage
 		// and its slot simply stays invalid.
@@ -81,19 +98,17 @@ func (r *Region) collectLocked(w *sim.Worker, cs *chipState) error {
 			r.bumpValidLocked(cs, dst)
 		}
 	}
-	elat, err := arr.Erase(w, victim.id)
+	elat, err := arr.Erase(w, bm.id)
 	if err != nil && !errors.Is(err, flash.ErrWornOut) {
 		restore()
-		return err
+		return moved, lat, err
 	}
-	cs.stats.GCTime += elat
-	cs.stats.GCErases++
-	victim.collecting = false
-	victim.valid = 0
-	victim.next = 0
-	cs.pushFree(victim, arr.EraseCount(victim.id))
-	r.maybeLevelLocked(w, cs)
-	return nil
+	lat += elat
+	bm.collecting = false
+	bm.valid = 0
+	bm.next = 0
+	cs.pushFree(bm, arr.EraseCount(bm.id))
+	return moved, lat, nil
 }
 
 // selectVictimLocked picks the block the collector evacuates next.
@@ -170,59 +185,14 @@ func (r *Region) maybeLevelLocked(w *sim.Worker, cs *chipState) {
 		return // the least-worn block is already free or active
 	}
 	// Evacuate the cold block exactly like a GC victim, charging the
-	// traffic to the wear-leveling counters. On any failure the block is
-	// returned to the victim heap with whatever pages remain valid.
-	cs.removeVictim(coldest)
-	coldest.collecting = true
-	restore := func() {
-		coldest.collecting = false
-		cs.addVictim(coldest)
+	// traffic to the wear-leveling counters (and no time to GCTime). On a
+	// failure — the pool too tight, say — the block is back on the victim
+	// heap and leveling tries again after the next collect.
+	moved, _, err := r.evacuateLocked(w, cs, coldest)
+	cs.stats.WLMigrations += uint64(moved)
+	if err == nil {
+		cs.stats.WLErases++
 	}
-	usable := r.usablePagesPerBlock()
-	for slot := 0; slot < usable; slot++ {
-		ppn := r.pageSlotToPPN(coldest.id, slot)
-		id, valid := cs.reverse[ppn]
-		if !valid {
-			continue
-		}
-		if cur, ok := r.lookup(id); !ok || cur != ppn {
-			delete(cs.reverse, ppn)
-			if coldest.valid > 0 {
-				coldest.valid--
-			}
-			continue
-		}
-		dst, err := r.allocMigrationTargetLocked(cs)
-		if err != nil {
-			restore()
-			return // pool too tight; try again after the next collect
-		}
-		data, oob := cs.migBuffers(r.dev.geom)
-		if _, err := arr.ReadInto(w, ppn, data, oob); err != nil {
-			restore()
-			return
-		}
-		if _, err := arr.Program(w, dst, data, oob); err != nil {
-			restore()
-			return
-		}
-		cs.stats.WLMigrations++
-		delete(cs.reverse, ppn)
-		coldest.valid--
-		if r.l2p.Lookup(id).CompareAndSwap(entryOf(ppn), entryOf(dst)) {
-			cs.reverse[dst] = id
-			r.bumpValidLocked(cs, dst)
-		}
-	}
-	if _, err := arr.Erase(w, coldest.id); err != nil && !errors.Is(err, flash.ErrWornOut) {
-		restore()
-		return
-	}
-	cs.stats.WLErases++
-	coldest.collecting = false
-	coldest.valid = 0
-	coldest.next = 0
-	cs.pushFree(coldest, arr.EraseCount(coldest.id))
 }
 
 // allocMigrationTargetLocked returns a destination PPN for a migrated

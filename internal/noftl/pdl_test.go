@@ -38,7 +38,6 @@ func TestRegionConfigValidate(t *testing.T) {
 	}
 	bad := []RegionConfig{
 		{Name: "r", Storage: StoragePDL, Scheme: core.NewScheme(2, 3)},
-		{Name: "r", Storage: StorageOOP, Scheme: core.NewScheme(2, 3)},
 		{Name: "r", Storage: StoragePDL, Mode: ModeSLC},
 		{Name: "r", Storage: Storage(9)},
 		{Name: "r", GCVictim: GCVictim(9)},

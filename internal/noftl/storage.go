@@ -3,10 +3,10 @@ package noftl
 import "fmt"
 
 // Storage selects the write-reduction scheme a region's pages are
-// flushed with. The zero value is StorageIPA, which preserves the
-// original engine behaviour: whether deltas are actually appended is
-// still governed by the region's IPA Mode/Scheme (a disabled scheme
-// degrades to plain out-of-place writes, exactly as before).
+// flushed with. The zero value is StorageIPA: whether deltas are
+// actually appended is governed by the region's IPA Mode/Scheme, and a
+// region on the disabled [0×0] scheme is the paper's out-of-place
+// baseline — every update flush rewrites the whole page.
 type Storage int
 
 const (
@@ -18,8 +18,6 @@ const (
 	// per-chip log blocks (Page-Differential Logging); the base page is
 	// rewritten only on merge or when the differential is too large.
 	StoragePDL
-	// StorageOOP always rewrites the full page out of place.
-	StorageOOP
 )
 
 func (s Storage) String() string {
@@ -28,8 +26,6 @@ func (s Storage) String() string {
 		return "ipa"
 	case StoragePDL:
 		return "pdl"
-	case StorageOOP:
-		return "oop"
 	default:
 		return fmt.Sprintf("Storage(%d)", int(s))
 	}
@@ -60,17 +56,16 @@ func (v GCVictim) String() string {
 	}
 }
 
-// Validate checks the internal consistency of the configuration. PDL
-// and plain OOP regions must not carry an IPA page layout: the delta
-// area only exists under StorageIPA, and PDL's merge-on-read writes raw
-// base images that stale delta slots would corrupt on reconstruct.
+// Validate checks the internal consistency of the configuration. A PDL
+// region must not carry an IPA page layout: PDL's merge-on-read writes
+// raw base images that stale delta slots would corrupt on reconstruct.
 func (rc RegionConfig) Validate() error {
 	if err := rc.Scheme.Validate(); err != nil {
 		return err
 	}
 	switch rc.Storage {
 	case StorageIPA:
-	case StoragePDL, StorageOOP:
+	case StoragePDL:
 		if !rc.Scheme.Disabled() {
 			return fmt.Errorf("noftl: region %q: STORAGE=%v requires a disabled IPA scheme (no delta area)", rc.Name, rc.Storage)
 		}

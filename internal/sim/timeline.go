@@ -161,14 +161,3 @@ func (w *Worker) Use(r int, d Duration) Duration {
 	w.now = end
 	return lat
 }
-
-// UseAsync schedules work on resource r without blocking the worker's
-// clock (background writes under a steal/no-force policy do not stall the
-// issuing transaction). The returned completion instant can be waited on
-// with SetNow by whoever later depends on the result.
-func (w *Worker) UseAsync(r int, d Duration) Time {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, end := w.tl.Acquire(r, w.now, d)
-	return end
-}

@@ -66,22 +66,6 @@ func TestWorkerCompute(t *testing.T) {
 	}
 }
 
-func TestWorkerUseAsyncDoesNotBlock(t *testing.T) {
-	tl := NewTimeline(1)
-	w := tl.NewWorker()
-	done := w.UseAsync(0, 1000)
-	if w.Now() != 0 {
-		t.Errorf("async advanced worker clock to %v", w.Now())
-	}
-	if done != 1000 {
-		t.Errorf("completion = %v, want 1000", done)
-	}
-	// A subsequent synchronous op queues behind the async one.
-	if lat := w.Use(0, 10); lat != 1010 {
-		t.Errorf("latency behind async = %v, want 1010", lat)
-	}
-}
-
 func TestSetNowOnlyMovesForward(t *testing.T) {
 	tl := NewTimeline(1)
 	w := tl.NewWorker()
