@@ -2,7 +2,7 @@
 # lands. `make check` is what CI (and ROADMAP.md) means by tier-1.
 GO ?= go
 
-.PHONY: check tier1 pins sim-clock rig-deps footprint vet build test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all loc fmt fmt-check
+.PHONY: check tier1 pins sim-clock rig-deps footprint vet build test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all scaling loc fmt fmt-check
 
 check: fmt-check pins sim-clock rig-deps footprint vet build race
 
@@ -99,8 +99,9 @@ race:
 # runs before the tree took frame latches). TestAddFieldLostUpdate:
 # eight goroutines adding to one row through the single-pass field
 # update. internal/buffer's Concurrent tests: getters waiting on a load
-# whose done-channel only the first waiter creates, and the shard stress
-# around them. TestPageTable: the flat page translation table read,
+# whose done-channel only the first waiter creates, the shard stress
+# around them, and hits that take no mutex racing every path that fences
+# a frame to rebind it (TestConcurrentLockFreePins). TestPageTable: the flat page translation table read,
 # swapped and compare-and-swapped while it grows. TestFlushedImage: after
 # every flush storage equals the frame — the property a page write
 # outside Frame.Latch breaks — under the follower's applier and under
@@ -157,6 +158,19 @@ BASE ?= HEAD
 N ?= 10
 bench-pairs:
 	bash scripts/bench-pairs.sh $(W) $(BASE) $(N) $(SEED)
+
+# What a second client costs the first on the embedded read path:
+# BenchmarkReadPathParallel (internal/engine: OLC Lookup + Table.Read,
+# pool-resident, one sim.Worker per goroutine) at one and two goroutines,
+# five runs each; prints the median ns/op of each and their ratio — 0.5
+# if the two share no written cache line, 1.0 if the second gains nothing.
+scaling:
+	@$(GO) test -run xxx -bench ReadPathParallel -count 5 -cpu 1,2 ./internal/engine | awk ' \
+		function med(a, n,   i, j, t) { for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } return a[int((n + 1) / 2)] } \
+		/^BenchmarkReadPathParallel-2 / { two[++n2] = $$3; next } \
+		/^BenchmarkReadPathParallel / { one[++n1] = $$3 } \
+		END { if (!n1 || !n2) exit 1; a = med(one, n1); b = med(two, n2); \
+			printf "ReadPathParallel  1 cpu %.1f ns/op  2 cpu %.1f ns/op  ratio %.2f\n", a, b, b / a }'
 
 # The network service benchmarks, go-bench text: end-to-end TPC-B over
 # the wire protocol across a connections × pipelining-depth grid, and

@@ -20,20 +20,45 @@
 //
 // Concurrency model. The pool is split into Config.Shards independent
 // shards, frames partitioned by hash(PageID). Each shard owns its own
-// mutex, frame slice, CLOCK hand, dirty counter and stats cell, so pool
-// operations on pages in different shards never contend — the same
+// mutex, frame slice, CLOCK hand, dirty counter and stats cell — the same
 // padded-shard pattern as the flash array's per-chip state. The page
-// table is one flat array for the whole pool (core.PageTable); the entry
-// of a page id is guarded by the mutex of the shard the id routes to. A
-// shard mutex guards only those entries and its frames' *state* (pin
-// counts, dirty flags, CLOCK metadata); page *contents* (Data, Flushed
-// and its ImageState, UsedSlots, New) are guarded by a per-frame
-// reader/writer latch. All store I/O — fetches on a miss, flushes on
-// eviction, cleaning — runs outside the shard mutexes, so fetch/flush on
-// different pages (and different regions) proceed in parallel. The latch
-// order is strict: a frame latch is never acquired while a shard mutex
-// is held, a shard mutex may be acquired while a latch is held, and no
-// two shard mutexes are ever held at once.
+// table is one flat array for the whole pool (core.PageTable) of atomic
+// frame pointers.
+//
+// A buffer hit takes no mutex. It loads the page's table entry, pins the
+// frame by compare-and-swap on its pin count, and then checks that the
+// frame is not loading and still holds the page; if either check fails it
+// drops the pin and takes the locked path. It sets the frame's reference
+// bit only when the bit is clear, and a clean Unpin — or a dirty one of a
+// frame already dirty — is one atomic decrement. So two clients hitting
+// different pages write no common cache line, and two hitting the same
+// page share only that frame's first line, its pin and latch words.
+//
+// The shard mutex guards what changes a frame's binding or its dirty
+// state: misses, the clean→dirty transition in Unpin (the one event
+// that raises the dirty count, so the one that checks the cleaner
+// threshold), eviction, the cross-shard steal, Drop, and the cleaner and
+// checkpoint sweeps. It guards the table entries of the page ids routed
+// to the shard (writes only; hits read them atomically) and the frames'
+// dirty flag, recLSN, CLOCK position and load protocol. Before the holder
+// unbinds or rebinds a frame it *fences* it: compare-and-swap of the pin
+// count from 0 to -1. A fence fails while anyone holds a pin, so a pinned
+// frame keeps its ID; a hit that finds the fence, or a loading frame,
+// falls back to the locked path. A fence is lifted by the binding it
+// protects (the pin count becomes 1, the binder's pin) or by storing 0
+// when the frame is left free, both before the mutex is released —
+// except for a frame in transit between shards, which is in no shard's
+// ring meanwhile. The one unbind without a fence is that of a failed
+// load, whose waiters may hold pins: it happens while loading is still
+// set, and a hit reads the ID only after it read loading clear.
+//
+// Page *contents* (Data, Flushed and its ImageState, UsedSlots, New) are
+// guarded by a per-frame reader/writer latch. All store I/O — fetches on
+// a miss, flushes on eviction, cleaning — runs outside the shard mutexes,
+// so fetch/flush on different pages (and different regions) proceed in
+// parallel. The latch order is strict: a frame latch is never acquired
+// while a shard mutex is held, a shard mutex may be acquired while a
+// latch is held, and no two shard mutexes are ever held at once.
 //
 // Determinism. Shards=1 (the default) degenerates to a single global
 // CLOCK whose eviction order is bit-identical to the historical
@@ -94,9 +119,61 @@ const (
 	ImageCaptured
 )
 
-// Frame is one buffer slot.
+// Frame is one buffer slot. Its first cache line holds everything a hit
+// and the latch that follows it touch — pin, reference bit, load flag,
+// dirty flag, ID, latch and version — and a frame is exactly three lines
+// long (TestFrameOwnsItsCacheLines), an allocation size class the runtime
+// places on line boundaries: a client pinning one frame writes no line
+// of a frame next to it in memory, and a CLOCK sweep reads one line a
+// frame.
 type Frame struct {
+	// pin counts the holders of the frame; -1 is the fence (see the
+	// package doc). ref is the CLOCK reference bit.
+	pin atomic.Int32
+	ref atomic.Bool
+
+	// Miss-fetch protocol: the loader sets loading and fetches outside
+	// the shard mutex; concurrent getters pin the frame and wait on
+	// loadDone. A second getter is rare, so the channel is made by the
+	// first one that finds loading set (under the shard mutex) and the
+	// loader closes it only if it is there: an uncontended miss
+	// allocates none. loading is stored false last, so a hit that reads
+	// it false sees the finished load.
+	loading atomic.Bool
+
+	// dirty is set by the Unpin that makes the frame dirty and cleared by
+	// a flush claim, both under the shard mutex; a pin holder reads it
+	// without, since no claim takes a pinned frame.
+	dirty atomic.Bool
+
 	ID core.PageID
+
+	// latch guards the page contents (Data, Flushed, image, UsedSlots,
+	// New) against concurrent access: engine readers hold it shared,
+	// engine mutators and the flush paths hold it exclusively. Mutators
+	// take it through Latch/TryLatch and change Data only while they hold
+	// it — that is where the flushed image is captured; the flush paths
+	// lock it directly and never capture. Pin the frame before latching;
+	// never latch while holding a shard mutex.
+	latch sync.RWMutex
+
+	// ver is the frame's optimistic-lock-coupling version word, on the
+	// line of the pin so the two hot fields share a frame, not a shard.
+	// The upper 48 bits hold a binding epoch, the frame's own, raised
+	// whenever the frame is (re)bound to a page id: a frame's versions
+	// only grow, so one read against an earlier binding never validates
+	// against a later one, and a miss writes no pool-wide counter. The
+	// low 16 bits count in-place modifications, bumped by content
+	// mutators *before* they release their exclusive latch. Flushes leave
+	// ver alone: they copy the logical image out but do not change it.
+	ver atomic.Uint64
+
+	// home is the shard whose frame slice (and mutex) currently owns this
+	// frame. It only changes while the frame is free and unpinned, under
+	// the owning shard's mutex (see stealFrame); holders of a pin may
+	// read it directly, everyone else goes through lockHome.
+	home atomic.Pointer[poolShard]
+
 	// Data is the current logical image. It is allocated when the frame
 	// is first bound to a page (Get miss / GetNew) and then kept for the
 	// frame's life, so pool memory follows the working set rather than
@@ -108,54 +185,56 @@ type Frame struct {
 	// pairs of the delta-record.
 	Flushed []byte
 	image   ImageState
-	// UsedSlots is N_E in the paper: delta-records already programmed on
-	// the physical page.
-	UsedSlots int
 	// New marks a freshly allocated page with no physical copy yet; its
 	// first write is always out-of-place (IPA is not applicable to newly
 	// allocated pages).
-	New    bool
-	Dirty  bool
-	RecLSN core.LSN // LSN that first dirtied the frame (for checkpoints)
+	New bool
+	// UsedSlots is N_E in the paper: delta-records already programmed on
+	// the physical page.
+	UsedSlots int
+	// RecLSN is the LSN that first dirtied the frame (for checkpoints),
+	// written with the dirty flag under the shard mutex.
+	RecLSN core.LSN
 
-	// latch guards the page contents (Data, Flushed, image, UsedSlots,
-	// New) against concurrent access: engine readers hold it shared,
-	// engine mutators and the flush paths hold it exclusively. Mutators
-	// take it through Latch/TryLatch and change Data only while they hold
-	// it — that is where the flushed image is captured; the flush paths
-	// lock it directly and never capture. Pin the frame before latching;
-	// never latch while holding a shard mutex.
-	latch sync.RWMutex
-
-	// ver is the frame's optimistic-lock-coupling version word, stored
-	// beside the pin so the two hot fields share a frame, not a shard.
-	// The upper 48 bits hold a pool-wide binding epoch stamped whenever
-	// the frame is (re)bound to a page id, so a version read against one
-	// binding can never validate against another; the low 16 bits count
-	// in-place modifications, bumped by content mutators *before* they
-	// release their exclusive latch. Flushes leave ver alone: they copy
-	// the logical image out but do not change it.
-	ver atomic.Uint64
-
-	// home is the shard whose frame slice (and mutex) currently owns this
-	// frame. It only changes while the frame is free and unpinned, under
-	// the owning shard's mutex (see stealFrameLocked); holders of a pin
-	// may read it directly, everyone else goes through lockHome.
-	home atomic.Pointer[poolShard]
-
-	pin int
-	ref bool
-
-	// Miss-fetch protocol: the loader sets loading and fetches outside
-	// the shard mutex; concurrent getters pin the frame and wait on
-	// loadDone. A second getter is rare, so the channel is made by the
-	// first one that finds loading set (under the shard mutex) and the
-	// loader closes it only if it is there: an uncontended miss
-	// allocates none.
-	loading  bool
 	loadDone chan struct{}
 	loadErr  error
+	_        [32]byte
 }
+
+// fence is the pin count of a frame the shard-mutex holder is unbinding
+// or rebinding.
+const fence = -1
+
+// tryPin adds a pin unless the frame is fenced.
+func (fr *Frame) tryPin() bool {
+	for {
+		n := fr.pin.Load()
+		if n < 0 {
+			return false
+		}
+		if fr.pin.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+// unpin drops one pin; it fails, changing nothing, on a frame nobody has
+// pinned.
+func (fr *Frame) unpin() bool {
+	for {
+		n := fr.pin.Load()
+		if n <= 0 {
+			return false
+		}
+		if fr.pin.CompareAndSwap(n, n-1) {
+			return true
+		}
+	}
+}
+
+// fenceIdle fences an unpinned frame; false means someone holds a pin.
+// The caller holds the mutex of the frame's shard.
+func (fr *Frame) fenceIdle() bool { return fr.pin.CompareAndSwap(0, fence) }
 
 // Latch acquires the frame's content latch exclusively (for mutation),
 // capturing the flushed image if the frame has been clean since its load
@@ -213,10 +292,10 @@ func (fr *Frame) Version() uint64 { return fr.ver.Load() }
 // an old version is guaranteed to observe the bump.
 func (fr *Frame) BumpVersion() { fr.ver.Add(1) }
 
-// stampVersion installs a fresh binding epoch when the frame is bound
+// stampVersion installs the next binding epoch when the frame is bound
 // to a (new) page id, invalidating every version sampled against the
-// previous binding.
-func (fr *Frame) stampVersion(epoch uint64) { fr.ver.Store(epoch << 16) }
+// previous binding. The fence keeps version bumps out meanwhile.
+func (fr *Frame) stampVersion() { fr.ver.Store((fr.ver.Load()>>16 + 1) << 16) }
 
 // Config sizes the pool and its cleaning strategy.
 type Config struct {
@@ -299,10 +378,10 @@ type Stats struct {
 	FramesAllocated uint64
 }
 
-// statsCell is one shard's counters. All fields are atomics so Stats()
-// aggregates without taking any shard mutex.
+// statsCell is one shard's counters of the events that take its mutex.
+// All fields are atomics so Stats() aggregates without taking any shard
+// mutex. Hits take none; they are counted per worker stripe (Pool.hits).
 type statsCell struct {
-	hits           atomic.Uint64
 	misses         atomic.Uint64
 	evictions      atomic.Uint64
 	evictionFlush  atomic.Uint64
@@ -327,8 +406,8 @@ type poolShard struct {
 	frames []*Frame
 	hand   int
 
-	// dirty and stats are atomics so DirtyFraction/Stats never lock; the
-	// mutating paths already hold mu when they update them.
+	// dirty and stats are atomics so the cleaner trigger and Stats never
+	// lock; the mutating paths already hold mu when they update them.
 	dirty atomic.Int64
 	stats statsCell
 
@@ -347,8 +426,13 @@ type Pool struct {
 	nframes    int  // total frames across shards (fixed at construction)
 
 	// table maps a resident page id to its frame (nil = not resident).
-	// An entry is read and written under shardOf(id).mu.
-	table core.PageTable[*Frame]
+	// An entry is written under shardOf(id).mu and read by hits without
+	// it.
+	table core.PageTable[atomic.Pointer[Frame]]
+
+	// hits is counted on the worker's stripe: the one counter every hit
+	// writes.
+	hits sim.Striped[atomic.Uint64]
 
 	// cleanGate admits one cleaner pass at a time; triggers arriving
 	// while a pass runs are dropped (the running pass covers them).
@@ -359,10 +443,6 @@ type Pool struct {
 	cleanGate  sync.Mutex
 	cleanNext  int
 	cleanBatch []claimed
-
-	// verEpoch issues frame-binding epochs for the OLC version words
-	// (see Frame.ver).
-	verEpoch atomic.Uint64
 }
 
 // New creates a pool with room for cfg.Frames frames. A frame's header is
@@ -438,9 +518,11 @@ func (p *Pool) lockHome(fr *Frame) *poolShard {
 // are atomics, so sampling never stalls pool traffic.
 func (p *Pool) Stats() Stats {
 	var out Stats
+	for i := range sim.Stripes {
+		out.Hits += p.hits.At(i).Load()
+	}
 	for i := range p.shards {
 		c := &p.shards[i].stats
-		out.Hits += c.hits.Load()
 		out.Misses += c.misses.Load()
 		out.Evictions += c.evictions.Load()
 		out.EvictionFlush += c.evictionFlush.Load()
@@ -450,8 +532,8 @@ func (p *Pool) Stats() Stats {
 	return out
 }
 
-// DirtyFraction is the fraction of frames currently dirty. Lock-free.
-func (p *Pool) DirtyFraction() float64 {
+// dirtyFraction is the fraction of frames currently dirty. Lock-free.
+func (p *Pool) dirtyFraction() float64 {
 	var dirty int64
 	for i := range p.shards {
 		dirty += p.shards[i].dirty.Load()
@@ -463,32 +545,38 @@ func (p *Pool) DirtyFraction() float64 {
 // shardOf(id).mu.
 func (p *Pool) resident(id core.PageID) *Frame {
 	if e := p.table.Lookup(id); e != nil {
-		return *e
+		return e.Load()
 	}
 	return nil
 }
 
 // unbindLocked takes fr's page out of the table and leaves fr free — and
 // a free frame is always ImageNone, so binding one need not say so. The
-// caller holds the mutex of fr's shard, which is the one fr.ID routes to.
+// caller holds the mutex of fr's shard, which is the one fr.ID routes to,
+// and has fenced fr, unless fr is loading (see Get).
 func (p *Pool) unbindLocked(fr *Frame) {
-	*p.table.Lookup(fr.ID) = nil
+	p.table.Lookup(fr.ID).Store(nil)
 	fr.ID = core.InvalidPageID
 	fr.image = ImageNone
 }
 
-// Get pins the page, fetching it from the store on a miss. The fetch
-// happens outside the shard mutex; concurrent getters of the same page
-// wait for the in-flight fetch instead of issuing their own.
+// Get pins the page, fetching it from the store on a miss. A hit takes
+// no mutex (see the package doc). The fetch happens outside the shard
+// mutex; concurrent getters of the same page wait for the in-flight fetch
+// instead of issuing their own.
 func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
+	if fr := p.hit(id); fr != nil {
+		p.hits.Of(w).Add(1)
+		return fr, nil
+	}
 	s := p.shardOf(id)
 	for {
 		s.mu.Lock()
 		if fr := p.resident(id); fr != nil {
-			fr.pin++
-			fr.ref = true
-			s.stats.hits.Add(1)
-			loading := fr.loading
+			fr.pin.Add(1) // a resident frame is not fenced under its mutex
+			fr.ref.Store(true)
+			p.hits.Of(w).Add(1)
+			loading := fr.loading.Load()
 			if loading && fr.loadDone == nil {
 				fr.loadDone = make(chan struct{})
 			}
@@ -498,7 +586,7 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 				<-done
 				s.mu.Lock()
 				if err := fr.loadErr; err != nil {
-					fr.pin--
+					fr.pin.Add(-1)
 					s.mu.Unlock()
 					return nil, err
 				}
@@ -517,23 +605,24 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 			s.mu.Unlock()
 			return nil, err
 		}
-		if *entry != nil {
+		if entry.Load() != nil {
 			// Someone loaded the page while we were evicting: leave the
 			// reclaimed frame free and retry as a hit.
+			fr.pin.Store(0)
 			dec(&s.stats.misses)
 			s.mu.Unlock()
 			continue
 		}
 		fr.ID = id
-		fr.pin = 1
-		fr.ref = true
+		fr.ref.Store(true)
 		fr.New = false
-		fr.stampVersion(p.verEpoch.Add(1))
+		fr.stampVersion()
 		fr.UsedSlots = 0
 		fr.RecLSN = 0
-		fr.loading = true
+		fr.loading.Store(true)
 		fr.loadErr = nil
-		*entry = fr
+		fr.pin.Store(1) // lifts the fence: the loader's pin
+		entry.Store(fr)
 		s.mu.Unlock()
 
 		if fr.Data == nil {
@@ -543,21 +632,45 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 		used, err := p.store.Fetch(w, id, fr.Data)
 
 		s.mu.Lock()
-		fr.loading = false
 		if err != nil {
 			fr.loadErr = err
-			fr.pin-- // our pin; waiters drop theirs when they see loadErr
-			p.unbindLocked(fr)
+			fr.pin.Add(-1)     // our pin; waiters drop theirs when they see loadErr
+			p.unbindLocked(fr) // unfenced, before loading clears: see the package doc
+			fr.loading.Store(false)
 			fr.loadFinishedLocked()
 			s.mu.Unlock()
 			return nil, err
 		}
 		fr.UsedSlots = used
 		fr.image = ImageClean
+		fr.loading.Store(false)
 		fr.loadFinishedLocked()
 		s.mu.Unlock()
 		return fr, nil
 	}
+}
+
+// hit pins id's frame without the shard mutex, or returns nil for the
+// locked path to decide: the page is not resident, its frame is fenced
+// or loading, or the frame was rebound between the table read and the
+// pin. The pin keeps the ID from changing, so the checks after it hold.
+func (p *Pool) hit(id core.PageID) *Frame {
+	e := p.table.Lookup(id)
+	if e == nil {
+		return nil
+	}
+	fr := e.Load()
+	if fr == nil || !fr.tryPin() {
+		return nil
+	}
+	if fr.loading.Load() || fr.ID != id {
+		fr.pin.Add(-1)
+		return nil
+	}
+	if !fr.ref.Load() {
+		fr.ref.Store(true)
+	}
+	return fr
 }
 
 // loadFinishedLocked releases the getters waiting for the load, if any.
@@ -580,30 +693,30 @@ func (p *Pool) GetNew(w *sim.Worker, id core.PageID) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fr := *entry; fr != nil {
-		fr.pin++
-		fr.ref = true
+	if fr := entry.Load(); fr != nil {
+		fr.pin.Add(1)
+		fr.ref.Store(true)
 		return fr, nil
 	}
 	fr, err := p.acquireVictimLocked(s, w)
 	if err != nil {
 		return nil, err
 	}
-	if exist := *entry; exist != nil {
+	if exist := entry.Load(); exist != nil {
 		// acquireVictimLocked may drop s.mu (dirty-victim flush, cross-
 		// shard steal); someone may have installed the page meanwhile.
 		// Return that frame and leave the reclaimed one free, instead of
 		// overwriting the table entry and orphaning it.
-		exist.pin++
-		exist.ref = true
+		fr.pin.Store(0)
+		exist.pin.Add(1)
+		exist.ref.Store(true)
 		return exist, nil
 	}
 	fr.ID = id
-	fr.pin = 1
-	fr.ref = true
+	fr.ref.Store(true)
 	fr.New = true
-	fr.stampVersion(p.verEpoch.Add(1))
-	fr.Dirty = false
+	fr.stampVersion()
+	fr.dirty.Store(false)
 	fr.UsedSlots = 0
 	fr.RecLSN = 0
 	if fr.Data == nil {
@@ -611,30 +724,37 @@ func (p *Pool) GetNew(w *sim.Worker, id core.PageID) (*Frame, error) {
 	} else {
 		clear(fr.Data)
 	}
-	*entry = fr
+	fr.pin.Store(1) // lifts the fence: the caller's pin
+	entry.Store(fr)
 	return fr, nil
 }
 
 // Unpin releases one pin. If dirty, recLSN records the earliest LSN that
-// modified the page since it was last clean (ARIES recLSN). When the
-// dirty fraction exceeds the threshold the cleaner flushes a batch.
+// modified the page since it was last clean (ARIES recLSN). Only the
+// Unpin that makes a frame dirty takes the shard mutex; it is the one
+// event that raises the dirty count, so it is where the cleaner flushes a
+// batch when the dirty fraction exceeds the threshold.
 func (p *Pool) Unpin(w *sim.Worker, fr *Frame, dirty bool, recLSN core.LSN) error {
+	if !dirty || fr.dirty.Load() {
+		// Already dirty stays dirty: no flush claims a pinned frame.
+		if !fr.unpin() {
+			return fmt.Errorf("buffer: unpin of unpinned page %d", fr.ID)
+		}
+		return nil
+	}
 	s := fr.home.Load() // stable: the caller holds a pin
 	s.mu.Lock()
-	if fr.pin <= 0 {
+	if !fr.unpin() {
 		s.mu.Unlock()
 		return fmt.Errorf("buffer: unpin of unpinned page %d", fr.ID)
 	}
-	fr.pin--
-	if dirty {
-		if !fr.Dirty {
-			fr.Dirty = true
-			fr.RecLSN = recLSN
-			s.dirty.Add(1)
-		}
+	if !fr.dirty.Load() {
+		fr.dirty.Store(true)
+		fr.RecLSN = recLSN
+		s.dirty.Add(1)
 	}
 	s.mu.Unlock()
-	if p.DirtyFraction() > p.cfg.dirtyThreshold() {
+	if p.dirtyFraction() > p.cfg.dirtyThreshold() {
 		return p.CleanerPass(w)
 	}
 	return nil
@@ -645,10 +765,27 @@ func (p *Pool) Unpin(w *sim.Worker, fr *Frame, dirty bool, recLSN core.LSN) erro
 // re-dirties the frame during the flush simply marks it dirty again —
 // nothing is lost, the frame is flushed once more later.
 func (s *poolShard) claimLocked(fr *Frame) {
-	fr.Dirty = false
+	fr.dirty.Store(false)
 	fr.RecLSN = 0
 	s.dirty.Add(-1)
-	fr.pin++
+	fr.pin.Add(1)
+}
+
+// claimable reports whether a flush sweep may claim fr: dirty, unpinned
+// and not loading. The caller holds the mutex of fr's shard.
+func (fr *Frame) claimable() bool {
+	return fr.dirty.Load() && fr.pin.Load() == 0 && !fr.loading.Load()
+}
+
+// redirtyLocked restores the dirty state a claim took from fr, when the
+// flush failed and nobody re-dirtied the frame meanwhile. The caller
+// holds the mutex of fr's shard s.
+func (s *poolShard) redirtyLocked(fr *Frame, recLSN core.LSN) {
+	if !fr.dirty.Load() {
+		fr.dirty.Store(true)
+		fr.RecLSN = recLSN
+		s.dirty.Add(1)
+	}
 }
 
 // flushClaimed flushes a frame claimed by claimLocked, without any shard
@@ -660,11 +797,9 @@ func (p *Pool) flushClaimed(w *sim.Worker, fr *Frame, recLSN core.LSN) error {
 	fr.latch.Unlock()
 	s := fr.home.Load() // stable: the flush pin prevents stealing
 	s.mu.Lock()
-	fr.pin--
-	if err != nil && !fr.Dirty {
-		fr.Dirty = true
-		fr.RecLSN = recLSN
-		s.dirty.Add(1)
+	fr.pin.Add(-1)
+	if err != nil {
+		s.redirtyLocked(fr, recLSN)
 	}
 	s.mu.Unlock()
 	return err
@@ -713,7 +848,7 @@ func (p *Pool) CleanerPass(w *sim.Worker) error {
 		n := len(s.frames)
 		for i := 0; i < n && quota > 0; i++ {
 			fr := s.frames[(s.hand+i)%n]
-			if fr == nil || !fr.Dirty || fr.pin > 0 || fr.loading {
+			if fr == nil || !fr.claimable() {
 				continue
 			}
 			batch = append(batch, claimed{fr, fr.RecLSN})
@@ -775,7 +910,8 @@ func (p *Pool) stealFrame(to *poolShard) *Frame {
 		for j, fr := range s.frames {
 			if fr == nil {
 				fr = s.newFrame()
-			} else if fr.pin > 0 || fr.loading || fr.Dirty {
+			}
+			if fr.loading.Load() || fr.dirty.Load() || !fr.fenceIdle() {
 				continue
 			}
 			if fr.ID != core.InvalidPageID {
@@ -783,7 +919,7 @@ func (p *Pool) stealFrame(to *poolShard) *Frame {
 				s.stats.evictions.Add(1)
 			}
 			fr.New = false
-			fr.ref = false
+			fr.ref.Store(false)
 			// Re-home before the frame leaves this shard's critical
 			// section so lockHome observers retry against the new owner.
 			fr.home.Store(to)
@@ -810,11 +946,12 @@ func (s *poolShard) removeFrameLocked(i int) {
 	}
 }
 
-// victimLocked returns a free, unpinned frame bound to no page, evicting (and flushing) as needed using the CLOCK policy.
-// It is called with s.mu held and returns with s.mu held, but may
-// release the mutex while flushing a dirty victim (during which the
-// shard's frame slice can grow or shrink via stealing — the loop
-// re-reads its bounds).
+// victimLocked returns a free frame bound to no page, fenced, evicting
+// (and flushing) as needed using the CLOCK policy; the caller binds it or
+// lifts the fence. It is called with s.mu held and returns with s.mu
+// held, but may release the mutex while flushing a dirty victim (during
+// which the shard's frame slice can grow or shrink via stealing — the
+// loop re-reads its bounds).
 func (p *Pool) victimLocked(s *poolShard, w *sim.Worker) (*Frame, error) {
 	n := len(s.frames)
 	for round := 0; round < 4*n+2; round++ {
@@ -833,19 +970,21 @@ func (p *Pool) victimLocked(s *poolShard, w *sim.Worker) (*Frame, error) {
 			s.frames[s.hand] = fr
 		}
 		s.hand = (s.hand + 1) % n
-		if fr.pin > 0 || fr.loading {
+		if fr.pin.Load() > 0 || fr.loading.Load() {
 			continue
 		}
-		if fr.ref {
-			fr.ref = false
+		if fr.ref.Load() {
+			fr.ref.Store(false)
 			continue
 		}
-		if fr.ID == core.InvalidPageID {
-			return fr, nil
-		}
-		if !fr.Dirty {
-			p.unbindLocked(fr)
-			s.stats.evictions.Add(1)
+		if fr.ID == core.InvalidPageID || !fr.dirty.Load() {
+			if !fr.fenceIdle() {
+				continue // a hit pinned it since the check above
+			}
+			if fr.ID != core.InvalidPageID {
+				p.unbindLocked(fr)
+				s.stats.evictions.Add(1)
+			}
 			return fr, nil
 		}
 		// Dirty victim: flush it outside the shard mutex, then re-check —
@@ -864,21 +1003,21 @@ func (p *Pool) victimLocked(s *poolShard, w *sim.Worker) (*Frame, error) {
 		err := p.store.Flush(w, fr)
 		fr.latch.Unlock()
 		s.mu.Lock()
-		fr.pin--
 		if err != nil {
-			if !fr.Dirty {
-				fr.Dirty = true
-				fr.RecLSN = recLSN
-				s.dirty.Add(1)
-			}
+			fr.pin.Add(-1)
+			s.redirtyLocked(fr, recLSN)
 			return nil, err
 		}
 		s.stats.evictionFlush.Add(1)
-		if fr.pin == 0 && !fr.Dirty && !fr.loading {
+		// Still clean and the claim pin the only one: the pin becomes the
+		// fence. The pin kept the frame from being rebound, so it is not
+		// loading.
+		if !fr.dirty.Load() && fr.pin.CompareAndSwap(1, fence) {
 			p.unbindLocked(fr)
 			s.stats.evictions.Add(1)
 			return fr, nil
 		}
+		fr.pin.Add(-1)
 	}
 	return nil, ErrNoFrames
 }
@@ -913,12 +1052,13 @@ func (p *Pool) flushAllShard(s *poolShard, w *sim.Worker) error {
 		}
 		for scanned := 0; scanned < n; scanned++ {
 			f := s.frames[(pos+scanned)%n]
-			if f == nil || !f.Dirty {
+			if f == nil || !f.dirty.Load() {
 				continue
 			}
-			if f.pin > 0 {
+			if f.pin.Load() > 0 {
+				id := f.ID
 				s.mu.Unlock()
-				return fmt.Errorf("%w: page %d", ErrPinned, f.ID)
+				return fmt.Errorf("%w: page %d", ErrPinned, id)
 			}
 			fr, recLSN = f, f.RecLSN
 			pos = (pos + scanned + 1) % n // resume after the claimed frame
@@ -954,7 +1094,7 @@ func (p *Pool) FlushOldest(w *sim.Worker, n int) (int, error) {
 		s := &p.shards[i]
 		s.mu.Lock()
 		for _, fr := range s.frames {
-			if fr != nil && fr.Dirty && fr.pin == 0 && !fr.loading {
+			if fr != nil && fr.claimable() {
 				cands = append(cands, claimed{fr, fr.RecLSN})
 			}
 		}
@@ -970,7 +1110,7 @@ func (p *Pool) FlushOldest(w *sim.Worker, n int) (int, error) {
 		}
 		fr := c.fr
 		s := p.lockHome(fr)
-		if !fr.Dirty || fr.pin > 0 || fr.loading {
+		if !fr.claimable() {
 			s.mu.Unlock()
 			continue // flushed, reloaded, pinned or stolen since the snapshot
 		}
@@ -1000,7 +1140,7 @@ func (p *Pool) DirtyPages() map[core.PageID]core.LSN {
 		s := &p.shards[i]
 		s.mu.Lock()
 		for _, fr := range s.frames {
-			if fr != nil && fr.Dirty {
+			if fr != nil && fr.dirty.Load() {
 				dpt[fr.ID] = fr.RecLSN
 			}
 		}
@@ -1018,7 +1158,7 @@ func (p *Pool) OldestRecLSN() core.LSN {
 		s := &p.shards[i]
 		s.mu.Lock()
 		for _, fr := range s.frames {
-			if fr != nil && fr.Dirty && (min == 0 || fr.RecLSN < min) {
+			if fr != nil && fr.dirty.Load() && (min == 0 || fr.RecLSN < min) {
 				min = fr.RecLSN
 			}
 		}
@@ -1037,15 +1177,16 @@ func (p *Pool) Drop(id core.PageID) error {
 	if fr == nil {
 		return nil
 	}
-	if fr.pin > 0 {
+	if !fr.fenceIdle() {
 		return fmt.Errorf("%w: page %d", ErrPinned, id)
 	}
-	if fr.Dirty {
-		fr.Dirty = false
+	if fr.dirty.Load() {
+		fr.dirty.Store(false)
 		s.dirty.Add(-1)
 	}
 	p.unbindLocked(fr)
 	fr.New = false
+	fr.pin.Store(0)
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"ipa/internal/core"
 	"ipa/internal/sim"
@@ -81,7 +82,7 @@ func TestGetNewAndGetRoundTrip(t *testing.T) {
 	if err := p.FlushAll(nil); err != nil {
 		t.Fatal(err)
 	}
-	if fr.Dirty {
+	if fr.dirty.Load() {
 		t.Error("frame dirty after FlushAll")
 	}
 	// Re-get from pool (hit).
@@ -305,8 +306,8 @@ func TestCleanerTriggersOnThreshold(t *testing.T) {
 	if p.Stats().CleanerFlushes == 0 {
 		t.Error("cleaner never ran")
 	}
-	if p.DirtyFraction() > 0.25 {
-		t.Errorf("dirty fraction %v above threshold after cleaning", p.DirtyFraction())
+	if p.dirtyFraction() > 0.25 {
+		t.Errorf("dirty fraction %v above threshold after cleaning", p.dirtyFraction())
 	}
 }
 
@@ -345,7 +346,7 @@ func TestDrop(t *testing.T) {
 	if p.Contains(1) {
 		t.Error("dropped page still resident")
 	}
-	if p.DirtyFraction() != 0 {
+	if p.dirtyFraction() != 0 {
 		t.Error("drop did not clear dirty count")
 	}
 	if err := p.Drop(99); err != nil {
@@ -362,7 +363,7 @@ func TestFlushAllWithPinnedDirty(t *testing.T) {
 	fr, _ := p.GetNew(nil, 1)
 	s := fr.home.Load()
 	s.mu.Lock()
-	fr.Dirty = true // simulate dirty while pinned
+	fr.dirty.Store(true) // simulate dirty while pinned
 	s.dirty.Add(1)
 	s.mu.Unlock()
 	if err := p.FlushAll(nil); !errors.Is(err, ErrPinned) {
@@ -433,4 +434,69 @@ func TestPageIDBeyondTheBound(t *testing.T) {
 		t.Fatalf("GetNew(MaxPageID): %v", err)
 	}
 	p.Unpin(nil, fr, false, 0)
+}
+
+// An Unpin without a pin to give back fails and leaves the count alone
+// on every path: the lock-free one (clean, or dirty on a frame already
+// dirty), the one that takes the shard mutex (dirty on a clean frame),
+// and on a fenced frame, whose -1 must survive a stray Unpin.
+func TestUnpinOfUnpinnedFrameChangesNothing(t *testing.T) {
+	p := newPool(t, 2, newFakeStore(64))
+	fr, err := p.GetNew(nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Unpin(nil, fr, true, 1); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, want int32) {
+		t.Helper()
+		for _, dirty := range []bool{false, true} {
+			if err := p.Unpin(nil, fr, dirty, 2); err == nil {
+				t.Errorf("%s: Unpin(dirty=%v) of an unpinned frame accepted", what, dirty)
+			}
+			if n := fr.pin.Load(); n != want {
+				t.Errorf("%s: Unpin(dirty=%v) left the pin count at %d, want %d", what, dirty, n, want)
+			}
+		}
+	}
+	check("dirty frame", 0)
+	if err := p.FlushAll(nil); err != nil {
+		t.Fatal(err)
+	}
+	check("clean frame", 0)
+	s := fr.home.Load()
+	s.mu.Lock()
+	fenced := fr.fenceIdle()
+	s.mu.Unlock()
+	if !fenced {
+		t.Fatal("could not fence an unpinned frame")
+	}
+	check("fenced frame", fence)
+	fr.pin.Store(0)
+	if fr.RecLSN != 0 || fr.dirty.Load() {
+		t.Errorf("a refused Unpin dirtied the frame: dirty %v, recLSN %d", fr.dirty.Load(), fr.RecLSN)
+	}
+}
+
+// A frame is a whole number of cache lines and the allocator puts each
+// on a line boundary, so the hot first line (pin, latch, version) is one
+// frame's alone.
+func TestFrameOwnsItsCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(Frame{}); size%64 != 0 {
+		t.Fatalf("Frame is %d bytes, not a multiple of a 64-byte line", size)
+	}
+	if off := unsafe.Offsetof(Frame{}.ver); off+8 > 64 {
+		t.Errorf("the version word ends at byte %d, off the first line", off+8)
+	}
+	p := newPool(t, 8, newFakeStore(64))
+	for id := core.PageID(1); id <= 8; id++ {
+		fr, err := p.GetNew(nil, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if addr := uintptr(unsafe.Pointer(fr)); addr%64 != 0 {
+			t.Errorf("frame of page %d at %#x, not on a line boundary", id, addr)
+		}
+	}
 }

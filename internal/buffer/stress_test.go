@@ -207,8 +207,8 @@ func TestConcurrentShardStress(t *testing.T) {
 	if err := p.FlushAll(nil); err != nil {
 		t.Fatal(err)
 	}
-	if df := p.DirtyFraction(); df != 0 {
-		t.Errorf("DirtyFraction = %v after FlushAll", df)
+	if df := p.dirtyFraction(); df != 0 {
+		t.Errorf("dirty fraction %v after FlushAll", df)
 	}
 	for id := core.PageID(1); id <= writerPages; id++ {
 		img := st.pages[id]
@@ -459,4 +459,227 @@ func TestConcurrentMissWaitsForLoader(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentLockFreePins races the pin protocol: hits that take no
+// shard mutex and clean and dirty Unpins, against everything that fences
+// a frame to unbind or rebind it — eviction (clean and dirty victims),
+// the cross-shard steal (eight shards of three frames, and a thief
+// pinning more pages of one shard than it has frames), Drop — and the
+// sweeps that claim frames: CleanerPass, FlushOldest and FlushAll. Every
+// page carries its id in byte 0, so a getter that was handed a frame
+// bound to another page, or whose frame was rebound while it held the
+// pin, sees it; a pinned frame's ID is checked again after the holder
+// yields. Writers own disjoint pages and count their increments; after
+// a final FlushAll the store must hold exactly those counts.
+func TestConcurrentLockFreePins(t *testing.T) {
+	const (
+		writerCount = 4
+		pagesPer    = 8
+		writerPages = writerCount * pagesPer // 1..32, one owner each
+		hotLo       = writerPages + 1        // read by everyone
+		hotHi       = hotLo + 3
+		dropLo      = hotHi + 1 // read and dropped
+		dropHi      = dropLo + 7
+		iters       = 1500
+	)
+	st := newConcurrentStore(64)
+	for id := core.PageID(1); id <= dropHi; id++ {
+		img := make([]byte, 64)
+		img[0] = byte(id)
+		st.pages[id] = img
+	}
+	p, err := New(Config{Frames: 24, PageSize: 64, Shards: 8, DirtyThreshold: 0.6, CleanBatch: 4}, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shard0 []core.PageID // pages beyond the rest that route to shard 0
+	for id := core.PageID(dropHi + 1); len(shard0) < 5; id++ {
+		if p.shardOf(id) == &p.shards[0] {
+			shard0 = append(shard0, id)
+			img := make([]byte, 64)
+			img[0] = byte(id)
+			st.pages[id] = img
+		}
+	}
+
+	var (
+		wg     sync.WaitGroup
+		stop   atomic.Bool
+		recLSN atomic.Uint64
+		writes = make([]int, writerPages+1) // owner-only slots
+		fail   = make(chan error, 16)
+	)
+	// get pins id, retrying while every frame is pinned (a legal outcome
+	// with this many holders), and checks the frame holds the page.
+	get := func(id core.PageID) (*Frame, error) {
+		for {
+			fr, err := p.Get(nil, id)
+			if errors.Is(err, ErrNoFrames) {
+				runtime.Gosched()
+				continue
+			}
+			if err != nil {
+				return nil, fmt.Errorf("get %d: %w", id, err)
+			}
+			if fr.ID != id {
+				return nil, fmt.Errorf("get %d returned a frame bound to %d", id, fr.ID)
+			}
+			fr.RLatch()
+			b := fr.Data[0]
+			fr.RUnlatch()
+			if b != byte(id) {
+				return nil, fmt.Errorf("get %d returned a frame holding page %d", id, b)
+			}
+			return fr, nil
+		}
+	}
+	// release checks the pinned frame still holds id after a yield, then
+	// unpins it.
+	release := func(fr *Frame, id core.PageID, dirty bool) error {
+		runtime.Gosched()
+		if fr.ID != id {
+			return fmt.Errorf("page %d: pinned frame rebound to %d", id, fr.ID)
+		}
+		var lsn core.LSN
+		if dirty {
+			lsn = core.LSN(recLSN.Add(1))
+		}
+		return p.Unpin(nil, fr, dirty, lsn)
+	}
+	run := func(name string, body func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters && !stop.Load(); i++ {
+				if err := body(i); err != nil {
+					fail <- fmt.Errorf("%s: %w", name, err)
+					stop.Store(true)
+					return
+				}
+			}
+		}()
+	}
+
+	for g := 0; g < writerCount; g++ {
+		rng := rand.New(rand.NewSource(int64(g) + 11))
+		local := writes[g*pagesPer+1 : (g+1)*pagesPer+1]
+		run("writer", func(i int) error {
+			id := core.PageID(g*pagesPer + 1 + rng.Intn(pagesPer))
+			fr, err := get(id)
+			if err != nil {
+				return err
+			}
+			fr.Latch()
+			fr.Data[1]++
+			fr.Unlatch()
+			local[int(id)-g*pagesPer-1]++
+			if err := release(fr, id, true); err != nil {
+				return err
+			}
+			// A hot page: mostly lock-free hits, released clean.
+			hid := core.PageID(hotLo + rng.Intn(hotHi-hotLo+1))
+			if fr, err = get(hid); err != nil {
+				return err
+			}
+			return release(fr, hid, false)
+		})
+	}
+	for r := 0; r < 2; r++ {
+		rng := rand.New(rand.NewSource(int64(r) + 101))
+		run("reader", func(i int) error {
+			id := core.PageID(dropLo + rng.Intn(dropHi-dropLo+1))
+			if i%2 == 0 {
+				id = core.PageID(hotLo + rng.Intn(hotHi-hotLo+1))
+			}
+			fr, err := get(id)
+			if err != nil {
+				return err
+			}
+			return release(fr, id, false)
+		})
+	}
+	// The thief holds more shard-0 pages than shard 0 has frames, so its
+	// misses exhaust the local CLOCK and steal from the other shards.
+	run("thief", func(i int) error {
+		held := make([]*Frame, 0, len(shard0))
+		for _, id := range shard0 {
+			fr, err := p.Get(nil, id)
+			if errors.Is(err, ErrNoFrames) {
+				break
+			}
+			if err != nil {
+				return fmt.Errorf("get %d: %w", id, err)
+			}
+			held = append(held, fr)
+		}
+		for k, fr := range held {
+			if err := release(fr, shard0[k], false); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	rng := rand.New(rand.NewSource(7))
+	run("dropper", func(i int) error {
+		id := core.PageID(dropLo + rng.Intn(dropHi-dropLo+1))
+		if err := p.Drop(id); err != nil && !errors.Is(err, ErrPinned) {
+			return fmt.Errorf("drop %d: %w", id, err)
+		}
+		runtime.Gosched()
+		return nil
+	})
+	run("maintenance", func(i int) error {
+		var err error
+		switch i % 3 {
+		case 0:
+			err = p.CleanerPass(nil)
+		case 1:
+			_, err = p.FlushOldest(nil, 4)
+		default:
+			if err = p.FlushAll(nil); errors.Is(err, ErrPinned) {
+				err = nil // a writer holds a dirty page: legal mid-run
+			}
+		}
+		runtime.Gosched()
+		return err
+	})
+	wg.Wait()
+	close(fail)
+	for err := range fail {
+		t.Fatal(err)
+	}
+
+	if err := p.FlushAll(nil); err != nil {
+		t.Fatal(err)
+	}
+	for id := core.PageID(1); id <= writerPages; id++ {
+		if got, want := st.pages[id][1], byte(writes[id]); got != want {
+			t.Errorf("page %d: store has %d increments, owner made %d", id, got, want)
+		}
+	}
+	total := 0
+	for i := range p.shards {
+		s := &p.shards[i]
+		for _, fr := range s.frames {
+			if fr == nil {
+				continue
+			}
+			if n := fr.pin.Load(); n != 0 {
+				t.Errorf("frame of page %d: pin count %d after every holder left", fr.ID, n)
+			}
+			if fr.home.Load() != s {
+				t.Errorf("shard %d holds a frame homed elsewhere", i)
+			}
+		}
+		total += len(s.frames)
+	}
+	if total != p.Size() {
+		t.Errorf("frames across shards = %d, want %d", total, p.Size())
+	}
+	s := p.Stats()
+	if s.Hits == 0 || s.Evictions == 0 {
+		t.Errorf("the run did not exercise hits and evictions: %+v", s)
+	}
+	t.Logf("%+v", s)
 }

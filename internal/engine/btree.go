@@ -322,10 +322,9 @@ func (ix *CoarseIndex) leafFor(w *sim.Worker, key uint64, excl bool) (pageRef, e
 
 // Lookup returns the RID stored under key.
 func (ix *CoarseIndex) Lookup(w *sim.Worker, key uint64) (core.RID, bool, error) {
-	ix.stats.lookups.Add(1)
+	ix.stats.of(w).lookups.Add(1)
 	db := ix.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(w).RUnlock()
 	ix.treeMu.RLock()
 	defer ix.treeMu.RUnlock()
 	n, err := ix.leafFor(w, key, false)
@@ -339,10 +338,9 @@ func (ix *CoarseIndex) Lookup(w *sim.Worker, key uint64) (core.RID, bool, error)
 
 // Insert adds key → rid. Duplicate keys are rejected.
 func (ix *CoarseIndex) Insert(w *sim.Worker, key uint64, rid core.RID) error {
-	ix.stats.inserts.Add(1)
+	ix.stats.of(w).inserts.Add(1)
 	db := ix.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(w).RUnlock()
 	ix.treeMu.Lock()
 	defer ix.treeMu.Unlock()
 	sepKey, newChild, err := ix.insertRec(w, ix.root, key, rid)
@@ -439,10 +437,9 @@ func (ix *CoarseIndex) splitDone(n, rn *pageRef, sep uint64) (uint64, core.PageI
 // Update changes the RID stored under an existing key (e.g. after a
 // tuple relocation).
 func (ix *CoarseIndex) Update(w *sim.Worker, key uint64, rid core.RID) error {
-	ix.stats.updates.Add(1)
+	ix.stats.of(w).updates.Add(1)
 	db := ix.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(w).RUnlock()
 	ix.treeMu.Lock()
 	defer ix.treeMu.Unlock()
 	n, err := ix.leafFor(w, key, true)
@@ -460,10 +457,9 @@ func (ix *CoarseIndex) Update(w *sim.Worker, key uint64, rid core.RID) error {
 
 // Delete removes a key, reporting whether it was there.
 func (ix *CoarseIndex) Delete(w *sim.Worker, key uint64) (bool, error) {
-	ix.stats.deletes.Add(1)
+	ix.stats.of(w).deletes.Add(1)
 	db := ix.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(w).RUnlock()
 	ix.treeMu.Lock()
 	defer ix.treeMu.Unlock()
 	n, err := ix.leafFor(w, key, true)
@@ -483,11 +479,11 @@ func (ix *CoarseIndex) Delete(w *sim.Worker, key uint64) (bool, error) {
 // tree latch is released while fn runs, so the callback may perform
 // table reads; keys inserted concurrently may or may not be seen.
 func (ix *CoarseIndex) Range(w *sim.Worker, lo, hi uint64, fn func(key uint64, rid core.RID) bool) error {
-	ix.stats.scans.Add(1)
+	ix.stats.of(w).scans.Add(1)
 	db := ix.db
 	// Find the leaf containing lo. It is fetched again below, with every
 	// other leaf of the chain, under latches taken afresh.
-	db.stateMu.RLock()
+	state := db.rlockState(w)
 	ix.treeMu.RLock()
 	n, err := ix.leafFor(w, lo, false)
 	cur := core.InvalidPageID
@@ -496,7 +492,7 @@ func (ix *CoarseIndex) Range(w *sim.Worker, lo, hi uint64, fn func(key uint64, r
 		n.unpin()
 	}
 	ix.treeMu.RUnlock()
-	db.stateMu.RUnlock()
+	state.RUnlock()
 	if err != nil {
 		return err
 	}
@@ -504,7 +500,7 @@ func (ix *CoarseIndex) Range(w *sim.Worker, lo, hi uint64, fn func(key uint64, r
 	// callback outside the latch.
 	var items []indexEntry
 	for cur != core.InvalidPageID {
-		db.stateMu.RLock()
+		state.RLock()
 		ix.treeMu.RLock()
 		n, err := db.pinPage(w, ix.st, cur, false)
 		done := false
@@ -514,7 +510,7 @@ func (ix *CoarseIndex) Range(w *sim.Worker, lo, hi uint64, fn func(key uint64, r
 			n.unpin()
 		}
 		ix.treeMu.RUnlock()
-		db.stateMu.RUnlock()
+		state.RUnlock()
 		if err != nil {
 			return err
 		}

@@ -140,18 +140,23 @@ func (o Options) Validate(flashPageSize int) error {
 // hierarchy"): tuple locks live in a sharded no-wait lock table, page
 // contents are guarded by per-frame latches, the WAL appends lock-free
 // (atomic LSN reservation with adaptive group flush), and the only engine-wide lock is a
-// reader/writer state latch that stop-the-world operations (pool resize,
-// crash simulation, recovery) take exclusively while normal transactions
-// hold it shared.
+// reader/writer state latch, striped by worker, that stop-the-world
+// operations (pool resize, crash simulation, recovery) take exclusively
+// while normal operations hold their worker's stripe shared.
 type DB struct {
 	dev  *noftl.Device
 	log  *wal.Log
 	opts Options
 
-	// stateMu guards the pool pointer and recovery state. Every normal
-	// operation holds it shared for its duration; ResizePool,
-	// SimulateCrash and Recover hold it exclusively.
-	stateMu    sync.RWMutex
+	// stateMu guards the pool pointer, recovery state and the closed
+	// flag's transitions. It is striped by worker: every normal operation
+	// holds its worker's stripe shared for its duration (rlockState), so
+	// two clients' operations write no common reader count; ResizePool,
+	// SimulateCrash, Recover, InstallSnapshot and Close take every stripe
+	// exclusively, in stripe order (lockState). A reader never holds two
+	// stripes — no operation takes the latch inside another — so the
+	// writers' order is the only one there is.
+	stateMu    sim.Striped[sync.RWMutex]
 	pool       *buffer.Pool
 	inRecovery bool
 
@@ -207,6 +212,28 @@ type DB struct {
 	// wrapStore, when a test sets it, is put between every pool newPool
 	// builds and the router (see VerifyFlushedImages in export_test.go).
 	wrapStore func(buffer.Store) buffer.Store
+}
+
+// rlockState holds the state latch shared on w's stripe and returns the
+// stripe, for the caller to RUnlock.
+func (db *DB) rlockState(w *sim.Worker) *sync.RWMutex {
+	mu := db.stateMu.Of(w)
+	mu.RLock()
+	return mu
+}
+
+// lockState holds the state latch exclusively: every stripe, in order.
+func (db *DB) lockState() {
+	for i := range sim.Stripes {
+		db.stateMu.At(i).Lock()
+	}
+}
+
+// unlockState releases what lockState took.
+func (db *DB) unlockState() {
+	for i := range sim.Stripes {
+		db.stateMu.At(i).Unlock()
+	}
 }
 
 // router dispatches buffer.Store calls to the page's owning store.
@@ -289,9 +316,9 @@ func (db *DB) Close() error {
 	// Raise the flag with the state latch held exclusively: in-flight
 	// operations (holding it shared) finish first, and any operation
 	// starting afterwards observes the flag before touching the pool.
-	db.stateMu.Lock()
+	db.lockState()
 	db.closed.Store(true)
-	db.stateMu.Unlock()
+	db.unlockState()
 	if db.vs != nil {
 		db.vs.stopReaper()
 	}
@@ -303,8 +330,7 @@ func (db *DB) Close() error {
 // Deprecated: for tools and tests only. Production code should consume
 // DB.Stats().
 func (db *DB) Pool() *buffer.Pool {
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(nil).RUnlock()
 	return db.pool
 }
 
@@ -419,8 +445,7 @@ func (db *DB) maybeReclaim(w *sim.Worker) error {
 // Checkpoint takes a fuzzy checkpoint and truncates the log. After
 // Close it returns ErrClosed.
 func (db *DB) Checkpoint(w *sim.Worker) error {
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(w).RUnlock()
 	if db.closed.Load() {
 		return ErrClosed
 	}
@@ -467,8 +492,7 @@ func (db *DB) checkpointLocked(w *sim.Worker) error {
 
 // FlushAll forces every dirty page out (clean shutdown support).
 func (db *DB) FlushAll(w *sim.Worker) error {
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(w).RUnlock()
 	return db.pool.FlushAll(w)
 }
 
@@ -478,8 +502,8 @@ func (db *DB) FlushAll(w *sim.Worker) error {
 // paper's buffer-sweep experiments do. Stop-the-world: blocks until all
 // in-flight operations drain.
 func (db *DB) ResizePool(w *sim.Worker, frames int) error {
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
+	db.lockState()
+	defer db.unlockState()
 	if err := db.pool.FlushAll(w); err != nil {
 		return err
 	}
@@ -508,8 +532,8 @@ func (db *DB) SimulateCrash() error {
 	// concurrent Close cannot interleave with the reopen.
 	db.closeMu.Lock()
 	defer db.closeMu.Unlock()
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
+	db.lockState()
+	defer db.unlockState()
 	pool, err := db.newPool(db.opts.BufferFrames)
 	if err != nil {
 		return err

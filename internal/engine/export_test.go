@@ -84,8 +84,8 @@ func (s imageCheckStore) Flush(w *sim.Worker, fr *buffer.Frame) error {
 // every pool built later (crash, resize, snapshot install). fail is
 // called, possibly from several goroutines, for every violation.
 func (db *DB) VerifyFlushedImages(fail func(error)) error {
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
+	db.lockState()
+	defer db.unlockState()
 	db.wrapStore = func(st buffer.Store) buffer.Store {
 		return imageCheckStore{Store: st, db: db, fail: fail}
 	}

@@ -82,9 +82,12 @@ type IndexStats struct {
 	LatchWaits uint64
 }
 
-// indexCounters is the shared counter block of both tree kinds. All
-// fields are atomics: lookups run concurrently in both trees.
-type indexCounters struct {
+// indexCounters is the counter block of both tree kinds, one cell per
+// worker stripe: every operation counts itself, and lookups run
+// concurrently in both trees.
+type indexCounters struct{ cells sim.Striped[indexCell] }
+
+type indexCell struct {
 	lookups    atomic.Uint64
 	inserts    atomic.Uint64
 	updates    atomic.Uint64
@@ -94,17 +97,22 @@ type indexCounters struct {
 	latchWaits atomic.Uint64
 }
 
+// of returns the cell w counts in.
+func (c *indexCounters) of(w *sim.Worker) *indexCell { return c.cells.Of(w) }
+
 func (c *indexCounters) snapshot(kind IndexKind) IndexStats {
-	return IndexStats{
-		Kind:       kind,
-		Lookups:    c.lookups.Load(),
-		Inserts:    c.inserts.Load(),
-		Updates:    c.updates.Load(),
-		Deletes:    c.deletes.Load(),
-		Scans:      c.scans.Load(),
-		Restarts:   c.restarts.Load(),
-		LatchWaits: c.latchWaits.Load(),
+	s := IndexStats{Kind: kind}
+	for i := range sim.Stripes {
+		cell := c.cells.At(i)
+		s.Lookups += cell.lookups.Load()
+		s.Inserts += cell.inserts.Load()
+		s.Updates += cell.updates.Load()
+		s.Deletes += cell.deletes.Load()
+		s.Scans += cell.scans.Load()
+		s.Restarts += cell.restarts.Load()
+		s.LatchWaits += cell.latchWaits.Load()
 	}
+	return s
 }
 
 // CreateIndex creates an empty B+tree of the database's configured kind
@@ -120,8 +128,7 @@ func (db *DB) CreateIndexKind(name, regionName string, kind IndexKind) (Index, e
 	if err != nil {
 		return nil, err
 	}
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(nil).RUnlock()
 	pg, err := db.newPage(nil, st, 0, page.FlagIndex|page.FlagLeaf)
 	if err != nil {
 		return nil, err

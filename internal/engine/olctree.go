@@ -75,7 +75,7 @@ func (ix *OLCIndex) Stats() IndexStats { return ix.stats.snapshot(IndexOLC) }
 // latch takes n's frame latch, counting the wait if it is contended.
 func (ix *OLCIndex) latch(n *pageRef, excl bool) {
 	if !n.tryLatch(excl) {
-		ix.stats.latchWaits.Add(1)
+		ix.stats.of(n.w).latchWaits.Add(1)
 		n.latch(excl)
 	}
 }
@@ -92,8 +92,8 @@ func (ix *OLCIndex) pinLatched(w *sim.Worker, id core.PageID, excl bool) (pageRe
 
 // restartWait records one descent restart and, every few consecutive
 // restarts, yields the processor so the writer being chased can finish.
-func (ix *OLCIndex) restartWait(attempt int) {
-	ix.stats.restarts.Add(1)
+func (ix *OLCIndex) restartWait(w *sim.Worker, attempt int) {
+	ix.stats.of(w).restarts.Add(1)
 	if attempt%4 == 3 {
 		runtime.Gosched()
 	}
@@ -112,7 +112,7 @@ func (ix *OLCIndex) restartWait(attempt int) {
 func (ix *OLCIndex) descend(w *sim.Worker, key uint64, excl bool) (pageRef, error) {
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			ix.restartWait(attempt - 1)
+			ix.restartWait(w, attempt-1)
 		}
 		rv := ix.rootVer.Load()
 		cur := core.PageID(ix.root.Load())
@@ -174,10 +174,9 @@ func (ix *OLCIndex) descend(w *sim.Worker, key uint64, excl bool) (pageRef, erro
 
 // Lookup returns the RID stored under key.
 func (ix *OLCIndex) Lookup(w *sim.Worker, key uint64) (core.RID, bool, error) {
-	ix.stats.lookups.Add(1)
+	ix.stats.of(w).lookups.Add(1)
 	db := ix.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(w).RUnlock()
 	n, err := ix.descend(w, key, false)
 	if err != nil {
 		return core.RID{}, false, err
@@ -189,10 +188,9 @@ func (ix *OLCIndex) Lookup(w *sim.Worker, key uint64) (core.RID, bool, error) {
 
 // Update changes the RID stored under an existing key.
 func (ix *OLCIndex) Update(w *sim.Worker, key uint64, rid core.RID) error {
-	ix.stats.updates.Add(1)
+	ix.stats.of(w).updates.Add(1)
 	db := ix.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(w).RUnlock()
 	n, err := ix.descend(w, key, true)
 	if err != nil {
 		return err
@@ -210,10 +208,9 @@ func (ix *OLCIndex) Update(w *sim.Worker, key uint64, rid core.RID) error {
 // Delete removes a key (lazy deletion, like the coarse tree: leaves are
 // never merged, so deletes stay leaf-local and need no crabbing).
 func (ix *OLCIndex) Delete(w *sim.Worker, key uint64) (bool, error) {
-	ix.stats.deletes.Add(1)
+	ix.stats.of(w).deletes.Add(1)
 	db := ix.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(w).RUnlock()
 	n, err := ix.descend(w, key, true)
 	if err != nil {
 		return false, err
@@ -232,10 +229,9 @@ func (ix *OLCIndex) Delete(w *sim.Worker, key uint64) (bool, error) {
 // optimistic (one exclusive leaf latch); a full leaf falls back to
 // pessimistic top-down crabbing.
 func (ix *OLCIndex) Insert(w *sim.Worker, key uint64, rid core.RID) error {
-	ix.stats.inserts.Add(1)
+	ix.stats.of(w).inserts.Add(1)
 	db := ix.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(w).RUnlock()
 	n, err := ix.descend(w, key, true)
 	if err != nil {
 		return err
@@ -253,7 +249,7 @@ func (ix *OLCIndex) Insert(w *sim.Worker, key uint64, rid core.RID) error {
 	n.unpin()
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			ix.restartWait(attempt - 1)
+			ix.restartWait(w, attempt-1)
 		}
 		done, err := ix.insertPessimistic(w, key, rid)
 		if err != nil || done {
@@ -420,9 +416,9 @@ func (ix *OLCIndex) insertPessimistic(w *sim.Worker, key uint64, rid core.RID) (
 // runs with no latch held, so it may perform table reads. As with the
 // coarse tree, keys inserted concurrently may or may not be seen.
 func (ix *OLCIndex) Range(w *sim.Worker, lo, hi uint64, fn func(key uint64, rid core.RID) bool) error {
-	ix.stats.scans.Add(1)
+	ix.stats.of(w).scans.Add(1)
 	db := ix.db
-	db.stateMu.RLock()
+	state := db.rlockState(w)
 	n, err := ix.descend(w, lo, false)
 	var items []indexEntry
 	for err == nil {
@@ -431,7 +427,7 @@ func (ix *OLCIndex) Range(w *sim.Worker, lo, hi uint64, fn func(key uint64, rid 
 		items, done = n.leafRange(lo, hi, items[:0])
 		next := n.NextPage()
 		n.unpin()
-		db.stateMu.RUnlock()
+		state.RUnlock()
 		for _, it := range items {
 			if !fn(it.key, it.rid) {
 				return nil
@@ -440,11 +436,11 @@ func (ix *OLCIndex) Range(w *sim.Worker, lo, hi uint64, fn func(key uint64, rid 
 		if done || next == core.InvalidPageID {
 			return nil
 		}
-		db.stateMu.RLock()
+		state.RLock()
 		if n, err = ix.pinLatched(w, next, false); err == nil {
 			err = n.attach(ix.st)
 		}
 	}
-	db.stateMu.RUnlock()
+	state.RUnlock()
 	return err
 }

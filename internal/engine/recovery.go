@@ -26,8 +26,8 @@ type RecoveryReport struct {
 func (db *DB) Recover(w *sim.Worker) (RecoveryReport, error) {
 	// Recovery is stop-the-world: the state latch is held exclusively, so
 	// no transaction can run concurrently.
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
+	db.lockState()
+	defer db.unlockState()
 	db.inRecovery = true
 	defer func() { db.inRecovery = false }()
 

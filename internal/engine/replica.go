@@ -103,8 +103,7 @@ func (a *Applier) Resync() {
 // the version store each take their own copy.
 func (a *Applier) Apply(recs []wal.Record) error {
 	db := a.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(a.w).RUnlock()
 	if db.closed.Load() {
 		return ErrClosed
 	}
@@ -380,8 +379,7 @@ func (a *Applier) imageBeforeTx(pg *page.Page, rec wal.Record) (img []byte, abse
 // continuing at the same LSNs the cluster already acknowledged.
 func (a *Applier) Promote() error {
 	db := a.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(a.w).RUnlock()
 	for id, t := range a.inTx {
 		db.log.Append(wal.Record{Type: wal.RecAbort, TxID: id, PrevLSN: t.lastLSN})
 		if err := db.rollback(a.w, id, t.lastLSN); err != nil {

@@ -55,8 +55,8 @@ const snapIDSpread = 16
 // image are repaired on the follower by the CLRs that follow in the
 // stream, exactly as restart recovery repairs them after a crash.
 func (db *DB) CaptureSnapshot(w *sim.Worker) (*ReplicaSnapshot, error) {
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
+	db.lockState()
+	defer db.unlockState()
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -118,8 +118,8 @@ func (db *DB) CaptureSnapshot(w *sim.Worker) (*ReplicaSnapshot, error) {
 // this is also the divergence repair path, so nothing of the previous
 // state is trusted.
 func (db *DB) InstallSnapshot(w *sim.Worker, snap *ReplicaSnapshot) error {
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
+	db.lockState()
+	defer db.unlockState()
 	if db.closed.Load() {
 		return ErrClosed
 	}

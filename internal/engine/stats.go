@@ -72,13 +72,13 @@ type AbortStats struct {
 // Stats assembles a snapshot across all engine layers. After Close it
 // returns ErrClosed.
 func (db *DB) Stats() (Stats, error) {
-	db.stateMu.RLock()
+	state := db.rlockState(nil)
 	if db.closed.Load() {
-		db.stateMu.RUnlock()
+		state.RUnlock()
 		return Stats{}, ErrClosed
 	}
 	pool := db.pool
-	db.stateMu.RUnlock()
+	state.RUnlock()
 
 	s := Stats{
 		Checkpoints: db.checkpoints.Load(),

@@ -39,9 +39,12 @@ const (
 
 // StoreStats is a point-in-time snapshot of the flush decisions and the
 // update-size distributions the paper analyses, returned by
-// PageStore.Stats. The counter fields are copied values; the histogram
-// and latency fields point at the store's live (internally synchronised)
-// recorders, so they always read current and support Reset.
+// PageStore.Stats. The counter fields are copied values, and the latency
+// recorders are snapshots too: the store keeps one per worker stripe and
+// Stats merges them into fresh recorders, so resetting one changes
+// nothing in the store. The histograms point at the store's live
+// (internally synchronised) recorders, so they always read current and
+// support Reset.
 type StoreStats struct {
 	Fetches      uint64
 	DeltaApply   uint64 // fetches that applied ≥1 delta-record
@@ -71,9 +74,13 @@ type SchemeStats struct {
 	PDL     noftl.PDLStats // zero unless Storage == StoragePDL
 }
 
-// storeCounters are the live counters behind StoreStats, updated with
-// atomics so concurrent fetch/flush paths never serialise on stats.
+// storeCounters are the live counters and latency recorders behind
+// StoreStats of one worker stripe (PageStore.ctr), so concurrent
+// fetch/flush paths never write a common cache line for their stats.
 type storeCounters struct {
+	fetchLat metrics.Latency
+	flushLat metrics.Latency
+
 	fetches      atomic.Uint64
 	deltaApply   atomic.Uint64
 	eccCorrected atomic.Uint64
@@ -106,11 +113,9 @@ type PageStore struct {
 	// [0×0] scheme is the out-of-place baseline.
 	dl *noftl.DiffLog
 
-	ctr        storeCounters
+	ctr        sim.Striped[storeCounters]
 	netBytes   *metrics.Hist
 	grossBytes *metrics.Hist
-	fetchLat   *metrics.Latency
-	flushLat   *metrics.Latency
 
 	// Fetch reads the page image straight into the caller's frame buffer;
 	// the OOB area rides along for ECC and comes from this pool so the
@@ -153,8 +158,6 @@ func NewPageStore(region *noftl.Region, pageSize int, useECC bool) (*PageStore, 
 		useECC:     useECC,
 		netBytes:   metrics.NewHist(pageSize),
 		grossBytes: metrics.NewHist(pageSize),
-		fetchLat:   &metrics.Latency{},
-		flushLat:   &metrics.Latency{},
 	}
 	s.sect = ecc.Sections{
 		BodyLen: l.DeltaAreaStart(),
@@ -199,17 +202,22 @@ func (s *PageStore) Region() *noftl.Region { return s.region }
 // which fields are copies and which are live recorders).
 func (s *PageStore) Stats() StoreStats {
 	st := StoreStats{
-		Fetches:        s.ctr.fetches.Load(),
-		DeltaApply:     s.ctr.deltaApply.Load(),
-		ECCCorrected:   s.ctr.eccCorrected.Load(),
-		FlushesSkipped: s.ctr.flushesSkipped.Load(),
-		FlushesDelta:   s.ctr.flushesDelta.Load(),
-		FlushesOOP:     s.ctr.flushesOOP.Load(),
-		NetBytes:       s.netBytes,
-		GrossBytes:     s.grossBytes,
-		FetchLatency:   s.fetchLat,
-		FlushLatency:   s.flushLat,
-		Scheme:         SchemeStats{Storage: s.region.Storage()},
+		NetBytes:     s.netBytes,
+		GrossBytes:   s.grossBytes,
+		FetchLatency: &metrics.Latency{},
+		FlushLatency: &metrics.Latency{},
+		Scheme:       SchemeStats{Storage: s.region.Storage()},
+	}
+	for i := range sim.Stripes {
+		c := s.ctr.At(i)
+		st.Fetches += c.fetches.Load()
+		st.DeltaApply += c.deltaApply.Load()
+		st.ECCCorrected += c.eccCorrected.Load()
+		st.FlushesSkipped += c.flushesSkipped.Load()
+		st.FlushesDelta += c.flushesDelta.Load()
+		st.FlushesOOP += c.flushesOOP.Load()
+		st.FetchLatency.Merge(&c.fetchLat)
+		st.FlushLatency.Merge(&c.flushLat)
 	}
 	if s.dl != nil {
 		st.Scheme.PDL = s.dl.Stats()
@@ -242,14 +250,15 @@ func (s *PageStore) Fetch(w *sim.Worker, id core.PageID, buf []byte) (int, error
 			break
 		}
 	}
-	s.ctr.fetches.Add(1)
+	c := s.ctr.Of(w)
+	c.fetches.Add(1)
 	if sink := s.traceSink(); sink != nil {
 		sink.RecordFetch(id)
 	}
 	if applied > 0 {
-		s.ctr.deltaApply.Add(1)
+		c.deltaApply.Add(1)
 	}
-	s.fetchLat.Add(elapsed(w, start))
+	c.fetchLat.Add(elapsed(w, start))
 	return used, nil
 }
 
@@ -279,7 +288,7 @@ func (s *PageStore) fetchOnce(w *sim.Worker, id core.PageID, buf []byte) (used, 
 		if err != nil {
 			return 0, 0, fmt.Errorf("%w: page %d: %v", ErrECC, id, err)
 		}
-		s.ctr.eccCorrected.Add(uint64(n))
+		s.ctr.Of(w).eccCorrected.Add(uint64(n))
 	}
 	applied, err = page.Reconstruct(buf, s.layout)
 	if err != nil {
@@ -328,16 +337,17 @@ func (s *PageStore) Flush(w *sim.Worker, fr *buffer.Frame) error {
 	if err != nil {
 		return err
 	}
+	c := s.ctr.Of(w)
 	switch kind {
 	case FlushSkipped:
-		s.ctr.flushesSkipped.Add(1)
+		c.flushesSkipped.Add(1)
 	case FlushDelta:
-		s.ctr.flushesDelta.Add(1)
+		c.flushesDelta.Add(1)
 	case FlushOutOfPlace:
-		s.ctr.flushesOOP.Add(1)
+		c.flushesOOP.Add(1)
 	}
 	if kind != FlushSkipped {
-		s.flushLat.Add(elapsed(w, start))
+		c.flushLat.Add(elapsed(w, start))
 	}
 	return nil
 }

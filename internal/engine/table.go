@@ -88,8 +88,7 @@ func (t *Table) Insert(tx *Tx, data []byte) (core.RID, error) {
 	if err := tx.writable(); err != nil {
 		return core.RID{}, err
 	}
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(tx.w).RUnlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Try the current insertion target first.
@@ -175,8 +174,7 @@ func (t *Table) setNext(w *sim.Worker, id, next core.PageID) error {
 // Read copies the tuple at rid.
 func (t *Table) Read(w *sim.Worker, rid core.RID) ([]byte, error) {
 	db := t.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(w).RUnlock()
 	return t.readHeap(w, rid)
 }
 
@@ -206,8 +204,7 @@ func (t *Table) ReadLocked(tx *Tx, rid core.RID) ([]byte, error) {
 	if err := tx.writable(); err != nil {
 		return nil, err
 	}
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(tx.w).RUnlock()
 	if err := tx.lockRID(rid); err != nil {
 		return nil, err
 	}
@@ -227,8 +224,7 @@ func (t *Table) ReadSnapshot(tx *Tx, rid core.RID) ([]byte, error) {
 	if !tx.readOnly || db.vs == nil {
 		return nil, fmt.Errorf("%w: tx %d", ErrNotSnapshot, tx.id)
 	}
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(tx.w).RUnlock()
 	db.vs.snapReads.Add(1)
 	heap, heapErr := t.readHeap(tx.w, rid)
 	data, absent, override := db.vs.resolve(rid, tx.snapshot)
@@ -246,8 +242,7 @@ func (t *Table) ReadSnapshot(tx *Tx, rid core.RID) ([]byte, error) {
 // empty).
 func (t *Table) pageTuples(w *sim.Worker, id core.PageID) ([][]byte, error) {
 	db := t.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(w).RUnlock()
 	pg, err := db.pinPage(w, t.st, id, false)
 	if err != nil {
 		return nil, err
@@ -334,8 +329,7 @@ func (t *Table) pinTuple(tx *Tx, rid core.RID) (pageRef, []byte, error) {
 // Update replaces the tuple at rid, logging before/after images.
 func (t *Table) Update(tx *Tx, rid core.RID, data []byte) error {
 	db := t.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(tx.w).RUnlock()
 	pg, old, err := t.pinTuple(tx, rid)
 	if err != nil {
 		return err
@@ -386,8 +380,7 @@ func (t *Table) AddField(tx *Tx, rid core.RID, off int, delta uint64) error {
 // excepted, which the version store keeps).
 func (t *Table) patchField(tx *Tx, rid core.RID, off int, val []byte, add bool, delta uint64) error {
 	db := t.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(tx.w).RUnlock()
 	pg, tup, err := t.pinTuple(tx, rid)
 	if err != nil {
 		return err
@@ -425,8 +418,7 @@ func (t *Table) patchField(tx *Tx, rid core.RID, off int, val []byte, add bool, 
 // Delete removes the tuple at rid.
 func (t *Table) Delete(tx *Tx, rid core.RID) error {
 	db := t.db
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(tx.w).RUnlock()
 	pg, old, err := t.pinTuple(tx, rid)
 	if err != nil {
 		return err

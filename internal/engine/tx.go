@@ -89,8 +89,7 @@ type Tx struct {
 // because the closed flag is raised under the state latch Begin holds
 // shared.
 func (db *DB) Begin(w *sim.Worker) (*Tx, error) {
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(w).RUnlock()
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -111,8 +110,7 @@ func (db *DB) Begin(w *sim.Worker) (*Tx, error) {
 // and never abort on conflict. They write no WAL records; Commit and
 // Abort both simply release the snapshot pin. Requires Options.MVCC.
 func (db *DB) BeginSnapshot(w *sim.Worker) (*Tx, error) {
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(w).RUnlock()
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
@@ -201,8 +199,7 @@ func (tx *Tx) Commit() error {
 		db.vs.endSnapshot(tx.id)
 		return nil
 	}
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(tx.w).RUnlock()
 	var lsn core.LSN
 	if db.vs != nil && len(tx.held) > 0 {
 		// MVCC: allocate the commit LSN and register it in-flight in one
@@ -240,8 +237,7 @@ func (tx *Tx) Abort() error {
 		db.vs.endSnapshot(tx.id)
 		return nil
 	}
-	db.stateMu.RLock()
-	defer db.stateMu.RUnlock()
+	defer db.rlockState(tx.w).RUnlock()
 	db.log.Append(wal.Record{Type: wal.RecAbort, TxID: tx.id, PrevLSN: tx.lastLSN.load()})
 	if err := db.rollback(tx.w, tx.id, tx.lastLSN.load()); err != nil {
 		return err

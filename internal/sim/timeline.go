@@ -10,6 +10,13 @@
 // until when they are busy. An operation issued at time t on resource r
 // starts at max(t, busy[r]), occupies the resource for its duration, and
 // the issuing worker's clock advances to the completion time.
+//
+// A worker's operation writes no memory another worker writes, short of
+// the resource it queues on and of a stripe two workers share when there
+// are more workers than stripes: a worker's clock sits on cache lines of
+// its own, the timeline's horizon is computed when asked rather than
+// maintained, and Striped gives every other per-operation counter one
+// cell per worker stripe.
 package sim
 
 import (
@@ -43,11 +50,16 @@ type resource struct {
 // Timeline tracks the busy horizon of a set of resources. It is safe for
 // concurrent use; FIFO admission is serialised *per resource*, so
 // operations on different resources (different flash chips) never contend
-// with each other. The global horizon is maintained with a lock-free
-// atomic max.
+// with each other.
+//
+// The horizon — the latest instant anything reached — is not kept as one
+// value every operation raises. It is the maximum of the resources' busy
+// horizons, which only grow, and of the clocks workers moved by Compute
+// or SetNow, kept per worker stripe; Horizon takes that maximum when
+// asked, exactly.
 type Timeline struct {
-	res []resource
-	max atomic.Int64
+	res  []resource
+	peak Striped[atomic.Int64] // per stripe: the latest clock Compute or SetNow set
 }
 
 // NewTimeline creates a timeline for n resources, all idle at time 0.
@@ -57,16 +69,6 @@ func NewTimeline(n int) *Timeline {
 
 // Resources returns the number of resources managed by the timeline.
 func (tl *Timeline) Resources() int { return len(tl.res) }
-
-// advanceMax lifts the horizon to at least t (atomic CAS max).
-func (tl *Timeline) advanceMax(t Time) {
-	for {
-		cur := tl.max.Load()
-		if int64(t) <= cur || tl.max.CompareAndSwap(cur, int64(t)) {
-			return
-		}
-	}
-}
 
 // Acquire schedules an operation of the given duration on resource r,
 // issued by a worker whose clock reads now. It returns the start and
@@ -84,7 +86,6 @@ func (tl *Timeline) Acquire(r int, now Time, d Duration) (start, end Time) {
 	end = start + Time(d)
 	res.busy = end
 	res.mu.Unlock()
-	tl.advanceMax(end)
 	return start, end
 }
 
@@ -96,16 +97,29 @@ func (tl *Timeline) BusyUntil(r int) Time {
 	return res.busy
 }
 
-// Horizon is the latest completion instant scheduled so far — the total
-// simulated elapsed time of the run.
+// Horizon is the latest instant scheduled or reached so far — the total
+// simulated elapsed time of the run: the latest completion on any
+// resource or the latest clock a worker moved to by itself.
 func (tl *Timeline) Horizon() Time {
-	return Time(tl.max.Load())
+	var h Time
+	for r := range tl.res {
+		h = max(h, tl.BusyUntil(r))
+	}
+	for i := range Stripes {
+		h = max(h, Time(tl.peak.At(i).Load()))
+	}
+	return h
 }
 
-// Advance moves the horizon forward without occupying a resource, used to
-// account for pure CPU time.
-func (tl *Timeline) Advance(t Time) {
-	tl.advanceMax(t)
+// raise lifts w's stripe of the horizon to t.
+func (tl *Timeline) raise(w *Worker, t Time) {
+	p := tl.peak.Of(w)
+	for {
+		cur := p.Load()
+		if int64(t) <= cur || p.CompareAndSwap(cur, int64(t)) {
+			return
+		}
+	}
 }
 
 // Worker is one logical thread of execution in simulated time (a database
@@ -113,14 +127,22 @@ func (tl *Timeline) Advance(t Time) {
 // to a single goroutine, but its clock is mutex-protected so shared
 // helper workers (the buffer cleaner, the checkpointer) can be charged
 // from whichever goroutine triggers them.
+//
+// A Worker is 128 bytes, an allocation size class the runtime places on
+// 128-byte boundaries, so two workers allocated one after the other (two
+// clients' terminals) never share a cache line.
 type Worker struct {
-	tl  *Timeline
-	mu  sync.Mutex
-	now Time
+	tl     *Timeline
+	mu     sync.Mutex
+	now    Time
+	stripe int
+	_      [128 - 32]byte
 }
 
 // NewWorker creates a worker at simulated time 0 on the given timeline.
-func (tl *Timeline) NewWorker() *Worker { return &Worker{tl: tl} }
+func (tl *Timeline) NewWorker() *Worker {
+	return &Worker{tl: tl, stripe: int(nextStripe.Add(1) % Stripes)}
+}
 
 // Now returns the worker's current simulated time.
 func (w *Worker) Now() Time {
@@ -138,7 +160,7 @@ func (w *Worker) SetNow(t Time) {
 	}
 	now := w.now
 	w.mu.Unlock()
-	w.tl.Advance(now)
+	w.tl.raise(w, now)
 }
 
 // Compute advances the worker's clock by pure CPU time.
@@ -147,7 +169,7 @@ func (w *Worker) Compute(d Duration) {
 	w.now += Time(d)
 	now := w.now
 	w.mu.Unlock()
-	w.tl.Advance(now)
+	w.tl.raise(w, now)
 }
 
 // Use blocks the worker on resource r for duration d (queueing behind

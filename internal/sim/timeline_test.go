@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestAcquireIdleResource(t *testing.T) {
@@ -115,5 +116,61 @@ func TestPropertyNoOverlap(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Horizon is the latest instant anything reached — a resource's busy
+// horizon or a clock a worker moved by itself — whichever stripes the
+// workers landed on.
+func TestHorizonIsTheLatestInstantOfAnyWorker(t *testing.T) {
+	tl := NewTimeline(2)
+	ws := make([]*Worker, Stripes+3) // more workers than stripes
+	for i := range ws {
+		ws[i] = tl.NewWorker()
+	}
+	want := Time(0)
+	for i, w := range ws {
+		d := time.Duration(1000 + 37*i)
+		if i%2 == 0 {
+			w.Compute(d)
+		} else {
+			w.SetNow(Time(d))
+		}
+		want = max(want, w.Now())
+		if got := tl.Horizon(); got != want {
+			t.Fatalf("after worker %d: Horizon = %d, want %d", i, got, want)
+		}
+	}
+	ws[0].Use(1, 1_000_000)
+	if got, want := tl.Horizon(), tl.BusyUntil(1); got != want {
+		t.Errorf("Horizon = %d, want the busy resource's %d", got, want)
+	}
+}
+
+var escaped []*Worker
+
+// Workers live on cache lines of their own, and consecutive workers on
+// different stripes.
+func TestWorkersOwnTheirLines(t *testing.T) {
+	if size := unsafe.Sizeof(Worker{}); size != 128 {
+		t.Fatalf("Worker is %d bytes, want 128", size)
+	}
+	tl := NewTimeline(1)
+	a, b := tl.NewWorker(), tl.NewWorker()
+	escaped = append(escaped, a, b) // on the heap, as every real worker is
+	for _, w := range []*Worker{a, b} {
+		if addr := uintptr(unsafe.Pointer(w)); addr%64 != 0 {
+			t.Errorf("worker at %#x, not on a line boundary", addr)
+		}
+	}
+	if a.stripe == b.stripe {
+		t.Errorf("two consecutive workers share stripe %d", a.stripe)
+	}
+	var s Striped[int64]
+	if s.Of(a) == s.Of(b) || s.Of(nil) != s.At(0) {
+		t.Error("Striped.Of: wrong cells")
+	}
+	if d := uintptr(unsafe.Pointer(s.At(1))) - uintptr(unsafe.Pointer(s.At(0))); d < 64 {
+		t.Errorf("adjacent cells %d bytes apart, want a line at least", d)
 	}
 }
