@@ -110,9 +110,17 @@ race:
 # TestConcurrentNoWaitLocking, no -race but 200 times: an insert handed a
 # slot that a transaction still rolling back had freed but kept locked
 # (failed ~3 % of runs before Table.insertInto skipped such a page).
+# The commit path's shared structures: the open-addressing lock table
+# against a map model and under concurrent acquire/release
+# (TestLockTable), the striped active-transaction table as the fuzzy
+# checkpoint reads it (TestCheckpointSeesEveryStripe), and group commit's
+# lock-free and leader paths racing (TestGroupFlush: every call counted
+# once, the durable horizon never past the published one).
 race-regress:
 	$(GO) test -race -count=20 -run 'TestYCSBMixes/coarse' ./internal/workload
 	$(GO) test -race -count=10 -run 'TestAddFieldLostUpdate' ./internal/engine
+	$(GO) test -race -count=5 -run 'TestLockTable|TestCheckpointSeesEveryStripe' ./internal/engine
+	$(GO) test -race -count=10 -run 'TestGroupFlush' ./internal/wal
 	$(GO) test -race -count=10 -run 'Concurrent' ./internal/buffer
 	$(GO) test -race -count=10 -run 'TestPageTable' ./internal/core
 	$(GO) test -race -count=5 -run 'TestFlushedImage' ./internal/engine
@@ -159,18 +167,23 @@ N ?= 10
 bench-pairs:
 	bash scripts/bench-pairs.sh $(W) $(BASE) $(N) $(SEED)
 
-# What a second client costs the first on the embedded read path:
-# BenchmarkReadPathParallel (internal/engine: OLC Lookup + Table.Read,
-# pool-resident, one sim.Worker per goroutine) at one and two goroutines,
-# five runs each; prints the median ns/op of each and their ratio — 0.5
-# if the two share no written cache line, 1.0 if the second gains nothing.
+# What a second client costs the first on the embedded read and commit
+# paths (internal/engine, one sim.Worker per goroutine, every page in the
+# pool): BenchmarkReadPathParallel, an OLC Lookup + Table.Read, and
+# BenchmarkCommitPathParallel, Begin + three AddField + Commit on the
+# goroutine's own pages, each at one and two goroutines, five runs each.
+# Prints the median ns/op of each and their ratio — 0.5 if the two share
+# no written cache line, 1.0 if the second gains nothing. Two committers
+# share the log by construction (one LSN sequence, one published and one
+# durable horizon), so the commit path's ratio stays above the read path's.
+SCALING = ReadPathParallel CommitPathParallel
 scaling:
-	@$(GO) test -run xxx -bench ReadPathParallel -count 5 -cpu 1,2 ./internal/engine | awk ' \
+	@$(GO) test -run xxx -bench '$(subst $() ,|,$(SCALING))' -count 5 -cpu 1,2 ./internal/engine | awk -v names='$(SCALING)' ' \
 		function med(a, n,   i, j, t) { for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } return a[int((n + 1) / 2)] } \
-		/^BenchmarkReadPathParallel-2 / { two[++n2] = $$3; next } \
-		/^BenchmarkReadPathParallel / { one[++n1] = $$3 } \
-		END { if (!n1 || !n2) exit 1; a = med(one, n1); b = med(two, n2); \
-			printf "ReadPathParallel  1 cpu %.1f ns/op  2 cpu %.1f ns/op  ratio %.2f\n", a, b, b / a }'
+		/^Benchmark/ { b = $$1; cpu = 1; if (sub(/-2$$/, "", b)) cpu = 2; sub(/^Benchmark/, "", b); v[b, cpu, ++n[b, cpu]] = $$3 } \
+		END { k = split(names, list, " "); for (x = 1; x <= k; x++) { b = list[x]; \
+			for (cpu = 1; cpu <= 2; cpu++) { if (!n[b, cpu]) exit 1; delete t; for (i = 1; i <= n[b, cpu]; i++) t[i] = v[b, cpu, i]; m[cpu] = med(t, n[b, cpu]) } \
+			printf "%-20s 1 cpu %.1f ns/op  2 cpu %.1f ns/op  ratio %.2f\n", b, m[1], m[2], m[2] / m[1] } }'
 
 # The network service benchmarks, go-bench text: end-to-end TPC-B over
 # the wire protocol across a connections × pipelining-depth grid, and

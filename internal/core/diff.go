@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // ChangeSet is the byte-level difference between the current logical image
@@ -195,6 +195,9 @@ func (cs *ChangeSet) classify(ranges []ClassRange, r, off int, val byte) int {
 // bytes; ⌈U/M⌉ records are produced (at least enough to also cover the
 // metadata pairs). ErrSchemeOverflow signals that the page must be written
 // out-of-place instead.
+//
+// The records share cs's pair storage, so cs must not change while they
+// are in use; their slice is Plan's only allocation.
 func (s Scheme) Plan(cs ChangeSet, used int) ([]DeltaRecord, error) {
 	if s.Disabled() {
 		return nil, ErrSchemeOverflow
@@ -223,11 +226,12 @@ func (s Scheme) Plan(cs ChangeSet, used int) ([]DeltaRecord, error) {
 	if need > free {
 		return nil, ErrSchemeOverflow
 	}
-	// Deterministic record contents: pairs in offset order.
-	body := append([]Pair(nil), cs.Body...)
-	meta := append([]Pair(nil), cs.Meta...)
-	sort.Slice(body, func(i, j int) bool { return body[i].Off < body[j].Off })
-	sort.Slice(meta, func(i, j int) bool { return meta[i].Off < meta[j].Off })
+	// Deterministic record contents: pairs in offset order, which is the
+	// order DiffInto and Diff emit; only a change set built otherwise is
+	// sorted, in place.
+	body, meta := cs.Body, cs.Meta
+	sortPairs(body)
+	sortPairs(meta)
 
 	recs := make([]DeltaRecord, need)
 	for i := range recs {
@@ -248,6 +252,14 @@ func (s Scheme) Plan(cs ChangeSet, used int) ([]DeltaRecord, error) {
 		recs[i] = DeltaRecord{Body: body[bLo:bHi], Meta: meta[mLo:mHi]}
 	}
 	return recs, nil
+}
+
+// sortPairs puts pairs in ascending offset order unless they already are.
+func sortPairs(p []Pair) {
+	byOff := func(a, b Pair) int { return int(a.Off) - int(b.Off) }
+	if !slices.IsSortedFunc(p, byOff) {
+		slices.SortFunc(p, byOff)
+	}
 }
 
 // FitsBudget reports whether a change set of u body bytes and v metadata

@@ -189,10 +189,11 @@ type DB struct {
 	nextPage atomic.Uint64
 	nextTx   atomic.Uint64
 
-	// txMu guards the active-transaction table (fuzzy checkpoints snapshot
-	// it).
-	txMu   sync.Mutex
-	active map[uint64]*Tx
+	// active is the active-transaction table, striped by the transaction's
+	// worker: Begin, Commit and Abort lock only their worker's stripe; the
+	// fuzzy checkpoint, the replica snapshot's prime LSN and the resets
+	// visit every stripe (eachActive, resetActive).
+	active sim.Striped[txStripe]
 
 	// ckptMu serialises checkpoint/log-reclaim; reclaim triggers use
 	// TryLock so concurrent committers don't stampede behind one
@@ -284,7 +285,6 @@ func New(dev *noftl.Device, opts Options) (*DB, error) {
 		opts:   opts,
 		stores: make(map[string]*PageStore),
 		tables: make(map[string]*Table),
-		active: make(map[uint64]*Tx),
 	}
 	if opts.Timeline != nil {
 		db.cleaner = opts.Timeline.NewWorker()
@@ -458,16 +458,14 @@ func (db *DB) Checkpoint(w *sim.Worker) error {
 // active-transaction snapshot is fuzzy: transactions keep running while
 // the checkpoint record is built (their lastLSN fields are atomics).
 func (db *DB) checkpointLocked(w *sim.Worker) error {
-	db.txMu.Lock()
-	att := make(map[uint64]core.LSN, len(db.active))
+	att := make(map[uint64]core.LSN)
 	var minTxFirst core.LSN
-	for id, tx := range db.active {
-		att[id] = tx.lastLSN.load()
+	db.eachActive(func(tx *Tx) {
+		att[tx.id] = tx.lastLSN.load()
 		if minTxFirst == 0 || tx.firstLSN < minTxFirst {
 			minTxFirst = tx.firstLSN
 		}
-	}
-	db.txMu.Unlock()
+	})
 	dpt := db.pool.DirtyPages()
 	ckptLSN := db.log.Append(wal.Record{Type: wal.RecCheckpoint, ActiveTxs: att, DirtyPages: dpt})
 	db.log.Flush(ckptLSN)
@@ -539,9 +537,7 @@ func (db *DB) SimulateCrash() error {
 		return err
 	}
 	db.pool = pool
-	db.txMu.Lock()
-	db.active = make(map[uint64]*Tx)
-	db.txMu.Unlock()
+	db.resetActive()
 	db.locks.clear()
 	if db.vs != nil {
 		// Version chains, snapshot pins and in-flight commits are

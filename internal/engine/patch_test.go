@@ -353,3 +353,87 @@ func TestAddFieldAllocs(t *testing.T) {
 		t.Errorf("AddField allocates %.2f per call, want <= 1", allocs)
 	}
 }
+
+// A TPC-B-shaped transaction on pages resident in the pool — Begin, three
+// AddField, a history Insert, Commit — allocates the Tx, and beyond it
+// only what many transactions share (a history page, a log segment): its
+// four locks fit the lock slice the Tx carries, and the commit's group
+// flush is one compare-and-swap, without a channel.
+func TestTPCBTransactionAllocs(t *testing.T) {
+	r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 4), 64, false)
+	acct, _ := r.db.CreateTable("acct", "main")
+	hist, _ := r.db.CreateTable("hist", "main")
+	rids := patchRows(t, r.db, acct, 24)
+	row := make([]byte, 24)
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		tx := mustBegin(r.db, nil)
+		for k := range 3 {
+			if err := acct.AddField(tx, rids[(3*i+k)%len(rids)], 8, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := hist.Insert(tx, row); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("TPC-B-shaped transaction: %.3f allocs/op", allocs)
+	if allocs > 1 {
+		t.Errorf("a TPC-B-shaped transaction allocates %.2f times, want <= 1", allocs)
+	}
+}
+
+// A one-field change flushed as a delta-record allocates the planned
+// record slice and the encoded records: the diff goes into a pooled
+// change set, and the records share its pairs, which are already in
+// offset order.
+func TestDeltaFlushAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops pooled change sets at random")
+	}
+	const pages = 101 // one row each; [2×4] takes two delta flushes a page
+	r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 4), 128, false)
+	tbl, _ := r.db.CreateTable("t", "main")
+	tx := mustBegin(r.db, nil)
+	rids := make([]core.RID, pages)
+	for i := range rids {
+		var err error
+		if rids[i], err = tbl.Insert(tx, make([]byte, 300)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.db.FlushAll(nil); err != nil {
+		t.Fatal(err)
+	}
+	st := r.db.Store("main")
+	before := st.Stats()
+	tx = mustBegin(r.db, nil)
+	i := 0
+	allocs := testing.AllocsPerRun(2*pages-1, func() {
+		if err := tbl.AddField(tx, rids[i%pages], 8, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.db.FlushAll(nil); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	after := st.Stats()
+	if d, o := after.FlushesDelta-before.FlushesDelta, after.FlushesOOP-before.FlushesOOP; d != 2*pages || o != 0 {
+		t.Fatalf("%d delta and %d out-of-place flushes, want %d and 0", d, o, 2*pages)
+	}
+	t.Logf("AddField + delta flush: %.3f allocs/op", allocs)
+	if allocs > 2 {
+		t.Errorf("a one-field delta flush allocates %.2f times, want <= 2", allocs)
+	}
+}

@@ -6,6 +6,8 @@ import (
 
 	"ipa/internal/core"
 	"ipa/internal/noftl"
+	"ipa/internal/sim"
+	"ipa/internal/wal"
 )
 
 func TestRecoveryRedoesCommittedWork(t *testing.T) {
@@ -187,6 +189,88 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	r.db.SimulateCrash()
 	if _, err := r.db.Recover(nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The fuzzy checkpoint reads every stripe of the active-transaction
+// table. Open transactions of workers on every stripe and of a nil worker
+// must all be in the checkpoint record, and the checkpoint may cut the
+// log no further than the oldest of them: their changes are flushed, so
+// a loser whose records the cut dropped could not be undone. Each of them
+// takes a turn as the oldest.
+func TestCheckpointSeesEveryStripe(t *testing.T) {
+	tl := sim.NewTimeline(1)
+	var stripes sim.Striped[int]
+	used := map[*int]bool{}
+	var workers []*sim.Worker
+	for len(used) < sim.Stripes {
+		if w := tl.NewWorker(); !used[stripes.Of(w)] {
+			used[stripes.Of(w)] = true
+			workers = append(workers, w)
+		}
+	}
+	workers = append(workers, nil)
+
+	for oldest := range workers {
+		r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 4), 64, false)
+		tbl, _ := r.db.CreateTable("t", "main")
+		sch, _ := NewSchema(8)
+		rids := make([]core.RID, len(workers))
+		tx := mustBegin(r.db, nil)
+		for i := range rids {
+			tup := sch.New()
+			sch.SetUint(tup, 0, 100)
+			rids[i], _ = tbl.Insert(tx, tup)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		var losers []*Tx
+		for k := range workers {
+			i := (oldest + k) % len(workers)
+			loser := mustBegin(r.db, workers[i])
+			if err := tbl.AddField(loser, rids[i], 0, 1); err != nil {
+				t.Fatal(err)
+			}
+			losers = append(losers, loser)
+		}
+		if err := r.db.FlushAll(nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.db.Checkpoint(nil); err != nil {
+			t.Fatal(err)
+		}
+		var ckpt wal.Record
+		r.db.WAL().Scan(0, func(rec wal.Record) bool {
+			if rec.Type == wal.RecCheckpoint {
+				ckpt = rec
+			}
+			return true
+		})
+		for _, loser := range losers {
+			if _, ok := ckpt.ActiveTxs[loser.ID()]; !ok {
+				t.Errorf("oldest %d: open tx %d missing from the checkpoint's %v", oldest, loser.ID(), ckpt.ActiveTxs)
+			}
+		}
+		if tail := r.db.WAL().Tail(); tail > losers[0].firstLSN {
+			t.Errorf("oldest %d: checkpoint cut the log at %d, past the oldest open tx's BEGIN at %d",
+				oldest, tail, losers[0].firstLSN)
+		}
+		if err := r.db.SimulateCrash(); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := r.db.Recover(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.UndoneTxs != len(losers) {
+			t.Errorf("oldest %d: recovery undid %d transactions, want %d", oldest, rep.UndoneTxs, len(losers))
+		}
+		for i, rid := range rids {
+			if got, err := tbl.Read(nil, rid); err != nil || sch.GetUint(got, 0) != 100 {
+				t.Errorf("oldest %d: row %d after recovery = %v (%v), want 100", oldest, i, got, err)
+			}
+		}
 	}
 }
 

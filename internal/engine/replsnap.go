@@ -61,14 +61,12 @@ func (db *DB) CaptureSnapshot(w *sim.Worker) (*ReplicaSnapshot, error) {
 		return nil, ErrClosed
 	}
 
-	db.txMu.Lock()
 	var minFirst core.LSN
-	for _, tx := range db.active {
+	db.eachActive(func(tx *Tx) {
 		if minFirst == 0 || tx.firstLSN < minFirst {
 			minFirst = tx.firstLSN
 		}
-	}
-	db.txMu.Unlock()
+	})
 	prime := db.log.Head()
 	if minFirst != 0 && minFirst-1 < prime {
 		prime = minFirst - 1
@@ -149,9 +147,7 @@ func (db *DB) InstallSnapshot(w *sim.Worker, snap *ReplicaSnapshot) error {
 	if db.vs != nil {
 		db.vs.reset()
 	}
-	db.txMu.Lock()
-	db.active = make(map[uint64]*Tx)
-	db.txMu.Unlock()
+	db.resetActive()
 	db.catMu.Lock()
 	db.tables = make(map[string]*Table)
 	db.catMu.Unlock()

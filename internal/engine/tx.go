@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"ipa/internal/core"
@@ -63,6 +64,9 @@ type Tx struct {
 	status   txStatus
 	updates  int
 	held     []core.RID // exclusive locks, released at commit/abort
+	// heldBuf backs held for the first locks: a TPC-B transaction takes
+	// four, which then cost no allocation beyond the Tx.
+	heldBuf [4]core.RID
 
 	// Snapshot transactions (BeginSnapshot): read-only, pinned at
 	// snapshot — they write no WAL records, hold no locks and are not in
@@ -94,12 +98,56 @@ func (db *DB) Begin(w *sim.Worker) (*Tx, error) {
 		return nil, ErrClosed
 	}
 	tx := &Tx{id: db.nextTx.Add(1), db: db, w: w}
+	tx.held = tx.heldBuf[:0]
 	tx.firstLSN = db.log.Append(wal.Record{Type: wal.RecBegin, TxID: tx.id})
 	tx.lastLSN.store(tx.firstLSN)
-	db.txMu.Lock()
-	db.active[tx.id] = tx
-	db.txMu.Unlock()
+	s := db.active.Of(w)
+	s.mu.Lock()
+	if s.txs == nil {
+		s.txs = make(map[uint64]*Tx)
+	}
+	s.txs[tx.id] = tx
+	s.mu.Unlock()
 	return tx, nil
+}
+
+// txStripe is one stripe of the active-transaction table.
+type txStripe struct {
+	mu  sync.Mutex
+	txs map[uint64]*Tx
+}
+
+// end removes the transaction from the active-transaction table.
+func (tx *Tx) end() {
+	s := tx.db.active.Of(tx.w)
+	s.mu.Lock()
+	delete(s.txs, tx.id)
+	s.mu.Unlock()
+}
+
+// eachActive calls fn for every transaction in the active-transaction
+// table, one stripe at a time under that stripe's mutex: a fuzzy snapshot,
+// as the checkpoint's has always been.
+func (db *DB) eachActive(fn func(*Tx)) {
+	for i := range sim.Stripes {
+		s := db.active.At(i)
+		s.mu.Lock()
+		for _, tx := range s.txs {
+			fn(tx)
+		}
+		s.mu.Unlock()
+	}
+}
+
+// resetActive empties the active-transaction table (crash, snapshot
+// install).
+func (db *DB) resetActive() {
+	for i := range sim.Stripes {
+		s := db.active.At(i)
+		s.mu.Lock()
+		s.txs = nil
+		s.mu.Unlock()
+	}
 }
 
 // BeginSnapshot starts a read-only transaction pinned at a snapshot
@@ -217,9 +265,7 @@ func (tx *Tx) Commit() error {
 	tx.status = txCommitted
 	tx.commitLSN = lsn
 	tx.releaseLocks()
-	db.txMu.Lock()
-	delete(db.active, tx.id)
-	db.txMu.Unlock()
+	tx.end()
 	return db.maybeReclaim(tx.w)
 }
 
@@ -265,9 +311,7 @@ func (tx *Tx) Abort() error {
 		db.abortsExplicit.Add(1)
 	}
 	tx.releaseLocks()
-	db.txMu.Lock()
-	delete(db.active, tx.id)
-	db.txMu.Unlock()
+	tx.end()
 	return nil
 }
 

@@ -92,6 +92,65 @@ func TestGroupFlushPipelinedBatches(t *testing.T) {
 	}
 }
 
+// Committers on more goroutines than cores, with images large enough that
+// a committer often finds an earlier appender still copying below its LSN
+// (the leader/follower path) and often finds none (the lock-free path):
+// every GroupFlush call is counted exactly once, as a leader batch or an
+// absorption, returns with its LSN durable, and the durable horizon never
+// passes the published one.
+func TestGroupFlushCountsEveryCallOnce(t *testing.T) {
+	l := NewLog(0)
+	const committers, perCommitter = 8, 1500
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Flushed first: Head only grows, so it must cover what Flushed
+			// said a moment earlier.
+			if f, h := l.Flushed(), l.Head(); f > h {
+				t.Errorf("Flushed = %d beyond Head = %d", f, h)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < committers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			img := make([]byte, 4<<10)
+			for i := 0; i < perCommitter; i++ {
+				lsn := l.Append(Record{Type: RecUpdate, TxID: uint64(c), Op: OpUpdate, After: img[:(i*977)%len(img)]})
+				l.GroupFlush(lsn)
+				if f := l.Flushed(); f < lsn {
+					t.Errorf("GroupFlush(%d) returned with Flushed = %d", lsn, f)
+					return
+				}
+				if i%256 == 255 {
+					l.Truncate(l.Flushed())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-watched
+	st := l.Stats()
+	if calls := uint64(committers * perCommitter); st.Absorbed+st.LeaderBatches != calls {
+		t.Fatalf("Absorbed (%d) + LeaderBatches (%d) != %d calls", st.Absorbed, st.LeaderBatches, calls)
+	}
+	if st.Flushed != st.Published || st.Flushes != st.LeaderBatches {
+		t.Fatalf("Flushed %d, Published %d, Flushes %d, LeaderBatches %d",
+			st.Flushed, st.Published, st.Flushes, st.LeaderBatches)
+	}
+}
+
 // Replays a scripted run — begin/update/commit traffic with image sizes
 // swept across the arena granularity, periodic checkpoints with
 // populated tables, and interleaved truncations — asserting after every

@@ -24,8 +24,9 @@
 //     accounting. Concurrent appenders serialize only on these atomics.
 //   - Records live in a chunked ring of pre-sized segments (segRecords
 //     slots each). The appender fills the reserved slot — a compact,
-//     pointer-free header — copies its before/after images once, at
-//     their real size, into the segment's on-demand image arena, then
+//     pointer-free header on a cache line of its own, which also keeps
+//     the record's size — copies its before/after images once, at their
+//     real size, into the segment's on-demand image arena, then
 //     *publishes* the slot by raising its publication word. The log
 //     retains the bytes a record has, not a fixed-size unit around them.
 //   - The readable horizon ("published") is the highest LSN up to which
@@ -36,15 +37,23 @@
 //     last is guaranteed to observe the other's and complete the
 //     advance — the horizon never stalls on a published slot.
 //
+// What an append writes that another appender also writes is what the
+// protocol needs and no more: the LSN counter (with the byte total on
+// the same line, written right after it), the arena offset when the
+// record has images, and the published horizon. Its slot is its own
+// line (another appender's scan may read it), the ring table and the
+// tail accounting sit on lines appenders only read, and a segment keeps
+// no running byte total. A commit adds the durable horizon and one
+// counter (GroupFlush).
+//
 // Readers (Get, Scan, recovery) only ever observe the contiguous
 // published prefix, so they can never see an LSN gap. The durable
 // horizon (Flush/GroupFlush) trails the published horizon, preserving
 // the WAL rule.
 //
-// Truncation retires whole ring segments by offset arithmetic —
-// O(segments dropped), not O(records retained) — while byte-accurate
-// space accounting is kept per record (partially dropped boundary
-// segments are summed slot-by-slot, bounded by the segment size).
+// Truncation retires whole ring segments by offset arithmetic and
+// counts the bytes it frees from the dropped slots' sizes, so space
+// accounting stays byte-accurate per record.
 package wal
 
 import (
@@ -217,10 +226,15 @@ const _ = uint16(arenaChunkBytes - 1)
 //	48  nAfter   u32
 //	52  chunk    u16  arena chunk index within the segment
 //	54  side     bool Meta / checkpoint tables live in the side table
+//	56  size     u32  Record.Size(), what truncation frees
+//	60           padding to 64 bytes: a slot per cache line
 //
 // Readers load pub (or the published horizon, which is raised only over
 // published slots) with acquire semantics before touching the rest, so
-// the contents are race-free without a lock.
+// the contents are race-free without a lock. Consecutive LSNs go to
+// whichever appenders reserved them, so two clients' records alternate;
+// the padding keeps one appender's fill and publication off the line the
+// other is filling.
 type slot struct {
 	pub      atomic.Uint32
 	typ      RecType
@@ -236,6 +250,8 @@ type slot struct {
 	nAfter   uint32
 	chunk    uint16
 	side     bool
+	size     uint32
+	_        [4]byte
 }
 
 // chunk is one piece of a segment's image arena. Appenders reserve
@@ -268,10 +284,6 @@ type segment struct {
 	// pointer-free size class.
 	slots *[segRecords]slot
 
-	// bytes accumulates the Size() of published records, letting a full
-	// segment retire in O(1) during truncation.
-	bytes atomic.Uint64
-
 	// arena is the newest image chunk, the one appenders reserve from.
 	// mu serialises chunk installation and guards the side table; it is
 	// taken once per chunk and once per side record, never per append.
@@ -285,8 +297,8 @@ type segment struct {
 // segment retains (slot array + header); TestSlotLayout holds them to
 // the structs.
 const (
-	slotBytes    = 56
-	segmentBytes = segRecords*slotBytes + 56
+	slotBytes    = 64
+	segmentBytes = segRecords*slotBytes + 48
 )
 
 func newSegment(firstLSN core.LSN) *segment {
@@ -395,15 +407,11 @@ func (r *ring) segmentOf(lsn core.LSN) *segment {
 // hot path). All counters are atomics read lock-free, so stats sampling
 // never contends with appenders or the group-commit leader.
 type Log struct {
-	next      atomic.Uint64 // next LSN to reserve
-	published atomic.Uint64 // highest contiguously published LSN
+	// Read on every append, written only by growth, truncation and the
+	// replication floor, so each appender's copy of these lines stays.
+	ring      atomic.Pointer[ring]
+	ringMu    sync.Mutex    // guards ring replacement (growth, truncation)
 	first     atomic.Uint64 // oldest retained LSN
-	flushed   atomic.Uint64 // durable horizon (WAL rule), as a core.LSN
-
-	ring   atomic.Pointer[ring]
-	ringMu sync.Mutex // guards ring replacement (growth, truncation)
-
-	headBytes atomic.Uint64 // total bytes ever reserved
 	tailBytes atomic.Uint64 // bytes reclaimed
 	capacity  uint64        // log device size; 0 = unbounded
 
@@ -412,19 +420,36 @@ type Log struct {
 	// (0 = no floor). See SetRetainFloor.
 	retainFloor atomic.Uint64
 
-	// Group-flush state: one leader flushes on behalf of every committer
-	// whose records are already published; followers covered by the
-	// in-flight flush wait on its done channel and are absorbed without
-	// a flush of their own, and followers beyond it form the next batch.
+	// The words every append or commit writes, on lines apart from the
+	// above and from each other: the reservation (the LSN, then the
+	// bytes, by the same appender one after the other), the contiguous
+	// published horizon, the durable horizon.
+	_         [64]byte
+	next      atomic.Uint64 // next LSN to reserve
+	headBytes atomic.Uint64 // total bytes ever reserved
+	_         [64]byte
+	published atomic.Uint64 // highest contiguously published LSN
+	_         [64]byte
+	flushed   atomic.Uint64 // durable horizon (WAL rule), as a core.LSN
+	_         [64]byte
+
+	// State of GroupFlush's leader path, taken by a committer that finds
+	// a hole below its LSN: one leader flushes on behalf of every
+	// committer whose records are already published; followers covered by
+	// the in-flight flush wait on its done channel and are absorbed
+	// without a flush of their own, and followers beyond it form the next
+	// batch.
 	flushMu     sync.Mutex
 	flushing    bool
 	flushTarget core.LSN      // horizon the in-flight flush will cover
 	flushDone   chan struct{} // closed when the in-flight flush completes
 
-	flushes       atomic.Uint64
-	absorbed      atomic.Uint64
-	leaderBatches atomic.Uint64
-	batchHist     [batchBuckets]atomic.Uint64
+	// A GroupFlush call writes one counter: the batch-size bucket of a
+	// leader batch (their sum is the leader batch count) or absorbed.
+	// flushes counts the horizon movements of plain Flush calls.
+	flushes   atomic.Uint64
+	absorbed  atomic.Uint64
+	batchHist [batchBuckets]atomic.Uint64
 }
 
 // NewLog creates a log with the given capacity in bytes (0 = unbounded,
@@ -451,6 +476,7 @@ func (l *Log) Append(r Record) core.LSN {
 	s := &seg.slots[i]
 	s.typ, s.op, s.slotNo, s.off = r.Type, r.Op, r.Slot, r.Off
 	s.txID, s.prev, s.page, s.undoNext = r.TxID, r.PrevLSN, r.Page, r.UndoNext
+	s.size = uint32(size)
 	if nb, na := len(r.Before), len(r.After); nb+na > 0 {
 		c, off := seg.reserveImages(nb + na)
 		copy(c.buf[off:], r.Before)
@@ -472,7 +498,6 @@ func (l *Log) Append(r Record) core.LSN {
 			sideEntryBytes*uint64(len(r.ActiveTxs)+len(r.DirtyPages)))
 		s.side = true
 	}
-	seg.bytes.Add(size)
 	s.pub.Store(1)
 	l.advancePublished()
 	return lsn
@@ -560,7 +585,9 @@ func (l *Log) Flush(lsn core.LSN) {
 	if pub := core.LSN(l.published.Load()); lsn > pub {
 		lsn = pub
 	}
-	l.advanceFlushed(lsn)
+	if _, moved := l.advanceFlushed(lsn); moved {
+		l.flushes.Add(1)
+	}
 }
 
 // advanceFlushed is a monotonic max-CAS on the durable horizon. Returns
@@ -572,7 +599,6 @@ func (l *Log) advanceFlushed(lsn core.LSN) (core.LSN, bool) {
 			return core.LSN(cur), false
 		}
 		if l.flushed.CompareAndSwap(cur, uint64(lsn)) {
-			l.flushes.Add(1)
 			return core.LSN(cur), true
 		}
 	}
@@ -593,10 +619,21 @@ func (l *Log) advanceFlushed(lsn core.LSN) (core.LSN, bool) {
 //
 // Under G concurrent workers this turns up to G per-commit flushes into
 // one, and no committer ever holds a lock across the flush itself.
+//
+// The common case needs no leader at all: a committer's own Append
+// published its record, so unless an earlier appender is still copying,
+// the published horizon already covers lsn and one max-CAS of the
+// durable horizon up to it is the whole flush — no mutex, no channel.
+// Only a committer that finds a hole below its LSN takes the
+// leader/follower path above.
 func (l *Log) GroupFlush(lsn core.LSN) {
 	for {
 		if core.LSN(l.flushed.Load()) >= lsn {
 			l.absorbed.Add(1)
+			return
+		}
+		if pub := core.LSN(l.published.Load()); pub >= lsn {
+			l.flushTo(pub)
 			return
 		}
 		l.flushMu.Lock()
@@ -641,19 +678,23 @@ func (l *Log) lead(lsn core.LSN, done chan struct{}) {
 		l.flushTarget = target
 	}
 	l.flushMu.Unlock()
-	if prev, moved := l.advanceFlushed(target); moved {
-		l.leaderBatches.Add(1)
-		l.recordBatch(uint64(target - prev))
-	} else {
-		// Another flush covered our target first: this committer was
-		// absorbed after all. Every GroupFlush call is thus counted
-		// exactly once, as a leader batch or an absorption.
-		l.absorbed.Add(1)
-	}
+	l.flushTo(target)
 	l.flushMu.Lock()
 	l.flushing = false
 	l.flushMu.Unlock()
 	close(done)
+}
+
+// flushTo makes a group flush up to the published LSN target: a leader
+// batch if it moved the durable horizon, an absorption if another flush
+// had covered target first. Every GroupFlush call ends in exactly one of
+// the two.
+func (l *Log) flushTo(target core.LSN) {
+	if prev, moved := l.advanceFlushed(target); moved {
+		l.recordBatch(uint64(target - prev))
+	} else {
+		l.absorbed.Add(1)
+	}
 }
 
 // waitPublished waits until the contiguous published horizon covers lsn
@@ -687,16 +728,20 @@ func (l *Log) recordBatch(n uint64) {
 	l.batchHist[b-1].Add(1)
 }
 
-// batchQuantile returns the approximate q-quantile of leader batch
-// sizes, as the lower bound of the histogram bucket containing it
-// (exact for batch sizes that are powers of two).
-func (l *Log) batchQuantile(q float64) uint64 {
-	var total uint64
-	var counts [batchBuckets]uint64
+// batches loads the batch-size histogram and returns it with its total,
+// the number of leader batches.
+func (l *Log) batches() (counts [batchBuckets]uint64, total uint64) {
 	for i := range l.batchHist {
 		counts[i] = l.batchHist[i].Load()
 		total += counts[i]
 	}
+	return counts, total
+}
+
+// batchQuantile returns the approximate q-quantile of leader batch
+// sizes, as the lower bound of the histogram bucket containing it
+// (exact for batch sizes that are powers of two).
+func batchQuantile(counts [batchBuckets]uint64, total uint64, q float64) uint64 {
 	if total == 0 {
 		return 0
 	}
@@ -718,7 +763,10 @@ func (l *Log) batchQuantile(q float64) uint64 {
 func (l *Log) Flushed() core.LSN { return core.LSN(l.flushed.Load()) }
 
 // Flushes returns how many flush operations moved the horizon. Lock-free.
-func (l *Log) Flushes() uint64 { return l.flushes.Load() }
+func (l *Log) Flushes() uint64 {
+	_, batches := l.batches()
+	return l.flushes.Load() + batches
+}
 
 // Get returns the record with the given LSN. Lock-free: the slot's
 // publication word is the only synchronisation, so rollback walking a
@@ -795,10 +843,9 @@ func (l *Log) Tail() core.LSN { return core.LSN(l.first.Load()) }
 // called after a checkpoint establishes that no active transaction or
 // dirty page needs them.
 //
-// Cost: fully covered segments retire in O(1) each via their published
-// byte totals, and only the partially dropped boundary segments are
-// summed slot-by-slot — O(segments dropped + segRecords), independent
-// of how many records the log retains.
+// Cost: segments retire by offset arithmetic; the bytes freed are the
+// sizes the dropped slots hold, one load per record dropped — a segment
+// keeps no running total, which every append would have to write.
 func (l *Log) Truncate(lsn core.LSN) {
 	l.ringMu.Lock()
 	defer l.ringMu.Unlock()
@@ -820,19 +867,8 @@ func (l *Log) Truncate(lsn core.LSN) {
 	var freed uint64
 	for cur := first; cur < lsn; {
 		seg := r.segmentOf(cur)
-		segEnd := seg.firstLSN + segRecords
-		if cur == seg.firstLSN && segEnd <= lsn {
-			// Whole segment drops: O(1) via its byte total.
-			freed += seg.bytes.Load()
-			cur = segEnd
-			continue
-		}
-		stop := segEnd
-		if lsn < stop {
-			stop = lsn
-		}
-		for ; cur < stop; cur++ {
-			freed += uint64(seg.record(cur).Size())
+		for stop := min(seg.firstLSN+segRecords, lsn); cur < stop; cur++ {
+			freed += uint64(seg.slots[(uint64(cur)-1)&segMask].size)
 		}
 	}
 	l.tailBytes.Add(freed)
@@ -1002,15 +1038,16 @@ func (l *Log) Stats() Stats {
 	for _, seg := range segs {
 		retained += seg.mem.Load()
 	}
+	hist, batches := l.batches()
 	return Stats{
 		Reservations:  l.next.Load() - 1,
 		Published:     core.LSN(l.published.Load()),
 		Flushed:       core.LSN(l.flushed.Load()),
-		Flushes:       l.flushes.Load(),
-		LeaderBatches: l.leaderBatches.Load(),
+		Flushes:       l.flushes.Load() + batches,
+		LeaderBatches: batches,
 		Absorbed:      l.absorbed.Load(),
-		BatchP50:      l.batchQuantile(0.50),
-		BatchP99:      l.batchQuantile(0.99),
+		BatchP50:      batchQuantile(hist, batches, 0.50),
+		BatchP99:      batchQuantile(hist, batches, 0.99),
 		AppendedBytes: l.AppendedBytes(),
 		UsedBytes:     l.UsedBytes(),
 		RetainedBytes: retained,
