@@ -116,6 +116,9 @@ race:
 # checkpoint reads it (TestCheckpointSeesEveryStripe), and group commit's
 # lock-free and leader paths racing (TestGroupFlush: every call counted
 # once, the durable horizon never past the published one).
+# TestOLCDescentStress: OLC lookups routing through decoded copies of
+# internal nodes, with neither pin nor latch, while a writer splits them
+# and a 24-frame pool evicts and reloads them under the readers.
 race-regress:
 	$(GO) test -race -count=20 -run 'TestYCSBMixes/coarse' ./internal/workload
 	$(GO) test -race -count=10 -run 'TestAddFieldLostUpdate' ./internal/engine
@@ -124,6 +127,7 @@ race-regress:
 	$(GO) test -race -count=10 -run 'Concurrent' ./internal/buffer
 	$(GO) test -race -count=10 -run 'TestPageTable' ./internal/core
 	$(GO) test -race -count=5 -run 'TestFlushedImage' ./internal/engine
+	$(GO) test -race -count=10 -run 'TestOLCDescentStress' ./internal/engine
 	$(GO) test -count=200 -run TestConcurrentNoWaitLocking ./internal/engine
 
 # Each native fuzz target for 10 s. Their seed corpora run as ordinary
@@ -169,14 +173,16 @@ bench-pairs:
 
 # What a second client costs the first on the embedded read and commit
 # paths (internal/engine, one sim.Worker per goroutine, every page in the
-# pool): BenchmarkReadPathParallel, an OLC Lookup + Table.Read, and
+# pool): BenchmarkReadPathParallel, an OLC Lookup + Table.Read,
 # BenchmarkCommitPathParallel, Begin + three AddField + Commit on the
-# goroutine's own pages, each at one and two goroutines, five runs each.
-# Prints the median ns/op of each and their ratio — 0.5 if the two share
-# no written cache line, 1.0 if the second gains nothing. Two committers
-# share the log by construction (one LSN sequence, one published and one
-# durable horizon), so the commit path's ratio stays above the read path's.
-SCALING = ReadPathParallel CommitPathParallel
+# goroutine's own pages, and BenchmarkIndexLookupParallel, OLC Lookups
+# alone in one shared tree, each at one and two goroutines, five runs
+# each. Prints the median ns/op of each and their ratio — 0.5 if the two
+# share no written cache line, 1.0 if the second gains nothing. Two
+# committers share the log by construction (one LSN sequence, one
+# published and one durable horizon), so the commit path's ratio stays
+# above the read path's.
+SCALING = ReadPathParallel CommitPathParallel IndexLookupParallel
 scaling:
 	@$(GO) test -run xxx -bench '$(subst $() ,|,$(SCALING))' -count 5 -cpu 1,2 ./internal/engine | awk -v names='$(SCALING)' ' \
 		function med(a, n,   i, j, t) { for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } return a[int((n + 1) / 2)] } \

@@ -34,6 +34,15 @@
 // different pages write no common cache line, and two hitting the same
 // page share only that frame's first line, its pin and latch words.
 //
+// An index step can take no pin at all. An index publishes an immutable
+// decoded copy of an inner node on its frame (Route); a descent finds the
+// frame with Peek, which reads the table entry and nothing else, uses the
+// copy only if RouteFor finds it decoded from that page at the frame's
+// current version, and records the visit with Touch (reference bit, hit
+// count). The copy dies with any exclusive latch and any (un)binding, and
+// every unbinding raises the version, so two clients descending through
+// the same root write none of its lines.
+//
 // The shard mutex guards what changes a frame's binding or its dirty
 // state: misses, the clean→dirty transition in Unpin (the one event
 // that raises the dirty count, so the one that checks the cleaner
@@ -121,11 +130,11 @@ const (
 
 // Frame is one buffer slot. Its first cache line holds everything a hit
 // and the latch that follows it touch — pin, reference bit, load flag,
-// dirty flag, ID, latch and version — and a frame is exactly three lines
-// long (TestFrameOwnsItsCacheLines), an allocation size class the runtime
-// places on line boundaries: a client pinning one frame writes no line
-// of a frame next to it in memory, and a CLOCK sweep reads one line a
-// frame.
+// dirty flag, ID, latch, version and route — and a frame is exactly three
+// lines long (TestFrameOwnsItsCacheLines), an allocation size class the
+// runtime places on line boundaries: a client pinning one frame writes no
+// line of a frame next to it in memory, and a CLOCK sweep reads one line
+// a frame.
 type Frame struct {
 	// pin counts the holders of the frame; -1 is the fence (see the
 	// package doc). ref is the CLOCK reference bit.
@@ -163,10 +172,16 @@ type Frame struct {
 	// whenever the frame is (re)bound to a page id: a frame's versions
 	// only grow, so one read against an earlier binding never validates
 	// against a later one, and a miss writes no pool-wide counter. The
+	// epoch is raised again when the frame is unbound, so a version read
+	// while the frame held a page never validates once it does not. The
 	// low 16 bits count in-place modifications, bumped by content
 	// mutators *before* they release their exclusive latch. Flushes leave
 	// ver alone: they copy the logical image out but do not change it.
 	ver atomic.Uint64
+	// route is the decoded copy a client published (SetRoute), read with
+	// ver by RouteFor; both sit on the first line because a reader loads
+	// them together. Latch, TryLatch and every (un)binding drop it.
+	route atomic.Pointer[Route]
 
 	// home is the shard whose frame slice (and mutex) currently owns this
 	// frame. It only changes while the frame is free and unpinned, under
@@ -198,7 +213,21 @@ type Frame struct {
 
 	loadDone chan struct{}
 	loadErr  error
-	_        [32]byte
+	_        [24]byte
+}
+
+// Route is an immutable decoded copy of an index inner node: what a
+// descent needs to choose the child for a key, built by the index under
+// the frame's shared latch and published on the frame (SetRoute), so that
+// later descents route through the node with neither pin nor latch
+// (RouteFor). The pool never reads Node; it drops the copy whenever the
+// page may change — on an exclusive latch and when the frame is bound or
+// unbound — so a copy exists only for a resident, unchanged page.
+type Route struct {
+	ID  core.PageID // the page it was decoded from
+	Ver uint64      // the frame's Version it was decoded at
+	// Node is the decoded node, in the index's format.
+	Node []uint64
 }
 
 // fence is the pin count of a frame the shard-mutex holder is unbinding
@@ -238,9 +267,18 @@ func (fr *Frame) fenceIdle() bool { return fr.pin.CompareAndSwap(0, fence) }
 
 // Latch acquires the frame's content latch exclusively (for mutation),
 // capturing the flushed image if the frame has been clean since its load
-// or last flush.
+// or last flush, and drops the frame's Route: the holder may change the
+// bytes it was decoded from, even if it forgets BumpVersion.
 func (fr *Frame) Latch() {
 	fr.latch.Lock()
+	fr.exclusive()
+}
+
+// exclusive is what taking the exclusive latch does besides locking.
+func (fr *Frame) exclusive() {
+	if fr.route.Load() != nil {
+		fr.route.Store(nil)
+	}
 	fr.capture()
 }
 
@@ -275,7 +313,7 @@ func (fr *Frame) TryLatch() bool {
 	if !fr.latch.TryLock() {
 		return false
 	}
-	fr.capture()
+	fr.exclusive()
 	return true
 }
 
@@ -293,9 +331,39 @@ func (fr *Frame) Version() uint64 { return fr.ver.Load() }
 func (fr *Frame) BumpVersion() { fr.ver.Add(1) }
 
 // stampVersion installs the next binding epoch when the frame is bound
-// to a (new) page id, invalidating every version sampled against the
-// previous binding. The fence keeps version bumps out meanwhile.
-func (fr *Frame) stampVersion() { fr.ver.Store((fr.ver.Load()>>16 + 1) << 16) }
+// to a page id or unbound from one, invalidating every version sampled
+// against the previous binding, and drops the Route — first, so a reader
+// that sees the new epoch cannot see the old copy. The fence keeps
+// version bumps out meanwhile.
+func (fr *Frame) stampVersion() {
+	fr.route.Store(nil)
+	fr.ver.Store((fr.ver.Load()>>16 + 1) << 16)
+}
+
+// SetRoute publishes rt, decoded from the frame's page at version rt.Ver.
+// The caller holds a pin and the shared latch, so no writer is changing
+// the bytes rt was decoded from, and the next exclusive latch drops it.
+func (fr *Frame) SetRoute(rt *Route) { fr.route.Store(rt) }
+
+// RouteFor returns the frame's Route if it was decoded from page id at the
+// frame's current version, and nil otherwise. It needs neither pin nor
+// latch: the caller may have the frame from Peek, and it may hold another
+// page, or none, by now — the version of a later binding is always
+// higher, and the copy names its page.
+func (fr *Frame) RouteFor(id core.PageID) *Route {
+	v := fr.ver.Load()
+	if rt := fr.route.Load(); rt != nil && rt.ID == id && rt.Ver == v {
+		return rt
+	}
+	return nil
+}
+
+// reference sets the CLOCK reference bit, writing it only if it is clear.
+func (fr *Frame) reference() {
+	if !fr.ref.Load() {
+		fr.ref.Store(true)
+	}
+}
 
 // Config sizes the pool and its cleaning strategy.
 type Config struct {
@@ -541,13 +609,24 @@ func (p *Pool) dirtyFraction() float64 {
 	return float64(dirty) / float64(p.nframes)
 }
 
-// resident returns the frame id is bound to, or nil. The caller holds
-// shardOf(id).mu.
-func (p *Pool) resident(id core.PageID) *Frame {
+// Peek returns the frame page id is bound to, or nil, and pins nothing.
+// Under shardOf(id).mu the answer is stable. Without it the frame may hold
+// another page, or none, by the time the caller looks, so the caller reads
+// only what RouteFor and Version give and checks it against id.
+func (p *Pool) Peek(id core.PageID) *Frame {
 	if e := p.table.Lookup(id); e != nil {
 		return e.Load()
 	}
 	return nil
+}
+
+// Touch records a use of fr that took no pin — a descent that routed
+// through its Route — as a hit: it sets the reference bit if it is clear
+// and counts the hit on w's stripe, so a node read that way stays as
+// resident, and counts the same, as one read pinned.
+func (p *Pool) Touch(w *sim.Worker, fr *Frame) {
+	fr.reference()
+	p.hits.Of(w).Add(1)
 }
 
 // unbindLocked takes fr's page out of the table and leaves fr free — and
@@ -558,6 +637,7 @@ func (p *Pool) unbindLocked(fr *Frame) {
 	p.table.Lookup(fr.ID).Store(nil)
 	fr.ID = core.InvalidPageID
 	fr.image = ImageNone
+	fr.stampVersion()
 }
 
 // Get pins the page, fetching it from the store on a miss. A hit takes
@@ -572,7 +652,7 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 	s := p.shardOf(id)
 	for {
 		s.mu.Lock()
-		if fr := p.resident(id); fr != nil {
+		if fr := p.Peek(id); fr != nil {
 			fr.pin.Add(1) // a resident frame is not fenced under its mutex
 			fr.ref.Store(true)
 			p.hits.Of(w).Add(1)
@@ -655,11 +735,7 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 // or loading, or the frame was rebound between the table read and the
 // pin. The pin keeps the ID from changing, so the checks after it hold.
 func (p *Pool) hit(id core.PageID) *Frame {
-	e := p.table.Lookup(id)
-	if e == nil {
-		return nil
-	}
-	fr := e.Load()
+	fr := p.Peek(id)
 	if fr == nil || !fr.tryPin() {
 		return nil
 	}
@@ -667,9 +743,7 @@ func (p *Pool) hit(id core.PageID) *Frame {
 		fr.pin.Add(-1)
 		return nil
 	}
-	if !fr.ref.Load() {
-		fr.ref.Store(true)
-	}
+	fr.reference()
 	return fr
 }
 
@@ -1173,7 +1247,7 @@ func (p *Pool) Drop(id core.PageID) error {
 	s := p.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fr := p.resident(id)
+	fr := p.Peek(id)
 	if fr == nil {
 		return nil
 	}
@@ -1195,5 +1269,5 @@ func (p *Pool) Contains(id core.PageID) bool {
 	s := p.shardOf(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return p.resident(id) != nil
+	return p.Peek(id) != nil
 }

@@ -480,14 +480,18 @@ func TestUnpinOfUnpinnedFrameChangesNothing(t *testing.T) {
 }
 
 // A frame is a whole number of cache lines and the allocator puts each
-// on a line boundary, so the hot first line (pin, latch, version) is one
-// frame's alone.
+// on a line boundary, so the hot first line (pin, latch, version, route)
+// is one frame's alone, and a descent that routes through a node's copy
+// reads one line of its frame.
 func TestFrameOwnsItsCacheLines(t *testing.T) {
 	if size := unsafe.Sizeof(Frame{}); size%64 != 0 {
 		t.Fatalf("Frame is %d bytes, not a multiple of a 64-byte line", size)
 	}
 	if off := unsafe.Offsetof(Frame{}.ver); off+8 > 64 {
 		t.Errorf("the version word ends at byte %d, off the first line", off+8)
+	}
+	if off := unsafe.Offsetof(Frame{}.route); off+8 > 64 {
+		t.Errorf("the route pointer ends at byte %d, off the first line with the version word", off+8)
 	}
 	p := newPool(t, 8, newFakeStore(64))
 	for id := core.PageID(1); id <= 8; id++ {

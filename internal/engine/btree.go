@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"ipa/internal/buffer"
 	"ipa/internal/core"
 	"ipa/internal/page"
 	"ipa/internal/sim"
@@ -190,6 +191,33 @@ func (n *pageRef) route(key uint64) core.PageID {
 		return n.child0()
 	}
 	return n.intChild(lo - 1)
+}
+
+// decodeRoute copies what route reads of the internal node n — child0,
+// then each entry's key and child — into a buffer.Route stamped with ver,
+// the version of n's frame read under the latch.
+func (n *pageRef) decodeRoute(ver uint64) *buffer.Route {
+	c := n.count()
+	node := make([]uint64, 1+2*c)
+	node[0] = uint64(n.child0())
+	for i := 0; i < c; i++ {
+		node[1+2*i], node[2+2*i] = n.intKey(i), uint64(n.intChild(i))
+	}
+	return &buffer.Route{ID: n.fr.ID, Ver: ver, Node: node}
+}
+
+// routeChild is route over a node decodeRoute made.
+func routeChild(node []uint64, key uint64) core.PageID {
+	lo, hi := 0, len(node)/2
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if node[1+2*mid] <= key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return core.PageID(node[2*lo])
 }
 
 // --- node changes, shared by both tree kinds ---------------------------

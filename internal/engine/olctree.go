@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"ipa/internal/buffer"
 	"ipa/internal/core"
 	"ipa/internal/page"
 	"ipa/internal/sim"
@@ -17,17 +18,27 @@ import (
 // exclusive latch; the binding epoch in its upper bits invalidates
 // versions across frame reuse.
 //
-// Reads descend without coupling latches: at most one short per-node
-// shared latch is held at a time (Go's race detector — and the flush
-// path, which copies page contents under the exclusive latch — rules
-// out truly latch-free byte reads), and the hand-over-hand invariant is
-// replaced by version validation. The descent keeps the parent frame
-// *pinned* (so it cannot be evicted or rebound) while moving to the
-// child, latches the child, then re-checks the parent's version: if it
+// Reads descend without coupling latches, and the hand-over-hand
+// invariant is replaced by version validation. A warm descent pins and
+// latches only the leaf: it routes through every internal node by an
+// immutable decoded copy (buffer.Route) published on the node's frame,
+// found with pool.Peek and used only if it was decoded at the frame's
+// current version. Then it re-checks the parent's version: if it
 // changed, a concurrent split may have moved the key, and the descent
-// restarts from the root. The root pointer is itself versioned
-// (rootVer), so resolving the root and validating the first step form
-// one atomic unit — there is no Root()-then-descend window.
+// restarts from the root. The parent is not pinned, but a frame's
+// version also changes when the frame gives up its page, so a parent
+// evicted meanwhile fails the check as one that changed would. The root
+// pointer is itself versioned (rootVer), so resolving the root and
+// validating the first step form one atomic unit — there is no
+// Root()-then-descend window.
+//
+// The step that builds a copy — the node's first visit after a load or a
+// change — is the latched one. It holds at most one short per-node shared
+// latch at a time (Go's race detector — and the flush path, which copies
+// page contents under the exclusive latch — rules out truly latch-free
+// byte reads, which is why a copy exists at all), and it keeps the parent
+// it came from *pinned* while it fetches and latches the child, so a
+// tiny pool still makes progress.
 //
 // Writers are optimistic too: Update and Delete (leaf-local by
 // construction — deletion is lazy, leaves never merge) and Inserts into
@@ -44,7 +55,9 @@ import (
 // with a frame an index operation holds, and conversely an index read
 // landing on a frame mid-flush simply waits out the copy under the
 // frame latch. Flushes do not bump versions: they copy the logical
-// image but never change it.
+// image but never change it. Every exclusive frame latch drops the
+// frame's decoded copy, so none outlives a change to its node, even one
+// whose writer forgot the bump.
 type OLCIndex struct {
 	db   *DB
 	st   *PageStore
@@ -103,35 +116,53 @@ func (ix *OLCIndex) restartWait(w *sim.Worker, attempt int) {
 // pinned and latched — shared, or exclusively when excl is set (the
 // leaf-local write path). The caller holds db.stateMu shared.
 //
-// Validation protocol, per step: the parent stays pinned (not latched)
-// while the child is fetched; after latching the child, the parent's
-// version is re-checked. A mismatch means the routing decision may be
-// stale (the child may have split and the key moved right), so the
-// descent restarts. For the first step the root pointer's own version
-// plays the parent role.
+// Validation protocol, per step: read the node — its frame's version
+// and decoded copy, or else, on the build step, pinned and latched —
+// then re-check the version of the parent the step came from. A
+// mismatch means the routing decision may be stale (the child may have
+// split and the key moved right), so the descent restarts. For the
+// first step the root pointer's own version plays the parent role.
 func (ix *OLCIndex) descend(w *sim.Worker, key uint64, excl bool) (pageRef, error) {
+	pool := ix.db.pool
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			ix.restartWait(w, attempt-1)
 		}
 		rv := ix.rootVer.Load()
 		cur := core.PageID(ix.root.Load())
-		var parent pageRef // pinned, unlatched; the zero handle above the root
+		// parent is the frame of the node that routed to cur, nil above
+		// the root, and parentVer its version then; held is its handle,
+		// pinned and unlatched, if the build step read it.
+		var parent *buffer.Frame
 		var parentVer uint64
-		// valid reports whether the step that led to the latched node is
-		// still current.
+		var held pageRef
+		// valid reports whether the step that led to cur is still current.
 		valid := func() bool {
-			if parent.fr == nil {
+			if parent == nil {
 				return ix.rootVer.Load() == rv
 			}
-			return parent.fr.Version() == parentVer
+			return parent.Version() == parentVer
 		}
 		unpinParent := func() {
-			if parent.fr != nil {
-				parent.unpin()
+			if held.fr != nil {
+				held.unpin()
+				held = pageRef{}
 			}
 		}
 		for {
+			if fr := pool.Peek(cur); fr != nil {
+				if rt := fr.RouteFor(cur); rt != nil {
+					if !valid() {
+						unpinParent()
+						break // restart from the root
+					}
+					pool.Touch(w, fr)
+					unpinParent()
+					parent, parentVer = fr, rt.Ver
+					cur = routeChild(rt.Node, key)
+					continue
+				}
+			}
 			n, err := ix.pinLatched(w, cur, false)
 			if err != nil {
 				unpinParent()
@@ -163,11 +194,12 @@ func (ix *OLCIndex) descend(w *sim.Worker, key uint64, excl bool) (pageRef, erro
 				unpinParent()
 				return n, nil
 			}
-			cur = n.route(key)
-			ver := n.fr.Version()
+			rt := n.decodeRoute(n.fr.Version())
+			n.fr.SetRoute(rt)
 			n.unlatch()
 			unpinParent()
-			parent, parentVer = n, ver
+			held, parent, parentVer = n, n.fr, rt.Ver
+			cur = routeChild(rt.Node, key)
 		}
 	}
 }

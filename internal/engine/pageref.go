@@ -28,6 +28,10 @@ const (
 // changed outside it never reaches flash. unpinDirty refuses a handle
 // that is not exclusive, which makes the rule this file's to keep.
 //
+// The one read without a handle reads no page byte: a warm OLC step
+// routes through an internal node's decoded copy (buffer.Route), which a
+// shared handle built and published (olctree.go).
+//
 // Order: pin, then latch; the latch goes before the pin does, because
 // the Unpin that crosses the dirty threshold runs a cleaner pass, which
 // latches other frames. A handle is a value: copies share the frame but

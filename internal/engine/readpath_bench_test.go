@@ -103,6 +103,41 @@ func BenchmarkReadPathParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkIndexLookupParallel is the index half of the read path alone:
+// OLC Lookups of random keys in one shared, resident 8192-key tree under
+// b.RunParallel, one sim.Worker per goroutine. Every lookup passes the
+// same root, so its ratio in `make scaling` is what the two goroutines
+// pay for sharing the tree's upper levels.
+func BenchmarkIndexLookupParallel(b *testing.B) {
+	const keys = 8192
+	db, tl := scalingDB(b, Options{})
+	idx, err := db.CreateIndex("keys", "data")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := tl.NewWorker()
+	for k := uint64(1); k <= keys; k++ {
+		if err := idx.Insert(w, k, core.RID{Page: core.PageID(k)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	var seeds atomic.Uint64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		w := tl.NewWorker()
+		x := seeds.Add(1) * 0x9E3779B97F4A7C15
+		for pb.Next() {
+			x = x*6364136223846793005 + 1442695040888963407
+			key := 1 + (x>>33)%keys
+			if rid, ok, err := idx.Lookup(w, key); err != nil || !ok || rid.Page != core.PageID(key) {
+				b.Errorf("lookup %d: %v, found %v, %v", key, rid, ok, err)
+				return
+			}
+		}
+	})
+}
+
 // BenchmarkCommitPathParallel is the write path of an embedded TPC-B
 // transaction without its reads — Begin, three AddField, Commit — under
 // b.RunParallel, one sim.Worker per goroutine. Goroutine g updates only
