@@ -94,9 +94,9 @@ race:
 	$(GO) test -race ./...
 
 # Regressions for races that one pass of `go test -race` rarely meets,
-# repeated until it does. TestYCSBMixes/coarse: the coarse B+tree
-# changing a node page while the cleaner's flush diffs it (failed most
-# runs before the tree took frame latches). TestAddFieldLostUpdate:
+# repeated until it does. TestYCSBMixes: a B+tree writer changing a
+# node page while the cleaner's flush diffs it (failed most runs before
+# the tree writers took frame latches). TestAddFieldLostUpdate:
 # eight goroutines adding to one row through the single-pass field
 # update. internal/buffer's Concurrent tests: getters waiting on a load
 # whose done-channel only the first waiter creates, the shard stress
@@ -120,7 +120,7 @@ race:
 # internal nodes, with neither pin nor latch, while a writer splits them
 # and a 24-frame pool evicts and reloads them under the readers.
 race-regress:
-	$(GO) test -race -count=20 -run 'TestYCSBMixes/coarse' ./internal/workload
+	$(GO) test -race -count=20 -run 'TestYCSBMixes' ./internal/workload
 	$(GO) test -race -count=10 -run 'TestAddFieldLostUpdate' ./internal/engine
 	$(GO) test -race -count=5 -run 'TestLockTable|TestCheckpointSeesEveryStripe' ./internal/engine
 	$(GO) test -race -count=10 -run 'TestGroupFlush' ./internal/wal

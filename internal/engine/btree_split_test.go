@@ -11,11 +11,11 @@ import (
 
 // newSplitRig is an index on a region large enough for a 50k-key tree of
 // 2 KiB nodes (113 entries a leaf).
-func newSplitRig(t *testing.T, kind IndexKind) (*DB, Index) {
+func newSplitRig(t *testing.T) (*DB, Index) {
 	t.Helper()
 	g := flash.Geometry{Chips: 4, BlocksPerChip: 64, PagesPerBlock: 16, PageSize: 2048, OOBSize: 64, Cell: flash.SLC}
 	db := newRigWithOptions(t, g, Options{PageSize: 2048, BufferFrames: 256, DirtyThreshold: 2.0})
-	ix, err := db.CreateIndexKind("ix", "r1", kind)
+	ix, err := db.CreateIndex("ix", "r1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +66,9 @@ func loadKeys(t *testing.T, ix Index, keys []int) {
 	}
 }
 
-// TestAscendingLoadFillsLeaves: a load in key order leaves the OLC tree's
-// leaves full — the split of the last leaf moves nothing — where the
-// coarse tree, which always halves (and whose layout the paper goldens
-// pin), leaves them half empty. A shuffled load splits both trees alike.
+// TestAscendingLoadFillsLeaves: a load in key order leaves the tree's
+// leaves full — the split of the last leaf moves nothing — where a load
+// in shuffled order splits leaves in half and settles near 70 % full.
 func TestAscendingLoadFillsLeaves(t *testing.T) {
 	const n = 50000
 	ascending := make([]int, n)
@@ -78,36 +77,31 @@ func TestAscendingLoadFillsLeaves(t *testing.T) {
 	}
 	shuffled := rand.New(rand.NewSource(3)).Perm(n)
 	fills := make(map[string]float64)
-	for _, kind := range indexKinds {
-		for name, keys := range map[string][]int{"ascending": ascending, "shuffled": shuffled} {
-			db, ix := newSplitRig(t, kind)
-			loadKeys(t, ix, keys)
-			fill, met, ordered := leafFill(t, db, ix)
-			if met != n || !ordered {
-				t.Fatalf("%v %s: leaf chain holds %d keys (ordered=%v), want %d in order", kind, name, met, ordered, n)
-			}
-			next := uint64(1)
-			if err := ix.Range(nil, 0, 1<<63, func(k uint64, rid core.RID) bool {
-				if k != next || rid.Page != core.PageID(k) {
-					t.Fatalf("%v %s: Range met key %d → %v, want key %d", kind, name, k, rid, next)
-				}
-				next++
-				return true
-			}); err != nil || next != n+1 {
-				t.Fatalf("%v %s: Range ended at key %d: %v", kind, name, next, err)
-			}
-			fills[kind.String()+" "+name] = fill
-			t.Logf("%v %s: mean leaf fill %.3f", kind, name, fill)
+	for name, keys := range map[string][]int{"ascending": ascending, "shuffled": shuffled} {
+		db, ix := newSplitRig(t)
+		loadKeys(t, ix, keys)
+		fill, met, ordered := leafFill(t, db, ix)
+		if met != n || !ordered {
+			t.Fatalf("%s: leaf chain holds %d keys (ordered=%v), want %d in order", name, met, ordered, n)
 		}
+		next := uint64(1)
+		if err := ix.Range(nil, 0, 1<<63, func(k uint64, rid core.RID) bool {
+			if k != next || rid.Page != core.PageID(k) {
+				t.Fatalf("%s: Range met key %d → %v, want key %d", name, k, rid, next)
+			}
+			next++
+			return true
+		}); err != nil || next != n+1 {
+			t.Fatalf("%s: Range ended at key %d: %v", name, next, err)
+		}
+		fills[name] = fill
+		t.Logf("%s: mean leaf fill %.3f", name, fill)
 	}
-	if f := fills["olc ascending"]; f < 0.95 {
-		t.Errorf("OLC tree after an ascending load: mean leaf fill %.3f, want >= 0.95", f)
+	if f := fills["ascending"]; f < 0.99 {
+		t.Errorf("after an ascending load: mean leaf fill %.3f, want >= 0.99", f)
 	}
-	if f := fills["coarse ascending"]; f > 0.55 {
-		t.Errorf("coarse tree after an ascending load: mean leaf fill %.3f; it halves every leaf, want about 0.5", f)
-	}
-	if o, c := fills["olc shuffled"], fills["coarse shuffled"]; o < c-0.02 || o > c+0.02 {
-		t.Errorf("shuffled load: OLC leaf fill %.3f, coarse %.3f; want the same within 0.02", o, c)
+	if f := fills["shuffled"]; f < 0.68 || f > 0.72 {
+		t.Errorf("after a shuffled load: mean leaf fill %.3f, want 0.70 within 0.02", f)
 	}
 }
 
@@ -116,7 +110,7 @@ func TestAscendingLoadFillsLeaves(t *testing.T) {
 // to split it. Run under -race by the gate.
 func TestConcurrentAscendingInsertsLoseNoKey(t *testing.T) {
 	const workers, perWorker = 4, 5000
-	db, ix := newSplitRig(t, IndexOLC)
+	db, ix := newSplitRig(t)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for g := 0; g < workers; g++ {

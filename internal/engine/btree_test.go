@@ -11,31 +11,27 @@ import (
 	"ipa/internal/noftl"
 )
 
-// indexKinds are the tree implementations every behavioural index test
-// runs against: the semantics must be identical, only the latching
-// differs.
-var indexKinds = []IndexKind{IndexCoarse, IndexOLC}
-
-func newIndexRigKind(t *testing.T, frames int, kind IndexKind) (*testRig, Index) {
+func newIndexRig(t *testing.T, frames int) (*testRig, Index) {
 	t.Helper()
 	r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 4), frames, false)
-	ix, err := r.db.CreateIndexKind("ix", "main", kind)
+	ix, err := r.db.CreateIndex("ix", "main")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r, ix
 }
 
-// forEachKind runs a subtest per tree implementation.
-func forEachKind(t *testing.T, f func(t *testing.T, kind IndexKind)) {
-	for _, kind := range indexKinds {
-		t.Run(kind.String(), func(t *testing.T) { f(t, kind) })
-	}
+// runOnTree runs f as the subtest "olc", after the one tree
+// implementation (OLCIndex): the index tests report under the names they
+// had when a second tree ran beside it.
+func runOnTree(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	t.Run("olc", f)
 }
 
 func TestIndexInsertLookup(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
-		_, ix := newIndexRigKind(t, 32, kind)
+	runOnTree(t, func(t *testing.T) {
+		_, ix := newIndexRig(t, 32)
 		for k := uint64(1); k <= 100; k++ {
 			if err := ix.Insert(nil, k, core.RID{Page: core.PageID(k), Slot: uint16(k)}); err != nil {
 				t.Fatalf("insert %d: %v", k, err)
@@ -57,9 +53,6 @@ func TestIndexInsertLookup(t *testing.T) {
 			t.Errorf("duplicate insert: %v", err)
 		}
 		st := ix.Stats()
-		if st.Kind != kind {
-			t.Errorf("Stats.Kind = %v, want %v", st.Kind, kind)
-		}
 		if st.Inserts != 101 || st.Lookups != 101 {
 			t.Errorf("Stats = %+v, want 101 inserts / 101 lookups", st)
 		}
@@ -67,8 +60,8 @@ func TestIndexInsertLookup(t *testing.T) {
 }
 
 func TestIndexSplitsGrowTree(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
-		r, ix := newIndexRigKind(t, 64, kind)
+	runOnTree(t, func(t *testing.T) {
+		r, ix := newIndexRig(t, 64)
 		rooter := ix.(interface{ Root() core.PageID })
 		rootBefore := rooter.Root()
 		// 512B pages hold ~21 leaf entries; 2000 keys force multiple levels.
@@ -94,8 +87,8 @@ func TestIndexSplitsGrowTree(t *testing.T) {
 }
 
 func TestIndexRandomOrderInsert(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
-		_, ix := newIndexRigKind(t, 64, kind)
+	runOnTree(t, func(t *testing.T) {
+		_, ix := newIndexRig(t, 64)
 		rng := rand.New(rand.NewSource(42))
 		keys := rng.Perm(3000)
 		for _, k := range keys {
@@ -113,8 +106,8 @@ func TestIndexRandomOrderInsert(t *testing.T) {
 }
 
 func TestIndexRange(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
-		_, ix := newIndexRigKind(t, 64, kind)
+	runOnTree(t, func(t *testing.T) {
+		_, ix := newIndexRig(t, 64)
 		for k := uint64(0); k < 500; k += 2 { // even keys
 			if err := ix.Insert(nil, k, core.RID{Page: core.PageID(k + 1)}); err != nil {
 				t.Fatal(err)
@@ -145,8 +138,8 @@ func TestIndexRange(t *testing.T) {
 }
 
 func TestIndexUpdateAndDelete(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
-		_, ix := newIndexRigKind(t, 32, kind)
+	runOnTree(t, func(t *testing.T) {
+		_, ix := newIndexRig(t, 32)
 		for k := uint64(1); k <= 50; k++ {
 			ix.Insert(nil, k, core.RID{Page: core.PageID(k)})
 		}
@@ -175,9 +168,9 @@ func TestIndexUpdateAndDelete(t *testing.T) {
 }
 
 func TestIndexSurvivesEvictions(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
+	runOnTree(t, func(t *testing.T) {
 		// An 8-frame pool forces index pages through flash constantly.
-		_, ix := newIndexRigKind(t, 8, kind)
+		_, ix := newIndexRig(t, 8)
 		for k := uint64(1); k <= 1000; k++ {
 			if err := ix.Insert(nil, k, core.RID{Page: core.PageID(k)}); err != nil {
 				t.Fatalf("insert %d: %v", k, err)
@@ -194,13 +187,12 @@ func TestIndexSurvivesEvictions(t *testing.T) {
 
 // Property: after any random sequence of inserts and deletes, the index
 // agrees with a map reference and Range enumerates keys in sorted order.
-// Both tree kinds must satisfy it.
 func TestPropertyIndexMatchesReference(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
+	runOnTree(t, func(t *testing.T) {
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
 			r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 4), 32, false)
-			ix, err := r.db.CreateIndexKind("ix", "main", kind)
+			ix, err := r.db.CreateIndex("ix", "main")
 			if err != nil {
 				return false
 			}

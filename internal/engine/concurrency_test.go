@@ -323,6 +323,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"reclaim threshold ≥ 1", Options{PageSize: 512, BufferFrames: 16, LogReclaimThreshold: 1.5}, 512},
 		{"negative dirty threshold", Options{PageSize: 512, BufferFrames: 16, DirtyThreshold: -0.5}, 512},
 		{"negative pool shards", Options{PageSize: 512, BufferFrames: 16, PoolShards: -2}, 512},
+		{"index kind other than OLC", Options{PageSize: 512, BufferFrames: 16, IndexKind: 1}, 512},
 	}
 	for _, c := range cases {
 		if err := c.o.Validate(c.flash); !errors.Is(err, ErrBadOptions) {

@@ -56,13 +56,11 @@ type Options struct {
 	DirtyThreshold float64
 	// UseECC enables sectioned ECC in the OOB area.
 	UseECC bool
-	// IndexKind selects the B+tree implementation CreateIndex builds.
-	// The zero value (IndexCoarse) keeps the tree-wide latch whose page
-	// layout and allocation order the paper's golden renders pin —
-	// mirroring the PoolShards=1 pattern. IndexOLC switches to
-	// optimistic lock coupling for the concurrency benchmarks and
-	// production-style deployments. Individual indexes can override via
-	// CreateIndexKind.
+	// IndexKind has one legal value, IndexOLC (the zero value); Validate
+	// rejects any other.
+	//
+	// Deprecated: CreateIndex always builds an OLCIndex. The field exists
+	// only because callers outside the engine set it.
 	IndexKind IndexKind
 	// MVCC enables multi-version snapshot reads: committed updates link
 	// their before-images (tagged with the commit LSN) into a sharded
@@ -128,7 +126,7 @@ func (o Options) Validate(flashPageSize int) error {
 	if o.PoolShards < 0 {
 		return fmt.Errorf("%w: PoolShards %d", ErrBadOptions, o.PoolShards)
 	}
-	if o.IndexKind != IndexCoarse && o.IndexKind != IndexOLC {
+	if o.IndexKind != IndexOLC {
 		return fmt.Errorf("%w: IndexKind %d", ErrBadOptions, int(o.IndexKind))
 	}
 	return nil

@@ -218,7 +218,7 @@ func TestDDLErrors(t *testing.T) {
 		{"CREATE REGION r (BLOCKS_PER_CHIP=8, STROAGE=pdl)", "unknown option STROAGE in CREATE REGION r"},
 		{"CREATE REGION r (BLOCKS_PER_CHIP=8, ZZZ=1, AAA=2)", "unknown option AAA in CREATE REGION r"},
 		{"CREATE INDEX i (REGION=rOK, UNIQUE=yes)", "unknown option UNIQUE in CREATE INDEX i"},
-		// The tree is named by Options.IndexKind or CreateIndexKind, not by DDL.
+		// There is one tree, so DDL has no key to choose it.
 		{"CREATE INDEX i (REGION=rOK, KIND=olc)", "unknown option KIND in CREATE INDEX i"},
 	}
 	for _, c := range wantPrefix {

@@ -14,7 +14,7 @@ import (
 // TestFlushedImageWorkloads runs the flushed-image property (see
 // TestFlushedImageApplier) under concurrent terminals: a small TPC-B,
 // whose field updates patch tuples in place and whose history inserts
-// allocate pages, and a YCSB mix on an OLC index that starts with a
+// allocate pages, and a YCSB mix on an index that starts with a
 // single leaf, so the inserts of the load and of the run split it level
 // by level. The pool holds a fraction of either database and is sharded,
 // with the eager cleaner on, so flushes come from evictions, cleaner
@@ -41,7 +41,7 @@ func TestFlushedImageWorkloads(t *testing.T) {
 				db, err := engine.New(dev, engine.Options{
 					PageSize: 1024, BufferFrames: 24, PoolShards: 4, Timeline: tl,
 					LogCapacity: 1 << 18, LogReclaimThreshold: 0.4,
-					IndexKind: engine.IndexOLC, MVCC: mvcc,
+					MVCC: mvcc,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -74,7 +74,7 @@ func TestFlushedImageWorkloads(t *testing.T) {
 				}
 				run(b, 600)
 
-				y := workload.NewYCSB(db, "main", 400, engine.IndexOLC)
+				y := workload.NewYCSB(db, "main", 400)
 				y.ReadPct, y.UpdatePct, y.InsertPct = 40, 35, 20 // 5 % scans
 				y.Zipfian = true
 				if err := y.Load(loader); err != nil {

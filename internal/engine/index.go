@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"ipa/internal/core"
@@ -9,22 +8,14 @@ import (
 	"ipa/internal/sim"
 )
 
-// Index is the pluggable ordered-index API: a uint64-keyed B+tree
-// mapping keys to RIDs. Two implementations exist, selectable per
-// database (Options.IndexKind) or per index (CreateIndexKind):
-//
-//   - IndexCoarse — one reader/writer latch per tree. Deterministic and
-//     byte-identical to the historical index, which the paper's golden
-//     renders depend on; the default, mirroring the PoolShards=1
-//     pattern.
-//   - IndexOLC — optimistic lock coupling over per-frame version words.
-//     Readers never block each other, writers latch only the nodes they
-//     change; for the concurrency benchmarks and production-style use.
+// Index is the ordered-index API: a uint64-keyed B+tree mapping keys to
+// RIDs. OLCIndex (olctree.go) is its one implementation; the interface
+// stays because callers outside the engine declare fields of this type.
 //
 // The interface deliberately has no Root() method: with a concurrent
 // tree, a root id fetched in one call is stale by the next, so the root
 // lookup and the first descent step happen as one validated step inside
-// each operation. (The concrete types keep Root() for tests and tools.)
+// each operation. (OLCIndex keeps Root() for tests and tools.)
 type Index interface {
 	// Name returns the index name.
 	Name() string
@@ -42,33 +33,19 @@ type Index interface {
 	Stats() IndexStats
 }
 
-// IndexKind selects a B+tree implementation.
+// IndexKind names a B+tree implementation.
+//
+// Deprecated: OLCIndex is the only one. The type and IndexOLC exist
+// because callers outside the engine still set Options.IndexKind.
 type IndexKind int
 
-const (
-	// IndexCoarse is the tree-wide reader/writer latch (the default).
-	IndexCoarse IndexKind = iota
-	// IndexOLC is the optimistic-lock-coupling tree.
-	IndexOLC
-)
+// IndexOLC is the optimistic-lock-coupling tree, the zero value.
+//
+// Deprecated: see IndexKind.
+const IndexOLC IndexKind = 0
 
-// String names the kind the way test and bench labels spell it.
-func (k IndexKind) String() string {
-	switch k {
-	case IndexCoarse:
-		return "coarse"
-	case IndexOLC:
-		return "olc"
-	default:
-		return fmt.Sprintf("IndexKind(%d)", int(k))
-	}
-}
-
-// IndexStats is a snapshot of one index's counters. Restarts and
-// LatchWaits stay zero for the coarse tree: it never restarts, and its
-// single tree latch is not frame-level.
+// IndexStats is a snapshot of one index's counters.
 type IndexStats struct {
-	Kind    IndexKind
 	Lookups uint64
 	Inserts uint64
 	Updates uint64
@@ -82,9 +59,8 @@ type IndexStats struct {
 	LatchWaits uint64
 }
 
-// indexCounters is the counter block of both tree kinds, one cell per
-// worker stripe: every operation counts itself, and lookups run
-// concurrently in both trees.
+// indexCounters is the tree's counter block, one cell per worker
+// stripe: every operation counts itself, and lookups run concurrently.
 type indexCounters struct{ cells sim.Striped[indexCell] }
 
 type indexCell struct {
@@ -100,8 +76,8 @@ type indexCell struct {
 // of returns the cell w counts in.
 func (c *indexCounters) of(w *sim.Worker) *indexCell { return c.cells.Of(w) }
 
-func (c *indexCounters) snapshot(kind IndexKind) IndexStats {
-	s := IndexStats{Kind: kind}
+func (c *indexCounters) snapshot() IndexStats {
+	var s IndexStats
 	for i := range sim.Stripes {
 		cell := c.cells.At(i)
 		s.Lookups += cell.lookups.Load()
@@ -115,15 +91,8 @@ func (c *indexCounters) snapshot(kind IndexKind) IndexStats {
 	return s
 }
 
-// CreateIndex creates an empty B+tree of the database's configured kind
-// (Options.IndexKind), placed in the named region.
+// CreateIndex creates an empty B+tree placed in the named region.
 func (db *DB) CreateIndex(name, regionName string) (Index, error) {
-	return db.CreateIndexKind(name, regionName, db.opts.IndexKind)
-}
-
-// CreateIndexKind creates an empty B+tree of an explicit kind, placed
-// in the named region.
-func (db *DB) CreateIndexKind(name, regionName string, kind IndexKind) (Index, error) {
 	st, err := db.AttachRegion(regionName)
 	if err != nil {
 		return nil, err
@@ -137,17 +106,8 @@ func (db *DB) CreateIndexKind(name, regionName string, kind IndexKind) (Index, e
 	if err := pg.unpinDirty(db.log.Head()); err != nil {
 		return nil, err
 	}
-	var ix Index
-	switch kind {
-	case IndexCoarse:
-		ix = &CoarseIndex{db: db, st: st, name: name, root: root}
-	case IndexOLC:
-		o := &OLCIndex{db: db, st: st, name: name}
-		o.root.Store(uint64(root))
-		ix = o
-	default:
-		return nil, fmt.Errorf("%w: IndexKind %d", ErrBadOptions, int(kind))
-	}
+	ix := &OLCIndex{db: db, st: st, name: name}
+	ix.root.Store(uint64(root))
 	db.registerIndex(ix)
 	return ix, nil
 }

@@ -9,17 +9,17 @@ import (
 	"ipa/internal/core"
 )
 
-// TestIndexConcurrentStress hammers each index implementation from 8
-// goroutines with a mixed insert/update/delete/lookup/scan workload.
-// Every worker owns a disjoint keyspace (keys prefixed with its id) and
-// keeps a private shadow map, so mid-run lookups and scans over its own
-// range have exact expected answers even while other workers mutate
-// neighbouring leaves. After the run a global scan audits ordering and
-// the combined population. Run under -race this doubles as the latching
-// protocol's data-race check.
+// TestIndexConcurrentStress hammers the index from 8 goroutines with a
+// mixed insert/update/delete/lookup/scan workload. Every worker owns a
+// disjoint keyspace (keys prefixed with its id) and keeps a private
+// shadow map, so mid-run lookups and scans over its own range have exact
+// expected answers even while other workers mutate neighbouring leaves.
+// After the run a global scan audits ordering and the combined
+// population. Run under -race this doubles as the latching protocol's
+// data-race check.
 func TestIndexConcurrentStress(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
-		_, ix := newIndexRigKind(t, 128, kind)
+	runOnTree(t, func(t *testing.T) {
+		_, ix := newIndexRig(t, 128)
 
 		const workers = 8
 		opsPer := 800
@@ -151,7 +151,7 @@ func TestIndexConcurrentStress(t *testing.T) {
 		if st.Inserts == 0 || st.Scans == 0 {
 			t.Errorf("stats did not record the run: %+v", st)
 		}
-		t.Logf("kind=%v restarts=%d latchWaits=%d", kind, st.Restarts, st.LatchWaits)
+		t.Logf("restarts=%d latchWaits=%d", st.Restarts, st.LatchWaits)
 	})
 }
 
@@ -162,8 +162,8 @@ func TestIndexConcurrentStress(t *testing.T) {
 // error-free apart from ErrKeyExists, and the tree must end sorted with
 // no duplicates.
 func TestIndexConcurrentHotKeys(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
-		_, ix := newIndexRigKind(t, 128, kind)
+	runOnTree(t, func(t *testing.T) {
+		_, ix := newIndexRig(t, 128)
 
 		const workers = 8
 		opsPer := 1500
@@ -226,6 +226,6 @@ func TestIndexConcurrentHotKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := ix.Stats()
-		t.Logf("kind=%v restarts=%d latchWaits=%d", kind, st.Restarts, st.LatchWaits)
+		t.Logf("restarts=%d latchWaits=%d", st.Restarts, st.LatchWaits)
 	})
 }

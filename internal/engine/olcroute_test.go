@@ -104,7 +104,7 @@ func shuffledKeys(from, to, step uint64, seed int64) []uint64 {
 // internal nodes get a copy; the root's exclusive latch, though its
 // holder changes nothing, drops it, and the next lookup builds another.
 func TestOLCWarmLookupLatchesOnlyTheLeaf(t *testing.T) {
-	r, ix := newIndexRigKind(t, 512, IndexOLC)
+	r, ix := newIndexRig(t, 512)
 	keys := shuffledKeys(1, 2001, 1, 1)
 	insertKeys(t, ix, keys)
 	lookupAll(t, ix, keys)
@@ -158,7 +158,7 @@ func TestOLCWarmLookupLatchesOnlyTheLeaf(t *testing.T) {
 // the old copies are put back on their frames as a descent that lost a
 // race would publish them, and every key is still found.
 func TestOLCStaleCopyAfterSplit(t *testing.T) {
-	r, ix := newIndexRigKind(t, 512, IndexOLC)
+	r, ix := newIndexRig(t, 512)
 	even := shuffledKeys(2, 4001, 2, 2)
 	insertKeys(t, ix, even)
 	lookupAll(t, ix, even)
@@ -195,7 +195,7 @@ func TestOLCStaleCopyAfterSplit(t *testing.T) {
 // -race.
 func TestOLCDescentStress(t *testing.T) {
 	const frames, readers = 24, 3
-	r, ix := newIndexRigKind(t, frames, IndexOLC)
+	r, ix := newIndexRig(t, frames)
 	old := shuffledKeys(3, 1800, 3, 5)
 	insertKeys(t, ix, old)
 	inner, _ := olcNodes(t, r.db, ix)

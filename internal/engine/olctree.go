@@ -11,9 +11,12 @@ import (
 	"ipa/internal/sim"
 )
 
-// OLCIndex is a B+tree with optimistic lock coupling, sharing the
-// coarse tree's on-page node layout (see btree.go) but none of its
-// tree-wide latch. Every buffer frame carries a version word
+// OLCIndex is the engine's B+tree (node layout in btree.go), latched by
+// optimistic lock coupling. It is a non-logged structure: it is rebuilt
+// from its table after restart recovery (a common recovery strategy for
+// secondary structures), which keeps the WAL focused on tuple data.
+//
+// There is no tree-wide latch. Every buffer frame carries a version word
 // (buffer.Frame.Version) that index writers bump before releasing their
 // exclusive latch; the binding epoch in its upper bits invalidates
 // versions across frame reuse.
@@ -83,7 +86,7 @@ func (ix *OLCIndex) Name() string { return ix.name }
 func (ix *OLCIndex) Root() core.PageID { return core.PageID(ix.root.Load()) }
 
 // Stats snapshots the operation and contention counters.
-func (ix *OLCIndex) Stats() IndexStats { return ix.stats.snapshot(IndexOLC) }
+func (ix *OLCIndex) Stats() IndexStats { return ix.stats.snapshot() }
 
 // latch takes n's frame latch, counting the wait if it is contended.
 func (ix *OLCIndex) latch(n *pageRef, excl bool) {
@@ -237,8 +240,8 @@ func (ix *OLCIndex) Update(w *sim.Worker, key uint64, rid core.RID) error {
 	return n.unpinDirty(db.log.Head())
 }
 
-// Delete removes a key (lazy deletion, like the coarse tree: leaves are
-// never merged, so deletes stay leaf-local and need no crabbing).
+// Delete removes a key (lazy deletion: leaves are never merged, so
+// deletes stay leaf-local and need no crabbing).
 func (ix *OLCIndex) Delete(w *sim.Worker, key uint64) (bool, error) {
 	ix.stats.of(w).deletes.Add(1)
 	db := ix.db
@@ -445,8 +448,8 @@ func (ix *OLCIndex) insertPessimistic(w *sim.Worker, key uint64, rid core.RID) (
 
 // Range visits keys in [lo, hi] in order until fn returns false. Each
 // leaf's entries are buffered under its shared latch and the callback
-// runs with no latch held, so it may perform table reads. As with the
-// coarse tree, keys inserted concurrently may or may not be seen.
+// runs with no latch held, so it may perform table reads. Keys inserted
+// concurrently may or may not be seen.
 func (ix *OLCIndex) Range(w *sim.Worker, lo, hi uint64, fn func(key uint64, rid core.RID) bool) error {
 	ix.stats.of(w).scans.Add(1)
 	db := ix.db

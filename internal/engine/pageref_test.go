@@ -101,8 +101,8 @@ func TestErrorPathsReleaseThePage(t *testing.T) {
 		}
 	}
 
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
-		ix, err := db.CreateIndexKind("ix-"+kind.String(), "main", kind)
+	runOnTree(t, func(t *testing.T) {
+		ix, err := db.CreateIndex("ix", "main")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,13 +161,13 @@ func treeHeight(t *testing.T, db *DB, ix Index) int {
 }
 
 // TestIndexLookupAllocs holds an index point read on a resident tree to
-// zero allocations for both tree kinds: a node is a pageRef by value,
-// not an allocation per level of the descent, and the OLC tree's decoded
+// zero allocations: a node is a pageRef by value, not an allocation per
+// level of the descent, and the tree's decoded
 // copies of internal nodes are built by the first lookups, not by warm
 // ones.
 func TestIndexLookupAllocs(t *testing.T) {
-	forEachKind(t, func(t *testing.T, kind IndexKind) {
-		r, ix := newIndexRigKind(t, 512, kind)
+	runOnTree(t, func(t *testing.T) {
+		r, ix := newIndexRig(t, 512)
 		const keys = 2000
 		for k := uint64(1); k <= keys; k++ {
 			if err := ix.Insert(nil, k, core.RID{Page: core.PageID(k)}); err != nil {
@@ -187,9 +187,9 @@ func TestIndexLookupAllocs(t *testing.T) {
 				t.Fatalf("lookup %d: %v %v", k, ok, err)
 			}
 		})
-		t.Logf("%v Lookup: %.3f allocs/op", kind, allocs)
+		t.Logf("Lookup: %.3f allocs/op", allocs)
 		if allocs != 0 {
-			t.Errorf("%v Lookup allocates %.2f per call, want 0", kind, allocs)
+			t.Errorf("Lookup allocates %.2f per call, want 0", allocs)
 		}
 	})
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // scalingDB is the stack of the two scaling benchmarks: 4 SLC chips
-// under one [2×4] region "data", a 1024-frame pool in 8 shards, the OLC
-// tree. opts adds to that.
+// under one [2×4] region "data", a 1024-frame pool in 8 shards. opts
+// adds to that.
 func scalingDB(b *testing.B, opts Options) (*DB, *sim.Timeline) {
 	g := flash.Geometry{
 		Chips: 4, BlocksPerChip: 64, PagesPerBlock: 32,
@@ -33,7 +33,7 @@ func scalingDB(b *testing.B, opts Options) (*DB, *sim.Timeline) {
 		b.Fatal(err)
 	}
 	opts.PageSize, opts.BufferFrames, opts.PoolShards = g.PageSize, 1024, 8
-	opts.IndexKind, opts.Timeline = IndexOLC, tl
+	opts.Timeline = tl
 	db, err := New(dev, opts)
 	if err != nil {
 		b.Fatal(err)

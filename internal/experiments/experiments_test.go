@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"ipa/internal/core"
 )
@@ -161,6 +162,39 @@ func TestTable7Quick(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + tab.Render())
+}
+
+// TestTable7VerdictAcrossSeeds pins the verdict of Table 7 that once
+// depended on which B+tree the rig ran: at the 20 % buffer, with Table
+// 7's spec, [2×4] and [3×4] each lower GC migrations per host write
+// relative to [0×0], on every seed. It holds on seeds 1–24 and 42.
+// "[3×4] below [2×4]" is not asserted: it holds on 21 of those 25 seeds
+// and misses on 17, 22, 23 and 42, the default seed (EXPERIMENTS.md,
+// Table 7).
+func TestTable7VerdictAcrossSeeds(t *testing.T) {
+	if raceEnabled {
+		t.Skip("27 serial rig runs on one goroutine: nothing for the race detector to check, and it makes them 30× slower")
+	}
+	run := func(seed int64, s core.Scheme) float64 {
+		o, err := Execute(Spec{
+			Bench: "tpcb", Scale: tpcbSweepScale, Scheme: s, BufferPct: 0.20,
+			Eager: true, Duration: 4 * time.Second, Seed: seed,
+		})
+		if err != nil {
+			t.Fatalf("seed %d %v: %v", seed, s, err)
+		}
+		return o.Region.MigrationsPerHostWrite()
+	}
+	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8, 42} {
+		base := run(seed, core.Scheme{})
+		for _, s := range []core.Scheme{core.NewScheme(2, 4), core.NewScheme(3, 4)} {
+			got := run(seed, s)
+			t.Logf("seed %d %v: migrations/HW %.4f vs [0×0] %.4f (%+.1f%%)", seed, s, got, base, rel(base, got))
+			if got >= base {
+				t.Errorf("seed %d: %v migrations/HW %.4f, not below [0×0]'s %.4f", seed, s, got, base)
+			}
+		}
+	}
 }
 
 func TestTable8Quick(t *testing.T) {

@@ -11,10 +11,10 @@ import (
 // `ipabench -exp all -quick` prints: a changed hash means some table
 // moved. table1 and table9, the two most sensitive to the flush path
 // (update-size percentiles and the TPC-C buffer sweep), are pinned on
-// their own to localise a change: their hashes date from before the
-// pluggable-scheme redesign, and the default STORAGE=ipa path must stay
-// byte-identical — a change there altered eviction order, flush
-// decisions or GC behaviour, not just plumbing.
+// their own to localise a change: their hashes were last regenerated
+// when the rig moved to the one B+tree, and the default STORAGE=ipa path
+// must stay byte-identical — a change there altered eviction order,
+// flush decisions or GC behaviour, not just plumbing.
 func TestGoldenDeterminism(t *testing.T) {
 	render := func(id string) (string, error) {
 		if id == "all" {
@@ -27,9 +27,9 @@ func TestGoldenDeterminism(t *testing.T) {
 		return tbl.Render(), nil
 	}
 	golden := []struct{ id, want string }{
-		{"table1", "6e09482a15d22293122826b5ad98f169b5472fd008df1022585efa5fef3172c2"},
-		{"table9", "2118d6ff8cede64a690ef05194fb2e4b5b635c0cac7d44cce3d88df43ca820ab"},
-		{"all", "04a5617b2e9e5d1e239b1344820cdc8bef8ce08cfc857ac0250b625da342a2da"},
+		{"table1", "5df47d4515557a50c6070ac1d3cd7b2541f78f2ae1d41aa0cc770d2f7719c514"},
+		{"table9", "501ac5bf22752575646bc69ea587ed6a4adb7b218157a227494a460c9341e820"},
+		{"all", "216480b6fce89f07d90955a8ca98df3cb8bbf799791965984a3600596f06f9f8"},
 	}
 	for _, g := range golden {
 		t.Run(g.id, func(t *testing.T) {

@@ -17,9 +17,8 @@ import (
 // short range scans in configurable proportions, with uniform or
 // Zipfian key choice. Unlike the paper's transactional drivers it is
 // index-centric — every operation starts at the B+tree — which makes it
-// the concurrent workload of the index latching work: coarse vs OLC
-// trees under 1..N terminal goroutines (TestYCSBMixes,
-// BenchmarkIndexYCSB).
+// the concurrent workload of the index latching work: the tree under
+// 1..N terminal goroutines (TestYCSBMixes, BenchmarkIndexYCSB).
 //
 // The standard mixes map as: workload B ≈ {Read:95, Update:5},
 // A ≈ {Read:50, Update:50}, E ≈ {Scan:95, Insert:5}.
@@ -46,9 +45,6 @@ type YCSB struct {
 	// latest state. Requires the DB to run with MVCC enabled.
 	SnapshotScan bool
 
-	// Kind selects the index implementation under test.
-	Kind engine.IndexKind
-
 	table *engine.Table
 	idx   engine.Index
 	sch   *engine.Schema // key(8) counter(8) filler(84)
@@ -61,22 +57,21 @@ type YCSB struct {
 }
 
 // NewYCSB constructs a driver; Load must be called before RunOne.
-func NewYCSB(db *engine.DB, region string, records int, kind engine.IndexKind) *YCSB {
+func NewYCSB(db *engine.DB, region string, records int) *YCSB {
 	sch, _ := engine.NewSchema(8, 8, 84)
 	return &YCSB{
 		DB: db, Region: region, Prefix: "ycsb",
 		Records: records,
 		ReadPct: 95, UpdatePct: 5,
 		ScanLen: 20, ZipfS: 1.1,
-		Kind: kind,
-		sch:  sch,
+		sch: sch,
 	}
 }
 
 // Name implements Workload.
 func (y *YCSB) Name() string {
-	return fmt.Sprintf("YCSB(%s r%d/u%d/i%d/s%d)",
-		y.Kind, y.ReadPct, y.UpdatePct, y.InsertPct,
+	return fmt.Sprintf("YCSB(r%d/u%d/i%d/s%d)",
+		y.ReadPct, y.UpdatePct, y.InsertPct,
 		100-y.ReadPct-y.UpdatePct-y.InsertPct)
 }
 
@@ -93,7 +88,7 @@ func (y *YCSB) Load(w *sim.Worker) error {
 	if y.table, err = db.CreateTable(y.Prefix+"_kv", y.Region); err != nil {
 		return err
 	}
-	if y.idx, err = db.CreateIndexKind(y.Prefix+"_pk", y.Region, y.Kind); err != nil {
+	if y.idx, err = db.CreateIndex(y.Prefix+"_pk", y.Region); err != nil {
 		return err
 	}
 	for k := 1; k <= y.Records; k++ {

@@ -3,14 +3,13 @@ package workload
 import (
 	"testing"
 
-	"ipa/internal/engine"
 	"ipa/internal/sim"
 )
 
-func runYCSB(t *testing.T, kind engine.IndexKind, mutate func(*YCSB), terminals, txTotal int) (Results, *YCSB) {
+func runYCSB(t *testing.T, mutate func(*YCSB), terminals, txTotal int) (Results, *YCSB) {
 	t.Helper()
 	db, tl := newConcurrentDBShards(t, 256, 8)
-	y := NewYCSB(db, "main", 500, kind)
+	y := NewYCSB(db, "main", 500)
 	if mutate != nil {
 		mutate(y)
 	}
@@ -30,43 +29,40 @@ func runYCSB(t *testing.T, kind engine.IndexKind, mutate func(*YCSB), terminals,
 }
 
 func TestYCSBMixes(t *testing.T) {
-	for _, kind := range []engine.IndexKind{engine.IndexCoarse, engine.IndexOLC} {
-		t.Run(kind.String(), func(t *testing.T) {
-			// Mixed 50/50 with some inserts and scans, Zipfian skew,
-			// 8 real terminals.
-			res, y := runYCSB(t, kind, func(y *YCSB) {
-				y.ReadPct, y.UpdatePct, y.InsertPct = 45, 40, 10 // 5% scans
-				y.Zipfian = true
-			}, 8, 2000)
-			// Concurrent Zipfian updates can lose the no-wait lock race;
-			// aborts are counted work, not failures.
-			if res.Transactions+res.Aborted != 2000 {
-				t.Fatalf("committed %d + aborted %d != 2000", res.Transactions, res.Aborted)
+	// The subtest is named after the one tree, OLCIndex, as it was when a
+	// second tree ran beside it.
+	t.Run("olc", func(t *testing.T) {
+		// Mixed 50/50 with some inserts and scans, Zipfian skew,
+		// 8 real terminals.
+		res, y := runYCSB(t, func(y *YCSB) {
+			y.ReadPct, y.UpdatePct, y.InsertPct = 45, 40, 10 // 5% scans
+			y.Zipfian = true
+		}, 8, 2000)
+		// Concurrent Zipfian updates can lose the no-wait lock race;
+		// aborts are counted work, not failures.
+		if res.Transactions+res.Aborted != 2000 {
+			t.Fatalf("committed %d + aborted %d != 2000", res.Transactions, res.Aborted)
+		}
+		if res.Transactions == 0 {
+			t.Fatal("no transaction committed")
+		}
+		if res.Throughput <= 0 {
+			t.Error("no throughput measured")
+		}
+		for _, op := range []string{"Read", "Update", "Insert", "Scan"} {
+			if res.PerType[op] == nil {
+				t.Errorf("mix never issued a %s", op)
 			}
-			if res.Transactions == 0 {
-				t.Fatal("no transaction committed")
-			}
-			if res.Throughput <= 0 {
-				t.Error("no throughput measured")
-			}
-			for _, op := range []string{"Read", "Update", "Insert", "Scan"} {
-				if res.PerType[op] == nil {
-					t.Errorf("mix never issued a %s", op)
-				}
-			}
-			st := y.Index().Stats()
-			if st.Kind != kind {
-				t.Errorf("index kind = %v, want %v", st.Kind, kind)
-			}
-			if st.Lookups == 0 || st.Inserts == 0 || st.Scans == 0 {
-				t.Errorf("index stats did not record the run: %+v", st)
-			}
-		})
-	}
+		}
+		st := y.Index().Stats()
+		if st.Lookups == 0 || st.Inserts == 0 || st.Scans == 0 {
+			t.Errorf("index stats did not record the run: %+v", st)
+		}
+	})
 }
 
 func TestYCSBUniformSingleTerminal(t *testing.T) {
-	res, _ := runYCSB(t, engine.IndexCoarse, nil, 1, 500)
+	res, _ := runYCSB(t, nil, 1, 500)
 	if res.Transactions != 500 || res.Aborted != 0 {
 		t.Fatalf("committed %d, aborted %d", res.Transactions, res.Aborted)
 	}
@@ -81,7 +77,7 @@ func TestYCSBUniformSingleTerminal(t *testing.T) {
 func TestYCSBSnapshotScanMix(t *testing.T) {
 	db, tl := newHTAPDB(t, 256, 8)
 	defer db.Close()
-	y := NewYCSB(db, "main", 500, engine.IndexOLC)
+	y := NewYCSB(db, "main", 500)
 	y.ReadPct, y.UpdatePct, y.InsertPct = 60, 15, 5 // 20% scans
 	y.Zipfian = true
 	y.SnapshotScan = true
@@ -115,7 +111,7 @@ func TestYCSBSnapshotScanMix(t *testing.T) {
 
 func TestYCSBRejectsBadMix(t *testing.T) {
 	db, tl := newConcurrentDBShards(t, 64, 0)
-	y := NewYCSB(db, "main", 10, engine.IndexCoarse)
+	y := NewYCSB(db, "main", 10)
 	y.ReadPct, y.UpdatePct, y.InsertPct = 80, 30, 10
 	if err := y.Load(tl.NewWorker()); err == nil {
 		t.Fatal("mix summing past 100 accepted")
