@@ -138,6 +138,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzWALRecordRoundTrip -fuzztime 10s ./internal/wal
 	$(GO) test -run xxx -fuzz FuzzWireFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzPDLRecord -fuzztime 10s ./internal/noftl
+	$(GO) test -run xxx -fuzz FuzzReplayCut -fuzztime 10s ./internal/engine
 
 # `ipabench -exp all` of BASE (unpacked under .bench_build/) against the
 # working tree, diffed; exits 1 on any difference. EXPFLAGS=-quick for

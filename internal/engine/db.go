@@ -154,9 +154,8 @@ type DB struct {
 	// exclusively, in stripe order (lockState). A reader never holds two
 	// stripes — no operation takes the latch inside another — so the
 	// writers' order is the only one there is.
-	stateMu    sim.Striped[sync.RWMutex]
-	pool       *buffer.Pool
-	inRecovery bool
+	stateMu sim.Striped[sync.RWMutex]
+	pool    *buffer.Pool
 
 	// catMu guards the catalog maps (stores, tables, tablespaces,
 	// indexes). DDL only; never held across page I/O.

@@ -30,7 +30,7 @@ func rigGeometry() flash.Geometry {
 
 // newRigWithOptions builds a two-region device and opens a DB over it
 // with caller-chosen engine options.
-func newRigWithOptions(t *testing.T, g flash.Geometry, opts Options) *DB {
+func newRigWithOptions(t testing.TB, g flash.Geometry, opts Options) *DB {
 	t.Helper()
 	arr, err := flash.New(flash.Config{
 		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,

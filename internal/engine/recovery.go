@@ -1,12 +1,23 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"ipa/internal/core"
 	"ipa/internal/sim"
 	"ipa/internal/wal"
 )
+
+// This file is the engine's one ARIES log replay. Restart recovery
+// (Recover, below) and the replication follower (Applier, replica.go)
+// fold every record into the same transaction table (analysis), redo
+// update and compensation records through the same PageLSN-guarded step
+// (redo), and end what the log leaves open with the same loser pass
+// (endOpen). What only a follower does — the parity append, catalog
+// records, version-store entries, truncation at a shipped checkpoint —
+// stays in replica.go, around these three.
 
 // RecoveryReport summarises a restart recovery run.
 type RecoveryReport struct {
@@ -17,132 +28,199 @@ type RecoveryReport struct {
 	CompletedTxs    int
 }
 
-// Recover performs ARIES restart recovery: analysis over the retained
-// log, LSN-guarded redo of update and compensation records, and undo of
-// loser transactions with CLRs. Pages are fetched through the normal
-// path, so redo operates on images reconstructed from flash plus any
-// delta-records that were ISPP-appended before the crash — the paper's
-// claim that IPA leaves recovery untouched is exercised, not assumed.
+// Recover performs ARIES restart recovery: one scan of the retained log
+// that analyses every record and redoes update, compensation and
+// allocation records under the PageLSN guard, then the loser pass. Pages are fetched
+// through the normal path, so redo operates on images reconstructed from
+// flash plus any delta-records that were ISPP-appended before the crash
+// — the paper's claim that IPA leaves recovery untouched is exercised,
+// not assumed.
 func (db *DB) Recover(w *sim.Worker) (RecoveryReport, error) {
 	// Recovery is stop-the-world: the state latch is held exclusively, so
 	// no transaction can run concurrently.
 	db.lockState()
 	defer db.unlockState()
-	db.inRecovery = true
-	defer func() { db.inRecovery = false }()
 
 	var rep RecoveryReport
-
-	// --- Analysis ----------------------------------------------------
-	type txInfo struct {
-		lastLSN   core.LSN
-		committed bool
-		ended     bool
-	}
-	att := make(map[uint64]*txInfo)
+	txs := newTxTable()
+	var err error
 	// The scan sees exactly the contiguous published prefix of the log —
 	// the WAL guarantees no LSN gaps below its Head() — so analysis can
 	// treat the record stream as the complete, ordered history.
 	db.log.Scan(db.log.Tail(), func(r wal.Record) bool {
 		rep.AnalyzedRecords++
-		switch r.Type {
-		case wal.RecBegin:
-			att[r.TxID] = &txInfo{lastLSN: r.LSN}
-		case wal.RecUpdate, wal.RecCLR, wal.RecAbort:
-			if ti := att[r.TxID]; ti != nil {
-				ti.lastLSN = r.LSN
-			} else {
-				att[r.TxID] = &txInfo{lastLSN: r.LSN}
-			}
-		case wal.RecCommit:
-			if ti := att[r.TxID]; ti != nil {
-				ti.committed = true
-			} else {
-				att[r.TxID] = &txInfo{lastLSN: r.LSN, committed: true}
-			}
-		case wal.RecEnd:
-			if ti := att[r.TxID]; ti != nil {
-				ti.ended = true
-			}
-		case wal.RecCheckpoint:
-			// Transactions active at the checkpoint that never logged
-			// again still need entries.
-			for id, last := range r.ActiveTxs {
-				if _, ok := att[id]; !ok {
-					att[id] = &txInfo{lastLSN: last}
-				}
-			}
-		}
-		return true
-	})
-
-	// --- Redo ---------------------------------------------------------
-	var redoErr error
-	db.log.Scan(db.log.Tail(), func(r wal.Record) bool {
-		if r.Type != wal.RecUpdate && r.Type != wal.RecCLR {
+		txs.analyze(r)
+		if r.Type != wal.RecUpdate && r.Type != wal.RecCLR && r.Type != wal.RecAlloc {
 			return true
 		}
-		applied, err := db.redoOne(w, r)
-		if err != nil {
-			redoErr = fmt.Errorf("engine: redo LSN %d on page %d: %w", r.LSN, r.Page, err)
+		var redone bool
+		if redone, err = db.redo(w, r, false); err != nil {
 			return false
 		}
-		if applied {
+		if redone {
 			rep.RedoneOps++
 		} else {
 			rep.SkippedOps++
 		}
 		return true
 	})
-	if redoErr != nil {
-		return rep, redoErr
+	if err != nil {
+		return rep, err
 	}
-
-	// --- Undo ---------------------------------------------------------
-	for id, ti := range att {
-		if ti.ended {
-			continue
-		}
-		if ti.committed {
-			db.log.Append(wal.Record{Type: wal.RecEnd, TxID: id})
-			rep.CompletedTxs++
-			continue
-		}
-		if err := db.rollback(w, id, ti.lastLSN); err != nil {
-			return rep, err
-		}
-		db.log.Append(wal.Record{Type: wal.RecEnd, TxID: id})
-		rep.UndoneTxs++
-	}
-	db.log.Flush(db.log.Head())
-	return rep, nil
+	rep.UndoneTxs, rep.CompletedTxs, err = db.endOpen(w, &txs)
+	return rep, err
 }
 
-// redoOne applies one logged operation if the page does not already
-// reflect it (PageLSN guard). Runs with stateMu held exclusively — no
-// other goroutine touches the page, but a change still needs the
-// exclusive frame latch: that latch is what captures the frame's flushed
-// image, and bytes redone without it would count as already stored and
-// never be flushed. A record the guard skips takes it shared only, and
-// copies nothing.
-func (db *DB) redoOne(w *sim.Worker, r wal.Record) (bool, error) {
+// replayTx is a transaction the replay has met and not seen end.
+type replayTx struct {
+	firstLSN  core.LSN
+	lastLSN   core.LSN   // its newest record
+	rids      []core.RID // tuples its updates touch, for the version store
+	aborted   bool
+	committed bool
+}
+
+// txTable is the ARIES transaction table.
+type txTable struct {
+	open map[uint64]*replayTx
+	// ended holds the transactions whose end record the replay met since
+	// its last checkpoint record. A checkpoint is fuzzy: it lists the
+	// transactions active when it began, and one of them can end before
+	// the checkpoint record is appended. Such a transaction must not come
+	// back when the checkpoint seeds the table.
+	ended map[uint64]struct{}
+}
+
+func newTxTable() txTable {
+	return txTable{open: make(map[uint64]*replayTx), ended: make(map[uint64]struct{})}
+}
+
+// tx returns a transaction's entry, creating it at lsn: a replay can
+// first meet a transaction mid-life (a truncated log, a follower primed
+// from a snapshot).
+func (tt *txTable) tx(id uint64, lsn core.LSN) *replayTx {
+	t := tt.open[id]
+	if t == nil {
+		t = &replayTx{firstLSN: lsn}
+		tt.open[id] = t
+	}
+	t.lastLSN = lsn
+	return t
+}
+
+// analyze folds one record into the table.
+func (tt *txTable) analyze(r wal.Record) {
+	switch r.Type {
+	case wal.RecBegin, wal.RecCLR:
+		tt.tx(r.TxID, r.LSN)
+	case wal.RecUpdate:
+		t := tt.tx(r.TxID, r.LSN)
+		t.rids = append(t.rids, core.RID{Page: r.Page, Slot: r.Slot})
+	case wal.RecAbort:
+		tt.tx(r.TxID, r.LSN).aborted = true
+	case wal.RecCommit:
+		tt.tx(r.TxID, r.LSN).committed = true
+	case wal.RecEnd:
+		delete(tt.open, r.TxID)
+		tt.ended[r.TxID] = struct{}{}
+	case wal.RecCheckpoint:
+		// A transaction active at the checkpoint whose records precede
+		// the replay still needs an entry.
+		for id, last := range r.ActiveTxs {
+			if _, ended := tt.ended[id]; !ended && tt.open[id] == nil {
+				tt.open[id] = &replayTx{firstLSN: last, lastLSN: last}
+			}
+		}
+		clear(tt.ended)
+	}
+}
+
+// redo applies one update, compensation or allocation record to its page
+// if the page does not already reflect it (the PageLSN guard), and
+// reports whether it did. A change is made under the page's exclusive
+// frame latch: that latch captures the frame's flushed image, and bytes
+// redone without it would count as already stored and never be flushed.
+// A table page's allocation changes nothing but the PageLSN: pinRedo
+// recreates a page that never reached this node's flash, so its table
+// can read it before any update on it is replayed — or when none comes,
+// because the log ends between the two. An index page's is skipped: no
+// record rebuilds its content.
+//
+// Restart pins the page shared and takes the exclusive latch only for a
+// change, so a record the guard skips copies nothing. A follower pins it
+// exclusive: an update record's before-image goes into the version store
+// under that latch whether or not the guard skips the change.
+func (db *DB) redo(w *sim.Worker, r wal.Record, follower bool) (bool, error) {
+	if r.Type == wal.RecAlloc {
+		id, owner, _, err := decodeAllocMeta(r.Meta)
+		if err != nil || owner == 0 {
+			return false, err
+		}
+		r.Page, r.Op = id, wal.OpNone
+	}
 	st := db.pageDir.get(r.Page)
 	if st == nil {
-		return false, fmt.Errorf("page %d has no store", r.Page)
+		return false, fmt.Errorf("engine: redo LSN %d: page %d has no store", r.LSN, r.Page)
 	}
-	pg, err := db.pinRedo(w, st, r.Page, false)
+	pg, err := db.pinRedo(w, st, r.Page, follower)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("engine: redo LSN %d on page %d: %w", r.LSN, r.Page, err)
 	}
-	if pg.LSN() >= r.LSN {
+	apply := pg.LSN() < r.LSN
+	if follower && r.Type == wal.RecUpdate && db.vs != nil {
+		db.installBefore(&pg.Page, r, apply)
+	}
+	if !apply {
 		return false, pg.unpin()
 	}
-	pg.unlatch()
-	pg.latch(true)
+	if !follower {
+		pg.unlatch()
+		pg.latch(true)
+	}
 	if err := applyOp(&pg.Page, r.Op, int(r.Slot), int(r.Off), r.After); err != nil {
 		pg.unpin()
-		return false, err
+		return false, fmt.Errorf("engine: redo LSN %d on page %d: %w", r.LSN, r.Page, err)
 	}
 	pg.SetLSN(r.LSN)
 	return true, pg.unpinDirty(r.LSN)
+}
+
+// endOpen is the loser pass: it ends every transaction the table holds
+// open and reports how many it rolled back and how many it completed. A
+// transaction whose commit record is in the log is a winner whether or
+// not its end record is, and gets the end record. Every other is a
+// loser: RecAbort unless it has one, a rollback that writes a CLR per
+// update, and RecEnd — at which the version store stamps the
+// before-images the rollback restored, as Tx.Abort does. Transactions go
+// newest last record first, so a run appends the same records every time.
+func (db *DB) endOpen(w *sim.Worker, txs *txTable) (undone, completed int, err error) {
+	ids := make([]uint64, 0, len(txs.open))
+	for id := range txs.open {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, func(x, y uint64) int {
+		return cmp.Compare(txs.open[y].lastLSN, txs.open[x].lastLSN)
+	})
+	for _, id := range ids {
+		t := txs.open[id]
+		if t.committed {
+			db.log.Append(wal.Record{Type: wal.RecEnd, TxID: id})
+			completed++
+		} else {
+			if !t.aborted {
+				db.log.Append(wal.Record{Type: wal.RecAbort, TxID: id, PrevLSN: t.lastLSN})
+			}
+			if err := db.rollback(w, id, t.lastLSN); err != nil {
+				return undone, completed, err
+			}
+			end := db.log.Append(wal.Record{Type: wal.RecEnd, TxID: id})
+			if db.vs != nil {
+				db.vs.stampCommitted(t.rids, id, end)
+			}
+			undone++
+		}
+		delete(txs.open, id)
+	}
+	db.log.Flush(db.log.Head())
+	return undone, completed, nil
 }

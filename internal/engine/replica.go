@@ -26,15 +26,10 @@ import (
 //
 //  1. Append the record to the local log and assert the returned LSN
 //     equals the shipped one.
-//  2. Under the page's exclusive frame latch, install the before-image
-//     as a pending version entry BEFORE touching the heap — even when
-//     the PageLSN guard later skips the heap apply (a snapshot-primed
-//     follower's heap may already reflect the update, but the chain
-//     entry must exist so snapshot readers can resolve past it). The
-//     image is the record's Before for whole-tuple ops, this page's own
-//     tuple for an OpPatch (which ships only the bytes it changes), and
-//     rebuilt from the transaction's chain when the apply is skipped
-//     (imageBeforeTx).
+//  2. Redo it through the replay restart recovery runs too (redo,
+//     recovery.go), with the page's exclusive frame latch held from the
+//     start: under it the before-image goes into the version store as a
+//     pending entry BEFORE the heap changes (installBefore).
 //  3. Apply the physiological op only if PageLSN < record LSN.
 //
 // Commits register the (parity-known) commit LSN in the version
@@ -46,22 +41,13 @@ import (
 // exactly at the applier's head — the node layer resyncs via snapshot.
 var ErrApplyGap = errors.New("engine: replication stream out of sequence")
 
-// applyTx tracks one in-flight transaction observed in the stream.
-type applyTx struct {
-	firstLSN core.LSN
-	lastLSN  core.LSN
-	rids     []core.RID
-	ridSeen  map[core.RID]struct{}
-	aborted  bool
-}
-
 // Applier replays shipped WAL records into a follower engine. All
 // methods must be called from a single goroutine (the node's apply
 // loop); AppliedLSN alone is safe to read concurrently.
 type Applier struct {
 	db      *DB
 	w       *sim.Worker
-	inTx    map[uint64]*applyTx
+	txs     txTable
 	byID    map[uint64]*Table // table-id cache for RecAlloc chaining
 	applied atomic.Uint64
 }
@@ -73,13 +59,8 @@ func (db *DB) NewApplier(w *sim.Worker) (*Applier, error) {
 	if !db.opts.Replicated {
 		return nil, fmt.Errorf("%w: applier needs Options.Replicated", ErrBadOptions)
 	}
-	a := &Applier{
-		db:   db,
-		w:    w,
-		inTx: make(map[uint64]*applyTx),
-		byID: make(map[uint64]*Table),
-	}
-	a.applied.Store(uint64(db.log.Head()))
+	a := &Applier{db: db, w: w}
+	a.Resync()
 	return a, nil
 }
 
@@ -91,7 +72,7 @@ func (a *Applier) AppliedLSN() core.LSN { return core.LSN(a.applied.Load()) }
 // state restarts empty (every active transaction's records replay from
 // its RecBegin, because the snapshot primes at min(active firstLSN)-1).
 func (a *Applier) Resync() {
-	a.inTx = make(map[uint64]*applyTx)
+	a.txs = newTxTable()
 	a.byID = make(map[uint64]*Table)
 	a.applied.Store(uint64(a.db.log.Head()))
 }
@@ -124,41 +105,24 @@ func (a *Applier) Apply(recs []wal.Record) error {
 	return nil
 }
 
-// appendParity appends the record locally and asserts LSN parity.
-func (a *Applier) appendParity(rec wal.Record) error {
-	got := a.db.log.Append(rec)
-	if got != rec.LSN {
+// applyOne appends one record for parity, does what only a follower
+// does with it, and hands it to the replay that restart recovery runs
+// too: analysis, then redo of an update, CLR or allocation.
+func (a *Applier) applyOne(rec wal.Record) error {
+	db := a.db
+	if rec.Type == wal.RecCommit && db.vs != nil {
+		db.vs.registerInflight(rec.LSN)
+		defer db.vs.finishCommit(rec.LSN)
+	}
+	if got := db.log.Append(rec); got != rec.LSN {
 		return fmt.Errorf("%w: local append produced LSN %d for shipped LSN %d",
 			ErrApplyGap, got, rec.LSN)
 	}
-	return nil
-}
-
-// tx returns the stream state of a transaction, creating it lazily —
-// a snapshot-primed join can first meet a transaction mid-life.
-func (a *Applier) tx(id uint64, lsn core.LSN) *applyTx {
-	t := a.inTx[id]
-	if t == nil {
-		t = &applyTx{firstLSN: lsn, ridSeen: make(map[core.RID]struct{})}
-		a.inTx[id] = t
-	}
-	return t
-}
-
-func (a *Applier) applyOne(rec wal.Record) error {
-	db := a.db
 	switch rec.Type {
 	case wal.RecBegin:
-		if err := a.appendParity(rec); err != nil {
-			return err
-		}
-		a.tx(rec.TxID, rec.LSN)
 		bumpAtomic(&db.nextTx, rec.TxID)
 
 	case wal.RecTable:
-		if err := a.appendParity(rec); err != nil {
-			return err
-		}
 		id, name, region, err := decodeTableMeta(rec.Meta)
 		if err != nil {
 			return err
@@ -170,9 +134,6 @@ func (a *Applier) applyOne(rec wal.Record) error {
 		a.byID[id] = t
 
 	case wal.RecAlloc:
-		if err := a.appendParity(rec); err != nil {
-			return err
-		}
 		pid, owner, region, err := decodeAllocMeta(rec.Meta)
 		if err != nil {
 			return err
@@ -197,136 +158,70 @@ func (a *Applier) applyOne(rec wal.Record) error {
 			}
 		}
 
-	case wal.RecUpdate:
-		t := a.tx(rec.TxID, rec.LSN)
-		t.lastLSN = rec.LSN
-		rid := core.RID{Page: rec.Page, Slot: rec.Slot}
-		if _, seen := t.ridSeen[rid]; !seen {
-			t.ridSeen[rid] = struct{}{}
-			t.rids = append(t.rids, rid)
-		}
-		if err := a.appendParity(rec); err != nil {
-			return err
-		}
-		return a.applyPageOp(rec, true)
-
-	case wal.RecCLR:
-		if t := a.inTx[rec.TxID]; t != nil {
-			t.lastLSN = rec.LSN
-		}
-		if err := a.appendParity(rec); err != nil {
-			return err
-		}
-		return a.applyPageOp(rec, false)
-
 	case wal.RecCommit:
-		if db.vs != nil {
-			db.vs.registerInflight(rec.LSN)
-		}
-		if err := a.appendParity(rec); err != nil {
-			if db.vs != nil {
-				db.vs.finishCommit(rec.LSN)
-			}
-			return err
-		}
-		if t := a.inTx[rec.TxID]; t != nil && db.vs != nil {
+		if t := a.txs.open[rec.TxID]; t != nil && db.vs != nil {
 			db.vs.stampCommitted(t.rids, rec.TxID, rec.LSN)
 		}
-		if db.vs != nil {
-			db.vs.finishCommit(rec.LSN)
-		}
-
-	case wal.RecAbort:
-		if err := a.appendParity(rec); err != nil {
-			return err
-		}
-		a.tx(rec.TxID, rec.LSN).aborted = true
 
 	case wal.RecEnd:
-		if err := a.appendParity(rec); err != nil {
-			return err
+		if t := a.txs.open[rec.TxID]; t != nil && t.aborted && db.vs != nil {
+			// Mirror the primary's abort path: the rollback the CLRs
+			// just replayed restored the before-images, so stamping
+			// them at the end-record LSN keeps them true for any
+			// snapshot pinned before the abort.
+			db.vs.stampCommitted(t.rids, rec.TxID, rec.LSN)
 		}
-		if t := a.inTx[rec.TxID]; t != nil {
-			if t.aborted && db.vs != nil {
-				// Mirror the primary's abort path: the rollback the CLRs
-				// just replayed restored the before-images, so stamping
-				// them at the end-record LSN keeps them true for any
-				// snapshot pinned before the abort.
-				db.vs.stampCommitted(t.rids, rec.TxID, rec.LSN)
-			}
-			delete(a.inTx, rec.TxID)
-		}
+	}
 
+	a.txs.analyze(rec)
+	switch rec.Type {
+	case wal.RecUpdate, wal.RecCLR, wal.RecAlloc:
+		_, err := db.redo(a.w, rec, true)
+		return err
 	case wal.RecCheckpoint:
-		if err := a.appendParity(rec); err != nil {
-			return err
-		}
-		db.log.Flush(rec.LSN)
 		// Follower-local truncation: the primary's checkpoint is the
 		// signal, but the cut respects THIS engine's dirty pages and the
-		// stream's in-flight transactions.
+		// stream's open transactions.
+		db.log.Flush(rec.LSN)
 		cut := rec.LSN
 		for _, r := range db.pool.DirtyPages() {
 			if r != 0 && r < cut {
 				cut = r
 			}
 		}
-		for _, t := range a.inTx {
+		for _, t := range a.txs.open {
 			if t.firstLSN < cut {
 				cut = t.firstLSN
 			}
 		}
 		db.log.Truncate(cut)
-
-	default:
-		// Unknown record types append for parity and are otherwise
-		// ignored, the same stance restart analysis takes.
-		return a.appendParity(rec)
 	}
 	return nil
 }
 
-// applyPageOp replays one physiological operation under the page's
-// exclusive frame latch. install selects the pending-version hook
-// (update records yes, CLRs no — the aborting transaction's entry is
-// already in the chain and is stamped at its end record).
-func (a *Applier) applyPageOp(rec wal.Record, install bool) error {
-	db := a.db
-	st := db.pageDir.get(rec.Page)
-	if st == nil {
-		return fmt.Errorf("engine: replicated op on unknown page %d (LSN %d)", rec.Page, rec.LSN)
-	}
-	pg, err := db.pinRedo(a.w, st, rec.Page, true)
-	if err != nil {
-		return err
-	}
-	redo := pg.LSN() < rec.LSN
-	if install && db.vs != nil {
-		// The version store keeps its image; rec.Before is the caller's.
-		rid := core.RID{Page: rec.Page, Slot: rec.Slot}
-		switch {
-		case !redo:
-			img, absent := a.imageBeforeTx(&pg.Page, rec)
-			db.vs.setPending(rid, rec.TxID, img, absent)
-		case rec.Op == wal.OpPatch:
-			// An OpPatch ships only the bytes it changes; the whole
-			// before-tuple is the one on this page, about to be patched.
-			if tup, err := pg.ReadTuple(int(rec.Slot)); err == nil {
-				db.vs.installPending(rid, rec.TxID, append([]byte(nil), tup...), false)
-			}
-		default:
-			db.vs.installPending(rid, rec.TxID, append([]byte(nil), rec.Before...), rec.Op == wal.OpInsert)
+// installBefore puts the before-image of a follower's update record into
+// the version store as a pending entry, under the page's exclusive frame
+// latch and BEFORE the heap changes — even when the PageLSN guard skips
+// the change (apply false): a snapshot-primed follower's heap may
+// already reflect the update, but the chain entry must exist so snapshot
+// readers can resolve past it. The image is the record's Before for
+// whole-tuple ops, this page's own tuple for an OpPatch (which ships
+// only the bytes it changes), and rebuilt from the transaction's chain
+// when the change is skipped (imageBeforeTx).
+func (db *DB) installBefore(pg *page.Page, rec wal.Record, apply bool) {
+	// The version store keeps its image; rec.Before is the caller's.
+	rid := core.RID{Page: rec.Page, Slot: rec.Slot}
+	switch {
+	case !apply:
+		img, absent := db.imageBeforeTx(pg, rec)
+		db.vs.setPending(rid, rec.TxID, img, absent)
+	case rec.Op == wal.OpPatch:
+		if tup, err := pg.ReadTuple(int(rec.Slot)); err == nil {
+			db.vs.installPending(rid, rec.TxID, append([]byte(nil), tup...), false)
 		}
+	default:
+		db.vs.installPending(rid, rec.TxID, append([]byte(nil), rec.Before...), rec.Op == wal.OpInsert)
 	}
-	if !redo {
-		return pg.unpin()
-	}
-	if err := applyOp(&pg.Page, rec.Op, int(rec.Slot), int(rec.Off), rec.After); err != nil {
-		pg.unpin()
-		return err
-	}
-	pg.SetLSN(rec.LSN)
-	return pg.unpinDirty(rec.LSN)
 }
 
 // imageBeforeTx rebuilds the tuple at rec's RID as it was before rec's
@@ -343,7 +238,7 @@ func (a *Applier) applyPageOp(rec wal.Record, install bool) error {
 // transaction made to the tuple between the prime point and the capture
 // stay in the image; they matter only to a snapshot pinned before the
 // stream has replayed them.
-func (a *Applier) imageBeforeTx(pg *page.Page, rec wal.Record) (img []byte, absent bool) {
+func (db *DB) imageBeforeTx(pg *page.Page, rec wal.Record) (img []byte, absent bool) {
 	if tup, err := pg.ReadTuple(int(rec.Slot)); err == nil {
 		img = append([]byte(nil), tup...)
 	}
@@ -363,7 +258,7 @@ func (a *Applier) imageBeforeTx(pg *page.Page, rec wal.Record) (img []byte, abse
 		if r.PrevLSN == 0 {
 			return img, absent
 		}
-		prev, err := a.db.log.Get(r.PrevLSN)
+		prev, err := db.log.Get(r.PrevLSN)
 		if err != nil {
 			return img, absent
 		}
@@ -371,27 +266,20 @@ func (a *Applier) imageBeforeTx(pg *page.Page, rec wal.Record) (img []byte, abse
 	}
 }
 
-// Promote finishes the follower's transition to primary: every
-// transaction still open in the stream belonged to the dead leader and
-// is rolled back through the normal ARIES path (RecAbort, CLRs,
-// RecEnd), exactly as restart undo treats losers. After Promote the
-// engine serves reads and writes as a normal primary, its log
-// continuing at the same LSNs the cluster already acknowledged.
+// Promote finishes the follower's transition to primary with the loser
+// pass restart recovery runs: a transaction whose commit record shipped
+// is completed, whether or not its end record did — the cluster may
+// have acknowledged it — and every other transaction still open in the
+// stream belonged to the dead leader and is rolled back (RecAbort,
+// CLRs, RecEnd). After Promote the engine serves reads and writes as a
+// normal primary, its log continuing at the same LSNs the cluster
+// already acknowledged.
 func (a *Applier) Promote() error {
 	db := a.db
 	defer db.rlockState(a.w).RUnlock()
-	for id, t := range a.inTx {
-		db.log.Append(wal.Record{Type: wal.RecAbort, TxID: id, PrevLSN: t.lastLSN})
-		if err := db.rollback(a.w, id, t.lastLSN); err != nil {
-			return fmt.Errorf("engine: promote rollback tx %d: %w", id, err)
-		}
-		endLSN := db.log.Append(wal.Record{Type: wal.RecEnd, TxID: id})
-		if db.vs != nil {
-			db.vs.stampCommitted(t.rids, id, endLSN)
-		}
-		delete(a.inTx, id)
+	if _, _, err := db.endOpen(a.w, &a.txs); err != nil {
+		return fmt.Errorf("engine: promote: %w", err)
 	}
-	db.log.Flush(db.log.Head())
 	a.applied.Store(uint64(db.log.Head()))
 	return nil
 }

@@ -11,7 +11,7 @@ import (
 
 // newReplRig opens a small two-region DB with replication and MVCC on,
 // the shape every cluster member runs with.
-func newReplRig(t *testing.T) *DB {
+func newReplRig(t testing.TB) *DB {
 	t.Helper()
 	return newRigWithOptions(t, rigGeometry(), Options{
 		PageSize: 512, BufferFrames: 64, LogCapacity: 1 << 20,
@@ -39,7 +39,7 @@ func shipAll(t *testing.T, src *DB, a *Applier) {
 }
 
 // scanAll collects a table's visible heap state keyed by RID.
-func scanAll(t *testing.T, tb *Table) map[core.RID][]byte {
+func scanAll(t testing.TB, tb *Table) map[core.RID][]byte {
 	t.Helper()
 	out := make(map[core.RID][]byte)
 	err := tb.Scan(nil, func(rid core.RID, tuple []byte) bool {
@@ -463,5 +463,80 @@ func TestWirePageIDsBeyondTheBound(t *testing.T) {
 	err = a.Apply([]wal.Record{{LSN: a.AppliedLSN() + 1, Type: wal.RecAlloc, Meta: encodeAllocMeta(edge, 0, "r1")}})
 	if err != nil || follower.nextPage.Load() != uint64(edge) {
 		t.Errorf("RecAlloc of page %d at mark %d: %v, mark now %d", edge, nextPage, err, follower.nextPage.Load())
+	}
+}
+
+// TestPromoteKeepsShippedCommit: a commit is acknowledged once its
+// commit record is on a quorum, before its end record ships. A follower
+// promoted at exactly that cut must keep the transaction — complete it
+// with an end record — not roll it back as a loser.
+func TestPromoteKeepsShippedCommit(t *testing.T) {
+	primary := newReplRig(t)
+	defer primary.Close()
+	follower := newReplRig(t)
+	defer follower.Close()
+	a, err := follower.NewApplier(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ptb, err := primary.CreateTable("acct", "r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := mustBegin(primary, nil)
+	rid, err := ptb.Insert(tx, []byte("v0-a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	shipAll(t, primary, a)
+
+	tx = mustBegin(primary, nil)
+	if err := ptb.Update(tx, rid, []byte("v1-a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var recs []wal.Record
+	if _, err := primary.WAL().ReadFrom(a.AppliedLSN()+1, 64, 1<<20, func(r wal.Record) {
+		if r.LSN <= tx.CommitLSN() {
+			recs = append(recs, r)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Apply(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Promote(); err != nil {
+		t.Fatal(err)
+	}
+
+	ftb, err := follower.Table("acct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ftb.Read(nil, rid); err != nil || string(got) != "v1-a" {
+		t.Fatalf("row = %q, %v, want v1-a", got, err)
+	}
+	ended := false
+	follower.WAL().Scan(tx.CommitLSN()+1, func(r wal.Record) bool {
+		if r.TxID != tx.id {
+			return true
+		}
+		switch r.Type {
+		case wal.RecEnd:
+			ended = true
+		case wal.RecCLR, wal.RecAbort:
+			t.Errorf("promotion wrote %v at LSN %d for committed tx %d", r.Type, r.LSN, tx.id)
+		}
+		return true
+	})
+	if !ended {
+		t.Errorf("promoted log holds no end record for committed tx %d", tx.id)
 	}
 }
