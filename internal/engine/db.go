@@ -507,8 +507,21 @@ func (db *DB) ResizePool(w *sim.Worker, frames int) error {
 		return err
 	}
 	db.pool = pool
+	db.dropReservations()
 	db.opts.BufferFrames = frames
 	return nil
+}
+
+// dropReservations forgets the pages the stores reserved for frames of a
+// pool that is gone (PageStore.reserve): a crash or a snapshot install
+// loses those pages, and after a pool-wide flush the only new frames
+// left unwritten are clean ones, which no flush will write.
+func (db *DB) dropReservations() {
+	db.catMu.Lock()
+	defer db.catMu.Unlock()
+	for _, st := range db.stores {
+		st.unwritten.Store(0)
+	}
 }
 
 // SimulateCrash throws away all volatile state — buffer pool contents and
@@ -534,6 +547,7 @@ func (db *DB) SimulateCrash() error {
 		return err
 	}
 	db.pool = pool
+	db.dropReservations()
 	db.resetActive()
 	db.locks.clear()
 	if db.vs != nil {

@@ -66,17 +66,25 @@ func (db *DB) pinPage(w *sim.Worker, st *PageStore, id core.PageID, excl bool) (
 	return r, nil
 }
 
-// pinNew is pin for a page that has no copy in storage: it binds a
-// frame (zeroed, unless the page is resident already) without a fetch.
-func (db *DB) pinNew(w *sim.Worker, id core.PageID) (pageRef, error) {
+// pinNew is pin for page id of store st, which has no frame: it binds a
+// zeroed frame without a fetch. A page the region does not map takes a
+// page of the region's capacity first (PageStore.reserve), so a full
+// region fails here rather than at the page's first flush.
+func (db *DB) pinNew(w *sim.Worker, st *PageStore, id core.PageID) (pageRef, error) {
+	if err := st.reserve(id); err != nil {
+		return pageRef{}, err
+	}
 	fr, err := db.pool.GetNew(w, id)
+	if err != nil {
+		st.unreserve(id)
+	}
 	return pageRef{fr: fr, db: db, w: w}, err
 }
 
 // formatNew returns page id, which has no copy in storage, formatted
 // empty and exclusively latched.
 func (db *DB) formatNew(w *sim.Worker, st *PageStore, id core.PageID) (pageRef, error) {
-	r, err := db.pinNew(w, id)
+	r, err := db.pinNew(w, st, id)
 	if err != nil {
 		return pageRef{}, err
 	}
@@ -84,6 +92,7 @@ func (db *DB) formatNew(w *sim.Worker, st *PageStore, id core.PageID) (pageRef, 
 	pg, err := page.Format(r.fr.Data, st.layout, id)
 	if err != nil {
 		r.unpin()
+		st.unreserve(id)
 		return pageRef{}, err
 	}
 	r.Page = *pg

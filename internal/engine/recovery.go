@@ -76,18 +76,26 @@ type replayTx struct {
 	firstLSN  core.LSN
 	lastLSN   core.LSN   // its newest record
 	rids      []core.RID // tuples its updates touch, for the version store
+	begun     bool       // the replay met its RecBegin
 	aborted   bool
 	committed bool
 }
 
 // txTable is the ARIES transaction table.
 type txTable struct {
-	open map[uint64]*replayTx
-	// ended holds the transactions whose end record the replay met since
-	// its last checkpoint record. A checkpoint is fuzzy: it lists the
-	// transactions active when it began, and one of them can end before
-	// the checkpoint record is appended. Such a transaction must not come
-	// back when the checkpoint seeds the table.
+	open  map[uint64]*replayTx
+	first core.LSN // the first record the replay met
+	// ended holds the transactions the replay met mid-life — no RecBegin:
+	// first met at a later record, in a checkpoint's list, or at the end
+	// record itself — whose end record it met since its last checkpoint
+	// record. A checkpoint is fuzzy: it lists the transactions active
+	// when it began, and one of them can end before the checkpoint record
+	// is appended. Such a transaction must not come back when the
+	// checkpoint seeds the table. One the replay met from its RecBegin
+	// needs no entry: the checkpoint lists it with a last LSN at or after
+	// first, a record the replay met, so open alone says whether it
+	// ended. The set holds at most the transactions open when the replay
+	// began, also on a follower whose primary never checkpoints.
 	ended map[uint64]struct{}
 }
 
@@ -110,8 +118,13 @@ func (tt *txTable) tx(id uint64, lsn core.LSN) *replayTx {
 
 // analyze folds one record into the table.
 func (tt *txTable) analyze(r wal.Record) {
+	if tt.first == 0 {
+		tt.first = r.LSN
+	}
 	switch r.Type {
-	case wal.RecBegin, wal.RecCLR:
+	case wal.RecBegin:
+		tt.tx(r.TxID, r.LSN).begun = true
+	case wal.RecCLR:
 		tt.tx(r.TxID, r.LSN)
 	case wal.RecUpdate:
 		t := tt.tx(r.TxID, r.LSN)
@@ -121,12 +134,17 @@ func (tt *txTable) analyze(r wal.Record) {
 	case wal.RecCommit:
 		tt.tx(r.TxID, r.LSN).committed = true
 	case wal.RecEnd:
+		if t := tt.open[r.TxID]; t == nil || !t.begun {
+			tt.ended[r.TxID] = struct{}{}
+		}
 		delete(tt.open, r.TxID)
-		tt.ended[r.TxID] = struct{}{}
 	case wal.RecCheckpoint:
 		// A transaction active at the checkpoint whose records precede
 		// the replay still needs an entry.
 		for id, last := range r.ActiveTxs {
+			if last >= tt.first {
+				continue // the replay met its record at last: open tells
+			}
 			if _, ended := tt.ended[id]; !ended && tt.open[id] == nil {
 				tt.open[id] = &replayTx{firstLSN: last, lastLSN: last}
 			}

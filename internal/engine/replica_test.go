@@ -540,3 +540,61 @@ func TestPromoteKeepsShippedCommit(t *testing.T) {
 		t.Errorf("promoted log holds no end record for committed tx %d", tx.id)
 	}
 }
+
+// TestApplierTxTableStaysBounded: a follower whose primary never
+// checkpoints (a served leader runs without a log capacity) keeps, in
+// its replay's transaction table, only what is open and what was open
+// when the replay began — not one entry for every transaction it has
+// seen end. The stream opens with transactions met mid-life (their
+// records before the replay's first, their commit and end inside it),
+// runs 100 000 committed transactions and leaves two open.
+func TestApplierTxTableStaysBounded(t *testing.T) {
+	follower := newRigWithOptions(t, rigGeometry(), Options{
+		PageSize: 512, BufferFrames: 64, MVCC: true, Replicated: true,
+	})
+	defer follower.Close()
+	a, err := follower.NewApplier(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn := a.AppliedLSN()
+	var batch []wal.Record
+	emit := func(typ wal.RecType, tx uint64) {
+		lsn++
+		batch = append(batch, wal.Record{LSN: lsn, Type: typ, TxID: tx})
+		if len(batch) == 3000 {
+			if err := a.Apply(batch); err != nil {
+				t.Fatalf("Apply at LSN %d: %v", lsn, err)
+			}
+			batch = batch[:0]
+		}
+	}
+	const midLife, committed = 3, 100_000
+	for tx := uint64(1); tx <= midLife; tx++ {
+		emit(wal.RecCommit, tx)
+	}
+	for tx := uint64(midLife + 1); tx <= midLife+committed; tx++ {
+		emit(wal.RecBegin, tx)
+		emit(wal.RecCommit, tx)
+		emit(wal.RecEnd, tx)
+		if tx == midLife+committed/2 {
+			for mid := uint64(1); mid <= midLife; mid++ {
+				emit(wal.RecEnd, mid)
+			}
+		}
+	}
+	const stillOpen = 2
+	for tx := uint64(midLife + committed + 1); tx <= midLife+committed+stillOpen; tx++ {
+		emit(wal.RecBegin, tx)
+	}
+	if err := a.Apply(batch); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.txs.open) != stillOpen {
+		t.Errorf("%d transactions open in the replay, want %d", len(a.txs.open), stillOpen)
+	}
+	if n := len(a.txs.open) + len(a.txs.ended); n > midLife+stillOpen {
+		t.Errorf("the replay's transaction table holds %d entries (%d open, %d ended), want at most %d",
+			n, len(a.txs.open), len(a.txs.ended), midLife+stillOpen)
+	}
+}

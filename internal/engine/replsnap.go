@@ -142,6 +142,7 @@ func (db *DB) InstallSnapshot(w *sim.Worker, snap *ReplicaSnapshot) error {
 		return err
 	}
 	db.pool = pool
+	db.dropReservations()
 	db.pageDir.clear()
 	db.locks.clear()
 	if db.vs != nil {
@@ -170,7 +171,7 @@ func (db *DB) InstallSnapshot(w *sim.Worker, snap *ReplicaSnapshot) error {
 		if err := db.pageDir.put(pi.ID, st); err != nil {
 			return err
 		}
-		pg, err := db.pinNew(w, pi.ID)
+		pg, err := db.pinNew(w, st, pi.ID)
 		if err != nil {
 			return err
 		}

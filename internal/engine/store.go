@@ -126,6 +126,41 @@ type PageStore struct {
 	csPool sync.Pool
 
 	sink atomic.Pointer[TraceSink] // nil = no recorder attached
+
+	// unwritten counts the pages of the store that exist only in the
+	// pool: brought into being and not yet written (reserve).
+	unwritten atomic.Int64
+}
+
+// reserve sets aside one page of the region's logical capacity for page
+// id, which the engine brings into being in the pool, unless the region
+// maps it already. The region checks its capacity only at a page's first
+// write, and a new page is first written at its eviction or a
+// checkpoint, long after the operation that made it: a page the region
+// refuses then holds committed rows, and every flush of it fails. So a
+// page counts against the capacity from its creation, and the one that
+// would not fit fails its creator instead. The reservation is held while
+// the page has a new frame (fr.New) and no copy in the region; its first
+// write (writeOutOfPlace) turns it into a mapping, and a pool that is
+// thrown away takes its reservations with it (DB.dropReservations).
+func (s *PageStore) reserve(id core.PageID) error {
+	if s.region.Contains(id) {
+		return nil
+	}
+	if s.unwritten.Add(1)+int64(s.region.MappedPages()) > int64(s.region.LogicalCapacity()) {
+		s.unwritten.Add(-1)
+		return fmt.Errorf("engine: new page %d: %w: %q at %d pages",
+			id, noftl.ErrRegionFull, s.region.Name(), s.region.LogicalCapacity())
+	}
+	return nil
+}
+
+// unreserve gives back what reserve set aside for page id, which will
+// not be written.
+func (s *PageStore) unreserve(id core.PageID) {
+	if !s.region.Contains(id) {
+		s.unwritten.Add(-1)
+	}
 }
 
 // SetTraceSink attaches a trace recorder (nil detaches).
@@ -463,7 +498,12 @@ func (s *PageStore) writeOutOfPlace(w *sim.Worker, fr *buffer.Frame) error {
 	if s.useECC {
 		oob = ecc.Encode(fr.Data[:s.sect.BodyLen])
 	}
-	if err := s.region.Write(w, fr.ID, fr.Data, oob); err != nil {
+	first := fr.New && !s.region.Contains(fr.ID)
+	err := s.region.Write(w, fr.ID, fr.Data, oob)
+	if first && s.region.Contains(fr.ID) {
+		s.unwritten.Add(-1) // the reservation is a mapping now
+	}
+	if err != nil {
 		return err
 	}
 	fr.UsedSlots = 0

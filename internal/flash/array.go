@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"time"
 
 	"ipa/internal/sim"
@@ -144,10 +145,26 @@ func (s *Stats) add(o Stats) {
 // programmed counts the pages programmed since the erase; the read path
 // asks it first, because a full block has no erased page to look for and
 // the count shares a cache line with buf.
+//
+// Where a block buffer lives is chosen by build (blockmem_mmap.go,
+// blockmem_heap.go): an anonymous mapping outside the Go heap, owned by
+// its chip's blockArena and unmapped when the Array is collected, or a
+// heap slice under the race detector and on targets without mmap. Either
+// way one rule keeps it safe: every read or write of a buffer happens
+// under its chip's sh.mu, and no slice of it outlives that critical
+// section — Read and ReadInto copy out, Program, ProgramDelta and
+// Reprogram copy in. The shard pointer those methods hold until
+// sh.mu.Unlock keeps the shard, and through sh.arena the arena, reachable
+// for the whole access, so its finalizer cannot unmap a buffer in use.
 type blockMem struct {
 	buf        []byte
 	programmed int
 }
+
+// mappedBytes is the memory of the block buffers mapped outside the Go
+// heap, by every Array of the process, that is not yet unmapped. It
+// stays 0 where buffers live on the heap.
+var mappedBytes atomic.Int64
 
 // chipShard is the state of one flash chip (die). Every field a flash
 // operation touches is partitioned by PPN→chip, so each chip carries its
@@ -157,6 +174,7 @@ type chipShard struct {
 	mu       chipLock
 	blocks   []blockMem  // per block in chip
 	free     [][]byte    // buffers of erased blocks, for the next block programmed
+	arena    *blockArena // owns every buffer in blocks and free
 	state    []pageState // per page in chip
 	appends  []uint16    // ISPP re-programs since the initial program
 	lastProg []int16     // per block in chip: highest programmed page (-1 = none)
@@ -221,6 +239,7 @@ func New(cfg Config, tl *sim.Timeline) (*Array, error) {
 	for c := range a.shards {
 		sh := &a.shards[c]
 		sh.blocks = make([]blockMem, g.BlocksPerChip)
+		sh.arena = newBlockArena()
 		sh.state = make([]pageState, a.pagesPerChip)
 		sh.appends = make([]uint16, a.pagesPerChip)
 		sh.lastProg = make([]int16, g.BlocksPerChip)
@@ -381,7 +400,7 @@ func (a *Array) startPage(sh *chipShard, lb, pi int) (data, spare []byte) {
 		if n := len(sh.free); n > 0 {
 			b.buf, sh.free = sh.free[n-1], sh.free[:n-1]
 		} else {
-			b.buf = make([]byte, a.geom.PagesPerBlock*(a.geom.PageSize+a.geom.OOBSize))
+			b.buf = sh.arena.alloc(a.geom.PagesPerBlock * (a.geom.PageSize + a.geom.OOBSize))
 		}
 	}
 	b.programmed++
