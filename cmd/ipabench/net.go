@@ -32,8 +32,8 @@ func runNet(addr string, conns, txPerConn int, seed int64) error {
 
 	// Discover the schema → RID maps once, shared by all connections
 	// (physical replication keeps RIDs identical on every member).
-	drv := netload.NewClusterTPCB()
-	if err := drv.Init(pool); err != nil {
+	drv := netload.NewNetTPCB()
+	if err := pool.Do(drv.Init); err != nil {
 		return fmt.Errorf("init via %s: %w", addr, err)
 	}
 
@@ -49,7 +49,10 @@ func runNet(addr string, conns, txPerConn int, seed int64) error {
 			rng := rand.New(rand.NewSource(seed + int64(i)))
 			for t := 0; t < txPerConn; t++ {
 				t0 := time.Now()
-				_, err := drv.RunOne(pool, rng)
+				err := pool.Do(func(c *client.Conn) error {
+					_, err := drv.RunOne(c, rng)
+					return err
+				})
 				lat[i].Add(time.Since(t0))
 				switch {
 				case err == nil:

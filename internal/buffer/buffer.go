@@ -384,9 +384,6 @@ type Config struct {
 	// selects the Shore-MT default of 12.5%. Non-eager experiments set it
 	// to 0.75.
 	DirtyThreshold float64
-	// CleanBatch is how many pages one cleaner pass flushes. Zero selects
-	// max(8, Frames/64).
-	CleanBatch int
 	// Cleaner is the simulated worker background flushes are charged to,
 	// so cleaning occupies flash chips without blocking the transaction
 	// that triggered it (steal/no-force). Nil charges the calling worker.
@@ -400,16 +397,8 @@ func (c Config) dirtyThreshold() float64 {
 	return c.DirtyThreshold
 }
 
-func (c Config) cleanBatch() int {
-	if c.CleanBatch > 0 {
-		return c.CleanBatch
-	}
-	b := c.Frames / 64
-	if b < 8 {
-		b = 8
-	}
-	return b
-}
+// cleanBatch is how many pages one cleaner pass flushes.
+func (c Config) cleanBatch() int { return max(8, c.Frames/64) }
 
 // shardCount normalises Config.Shards: at least one, a power of two (so
 // routing is a multiply and a shift, no modulo), and never more than

@@ -287,7 +287,7 @@ func TestRecLSNOnlyFirstDirty(t *testing.T) {
 
 func TestCleanerTriggersOnThreshold(t *testing.T) {
 	st := newFakeStore(64)
-	p, err := New(Config{Frames: 8, PageSize: 64, DirtyThreshold: 0.25, CleanBatch: 4}, st)
+	p, err := New(Config{Frames: 8, PageSize: 64, DirtyThreshold: 0.25}, st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func TestConcurrentShardStress(t *testing.T) {
 	}
 	p, err := New(Config{
 		Frames: 96, PageSize: 64, Shards: 8,
-		DirtyThreshold: 0.5, CleanBatch: 8,
+		DirtyThreshold: 0.5,
 	}, st)
 	if err != nil {
 		t.Fatal(err)
@@ -489,7 +489,7 @@ func TestConcurrentLockFreePins(t *testing.T) {
 		img[0] = byte(id)
 		st.pages[id] = img
 	}
-	p, err := New(Config{Frames: 24, PageSize: 64, Shards: 8, DirtyThreshold: 0.6, CleanBatch: 4}, st)
+	p, err := New(Config{Frames: 24, PageSize: 64, Shards: 8, DirtyThreshold: 0.6}, st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,10 +37,12 @@ import (
 type Options struct {
 	DialTimeout    time.Duration // default 5s
 	RequestTimeout time.Duration // per-request Wait deadline (default 30s)
-	MaxFrame       int           // response size limit (default wire.MaxFrame)
-	MaxRetries     int           // bounded retry on transient errors (default 3)
 	RetryBackoff   time.Duration // first backoff, doubled per attempt (default 5ms)
 }
+
+// maxAttempts bounds Dial's attempts and a request's tries on transient
+// (StatusBusy) rejections. Responses are read up to wire.MaxFrame.
+const maxAttempts = 3
 
 func (o Options) withDefaults() Options {
 	if o.DialTimeout <= 0 {
@@ -48,12 +50,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = wire.MaxFrame
-	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = 3
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 5 * time.Millisecond
@@ -87,16 +83,16 @@ type Conn struct {
 	done    chan struct{}
 }
 
-// Dial connects to an IPA server, retrying transient dial failures up
-// to MaxRetries times. The first frame on every connection is a HELLO
-// carrying wire.ProtoVersion; a server speaking a different protocol
-// revision rejects it with BAD_REQUEST, which Dial surfaces immediately
-// (a version mismatch will not heal on retry).
+// Dial connects to an IPA server, making up to maxAttempts attempts.
+// The first frame on every connection is a HELLO carrying
+// wire.ProtoVersion; a server speaking a different protocol revision
+// rejects it with BAD_REQUEST, which Dial surfaces immediately (a
+// version mismatch will not heal on retry).
 func Dial(addr string, opts Options) (*Conn, error) {
 	opts = opts.withDefaults()
 	var lastErr error
 	backoff := opts.RetryBackoff
-	for attempt := 0; attempt < opts.MaxRetries; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		nc, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
 		if err == nil {
 			c := &Conn{
@@ -185,7 +181,7 @@ func (c *Conn) readLoop() {
 	defer close(c.done)
 	br := bufio.NewReaderSize(c.conn, 32<<10)
 	for {
-		f, err := wire.ReadFrame(br, c.opts.MaxFrame)
+		f, err := wire.ReadFrame(br, wire.MaxFrame)
 		c.pmu.Lock()
 		if err != nil {
 			c.readErr = fmt.Errorf("client: connection lost: %w", err)
@@ -366,14 +362,14 @@ func (c *Conn) DoAsync(kind byte, payload []byte) *Pending {
 }
 
 // do sends one request (see send) synchronously, retrying transient
-// (StatusBusy) rejections with exponential backoff up to MaxRetries
-// attempts. Busy rejections happen before the op executes, so the retry
+// (StatusBusy) rejections with exponential backoff up to maxAttempts
+// tries. Busy rejections happen before the op executes, so the retry
 // is always safe.
 func (c *Conn) do(kind byte, payload []byte, enc func(*wire.Builder)) (wire.Frame, error) {
 	backoff := c.opts.RetryBackoff
 	var f wire.Frame
 	var err error
-	for attempt := 0; attempt < c.opts.MaxRetries; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		f, err = c.send(kind, payload, enc).Wait()
 		if err == nil || !wire.IsTransient(err) {
 			return f, err

@@ -29,15 +29,10 @@ type Pool struct {
 	closed bool
 }
 
-// NewPool creates a pool for a single address. No connections are
-// dialed until Get.
-func NewPool(addr string, opts Options) *Pool {
-	return NewClusterPool([]string{addr}, opts)
-}
-
-// NewClusterPool creates a pool over every member of a cluster. The
-// first address is the initial leader guess; REDIRECT responses and
-// dial failures steer the pool to the real one.
+// NewClusterPool creates a pool over every member of a cluster, or over
+// one server's address. The first address is the initial leader guess;
+// REDIRECT responses and dial failures steer the pool to the real one.
+// No connections are dialed until Get.
 func NewClusterPool(addrs []string, opts Options) *Pool {
 	if len(addrs) == 0 {
 		panic("client: NewClusterPool with no addresses")

@@ -13,7 +13,7 @@ import (
 // TestPoolGetAfterClose: Get on a closed pool must fail instead of
 // dialing a connection the pool would never track or close.
 func TestPoolGetAfterClose(t *testing.T) {
-	p := NewPool("127.0.0.1:1", Options{DialTimeout: 10 * time.Millisecond})
+	p := NewClusterPool([]string{"127.0.0.1:1"}, Options{DialTimeout: 10 * time.Millisecond})
 	p.Close()
 	if _, err := p.Get(); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("Get after Close = %v, want ErrPoolClosed", err)

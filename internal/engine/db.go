@@ -353,7 +353,7 @@ func (db *DB) attachRegionLocked(regionName string) (*PageStore, error) {
 	if region == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNoRegion, regionName)
 	}
-	st, err := NewPageStore(region, db.opts.pageSize(), db.opts.UseECC)
+	st, err := NewPageStore(region, db.opts.pageSize(), db.opts.UseECC, db.log)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"ipa/internal/core"
 	"ipa/internal/noftl"
+	"ipa/internal/page"
 	"ipa/internal/sim"
 	"ipa/internal/wal"
 )
@@ -77,6 +78,49 @@ func TestRecoveryUndoesLosers(t *testing.T) {
 	got, _ := tbl.Read(nil, rid)
 	if sch.GetUint(got, 0) != 42 {
 		t.Errorf("after recovery value = %d, want 42", sch.GetUint(got, 0))
+	}
+}
+
+// TestFlushForcesTheLog is the WAL rule: a page reaches flash only once
+// the log is durable up to its PageLSN. The change flushed here belongs
+// to a transaction that never commits, so no commit forced the log for
+// it; the flush has to.
+func TestFlushForcesTheLog(t *testing.T) {
+	r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 3), 16, false)
+	tbl, _ := r.db.CreateTable("t", "main")
+	sch, _ := NewSchema(8)
+
+	tx := mustBegin(r.db, nil)
+	tup := sch.New()
+	sch.SetUint(tup, 0, 42)
+	rid, _ := tbl.Insert(tx, tup)
+	tx.Commit()
+	r.db.FlushAll(nil)
+
+	loser := mustBegin(r.db, nil)
+	cur, _ := tbl.Read(nil, rid)
+	sch.SetUint(cur, 0, 43)
+	if err := tbl.Update(loser, rid, cur); err != nil {
+		t.Fatal(err)
+	}
+	st := r.db.Store("main")
+	before := st.Stats().FlushesDelta
+	if err := r.db.FlushAll(nil); err != nil {
+		t.Fatal(err)
+	}
+	if st.Stats().FlushesDelta == before {
+		t.Fatal("precondition: the loser's change should have flushed")
+	}
+	buf := make([]byte, st.layout.PageSize)
+	if _, err := st.Fetch(nil, rid.Page, buf); err != nil {
+		t.Fatal(err)
+	}
+	pg, err := page.Attach(buf, st.layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn, durable := pg.LSN(), r.db.WAL().Flushed(); lsn > durable {
+		t.Errorf("page %d on flash has PageLSN %d, log durable to %d", rid.Page, lsn, durable)
 	}
 }
 

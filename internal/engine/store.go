@@ -19,6 +19,7 @@ import (
 	"ipa/internal/noftl"
 	"ipa/internal/page"
 	"ipa/internal/sim"
+	"ipa/internal/wal"
 )
 
 // Errors of the engine.
@@ -106,6 +107,7 @@ type PageStore struct {
 	layout page.Layout
 	sect   ecc.Sections
 	useECC bool
+	log    *wal.Log // forced to a page's PageLSN before the page is programmed
 
 	// dl is the differential log of a PDL region and nil for an IPA
 	// region: Fetch, flush and Free take the PDL path exactly when it is
@@ -181,8 +183,9 @@ func (s *PageStore) traceSink() TraceSink {
 
 // NewPageStore creates a store over a region. pageSize is the database
 // page size; the [N×M] scheme comes from the region. When useECC is set,
-// the OOB area must accommodate the sectioned codes.
-func NewPageStore(region *noftl.Region, pageSize int, useECC bool) (*PageStore, error) {
+// the OOB area must accommodate the sectioned codes. log is the log
+// whose records describe the pages.
+func NewPageStore(region *noftl.Region, pageSize int, useECC bool, log *wal.Log) (*PageStore, error) {
 	l := page.Layout{PageSize: pageSize, Scheme: region.Scheme()}
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -191,6 +194,7 @@ func NewPageStore(region *noftl.Region, pageSize int, useECC bool) (*PageStore, 
 		region:     region,
 		layout:     l,
 		useECC:     useECC,
+		log:        log,
 		netBytes:   metrics.NewHist(pageSize),
 		grossBytes: metrics.NewHist(pageSize),
 	}
@@ -388,8 +392,20 @@ func (s *PageStore) Flush(w *sim.Worker, fr *buffer.Frame) error {
 }
 
 func (s *PageStore) flush(w *sim.Worker, fr *buffer.Frame) (FlushKind, error) {
-	switch {
-	case fr.New || fr.Image() == buffer.ImageNone:
+	newPage := fr.New || fr.Image() == buffer.ImageNone
+	if !newPage && fr.Image() == buffer.ImageClean {
+		// Nobody latched the frame exclusively since its load or last
+		// flush, so it still equals the stored image (the empty diff).
+		return FlushSkipped, nil
+	}
+	pg, err := page.Attach(fr.Data, s.layout)
+	if err != nil {
+		return 0, err
+	}
+	// The WAL rule: no page image reaches flash ahead of the log records
+	// that produced it.
+	s.log.Flush(pg.LSN())
+	if newPage {
 		// A brand-new page has no physical copy: IPA is not applicable,
 		// the first write is always a whole-page out-of-place program.
 		if err := s.writeOutOfPlace(w, fr); err != nil {
@@ -399,14 +415,6 @@ func (s *PageStore) flush(w *sim.Worker, fr *buffer.Frame) (FlushKind, error) {
 			sink.RecordEvict(fr.ID, 0, 0, true)
 		}
 		return FlushOutOfPlace, nil
-	case fr.Image() == buffer.ImageClean:
-		// Nobody latched the frame exclusively since its load or last
-		// flush, so it still equals the stored image (the empty diff).
-		return FlushSkipped, nil
-	}
-	pg, err := page.Attach(fr.Data, s.layout)
-	if err != nil {
-		return 0, err
 	}
 	// Range-classified word-scan diff into a pooled ChangeSet: the ranges
 	// live on the stack and the pair slices keep their capacity, so a

@@ -1,8 +1,7 @@
-// Package netload holds the TPC-B drivers that load a running server
-// over the wire protocol: NetTPCB on one connection, ClusterTPCB through
-// a leader-following pool. They are apart from internal/workload so that
-// the paper rig (internal/experiments), which imports that package, links
-// none of client, wire, server or repl.
+// Package netload holds the TPC-B driver that loads a running server
+// over the wire protocol, NetTPCB. It is apart from internal/workload so
+// that the paper rig (internal/experiments), which imports that package,
+// links none of client, wire, server or repl.
 package netload
 
 import (
@@ -118,18 +117,18 @@ func commitResolved(err error) bool {
 // RunOne executes one Account_Update transaction: three pipelined
 // balance reads (the terminal's display query), then the pipelined
 // BEGIN, three 8-byte ADDFIELD deltas (the IPA delta path), one History
-// INSERT and the COMMIT.
-func (n *NetTPCB) RunOne(c *client.Conn, rng *rand.Rand) error {
-	_, err := n.RunOneSeq(c, rng)
-	return err
-}
-
-// RunOneSeq is RunOne, additionally returning the history sequence
-// number the transaction inserted. A nil error means the server
-// acknowledged the COMMIT, so that sequence number must survive any
-// single failure in a replicated cluster — the failover test's audit
-// key.
-func (n *NetTPCB) RunOneSeq(c *client.Conn, rng *rand.Rand) (uint64, error) {
+// INSERT and the COMMIT. It returns the history sequence number the
+// transaction inserted. A nil error means the server acknowledged the
+// COMMIT, so that sequence number must survive any single failure in a
+// replicated cluster — the failover test's audit key.
+//
+// Against a cluster, run it inside client.Pool.Do: a REDIRECT or a
+// leader crash mid-transaction re-runs the whole attempt against the
+// new leader (physical replication keeps RIDs identical on every
+// member, so the Init-time RID maps survive failovers), and each
+// attempt draws a fresh sequence number, so one whose outcome was lost
+// with a dead leader is never counted as acknowledged.
+func (n *NetTPCB) RunOne(c *client.Conn, rng *rand.Rand) (uint64, error) {
 	aid := rng.Intn(len(n.accountRIDs))
 	tellerIdx := rng.Intn(len(n.tellerRIDs))
 	branchIdx := tellerIdx / 10

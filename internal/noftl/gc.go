@@ -10,7 +10,7 @@ import (
 	"ipa/internal/sim"
 )
 
-// This file is the region's garbage collector and static wear leveler.
+// This file is the region's garbage collector.
 // collectLocked is the single reclamation primitive: the writer that
 // finds its chip's free pool at the reserve calls it inline from
 // allocLocked and holds the chip lock throughout — the interference the
@@ -35,7 +35,6 @@ func (r *Region) collectLocked(w *sim.Worker, cs *chipState) error {
 		return err
 	}
 	cs.stats.GCErases++
-	r.maybeLevelLocked(w, cs)
 	return nil
 }
 
@@ -148,51 +147,6 @@ func (r *Region) selectVictimLocked(cs *chipState) *blockMeta {
 		return cs.victims.peek()
 	}
 	return best
-}
-
-// maybeLevelLocked performs static wear leveling on the chip: if the
-// spread between the most- and least-worn blocks exceeds the configured
-// delta, the least-worn *occupied* block (cold data pins low-wear blocks)
-// is evacuated and erased, returning it to circulation.
-func (r *Region) maybeLevelLocked(w *sim.Worker, cs *chipState) {
-	if r.cfg.WearDelta <= 0 {
-		return
-	}
-	arr := r.dev.arr
-	var coldest *blockMeta
-	var maxWear, minWear uint32
-	first := true
-	for _, bm := range cs.blocks {
-		wear := arr.EraseCount(bm.id)
-		if first || wear > maxWear {
-			maxWear = wear
-		}
-		if first || wear < minWear {
-			minWear = wear
-		}
-		first = false
-		if bm.free || bm.active || bm.collecting {
-			continue
-		}
-		if coldest == nil || arr.EraseCount(bm.id) < arr.EraseCount(coldest.id) {
-			coldest = bm
-		}
-	}
-	if coldest == nil || int(maxWear-minWear) <= r.cfg.WearDelta {
-		return
-	}
-	if arr.EraseCount(coldest.id) != minWear {
-		return // the least-worn block is already free or active
-	}
-	// Evacuate the cold block exactly like a GC victim, charging the
-	// traffic to the wear-leveling counters (and no time to GCTime). On a
-	// failure — the pool too tight, say — the block is back on the victim
-	// heap and leveling tries again after the next collect.
-	moved, _, err := r.evacuateLocked(w, cs, coldest)
-	cs.stats.WLMigrations += uint64(moved)
-	if err == nil {
-		cs.stats.WLErases++
-	}
 }
 
 // allocMigrationTargetLocked returns a destination PPN for a migrated

@@ -63,56 +63,6 @@ func TestVictimHeapGreedySelection(t *testing.T) {
 	}
 }
 
-// Static wear leveling runs behind the collector, never on a host
-// request of its own: cold data pinning low-wear blocks must be moved to
-// other physical pages (through the sharded free-pool heap) and survive
-// intact.
-func TestBackgroundWearLevelingEvacuatesCold(t *testing.T) {
-	dev := newDevice(t, flash.SLC, 1, 24, 8, 256)
-	r, err := dev.CreateRegion(RegionConfig{
-		Name: "d", Mode: ModeSLC, BlocksPerChip: 24,
-		OverProvision: 0.3, WearDelta: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	capPages := r.LogicalCapacity()
-	for i := 0; i < capPages/2; i++ {
-		if err := r.Write(nil, core.PageID(i+1), pageOf(dev, 1), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	coldPPN := make(map[core.PageID]flash.PPN)
-	for i := 0; i < capPages/2; i++ {
-		coldPPN[core.PageID(i+1)] = mustPPN(t, r, core.PageID(i+1))
-	}
-	for round := 0; round < 60; round++ {
-		for i := capPages / 2; i < capPages; i++ {
-			if err := r.Write(nil, core.PageID(i+1), pageOf(dev, byte(round)), nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	s := r.Stats()
-	if s.WLMigrations == 0 || s.WLErases == 0 {
-		t.Fatalf("wear leveler never ran: %+v", s)
-	}
-	moved := 0
-	for i := 0; i < capPages/2; i++ {
-		id := core.PageID(i + 1)
-		got, _, err := r.Read(nil, id)
-		if err != nil || got[0] != 1 {
-			t.Fatalf("cold page %d corrupted: %v", id, err)
-		}
-		if mustPPN(t, r, id) != coldPPN[id] {
-			moved++
-		}
-	}
-	if moved == 0 {
-		t.Error("no cold page was relocated by the wear leveler")
-	}
-}
-
 // Rebuild must work on the sharded layout: Adopt a scanned mapping and
 // read everything back.
 func TestAdoptRebuildsShardedState(t *testing.T) {

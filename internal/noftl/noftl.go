@@ -113,11 +113,6 @@ type RegionConfig struct {
 	// out of the logical capacity to give the garbage collector slack.
 	// Zero selects the paper's 10%.
 	OverProvision float64
-	// WearDelta triggers static wear leveling: when the erase-count gap
-	// between the most- and least-worn block of a chip exceeds this, the
-	// coldest block's content is migrated so the under-worn block joins
-	// the free pool. Zero disables static wear leveling.
-	WearDelta int
 }
 
 func (rc RegionConfig) overProvision() float64 {
@@ -140,8 +135,6 @@ type Stats struct {
 	DeltaWrites      uint64 // write_delta commands (in-place appends)
 	GCPageMigrations uint64 // valid pages rewritten by the collector
 	GCErases         uint64 // block erases by the collector
-	WLMigrations     uint64 // pages moved by static wear leveling
-	WLErases         uint64 // erases performed by static wear leveling
 
 	// GCStalls is always zero: nothing counts into it. It stays only
 	// because the benchmark's noftl.gc_stalls row reads it.
@@ -189,8 +182,6 @@ func (s *Stats) add(o Stats) {
 	s.DeltaWrites += o.DeltaWrites
 	s.GCPageMigrations += o.GCPageMigrations
 	s.GCErases += o.GCErases
-	s.WLMigrations += o.WLMigrations
-	s.WLErases += o.WLErases
 	s.ReadTime += o.ReadTime
 	s.WriteTime += o.WriteTime
 	s.DeltaTime += o.DeltaTime
@@ -208,7 +199,7 @@ type blockMeta struct {
 	next       int  // next usable page slot index (not PPN) within the block
 	active     bool // current write point of its chip
 	free       bool // erased, in the free pool
-	collecting bool // being evacuated by GC or the wear leveler
+	collecting bool // being evacuated by GC
 
 	eraseSnap uint32 // erase count at free-pool push (heap key; see freeLess)
 	freeIdx   int    // position in the chip's free heap, -1 when absent

@@ -453,65 +453,6 @@ func TestErrorWrapping(t *testing.T) {
 	}
 }
 
-// TestStaticWearLeveling pins cold data in low-wear blocks and hammers
-// the rest; with WearDelta set, the leveler must evacuate cold blocks so
-// their wear catches up, narrowing the spread versus the unleveled run.
-func TestStaticWearLeveling(t *testing.T) {
-	spread := func(wearDelta int) (uint32, Stats) {
-		dev := newDevice(t, flash.SLC, 1, 24, 8, 256)
-		r, err := dev.CreateRegion(RegionConfig{
-			Name: "d", Mode: ModeSLC, BlocksPerChip: 24,
-			OverProvision: 0.3, WearDelta: wearDelta,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		capPages := r.LogicalCapacity()
-		// Cold data: first half written once, never touched again.
-		for i := 0; i < capPages/2; i++ {
-			if err := r.Write(nil, core.PageID(i+1), pageOf(dev, 1), nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Hot data: the rest overwritten many times.
-		for round := 0; round < 60; round++ {
-			for i := capPages / 2; i < capPages; i++ {
-				if err := r.Write(nil, core.PageID(i+1), pageOf(dev, byte(round)), nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		arr := dev.Array()
-		var max, min uint32
-		min = 1 << 31
-		for b := 0; b < 24; b++ {
-			w := arr.EraseCount(b)
-			if w > max {
-				max = w
-			}
-			if w < min {
-				min = w
-			}
-		}
-		// Cold data must still be intact.
-		for i := 0; i < capPages/2; i++ {
-			got, _, err := r.Read(nil, core.PageID(i+1))
-			if err != nil || got[0] != 1 {
-				t.Fatalf("cold page %d corrupted: %v", i, err)
-			}
-		}
-		return max - min, r.Stats()
-	}
-	unleveled, _ := spread(0)
-	leveled, stats := spread(3)
-	if stats.WLMigrations == 0 || stats.WLErases == 0 {
-		t.Fatalf("wear leveler never ran: %+v", stats)
-	}
-	if leveled >= unleveled {
-		t.Errorf("wear spread with leveling %d ≥ without %d", leveled, unleveled)
-	}
-}
-
 // A page id beyond core.MaxPageID is nobody's page: every lookup misses,
 // and Write and Adopt refuse it without mapping or programming anything.
 func TestPageIDBeyondTheBound(t *testing.T) {

@@ -39,8 +39,7 @@ import (
 // Locking: dl.mu serialises every DiffLog mutation and nests OUTSIDE
 // chip locks and map shards (dl.mu → cs.mu → mapShard.mu), matching the
 // region's internal order. Claimed log blocks are parked `collecting`
-// with valid=0 so the garbage collector and wear leveler never see
-// them. The read-merge path (ApplyTo) only snapshots under dl.mu and
+// with valid=0 so the garbage collector never sees them. The read-merge path (ApplyTo) only snapshots under dl.mu and
 // performs its log-page reads unlocked; it — like the engine's Fetch,
 // which reads the base page without dl.mu — relies on the epoch counter
 // to detect an interleaved merge and retry.
@@ -370,7 +369,7 @@ func (dl *DiffLog) appendChipLocked(w *sim.Worker, c int, rec []byte) (flash.PPN
 
 // openBlockLocked claims a free block from the chip's pool as a new log
 // block. The block is parked `collecting` with valid=0, which makes it
-// invisible to the garbage collector and the wear leveler.
+// invisible to the garbage collector.
 func (dl *DiffLog) openBlockLocked(pc *pdlChip) (*logBlock, error) {
 	if len(pc.blocks) >= dl.cfg.maxBlocksPerChip() {
 		return nil, fmt.Errorf("%w: chip %d at %d log blocks", ErrPDLNoSpace, pc.chip, len(pc.blocks))
@@ -636,22 +635,6 @@ func (dl *DiffLog) releaseBlockLocked(w *sim.Worker, victim *logBlock) error {
 		pc.cur = nil
 	}
 	return nil
-}
-
-// MergeAll folds every outstanding differential into its base page and
-// releases all log blocks (used when a region switches storage scheme).
-func (dl *DiffLog) MergeAll(w *sim.Worker) error {
-	dl.mu.Lock()
-	defer dl.mu.Unlock()
-	for {
-		lb := dl.pickMergeVictimLocked()
-		if lb == nil {
-			return nil
-		}
-		if err := dl.mergeBlockLocked(w, lb); err != nil {
-			return err
-		}
-	}
 }
 
 // Stats returns a snapshot of the DiffLog counters.

@@ -122,25 +122,46 @@ func TestPDLInvalidate(t *testing.T) {
 	}
 }
 
-func TestPDLMergeAll(t *testing.T) {
-	r, dl := newPDLRegion(t, 12, PDLConfig{})
-	for id := core.PageID(1); id <= 4; id++ {
+// appendUntilMerged appends 32-byte differentials to page id until the
+// log has merged at least merges blocks: merges run only when an append
+// finds no log block with room (MaxBlocksPerChip, or the free pool at
+// its reserve).
+func appendUntilMerged(t *testing.T, dl *DiffLog, id core.PageID, lsn core.LSN, merges uint64) {
+	t.Helper()
+	var pairs []core.Pair
+	for i := 0; i < 32; i++ {
+		pairs = append(pairs, core.Pair{Off: uint16(64 + i), Val: byte(i)})
+	}
+	for n := 0; dl.Stats().Merges < merges; n++ {
+		if n == 1000 {
+			t.Fatalf("%d merges after %d appends, want %d: %+v", dl.Stats().Merges, n, merges, dl.Stats())
+		}
+		if err := dl.Append(nil, id, lsn+core.LSN(n), csOf(pairs...)); err != nil {
+			t.Fatalf("append %d: %v", n, err)
+		}
+	}
+}
+
+func TestPDLMergeFoldsDifferentials(t *testing.T) {
+	r, dl := newPDLRegion(t, 12, PDLConfig{MaxBlocksPerChip: 1})
+	for id := core.PageID(1); id <= 5; id++ {
 		if err := r.Write(nil, id, pageOf(r.dev, byte(id)), nil); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for id := core.PageID(1); id <= 4; id++ {
 		if err := dl.Append(nil, id, core.LSN(id)*10, csOf(core.Pair{Off: 50, Val: byte(id)})); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// Pages 1-4's records sit in the first log block of both chips; log
+	// pressure from page 5 merges both blocks.
 	epoch := dl.Epoch()
-	if err := dl.MergeAll(nil); err != nil {
-		t.Fatal(err)
-	}
+	appendUntilMerged(t, dl, 5, 100, 2)
 	if dl.Epoch() == epoch {
 		t.Error("epoch did not advance across merge")
 	}
-	st := dl.Stats()
-	if st.LogBlocks != 0 || st.Merges == 0 || st.MergedPages != 4 {
+	if st := dl.Stats(); st.MergedPages < 4 {
 		t.Errorf("stats after merge: %+v", st)
 	}
 	// Differentials are folded into the base images.
@@ -149,11 +170,11 @@ func TestPDLMergeAll(t *testing.T) {
 		if err := r.ReadInto(nil, id, buf, nil); err != nil {
 			t.Fatal(err)
 		}
-		if n, _ := dl.ApplyTo(nil, id, buf); n != 0 {
-			t.Errorf("page %d still has %d differential bytes", id, n)
-		}
 		if buf[50] != byte(id) {
 			t.Errorf("page %d merge lost delta: %#x", id, buf[50])
+		}
+		if n, _ := dl.ApplyTo(nil, id, buf); n != 0 {
+			t.Errorf("page %d still has %d differential bytes", id, n)
 		}
 	}
 }
@@ -251,15 +272,25 @@ func TestPDLRebuild(t *testing.T) {
 		t.Errorf("rebuild stats: %+v", st)
 	}
 	// Rebuilt blocks are sealed; new appends claim fresh blocks and the
-	// sealed ones are merge victims once their records die.
-	if err := dl2.Append(nil, 3, 100, csOf(core.Pair{Off: 33, Val: 0x05})); err != nil {
+	// sealed ones are merge victims under log pressure.
+	var sealed []*logBlock
+	for _, pc := range dl2.chips {
+		sealed = append(sealed, pc.blocks...)
+	}
+	appendUntilMerged(t, dl2, 3, 100, uint64(len(sealed)))
+	for _, lb := range sealed {
+		if dl2.byBlock[lb.bm.id] == lb {
+			t.Errorf("rebuilt log block %d not reclaimed by merges: %+v", lb.bm.id, dl2.Stats())
+		}
+	}
+	if err := r.ReadInto(nil, 1, buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := dl2.MergeAll(nil); err != nil {
+	if _, err := dl2.ApplyTo(nil, 1, buf); err != nil {
 		t.Fatal(err)
 	}
-	if st := dl2.Stats(); st.LogBlocks != 0 {
-		t.Errorf("log blocks not reclaimed after rebuild+merge: %+v", st)
+	if buf[30] != 0x01 || buf[31] != 0x02 {
+		t.Errorf("page 1 after rebuild+merge: %#x %#x", buf[30], buf[31])
 	}
 }
 

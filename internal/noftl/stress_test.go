@@ -15,8 +15,8 @@ import (
 )
 
 // The -race stress gate of this package: two regions share one array,
-// each hammered by concurrent writers that collect and wear-level
-// inline on every chip. Afterwards every shadow entry must read back,
+// each hammered by concurrent writers that collect inline on every
+// chip. Afterwards every shadow entry must read back,
 // physical locations must be unique, and a ScanPhysical + Adopt rebuild
 // must reproduce a consistent region.
 func TestConcurrentGCStress(t *testing.T) {
@@ -45,7 +45,7 @@ func TestConcurrentGCStress(t *testing.T) {
 	for i := range regions {
 		regions[i], err = dev.CreateRegion(RegionConfig{
 			Name: fmt.Sprintf("r%d", i), Mode: ModeSLC,
-			BlocksPerChip: blocksPerChip / 2, OverProvision: 0.25, WearDelta: 6,
+			BlocksPerChip: blocksPerChip / 2, OverProvision: 0.25,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -244,7 +244,7 @@ func TestHandlersDoNotRetainPayloads(t *testing.T) {
 	catchUp := func(n *Node, cursor core.LSN) {
 		t.Helper()
 		for {
-			count, err := ship.encodeBatch(cursor)
+			count, err := ship.encodeBatch(cursor, batchRecords, batchBytes)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -150,8 +150,8 @@ func TestClusterFailover(t *testing.T) {
 
 	pool := cl.Pool(client.Options{RequestTimeout: 3 * time.Second})
 	defer pool.Close()
-	ct := netload.NewClusterTPCB()
-	if err := ct.Init(pool); err != nil {
+	drv := netload.NewNetTPCB()
+	if err := pool.Do(drv.Init); err != nil {
 		t.Fatalf("init: %v", err)
 	}
 
@@ -176,7 +176,14 @@ func TestClusterFailover(t *testing.T) {
 					return
 				default:
 				}
-				seq, err := ct.RunOne(pool, rng)
+				var seq uint64
+				err := pool.Do(func(c *client.Conn) error {
+					s, err := drv.RunOne(c, rng)
+					if err == nil {
+						seq = s
+					}
+					return err
+				})
 				mu.Lock()
 				switch {
 				case err == nil:

@@ -91,8 +91,7 @@ func newFuzzLeader(tb testing.TB) *fuzzLeader {
 
 // batch encodes the leader's log from cursor to its head as one body.
 func (l *fuzzLeader) batch(tb testing.TB, cursor core.LSN) []byte {
-	l.ship.n.cfg.BatchRecords, l.ship.n.cfg.BatchBytes = 1<<20, 1<<30
-	if _, err := l.ship.encodeBatch(cursor); err != nil {
+	if _, err := l.ship.encodeBatch(cursor, 1<<20, 1<<30); err != nil {
 		tb.Fatal(err)
 	}
 	return append([]byte(nil), l.ship.enc.Bytes()...)

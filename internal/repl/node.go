@@ -73,14 +73,18 @@ type Config struct {
 
 	HeartbeatInterval time.Duration // leader liveness cadence (default 50ms)
 	ElectionTimeout   time.Duration // base; randomized to [1x, 2x) (default 300ms)
-	BatchRecords      int           // max records per REPL_APPEND (default 256)
-	BatchBytes        int           // max payload bytes per batch (default 256 KiB)
-	MaxInflight       int           // shipping window, batches (default 4)
-	CommitWait        time.Duration // quorum-ack deadline for COMMIT (default 5s)
 
 	Client client.Options       // dial options for shipping/vote connections
 	Logf   func(string, ...any) // optional
 }
+
+// Shipping limits and the commit deadline.
+const (
+	batchRecords = 256             // max records per REPL_APPEND
+	batchBytes   = 256 << 10       // max record payload bytes per batch
+	maxInflight  = 4               // shipping window, batches
+	commitWait   = 5 * time.Second // quorum-ack deadline for COMMIT
+)
 
 func (c *Config) defaults() error {
 	if c.DB == nil || c.TL == nil {
@@ -94,18 +98,6 @@ func (c *Config) defaults() error {
 	}
 	if c.ElectionTimeout <= 0 {
 		c.ElectionTimeout = 300 * time.Millisecond
-	}
-	if c.BatchRecords <= 0 {
-		c.BatchRecords = 256
-	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 256 << 10
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 4
-	}
-	if c.CommitWait <= 0 {
-		c.CommitWait = 5 * time.Second
 	}
 	return nil
 }
@@ -295,9 +287,9 @@ func (n *Node) WaitCommitted(lsn core.LSN) error {
 	}
 	w, _ := n.waiterPool.Get().(*commitWaiter)
 	if w == nil {
-		w = &commitWaiter{done: make(chan error, 1), timer: time.NewTimer(n.cfg.CommitWait)}
+		w = &commitWaiter{done: make(chan error, 1), timer: time.NewTimer(commitWait)}
 	} else {
-		w.timer.Reset(n.cfg.CommitWait)
+		w.timer.Reset(commitWait)
 	}
 	w.lsn = lsn
 	n.waiters = append(n.waiters, w)
@@ -320,7 +312,7 @@ func (n *Node) WaitCommitted(lsn core.LSN) error {
 		select {
 		case err = <-w.done:
 		default:
-			err = fmt.Errorf("repl: no quorum ack for lsn %d within %v", lsn, n.cfg.CommitWait)
+			err = fmt.Errorf("repl: no quorum ack for lsn %d within %v", lsn, commitWait)
 		}
 	}
 	stopTimer(w.timer)
@@ -611,7 +603,6 @@ func (n *Node) requestVotes(term uint64, lastLSN core.LSN, lastTerm uint64) int 
 	opts := n.cfg.Client
 	opts.DialTimeout = n.cfg.ElectionTimeout / 2
 	opts.RequestTimeout = n.cfg.ElectionTimeout
-	opts.MaxRetries = 1
 	results := make(chan bool, len(n.cfg.Peers))
 	asked := 0
 	for id, addr := range n.cfg.Peers {

@@ -75,8 +75,7 @@ func (s *shipper) ring() {
 func (n *Node) shipClientOpts() client.Options {
 	opts := n.cfg.Client
 	opts.DialTimeout = n.cfg.HeartbeatInterval * 4
-	opts.RequestTimeout = n.cfg.CommitWait
-	opts.MaxRetries = 1
+	opts.RequestTimeout = commitWait
 	return opts
 }
 
@@ -126,12 +125,12 @@ func (s *shipper) beginBatch(first core.LSN) (countAt int) {
 	return countAt
 }
 
-// encodeBatch packs the records from cursor on into s.enc, straight
-// from the log's slots, and returns how many it packed.
-func (s *shipper) encodeBatch(cursor core.LSN) (int, error) {
-	n := s.n
+// encodeBatch packs up to maxRecords records (maxBytes of payload) from
+// cursor on into s.enc, straight from the log's slots, and returns how
+// many it packed.
+func (s *shipper) encodeBatch(cursor core.LSN, maxRecords, maxBytes int) (int, error) {
 	countAt := s.beginBatch(cursor)
-	count, err := n.db.WAL().ReadFrom(cursor, n.cfg.BatchRecords, n.cfg.BatchBytes,
+	count, err := s.n.db.WAL().ReadFrom(cursor, maxRecords, maxBytes,
 		func(r wal.Record) { encodeRecord(s.enc, r) })
 	s.enc.SetUint32(countAt, uint32(count))
 	return count, err
@@ -199,8 +198,8 @@ func (s *shipper) stream(c *client.Conn, w *sim.Worker) {
 		}
 
 		// Fill the window from the published horizon.
-		for len(s.window) < n.cfg.MaxInflight {
-			count, rerr := s.encodeBatch(cursor)
+		for len(s.window) < maxInflight {
+			count, rerr := s.encodeBatch(cursor, batchRecords, batchBytes)
 			if errors.Is(rerr, wal.ErrTruncated) {
 				// The follower fell behind the truncated tail. Drain
 				// the window, then resync by snapshot.

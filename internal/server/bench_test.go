@@ -82,7 +82,7 @@ func benchServerTPCB(b *testing.B, conns, depth int) {
 			rng := rand.New(rand.NewSource(int64(1000 + w)))
 			for i := 0; i < quota(w); i++ {
 				t0 := time.Now()
-				err := drv.RunOne(c, rng)
+				_, err := drv.RunOne(c, rng)
 				lats[w].Add(time.Since(t0))
 				switch {
 				case err == nil:

@@ -14,6 +14,10 @@ func (s *Server) OccupySlot() func() {
 	return func() { <-s.inflight }
 }
 
+// SetMaxFrame lowers the frame size limit from wire.MaxFrame, so a
+// test can reach it with a few KiB. Call it before Serve.
+func (s *Server) SetMaxFrame(n int) { s.maxFrame = n }
+
 // TestSession is a session without a network, for measuring what
 // serving a request costs on top of the engine call it wraps: requests
 // go straight into handle, replies into a connection that discards

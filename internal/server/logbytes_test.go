@@ -76,7 +76,7 @@ func TestServedTPCBLogAndShipBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	before := settled()
 	for i := 0; i < txs; i++ {
-		if err := drv.RunOne(c, rng); err != nil {
+		if _, err := drv.RunOne(c, rng); err != nil {
 			t.Fatal(err)
 		}
 	}

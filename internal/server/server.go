@@ -57,11 +57,12 @@ type Config struct {
 	MaxInflight    int           // global in-flight request cap (default 256)
 	AcquireTimeout time.Duration // admission wait before StatusBusy (default 2s)
 	ReadTimeout    time.Duration // limit on a frame's arrival and on idling between bursts (default 2m)
-	WriteTimeout   time.Duration // deadline per response flush (default 30s)
-	MaxFrame       int           // frame size limit (default wire.MaxFrame)
 
 	Logf func(format string, args ...any) // optional diagnostics sink
 }
+
+// writeTimeout is the deadline of one response flush.
+const writeTimeout = 30 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.MaxInflight <= 0 {
@@ -72,12 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = 2 * time.Minute
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = wire.MaxFrame
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -114,6 +109,7 @@ type Server struct {
 	db       *engine.DB
 	inflight chan struct{}
 	draining atomic.Bool
+	maxFrame int // request and response size limit: wire.MaxFrame
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -145,6 +141,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		db:       cfg.DB,
 		inflight: make(chan struct{}, cfg.MaxInflight),
+		maxFrame: wire.MaxFrame,
 		sessions: make(map[*session]struct{}),
 	}, nil
 }

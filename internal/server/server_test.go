@@ -555,7 +555,7 @@ func TestBusyAdmissionAtomicity(t *testing.T) {
 }
 
 // TestScanFrameCap: a SCAN whose response would exceed the server's
-// MaxFrame fails StatusBadRequest instead of building a frame the
+// frame limit fails StatusBadRequest instead of building a frame the
 // client's reader would reject (tearing down the connection); a limited
 // scan under the cap still succeeds on the same connection.
 func TestScanFrameCap(t *testing.T) {
@@ -563,8 +563,18 @@ func TestScanFrameCap(t *testing.T) {
 	if _, err := db.CreateTable("big", "data"); err != nil {
 		t.Fatal(err)
 	}
-	srv, addr, _ := startServer(t, db, tl, server.Config{MaxFrame: 2048})
+	srv, err := server.New(server.Config{DB: db, Timeline: tl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetMaxFrame(2048)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
 	defer srv.Shutdown(5 * time.Second)
+	addr := ln.Addr().String()
 
 	c, err := client.Dial(addr, client.Options{})
 	if err != nil {

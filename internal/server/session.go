@@ -101,7 +101,7 @@ func (s *session) next() (wire.Frame, int, error) {
 	if err := s.await(wire.HeaderLen); err != nil {
 		return wire.Frame{}, 0, err
 	}
-	size, err := wire.PeekFrameSize(s.br, s.srv.cfg.MaxFrame)
+	size, err := wire.PeekFrameSize(s.br, s.srv.maxFrame)
 	if err != nil {
 		return wire.Frame{}, 0, err
 	}
@@ -109,7 +109,7 @@ func (s *session) next() (wire.Frame, int, error) {
 		if err := s.pause(); err != nil {
 			return wire.Frame{}, 0, err
 		}
-		f, err := wire.ReadFrame(s.br, s.srv.cfg.MaxFrame)
+		f, err := wire.ReadFrame(s.br, s.srv.maxFrame)
 		s.now = time.Now()
 		return f, 0, err
 	}
@@ -170,9 +170,9 @@ func (s *session) finish() {
 	s.srv.removeSession(s)
 }
 
-// armWrite gives the socket write that follows WriteTimeout.
+// armWrite gives the socket write that follows writeTimeout.
 func (s *session) armWrite() {
-	s.conn.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout))
+	s.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 }
 
 func (s *session) flush() {
@@ -600,7 +600,7 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 // exceed the frame limit fails instead of building a frame the client's
 // ReadFrame must reject (which would tear down the whole connection).
 func (s *session) scan(tbl *engine.Table, snap *engine.Tx, limit uint32) (byte, []byte) {
-	budget := s.srv.cfg.MaxFrame - 256 // frame header plus slack
+	budget := s.srv.maxFrame - 256 // frame header plus slack
 	b := s.out.Reset()
 	b.Uint32(0) // the count, set below
 	var count uint32
@@ -626,7 +626,7 @@ func (s *session) scan(tbl *engine.Table, snap *engine.Tx, limit uint32) (byte, 
 	if truncated {
 		return wire.StatusBadRequest, s.errPayload(fmt.Sprintf(
 			"scan response would exceed the %d-byte frame limit; retry with a smaller limit",
-			s.srv.cfg.MaxFrame))
+			s.srv.maxFrame))
 	}
 	b.SetUint32(0, count)
 	return wire.StatusOK, b.Bytes()

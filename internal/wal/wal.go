@@ -579,12 +579,24 @@ func (l *Log) advancePublished() {
 // Flush makes all records up to lsn durable. In this in-memory model it
 // only moves the durability horizon and counts flushes (the cost shows up
 // on a log device we do not model; the paper's experiments count data-page
-// I/O). The horizon is clamped to the contiguous published prefix — a
-// record becomes flushable only once everything before it is published.
+// I/O).
+//
+// A record becomes durable only with everything before it, so Flush
+// waits until the contiguous published prefix covers lsn: a hole below
+// an LSN this log assigned is an appender still copying, and clamping to
+// the prefix instead would let the caller program a page whose log
+// record is not durable yet — the WAL rule the page store's flush relies
+// on. An lsn beyond the assigned head is clamped to it, because waiting
+// for it would never end: a follower's pages installed from a snapshot
+// carry the primary's PageLSNs, past the follower's spliced log.
 func (l *Log) Flush(lsn core.LSN) {
-	if pub := core.LSN(l.published.Load()); lsn > pub {
-		lsn = pub
+	if core.LSN(l.flushed.Load()) >= lsn {
+		return // already durable: the common case of a page store's flush
 	}
+	if head := core.LSN(l.next.Load() - 1); lsn > head {
+		lsn = head
+	}
+	l.waitPublished(lsn)
 	if _, moved := l.advanceFlushed(lsn); moved {
 		l.flushes.Add(1)
 	}

@@ -22,7 +22,7 @@
 //	             off u32, val bytes               → —
 //	DELETE       txid u64, table str, rid         → —
 //	SCAN         table str, limit u32             → count u32, count×(rid, data bytes)
-//	             (responses are size-capped at the server's MaxFrame; a
+//	             (responses are size-capped at MaxFrame; a
 //	             scan that would exceed it fails BAD_REQUEST)
 //	STATS        —                                → JSON bytes (server stats document)
 //	PING         —                                → —
