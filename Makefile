@@ -2,9 +2,9 @@
 # lands. `make check` is what CI (and ROADMAP.md) means by tier-1.
 GO ?= go
 
-.PHONY: check tier1 pins sim-clock rig-deps footprint vet build test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all scaling loc fmt fmt-check
+.PHONY: check tier1 pins sim-clock rig-deps footprint vet build examples test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all scaling loc fmt fmt-check
 
-check: fmt-check pins sim-clock rig-deps footprint vet build race
+check: fmt-check pins sim-clock rig-deps footprint vet build examples race
 
 # tier1 is the replication-aware spelling of the gate: the full -race
 # suite includes the 3-node kill-the-primary failover test
@@ -27,9 +27,9 @@ fmt-check:
 # fails when another non-test file of the package pins, unpins, latches
 # or attaches by hand. The exceptions, and why:
 #   store.go: page.Attach only — the flush side. The pool has
-#     claimed the frame and holds its latch when it calls Flush, and
-#     RecoverMapping attaches a private copy of a scanned flash page, not
-#     a frame.
+#     claimed the frame and holds its latch when it calls Flush, and the
+#     restart's mapping rebuild (recoverMapping) attaches a private copy
+#     of a scanned flash page, not a frame.
 PINS_FILES = ls internal/engine/*.go | grep -v '_test\.go$$\|/pageref\.go$$'
 PINS_IDIOM = page\.Attach(\|pool\.\(Get\|GetNew\|Unpin\)(\|\.\(Try\)\?R\?Latch()\|\.R\?Unlatch()
 PINS_ALLOW = ^internal/engine/store\.go:[0-9]*:.*page\.Attach(
@@ -89,6 +89,12 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Every example runs to its end and checks what it printed: a wrong
+# state exits non-zero (log.Fatal). examples/recovery is the one program
+# that cuts the power and restarts. Together they take about two seconds.
+examples:
+	@for d in examples/*/; do $(GO) run ./$$d > /dev/null || { echo "$$d failed"; exit 1; }; done
 
 test:
 	$(GO) test ./...

@@ -3,10 +3,10 @@
 // A committed transaction's small update is flushed to flash as a
 // delta-record appended to the original physical page; an uncommitted
 // transaction's update is also stolen to flash the same way. Then the
-// database "crashes" (buffer pool and transaction table are wiped).
-// ARIES restart recovery — analysis, LSN-guarded redo, undo with CLRs —
-// runs over pages reconstructed from flash *plus their delta-records*,
-// proving the paper's claim that the recovery protocol needs no changes.
+// power is cut (pool, transaction table, NoFTL mapping, unforced log
+// tail lost). The restart scans flash for the mapping, then ARIES —
+// analysis, LSN-guarded redo, undo with CLRs — runs over pages rebuilt
+// from flash *plus their delta-records*: the protocol needs no changes.
 //
 // Run: go run ./examples/recovery
 package main
@@ -92,20 +92,20 @@ func main() {
 	if err := db.SimulateCrash(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\n*** crash: buffer pool and transaction table wiped ***")
+	fmt.Println("\n*** power cut: buffer pool, transaction table, NoFTL mapping and unforced log tail lost ***")
 
 	rep, err := db.Recover(w)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("recovery: %d records analysed, %d ops redone, %d skipped (LSN guard), %d losers undone\n",
-		rep.AnalyzedRecords, rep.RedoneOps, rep.SkippedOps, rep.UndoneTxs)
+	fmt.Printf("restart: %d pages mapped from flash; %d records analysed, %d ops redone, %d skipped (LSN guard), %d losers undone\n",
+		rep.MappedPages, rep.AnalyzedRecords, rep.RedoneOps, rep.SkippedOps, rep.UndoneTxs)
 
 	a, _ := tbl.Read(w, ridA)
 	b, _ := tbl.Read(w, ridB)
 	fmt.Printf("\nafter recovery: A=%d (want 111), B=%d (want 200)\n",
 		schema.GetUint(a, 1), schema.GetUint(b, 1))
-	if schema.GetUint(a, 1) != 111 || schema.GetUint(b, 1) != 200 {
+	if schema.GetUint(a, 1) != 111 || schema.GetUint(b, 1) != 200 || rep.MappedPages == 0 || rep.UndoneTxs != 1 {
 		log.Fatal("recovery produced wrong state!")
 	}
 	fmt.Println("OK — committed work survived, the loser was rolled back,")

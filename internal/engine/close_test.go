@@ -91,10 +91,7 @@ func TestSimulateCrashReopens(t *testing.T) {
 	if _, err := db.Begin(nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Begin after Close: %v, want ErrClosed", err)
 	}
-	if err := db.SimulateCrash(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Recover(nil); err != nil {
+	if _, err := crash(db); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	got, err := tbl.Read(nil, rid)
@@ -116,6 +113,34 @@ func TestSimulateCrashReopens(t *testing.T) {
 	}
 	if err := db.Close(); err != nil { // and Close works a second life too
 		t.Fatal(err)
+	}
+}
+
+// TestCrashedInstanceIsDown: between the power cut and the restart the
+// instance serves nothing, and Recover restarts only a crashed instance.
+func TestCrashedInstanceIsDown(t *testing.T) {
+	db := newTwoRegionRig(t, 16)
+	if _, err := db.Recover(nil); err == nil {
+		t.Fatal("Recover of a running instance succeeded")
+	}
+	if err := db.SimulateCrash(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Begin(nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Begin after the crash: %v, want ErrClosed", err)
+	}
+	if err := db.Checkpoint(nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Checkpoint after the crash: %v, want ErrClosed", err)
+	}
+	if _, err := db.Recover(nil); err != nil {
+		t.Fatal(err)
+	}
+	tx := mustBegin(db, nil)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Recover(nil); err == nil {
+		t.Error("a second Recover without a crash succeeded")
 	}
 }
 

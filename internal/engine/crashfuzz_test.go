@@ -117,10 +117,7 @@ func runCrashFuzz(t *testing.T, seed int64) {
 			}
 		}
 		// CRASH + recover.
-		if err := r.db.SimulateCrash(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.db.Recover(nil); err != nil {
+		if _, err := crash(r.db); err != nil {
 			t.Fatal(err)
 		}
 		// Verify: every row holds exactly its committed value. Note that
@@ -172,8 +169,7 @@ func TestCrashDuringHeavyStealing(t *testing.T) {
 	if r.db.Store("main").Region().Stats().HostWrites() == 0 {
 		t.Fatal("nothing was stolen to flash")
 	}
-	r.db.SimulateCrash()
-	rep, err := r.db.Recover(nil)
+	rep, err := crash(r.db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,13 +436,7 @@ func crashFieldScript(t *testing.T, cell RegionCell, mvcc bool, crashAt int) {
 	if _, err := r.db.Pool().FlushOldest(nil, crashAt%4); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.db.SimulateCrash(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.db.Store("main").RecoverMapping(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.db.Recover(nil); err != nil {
+	if _, err := crash(r.db); err != nil {
 		t.Fatalf("crash at step %d: recover: %v", crashAt, err)
 	}
 	verify("after recovery", func(rid core.RID) ([]byte, error) { return tbl.Read(nil, rid) })
@@ -455,13 +445,7 @@ func crashFieldScript(t *testing.T, cell RegionCell, mvcc bool, crashAt int) {
 	if err := r.db.FlushAll(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.db.SimulateCrash(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.db.Store("main").RecoverMapping(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.db.Recover(nil); err != nil {
+	if _, err := crash(r.db); err != nil {
 		t.Fatalf("crash at step %d: second recover: %v", crashAt, err)
 	}
 	verify("after flushing the recovered pages and a second crash", func(rid core.RID) ([]byte, error) { return tbl.Read(nil, rid) })

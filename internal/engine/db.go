@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -200,11 +201,12 @@ type DB struct {
 	checkpoints atomic.Uint64
 	reclaims    atomic.Uint64
 
-	// closed is raised by Close (under stateMu exclusive) and lowered by
-	// SimulateCrash, which models a process restart and therefore reopens
-	// the instance. closeMu serialises Close and SimulateCrash so the
-	// version reaper is stopped and restarted exactly once each.
+	// closed is raised by Close and SimulateCrash (under stateMu
+	// exclusive) and lowered by Recover, the restart, which only a crashed
+	// instance takes. closeMu serialises the three so the version reaper
+	// is stopped and restarted exactly once each.
 	closed  atomic.Bool
+	crashed bool
 	closeMu sync.Mutex
 
 	// wrapStore, when a test sets it, is put between every pool newPool
@@ -302,8 +304,8 @@ func New(dev *noftl.Device, opts Options) (*DB, error) {
 // exclusive state latch (so every Begin/Checkpoint/Stats that starts
 // after Close returns deterministically fails with ErrClosed), then the
 // MVCC version reaper is drained (a no-op without Options.MVCC).
-// Repeated calls do nothing. SimulateCrash reopens a closed instance —
-// it models the process restarting. The error is always nil.
+// Repeated calls do nothing. SimulateCrash, then Recover, reopens a
+// closed instance, as a process restart does. The error is always nil.
 func (db *DB) Close() error {
 	db.closeMu.Lock()
 	defer db.closeMu.Unlock()
@@ -524,24 +526,39 @@ func (db *DB) dropReservations() {
 	}
 }
 
-// SimulateCrash throws away all volatile state — buffer pool contents and
-// the active-transaction table — keeping flash contents, the log and the
-// catalog (assumed on stable metadata storage, as NoFTL does). Restart
-// must call Recover before new work. Stop-the-world: blocks until all
-// in-flight operations drain.
-//
-// A crash models the process dying and restarting, so a previously
-// Closed instance comes back open: the closed flag is cleared and the
-// version reaper restarted. This is what lets the server
-// integration tests shut down gracefully, then "reopen the device" and
-// verify WAL recovery on the same instance.
+// SimulateCrash cuts the power. Everything DBMS memory holds is lost:
+// the buffer pool, the transaction, lock and version tables, every
+// region's NoFTL mapping and every log record past WAL().Flushed() (a PDL
+// region's differential index is rebuilt from nothing too). Flash, the
+// durable log and the catalog (assumed on stable metadata storage, as
+// NoFTL does) survive. The instance is down — Begin, Checkpoint and Stats
+// fail with ErrClosed — until Recover, the only way back, restarts it.
+// Stop-the-world: blocks until all in-flight operations drain.
 func (db *DB) SimulateCrash() error {
-	// closeMu before stateMu — the same order Close takes them — so a
-	// concurrent Close cannot interleave with the reopen.
+	// closeMu before stateMu — the same order Close takes them.
 	db.closeMu.Lock()
 	defer db.closeMu.Unlock()
 	db.lockState()
 	defer db.unlockState()
+	if err := db.dropVolatile(); err != nil {
+		return err
+	}
+	db.log.Cut()
+	for _, st := range byName(db, db.stores) {
+		if err := st.region.Adopt(nil); err != nil {
+			return err
+		}
+	}
+	if !db.closed.Swap(true) && db.vs != nil {
+		db.vs.stopReaper()
+	}
+	db.crashed = true
+	return nil
+}
+
+// dropVolatile replaces the pool and empties the transaction, lock and
+// version tables: what a crash and a snapshot install both discard.
+func (db *DB) dropVolatile() error {
 	pool, err := db.newPool(db.opts.BufferFrames)
 	if err != nil {
 		return err
@@ -551,16 +568,24 @@ func (db *DB) SimulateCrash() error {
 	db.resetActive()
 	db.locks.clear()
 	if db.vs != nil {
-		// Version chains, snapshot pins and in-flight commits are
-		// volatile: the store safely resets (restart recovery repairs the
-		// heap itself; see versionStore.reset).
 		db.vs.reset()
 	}
-	if db.closed.Load() {
-		db.closed.Store(false)
-		if db.vs != nil {
-			db.vs.startReaper(db.log.Head)
-		}
-	}
 	return nil
+}
+
+// byName lists a catalog map's values in name order, the order a restart
+// visits them in, so that its simulated time is deterministic.
+func byName[T any](db *DB, m map[string]T) []T {
+	db.catMu.Lock()
+	defer db.catMu.Unlock()
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	out := make([]T, len(names))
+	for i, name := range names {
+		out[i] = m[name]
+	}
+	return out
 }

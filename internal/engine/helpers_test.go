@@ -53,3 +53,12 @@ func newRigWithOptions(t testing.TB, g flash.Geometry, opts Options) *DB {
 	}
 	return db
 }
+
+// crash cuts the power and restarts db, charging the restart to no
+// worker: SimulateCrash, then Recover.
+func crash(db *DB) (RecoveryReport, error) {
+	if err := db.SimulateCrash(); err != nil {
+		return RecoveryReport{}, err
+	}
+	return db.Recover(nil)
+}

@@ -321,10 +321,7 @@ func TestMVCCCloseAndCrash(t *testing.T) {
 		t.Fatalf("repeated Close: %v", err)
 	}
 
-	if err := db.SimulateCrash(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Recover(nil); err != nil {
+	if _, err := crash(db); err != nil {
 		t.Fatal(err)
 	}
 	st, err := db.Stats()

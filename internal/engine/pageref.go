@@ -99,9 +99,10 @@ func (db *DB) formatNew(w *sim.Worker, st *PageStore, id core.PageID) (pageRef, 
 	return r, nil
 }
 
-// pinRedo is pinPage for the two replay paths, restart redo and the
-// follower's applier: a page that was allocated but never reached this
-// node's flash is recreated empty, for replay to rebuild from the log.
+// pinRedo is pinPage for the replay paths — restart redo, the restart's
+// chain repair and the follower's applier: a page that was allocated but
+// never reached this node's flash is recreated empty, for replay to
+// rebuild from the log.
 func (db *DB) pinRedo(w *sim.Worker, st *PageStore, id core.PageID, excl bool) (pageRef, error) {
 	r, err := db.pinPage(w, st, id, excl)
 	if err == nil || st.region.Contains(id) {

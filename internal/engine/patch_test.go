@@ -252,10 +252,7 @@ func TestPatchRedoUndoCLR(t *testing.T) {
 		}
 	}
 
-	if err := db.SimulateCrash(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := db.Recover(nil)
+	rep, err := crash(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,10 +264,7 @@ func TestPatchRedoUndoCLR(t *testing.T) {
 	// Crash again before anything is flushed: the loser's CLRs (patches)
 	// and everything else are redone from the log, and nothing is undone
 	// twice.
-	if err := db.SimulateCrash(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = db.Recover(nil)
+	rep, err = crash(db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,18 +134,12 @@ func TestPDLRecoverMapping(t *testing.T) {
 	}
 
 	// Restart: drop the buffer pool and all in-memory mapping state.
-	if err := r.db.SimulateCrash(); err != nil {
-		t.Fatal(err)
-	}
-	n, err := r.db.Store("main").RecoverMapping(nil)
+	rep, err := crash(r.db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Fatal("RecoverMapping adopted no pages")
-	}
-	if _, err := r.db.Recover(nil); err != nil {
-		t.Fatal(err)
+	if rep.MappedPages == 0 {
+		t.Fatal("the restart mapped no pages")
 	}
 	for rid, v := range want {
 		got, err := tbl.Read(nil, rid)
@@ -250,13 +244,7 @@ func runPDLCrashFuzz(t *testing.T, seed int64) {
 			}
 		}
 		// CRASH, rebuild the mapping + differential log from flash, redo.
-		if err := r.db.SimulateCrash(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.db.Store("main").RecoverMapping(nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.db.Recover(nil); err != nil {
+		if _, err := crash(r.db); err != nil {
 			t.Fatal(err)
 		}
 		for _, rid := range rids {

@@ -8,11 +8,11 @@ import (
 	"ipa/internal/noftl"
 )
 
-// TestRecoverMappingAfterPowerLoss wipes the NoFTL mapping entirely (a
-// power loss losing device metadata, not just DB buffers) and rebuilds it
-// by scanning flash: the newest copy of each logical page — determined by
-// the reconstructed PageLSN, so delta-records participate — must win over
-// stale pre-GC copies.
+// TestRecoverMappingAfterPowerLoss: a power cut loses the NoFTL mapping
+// entirely (device metadata in DBMS memory, not just DB buffers), and the
+// restart rebuilds it by scanning flash: the newest copy of each logical
+// page — determined by the reconstructed PageLSN, so delta-records
+// participate — must win over stale pre-GC copies.
 func TestRecoverMappingAfterPowerLoss(t *testing.T) {
 	r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 4), 16, false)
 	tbl, _ := r.db.CreateTable("t", "main")
@@ -49,7 +49,8 @@ func TestRecoverMappingAfterPowerLoss(t *testing.T) {
 		t.Fatal("precondition: no delta writes")
 	}
 
-	// Snapshot the true mapping, then destroy it.
+	// Snapshot the true mapping; the power cut destroys it and the restart
+	// rebuilds it from flash.
 	want := map[core.PageID]flash.PPN{}
 	for _, rid := range rids {
 		ppn, ok := st.Region().PPNOf(rid.Page)
@@ -58,21 +59,18 @@ func TestRecoverMappingAfterPowerLoss(t *testing.T) {
 		}
 		want[rid.Page] = ppn
 	}
-	if err := st.Region().Adopt(map[core.PageID]flash.PPN{}); err != nil {
+	if err := r.db.SimulateCrash(); err != nil {
 		t.Fatal(err)
 	}
 	if st.Region().MappedPages() != 0 {
 		t.Fatal("mapping not wiped")
 	}
-	r.db.SimulateCrash() // buffers go too
-
-	// Rebuild from flash.
-	n, err := st.RecoverMapping(nil)
+	rep, err := r.db.Recover(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n < len(want) {
-		t.Fatalf("recovered %d pages, want ≥ %d", n, len(want))
+	if rep.MappedPages < len(want) {
+		t.Fatalf("recovered %d pages, want ≥ %d", rep.MappedPages, len(want))
 	}
 	if len(want) < 4 {
 		t.Fatalf("test sizing: rows span only %d pages", len(want))
@@ -140,9 +138,9 @@ func TestRecoverMappingLeavesEmptyDeviceEmpty(t *testing.T) {
 		if _, err := r.db.CreateTable("t", "main"); err != nil {
 			t.Fatal(err)
 		}
-		n, err := r.db.Store("main").RecoverMapping(nil)
-		if err != nil || n != 0 {
-			t.Fatalf("%s: RecoverMapping of an empty region = %d, %v", cell.Name, n, err)
+		rep, err := crash(r.db)
+		if err != nil || rep.MappedPages != 0 {
+			t.Fatalf("%s: the restart of an empty region mapped %d pages, %v", cell.Name, rep.MappedPages, err)
 		}
 		if got := r.dev.Array().Stats().ResidentBytes; got != 0 {
 			t.Errorf("%s: the rebuild left %d bytes of an empty device resident", cell.Name, got)

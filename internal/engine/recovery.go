@@ -2,6 +2,7 @@ package engine
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -19,8 +20,9 @@ import (
 // records, version-store entries, truncation at a shipped checkpoint —
 // stays in replica.go, around these three.
 
-// RecoveryReport summarises a restart recovery run.
+// RecoveryReport summarises a restart.
 type RecoveryReport struct {
+	MappedPages     int // logical pages the flash scan found, over every store
 	AnalyzedRecords int
 	RedoneOps       int
 	SkippedOps      int // redo found PageLSN already current
@@ -28,20 +30,32 @@ type RecoveryReport struct {
 	CompletedTxs    int
 }
 
-// Recover performs ARIES restart recovery: one scan of the retained log
-// that analyses every record and redoes update, compensation and
-// allocation records under the PageLSN guard, then the loser pass. Pages are fetched
-// through the normal path, so redo operates on images reconstructed from
-// flash plus any delta-records that were ISPP-appended before the crash
-// — the paper's claim that IPA leaves recovery untouched is exercised,
-// not assumed.
+// Recover restarts an instance SimulateCrash took down, from flash and
+// the durable log alone: each store rebuilds its mapping (and a PDL
+// region its differential index) from flash; one scan of the log analyses
+// every record and redoes update, compensation and allocation records
+// under the PageLSN guard; then the loser pass and restoreChains. Redo
+// runs on images reconstructed from flash plus their delta-records, so
+// the paper's claim that IPA leaves recovery untouched is exercised, not
+// assumed. On an error the instance stays down.
 func (db *DB) Recover(w *sim.Worker) (RecoveryReport, error) {
+	db.closeMu.Lock()
+	defer db.closeMu.Unlock()
 	// Recovery is stop-the-world: the state latch is held exclusively, so
 	// no transaction can run concurrently.
 	db.lockState()
 	defer db.unlockState()
-
 	var rep RecoveryReport
+	if !db.crashed {
+		return rep, errors.New("engine: Recover restarts a crashed instance")
+	}
+	for _, st := range byName(db, db.stores) {
+		n, err := st.recoverMapping(w)
+		if err != nil {
+			return rep, err
+		}
+		rep.MappedPages += n
+	}
 	txs := newTxTable()
 	var err error
 	// The scan sees exactly the contiguous published prefix of the log —
@@ -64,11 +78,42 @@ func (db *DB) Recover(w *sim.Worker) (RecoveryReport, error) {
 		}
 		return true
 	})
+	if err == nil {
+		rep.UndoneTxs, rep.CompletedTxs, err = db.endOpen(w, &txs)
+	}
+	if err == nil {
+		err = db.restoreChains(w)
+	}
 	if err != nil {
 		return rep, err
 	}
-	rep.UndoneTxs, rep.CompletedTxs, err = db.endOpen(w, &txs)
-	return rep, err
+	db.crashed = false
+	db.closed.Store(false)
+	if db.vs != nil {
+		db.vs.startReaper(db.log.Head)
+	}
+	return rep, nil
+}
+
+// restoreChains recreates, empty, each heap page a table lists that
+// neither flash nor the log holds: a loser's page whose records the
+// power cut took. The id stays in the chain; ids are not reused.
+func (db *DB) restoreChains(w *sim.Worker) error {
+	for _, t := range byName(db, db.tables) {
+		for _, id := range t.heapPages() {
+			if t.st.region.Contains(id) {
+				continue
+			}
+			pg, err := db.pinRedo(w, t.st, id, true)
+			if err == nil {
+				err = pg.unpinDirty(db.log.Head())
+			}
+			if err != nil {
+				return fmt.Errorf("engine: restore heap page %d of %q: %w", id, t.name, err)
+			}
+		}
+	}
+	return nil
 }
 
 // replayTx is a transaction the replay has met and not seen end.

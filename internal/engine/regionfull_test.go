@@ -87,10 +87,7 @@ func TestFullRegionFailsTheInsert(t *testing.T) {
 		t.Errorf("after FlushAll the region maps %d pages, want all %d", got, region.LogicalCapacity())
 	}
 	check("after FlushAll")
-	if err := db.SimulateCrash(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Recover(nil); err != nil {
+	if _, err := crash(db); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	check("after a crash and Recover")

@@ -200,10 +200,7 @@ func promoteAt(t testing.TB, h replayHistory, k int) (*DB, []wal.Record) {
 func recoverAt(t testing.TB, h replayHistory, k int) (*DB, []wal.Record) {
 	t.Helper()
 	db, _ := replicaAt(t, h.recs[:k])
-	if err := db.SimulateCrash(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Recover(nil); err != nil {
+	if _, err := crash(db); err != nil {
 		t.Fatalf("cut %d: Recover: %v", k, err)
 	}
 	return db, logFrom(db, core.LSN(k)+1)

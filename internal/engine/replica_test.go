@@ -541,6 +541,75 @@ func TestPromoteKeepsShippedCommit(t *testing.T) {
 	}
 }
 
+// TestFollowerCrashKeepsAppliedCommit: the primary acknowledges a commit
+// once followers have applied its commit record (repl.WaitCommitted), and
+// the applier makes every record it applies durable. So a follower that
+// loses power at that cut, before the end record ships, keeps every
+// record it applied and the transaction with them: the restart completes
+// it, it does not roll it back.
+func TestFollowerCrashKeepsAppliedCommit(t *testing.T) {
+	primary := newReplRig(t)
+	defer primary.Close()
+	follower := newReplRig(t)
+	defer follower.Close()
+	a, err := follower.NewApplier(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptb, err := primary.CreateTable("acct", "r1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := mustBegin(primary, nil)
+	rid, err := ptb.Insert(tx, []byte("v0-a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	shipAll(t, primary, a)
+	tx = mustBegin(primary, nil)
+	if err := ptb.Update(tx, rid, []byte("v1-a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var recs []wal.Record
+	if _, err := primary.WAL().ReadFrom(a.AppliedLSN()+1, 64, 1<<20, func(r wal.Record) {
+		if r.LSN <= tx.CommitLSN() {
+			recs = append(recs, r)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Apply(recs); err != nil {
+		t.Fatal(err)
+	}
+	applied := a.AppliedLSN()
+	if applied != tx.CommitLSN() {
+		t.Fatalf("precondition: applied to %d, commit record at %d", applied, tx.CommitLSN())
+	}
+	rep, err := crash(follower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.UndoneTxs != 0 || rep.CompletedTxs != 1 {
+		t.Errorf("restart undid %d and completed %d transactions, want 0 and 1", rep.UndoneTxs, rep.CompletedTxs)
+	}
+	if got, err := follower.WAL().Get(applied); err != nil || got.Type != wal.RecCommit || got.TxID != tx.id {
+		t.Errorf("the follower's log at the applied LSN %d after the cut = %v, %v; want tx %d's commit", applied, got, err, tx.id)
+	}
+	ftb, err := follower.Table("acct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ftb.Read(nil, rid); err != nil || string(got) != "v1-a" {
+		t.Fatalf("row = %q, %v, want v1-a", got, err)
+	}
+}
+
 // TestApplierTxTableStaysBounded: a follower whose primary never
 // checkpoints (a served leader runs without a log capacity) keeps, in
 // its replay's transaction table, only what is open and what was open

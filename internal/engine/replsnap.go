@@ -137,18 +137,10 @@ func (db *DB) InstallSnapshot(w *sim.Worker, snap *ReplicaSnapshot) error {
 		}
 	}
 
-	pool, err := db.newPool(db.opts.BufferFrames)
-	if err != nil {
+	if err := db.dropVolatile(); err != nil {
 		return err
 	}
-	db.pool = pool
-	db.dropReservations()
 	db.pageDir.clear()
-	db.locks.clear()
-	if db.vs != nil {
-		db.vs.reset()
-	}
-	db.resetActive()
 	db.catMu.Lock()
 	db.tables = make(map[string]*Table)
 	db.catMu.Unlock()

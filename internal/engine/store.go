@@ -111,7 +111,7 @@ type PageStore struct {
 
 	// dl is the differential log of a PDL region and nil for an IPA
 	// region: Fetch, flush and Free take the PDL path exactly when it is
-	// set, and RecoverMapping rebuilds it. An IPA region on the disabled
+	// set, and recoverMapping rebuilds it. An IPA region on the disabled
 	// [0×0] scheme is the out-of-place baseline.
 	dl *noftl.DiffLog
 
@@ -547,20 +547,21 @@ func (s *PageStore) Scrub(w *sim.Worker, id core.PageID) (corrected int, err err
 	return n, nil
 }
 
-// RecoverMapping rebuilds the region's logical→physical mapping from
-// flash contents after a power loss that wiped the in-memory NoFTL
-// metadata. Every programmed physical page is scanned; its raw image is
-// reconstructed (delta-records applied) to obtain the page id and the
-// effective PageLSN, and for each logical page the copy with the highest
-// LSN wins — older copies are garbage the collector will reclaim. It
-// returns the number of logical pages recovered.
-func (s *PageStore) RecoverMapping(w *sim.Worker) (int, error) {
+// recoverMapping rebuilds the region's logical→physical mapping, which a
+// power cut took with DBMS memory, from flash contents: the first step of
+// a restart (DB.Recover). Every programmed physical page is scanned; its
+// raw image is reconstructed (delta-records applied) to obtain the page id
+// and the effective PageLSN, and for each logical page the copy with the
+// highest LSN wins — older copies are garbage the collector will reclaim.
+// It returns the number of logical pages recovered.
+func (s *PageStore) recoverMapping(w *sim.Worker) (int, error) {
 	type winner struct {
 		ppn flash.PPN
 		lsn core.LSN
 	}
 	best := make(map[core.PageID]winner)
 	pdlBlock := -1
+	img := make([]byte, s.layout.PageSize)
 	err := s.region.ScanPhysical(w, func(pp noftl.PhysicalPage) bool {
 		// A PDL log block announces itself on its first page; its pages
 		// hold differential records, not database pages, and the scan
@@ -573,7 +574,7 @@ func (s *PageStore) RecoverMapping(w *sim.Worker) (int, error) {
 			pdlBlock = pp.Block
 			return true
 		}
-		img := append([]byte(nil), pp.Data...)
+		copy(img, pp.Data)
 		if _, err := page.Reconstruct(img, s.layout); err != nil {
 			// Unreadable image: skip (a torn program would be caught by
 			// ECC on real hardware; our model only sees whole programs).

@@ -353,7 +353,7 @@ func (vs *versionStore) pokeReaper() {
 }
 
 // startReaper launches the background prune goroutine. Called from
-// engine.New and from SimulateCrash when it reopens a closed instance.
+// engine.New and from Recover when it reopens the instance.
 func (vs *versionStore) startReaper(head func() core.LSN) {
 	stop := make(chan struct{})
 	vs.reapStop = stop
@@ -372,7 +372,7 @@ func (vs *versionStore) startReaper(head func() core.LSN) {
 	}()
 }
 
-// stopReaper drains the reaper deterministically (DB.Close).
+// stopReaper drains the reaper deterministically (Close, SimulateCrash).
 func (vs *versionStore) stopReaper() {
 	if vs.reapStop == nil {
 		return

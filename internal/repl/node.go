@@ -74,8 +74,7 @@ type Config struct {
 	HeartbeatInterval time.Duration // leader liveness cadence (default 50ms)
 	ElectionTimeout   time.Duration // base; randomized to [1x, 2x) (default 300ms)
 
-	Client client.Options       // dial options for shipping/vote connections
-	Logf   func(string, ...any) // optional
+	Logf func(string, ...any) // optional
 }
 
 // Shipping limits and the commit deadline.
@@ -600,9 +599,7 @@ func (n *Node) promoteAndLead(term uint64) {
 // the number of grants including our own vote.
 func (n *Node) requestVotes(term uint64, lastLSN core.LSN, lastTerm uint64) int {
 	req := voteReq{Term: term, Candidate: n.cfg.NodeID, LastLSN: lastLSN, LastTerm: lastTerm}.encode()
-	opts := n.cfg.Client
-	opts.DialTimeout = n.cfg.ElectionTimeout / 2
-	opts.RequestTimeout = n.cfg.ElectionTimeout
+	opts := client.Options{DialTimeout: n.cfg.ElectionTimeout / 2, RequestTimeout: n.cfg.ElectionTimeout}
 	results := make(chan bool, len(n.cfg.Peers))
 	asked := 0
 	for id, addr := range n.cfg.Peers {

@@ -73,10 +73,7 @@ func (s *shipper) ring() {
 }
 
 func (n *Node) shipClientOpts() client.Options {
-	opts := n.cfg.Client
-	opts.DialTimeout = n.cfg.HeartbeatInterval * 4
-	opts.RequestTimeout = commitWait
-	return opts
+	return client.Options{DialTimeout: n.cfg.HeartbeatInterval * 4, RequestTimeout: commitWait}
 }
 
 // run dials, streams and re-dials on error, until deposed or stopped.

@@ -48,15 +48,6 @@ func (s *Server) ServeAdmin(ln net.Listener) error {
 	return err
 }
 
-// ListenAndServeAdmin listens on addr and calls ServeAdmin.
-func (s *Server) ListenAndServeAdmin(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.ServeAdmin(ln)
-}
-
 // closeAdmin stops the admin HTTP server if one is running.
 func (s *Server) closeAdmin() {
 	s.adminMu.Lock()

@@ -175,15 +175,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and calls Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Addr returns the serving listener's address (nil before Serve).
 func (s *Server) Addr() net.Addr {
 	s.mu.Lock()

@@ -987,6 +987,34 @@ func (l *Log) Reset(head core.LSN) {
 	l.retainFloor.Store(0)
 }
 
+// Cut drops every record past the durable horizon, as a power cut does
+// to the log tail that was never forced: the next append gets
+// Flushed()+1, and AppendedBytes and UsedBytes read as if the dropped
+// records had never been appended. No published slot changes: the
+// segments past the horizon leave the ring, and the one it falls in is
+// replaced by a fresh segment that its kept records are appended to
+// again. The caller guarantees no concurrent appends or reads.
+func (l *Log) Cut() {
+	flushed, r := core.LSN(l.flushed.Load()), l.ring.Load()
+	sn := segNum(flushed + 1)
+	from := max(core.LSN(sn*segRecords+1), l.Tail())
+	var kept []Record
+	for lsn := from; lsn < core.LSN(l.next.Load()); lsn++ {
+		seg := r.segmentOf(lsn)
+		if lsn <= flushed {
+			kept = append(kept, seg.record(lsn))
+		}
+		l.headBytes.Add(-uint64(seg.slots[(uint64(lsn)-1)&segMask].size))
+	}
+	keep := min(sn-r.firstSeg, uint64(len(r.segs)))
+	l.ring.Store(&ring{firstSeg: r.firstSeg, segs: append(r.segs[:keep:keep], newSegment(core.LSN(sn*segRecords+1)))})
+	l.next.Store(uint64(from))
+	l.published.Store(uint64(from) - 1)
+	for _, rec := range kept {
+		l.Append(rec)
+	}
+}
+
 // UsedBytes is the live log volume. Lock-free: tail is read before head
 // so the difference never underflows (both only grow, and tail ≤ head at
 // every instant).

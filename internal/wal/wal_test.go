@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -176,5 +177,96 @@ func TestPropertySpaceInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// cutTestRecord is the i-th record of TestCutDropsTheUndurableTail's
+// history: updates with images of varying size, allocations with a Meta
+// payload and checkpoints with their tables, so every part of a slot and
+// its segment takes part.
+func cutTestRecord(i int) Record {
+	switch {
+	case i%97 == 0:
+		return Record{Type: RecAlloc, Meta: []byte{byte(i), byte(i >> 8), 7}}
+	case i%200 == 0:
+		return Record{Type: RecCheckpoint, ActiveTxs: map[uint64]core.LSN{uint64(i): core.LSN(i)}}
+	default:
+		img := make([]byte, i%40)
+		for k := range img {
+			img[k] = byte(i + k)
+		}
+		return Record{Type: RecUpdate, TxID: uint64(i % 7), PrevLSN: core.LSN(i / 2),
+			Page: core.PageID(i), Slot: uint16(i), Before: img, After: img[:len(img)/2]}
+	}
+}
+
+// TestCutDropsTheUndurableTail cuts a log of three segments at horizons
+// before, inside and at the edge of a segment, and at the head: what the
+// durable log holds stays byte-equal, the next append gets Flushed()+1,
+// Get past the cut finds nothing, the space counters equal those of a
+// log that only ever received the kept records, and the retain floor
+// stays.
+func TestCutDropsTheUndurableTail(t *testing.T) {
+	const n = 3*segRecords - 100
+	for _, flushed := range []core.LSN{0, 100, segRecords, segRecords + 188, n} {
+		l, ref := NewLog(0), NewLog(0)
+		for i := 1; i <= n; i++ {
+			l.Append(cutTestRecord(i))
+			if core.LSN(i) <= flushed {
+				ref.Append(cutTestRecord(i))
+			}
+		}
+		l.Flush(flushed)
+		ref.Flush(flushed)
+		if flushed > 0 {
+			l.Truncate(min(50, flushed))
+			ref.Truncate(min(50, flushed))
+		}
+		var before []Record
+		l.Scan(l.Tail(), func(r Record) bool {
+			if r.LSN <= flushed {
+				before = append(before, r)
+			}
+			return true
+		})
+
+		l.SetRetainFloor(7)
+		l.Cut()
+		if floor := l.retainFloor.Load(); floor != 7 {
+			t.Errorf("cut at %d: retain floor %d, want it kept at 7", flushed, floor)
+		}
+		if l.Head() != flushed || l.Flushed() != flushed || l.Tail() != ref.Tail() {
+			t.Fatalf("cut at %d: head %d, flushed %d, tail %d (want tail %d)",
+				flushed, l.Head(), l.Flushed(), l.Tail(), ref.Tail())
+		}
+		var after []Record
+		l.Scan(l.Tail(), func(r Record) bool {
+			after = append(after, r)
+			return true
+		})
+		if !reflect.DeepEqual(after, before) {
+			t.Fatalf("cut at %d: the kept %d records differ from the %d before the cut", flushed, len(after), len(before))
+		}
+		for _, lsn := range []core.LSN{flushed + 1, n} {
+			if _, err := l.Get(lsn); lsn > flushed && !errors.Is(err, ErrNotFound) {
+				t.Errorf("cut at %d: Get(%d) = %v, want ErrNotFound", flushed, lsn, err)
+			}
+		}
+		if l.AppendedBytes() != ref.AppendedBytes() || l.UsedBytes() != ref.UsedBytes() {
+			t.Errorf("cut at %d: appended/used bytes %d/%d, want %d/%d", flushed,
+				l.AppendedBytes(), l.UsedBytes(), ref.AppendedBytes(), ref.UsedBytes())
+		}
+		next := cutTestRecord(n + 1)
+		if lsn := l.Append(next); lsn != flushed+1 {
+			t.Errorf("cut at %d: next append got LSN %d", flushed, lsn)
+		}
+		ref.Append(next)
+		if got, err := l.Get(flushed + 1); err != nil || got.Page != next.Page {
+			t.Errorf("cut at %d: the append after the cut reads back %+v, %v", flushed, got, err)
+		}
+		if l.AppendedBytes() != ref.AppendedBytes() || l.UsedBytes() != ref.UsedBytes() {
+			t.Errorf("cut at %d: after one more append, appended/used bytes %d/%d, want %d/%d", flushed,
+				l.AppendedBytes(), l.UsedBytes(), ref.AppendedBytes(), ref.UsedBytes())
+		}
 	}
 }

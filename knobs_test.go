@@ -24,7 +24,7 @@ func TestKnobBudget(t *testing.T) {
 		{reflect.TypeOf(engine.Options{}), 11},
 		{reflect.TypeOf(noftl.RegionConfig{}), 8},
 		{reflect.TypeOf(buffer.Config{}), 5},
-		{reflect.TypeOf(repl.Config{}), 9},
+		{reflect.TypeOf(repl.Config{}), 8},
 		{reflect.TypeOf(server.Config{}), 7},
 		{reflect.TypeOf(client.Options{}), 3},
 	} {
