@@ -2,9 +2,9 @@
 # lands. `make check` is what CI (and ROADMAP.md) means by tier-1.
 GO ?= go
 
-.PHONY: check tier1 pins sim-clock rig-deps footprint vet build examples test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all scaling loc fmt fmt-check
+.PHONY: check tier1 pins sim-clock rig-deps importers footprint vet build examples test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all scaling loc fmt fmt-check
 
-check: fmt-check pins sim-clock rig-deps footprint vet build examples race
+check: fmt-check pins sim-clock rig-deps importers footprint vet build examples race
 
 # tier1 is the replication-aware spelling of the gate: the full -race
 # suite includes the 3-node kill-the-primary failover test
@@ -63,6 +63,18 @@ sim-clock:
 # sockets is measured by bench/.
 rig-deps:
 	@! $(GO) list -deps ./internal/experiments | grep -x 'ipa/internal/\(repl\|server\|client\|wire\)'
+
+# Every package under internal/ is linked by a program (a command or an
+# example): a package only tests reach is a second copy of something or
+# dead code. bench/ is its own module and imports nothing the programs
+# do not, so it is not consulted. This target names each orphan.
+importers:
+	@deps="$$($(GO) list -deps ./cmd/... ./examples/...)" || exit 1; \
+	pkgs="$$($(GO) list ./internal/...)" || exit 1; \
+	out="$$(echo "$$pkgs" | grep -vxF "$$deps")"; \
+	if [ -n "$$out" ]; then \
+		echo "package(s) under internal/ that no program imports:"; \
+		echo "$$out"; exit 1; fi
 
 # Memory follows the data, not the configured capacity: an idle device
 # holds no page bytes, an erase gives a block's back, an empty pool holds

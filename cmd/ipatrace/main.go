@@ -14,8 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"ipa/internal/core"
 	"ipa/internal/experiments"
@@ -73,7 +71,7 @@ func doRecord(bench string, tx int, out string) error {
 }
 
 func doReplay(path, schemeStr string, op float64) error {
-	scheme, err := parseScheme(schemeStr)
+	scheme, err := core.ParseScheme(schemeStr)
 	if err != nil {
 		return err
 	}
@@ -106,18 +104,4 @@ func doReplay(path, schemeStr string, op float64) error {
 	row("physical writes", ipaRes.PhysWrites, iplRes.PhysWrites)
 	row("reserved space", fmt.Sprintf("%.1f%%", 100*ipaRes.ReservedSpaceF), fmt.Sprintf("%.2f%%", 100*iplRes.ReservedSpaceF))
 	return nil
-}
-
-func parseScheme(v string) (core.Scheme, error) {
-	parts := strings.Split(strings.ToLower(v), "x")
-	if len(parts) != 2 {
-		return core.Scheme{}, fmt.Errorf("scheme %q: want NxM", v)
-	}
-	n, err1 := strconv.Atoi(parts[0])
-	m, err2 := strconv.Atoi(parts[1])
-	if err1 != nil || err2 != nil {
-		return core.Scheme{}, fmt.Errorf("scheme %q: want NxM", v)
-	}
-	s := core.NewScheme(n, m)
-	return s, s.Validate()
 }

@@ -14,6 +14,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 )
 
 // PageID identifies a logical database page.
@@ -137,6 +139,31 @@ func (s Scheme) String() string {
 		return "[0×0]"
 	}
 	return fmt.Sprintf("[%d×%d]", s.N, s.M)
+}
+
+// ParseScheme reads "NxM" or "NxMxV", the spelling of the DDL's SCHEME
+// option and of ipatrace -scheme. V defaults to DefaultV.
+func ParseScheme(v string) (Scheme, error) {
+	parts := strings.Split(strings.ToLower(v), "x")
+	if len(parts) != 2 && len(parts) != 3 {
+		return Scheme{}, fmt.Errorf("%w: %q, want NxM or NxMxV", ErrBadScheme, v)
+	}
+	nums := make([]int, len(parts))
+	for i, p := range parts {
+		n, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
+			return Scheme{}, fmt.Errorf("%w: %q: %v", ErrBadScheme, v, err)
+		}
+		nums[i] = n
+	}
+	s := NewScheme(nums[0], nums[1])
+	if len(nums) == 3 {
+		s.V = nums[2]
+	}
+	if err := s.Validate(); err != nil {
+		return Scheme{}, err
+	}
+	return s, nil
 }
 
 // Pair is one <new_value, offset> modification: the byte at page offset

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -58,6 +59,24 @@ func TestSchemeString(t *testing.T) {
 	}
 	if got := (Scheme{}).String(); got != "[0×0]" {
 		t.Errorf("disabled String = %q", got)
+	}
+}
+
+func TestParseScheme(t *testing.T) {
+	for in, want := range map[string]Scheme{
+		"2x4":     NewScheme(2, 4),
+		"3X10x8":  {N: 3, M: 10, V: 8},
+		" 2 x 3 ": NewScheme(2, 3),
+		"0x0":     NewScheme(0, 0),
+	} {
+		if got, err := ParseScheme(in); err != nil || got != want {
+			t.Errorf("ParseScheme(%q) = %+v, %v; want %+v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"banana", "2", "2x", "2x4x5x6", "2x126", "65x3"} {
+		if _, err := ParseScheme(in); !errors.Is(err, ErrBadScheme) {
+			t.Errorf("ParseScheme(%q) = %v, want ErrBadScheme", in, err)
+		}
 	}
 }
 

@@ -135,9 +135,9 @@ func (db *DB) execCreateRegion(name string, opts map[string]string) error {
 		rc.Mode = m
 	}
 	if v, ok := opts["SCHEME"]; ok {
-		s, err := parseScheme(v)
+		s, err := core.ParseScheme(v)
 		if err != nil {
-			return err
+			return fmt.Errorf("engine: bad SCHEME: %w", err)
 		}
 		rc.Scheme = s
 	}
@@ -247,30 +247,6 @@ func parseGCVictim(v string) (noftl.GCVictim, error) {
 	default:
 		return 0, fmt.Errorf("engine: unknown GC_VICTIM %q (want GREEDY or COST-BENEFIT)", v)
 	}
-}
-
-// parseScheme reads "NxM" or "NxMxV".
-func parseScheme(v string) (core.Scheme, error) {
-	parts := strings.Split(strings.ToLower(v), "x")
-	if len(parts) != 2 && len(parts) != 3 {
-		return core.Scheme{}, fmt.Errorf("engine: bad SCHEME %q (want NxM)", v)
-	}
-	nums := make([]int, len(parts))
-	for i, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return core.Scheme{}, fmt.Errorf("engine: bad SCHEME %q: %v", v, err)
-		}
-		nums[i] = n
-	}
-	s := core.NewScheme(nums[0], nums[1])
-	if len(nums) == 3 {
-		s.V = nums[2]
-	}
-	if err := s.Validate(); err != nil {
-		return core.Scheme{}, err
-	}
-	return s, nil
 }
 
 // parseSize reads "512M"-style sizes.

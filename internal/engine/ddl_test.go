@@ -213,6 +213,7 @@ func TestDDLErrors(t *testing.T) {
 		{"CREATE REGION r (BLOCKS_PER_CHIP=8, STORAGE=log-structured)", `unknown STORAGE "log-structured"`},
 		{"CREATE REGION r (BLOCKS_PER_CHIP=8, STORAGE=oop)", "create the region without SCHEME, which writes every page out of place"},
 		{"CREATE REGION r (BLOCKS_PER_CHIP=8, GC_VICTIM=oldest)", `unknown GC_VICTIM "oldest"`},
+		{"CREATE REGION r (SCHEME=banana)", `bad SCHEME: core: invalid [N×M] scheme: "banana"`},
 		{"CREATE REGION r (BLOCKS_PER_CHIP=8, GC_POLICY=foreground)", "unknown option GC_POLICY in CREATE REGION r"},
 		{"CREATE REGION r (BLOCKS_PER_CHIP=8, GC=background)", "unknown option GC in CREATE REGION r"},
 		{"CREATE REGION r (BLOCKS_PER_CHIP=8, STROAGE=pdl)", "unknown option STROAGE in CREATE REGION r"},

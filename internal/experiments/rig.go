@@ -56,8 +56,6 @@ type Spec struct {
 	// (noftl.StorageIPA) is the paper's path, out of place on the [0×0]
 	// Scheme; StoragePDL forces a plain layout (no delta area, IPA off).
 	Storage noftl.Storage
-	// GCVictim selects the GC victim policy (greedy by default).
-	GCVictim noftl.GCVictim
 }
 
 func (s Spec) withDefaults() Spec {
@@ -195,7 +193,7 @@ func Execute(s Spec) (*Out, error) {
 	if _, err := dev.CreateRegion(noftl.RegionConfig{
 		Name: "data", Mode: s.Mode, Scheme: s.Scheme,
 		BlocksPerChip: blocksPerChip, OverProvision: 0.10,
-		Storage: s.Storage, GCVictim: s.GCVictim,
+		Storage: s.Storage,
 	}); err != nil {
 		return nil, err
 	}

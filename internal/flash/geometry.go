@@ -66,9 +66,6 @@ func (c CellType) PagesPerWordline() int {
 // array, chip-major then block then page-in-block.
 type PPN uint64
 
-// InvalidPPN marks an unmapped physical page.
-const InvalidPPN PPN = ^PPN(0)
-
 // Geometry describes the physical organisation of a flash array.
 type Geometry struct {
 	Chips         int // independent dies; unit of I/O parallelism

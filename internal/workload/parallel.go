@@ -20,6 +20,15 @@ import (
 // no-wait tuple-lock race (engine.ErrLockConflict) count as aborts —
 // the driver, like a real terminal, retries with its next transaction.
 func RunParallel(wl Workload, terminals []*sim.Worker, txTotal int, seed int64) (Results, error) {
+	return runParallel(wl, terminals, txTotal, seed, new(atomic.Bool))
+}
+
+// runParallel is RunParallel with its stop flag passed in, so a test can
+// see when the driver has told the terminals to stop. One terminal
+// hitting a non-abort error sets the flag, which ends the others at their
+// next transaction boundary: the run is doomed, so finishing quotas would
+// only bury the first failure under later noise.
+func runParallel(wl Workload, terminals []*sim.Worker, txTotal int, seed int64, stop *atomic.Bool) (Results, error) {
 	res, start, err := newResults(wl, terminals)
 	if err != nil {
 		return res, err
@@ -36,10 +45,6 @@ func RunParallel(wl Workload, terminals []*sim.Worker, txTotal int, seed int64) 
 	tallies := make([]tally, len(terminals))
 	errs := make([]error, len(terminals))
 	perTypeMu := sync.Mutex{}
-	// One terminal hitting a non-abort error stops the others at their
-	// next transaction boundary: the run is doomed, so finishing quotas
-	// would only bury the first failure under later noise.
-	var stop atomic.Bool
 
 	quota := func(t int) int {
 		q := txTotal / len(terminals)

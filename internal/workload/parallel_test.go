@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -92,10 +94,16 @@ func TestRunParallelTPCB(t *testing.T) {
 }
 
 // faultyWorkload fails one specific RunOne call with a terminal
-// (non-abort) error; every other call succeeds instantly.
+// (non-abort) error; every other call succeeds instantly. Given the
+// driver's stop flag, it parks every call after the failing one until
+// the flag is set, and counts those calls per terminal worker.
 type faultyWorkload struct {
 	calls  atomic.Int64
 	failAt int64
+
+	stop  *atomic.Bool
+	mu    sync.Mutex
+	after map[*sim.Worker]int
 }
 
 var errBoom = errors.New("workload: injected terminal failure")
@@ -103,8 +111,17 @@ var errBoom = errors.New("workload: injected terminal failure")
 func (f *faultyWorkload) Name() string             { return "faulty" }
 func (f *faultyWorkload) Load(w *sim.Worker) error { return nil }
 func (f *faultyWorkload) RunOne(w *sim.Worker, rng *rand.Rand) (string, error) {
-	if f.calls.Add(1) == f.failAt {
+	n := f.calls.Add(1)
+	if n == f.failAt {
 		return "op", errBoom
+	}
+	if n > f.failAt && f.stop != nil {
+		f.mu.Lock()
+		f.after[w]++
+		f.mu.Unlock()
+		for !f.stop.Load() {
+			runtime.Gosched()
+		}
 	}
 	return "op", nil
 }
@@ -113,6 +130,9 @@ func (f *faultyWorkload) RunOne(w *sim.Worker, rng *rand.Rand) (string, error) {
 // error, RunParallel must surface that error (wrapped, matchable with
 // errors.Is) without deadlocking the other terminals — and the early
 // stop must keep them from grinding through their full quotas first.
+// Every call after the failure waits for the driver's stop flag, so a
+// terminal that checks the flag at its transaction boundary makes at
+// most the one call it had begun, however the goroutines are scheduled.
 func TestRunParallelErrorPropagation(t *testing.T) {
 	const terminals, total, failAt = 8, 80_000, 100
 	tl := sim.NewTimeline(1)
@@ -120,18 +140,19 @@ func TestRunParallelErrorPropagation(t *testing.T) {
 	for i := range ws {
 		ws[i] = tl.NewWorker()
 	}
-	wl := &faultyWorkload{failAt: failAt}
-	res, err := RunParallel(wl, ws, total, 42)
+	stop := new(atomic.Bool)
+	wl := &faultyWorkload{failAt: failAt, stop: stop, after: map[*sim.Worker]int{}}
+	res, err := runParallel(wl, ws, total, 42, stop)
 	if err == nil {
 		t.Fatal("terminal failure did not surface")
 	}
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("error %v does not unwrap to the injected failure", err)
 	}
-	// Early stop: the healthy terminals bail at their next transaction
-	// boundary instead of finishing ~10k transactions each.
-	if calls := wl.calls.Load(); calls > failAt+1000 {
-		t.Fatalf("ran %d transactions after the failure (early stop broken)", calls)
+	for i, w := range ws {
+		if n := wl.after[w]; n > 1 {
+			t.Errorf("terminal %d made %d calls after the failure, want at most 1 (early stop broken)", i, n)
+		}
 	}
 	// The partial tallies survive for the caller's post-mortem.
 	if res.Workload != "faulty" {
