@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: check tier1 pins sim-clock rig-deps importers footprint vet build examples test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all scaling loc fmt fmt-check
 
-check: fmt-check pins sim-clock rig-deps importers footprint vet build examples race
+check: fmt-check pins sim-clock rig-deps importers footprint vet build examples bench-test race
 
 # tier1 is the replication-aware spelling of the gate: the full -race
 # suite includes the 3-node kill-the-primary failover test
@@ -174,7 +174,8 @@ exp-diff:
 # layer budget, written to bench/results/latest.json. bench-compare
 # judges that run against the committed baseline (exit 1 on a `worse`
 # row); bench-test is the benchmark's own smoke and unit tests, which
-# the root module's `go test ./...` does not reach.
+# the root module's `go test ./...` does not reach. check runs it, so an
+# internal API change that breaks the benchmark's runtime fails the gate.
 bench:
 	bash bench/run.sh
 

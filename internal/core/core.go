@@ -90,11 +90,11 @@ func (s Scheme) Disabled() bool { return s.N <= 0 || s.M <= 0 }
 // Validate checks the scheme parameters against the format limits:
 // offsets are 2 bytes (max 64KB pages), counts fit the control byte.
 func (s Scheme) Validate() error {
-	if s.Disabled() {
-		return nil
-	}
 	if s.N < 0 || s.M < 0 || s.V < 0 {
 		return fmt.Errorf("%w: negative parameter in [%d×%d] V=%d", ErrBadScheme, s.N, s.M, s.V)
+	}
+	if s.Disabled() {
+		return nil
 	}
 	if s.M > MaxM {
 		return fmt.Errorf("%w: M=%d exceeds %d", ErrBadScheme, s.M, MaxM)
@@ -141,8 +141,8 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("[%d×%d]", s.N, s.M)
 }
 
-// ParseScheme reads "NxM" or "NxMxV", the spelling of the DDL's SCHEME
-// option and of ipatrace -scheme. V defaults to DefaultV.
+// ParseScheme reads "NxM" or "NxMxV", the spelling of ipatrace -scheme.
+// V defaults to DefaultV.
 func ParseScheme(v string) (Scheme, error) {
 	parts := strings.Split(strings.ToLower(v), "x")
 	if len(parts) != 2 && len(parts) != 3 {

@@ -73,7 +73,8 @@ func TestParseScheme(t *testing.T) {
 			t.Errorf("ParseScheme(%q) = %+v, %v; want %+v", in, got, err, want)
 		}
 	}
-	for _, in := range []string{"banana", "2", "2x", "2x4x5x6", "2x126", "65x3"} {
+	for _, in := range []string{"banana", "2", "2x", "2x4x5x6", "2x126", "65x3",
+		"-2x4", "2x-4", "-1x-1"} {
 		if _, err := ParseScheme(in); !errors.Is(err, ErrBadScheme) {
 			t.Errorf("ParseScheme(%q) = %v, want ErrBadScheme", in, err)
 		}

@@ -12,7 +12,8 @@ import (
 // This file is the engine side of the scheme advisor (paper Sec. 8.4):
 // the WAL is profiled into per-table update-size CDFs and each table
 // gets a storage-scheme recommendation. A region's scheme is fixed when
-// the region is created; acting on the advice is DDL.
+// the region is created; acting on the advice means creating a region
+// with the recommended noftl.RegionConfig and placing the table there.
 
 // WALProfile builds the advisor's update-size profile from the
 // database's write-ahead log. This replaces reaching through the

@@ -343,11 +343,11 @@ func TestOptionsValidate(t *testing.T) {
 // TestErrorSentinels pins the exported sentinel surface.
 func TestErrorSentinels(t *testing.T) {
 	db := newTwoRegionRig(t, 16)
-	if _, err := db.AttachRegion("nope"); !errors.Is(err, ErrNoRegion) {
-		t.Errorf("AttachRegion = %v, want ErrNoRegion", err)
+	if _, err := db.attachRegion("nope"); !errors.Is(err, ErrNoRegion) {
+		t.Errorf("attachRegion = %v, want ErrNoRegion", err)
 	}
-	if err := db.Exec("CREATE TABLESPACE ts (REGION=nope)"); !errors.Is(err, ErrNoRegion) {
-		t.Errorf("Exec tablespace = %v, want ErrNoRegion", err)
+	if _, err := db.CreateTable("t", "nope"); !errors.Is(err, ErrNoRegion) {
+		t.Errorf("CreateTable = %v, want ErrNoRegion", err)
 	}
 	tx := mustBegin(db, nil)
 	if err := tx.Commit(); err != nil {

@@ -158,13 +158,12 @@ type DB struct {
 	stateMu sim.Striped[sync.RWMutex]
 	pool    *buffer.Pool
 
-	// catMu guards the catalog maps (stores, tables, tablespaces,
-	// indexes). DDL only; never held across page I/O.
-	catMu       sync.Mutex
-	stores      map[string]*PageStore // by region name
-	tables      map[string]*Table
-	tablespaces map[string]string // tablespace name → region name (DDL)
-	indexes     map[string]Index  // by index name (Stats observability)
+	// catMu guards the catalog maps (stores, tables, indexes); never
+	// held across page I/O.
+	catMu   sync.Mutex
+	stores  map[string]*PageStore // by region name
+	tables  map[string]*Table
+	indexes map[string]Index // by index name (Stats observability)
 
 	// pageDir maps every allocated page to its owning store (a flat table
 	// read without a lock; on the buffer pool's fetch/flush path). locks
@@ -339,9 +338,9 @@ func (db *DB) Pool() *buffer.Pool {
 // DB.Stats().
 func (db *DB) Device() *noftl.Device { return db.dev }
 
-// AttachRegion makes a NoFTL region usable as a tablespace, creating its
-// page store.
-func (db *DB) AttachRegion(regionName string) (*PageStore, error) {
+// attachRegion makes a NoFTL region usable by tables and indexes,
+// creating its page store.
+func (db *DB) attachRegion(regionName string) (*PageStore, error) {
 	db.catMu.Lock()
 	defer db.catMu.Unlock()
 	return db.attachRegionLocked(regionName)

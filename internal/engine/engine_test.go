@@ -233,6 +233,50 @@ func TestDisabledIPAAlwaysOOP(t *testing.T) {
 	}
 }
 
+// TestOneByteUpdateByCell flushes one one-byte field update in each
+// region cell: the [2×4] region appends one delta-record, the PDL region
+// appends one differential to its log blocks (both count as a delta
+// flush and a delta write), and the [0×0] region rewrites the page.
+func TestOneByteUpdateByCell(t *testing.T) {
+	for _, cell := range RegionCells {
+		t.Run(cell.Name, func(t *testing.T) {
+			r := newCellRig(t, cell, false, 16)
+			tbl, err := r.db.CreateTable("t", "main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx := mustBegin(r.db, nil)
+			rid, err := tbl.Insert(tx, make([]byte, 16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tx.Commit()
+			r.db.FlushAll(nil)
+			st := r.db.Store("main")
+			before := st.Stats()
+			tx = mustBegin(r.db, nil)
+			if err := tbl.UpdateField(tx, rid, 0, []byte{9}); err != nil {
+				t.Fatal(err)
+			}
+			tx.Commit()
+			r.db.FlushAll(nil)
+			after := st.Stats()
+			delta := after.FlushesDelta - before.FlushesDelta
+			oop := after.FlushesOOP - before.FlushesOOP
+			appends := after.Scheme.PDL.Appends - before.Scheme.PDL.Appends
+			deltaWrites := st.Region().Stats().DeltaWrites
+			want := map[string][4]uint64{ // delta flushes, oop flushes, PDL appends, delta writes
+				"oop": {0, 1, 0, 0},
+				"ipa": {1, 0, 0, 1},
+				"pdl": {1, 0, 1, 1},
+			}[cell.Name]
+			if got := [4]uint64{delta, oop, appends, deltaWrites}; got != want {
+				t.Errorf("delta flushes, oop flushes, PDL appends, delta writes = %v, want %v", got, want)
+			}
+		})
+	}
+}
+
 func TestAbortRollsBack(t *testing.T) {
 	r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 3), 16, false)
 	tbl, _ := r.db.CreateTable("t", "main")

@@ -29,7 +29,7 @@ var (
 )
 
 // Config returns the configuration of a region in the cell, with 20 %
-// over-provisioning and IPA_MODE slc where the scheme appends.
+// over-provisioning and Mode SLC where the scheme appends.
 func (c RegionCell) Config(name string, blocksPerChip int) noftl.RegionConfig {
 	rc := noftl.RegionConfig{Name: name, Storage: c.Storage, Scheme: c.Scheme, BlocksPerChip: blocksPerChip, OverProvision: 0.2}
 	if !c.Scheme.Disabled() {

@@ -93,7 +93,7 @@ func (c *indexCounters) snapshot() IndexStats {
 
 // CreateIndex creates an empty B+tree placed in the named region.
 func (db *DB) CreateIndex(name, regionName string) (Index, error) {
-	st, err := db.AttachRegion(regionName)
+	st, err := db.attachRegion(regionName)
 	if err != nil {
 		return nil, err
 	}

@@ -21,11 +21,11 @@ func TestAccessors(t *testing.T) {
 	if r.db.Device() != r.dev {
 		t.Error("Device accessor wrong")
 	}
-	if _, err := r.db.AttachRegion("main"); err != nil {
-		t.Errorf("AttachRegion existing: %v", err)
+	if _, err := r.db.attachRegion("main"); err != nil {
+		t.Errorf("attachRegion existing: %v", err)
 	}
-	if _, err := r.db.AttachRegion("missing"); err == nil {
-		t.Error("AttachRegion missing region accepted")
+	if _, err := r.db.attachRegion("missing"); err == nil {
+		t.Error("attachRegion missing region accepted")
 	}
 	tx := mustBegin(r.db, nil)
 	if tx.ID() == 0 {

@@ -118,7 +118,7 @@ func TestRecoverMappingAfterPowerLoss(t *testing.T) {
 // TestAdoptValidation rejects foreign pages and over-capacity mappings.
 func TestAdoptValidation(t *testing.T) {
 	r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 4), 8, false)
-	st, err := r.db.AttachRegion("main")
+	st, err := r.db.attachRegion("main")
 	if err != nil {
 		t.Fatal(err)
 	}

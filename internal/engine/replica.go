@@ -141,7 +141,7 @@ func (a *Applier) applyOne(rec wal.Record) error {
 		if err := checkWireID(pid, db.nextPage.Load()); err != nil {
 			return err
 		}
-		st, err := db.AttachRegion(region)
+		st, err := db.attachRegion(region)
 		if err != nil {
 			return err
 		}

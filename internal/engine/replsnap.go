@@ -156,7 +156,7 @@ func (db *DB) InstallSnapshot(w *sim.Worker, snap *ReplicaSnapshot) error {
 		t.mu.Unlock()
 	}
 	for _, pi := range snap.Pages {
-		st, err := db.AttachRegion(pi.Region)
+		st, err := db.attachRegion(pi.Region)
 		if err != nil {
 			return err
 		}

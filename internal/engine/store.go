@@ -454,7 +454,7 @@ func (s *PageStore) flush(w *sim.Worker, fr *buffer.Frame) (FlushKind, error) {
 		// In-place appends: plan [N×M×V] delta-records for the differential
 		// and program them into the page's delta area; a differential over
 		// the budget is written out of place. A region on the disabled
-		// [0×0] scheme (IPA_MODE none) never gets here: it is the
+		// [0×0] scheme (Mode none) never gets here: it is the
 		// out-of-place baseline.
 		recs, perr := s.layout.Scheme.Plan(*cs, fr.UsedSlots)
 		if perr == nil && len(recs) > 0 {

@@ -84,45 +84,29 @@ func Fig6(p Params) (*Table, error) {
 }
 
 // cdfFigure renders an update-size CDF across buffer sizes.
-func cdfFigure(id, title, bench string, scheme core.Scheme, gross bool, eager bool, buffers []float64, points []int, p Params) (*Table, []metrics.Series, error) {
+func cdfFigure(id, title, bench string, scheme core.Scheme, gross bool, eager bool, buffers []float64, points []int, p Params) (*Table, error) {
 	t := &Table{ID: id, Title: title, Header: []string{"changed bytes ≤"}}
+	var hists []*metrics.Hist
 	for _, b := range buffers {
 		t.Header = append(t.Header, "buffer "+pct(b))
-	}
-	var series []metrics.Series
-	var outs []*Out
-	for _, b := range buffers {
 		o, err := Execute(Spec{Bench: bench, Scheme: scheme, BufferPct: b, Eager: eager, Tx: p.tx(6000)})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		outs = append(outs, o)
 		h := o.Store.NetBytes
 		if gross {
 			h = o.Store.GrossBytes
 		}
-		s := metrics.Series{
-			Label:  fmt.Sprintf("%s buffer %s", bench, pct(b)),
-			XLabel: "changed bytes", YLabel: "CDF",
-		}
-		for _, pt := range points {
-			s.X = append(s.X, float64(pt))
-			s.Y = append(s.Y, h.FractionLE(pt))
-		}
-		series = append(series, s)
+		hists = append(hists, h)
 	}
 	for _, pt := range points {
 		cells := []any{pt}
-		for _, o := range outs {
-			h := o.Store.NetBytes
-			if gross {
-				h = o.Store.GrossBytes
-			}
+		for _, h := range hists {
 			cells = append(cells, fmt.Sprintf("%.2f", h.FractionLE(pt)))
 		}
 		t.AddRow(cells...)
 	}
-	return t, series, nil
+	return t, nil
 }
 
 func sweepBuffers(p Params, all []float64) []float64 {
@@ -134,7 +118,7 @@ func sweepBuffers(p Params, all []float64) []float64 {
 
 // Fig7 reproduces Figure 7: CDF of update sizes in TPC-B (net data).
 func Fig7(p Params) (*Table, error) {
-	t, _, err := cdfFigure("fig7", "CDF of update-sizes in TPC-B (net data)",
+	t, err := cdfFigure("fig7", "CDF of update-sizes in TPC-B (net data)",
 		"tpcb", core.NewScheme(2, 4), false, true,
 		sweepBuffers(p, []float64{0.10, 0.20, 0.50, 0.75, 0.90}),
 		[]int{2, 4, 8, 16, 32, 64, 128}, p)
@@ -147,7 +131,7 @@ func Fig7(p Params) (*Table, error) {
 
 // Fig8 reproduces Figure 8: CDF of update sizes in TPC-C, eager.
 func Fig8(p Params) (*Table, error) {
-	t, _, err := cdfFigure("fig8", "CDF of update-sizes in TPC-C (net data, eager eviction)",
+	t, err := cdfFigure("fig8", "CDF of update-sizes in TPC-C (net data, eager eviction)",
 		"tpcc", core.NewScheme(2, 3), false, true,
 		sweepBuffers(p, []float64{0.10, 0.20, 0.50, 0.75, 0.90}),
 		[]int{3, 6, 10, 20, 40, 80, 160}, p)
@@ -160,7 +144,7 @@ func Fig8(p Params) (*Table, error) {
 
 // Fig9 reproduces Figure 9: CDF of update sizes in TPC-C, non-eager.
 func Fig9(p Params) (*Table, error) {
-	t, _, err := cdfFigure("fig9", "CDF of update-sizes in TPC-C (net data, non-eager eviction)",
+	t, err := cdfFigure("fig9", "CDF of update-sizes in TPC-C (net data, non-eager eviction)",
 		"tpcc", core.NewScheme(2, 40), false, false,
 		sweepBuffers(p, []float64{0.10, 0.20, 0.50, 0.75, 0.90}),
 		[]int{3, 6, 10, 30, 40, 100, 400}, p)
@@ -173,7 +157,7 @@ func Fig9(p Params) (*Table, error) {
 
 // Fig10 reproduces Figure 10: CDF of update sizes in LinkBench (gross).
 func Fig10(p Params) (*Table, error) {
-	t, _, err := cdfFigure("fig10", "CDF of update-sizes in LinkBench (gross: body+metadata)",
+	t, err := cdfFigure("fig10", "CDF of update-sizes in LinkBench (gross: body+metadata)",
 		"linkbench", core.NewScheme(2, 100), true, true,
 		sweepBuffers(p, []float64{0.20, 0.50, 0.75, 0.90}),
 		[]int{10, 25, 50, 100, 125, 200, 400}, p)

@@ -12,7 +12,7 @@ import (
 // moved. table1 and table9, the two most sensitive to the flush path
 // (update-size percentiles and the TPC-C buffer sweep), are pinned on
 // their own to localise a change: their hashes were last regenerated
-// when the rig moved to the one B+tree, and the default STORAGE=ipa path
+// when the rig moved to the one B+tree, and the default StorageIPA path
 // must stay byte-identical — a change there altered eviction order,
 // flush decisions or GC behaviour, not just plumbing.
 func TestGoldenDeterminism(t *testing.T) {

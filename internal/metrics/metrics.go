@@ -5,10 +5,8 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -99,15 +97,6 @@ func (h *Hist) Quantile(q float64) int {
 		}
 	}
 	return len(h.counts) - 1
-}
-
-// CDF evaluates FractionLE at each of the given points.
-func (h *Hist) CDF(points []int) []float64 {
-	out := make([]float64, len(points))
-	for i, p := range points {
-		out[i] = h.FractionLE(p)
-	}
-	return out
 }
 
 // Reset clears all observations.
@@ -292,34 +281,4 @@ func (l *Latency) Reset() {
 	for i := range l.buckets {
 		l.buckets[i].Store(0)
 	}
-}
-
-// Series is a labelled sequence of (x, y) points used by the figure
-// harness to print CDFs and sweeps the way the paper plots them.
-type Series struct {
-	Label  string
-	X      []float64
-	Y      []float64
-	XLabel string
-	YLabel string
-}
-
-// Render prints the series as aligned columns.
-func (s Series) Render() string {
-	out := fmt.Sprintf("# %s  (%s vs %s)\n", s.Label, s.XLabel, s.YLabel)
-	for i := range s.X {
-		out += fmt.Sprintf("%12.2f %12.4f\n", s.X[i], s.Y[i])
-	}
-	return out
-}
-
-// SortedKeys returns the sorted keys of a map with int keys — a small
-// helper for deterministic table printing.
-func SortedKeys[M ~map[int]V, V any](m M) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

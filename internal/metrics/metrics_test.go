@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -37,9 +36,11 @@ func TestHistBasics(t *testing.T) {
 	if q := h.Quantile(1.0); q != 10 {
 		t.Errorf("Quantile(1.0) = %d", q)
 	}
-	cdf := h.CDF([]int{1, 2, 3})
-	if cdf[0] != 0.2 || cdf[1] != 0.6 || cdf[2] != 0.8 {
-		t.Errorf("CDF = %v", cdf)
+	if got := h.FractionLE(1); got != 0.2 {
+		t.Errorf("FractionLE(1) = %v", got)
+	}
+	if got := h.FractionLE(3); got != 0.8 {
+		t.Errorf("FractionLE(3) = %v", got)
 	}
 	h.Reset()
 	if h.Count() != 0 || h.FractionLE(5) != 0 {
@@ -101,22 +102,6 @@ func TestLatencyEmptyAndNegative(t *testing.T) {
 	l.Add(-5)
 	if l.Min() != 0 {
 		t.Errorf("negative clamped Min = %v", l.Min())
-	}
-}
-
-func TestSeriesRender(t *testing.T) {
-	s := Series{Label: "cdf", X: []float64{1, 2}, Y: []float64{0.5, 1}, XLabel: "bytes", YLabel: "fraction"}
-	out := s.Render()
-	if !strings.Contains(out, "cdf") || !strings.Contains(out, "0.5000") {
-		t.Errorf("Render = %q", out)
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	m := map[int]string{3: "c", 1: "a", 2: "b"}
-	got := SortedKeys(m)
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("SortedKeys = %v", got)
 	}
 }
 

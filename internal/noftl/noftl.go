@@ -91,7 +91,9 @@ func (m IPAMode) String() string {
 	}
 }
 
-// RegionConfig mirrors the paper's CREATE REGION statement (Figure 3).
+// RegionConfig is the paper's CREATE REGION statement (Figure 3) as a
+// Go value. A region spans every chip of its device; BlocksPerChip
+// takes the place of Figure 3's size limit.
 type RegionConfig struct {
 	Name   string
 	Mode   IPAMode
@@ -105,9 +107,8 @@ type RegionConfig struct {
 	// deterministic greedy min-valid heap.
 	GCVictim GCVictim
 
-	// Chips the region spans (indices into the array). Empty = all chips.
-	Chips []int
-	// BlocksPerChip assigned to the region on each of its chips.
+	// BlocksPerChip assigned to the region on each chip of the device;
+	// a region spans every chip.
 	BlocksPerChip int
 	// OverProvision is the fraction of the region's physical pages kept
 	// out of the logical capacity to give the garbage collector slack.
@@ -287,8 +288,8 @@ type Region struct {
 	dev *Device
 	cfg RegionConfig
 
-	chips      []int
-	byChip     []*chipState       // indexed by global chip id; nil outside the region
+	chips      []int              // every chip of the device, in order
+	byChip     []*chipState       // indexed by chip id
 	blockIndex map[int]*blockMeta // by global block id; read-only after creation
 
 	l2p     core.PageTable[atomic.Uint64] // logical→physical, see entryOf
@@ -350,12 +351,9 @@ func (d *Device) CreateRegion(rc RegionConfig) (*Region, error) {
 	if rc.BlocksPerChip <= 0 {
 		return nil, fmt.Errorf("noftl: region %q needs BlocksPerChip > 0", rc.Name)
 	}
-	chips := rc.Chips
-	if len(chips) == 0 {
-		chips = make([]int, d.geom.Chips)
-		for i := range chips {
-			chips[i] = i
-		}
+	chips := make([]int, d.geom.Chips)
+	for i := range chips {
+		chips[i] = i
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -363,9 +361,6 @@ func (d *Device) CreateRegion(rc RegionConfig) (*Region, error) {
 		return nil, fmt.Errorf("%w: %q", ErrRegionExists, rc.Name)
 	}
 	for _, c := range chips {
-		if c < 0 || c >= d.geom.Chips {
-			return nil, fmt.Errorf("noftl: chip %d out of range", c)
-		}
 		if d.nextBlock[c]+rc.BlocksPerChip > d.geom.BlocksPerChip {
 			return nil, fmt.Errorf("%w: chip %d has %d left, need %d",
 				ErrNoBlocks, c, d.geom.BlocksPerChip-d.nextBlock[c], rc.BlocksPerChip)
@@ -374,7 +369,7 @@ func (d *Device) CreateRegion(rc RegionConfig) (*Region, error) {
 	r := &Region{
 		dev:        d,
 		cfg:        rc,
-		chips:      append([]int(nil), chips...),
+		chips:      chips,
 		byChip:     make([]*chipState, d.geom.Chips),
 		blockIndex: make(map[int]*blockMeta),
 	}

@@ -3,6 +3,7 @@ package noftl
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -36,15 +37,20 @@ func TestRegionConfigValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []RegionConfig{
-		{Name: "r", Storage: StoragePDL, Scheme: core.NewScheme(2, 3)},
-		{Name: "r", Storage: StoragePDL, Mode: ModeSLC},
-		{Name: "r", Storage: Storage(9)},
-		{Name: "r", GCVictim: GCVictim(9)},
+	// Each error names the field at fault.
+	bad := []struct {
+		rc   RegionConfig
+		frag string
+	}{
+		{RegionConfig{Name: "r", Storage: StoragePDL, Scheme: core.NewScheme(2, 3)}, "Storage pdl requires a disabled Scheme"},
+		{RegionConfig{Name: "r", Storage: StoragePDL, Mode: ModeSLC}, "Storage pdl requires Mode none, got SLC"},
+		{RegionConfig{Name: "r", Storage: Storage(9)}, "unknown storage 9"},
+		{RegionConfig{Name: "r", GCVictim: GCVictim(9)}, "unknown GC victim policy 9"},
+		{RegionConfig{Name: "r", Scheme: core.Scheme{N: -2, M: 4}}, "negative parameter"},
 	}
-	for i, rc := range bad {
-		if err := rc.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
+	for _, c := range bad {
+		if err := c.rc.Validate(); err == nil || !strings.Contains(err.Error(), c.frag) {
+			t.Errorf("%+v: Validate = %v, want an error containing %q", c.rc, err, c.frag)
 		}
 	}
 }

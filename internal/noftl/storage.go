@@ -67,10 +67,10 @@ func (rc RegionConfig) Validate() error {
 	case StorageIPA:
 	case StoragePDL:
 		if !rc.Scheme.Disabled() {
-			return fmt.Errorf("noftl: region %q: STORAGE=%v requires a disabled IPA scheme (no delta area)", rc.Name, rc.Storage)
+			return fmt.Errorf("noftl: region %q: Storage %v requires a disabled Scheme (no delta area)", rc.Name, rc.Storage)
 		}
 		if rc.Mode != ModeNone {
-			return fmt.Errorf("noftl: region %q: STORAGE=%v requires IPA_MODE none, got %v", rc.Name, rc.Storage, rc.Mode)
+			return fmt.Errorf("noftl: region %q: Storage %v requires Mode none, got %v", rc.Name, rc.Storage, rc.Mode)
 		}
 	default:
 		return fmt.Errorf("noftl: region %q: unknown storage %d", rc.Name, int(rc.Storage))

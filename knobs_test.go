@@ -7,6 +7,7 @@ import (
 	"ipa/internal/buffer"
 	"ipa/internal/client"
 	"ipa/internal/engine"
+	"ipa/internal/flash"
 	"ipa/internal/noftl"
 	"ipa/internal/repl"
 	"ipa/internal/server"
@@ -22,7 +23,8 @@ func TestKnobBudget(t *testing.T) {
 		want int
 	}{
 		{reflect.TypeOf(engine.Options{}), 11},
-		{reflect.TypeOf(noftl.RegionConfig{}), 8},
+		{reflect.TypeOf(noftl.RegionConfig{}), 7},
+		{reflect.TypeOf(flash.Config{}), 8},
 		{reflect.TypeOf(buffer.Config{}), 5},
 		{reflect.TypeOf(repl.Config{}), 8},
 		{reflect.TypeOf(server.Config{}), 7},
