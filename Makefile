@@ -87,9 +87,12 @@ importers:
 # to the blocks programmed and back to zero once the Array is collected,
 # and OffHeap fails if programming a 64 MiB device grows the heap by a
 # MiB. Both skip under -race, where the buffers are heap slices.
+# VersionStoreFootprint: once a snapshot that pinned 100 000 MVCC
+# before-images ends, one reaper pass leaves no version live and less
+# than 1 MiB of image buffers on the store's bounded free lists.
 footprint:
-	$(GO) test -count=1 -run 'IdleDevice|EraseReleases|LazyFrames|MemberFootprint|MappedBlocks|OffHeap' \
-		./internal/flash ./internal/buffer ./internal/repl
+	$(GO) test -count=1 -run 'IdleDevice|EraseReleases|LazyFrames|MemberFootprint|MappedBlocks|OffHeap|VersionStoreFootprint' \
+		./internal/flash ./internal/buffer ./internal/repl ./internal/engine
 
 # bench/ is a module of its own that compiles against internal/client,
 # internal/server and internal/wire; `./...` here does not reach it, so
@@ -142,6 +145,9 @@ race:
 # TestOLCDescentStress: OLC lookups routing through decoded copies of
 # internal nodes, with neither pin nor latch, while a writer splits them
 # and a 24-frame pool evicts and reloads them under the readers.
+# TestRecycledImagesAreNotTorn: MVCC snapshot reads and scans while the
+# reaper recycles version entries whose image buffers writers refill; a
+# reader handed a store buffer instead of its own copy sees it change.
 race-regress:
 	$(GO) test -race -count=20 -run 'TestYCSBMixes' ./internal/workload
 	$(GO) test -race -count=10 -run 'TestAddFieldLostUpdate' ./internal/engine
@@ -151,6 +157,7 @@ race-regress:
 	$(GO) test -race -count=10 -run 'TestPageTable' ./internal/core
 	$(GO) test -race -count=5 -run 'TestFlushedImage' ./internal/engine
 	$(GO) test -race -count=10 -run 'TestOLCDescentStress' ./internal/engine
+	$(GO) test -race -count=10 -run 'TestRecycledImagesAreNotTorn' ./internal/engine
 	$(GO) test -count=200 -run TestConcurrentNoWaitLocking ./internal/engine
 
 # Each native fuzz target for 10 s. Their seed corpora run as ordinary

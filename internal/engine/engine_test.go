@@ -18,6 +18,14 @@ type testRig struct {
 
 func newRig(t *testing.T, mode noftl.IPAMode, scheme core.Scheme, frames int, useECC bool) *testRig {
 	t.Helper()
+	return newRigOptions(t, mode, scheme, Options{
+		PageSize: 512, BufferFrames: frames, UseECC: useECC, DirtyThreshold: 2.0,
+	})
+}
+
+// newRigOptions is newRig with caller-chosen engine options.
+func newRigOptions(t *testing.T, mode noftl.IPAMode, scheme core.Scheme, opts Options) *testRig {
+	t.Helper()
 	g := flash.Geometry{
 		Chips: 2, BlocksPerChip: 32, PagesPerBlock: 8,
 		PageSize: 512, OOBSize: 32, Cell: flash.SLC,
@@ -34,9 +42,7 @@ func newRig(t *testing.T, mode noftl.IPAMode, scheme core.Scheme, frames int, us
 	}); err != nil {
 		t.Fatal(err)
 	}
-	db, err := New(dev, Options{
-		PageSize: 512, BufferFrames: frames, UseECC: useECC, DirtyThreshold: 2.0,
-	})
+	db, err := New(dev, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

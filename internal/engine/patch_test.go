@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -323,111 +324,189 @@ func TestAddFieldLostUpdate(t *testing.T) {
 	}
 }
 
+// allocRig is the rig of the allocation guards, with the version store
+// off — the paper rig's engine — or on, as every served stack runs.
+func allocRig(t *testing.T, frames int, mvcc bool) *testRig {
+	return newRigOptions(t, noftl.ModeSLC, core.NewScheme(2, 4), Options{
+		PageSize: 512, BufferFrames: frames, DirtyThreshold: 2.0, MVCC: mvcc,
+	})
+}
+
+// forMVCC runs an allocation guard with the version store off and on.
+func forMVCC(t *testing.T, guard func(t *testing.T, mvcc bool)) {
+	for _, mvcc := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mvcc=%v", mvcc), func(t *testing.T) { guard(t, mvcc) })
+	}
+}
+
+// reapNow runs one reaper pass on the caller's goroutine, so that every
+// version the warm-up stamped is on its shard's free list before the
+// measurement starts.
+func reapNow(db *DB) {
+	if db.vs != nil {
+		db.vs.reap(db.log.Head())
+	}
+}
+
 // The embedded AddField is one pass with no tuple copy and no page
 // handle on the heap. With MVCC off it measures 0 allocations per call;
 // the guard leaves room for one (lock-table and WAL arena growth are
-// amortised, not absent).
+// amortised, not absent). With MVCC on, 3 000 committed one-AddField
+// transactions (about three reaper passes) and one more pass warm the
+// version store up first: the measured transaction's before-images then
+// go into recycled entries.
 func TestAddFieldAllocs(t *testing.T) {
-	r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 4), 16, false)
-	tbl, _ := r.db.CreateTable("t", "main")
-	rids := patchRows(t, r.db, tbl, 8)
-	tx := mustBegin(r.db, nil)
-	i := 0
-	allocs := testing.AllocsPerRun(2000, func() {
-		if err := tbl.AddField(tx, rids[i%len(rids)], 8, 1); err != nil {
+	forMVCC(t, func(t *testing.T, mvcc bool) {
+		r := allocRig(t, 16, mvcc)
+		tbl, _ := r.db.CreateTable("t", "main")
+		rids := patchRows(t, r.db, tbl, 8)
+		if mvcc {
+			for i := range 3000 {
+				tx := mustBegin(r.db, nil)
+				if err := tbl.AddField(tx, rids[i%len(rids)], 8, 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reapNow(r.db)
+		}
+		tx := mustBegin(r.db, nil)
+		i := 0
+		allocs := testing.AllocsPerRun(2000, func() {
+			if err := tbl.AddField(tx, rids[i%len(rids)], 8, 1); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		i++
+		t.Logf("AddField: %.3f allocs/op", allocs)
+		if allocs > 1 {
+			t.Errorf("AddField allocates %.2f per call, want <= 1", allocs)
+		}
 	})
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("AddField: %.3f allocs/op", allocs)
-	if allocs > 1 {
-		t.Errorf("AddField allocates %.2f per call, want <= 1", allocs)
-	}
 }
 
 // A TPC-B-shaped transaction on pages resident in the pool — Begin, three
 // AddField, a history Insert, Commit — allocates the Tx, and beyond it
 // only what many transactions share (a history page, a log segment): its
 // four locks fit the lock slice the Tx carries, and the commit's group
-// flush is one compare-and-swap, without a channel.
+// flush is one compare-and-swap, without a channel. With MVCC on, 3 000
+// warm-up transactions (12 000 stamped versions, eleven reaper passes)
+// and one more pass come first, in a pool large enough that the warm-up's
+// history pages stay resident: each shard's free list then holds as many
+// entries, with image buffers, as it ever needs between two passes, so
+// the measured transactions take every before-image from there.
 func TestTPCBTransactionAllocs(t *testing.T) {
-	r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 4), 64, false)
-	acct, _ := r.db.CreateTable("acct", "main")
-	hist, _ := r.db.CreateTable("hist", "main")
-	rids := patchRows(t, r.db, acct, 24)
-	row := make([]byte, 24)
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		tx := mustBegin(r.db, nil)
-		for k := range 3 {
-			if err := acct.AddField(tx, rids[(3*i+k)%len(rids)], 8, 1); err != nil {
+	forMVCC(t, func(t *testing.T, mvcc bool) {
+		frames := 64
+		if mvcc {
+			frames = 256
+		}
+		r := allocRig(t, frames, mvcc)
+		acct, _ := r.db.CreateTable("acct", "main")
+		hist, _ := r.db.CreateTable("hist", "main")
+		rids := patchRows(t, r.db, acct, 24)
+		row := make([]byte, 24)
+		i := 0
+		txn := func() {
+			tx := mustBegin(r.db, nil)
+			for k := range 3 {
+				if err := acct.AddField(tx, rids[(3*i+k)%len(rids)], 8, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := hist.Insert(tx, row); err != nil {
 				t.Fatal(err)
 			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			i++
 		}
-		if _, err := hist.Insert(tx, row); err != nil {
-			t.Fatal(err)
+		if mvcc {
+			for range 3000 {
+				txn()
+			}
+			reapNow(r.db)
 		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(200, txn)
+		t.Logf("TPC-B-shaped transaction: %.3f allocs/op", allocs)
+		if allocs > 1 {
+			t.Errorf("a TPC-B-shaped transaction allocates %.2f times, want <= 1", allocs)
 		}
-		i++
 	})
-	t.Logf("TPC-B-shaped transaction: %.3f allocs/op", allocs)
-	if allocs > 1 {
-		t.Errorf("a TPC-B-shaped transaction allocates %.2f times, want <= 1", allocs)
-	}
 }
 
 // A one-field change flushed as a delta-record allocates the planned
 // record slice and the encoded records: the diff goes into a pooled
 // change set, and the records share its pairs, which are already in
-// offset order.
+// offset order. With MVCC on, 20 committed rounds of one AddField on
+// every row (2 020 stamped versions, two reaper passes) and one more
+// pass run before the rows are first flushed, so the measured
+// transaction's before-images go into recycled 300-byte buffers.
 func TestDeltaFlushAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops pooled change sets at random")
 	}
-	const pages = 101 // one row each; [2×4] takes two delta flushes a page
-	r := newRig(t, noftl.ModeSLC, core.NewScheme(2, 4), 128, false)
-	tbl, _ := r.db.CreateTable("t", "main")
-	tx := mustBegin(r.db, nil)
-	rids := make([]core.RID, pages)
-	for i := range rids {
-		var err error
-		if rids[i], err = tbl.Insert(tx, make([]byte, 300)); err != nil {
+	forMVCC(t, func(t *testing.T, mvcc bool) {
+		const pages = 101 // one row each; [2×4] takes two delta flushes a page
+		r := allocRig(t, 128, mvcc)
+		tbl, _ := r.db.CreateTable("t", "main")
+		tx := mustBegin(r.db, nil)
+		rids := make([]core.RID, pages)
+		for i := range rids {
+			var err error
+			if rids[i], err = tbl.Insert(tx, make([]byte, 300)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.db.FlushAll(nil); err != nil {
-		t.Fatal(err)
-	}
-	st := r.db.Store("main")
-	before := st.Stats()
-	tx = mustBegin(r.db, nil)
-	i := 0
-	allocs := testing.AllocsPerRun(2*pages-1, func() {
-		if err := tbl.AddField(tx, rids[i%pages], 8, 1); err != nil {
-			t.Fatal(err)
+		if mvcc {
+			for range 20 {
+				tx := mustBegin(r.db, nil)
+				for _, rid := range rids {
+					if err := tbl.AddField(tx, rid, 8, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reapNow(r.db)
 		}
 		if err := r.db.FlushAll(nil); err != nil {
 			t.Fatal(err)
 		}
-		i++
+		st := r.db.Store("main")
+		before := st.Stats()
+		tx = mustBegin(r.db, nil)
+		i := 0
+		allocs := testing.AllocsPerRun(2*pages-1, func() {
+			if err := tbl.AddField(tx, rids[i%pages], 8, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.db.FlushAll(nil); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		after := st.Stats()
+		if d, o := after.FlushesDelta-before.FlushesDelta, after.FlushesOOP-before.FlushesOOP; d != 2*pages || o != 0 {
+			t.Fatalf("%d delta and %d out-of-place flushes, want %d and 0", d, o, 2*pages)
+		}
+		t.Logf("AddField + delta flush: %.3f allocs/op", allocs)
+		if allocs > 2 {
+			t.Errorf("a one-field delta flush allocates %.2f times, want <= 2", allocs)
+		}
 	})
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	after := st.Stats()
-	if d, o := after.FlushesDelta-before.FlushesDelta, after.FlushesOOP-before.FlushesOOP; d != 2*pages || o != 0 {
-		t.Fatalf("%d delta and %d out-of-place flushes, want %d and 0", d, o, 2*pages)
-	}
-	t.Logf("AddField + delta flush: %.3f allocs/op", allocs)
-	if allocs > 2 {
-		t.Errorf("a one-field delta flush allocates %.2f times, want <= 2", allocs)
-	}
 }

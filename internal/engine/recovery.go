@@ -128,7 +128,11 @@ type replayTx struct {
 
 // txTable is the ARIES transaction table.
 type txTable struct {
-	open  map[uint64]*replayTx
+	open map[uint64]*replayTx
+	// free holds the entries of transactions whose end record the replay
+	// met, for the next ones to reuse with their rids capacity: a
+	// follower meets every transaction of its primary.
+	free  []*replayTx
 	first core.LSN // the first record the replay met
 	// ended holds the transactions the replay met mid-life — no RecBegin:
 	// first met at a later record, in a checkpoint's list, or at the end
@@ -144,6 +148,13 @@ type txTable struct {
 	ended map[uint64]struct{}
 }
 
+// replayFree bounds txTable.free, and replayFreeRIDs the rids capacity
+// an entry may keep there: a bulk load's thousands of RIDs are not kept.
+const (
+	replayFree     = 16
+	replayFreeRIDs = 64
+)
+
 func newTxTable() txTable {
 	return txTable{open: make(map[uint64]*replayTx), ended: make(map[uint64]struct{})}
 }
@@ -154,10 +165,24 @@ func newTxTable() txTable {
 func (tt *txTable) tx(id uint64, lsn core.LSN) *replayTx {
 	t := tt.open[id]
 	if t == nil {
-		t = &replayTx{firstLSN: lsn}
-		tt.open[id] = t
+		t = tt.add(id, lsn)
 	}
 	t.lastLSN = lsn
+	return t
+}
+
+// add opens an entry for id at lsn, reusing a free one when it can.
+func (tt *txTable) add(id uint64, lsn core.LSN) *replayTx {
+	var t *replayTx
+	if n := len(tt.free); n > 0 {
+		t = tt.free[n-1]
+		tt.free = tt.free[:n-1]
+		*t = replayTx{rids: t.rids[:0]}
+	} else {
+		t = new(replayTx)
+	}
+	t.firstLSN, t.lastLSN = lsn, lsn
+	tt.open[id] = t
 	return t
 }
 
@@ -179,10 +204,16 @@ func (tt *txTable) analyze(r wal.Record) {
 	case wal.RecCommit:
 		tt.tx(r.TxID, r.LSN).committed = true
 	case wal.RecEnd:
-		if t := tt.open[r.TxID]; t == nil || !t.begun {
+		t := tt.open[r.TxID]
+		if t == nil || !t.begun {
 			tt.ended[r.TxID] = struct{}{}
 		}
-		delete(tt.open, r.TxID)
+		if t != nil {
+			delete(tt.open, r.TxID)
+			if len(tt.free) < replayFree && cap(t.rids) <= replayFreeRIDs {
+				tt.free = append(tt.free, t)
+			}
+		}
 	case wal.RecCheckpoint:
 		// A transaction active at the checkpoint whose records precede
 		// the replay still needs an entry.
@@ -191,7 +222,7 @@ func (tt *txTable) analyze(r wal.Record) {
 				continue // the replay met its record at last: open tells
 			}
 			if _, ended := tt.ended[id]; !ended && tt.open[id] == nil {
-				tt.open[id] = &replayTx{firstLSN: last, lastLSN: last}
+				tt.add(id, last)
 			}
 		}
 		clear(tt.ended)

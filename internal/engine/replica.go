@@ -209,7 +209,8 @@ func (a *Applier) applyOne(rec wal.Record) error {
 // only the bytes it changes), and rebuilt from the transaction's chain
 // when the change is skipped (imageBeforeTx).
 func (db *DB) installBefore(pg *page.Page, rec wal.Record, apply bool) {
-	// The version store keeps its image; rec.Before is the caller's.
+	// The version store copies the image it is given: the page's tuple
+	// and rec.Before (which aliases the shipped batch) stay the caller's.
 	rid := core.RID{Page: rec.Page, Slot: rec.Slot}
 	switch {
 	case !apply:
@@ -217,10 +218,10 @@ func (db *DB) installBefore(pg *page.Page, rec wal.Record, apply bool) {
 		db.vs.setPending(rid, rec.TxID, img, absent)
 	case rec.Op == wal.OpPatch:
 		if tup, err := pg.ReadTuple(int(rec.Slot)); err == nil {
-			db.vs.installPending(rid, rec.TxID, append([]byte(nil), tup...), false)
+			db.vs.installPending(rid, rec.TxID, tup, false)
 		}
 	default:
-		db.vs.installPending(rid, rec.TxID, append([]byte(nil), rec.Before...), rec.Op == wal.OpInsert)
+		db.vs.installPending(rid, rec.TxID, rec.Before, rec.Op == wal.OpInsert)
 	}
 }
 

@@ -215,7 +215,9 @@ func (t *Table) ReadLocked(tx *Tx, rid core.RID) ([]byte, error) {
 // pinned LSN, resolving through the MVCC version store. The heap tuple
 // is read first (under the page's shared latch) and the version chain
 // consulted after — the order that guarantees any concurrent writer's
-// before-image is found if the heap shows its uncommitted change.
+// before-image is found if the heap shows its uncommitted change. The
+// tuple returned is the one copy made: of the heap, or the version
+// store's of the image it resolved.
 func (t *Table) ReadSnapshot(tx *Tx, rid core.RID) ([]byte, error) {
 	db := t.db
 	if tx.status != txActive {
@@ -232,7 +234,7 @@ func (t *Table) ReadSnapshot(tx *Tx, rid core.RID) ([]byte, error) {
 		if absent {
 			return nil, fmt.Errorf("%w: %v (not visible at snapshot LSN %d)", ErrNoTuple, rid, tx.snapshot)
 		}
-		return append([]byte(nil), data...), nil
+		return data, nil
 	}
 	return heap, heapErr
 }
@@ -267,7 +269,8 @@ func (t *Table) heapPages() []core.PageID {
 // ScanSnapshot visits every tuple visible at the snapshot transaction's
 // pinned LSN, in heap order, until fn returns false. Each page's slots
 // are copied under the shared latch, then resolved through the version
-// store with no latches held — so a scan holds no locks, blocks no
+// store with no latches held (an image the chain supplies is copied
+// under its shard lock) — so a scan holds no locks, blocks no
 // writer and never aborts, regardless of length. Tuples deleted after
 // the snapshot are resurrected from their chains; tuples inserted after
 // it are suppressed.
@@ -292,7 +295,7 @@ func (t *Table) ScanSnapshot(tx *Tx, fn func(rid core.RID, tuple []byte) bool) e
 			case override && absent:
 				continue // not visible at the snapshot
 			case override:
-				tup = append([]byte(nil), data...)
+				tup = data
 			case tup == nil:
 				continue // deleted, with no retained history
 			}
@@ -376,8 +379,8 @@ func (t *Table) AddField(tx *Tx, rid core.RID, off int, delta uint64) error {
 // off. One pass — the tuple lock, one pin, one exclusive latch — under
 // which the base bytes are read, the record is logged and the page is
 // patched, so the read-modify-write is atomic against concurrent
-// writers and no copy of the tuple is made (the MVCC before-image
-// excepted, which the version store keeps).
+// writers and no copy of the tuple is made here: the version store
+// copies the MVCC before-image from the page into a buffer of its own.
 func (t *Table) patchField(tx *Tx, rid core.RID, off int, val []byte, add bool, delta uint64) error {
 	db := t.db
 	defer db.rlockState(tx.w).RUnlock()
@@ -401,7 +404,7 @@ func (t *Table) patchField(tx *Tx, rid core.RID, off int, val []byte, add bool, 
 	if db.vs != nil {
 		// Under the exclusive latch, before the heap mutation: a snapshot
 		// reader that sees the new heap state must find this before-image.
-		db.vs.installPending(rid, tx.id, append([]byte(nil), tup...), false)
+		db.vs.installPending(rid, tx.id, tup, false)
 	}
 	// The record is appended first, straight from the page (Before) and
 	// the caller's bytes (After): the log copies both, so neither needs a

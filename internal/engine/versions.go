@@ -20,20 +20,37 @@ import (
 //     means "before C, the tuple's value was entry.data" (absent=true
 //     means "before C there was no tuple in this slot"). The heap page
 //     always holds the newest committed-or-pending state; the chain
-//     holds history. Before-images are already materialised on every
-//     update for the WAL's undo records, so installing them here is one
-//     extra slice reference, not a copy of a copy.
+//     holds history.
+//
+//   - The store owns every image it holds. A writer hands it the bytes
+//     it sees (the page's own tuple under the exclusive latch, a shipped
+//     record's Before) and keeps no copy for it: installPending copies
+//     them once, into the buffer of the entry it takes. A reader gets a
+//     copy made under the shard lock, never the buffer itself: once the
+//     lock is released, setPending may rewrite a pending entry's buffer
+//     in place, and a buffer the reaper recycles is refilled by the next
+//     install.
+//
+//   - A chain is oldest first: stamped entries in strictly ascending
+//     commit-LSN order, then at most one pending entry, the newest, so
+//     an install appends. Entries are linked, and the shard's map holds
+//     only the chain's two ends. The reaper puts the entries it prunes
+//     on a per-shard free list with their image buffers; installs take
+//     them from there, so in steady state neither a write nor the reaper
+//     allocates. The free list is bounded (freeEntries, freeImageBytes):
+//     what is kept for reuse stays small, and the rest goes back to the
+//     Go heap when the history that needed it is pruned.
 //
 //   - Writers install a PENDING entry (commit==0, owner==txID) at the
-//     chain head while holding the page's exclusive frame latch — the
-//     same latch that orders the heap mutation and the WAL append — so
-//     a snapshot reader that observes the modified heap tuple is
+//     chain's newest end while holding the page's exclusive frame latch
+//     — the same latch that orders the heap mutation and the WAL append
+//     — so a snapshot reader that observes the modified heap tuple is
 //     guaranteed to find the covering before-image in the chain.
 //     Commit stamps the pending entry with the commit LSN before locks
-//     release; abort drops it after the heap rollback, also before
-//     locks release. Per-RID writers serialise on the tuple lock, so a
-//     chain has at most one pending entry and stamped entries are in
-//     descending commit-LSN order.
+//     release; abort stamps it with the end-record LSN after the heap
+//     rollback, also before locks release. Per-RID writers serialise on
+//     the tuple lock, so a chain has at most one pending entry and
+//     stamped entries are in ascending commit-LSN order.
 //
 //   - Snapshot visibility: a reader pinned at snapshot LSN S must see
 //     the tuple state as of S. Resolution returns the before-image of
@@ -50,10 +67,10 @@ import (
 //     never observe a half-stamped transaction.
 //
 //   - Pruning: a background reaper (parked on a capacity-1 doorbell,
-//     drained by Close) trims every chain suffix whose commit
-//     LSN is <= the prune bound: min(active snapshot LSNs, in-flight
-//     commit LSNs - 1), or the log head when both sets are empty.
-//     Pending entries are never pruned.
+//     drained by Close) trims every chain's prefix of entries whose
+//     commit LSN is <= the prune bound: min(active snapshot LSNs,
+//     in-flight commit LSNs - 1), or the log head when both sets are
+//     empty. Pending entries are never pruned.
 type versionStore struct {
 	shards [versionShards]versionShard
 
@@ -82,23 +99,40 @@ type versionStore struct {
 }
 
 const (
-	versionShards = 64
+	versionShardBits = 6
+	versionShards    = 1 << versionShardBits
 	// reapBatch is how many newly stamped versions accumulate before the
 	// reaper is poked. Small enough to keep chains short under write
 	// pressure, large enough to amortise the full-store sweep.
 	reapBatch = 1024
+	// freeEntries and freeImageBytes bound each shard's free list: 256
+	// entries, whose image buffers hold at most 12 KiB, so the 64 shards
+	// keep at most 768 KiB of images for reuse. A reaper pass releases
+	// about reapBatch entries, 16 a shard, so TPC-B's working set of
+	// 100-byte rows stays well inside both.
+	freeEntries    = 256
+	freeImageBytes = 12 << 10
 )
 
 type versionShard struct {
 	mu     sync.Mutex
-	chains map[core.RID]*versionChain
+	chains map[core.RID]versionChain
+	// free is the shard's list of recycled entries, linked through next;
+	// nfree and freeBytes (the capacity of their buffers) bound it.
+	free      *version
+	nfree     int
+	freeBytes int
+	// imageBytes is the capacity of every image buffer the shard owns,
+	// in chains and on the free list. Written under mu, read by stats.
+	imageBytes atomic.Int64
 }
 
-// versionChain holds a RID's history, newest first: entries[0] may be
-// the single pending entry; stamped entries follow in strictly
-// descending commit-LSN order.
+// versionChain holds a RID's history, oldest first: stamped entries in
+// strictly ascending commit-LSN order, linked through next, and at the
+// newest end possibly the single pending entry. A RID without history
+// has no chain in the map.
 type versionChain struct {
-	entries []version
+	oldest, newest *version
 }
 
 // version is one before-image. commit==0 marks a pending entry owned by
@@ -106,8 +140,9 @@ type versionChain struct {
 type version struct {
 	commit core.LSN
 	owner  uint64
-	data   []byte
-	absent bool // the tuple did not exist before the tagged change
+	data   []byte // the store's own buffer; its capacity outlives the entry
+	absent bool   // the tuple did not exist before the tagged change
+	next   *version
 }
 
 func newVersionStore() *versionStore {
@@ -117,36 +152,83 @@ func newVersionStore() *versionStore {
 		reapCh:   make(chan struct{}, 1),
 	}
 	for i := range vs.shards {
-		vs.shards[i].chains = make(map[core.RID]*versionChain)
+		vs.shards[i].chains = make(map[core.RID]versionChain)
 	}
 	return vs
 }
 
+// shard hashes the whole RID, slot included, so that the rows of one hot
+// page — TPC-B's branches — spread over the shards and their free lists.
 func (vs *versionStore) shard(rid core.RID) *versionShard {
-	h := uint64(rid.Page)*0x9e3779b97f4a7c15 + uint64(rid.Slot)
-	return &vs.shards[(h>>32)&(versionShards-1)]
+	h := (uint64(rid.Page)<<16 | uint64(rid.Slot)) * 0x9e3779b97f4a7c15
+	return &vs.shards[h>>(64-versionShardBits)]
+}
+
+// take returns an entry holding a copy of image, recycled from the free
+// list when it has one. Caller holds sh.mu.
+func (sh *versionShard) take(image []byte, absent bool) *version {
+	e := sh.free
+	if e == nil {
+		e = new(version)
+	} else {
+		sh.free = e.next
+		sh.nfree--
+		sh.freeBytes -= cap(e.data)
+		e.next = nil
+	}
+	sh.setImage(e, image, absent)
+	return e
+}
+
+// setImage copies image into e's buffer, growing it only when it is too
+// small. Caller holds sh.mu.
+func (sh *versionShard) setImage(e *version, image []byte, absent bool) {
+	had := cap(e.data)
+	e.data = append(e.data[:0], image...)
+	e.absent = absent
+	if grown := cap(e.data) - had; grown != 0 {
+		sh.imageBytes.Add(int64(grown))
+	}
+}
+
+// release puts a pruned entry on the free list, or drops it — buffer and
+// all — when the list is at its bound. Caller holds sh.mu.
+func (sh *versionShard) release(e *version) {
+	if sh.nfree >= freeEntries || sh.freeBytes+cap(e.data) > freeImageBytes {
+		sh.imageBytes.Add(-int64(cap(e.data)))
+		return
+	}
+	e.commit, e.owner, e.next = 0, 0, sh.free
+	sh.free = e
+	sh.nfree++
+	sh.freeBytes += cap(e.data)
 }
 
 // installPending records the before-image of rid under the writing
-// transaction. The caller holds the page's exclusive frame latch and
-// the tuple's lock. Idempotent per (rid, owner): only the first write a
-// transaction makes to a tuple contributes the before-image — later
-// writes by the same transaction refine an uncommitted state no
-// snapshot may see.
-func (vs *versionStore) installPending(rid core.RID, owner uint64, before []byte, absent bool) {
+// transaction, copying image into a buffer the store owns: the caller
+// may pass bytes it is about to overwrite, such as the page's own tuple.
+// The caller holds the page's exclusive frame latch and the tuple's
+// lock. Idempotent per (rid, owner): only the first write a transaction
+// makes to a tuple contributes the before-image — later writes by the
+// same transaction refine an uncommitted state no snapshot may see.
+func (vs *versionStore) installPending(rid core.RID, owner uint64, image []byte, absent bool) {
 	sh := vs.shard(rid)
 	sh.mu.Lock()
 	ch := sh.chains[rid]
-	if ch == nil {
-		ch = &versionChain{}
-		sh.chains[rid] = ch
-	}
-	if len(ch.entries) > 0 && ch.entries[0].commit == 0 {
+	if ch.newest != nil && ch.newest.commit == 0 {
 		// Already pending. The tuple lock guarantees the owner matches.
 		sh.mu.Unlock()
 		return
 	}
-	ch.entries = append([]version{{owner: owner, data: before, absent: absent}}, ch.entries...)
+	e := sh.take(image, absent)
+	e.owner = owner
+	if ch.newest == nil {
+		ch.oldest = e
+	} else {
+		ch.newest.next = e
+	}
+	ch.newest = e
+	sh.chains[rid] = ch
 	sh.mu.Unlock()
 	vs.live.Add(1)
 	vs.installed.Add(1)
@@ -155,18 +237,17 @@ func (vs *versionStore) installPending(rid core.RID, owner uint64, before []byte
 // setPending is installPending for an image that later records of the
 // same transaction refine: the replication applier rebuilding
 // before-images on a snapshot-primed page (see Applier.imageBeforeTx).
-// It replaces the data of the owner's pending entry instead of keeping
-// the first; entries already handed to readers are not written to.
-func (vs *versionStore) setPending(rid core.RID, owner uint64, before []byte, absent bool) {
+// It overwrites the owner's pending entry instead of keeping the first.
+func (vs *versionStore) setPending(rid core.RID, owner uint64, image []byte, absent bool) {
 	sh := vs.shard(rid)
 	sh.mu.Lock()
-	if ch := sh.chains[rid]; ch != nil && len(ch.entries) > 0 && ch.entries[0].commit == 0 {
-		ch.entries[0].data, ch.entries[0].absent = before, absent
+	if e := sh.chains[rid].newest; e != nil && e.commit == 0 {
+		sh.setImage(e, image, absent)
 		sh.mu.Unlock()
 		return
 	}
 	sh.mu.Unlock()
-	vs.installPending(rid, owner, before, absent)
+	vs.installPending(rid, owner, image, absent)
 }
 
 // stampCommitted tags the transaction's pending entries with its commit
@@ -180,12 +261,10 @@ func (vs *versionStore) stampCommitted(rids []core.RID, owner uint64, commit cor
 	for _, rid := range rids {
 		sh := vs.shard(rid)
 		sh.mu.Lock()
-		if ch := sh.chains[rid]; ch != nil && len(ch.entries) > 0 {
-			if e := &ch.entries[0]; e.commit == 0 && e.owner == owner {
-				e.commit = commit
-				e.owner = 0
-				stamped++
-			}
+		if e := sh.chains[rid].newest; e != nil && e.commit == 0 && e.owner == owner {
+			e.commit = commit
+			e.owner = 0
+			stamped++
 		}
 		sh.mu.Unlock()
 	}
@@ -196,22 +275,21 @@ func (vs *versionStore) stampCommitted(rids []core.RID, owner uint64, commit cor
 }
 
 // resolve answers "what did rid hold at snapshot S?". override reports
-// whether the chain supplies the answer: if true, data/absent are the
-// tuple state at S (data is safe to retain — entries are immutable once
-// installed). If false, the current heap tuple is the answer.
+// whether the chain supplies the answer: if true, absent or data is the
+// tuple state at S, and data is the caller's own copy, made under the
+// shard lock because the entry's buffer may be recycled once the lock
+// is released. If false, the current heap tuple is the answer.
 func (vs *versionStore) resolve(rid core.RID, snap core.LSN) (data []byte, absent, override bool) {
 	sh := vs.shard(rid)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	ch := sh.chains[rid]
-	if ch == nil {
-		return nil, false, false
-	}
-	// Entries are newest-first; find the oldest one newer than snap.
-	for i := len(ch.entries) - 1; i >= 0; i-- {
-		e := ch.entries[i]
+	// Entries are oldest-first; find the oldest one newer than snap.
+	for e := sh.chains[rid].oldest; e != nil; e = e.next {
 		if e.commit == 0 || e.commit > snap {
-			return e.data, e.absent, true
+			if e.absent {
+				return nil, true, true
+			}
+			return append([]byte(nil), e.data...), false, true
 		}
 	}
 	return nil, false, false
@@ -306,32 +384,30 @@ func (vs *versionStore) pruneBound(head core.LSN) core.LSN {
 	return bound
 }
 
-// prune trims every chain's suffix of entries with commit <= bound.
-// Pending entries (commit==0) are never touched. Returns how many
-// versions were released.
+// prune trims every chain's prefix of entries with commit <= bound and
+// recycles them. Pending entries (commit==0) are never touched. Returns
+// how many versions were released.
 func (vs *versionStore) prune(bound core.LSN) uint64 {
 	var removed uint64
 	for i := range vs.shards {
 		sh := &vs.shards[i]
 		sh.mu.Lock()
 		for rid, ch := range sh.chains {
-			// Newest-first and descending: find the first stamped entry at
-			// or below the bound; it and everything after it can go.
-			cut := -1
-			for j, e := range ch.entries {
-				if e.commit != 0 && e.commit <= bound {
-					cut = j
-					break
-				}
+			// Oldest-first and ascending: everything before the first
+			// pending entry or the first entry above the bound can go.
+			e := ch.oldest
+			for e != nil && e.commit != 0 && e.commit <= bound {
+				next := e.next
+				sh.release(e)
+				removed++
+				e = next
 			}
-			if cut < 0 {
-				continue
-			}
-			removed += uint64(len(ch.entries) - cut)
-			if cut == 0 {
+			switch {
+			case e == nil:
 				delete(sh.chains, rid)
-			} else {
-				ch.entries = ch.entries[:cut:cut]
+			case e != ch.oldest:
+				ch.oldest = e
+				sh.chains[rid] = ch
 			}
 		}
 		sh.mu.Unlock()
@@ -366,10 +442,15 @@ func (vs *versionStore) startReaper(head func() core.LSN) {
 				return
 			case <-vs.reapCh:
 			}
-			vs.pruneRuns.Add(1)
-			vs.prune(vs.pruneBound(head()))
+			vs.reap(head())
 		}
 	}()
+}
+
+// reap is one reaper pass: prune everything below the current bound.
+func (vs *versionStore) reap(head core.LSN) uint64 {
+	vs.pruneRuns.Add(1)
+	return vs.prune(vs.pruneBound(head))
 }
 
 // stopReaper drains the reaper deterministically (Close, SimulateCrash).
@@ -396,7 +477,9 @@ func (vs *versionStore) reset() {
 	for i := range vs.shards {
 		sh := &vs.shards[i]
 		sh.mu.Lock()
-		sh.chains = make(map[core.RID]*versionChain)
+		sh.chains = make(map[core.RID]versionChain)
+		sh.free, sh.nfree, sh.freeBytes = nil, 0, 0
+		sh.imageBytes.Store(0)
 		sh.mu.Unlock()
 	}
 	vs.live.Store(0)
@@ -411,6 +494,7 @@ type MVCCStats struct {
 	VersionsInstalled uint64 // pending entries ever installed
 	VersionsPruned    uint64 // entries released by the reaper
 	PruneRuns         uint64 // reaper sweeps
+	ImageBytes        int64  // capacity of the image buffers held, in chains and kept for reuse
 	SnapshotsStarted  uint64 // BeginSnapshot calls
 	SnapshotsActive   int    // currently pinned snapshots
 	SnapshotReads     uint64 // point reads resolved at a snapshot
@@ -424,12 +508,17 @@ func (vs *versionStore) stats() MVCCStats {
 	vs.mu.Lock()
 	active := len(vs.snaps)
 	vs.mu.Unlock()
+	var images int64
+	for i := range vs.shards {
+		images += vs.shards[i].imageBytes.Load()
+	}
 	return MVCCStats{
 		Enabled:           true,
 		VersionsLive:      vs.live.Load(),
 		VersionsInstalled: vs.installed.Load(),
 		VersionsPruned:    vs.pruned.Load(),
 		PruneRuns:         vs.pruneRuns.Load(),
+		ImageBytes:        images,
 		SnapshotsStarted:  vs.snapsEver.Load(),
 		SnapshotsActive:   active,
 		SnapshotReads:     vs.snapReads.Load(),
