@@ -90,9 +90,15 @@ importers:
 # VersionStoreFootprint: once a snapshot that pinned 100 000 MVCC
 # before-images ends, one reaper pass leaves no version live and less
 # than 1 MiB of image buffers on the store's bounded free lists.
+# RetainedBytesPerRecord: a small update record costs the log at most
+# 40 B once its segment is packed (80 with a 64-byte slot per record),
+# and Stats.RetainedBytes matches the heap. ServedTPCBLogBytesKept: a
+# served TPC-B transaction costs each member's log at most 250 B (568
+# with a slot per record); a served member never checkpoints, so that
+# is what it gains per commit.
 footprint:
-	$(GO) test -count=1 -run 'IdleDevice|EraseReleases|LazyFrames|MemberFootprint|MappedBlocks|OffHeap|VersionStoreFootprint' \
-		./internal/flash ./internal/buffer ./internal/repl ./internal/engine
+	$(GO) test -count=1 -run 'IdleDevice|EraseReleases|LazyFrames|MemberFootprint|MappedBlocks|OffHeap|VersionStoreFootprint|RetainedBytesPerRecord|ServedTPCBLogBytesKept' \
+		./internal/flash ./internal/buffer ./internal/repl ./internal/engine ./internal/wal ./internal/server
 
 # bench/ is a module of its own that compiles against internal/client,
 # internal/server and internal/wire; `./...` here does not reach it, so
@@ -148,11 +154,16 @@ race:
 # TestRecycledImagesAreNotTorn: MVCC snapshot reads and scans while the
 # reaper recycles version entries whose image buffers writers refill; a
 # reader handed a store buffer instead of its own copy sees it change.
+# TestConcurrentPackingReadsBackExactly: log appenders, Get/Scan/ReadFrom
+# readers, a truncator and the packing of cold segments, every record
+# read compared byte for byte; a segment packed before the published
+# horizon passed it fails it.
 race-regress:
 	$(GO) test -race -count=20 -run 'TestYCSBMixes' ./internal/workload
 	$(GO) test -race -count=10 -run 'TestAddFieldLostUpdate' ./internal/engine
 	$(GO) test -race -count=5 -run 'TestLockTable|TestCheckpointSeesEveryStripe' ./internal/engine
 	$(GO) test -race -count=10 -run 'TestGroupFlush' ./internal/wal
+	$(GO) test -race -count=5 -run 'TestConcurrentPackingReadsBackExactly' ./internal/wal
 	$(GO) test -race -count=10 -run 'Concurrent' ./internal/buffer
 	$(GO) test -race -count=10 -run 'TestPageTable' ./internal/core
 	$(GO) test -race -count=5 -run 'TestFlushedImage' ./internal/engine

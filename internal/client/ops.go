@@ -119,7 +119,9 @@ func (c *Conn) Delete(tx uint64, table string, rid wire.RID) error {
 	return err
 }
 
-// ScanEntry is one tuple returned by Scan.
+// ScanEntry is one tuple returned by Scan or SnapshotScan. The entries
+// of one call share the response frame's payload, which that call alone
+// owns.
 type ScanEntry struct {
 	RID  wire.RID
 	Data []byte
@@ -135,7 +137,7 @@ func (c *Conn) Scan(table string, limit uint32) ([]ScanEntry, error) {
 	count := r.Uint32()
 	out := make([]ScanEntry, 0, count)
 	for i := uint32(0); i < count; i++ {
-		out = append(out, ScanEntry{RID: r.RID(), Data: r.Blob()})
+		out = append(out, ScanEntry{RID: r.RID(), Data: r.BlobView()})
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("client: malformed SCAN response: %w", err)
@@ -184,7 +186,7 @@ func (c *Conn) SnapshotScan(tx uint64, table string, limit uint32) ([]ScanEntry,
 	count := r.Uint32()
 	out := make([]ScanEntry, 0, count)
 	for i := uint32(0); i < count; i++ {
-		out = append(out, ScanEntry{RID: r.RID(), Data: r.Blob()})
+		out = append(out, ScanEntry{RID: r.RID(), Data: r.BlobView()})
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("client: malformed SNAPSCAN response: %w", err)

@@ -173,26 +173,33 @@ func (t *Table) setNext(w *sim.Worker, id, next core.PageID) error {
 
 // Read copies the tuple at rid.
 func (t *Table) Read(w *sim.Worker, rid core.RID) ([]byte, error) {
-	db := t.db
-	defer db.rlockState(w).RUnlock()
-	return t.readHeap(w, rid)
+	return t.AppendTuple(w, rid, nil)
 }
 
-// readHeap copies the current heap tuple at rid under the page's shared
-// latch. Caller holds stateMu shared.
-func (t *Table) readHeap(w *sim.Worker, rid core.RID) ([]byte, error) {
+// AppendTuple appends the tuple at rid to dst and returns the extended
+// buffer (dst unchanged on error): a read that reuses the caller's
+// buffer.
+func (t *Table) AppendTuple(w *sim.Worker, rid core.RID, dst []byte) ([]byte, error) {
+	db := t.db
+	defer db.rlockState(w).RUnlock()
+	return t.readHeap(w, rid, dst)
+}
+
+// readHeap appends the current heap tuple at rid to dst under the page's
+// shared latch. Caller holds stateMu shared.
+func (t *Table) readHeap(w *sim.Worker, rid core.RID, dst []byte) ([]byte, error) {
 	pg, err := t.db.pinPage(w, t.st, rid.Page, false)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	tup, err := pg.ReadTuple(int(rid.Slot))
 	if err != nil {
 		pg.unpin()
-		return nil, fmt.Errorf("%w: %v: %v", ErrNoTuple, rid, err)
+		return dst, fmt.Errorf("%w: %v: %v", ErrNoTuple, rid, err)
 	}
-	out := append([]byte(nil), tup...)
+	dst = append(dst, tup...)
 	pg.unpin()
-	return out, nil
+	return dst, nil
 }
 
 // ReadLocked reads the tuple at rid under the tuple's exclusive no-wait
@@ -208,7 +215,7 @@ func (t *Table) ReadLocked(tx *Tx, rid core.RID) ([]byte, error) {
 	if err := tx.lockRID(rid); err != nil {
 		return nil, err
 	}
-	return t.readHeap(tx.w, rid)
+	return t.readHeap(tx.w, rid, nil)
 }
 
 // ReadSnapshot reads the tuple at rid as of the snapshot transaction's
@@ -228,7 +235,7 @@ func (t *Table) ReadSnapshot(tx *Tx, rid core.RID) ([]byte, error) {
 	}
 	defer db.rlockState(tx.w).RUnlock()
 	db.vs.snapReads.Add(1)
-	heap, heapErr := t.readHeap(tx.w, rid)
+	heap, heapErr := t.readHeap(tx.w, rid, nil)
 	data, absent, override := db.vs.resolve(rid, tx.snapshot)
 	if override {
 		if absent {
@@ -239,24 +246,47 @@ func (t *Table) ReadSnapshot(tx *Tx, rid core.RID) ([]byte, error) {
 	return heap, heapErr
 }
 
-// pageTuples copies the tuples of heap page id under its shared latch,
-// one entry per slot: nil for a deleted slot (a live tuple is never
-// empty).
-func (t *Table) pageTuples(w *sim.Worker, id core.PageID) ([][]byte, error) {
+// pageScan is a scan's copy of one heap page's tuples, reused page after
+// page: tups has one entry per slot, nil for a deleted slot (a live
+// tuple is never empty), each aliasing buf.
+type pageScan struct {
+	buf  []byte
+	tups [][]byte
+}
+
+// load copies the tuples of heap page id under its shared latch,
+// overwriting the previous page's.
+func (ps *pageScan) load(t *Table, w *sim.Worker, id core.PageID) error {
 	db := t.db
 	defer db.rlockState(w).RUnlock()
 	pg, err := db.pinPage(w, t.st, id, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	tups := make([][]byte, pg.SlotCount())
-	for s := range tups {
+	n, size := pg.SlotCount(), 0
+	for s := 0; s < n; s++ {
 		if tup, err := pg.ReadTuple(s); err == nil {
-			tups[s] = append([]byte(nil), tup...)
+			size += len(tup)
 		}
 	}
+	if cap(ps.buf) < size {
+		ps.buf = make([]byte, 0, size)
+	}
+	// buf has room for every tuple, so appending never moves the
+	// entries already taken.
+	ps.buf, ps.tups = ps.buf[:0], ps.tups[:0]
+	for s := 0; s < n; s++ {
+		tup, err := pg.ReadTuple(s)
+		if err != nil {
+			ps.tups = append(ps.tups, nil)
+			continue
+		}
+		start := len(ps.buf)
+		ps.buf = append(ps.buf, tup...)
+		ps.tups = append(ps.tups, ps.buf[start:len(ps.buf):len(ps.buf)])
+	}
 	pg.unpin()
-	return tups, nil
+	return nil
 }
 
 // heapPages snapshots the heap chain.
@@ -268,12 +298,13 @@ func (t *Table) heapPages() []core.PageID {
 
 // ScanSnapshot visits every tuple visible at the snapshot transaction's
 // pinned LSN, in heap order, until fn returns false. Each page's slots
-// are copied under the shared latch, then resolved through the version
-// store with no latches held (an image the chain supplies is copied
-// under its shard lock) — so a scan holds no locks, blocks no
-// writer and never aborts, regardless of length. Tuples deleted after
-// the snapshot are resurrected from their chains; tuples inserted after
-// it are suppressed.
+// are copied under the shared latch into one buffer the scan reuses,
+// then resolved through the version store with no latches held (an
+// image the chain supplies is copied under its shard lock) — so a scan
+// holds no locks, blocks no writer and never aborts, regardless of
+// length. Tuples deleted after the snapshot are resurrected from their
+// chains; tuples inserted after it are suppressed. tuple is valid until
+// fn returns: fn copies what it keeps.
 func (t *Table) ScanSnapshot(tx *Tx, fn func(rid core.RID, tuple []byte) bool) error {
 	db := t.db
 	if tx.status != txActive {
@@ -283,12 +314,12 @@ func (t *Table) ScanSnapshot(tx *Tx, fn func(rid core.RID, tuple []byte) bool) e
 		return fmt.Errorf("%w: tx %d", ErrNotSnapshot, tx.id)
 	}
 	db.vs.snapScans.Add(1)
+	var ps pageScan
 	for _, id := range t.heapPages() {
-		tups, err := t.pageTuples(tx.w, id)
-		if err != nil {
+		if err := ps.load(t, tx.w, id); err != nil {
 			return err
 		}
-		for s, tup := range tups {
+		for s, tup := range ps.tups {
 			rid := core.RID{Page: id, Slot: uint16(s)}
 			data, absent, override := db.vs.resolve(rid, tx.snapshot)
 			switch {
@@ -441,14 +472,16 @@ func (t *Table) Delete(tx *Tx, rid core.RID) error {
 
 // Scan visits every live tuple in heap order until fn returns false. The
 // callback runs with no latches held, so it may perform table reads;
-// tuples inserted concurrently may or may not be seen.
+// tuples inserted concurrently may or may not be seen. Each page is
+// copied into one buffer the scan reuses, so tuple is valid until fn
+// returns: fn copies what it keeps.
 func (t *Table) Scan(w *sim.Worker, fn func(rid core.RID, tuple []byte) bool) error {
+	var ps pageScan
 	for _, id := range t.heapPages() {
-		tups, err := t.pageTuples(w, id)
-		if err != nil {
+		if err := ps.load(t, w, id); err != nil {
 			return err
 		}
-		for s, tup := range tups {
+		for s, tup := range ps.tups {
 			if tup != nil && !fn(core.RID{Page: id, Slot: uint16(s)}, tup) {
 				return nil
 			}

@@ -100,8 +100,14 @@ func TestRecycledImagesAreNotTorn(t *testing.T) {
 					}
 					got = append(got, tup)
 				}
+				// A scanned tuple is valid until the callback returns: it
+				// is checked there, and a copy is kept.
 				if err := tb.ScanSnapshot(snap, func(_ core.RID, tup []byte) bool {
-					got = append(got, tup)
+					if why := uniform(tup); why != "" {
+						t.Errorf("reader %d: scanned tuple is torn: %s", r, why)
+						return false
+					}
+					got = append(got, append([]byte(nil), tup...))
 					return true
 				}); err != nil {
 					t.Errorf("reader %d: %v", r, err)

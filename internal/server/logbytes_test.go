@@ -91,3 +91,74 @@ func TestServedTPCBLogAndShipBytes(t *testing.T) {
 		t.Errorf("a served TPC-B transaction ships %.0f B per follower, want 300..520", shipped)
 	}
 }
+
+// What a served member's log keeps in memory per committed TPC-B
+// transaction, on the leader and on both followers:
+// wal.Stats.RetainedBytes, the slot arrays or packed records, the image
+// arena and the side table. A served member runs no checkpoint (its log
+// capacity is 0), so this is what every node gains per commit for as
+// long as it runs. Behind the log's head a record keeps its packed
+// fields: about 210 B for the transaction's seven records with their
+// images. When each record kept a 64-byte slot for life it was 568 B.
+func TestServedTPCBLogBytesKept(t *testing.T) {
+	cl, err := repl.NewCluster(repl.ClusterConfig{N: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	lead := cl.Members[0]
+	if err := workload.NewTPCB(lead.DB, "data", 2, 200).Load(lead.TL.NewWorker()); err != nil {
+		t.Fatal(err)
+	}
+	c, err := client.Dial(lead.Addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	drv := netload.NewNetTPCB()
+	if err := drv.Init(c); err != nil {
+		t.Fatal(err)
+	}
+	// kept reads every member's retained log bytes once the followers
+	// have applied the leader's whole log.
+	kept := func() []uint64 {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			var out []uint64
+			var heads []uint64
+			for _, m := range cl.Members {
+				st, err := m.DB.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, st.WAL.RetainedBytes)
+				heads = append(heads, uint64(st.WAL.Published))
+			}
+			if heads[1] == heads[0] && heads[2] == heads[0] {
+				return out
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("followers did not catch up: heads %v", heads)
+			}
+		}
+	}
+
+	// Enough transactions for some forty segments, so that the newest
+	// few, still hot, weigh little.
+	const txs = 3000
+	rng := rand.New(rand.NewSource(1))
+	before := kept()
+	for i := 0; i < txs; i++ {
+		if _, err := drv.RunOne(c, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := kept()
+	for i := range cl.Members {
+		per := float64(after[i]-before[i]) / txs
+		t.Logf("member %d: %.0f B of log kept per transaction", i+1, per)
+		if per > 250 {
+			t.Errorf("member %d keeps %.0f B of log per served TPC-B transaction, want <= 250", i+1, per)
+		}
+	}
+}

@@ -40,6 +40,10 @@ type session struct {
 	out wire.Builder // the reply payload of the request being served
 	now time.Time    // when the request being served began
 
+	// readBuf receives the tuple of a READ before it is copied into out,
+	// request after request.
+	readBuf []byte
+
 	txs    map[uint64]*engine.Tx
 	poison map[uint64]string // txid → first failed op, set until COMMIT/ABORT
 	tables map[string]*engine.Table
@@ -465,10 +469,11 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 		if err != nil {
 			return s.fail(err)
 		}
-		data, err := tbl.Read(s.w, coreRID(rid))
+		data, err := tbl.AppendTuple(s.w, coreRID(rid), s.readBuf[:0])
 		if err != nil {
 			return s.fail(err)
 		}
+		s.readBuf = data
 		return wire.StatusOK, s.out.Reset().Blob(data).Bytes()
 
 	case wire.OpUpdate:

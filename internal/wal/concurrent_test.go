@@ -47,7 +47,7 @@ func TestGroupFlushDoesNotBlockAppends(t *testing.T) {
 		t.Fatal("flush completed over an unpublished record")
 	default:
 	}
-	holeSeg.slots[(uint64(hole)-1)&segMask].pub.Store(1)
+	holeSeg.slots.Load()[(uint64(hole)-1)&segMask].pub.Store(uint64(hole))
 	l.advancePublished()
 	<-done
 	// The leader absorbs everything published when it flushes, so the
@@ -376,6 +376,206 @@ func TestConcurrentAppendFlushTruncateScanStress(t *testing.T) {
 	}
 	if audits.Load() == 0 {
 		t.Error("concurrent scanners audited nothing")
+	}
+}
+
+// Packing races everything that reads the log: appenders on more
+// goroutines than cores, Get, Scan and ReadFrom readers, a group flusher
+// and a truncator, over some two hundred segments that growth packs as
+// the published horizon leaves them behind. Every record a reader meets
+// is compared byte for byte with what its appender wrote (TxID and Page
+// say which appender and which of its appends it is), and so is the
+// whole retained log once the appenders are done. A segment packed
+// before every slot in it is published loses or garbles a record here,
+// or stalls the horizon, which the deadline reports; a reader that
+// skips its pin reads a slot array the next segment is refilling, which
+// -race reports.
+func TestConcurrentPackingReadsBackExactly(t *testing.T) {
+	const writers, perWriter = 4, 25000
+	l := NewLog(0)
+	// lsns[w][i] is the LSN of appender w's i-th record, once Append has
+	// returned it.
+	lsns := make([][]atomic.Uint64, writers)
+	for w := range lsns {
+		lsns[w] = make([]atomic.Uint64, perWriter)
+	}
+	rec := func(w, i int, prev core.LSN) Record {
+		id, page := uint64(w)+1, core.PageID(i)
+		switch i % 50 {
+		case 7:
+			return Record{Type: RecCLR, TxID: id, PrevLSN: prev, Page: page, Op: OpPatch, Slot: uint16(i),
+				Off: uint16(i % 300), After: pattern(i, i%20), UndoNext: prev}
+		case 23:
+			return Record{Type: RecAlloc, TxID: id, Page: page, Meta: pattern(i, 1+i%40)}
+		case 41:
+			return Record{Type: RecCommit, TxID: id, PrevLSN: prev, Page: page}
+		}
+		return Record{Type: RecUpdate, TxID: id, PrevLSN: prev, Page: page, Op: OpPatch,
+			Slot: uint16(i * 7), Off: uint16(i % 300),
+			Before: pattern(w*perWriter+i, (i*37+w*11)%300), After: pattern(-(w*perWriter + i), (i*13)%64)}
+	}
+	check := func(got Record) error {
+		w, i := int(got.TxID)-1, int(got.Page)
+		if w < 0 || w >= writers || i >= perWriter {
+			return fmt.Errorf("LSN %d is no record of this test: %+v", got.LSN, got)
+		}
+		var prev core.LSN
+		if i > 0 {
+			// Stored before record i was appended, so before it was
+			// published.
+			prev = core.LSN(lsns[w][i-1].Load())
+		}
+		want := rec(w, i, prev)
+		want.LSN = got.LSN
+		if lsn := core.LSN(lsns[w][i].Load()); lsn != 0 && lsn != got.LSN {
+			return fmt.Errorf("record %d of appender %d read at LSN %d, appended at %d", i, w, got.LSN, lsn)
+		}
+		return sameRecord(got, want)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var prev core.LSN
+			for i := 0; i < perWriter; i++ {
+				prev = l.Append(rec(w, i, prev))
+				lsns[w][i].Store(uint64(prev))
+			}
+		}()
+	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	var gets, scans, cursors atomic.Uint64
+	background := func(step func() error) {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := step(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	background(func() error { // group flusher; never waits on a hole
+		l.GroupFlush(l.Head())
+		runtime.Gosched()
+		return nil
+	})
+	background(func() error { // truncator: keeps six segments behind the durable horizon
+		if f := l.Flushed(); f > 6*segRecords {
+			l.Truncate(f - 6*segRecords)
+		}
+		time.Sleep(50 * time.Microsecond)
+		return nil
+	})
+	rng := uint64(1)
+	background(func() error { // Get at random retained LSNs, half of them where growth packs
+		tail, head := l.Tail(), l.Head()
+		if head < tail {
+			return nil
+		}
+		rng = rng*6364136223846793005 + 1442695040888963407
+		if near := head - min(head, 3*segRecords); rng&1 == 0 && near > tail {
+			tail = near
+		}
+		lsn := tail + core.LSN(rng>>33)%(head-tail+1)
+		got, err := l.Get(lsn)
+		if errors.Is(err, ErrTruncated) {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("Get(%d): %v", lsn, err)
+		}
+		gets.Add(1)
+		return check(got)
+	})
+	background(func() error { // Scan from the tail
+		var err error
+		l.Scan(l.Tail(), func(got Record) bool {
+			scans.Add(1)
+			err = check(got)
+			return err == nil
+		})
+		return err
+	})
+	var cursor core.LSN = 1
+	background(func() error { // ReadFrom, the shipping cursor
+		var err error
+		n, rerr := l.ReadFrom(cursor, 300, 0, func(got Record) {
+			if err == nil && got.LSN != cursor {
+				err = fmt.Errorf("ReadFrom handed LSN %d at cursor %d", got.LSN, cursor)
+			}
+			if err == nil {
+				err = check(got)
+			}
+			cursor++
+			cursors.Add(1)
+		})
+		if errors.Is(rerr, ErrTruncated) {
+			cursor = l.Tail()
+			return nil
+		}
+		if rerr != nil {
+			return rerr
+		}
+		if n == 0 {
+			runtime.Gosched()
+		}
+		return err
+	})
+
+	wg.Wait()
+	const total = writers * perWriter
+	for deadline := time.Now().Add(20 * time.Second); l.Head() < total; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(stop)
+			t.Fatalf("published horizon stuck at %d of %d appended", l.Head(), total)
+		}
+	}
+	close(stop)
+	readers.Wait()
+	if gets.Load() == 0 || scans.Load() == 0 || cursors.Load() == 0 {
+		t.Fatalf("readers checked %d Gets, %d scanned and %d shipped records", gets.Load(), scans.Load(), cursors.Load())
+	}
+
+	tail, head := l.Tail(), l.Head()
+	if packedSegments(l) == 0 {
+		t.Fatalf("no packed segment among the retained LSNs %d..%d", tail, head)
+	}
+	var sum uint64
+	for lsn := tail; lsn <= head; lsn++ {
+		got, err := l.Get(lsn)
+		if err != nil {
+			t.Fatalf("Get(%d): %v", lsn, err)
+		}
+		if err := check(got); err != nil {
+			t.Fatal(err)
+		}
+		sum += uint64(got.Size())
+	}
+	if used := l.UsedBytes(); used != sum {
+		t.Fatalf("UsedBytes = %d, retained records sum to %d", used, sum)
+	}
+	next := tail
+	l.Scan(tail, func(got Record) bool {
+		if got.LSN != next {
+			t.Fatalf("quiesced scan: LSN %d after %d", got.LSN, next-1)
+		}
+		next++
+		return true
+	})
+	if next != head+1 {
+		t.Fatalf("quiesced scan ended at %d, head %d", next-1, head)
 	}
 }
 

@@ -7,10 +7,13 @@ import (
 )
 
 // FuzzWALRecordRoundTrip appends an arbitrary record between two
-// neighbours and reads all three back through Get, Scan and ReadFrom:
-// whatever the fixed fields and however long the images, a record comes
-// back byte-identical, leaves its neighbours alone, and is charged
-// exactly Size() in the space accounting. The seed corpus is the table
+// neighbours and reads all three back through Get, Scan and ReadFrom,
+// from the hot segment and again once it is packed: whatever the fixed
+// fields and however long the images, a record comes back
+// byte-identical, leaves its neighbours alone, and is charged exactly
+// Size() in the space accounting. The three end the segment (the log is
+// reset just before), so the packed form also holds records below the
+// log's first. The seed corpus is the table
 // of TestRecordsRoundTripByteExact, so the arena chunk edges and every
 // record kind run as ordinary tests.
 func FuzzWALRecordRoundTrip(f *testing.F) {
@@ -31,43 +34,58 @@ func FuzzWALRecordRoundTrip(f *testing.F) {
 		guard := Record{Type: RecUpdate, Op: OpPatch, Off: 3, Before: pattern(1, 8), After: pattern(2, 8)}
 		want := []Record{guard, rec, guard}
 		l := NewLog(0)
+		l.Reset(segRecords - core.LSN(len(want)))
 		var size uint64
 		for i := range want {
 			want[i].LSN = l.Append(want[i])
 			size += uint64(want[i].Size())
 		}
-		if l.UsedBytes() != size || l.AppendedBytes() != size {
-			t.Fatalf("UsedBytes %d, AppendedBytes %d, want %d", l.UsedBytes(), l.AppendedBytes(), size)
+		verify := func(form string) {
+			if l.UsedBytes() != size || l.AppendedBytes() != size {
+				t.Fatalf("%s: UsedBytes %d, AppendedBytes %d, want %d", form, l.UsedBytes(), l.AppendedBytes(), size)
+			}
+			for _, w := range want {
+				got, err := l.Get(w.LSN)
+				if err != nil {
+					t.Fatalf("%s: Get(%d): %v", form, w.LSN, err)
+				}
+				if err := sameRecord(got, w); err != nil {
+					t.Fatalf("%s: Get: %v", form, err)
+				}
+			}
+			i := 0
+			l.Scan(1, func(got Record) bool {
+				if err := sameRecord(got, want[i]); err != nil {
+					t.Fatalf("%s: Scan: %v", form, err)
+				}
+				i++
+				return true
+			})
+			if i != len(want) {
+				t.Fatalf("%s: Scan visited %d records, want %d", form, i, len(want))
+			}
+			i = 0
+			n, err := l.ReadFrom(want[0].LSN, 0, 0, func(got Record) {
+				if err := sameRecord(got, want[i]); err != nil {
+					t.Fatalf("%s: ReadFrom: %v", form, err)
+				}
+				i++
+			})
+			if err != nil || n != len(want) {
+				t.Fatalf("%s: ReadFrom visited %d records (%v), want %d", form, n, err, len(want))
+			}
 		}
-		for _, w := range want {
-			got, err := l.Get(w.LSN)
-			if err != nil {
-				t.Fatalf("Get(%d): %v", w.LSN, err)
-			}
-			if err := sameRecord(got, w); err != nil {
-				t.Fatalf("Get: %v", err)
-			}
+		verify("hot")
+		seal(l)
+		if packedSegments(l) != 1 {
+			t.Fatal("seal did not pack the segment")
 		}
-		i := 0
-		l.Scan(1, func(got Record) bool {
-			if err := sameRecord(got, want[i]); err != nil {
-				t.Fatalf("Scan: %v", err)
-			}
-			i++
-			return true
-		})
-		if i != len(want) {
-			t.Fatalf("Scan visited %d records, want %d", i, len(want))
-		}
-		i = 0
-		n, err := l.ReadFrom(1, 0, 0, func(got Record) {
-			if err := sameRecord(got, want[i]); err != nil {
-				t.Fatalf("ReadFrom: %v", err)
-			}
-			i++
-		})
-		if err != nil || n != len(want) {
-			t.Fatalf("ReadFrom visited %d records (%v), want %d", n, err, len(want))
+		verify("packed")
+		l.Flush(l.Head())
+		l.Truncate(want[1].LSN)
+		size -= uint64(want[0].Size())
+		if l.UsedBytes() != size {
+			t.Fatalf("packed: UsedBytes %d after truncating the first record, want %d", l.UsedBytes(), size)
 		}
 	})
 }

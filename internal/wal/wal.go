@@ -51,12 +51,20 @@
 // horizon (Flush/GroupFlush) trails the published horizon, preserving
 // the WAL rule.
 //
+// Behind the head the log is packed: once the published horizon is a
+// full segment past a segment, growth encodes the segment's records into
+// one buffer of exactly their size (about 13–20 bytes a record besides
+// its images) and hands its 64-byte slots to a segment to come. A reader
+// pins the segment it reads, so an array is handed on only when no
+// reader is inside.
+//
 // Truncation retires whole ring segments by offset arithmetic and
-// counts the bytes it frees from the dropped slots' sizes, so space
+// counts the bytes it frees from the dropped records' sizes, so space
 // accounting stays byte-accurate per record.
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -174,11 +182,22 @@ type Record struct {
 // charged a flat 16 B per entry — payload only, no per-entry or
 // per-table overhead — under-counting every checkpoint record.
 func (r Record) Size() int {
-	n := 48 + len(r.Before) + len(r.After) + len(r.Meta)
+	n := fixedSize(r.Type) + len(r.Before) + len(r.After) + len(r.Meta)
 	if r.Type == RecCheckpoint {
-		n += 16 + 24*(len(r.ActiveTxs)+len(r.DirtyPages))
+		n += 24 * (len(r.ActiveTxs) + len(r.DirtyPages))
 	}
 	return n
+}
+
+// fixedSize is what Size charges a record of type t besides its images,
+// Meta and checkpoint entries: the header, and a checkpoint's two entry
+// counts. A packed record without a side entry stores no size; this and
+// its image lengths give it.
+func fixedSize(t RecType) int {
+	if t == RecCheckpoint {
+		return 48 + 16
+	}
+	return 48
 }
 
 // Errors of the log.
@@ -208,56 +227,62 @@ const (
 // chunk made to its size.
 const _ = uint16(arenaChunkBytes - 1)
 
-// slot is one record cell of a segment: the fixed fields of a Record
-// plus the location of its images in the segment's arena. It holds no
-// pointers, so the garbage collector never scans the slot arrays.
+// fields are a record's fixed fields and the location of its images in
+// the segment's arena: what a hot slot holds behind its publication
+// word, and what a packed segment encodes. No pointers, so the garbage
+// collector never scans the slot arrays.
 //
-//	 0  pub      u32  publication word: 0 = reserved, 1 = published
-//	 4  typ      u8   RecType
-//	 5  op       u8   PageOp
-//	 6  slotNo   u16  tuple slot within the page
-//	 8  txID     u64
-//	16  prev     u64  PrevLSN
-//	24  page     u64
-//	32  undoNext u64  CLRs only
-//	40  imgOff   u16  offset of Before in its arena chunk; After follows
-//	42  off      u16  OpPatch: offset of the images within the tuple
-//	44  nBefore  u32
-//	48  nAfter   u32
+//	 0  txID     u64
+//	 8  prev     u64  PrevLSN
+//	16  page     u64
+//	24  undoNext u64  CLRs only
+//	32  typ      u8   RecType
+//	33  op       u8   PageOp
+//	34  slotNo   u16  tuple slot within the page
+//	36  imgOff   u16  offset of Before in its arena chunk; After follows
+//	38  off      u16  OpPatch: offset of the images within the tuple
+//	40  nBefore  u32
+//	44  nAfter   u32
+//	48  size     u32  Record.Size(), what truncation frees
 //	52  chunk    u16  arena chunk index within the segment
 //	54  side     bool Meta / checkpoint tables live in the side table
-//	56  size     u32  Record.Size(), what truncation frees
-//	60           padding to 64 bytes: a slot per cache line
+type fields struct {
+	txID     uint64
+	prev     core.LSN
+	page     core.PageID
+	undoNext core.LSN
+	typ      RecType
+	op       PageOp
+	slotNo   uint16
+	imgOff   uint16
+	off      uint16
+	nBefore  uint32
+	nAfter   uint32
+	size     uint32
+	chunk    uint16
+	side     bool
+}
+
+// slot is one record cell of a hot segment: a publication word and the
+// record's fields — 64 bytes, a slot per cache line. The record at lsn is
+// published once pub holds lsn; anything else (0, or an LSN of the
+// segment that had the array before, see Log.spare) means reserved.
 //
 // Readers load pub (or the published horizon, which is raised only over
 // published slots) with acquire semantics before touching the rest, so
 // the contents are race-free without a lock. Consecutive LSNs go to
 // whichever appenders reserved them, so two clients' records alternate;
-// the padding keeps one appender's fill and publication off the line the
-// other is filling.
+// a slot per line keeps one appender's fill and publication off the line
+// the other is filling.
 type slot struct {
-	pub      atomic.Uint32
-	typ      RecType
-	op       PageOp
-	slotNo   uint16
-	txID     uint64
-	prev     core.LSN
-	page     core.PageID
-	undoNext core.LSN
-	imgOff   uint16
-	off      uint16
-	nBefore  uint32
-	nAfter   uint32
-	chunk    uint16
-	side     bool
-	size     uint32
-	_        [4]byte
+	pub atomic.Uint64
+	f   fields
 }
 
 // chunk is one piece of a segment's image arena. Appenders reserve
 // space with a fetch-add on off and copy their images exactly once.
 // Chunks form a list through prev, newest first; idx is the position a
-// slot refers to.
+// record refers to.
 type chunk struct {
 	prev *chunk
 	idx  uint16
@@ -265,45 +290,62 @@ type chunk struct {
 	buf  []byte
 }
 
-// sideRec holds what does not fit the fixed slot and is rare enough not
-// to deserve space in it: the Meta payload of RecAlloc/RecTable records
-// (copied) and a checkpoint's two tables (kept as handed in).
+// sideRec holds what does not fit the fixed fields and is rare enough
+// not to deserve space in them: the Meta payload of RecAlloc/RecTable
+// records (copied) and a checkpoint's two tables (kept as handed in).
 type sideRec struct {
 	meta       []byte
 	activeTxs  map[uint64]core.LSN
 	dirtyPages map[core.PageID]core.LSN
 }
 
-// segment is one pre-sized chunk of the record ring, covering the fixed
-// LSN range [firstLSN, firstLSN+segRecords). Segments are never reused:
-// truncation drops them wholesale and growth allocates fresh ones, so a
-// published slot stays immutable for its whole life.
+// segment is one chunk of the record ring, covering the fixed LSN range
+// [firstLSN, firstLSN+segRecords). It has two forms. While appenders can
+// still reach it, it is hot: an array of padded slots that appenders
+// fill and publish lock-free. Once the published horizon is a full
+// segment past its last LSN, growth packs it (see pack): the fields of
+// every record are encoded once into one exact-size buffer, published
+// through packed, and the slot array is handed to a segment growth adds
+// later (Log.spare). The images stay where they are, in the arena
+// chunks, which neither form ever changes. Segments themselves are not
+// reused: truncation drops them wholesale and growth allocates fresh
+// ones, so a published record stays immutable for its whole life in
+// either form.
+//
+// A reader that reads fields without ringMu pins the segment first
+// (pin/unpin): growth hands a packed segment's array on only while no
+// reader is pinned, and a reader that pins later finds slots nil and
+// reads the packed form.
 type segment struct {
 	firstLSN core.LSN
-	// slots is its own allocation so that it lands exactly in a
-	// pointer-free size class.
-	slots *[segRecords]slot
+	// slots is the hot form, nil once packed. The array is its own
+	// allocation so that it lands exactly in a pointer-free size class.
+	slots   atomic.Pointer[[segRecords]slot]
+	packed  atomic.Pointer[packedSeg]
+	readers atomic.Int32 // pinned readers
 
 	// arena is the newest image chunk, the one appenders reserve from.
 	// mu serialises chunk installation and guards the side table; it is
 	// taken once per chunk and once per side record, never per append.
 	arena atomic.Pointer[chunk]
 	mu    sync.Mutex
-	side  map[uint16]*sideRec // slot index → side payload
+	side  map[uint16]*sideRec // record index → side payload
 	mem   atomic.Uint64       // arena + side bytes, for Stats
 }
 
-// slotBytes is the size of a slot and segmentBytes what an empty
-// segment retains (slot array + header); TestSlotLayout holds them to
-// the structs.
+// What a segment retains besides its arena and side table: the header,
+// plus the slot array while hot or the packed buffer and its header once
+// packed. TestSlotLayout holds the constants to the structs.
 const (
-	slotBytes    = 64
-	segmentBytes = segRecords*slotBytes + 48
+	slotBytes          = 64
+	segmentHeaderBytes = 64
+	slotArrayBytes     = segRecords * slotBytes
+	packedHeaderBytes  = 32
 )
 
-func newSegment(firstLSN core.LSN) *segment {
-	return &segment{firstLSN: firstLSN, slots: new([segRecords]slot)}
-}
+// pin and unpin bracket a lock-free read of the segment's fields.
+func (s *segment) pin()   { s.readers.Add(1) }
+func (s *segment) unpin() { s.readers.Add(-1) }
 
 // reserveImages hands the appender n bytes of image storage: the chunk
 // and the offset within it.
@@ -346,20 +388,41 @@ func (s *segment) chunkAt(idx uint16) *chunk {
 	return c
 }
 
-// record materialises the published record at lsn. The images alias
-// the arena, which is immutable once the slot is published.
-func (s *segment) record(lsn core.LSN) Record {
-	i := (uint64(lsn) - 1) & segMask
-	sl := &s.slots[i]
-	r := Record{
-		LSN: lsn, Type: sl.typ, TxID: sl.txID, PrevLSN: sl.prev,
-		Page: sl.page, Op: sl.op, Slot: sl.slotNo, Off: sl.off, UndoNext: sl.undoNext,
+// fields returns the fields of the record at index i and whether it is
+// published, from whichever form the segment is in. The caller holds a
+// pin or ringMu, so a slot array it loads stays the segment's while it
+// reads. The packer stores the packed form before it drops the slot
+// array, so a segment without slots has its packed form.
+func (s *segment) fields(i uint64) (fields, bool) {
+	if sl := s.slots.Load(); sl != nil {
+		if sl[i].pub.Load() != uint64(s.firstLSN)+i {
+			return fields{}, false
+		}
+		return sl[i].f, true
 	}
-	if sl.nBefore+sl.nAfter > 0 {
-		buf := s.chunkAt(sl.chunk).buf
-		off := int(sl.imgOff)
-		mid := off + int(sl.nBefore)
-		end := mid + int(sl.nAfter)
+	return s.packed.Load().fields(s.firstLSN+core.LSN(i), i), true
+}
+
+// published materialises the record at lsn, which the caller knows to
+// be published and holds a pin or ringMu for.
+func (s *segment) published(lsn core.LSN) Record {
+	f, _ := s.fields((uint64(lsn) - 1) & segMask)
+	return s.record(lsn, f)
+}
+
+// record materialises the record at lsn from its fields f. The images
+// alias the arena, which is immutable once the record is published.
+func (s *segment) record(lsn core.LSN, f fields) Record {
+	i := (uint64(lsn) - 1) & segMask
+	r := Record{
+		LSN: lsn, Type: f.typ, TxID: f.txID, PrevLSN: f.prev,
+		Page: f.page, Op: f.op, Slot: f.slotNo, Off: f.off, UndoNext: f.undoNext,
+	}
+	if f.nBefore+f.nAfter > 0 {
+		buf := s.chunkAt(f.chunk).buf
+		off := int(f.imgOff)
+		mid := off + int(f.nBefore)
+		end := mid + int(f.nAfter)
 		if mid > off {
 			r.Before = buf[off:mid:mid]
 		}
@@ -367,13 +430,208 @@ func (s *segment) record(lsn core.LSN) Record {
 			r.After = buf[mid:end:end]
 		}
 	}
-	if sl.side {
+	if f.side {
 		s.mu.Lock()
 		sd := s.side[uint16(i)]
 		s.mu.Unlock()
 		r.Meta, r.ActiveTxs, r.DirtyPages = sd.meta, sd.activeTxs, sd.dirtyPages
 	}
 	return r
+}
+
+// retained is what the segment holds in memory, in its current form.
+func (s *segment) retained() uint64 {
+	n := segmentHeaderBytes + s.mem.Load()
+	if p := s.packed.Load(); p != nil {
+		return n + packedHeaderBytes + uint64(cap(p.buf))
+	}
+	return n + slotArrayBytes
+}
+
+// packedSeg is a segment's cold form: its records' fields, encoded.
+//
+// buf starts with a table of segRecords little-endian u16 offsets, one
+// per record index, to the record's encoding further on. A record is
+// three bytes — type, op and a flag byte naming which of the fields
+// that are usually zero follow — and then, as uvarints and in this
+// order, those fields: TxID, LSN − PrevLSN, Page, LSN − UndoNext, Slot,
+// Off; the image location (chunk index, offset in the chunk, len(Before),
+// len(After)); and for a record with a side entry its Size(). The size
+// of any other record follows from its images and type. An index below
+// the segment's first record (a log reset or cut mid-segment) has an
+// empty encoding and is never read.
+type packedSeg struct {
+	bytes uint64 // Σ Size() of the records, what truncating them all frees
+	buf   []byte
+}
+
+// Flags of a packed record: the fields it carries.
+const (
+	pkTxID = 1 << iota
+	pkPrev
+	pkPage
+	pkUndoNext
+	pkSlot
+	pkOff
+	pkImages
+	pkSide
+)
+
+// packedMaxRecord bounds one record's encoding: three bytes, four u64,
+// four u16 and three u32 uvarints. The u16 offset table reaches every
+// record of a segment at that size.
+const (
+	packedMaxRecord = 3 + 4*binary.MaxVarintLen64 + 4*3 + 3*5
+	packedTable     = 2 * segRecords
+)
+
+const _ = uint16(packedTable + segRecords*packedMaxRecord - 1)
+
+// pack seals a segment the published horizon has passed by a full
+// segment: no appender holds a reservation in it, and none can take one.
+// It encodes the fields of every published slot into one buffer of
+// exactly their size, publishes that as the packed form, drops the slot
+// array from the segment and returns it. scratch is the encoding buffer,
+// returned for the next call. The caller holds the log's ringMu, so a
+// segment is packed once.
+func (s *segment) pack(scratch []byte) ([]byte, *[segRecords]slot) {
+	sl := s.slots.Load()
+	if cap(scratch) < packedTable+segRecords*packedMaxRecord {
+		scratch = make([]byte, 0, packedTable+segRecords*packedMaxRecord)
+	}
+	b := scratch[:packedTable]
+	var total uint64
+	for i := range sl {
+		binary.LittleEndian.PutUint16(b[2*i:], uint16(len(b)))
+		if sl[i].pub.Load() != uint64(s.firstLSN)+uint64(i) {
+			continue // never reserved: below the log's first record
+		}
+		f := &sl[i].f
+		b = appendPacked(b, s.firstLSN+core.LSN(i), f)
+		total += uint64(f.size)
+	}
+	s.packed.Store(&packedSeg{bytes: total, buf: append([]byte(nil), b...)})
+	s.slots.Store(nil)
+	return b, sl
+}
+
+// appendPacked appends the packed encoding of the record at lsn.
+func appendPacked(b []byte, lsn core.LSN, f *fields) []byte {
+	var fl byte
+	if f.txID != 0 {
+		fl |= pkTxID
+	}
+	if f.prev != 0 {
+		fl |= pkPrev
+	}
+	if f.page != 0 {
+		fl |= pkPage
+	}
+	if f.undoNext != 0 {
+		fl |= pkUndoNext
+	}
+	if f.slotNo != 0 {
+		fl |= pkSlot
+	}
+	if f.off != 0 {
+		fl |= pkOff
+	}
+	if f.nBefore+f.nAfter > 0 {
+		fl |= pkImages
+	}
+	if f.side {
+		fl |= pkSide
+	}
+	b = append(b, byte(f.typ), byte(f.op), fl)
+	if fl&pkTxID != 0 {
+		b = binary.AppendUvarint(b, f.txID)
+	}
+	if fl&pkPrev != 0 {
+		b = binary.AppendUvarint(b, uint64(lsn-f.prev))
+	}
+	if fl&pkPage != 0 {
+		b = binary.AppendUvarint(b, uint64(f.page))
+	}
+	if fl&pkUndoNext != 0 {
+		b = binary.AppendUvarint(b, uint64(lsn-f.undoNext))
+	}
+	if fl&pkSlot != 0 {
+		b = binary.AppendUvarint(b, uint64(f.slotNo))
+	}
+	if fl&pkOff != 0 {
+		b = binary.AppendUvarint(b, uint64(f.off))
+	}
+	if fl&pkImages != 0 {
+		b = binary.AppendUvarint(b, uint64(f.chunk))
+		b = binary.AppendUvarint(b, uint64(f.imgOff))
+		b = binary.AppendUvarint(b, uint64(f.nBefore))
+		b = binary.AppendUvarint(b, uint64(f.nAfter))
+	}
+	if fl&pkSide != 0 {
+		b = binary.AppendUvarint(b, uint64(f.size))
+	}
+	return b
+}
+
+// fields decodes the record at index i, whose LSN is lsn.
+func (p *packedSeg) fields(lsn core.LSN, i uint64) fields {
+	d := uvarints{b: p.buf, k: int(binary.LittleEndian.Uint16(p.buf[2*i:])) + 3}
+	f := fields{typ: RecType(p.buf[d.k-3]), op: PageOp(p.buf[d.k-2])}
+	fl := p.buf[d.k-1]
+	if fl&pkTxID != 0 {
+		f.txID = d.next()
+	}
+	if fl&pkPrev != 0 {
+		f.prev = lsn - core.LSN(d.next())
+	}
+	if fl&pkPage != 0 {
+		f.page = core.PageID(d.next())
+	}
+	if fl&pkUndoNext != 0 {
+		f.undoNext = lsn - core.LSN(d.next())
+	}
+	if fl&pkSlot != 0 {
+		f.slotNo = uint16(d.next())
+	}
+	if fl&pkOff != 0 {
+		f.off = uint16(d.next())
+	}
+	if fl&pkImages != 0 {
+		f.chunk = uint16(d.next())
+		f.imgOff = uint16(d.next())
+		f.nBefore = uint32(d.next())
+		f.nAfter = uint32(d.next())
+	}
+	if fl&pkSide != 0 {
+		f.side = true
+		f.size = uint32(d.next())
+	} else {
+		f.size = uint32(fixedSize(f.typ)) + f.nBefore + f.nAfter
+	}
+	return f
+}
+
+// uvarints reads the uvarints of a packed record from b[k:].
+type uvarints struct {
+	b []byte
+	k int
+}
+
+func (d *uvarints) next() uint64 {
+	c := d.b[d.k]
+	d.k++
+	if c < 0x80 {
+		return uint64(c) // a one-byte value, nearly every field
+	}
+	v := uint64(c & 0x7f)
+	for s := 7; ; s += 7 {
+		c = d.b[d.k]
+		d.k++
+		if c < 0x80 {
+			return v | uint64(c)<<s
+		}
+		v |= uint64(c&0x7f) << s
+	}
 }
 
 // ring is an immutable snapshot of the segment table, swapped atomically
@@ -402,18 +660,27 @@ func (r *ring) segmentOf(lsn core.LSN) *segment {
 //
 // Appends are lock-free (see the package comment); the only mutexes are
 // flushMu, which coordinates group-commit leadership (never held across
-// the flush itself), and ringMu, which serialises segment-table growth
-// and truncation (taken once per segRecords appends, never on the slot
-// hot path). All counters are atomics read lock-free, so stats sampling
-// never contends with appenders or the group-commit leader.
+// the flush itself), and ringMu, which serialises segment-table growth,
+// packing and truncation (taken once per segRecords appends, never on
+// the slot hot path). All counters are atomics read lock-free, so stats
+// sampling never contends with appenders or the group-commit leader.
 type Log struct {
 	// Read on every append, written only by growth, truncation and the
 	// replication floor, so each appender's copy of these lines stays.
 	ring      atomic.Pointer[ring]
-	ringMu    sync.Mutex    // guards ring replacement (growth, truncation)
+	ringMu    sync.Mutex    // guards ring replacement (growth, truncation) and packing
 	first     atomic.Uint64 // oldest retained LSN
 	tailBytes atomic.Uint64 // bytes reclaimed
 	capacity  uint64        // log device size; 0 = unbounded
+
+	// packFrom is the absolute number of the oldest segment growth has
+	// not packed yet, packBuf the packer's encoding buffer and spare the
+	// slot arrays of packed segments kept for new ones; ringMu guards
+	// them. spares counts spare for Stats.
+	packFrom uint64
+	packBuf  []byte
+	spare    []*[segRecords]slot
+	spares   atomic.Int32
 
 	// retainFloor clamps Truncate: records at or above the floor survive
 	// reclamation because a replication cursor still needs to ship them
@@ -473,15 +740,20 @@ func (l *Log) Append(r Record) core.LSN {
 	l.headBytes.Add(size)
 	seg := l.segment(lsn)
 	i := (uint64(lsn) - 1) & segMask
-	s := &seg.slots[i]
-	s.typ, s.op, s.slotNo, s.off = r.Type, r.Op, r.Slot, r.Off
-	s.txID, s.prev, s.page, s.undoNext = r.TxID, r.PrevLSN, r.Page, r.UndoNext
-	s.size = uint32(size)
+	// The segment is hot: it is packed only once the published horizon
+	// has passed it, and it cannot pass this unpublished slot. The array
+	// may have served an older segment, so every field is written.
+	s := &seg.slots.Load()[i]
+	f := fields{
+		typ: r.Type, op: r.Op, slotNo: r.Slot, off: r.Off,
+		txID: r.TxID, prev: r.PrevLSN, page: r.Page, undoNext: r.UndoNext,
+		size: uint32(size),
+	}
 	if nb, na := len(r.Before), len(r.After); nb+na > 0 {
 		c, off := seg.reserveImages(nb + na)
 		copy(c.buf[off:], r.Before)
 		copy(c.buf[off+nb:], r.After)
-		s.chunk, s.imgOff, s.nBefore, s.nAfter = c.idx, uint16(off), uint32(nb), uint32(na)
+		f.chunk, f.imgOff, f.nBefore, f.nAfter = c.idx, uint16(off), uint32(nb), uint32(na)
 	}
 	if len(r.Meta) > 0 || r.ActiveTxs != nil || r.DirtyPages != nil {
 		sd := &sideRec{activeTxs: r.ActiveTxs, dirtyPages: r.DirtyPages}
@@ -496,9 +768,10 @@ func (l *Log) Append(r Record) core.LSN {
 		seg.mu.Unlock()
 		seg.mem.Add(sideRecBytes + uint64(len(r.Meta)) +
 			sideEntryBytes*uint64(len(r.ActiveTxs)+len(r.DirtyPages)))
-		s.side = true
+		f.side = true
 	}
-	s.pub.Store(1)
+	s.f = f
+	s.pub.Store(uint64(lsn))
 	l.advancePublished()
 	return lsn
 }
@@ -521,9 +794,13 @@ func (l *Log) segment(lsn core.LSN) *segment {
 	return l.grow(lsn)
 }
 
-// grow extends the segment table to cover lsn. The ring snapshot is
-// copied under ringMu and swapped in atomically; appenders and readers
-// keep using their snapshots unlocked.
+// grow extends the segment table to cover lsn, then packs the segments
+// the published horizon has left behind. The new ring snapshot is
+// swapped in atomically under ringMu; appenders and readers keep using
+// their snapshots unlocked. New segments go into the table's spare
+// capacity, not into a copy: a snapshot never indexes past its own
+// length, so the slots beyond it are free to fill, and a log that is
+// never truncated grows in amortised constant time.
 func (l *Log) grow(lsn core.LSN) *segment {
 	l.ringMu.Lock()
 	defer l.ringMu.Unlock()
@@ -531,13 +808,66 @@ func (l *Log) grow(lsn core.LSN) *segment {
 	if seg := r.segmentOf(lsn); seg != nil {
 		return seg
 	}
+	l.packCold(r.firstSeg, r.segs)
 	sn := segNum(lsn)
-	segs := append([]*segment(nil), r.segs...)
+	segs := r.segs
 	for next := r.firstSeg + uint64(len(segs)); next <= sn; next++ {
-		segs = append(segs, newSegment(core.LSN(next*segRecords+1)))
+		segs = append(segs, l.newSegment(core.LSN(next*segRecords+1)))
 	}
 	l.ring.Store(&ring{firstSeg: r.firstSeg, segs: segs})
 	return segs[sn-r.firstSeg]
+}
+
+// maxSpare bounds the slot arrays a log keeps for its next segments:
+// growth packs about one segment for each it adds.
+const maxSpare = 4
+
+// packCold packs, oldest first, every hot segment whose last LSN the
+// published horizon has passed by a full segment, and keeps each freed
+// slot array that no reader is pinned in for a segment to come (one a
+// reader is in goes to the collector). Caller holds ringMu.
+func (l *Log) packCold(firstSeg uint64, segs []*segment) {
+	pub := l.published.Load()
+	l.packFrom = max(l.packFrom, firstSeg)
+	for ; l.packFrom-firstSeg < uint64(len(segs)); l.packFrom++ {
+		seg := segs[l.packFrom-firstSeg]
+		if uint64(seg.firstLSN)+2*segRecords-1 > pub {
+			return
+		}
+		var sl *[segRecords]slot
+		l.packBuf, sl = seg.pack(l.packBuf)
+		// slots is nil from here on, so a reader that pins after this
+		// load reads the packed form.
+		if seg.readers.Load() == 0 && len(l.spare) < maxSpare {
+			l.spare = append(l.spare, sl)
+			l.spares.Add(1)
+		}
+	}
+}
+
+// newSegment makes the segment at firstLSN, with a spare slot array if
+// there is one: its stale publication words hold another segment's
+// LSNs, so none reads as published here. Caller holds ringMu or, as
+// Cut, has the log to itself.
+func (l *Log) newSegment(firstLSN core.LSN) *segment {
+	s := &segment{firstLSN: firstLSN}
+	if n := len(l.spare); n > 0 {
+		s.slots.Store(l.spare[n-1])
+		l.spare[n-1] = nil
+		l.spare = l.spare[:n-1]
+		l.spares.Add(-1)
+	} else {
+		s.slots.Store(new([segRecords]slot))
+	}
+	return s
+}
+
+// dropSpare forgets the spare slot arrays. A log whose LSNs move back
+// (Reset, Cut) could give an array back to the very segment it served,
+// where its stale publication words would read as published.
+func (l *Log) dropSpare() {
+	l.spare = nil
+	l.spares.Store(0)
 }
 
 // advancePublished moves the contiguous published horizon over every
@@ -560,8 +890,17 @@ func (l *Log) advancePublished() {
 					break // slot n+1 not reserved yet
 				}
 			}
-			if seg.slots[n&segMask].pub.Load() == 0 {
-				break // hole: an appender is still copying
+			sl := seg.slots.Load()
+			if sl == nil {
+				// Packed: the horizon passed this segment long ago, so
+				// whatever this publisher published is covered.
+				break
+			}
+			if sl[n&segMask].pub.Load() != n+1 {
+				// A hole: an appender is still copying. (Or the array
+				// has gone on to a newer segment, whose words hold its
+				// own LSNs; then the horizon passed this one long ago.)
+				break
 			}
 			n++
 		}
@@ -801,10 +1140,13 @@ func (l *Log) Get(lsn core.LSN) (Record, error) {
 		}
 		return Record{}, fmt.Errorf("%w: %d (head at %d)", ErrNotFound, lsn, next)
 	}
-	if seg.slots[(uint64(lsn)-1)&segMask].pub.Load() == 0 {
+	seg.pin()
+	defer seg.unpin()
+	f, ok := seg.fields((uint64(lsn) - 1) & segMask)
+	if !ok {
 		return Record{}, fmt.Errorf("%w: %d (head at %d)", ErrNotFound, lsn, next)
 	}
-	return seg.record(lsn), nil
+	return seg.record(lsn, f), nil
 }
 
 // Scan calls fn for every record with LSN ≥ from, in order, until fn
@@ -823,24 +1165,50 @@ func (l *Log) Scan(from core.LSN, fn func(Record) bool) {
 	if from < 1 {
 		from = 1
 	}
-	var seg *segment
+	c := cursor{r: r}
+	defer c.release()
 	for lsn := from; lsn <= limit; lsn++ {
-		if seg == nil || lsn >= seg.firstLSN+segRecords {
-			if seg = r.segmentOf(lsn); seg == nil {
-				// A concurrent truncation retired this segment; skip to
-				// the new tail (or stop if it passed the horizon).
-				f := core.LSN(l.first.Load())
-				if f <= lsn {
-					return
-				}
-				lsn = f - 1
-				seg = nil
-				continue
+		seg := c.at(lsn)
+		if seg == nil {
+			// A concurrent truncation retired this segment; skip to
+			// the new tail (or stop if it passed the horizon).
+			f := core.LSN(l.first.Load())
+			if f <= lsn {
+				return
 			}
+			lsn = f - 1
+			continue
 		}
-		if !fn(seg.record(lsn)) {
+		if !fn(seg.published(lsn)) {
 			return
 		}
+	}
+}
+
+// cursor walks a ring snapshot in LSN order with the segment it is in
+// pinned.
+type cursor struct {
+	r   *ring
+	seg *segment
+}
+
+// at returns the pinned segment holding lsn, or nil when the snapshot
+// does not cover it.
+func (c *cursor) at(lsn core.LSN) *segment {
+	if c.seg != nil && lsn >= c.seg.firstLSN && lsn < c.seg.firstLSN+segRecords {
+		return c.seg
+	}
+	c.release()
+	if c.seg = c.r.segmentOf(lsn); c.seg != nil {
+		c.seg.pin()
+	}
+	return c.seg
+}
+
+func (c *cursor) release() {
+	if c.seg != nil {
+		c.seg.unpin()
+		c.seg = nil
 	}
 }
 
@@ -856,8 +1224,9 @@ func (l *Log) Tail() core.LSN { return core.LSN(l.first.Load()) }
 // dirty page needs them.
 //
 // Cost: segments retire by offset arithmetic; the bytes freed are the
-// sizes the dropped slots hold, one load per record dropped — a segment
-// keeps no running total, which every append would have to write.
+// sizes the dropped records hold, one load (hot) or decode (packed) per
+// record dropped — a hot segment keeps no running total, which every
+// append would have to write, and a packed one frees its total at once.
 func (l *Log) Truncate(lsn core.LSN) {
 	l.ringMu.Lock()
 	defer l.ringMu.Unlock()
@@ -879,8 +1248,15 @@ func (l *Log) Truncate(lsn core.LSN) {
 	var freed uint64
 	for cur := first; cur < lsn; {
 		seg := r.segmentOf(cur)
-		for stop := min(seg.firstLSN+segRecords, lsn); cur < stop; cur++ {
-			freed += uint64(seg.slots[(uint64(cur)-1)&segMask].size)
+		stop := min(seg.firstLSN+segRecords, lsn)
+		if p := seg.packed.Load(); p != nil && cur == seg.firstLSN && stop == seg.firstLSN+segRecords {
+			freed += p.bytes
+			cur = stop
+			continue
+		}
+		for ; cur < stop; cur++ {
+			f, _ := seg.fields((uint64(cur) - 1) & segMask)
+			freed += uint64(f.size)
 		}
 	}
 	l.tailBytes.Add(freed)
@@ -924,21 +1300,21 @@ func (l *Log) ReadFrom(from core.LSN, maxRecords, maxBytes int, fn func(Record))
 		return 0, fmt.Errorf("%w: cursor horizon %d behind log tail %d", ErrTruncated, from, f)
 	}
 	var n, bytes int
-	var seg *segment
+	c := cursor{r: r}
+	defer c.release()
 	for lsn := from; lsn <= limit; lsn++ {
 		if maxRecords > 0 && n >= maxRecords {
 			break
 		}
-		if seg == nil || lsn >= seg.firstLSN+segRecords {
-			if seg = r.segmentOf(lsn); seg == nil {
-				// Truncate stores the tail before the ring, so a cursor in
-				// a retired segment already failed the check above; this
-				// guards the invariant — a zero record must never ship.
-				return n, fmt.Errorf("%w: cursor horizon %d behind log tail %d",
-					ErrTruncated, lsn, core.LSN(l.first.Load()))
-			}
+		seg := c.at(lsn)
+		if seg == nil {
+			// Truncate stores the tail before the ring, so a cursor in
+			// a retired segment already failed the check above; this
+			// guards the invariant — a zero record must never ship.
+			return n, fmt.Errorf("%w: cursor horizon %d behind log tail %d",
+				ErrTruncated, lsn, core.LSN(l.first.Load()))
 		}
-		rec := seg.record(lsn)
+		rec := seg.published(lsn)
 		if maxBytes > 0 && bytes > 0 && bytes+rec.Size() > maxBytes {
 			break
 		}
@@ -985,6 +1361,8 @@ func (l *Log) Reset(head core.LSN) {
 	l.headBytes.Store(0)
 	l.tailBytes.Store(0)
 	l.retainFloor.Store(0)
+	l.packFrom = 0
+	l.dropSpare()
 }
 
 // Cut drops every record past the durable horizon, as a power cut does
@@ -1001,13 +1379,16 @@ func (l *Log) Cut() {
 	var kept []Record
 	for lsn := from; lsn < core.LSN(l.next.Load()); lsn++ {
 		seg := r.segmentOf(lsn)
+		f, _ := seg.fields((uint64(lsn) - 1) & segMask)
 		if lsn <= flushed {
-			kept = append(kept, seg.record(lsn))
+			kept = append(kept, seg.record(lsn, f))
 		}
-		l.headBytes.Add(-uint64(seg.slots[(uint64(lsn)-1)&segMask].size))
+		l.headBytes.Add(-uint64(f.size))
 	}
 	keep := min(sn-r.firstSeg, uint64(len(r.segs)))
-	l.ring.Store(&ring{firstSeg: r.firstSeg, segs: append(r.segs[:keep:keep], newSegment(core.LSN(sn*segRecords+1)))})
+	l.packFrom = min(l.packFrom, sn)
+	l.dropSpare()
+	l.ring.Store(&ring{firstSeg: r.firstSeg, segs: append(r.segs[:keep:keep], l.newSegment(core.LSN(sn*segRecords+1)))})
 	l.next.Store(uint64(from))
 	l.published.Store(uint64(from) - 1)
 	for _, rec := range kept {
@@ -1061,8 +1442,9 @@ type Stats struct {
 	// Space accounting and ring shape. AppendedBytes is the log volume
 	// ever appended (Σ Record.Size, monotonic — see Log.AppendedBytes);
 	// UsedBytes the part of it still retained; RetainedBytes is the
-	// memory the ring actually holds for that — slot arrays, image
-	// arena chunks and side records.
+	// memory the log actually holds for that — segment headers, slot
+	// arrays (hot segments and spare ones), packed buffers, image arena
+	// chunks and side records.
 	AppendedBytes uint64
 	UsedBytes     uint64
 	RetainedBytes uint64
@@ -1074,9 +1456,9 @@ type Stats struct {
 // is taken.
 func (l *Log) Stats() Stats {
 	segs := l.ring.Load().segs
-	retained := uint64(len(segs)) * segmentBytes
+	retained := uint64(l.spares.Load()) * slotArrayBytes
 	for _, seg := range segs {
-		retained += seg.mem.Load()
+		retained += seg.retained()
 	}
 	hist, batches := l.batches()
 	return Stats{

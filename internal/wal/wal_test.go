@@ -270,3 +270,42 @@ func TestCutDropsTheUndurableTail(t *testing.T) {
 		}
 	}
 }
+
+// An appender stalled mid-copy holds the horizon back; once it publishes,
+// the next growth packs every segment the horizon jumped past and keeps
+// their slot arrays spare. Moving the log back into one of those
+// segments, by a cut or by a reset, must not hand the segment its own
+// array back, whose stale publication words would read as published.
+func TestMovingBackAfterAPackingBurst(t *testing.T) {
+	for _, back := range []struct {
+		name string
+		to   func(l *Log, lsn core.LSN)
+	}{
+		{"cut", func(l *Log, lsn core.LSN) { l.Flush(lsn); l.Cut() }},
+		{"reset", func(l *Log, lsn core.LSN) { l.Reset(lsn) }},
+	} {
+		l := NewLog(0)
+		hole := core.LSN(l.next.Add(1) - 1)
+		holeSeg := l.segment(hole)
+		for i := 1; i < 4*segRecords; i++ { // four full segments
+			l.Append(Record{Type: RecUpdate, TxID: 1, Page: core.PageID(i)})
+		}
+		if l.Head() != 0 {
+			t.Fatalf("head %d with LSN %d unpublished", l.Head(), hole)
+		}
+		holeSeg.slots.Load()[0].pub.Store(uint64(hole))
+		l.advancePublished()
+		l.Append(Record{Type: RecCommit, TxID: 1}) // grows the ring, packing three segments
+		if packed := packedSegments(l); packed != 3 {
+			t.Fatalf("%d segments packed after the burst, want 3", packed)
+		}
+		at := core.LSN(segRecords + 10)
+		back.to(l, at)
+		if l.Head() != at {
+			t.Fatalf("%s to %d: head %d", back.name, at, l.Head())
+		}
+		if lsn := l.Append(Record{Type: RecBegin, TxID: 2}); lsn != at+1 || l.Head() != at+1 {
+			t.Fatalf("%s to %d: the next append got LSN %d, head %d; want both %d", back.name, at, lsn, l.Head(), at+1)
+		}
+	}
+}
