@@ -2,9 +2,9 @@
 # lands. `make check` is what CI (and ROADMAP.md) means by tier-1.
 GO ?= go
 
-.PHONY: check tier1 pins sim-clock rig-deps importers footprint vet build examples test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all scaling loc fmt fmt-check
+.PHONY: check tier1 pins sim-clock rig-deps importers reach footprint vet build examples test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all scaling loc fmt fmt-check
 
-check: fmt-check pins sim-clock rig-deps importers footprint vet build examples bench-test race
+check: fmt-check pins sim-clock rig-deps importers reach footprint vet build examples bench-test race
 
 # tier1 is the replication-aware spelling of the gate: the full -race
 # suite includes the 3-node kill-the-primary failover test
@@ -76,6 +76,38 @@ importers:
 		echo "package(s) under internal/ that no program imports:"; \
 		echo "$$out"; exit 1; fi
 
+# The same rule down to the function: every func declared in a non-test
+# file under internal/ is linked by a program, or reach-allow.txt names it
+# with a reason. The roots are the linker's reachability dump
+# (-ldflags=-dumpdep, inlining off so that no call disappears into its
+# caller) of every command and example and of bench/, which is a program
+# too and the only caller of some client and cluster code. A generic
+# instantiation counts for its declaration, and a value method for its
+# pointer wrapper. The target fails on an unreached function the list
+# does not name, on a list entry that is reached or no longer declared,
+# and on an entry without a reason.
+REACH_ALLOW = reach-allow.txt
+reach:
+	@dump() { $(GO) build -o /dev/null -gcflags=all=-l -ldflags=-dumpdep "$$@" 2>&1 || { echo "reach: $$* does not build" >&2; return 1; }; }; \
+	roots="$$($(GO) list ./cmd/... ./examples/...)" || exit 1; \
+	deps="$$(for p in $$roots; do dump $$p || exit 1; done; cd bench && dump .)" || exit 1; \
+	reached="$$(echo "$$deps" | sed 's/ -> /\n/' | grep '^ipa/internal/' \
+		| sed -e ':a' -e 's/\[[^][]*\]//g' -e 'ta' -e 's/ <.*>$$//' -e 's#^ipa/internal/##' | sort -u)"; \
+	reached="$$(echo "$$reached"; echo "$$reached" | sed -n 's/^\([^.]*\)\.(\*\([^)]*\))\./\1.\2./p')"; \
+	declared="$$(grep -r --include='*.go' --exclude='*_test.go' '^func ' internal | sed -n \
+		-e 's#^internal/\([^/]*\)/[^:]*:func (\([A-Za-z0-9_]* \)\?\*\([A-Za-z0-9_]*\)[^)]*) \([A-Za-z0-9_]*\).*#\1.(*\3).\4#p;t' \
+		-e 's#^internal/\([^/]*\)/[^:]*:func (\([A-Za-z0-9_]* \)\?\([A-Za-z0-9_]*\)[^)]*) \([A-Za-z0-9_]*\).*#\1.\3.\4#p;t' \
+		-e 's#^internal/\([^/]*\)/[^:]*:func \([A-Za-z0-9_]*\).*#\1.\2#p' | grep -v '\.init$$' | sort -u)"; \
+	allow="$$(grep -v '^#' $(REACH_ALLOW) | awk 'NF { print $$1 }')"; \
+	unreached="$$(echo "$$declared" | grep -vxF "$$reached")"; \
+	new="$$(echo "$$unreached" | grep -vxF "$$allow")"; \
+	stale="$$(echo "$$allow" | grep -vxF "$$unreached")"; \
+	bare="$$(grep -v '^#' $(REACH_ALLOW) | awk 'NF == 1')"; \
+	if [ -n "$$new" ]; then echo "function(s) under internal/ that no program links (call, delete, move into a test, or list in $(REACH_ALLOW)):"; echo "$$new"; fi; \
+	if [ -n "$$stale" ]; then echo "$(REACH_ALLOW) entries that a program links or that are no longer declared:"; echo "$$stale"; fi; \
+	if [ -n "$$bare" ]; then echo "$(REACH_ALLOW) entries without a reason:"; echo "$$bare"; fi; \
+	[ -z "$$new$$stale$$bare" ]
+
 # Memory follows the data, not the configured capacity: an idle device
 # holds no page bytes, an erase gives a block's back, an empty pool holds
 # one pointer a frame, and the served stack — sized for 64 MiB of flash
@@ -136,8 +168,9 @@ race:
 # a frame to rebind it (TestConcurrentLockFreePins). TestPageTable: the flat page translation table read,
 # swapped and compare-and-swapped while it grows. TestFlushedImage: after
 # every flush storage equals the frame — the property a page write
-# outside Frame.Latch breaks — under the follower's applier and under
-# concurrent TPC-B and YCSB terminals (its crash-recovery leg,
+# outside Frame.Latch breaks — under the follower's applier
+# (TestFlushedImageApplier) and under concurrent TPC-B and key-value
+# terminals (TestFlushedImageWorkloads; its crash-recovery leg,
 # TestCrashAtEveryStepFieldUpdates, is deterministic and runs in `test`).
 # TestConcurrentNoWaitLocking, no -race but 200 times: an insert handed a
 # slot that a transaction still rolling back had freed but kept locked
@@ -180,6 +213,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzWireFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run xxx -fuzz FuzzPDLRecord -fuzztime 10s ./internal/noftl
 	$(GO) test -run xxx -fuzz FuzzReplayCut -fuzztime 10s ./internal/engine
+	$(GO) test -run xxx -fuzz FuzzDeltaRecordCodec -fuzztime 10s ./internal/core
 
 # `ipabench -exp all` of BASE (unpacked under .bench_build/) against the
 # working tree, diffed; exits 1 on any difference. EXPFLAGS=-quick for

@@ -29,9 +29,6 @@ func TestServedStacksAnswerBeginSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			if db.Replicated() != member {
-				t.Errorf("Replicated = %v, want %v", db.Replicated(), member)
-			}
 			if got := db.Pool().Shards(); got != repl.DefaultPoolShards {
 				t.Errorf("pool shards = %d, want %d", got, repl.DefaultPoolShards)
 			}

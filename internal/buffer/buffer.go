@@ -1212,24 +1212,6 @@ func (p *Pool) DirtyPages() map[core.PageID]core.LSN {
 	return dpt
 }
 
-// OldestRecLSN returns the smallest recLSN across dirty frames, or 0 when
-// nothing is dirty — the page-side bound for log truncation. Per-shard
-// minima are aggregated one shard at a time.
-func (p *Pool) OldestRecLSN() core.LSN {
-	var min core.LSN
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		for _, fr := range s.frames {
-			if fr != nil && fr.dirty.Load() && (min == 0 || fr.RecLSN < min) {
-				min = fr.RecLSN
-			}
-		}
-		s.mu.Unlock()
-	}
-	return min
-}
-
 // Drop removes an unpinned page from the pool without flushing (used
 // when a page is deallocated). Dropping an absent page is a no-op.
 func (p *Pool) Drop(id core.PageID) error {
@@ -1251,12 +1233,4 @@ func (p *Pool) Drop(id core.PageID) error {
 	fr.New = false
 	fr.pin.Store(0)
 	return nil
-}
-
-// Contains reports whether the page is resident.
-func (p *Pool) Contains(id core.PageID) bool {
-	s := p.shardOf(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return p.Peek(id) != nil
 }

@@ -198,7 +198,7 @@ func TestFetchErrorReleasesFrame(t *testing.T) {
 	if _, err := p.Get(nil, 5); err == nil {
 		t.Fatal("missing page fetch succeeded")
 	}
-	if p.Contains(5) {
+	if p.Peek(5) != nil {
 		t.Error("failed fetch left page in table")
 	}
 	// The single frame must be reusable.
@@ -280,9 +280,6 @@ func TestRecLSNOnlyFirstDirty(t *testing.T) {
 	if dpt[1] != 10 {
 		t.Errorf("DPT = %v", dpt)
 	}
-	if p.OldestRecLSN() != 10 {
-		t.Errorf("OldestRecLSN = %d", p.OldestRecLSN())
-	}
 }
 
 func TestCleanerTriggersOnThreshold(t *testing.T) {
@@ -343,7 +340,7 @@ func TestDrop(t *testing.T) {
 	if err := p.Drop(1); err != nil {
 		t.Fatal(err)
 	}
-	if p.Contains(1) {
+	if p.Peek(1) != nil {
 		t.Error("dropped page still resident")
 	}
 	if p.dirtyFraction() != 0 {
@@ -419,7 +416,7 @@ func TestPageIDBeyondTheBound(t *testing.T) {
 		if _, err := p.GetNew(nil, id); !errors.Is(err, core.ErrPageIDRange) {
 			t.Errorf("GetNew(%d): %v, want ErrPageIDRange", id, err)
 		}
-		if p.Contains(id) {
+		if p.Peek(id) != nil {
 			t.Errorf("page %d is resident", id)
 		}
 		if err := p.Drop(id); err != nil {

@@ -449,7 +449,7 @@ func TestConcurrentMissWaitsForLoader(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		if fetchErr != nil && p.Contains(7) {
+		if fetchErr != nil && p.Peek(7) != nil {
 			t.Error("failed load left the page in the table")
 		}
 		// Every pin was dropped: all four frames can be claimed again.

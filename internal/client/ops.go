@@ -70,12 +70,6 @@ func (c *Conn) ReadAsync(table string, rid wire.RID) *Pending {
 	return c.send(wire.OpRead, nil, func(b *wire.Builder) { b.String(table).RID(rid) })
 }
 
-// Update rewrites a whole tuple.
-func (c *Conn) Update(tx uint64, table string, rid wire.RID, data []byte) error {
-	_, err := c.UpdateAsync(tx, table, rid, data).Wait()
-	return err
-}
-
 // UpdateAsync pipelines a whole-tuple update.
 func (c *Conn) UpdateAsync(tx uint64, table string, rid wire.RID, data []byte) *Pending {
 	return c.send(wire.OpUpdate, nil, func(b *wire.Builder) {
@@ -83,30 +77,20 @@ func (c *Conn) UpdateAsync(tx uint64, table string, rid wire.RID, data []byte) *
 	})
 }
 
-// UpdateField rewrites `val` bytes at byte offset `off` of a tuple —
-// the small in-place delta the IPA engine turns into an OOB append.
-func (c *Conn) UpdateField(tx uint64, table string, rid wire.RID, off int, val []byte) error {
-	_, err := c.UpdateFieldAsync(tx, table, rid, off, val).Wait()
-	return err
-}
-
-// UpdateFieldAsync pipelines a field update.
+// UpdateFieldAsync pipelines a field update: `val` bytes at byte offset
+// `off` of a tuple — the small in-place delta the IPA engine turns into
+// an OOB append.
 func (c *Conn) UpdateFieldAsync(tx uint64, table string, rid wire.RID, off int, val []byte) *Pending {
 	return c.send(wire.OpUpdateField, nil, func(b *wire.Builder) {
 		b.Uint64(tx).String(table).RID(rid).Uint32(uint32(off)).Blob(val)
 	})
 }
 
-// AddField adds delta to the 8-byte little-endian word at byte offset
-// off, server-side under the tuple lock — the atomic balance increment
-// TPC-B style workloads need (an absolute UpdateField computed from a
-// stale client-side read loses concurrent increments).
-func (c *Conn) AddField(tx uint64, table string, rid wire.RID, off int, delta uint64) error {
-	_, err := c.AddFieldAsync(tx, table, rid, off, delta).Wait()
-	return err
-}
-
-// AddFieldAsync pipelines a field increment.
+// AddFieldAsync pipelines a field increment: delta is added to the
+// 8-byte little-endian word at byte offset off, server-side under the
+// tuple lock — the atomic balance increment TPC-B style workloads need
+// (an absolute field update computed from a stale client-side read
+// loses concurrent increments).
 func (c *Conn) AddFieldAsync(tx uint64, table string, rid wire.RID, off int, delta uint64) *Pending {
 	return c.send(wire.OpAddField, nil, func(b *wire.Builder) {
 		b.Uint64(tx).String(table).RID(rid).Uint32(uint32(off)).Uint64(delta)

@@ -40,13 +40,6 @@ func NewClusterPool(addrs []string, opts Options) *Pool {
 	return &Pool{addrs: append([]string(nil), addrs...), opts: opts.withDefaults()}
 }
 
-// Target returns the address the pool currently believes is the leader.
-func (p *Pool) Target() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.addrs[p.target]
-}
-
 // Redirect points the pool at addr (learned from a REDIRECT response).
 // Unknown addresses join the member list, so a cluster can grow beyond
 // the seeds the pool was created with.

@@ -111,7 +111,7 @@ func TestPoolFollowsRedirect(t *testing.T) {
 	if redirects == 0 {
 		t.Fatal("follower never saw the request; redirect path untested")
 	}
-	if got := p.Target(); got != leader.addr() {
+	if got := target(p); got != leader.addr() {
 		t.Fatalf("pool target = %s after redirect, want %s", got, leader.addr())
 	}
 	// The pool now goes straight to the leader: no new redirects.
@@ -145,7 +145,7 @@ func TestPoolRedirectWithoutLeader(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Do across leaderless redirect = %v, want nil", err)
 	}
-	if got := p.Target(); got != leader.addr() {
+	if got := target(p); got != leader.addr() {
 		t.Fatalf("pool target = %s, want %s", got, leader.addr())
 	}
 }
@@ -210,4 +210,11 @@ func TestDialRejectsVersionMismatch(t *testing.T) {
 	if time.Since(start) > 50*time.Millisecond {
 		t.Fatalf("Dial retried a version mismatch (took %v)", time.Since(start))
 	}
+}
+
+// target is the address the pool currently believes is the leader.
+func target(p *Pool) string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.addrs[p.target]
 }

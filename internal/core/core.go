@@ -35,9 +35,6 @@ type RID struct {
 
 func (r RID) String() string { return fmt.Sprintf("%d.%d", r.Page, r.Slot) }
 
-// IsValid reports whether the RID points at an allocated page.
-func (r RID) IsValid() bool { return r.Page != InvalidPageID }
-
 // Common errors of the delta-record machinery.
 var (
 	// ErrSchemeOverflow is returned when a set of changes does not fit the
@@ -180,9 +177,6 @@ type DeltaRecord struct {
 	Meta []Pair // modifications within page header/footer (metadata)
 }
 
-// Empty reports whether the record carries no modifications.
-func (d DeltaRecord) Empty() bool { return len(d.Body) == 0 && len(d.Meta) == 0 }
-
 // Encode serialises the record into dst, which must be exactly
 // s.RecordSize() bytes. Unused pair slots are left in the erased state
 // (0xFF) so the encoded record can be ISPP-programmed onto an erased
@@ -290,68 +284,9 @@ func applyPairs(dst, pairs []byte) {
 // pairOff reads the page offset of the encoded pair at pos.
 func pairOff(slot []byte, pos int) int { return int(slot[pos+1])<<8 | int(slot[pos+2]) }
 
-// metaPairUnused reports whether a metadata pair was left erased (see
-// Decode for why the value byte is part of the test).
+// metaPairUnused reports whether a metadata pair was left erased. The
+// value byte is part of the test: offset 0xFFFF alone is a legal
+// metadata offset on a 64 KiB page.
 func metaPairUnused(slot []byte, pos int) bool {
 	return slot[pos] == Erased && slot[pos+1] == Erased && slot[pos+2] == Erased
-}
-
-// Decode parses one encoded delta-record slot into its pairs. An erased
-// slot decodes to an empty record and present=false. Decode and
-// DeltaRecord.Apply are the reference ApplyArea is tested against
-// (TestApplyAreaMatchesDecodeApply) and the way to look inside a record;
-// the fetch path does not call them.
-func (s Scheme) Decode(slot []byte) (d DeltaRecord, present bool, err error) {
-	if len(slot) != s.RecordSize() {
-		return DeltaRecord{}, false, fmt.Errorf("%w: slot %d bytes, want %d", ErrCorruptDelta, len(slot), s.RecordSize())
-	}
-	if !SlotPresent(slot) {
-		return DeltaRecord{}, false, nil
-	}
-	n := int(slot[0])
-	if n > s.M {
-		return DeltaRecord{}, false, fmt.Errorf("%w: body count %d exceeds M=%d", ErrCorruptDelta, n, s.M)
-	}
-	d.Body = make([]Pair, 0, n)
-	pos := 1
-	for i := 0; i < n; i++ {
-		d.Body = append(d.Body, Pair{
-			Val: slot[pos],
-			Off: uint16(slot[pos+1])<<8 | uint16(slot[pos+2]),
-		})
-		pos += 3
-	}
-	pos = 1 + 3*s.M
-	for i := 0; i < s.V; i++ {
-		off := uint16(slot[pos+1])<<8 | uint16(slot[pos+2])
-		// An unused metadata pair is fully erased; 0xFFFF is not a legal
-		// page offset for metadata (metadata lives at the page edges but a
-		// 64KB page would place its last byte at 0xFFFF — we therefore
-		// require the value byte to also be erased to treat it as absent).
-		if off == 0xFFFF && slot[pos] == Erased {
-			pos += 3
-			continue
-		}
-		d.Meta = append(d.Meta, Pair{Val: slot[pos], Off: off})
-		pos += 3
-	}
-	return d, true, nil
-}
-
-// Apply replays the record onto a page image, replacing changed bytes.
-// Offsets beyond the image are reported as corruption.
-func (d DeltaRecord) Apply(page []byte) error {
-	for _, p := range d.Body {
-		if int(p.Off) >= len(page) {
-			return fmt.Errorf("%w: body offset %d beyond page size %d", ErrCorruptDelta, p.Off, len(page))
-		}
-		page[p.Off] = p.Val
-	}
-	for _, p := range d.Meta {
-		if int(p.Off) >= len(page) {
-			return fmt.Errorf("%w: meta offset %d beyond page size %d", ErrCorruptDelta, p.Off, len(page))
-		}
-		page[p.Off] = p.Val
-	}
-	return nil
 }

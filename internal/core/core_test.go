@@ -184,12 +184,9 @@ func TestApply(t *testing.T) {
 }
 
 // TestApplyAreaMatchesDecodeApply holds the fetch path's decoder to the
-// reference: on random page images whose delta area carries random
-// records — well-formed ones, and ones with a body count beyond M or an
-// offset beyond the page — ApplyArea fails exactly when decoding and
-// applying every record does, then leaving the image untouched, and
-// otherwise produces the same logical bytes below the area, the same
-// record count, and the slots as they were.
+// reference (checkApplyArea) on random page images whose delta area
+// carries random records — well-formed ones, and ones with a body count
+// beyond M or an offset beyond the page.
 func TestApplyAreaMatchesDecodeApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pair := func(limit int) Pair { return Pair{Off: uint16(rng.Intn(limit)), Val: byte(rng.Intn(256))} }
@@ -225,40 +222,11 @@ func TestApplyAreaMatchesDecodeApply(t *testing.T) {
 			}
 		}
 
-		want := append([]byte(nil), page...)
-		wantN, wantErr := 0, error(nil)
-		var recs []DeltaRecord
-		for i := 0; i < s.N && wantErr == nil; i++ {
-			d, present, err := s.Decode(page[area+i*rs:][:rs])
-			if wantErr = err; err != nil || !present {
-				break
-			}
-			recs = append(recs, d)
-		}
-		for _, d := range recs {
-			if wantErr == nil {
-				wantErr = d.Apply(want)
-				wantN++
-			}
-		}
-
-		got := append([]byte(nil), page...)
-		n, err := s.ApplyArea(got, area)
-		if (err != nil) != (wantErr != nil) {
-			t.Fatalf("iter %d %v: ApplyArea error %v, reference %v", iter, s, err, wantErr)
-		}
+		n, err := checkApplyArea(t, s, page, area)
 		if err != nil {
 			failed++
-			if n != 0 || !bytes.Equal(got, page) {
-				t.Fatalf("iter %d %v: a failed ApplyArea (%v) reported %d records or changed the image", iter, s, err, n)
-			}
-			continue
 		}
 		applied += n
-		if n != wantN || !bytes.Equal(got[:area], want[:area]) || !bytes.Equal(got[area:], page[area:]) {
-			t.Fatalf("iter %d %v: ApplyArea applied %d records, reference %d; logical bytes equal: %v, slots untouched: %v",
-				iter, s, n, wantN, bytes.Equal(got[:area], want[:area]), bytes.Equal(got[area:], page[area:]))
-		}
 	}
 	if failed < 50 || applied < 1000 {
 		t.Fatalf("only %d corrupt images and %d applied records: the generator no longer covers both", failed, applied)
@@ -272,10 +240,8 @@ func TestDiffSplitsBodyAndMeta(t *testing.T) {
 	current[2] = 1  // meta (header)
 	current[20] = 2 // body
 	current[30] = 3 // skipped (delta area)
-	isMeta := func(off int) bool { return off < 8 }
-	skip := func(off int) bool { return off >= 28 }
-	cs, err := Diff(current, flushed, isMeta, skip)
-	if err != nil {
+	var cs ChangeSet
+	if err := DiffInto(&cs, current, flushed, []ClassRange{{0, 8, ClassMeta}, {28, 32, ClassSkip}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(cs.Meta) != 1 || cs.Meta[0] != (Pair{Off: 2, Val: 1}) {
@@ -283,12 +249,6 @@ func TestDiffSplitsBodyAndMeta(t *testing.T) {
 	}
 	if len(cs.Body) != 1 || cs.Body[0] != (Pair{Off: 20, Val: 2}) {
 		t.Errorf("body = %+v", cs.Body)
-	}
-}
-
-func TestDiffSizeMismatch(t *testing.T) {
-	if _, err := Diff(make([]byte, 4), make([]byte, 8), nil, nil); err == nil {
-		t.Error("Diff accepted mismatched sizes")
 	}
 }
 
@@ -417,10 +377,8 @@ func TestPropertyDiffPlanApplyRoundTrip(t *testing.T) {
 			off := rng.Intn(deltaStart)
 			current[off] = byte(rng.Intn(256))
 		}
-		isMeta := func(off int) bool { return off < metaEnd }
-		skip := func(off int) bool { return off >= deltaStart }
-		cs, err := Diff(current, flushed, isMeta, skip)
-		if err != nil {
+		var cs ChangeSet
+		if err := DiffInto(&cs, current, flushed, []ClassRange{{0, metaEnd, ClassMeta}, {deltaStart, pageSize, ClassSkip}}); err != nil {
 			return false
 		}
 		if len(cs.Meta) > s.N*s.V {
@@ -490,11 +448,5 @@ func TestRIDString(t *testing.T) {
 	r := RID{Page: 42, Slot: 7}
 	if r.String() != "42.7" {
 		t.Errorf("String = %q", r.String())
-	}
-	if !r.IsValid() {
-		t.Error("valid RID reported invalid")
-	}
-	if (RID{}).IsValid() {
-		t.Error("zero RID reported valid")
 	}
 }

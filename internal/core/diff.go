@@ -25,10 +25,6 @@ func (c ChangeSet) BodyBytes() int { return len(c.Body) }
 // MetaBytes is the number of changed metadata bytes.
 func (c ChangeSet) MetaBytes() int { return len(c.Meta) }
 
-// MetaClassifier decides whether a page offset belongs to page metadata
-// (header/footer/slot table) rather than the tuple body.
-type MetaClassifier func(off int) bool
-
 // Class labels a run of page offsets for the diff fast path.
 type Class uint8
 
@@ -45,68 +41,17 @@ const (
 // ClassRange classifies the half-open offset run [Start, End). A page
 // layout describes itself as a handful of such runs (header, tuple body,
 // slot table, delta area), which lets the diff classify a changed offset
-// with a cursor bump instead of two closure calls per byte.
+// with a cursor bump.
 type ClassRange struct {
 	Start, End int
 	Class      Class
-}
-
-// Diff computes the ChangeSet between two equal-length page images.
-// Offsets for which skip returns true (e.g. the delta-record area itself)
-// are ignored; isMeta routes each changed offset to Body or Meta.
-//
-// This is the flexible closure-driven entry point; the scan itself runs
-// word-at-a-time and only consults the closures on bytes that actually
-// changed, so unchanged regions cost one XOR per 8 bytes. Hot paths with
-// a fixed layout should use DiffInto with ClassRanges instead.
-func Diff(current, flushed []byte, isMeta MetaClassifier, skip func(off int) bool) (ChangeSet, error) {
-	if len(current) != len(flushed) {
-		return ChangeSet{}, fmt.Errorf("core: diff image sizes differ: %d vs %d", len(current), len(flushed))
-	}
-	var cs ChangeSet
-	n := len(current)
-	flushed = flushed[:n]
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		x := binary.LittleEndian.Uint64(current[i:]) ^ binary.LittleEndian.Uint64(flushed[i:])
-		for x != 0 {
-			k := bits.TrailingZeros64(x) >> 3
-			x &^= uint64(0xFF) << (k * 8)
-			off := i + k
-			if skip != nil && skip(off) {
-				continue
-			}
-			p := Pair{Off: uint16(off), Val: current[off]}
-			if isMeta != nil && isMeta(off) {
-				cs.Meta = append(cs.Meta, p)
-			} else {
-				cs.Body = append(cs.Body, p)
-			}
-		}
-	}
-	for ; i < n; i++ {
-		if current[i] == flushed[i] {
-			continue
-		}
-		if skip != nil && skip(i) {
-			continue
-		}
-		p := Pair{Off: uint16(i), Val: current[i]}
-		if isMeta != nil && isMeta(i) {
-			cs.Meta = append(cs.Meta, p)
-		} else {
-			cs.Body = append(cs.Body, p)
-		}
-	}
-	return cs, nil
 }
 
 // DiffInto computes the ChangeSet between two equal-length page images
 // into cs, reusing its slices' capacity (a steady-state caller allocates
 // nothing; a diff of an unchanged page is allocation-free from the first
 // call). ranges classifies offsets and must be sorted ascending and
-// non-overlapping; offsets not covered by any range are ClassBody,
-// matching Diff's behaviour with nil closures.
+// non-overlapping; offsets not covered by any range are ClassBody.
 //
 // Unchanged runs are dismissed in two tiers: a vectorised equality check
 // (bytes.Equal compiles to the runtime's SIMD memequal) skips whole
@@ -227,7 +172,7 @@ func (s Scheme) Plan(cs ChangeSet, used int) ([]DeltaRecord, error) {
 		return nil, ErrSchemeOverflow
 	}
 	// Deterministic record contents: pairs in offset order, which is the
-	// order DiffInto and Diff emit; only a change set built otherwise is
+	// order DiffInto emits; only a change set built otherwise is
 	// sorted, in place.
 	body, meta := cs.Body, cs.Meta
 	sortPairs(body)

@@ -63,21 +63,12 @@ func closuresFor(hdr, stl, das int) (isMeta, skip func(int) bool) {
 	return
 }
 
-// checkAgainstRef diffs via Diff and DiffInto and compares both against
-// the byte-wise reference.
+// checkAgainstRef diffs via DiffInto and compares it against the
+// byte-wise reference.
 func checkAgainstRef(t *testing.T, current, flushed []byte, hdr, stl, das int) {
 	t.Helper()
 	isMeta, skip := closuresFor(hdr, stl, das)
 	want := diffRef(current, flushed, isMeta, skip)
-
-	got, err := Diff(current, flushed, isMeta, skip)
-	if err != nil {
-		t.Fatalf("Diff: %v", err)
-	}
-	if !pairsEqual(got.Body, want.Body) || !pairsEqual(got.Meta, want.Meta) {
-		t.Errorf("Diff mismatch: got body=%v meta=%v, want body=%v meta=%v",
-			got.Body, got.Meta, want.Body, want.Meta)
-	}
 
 	var cs ChangeSet
 	if err := DiffInto(&cs, current, flushed, rangesFor(hdr, stl, das, len(current))); err != nil {

@@ -28,9 +28,6 @@ func TestErrClosedDeterministic(t *testing.T) {
 	if _, err := db.Begin(nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Begin after Close: %v, want ErrClosed", err)
 	}
-	if err := db.Checkpoint(nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Checkpoint after Close: %v, want ErrClosed", err)
-	}
 	if _, err := db.Stats(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Stats after Close: %v, want ErrClosed", err)
 	}
@@ -128,9 +125,6 @@ func TestCrashedInstanceIsDown(t *testing.T) {
 	}
 	if _, err := db.Begin(nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Begin after the crash: %v, want ErrClosed", err)
-	}
-	if err := db.Checkpoint(nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Checkpoint after the crash: %v, want ErrClosed", err)
 	}
 	if _, err := db.Recover(nil); err != nil {
 		t.Fatal(err)

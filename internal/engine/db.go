@@ -406,9 +406,6 @@ func (db *DB) newPage(w *sim.Worker, st *PageStore, owner uint64, flags uint16) 
 // use — records are appended through Tx.
 func (db *DB) WAL() *wal.Log { return db.log }
 
-// Replicated reports whether the instance writes a self-describing log.
-func (db *DB) Replicated() bool { return db.opts.Replicated }
-
 // maybeReclaim emulates Shore-MT's eager log-space reclamation: when the
 // log fills past the threshold, the oldest dirty pages are flushed, a
 // fuzzy checkpoint is taken and the log tail advances. Reclaim is
@@ -437,18 +434,6 @@ func (db *DB) maybeReclaim(w *sim.Worker) error {
 	if _, err := db.pool.FlushOldest(cw, db.pool.Size()/4+1); err != nil {
 		return err
 	}
-	return db.checkpointLocked(w)
-}
-
-// Checkpoint takes a fuzzy checkpoint and truncates the log. After
-// Close it returns ErrClosed.
-func (db *DB) Checkpoint(w *sim.Worker) error {
-	defer db.rlockState(w).RUnlock()
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	db.ckptMu.Lock()
-	defer db.ckptMu.Unlock()
 	return db.checkpointLocked(w)
 }
 

@@ -495,10 +495,10 @@ func TestSchemaCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sch.Size() != 24 || sch.Fields() != 4 {
-		t.Errorf("size/fields = %d/%d", sch.Size(), sch.Fields())
+	if sch.size != 24 || len(sch.widths) != 4 {
+		t.Errorf("size/fields = %d/%d", sch.size, len(sch.widths))
 	}
-	if sch.Offset(2) != 12 || sch.Width(2) != 2 {
+	if sch.Offset(2) != 12 || sch.widths[2] != 2 {
 		t.Error("offset/width wrong")
 	}
 	tup := sch.New()

@@ -96,3 +96,14 @@ func (db *DB) VerifyFlushedImages(fail func(error)) error {
 	db.pool = pool
 	return nil
 }
+
+// Root returns the current root page id. Advisory: by the time the
+// caller uses it the root may have changed; operations never use it.
+func (ix *OLCIndex) Root() core.PageID { return core.PageID(ix.root.Load()) }
+
+// Pages returns the number of allocated heap pages.
+func (t *Table) Pages() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.pages)
+}

@@ -62,3 +62,12 @@ func crash(db *DB) (RecoveryReport, error) {
 	}
 	return db.Recover(nil)
 }
+
+// checkpoint takes a fuzzy checkpoint and truncates the log, as the log
+// reclaim of a committer does.
+func checkpoint(db *DB) error {
+	defer db.rlockState(nil).RUnlock()
+	db.ckptMu.Lock()
+	defer db.ckptMu.Unlock()
+	return db.checkpointLocked(nil)
+}

@@ -124,10 +124,3 @@ func (db *DB) registerIndex(ix Index) {
 	}
 	db.indexes[ix.Name()] = ix
 }
-
-// Index returns a registered index by name, or nil.
-func (db *DB) Index(name string) Index {
-	db.catMu.Lock()
-	defer db.catMu.Unlock()
-	return db.indexes[name]
-}

@@ -15,8 +15,8 @@ func TestAccessors(t *testing.T) {
 	if tbl.Name() != "t" {
 		t.Errorf("Name = %q", tbl.Name())
 	}
-	if tbl.Store() == nil || tbl.Store().Layout().PageSize != 512 {
-		t.Error("Store/Layout wrong")
+	if tbl.st.layout.PageSize != 512 {
+		t.Error("table store's layout wrong")
 	}
 	if r.db.Device() != r.dev {
 		t.Error("Device accessor wrong")
@@ -28,10 +28,10 @@ func TestAccessors(t *testing.T) {
 		t.Error("attachRegion missing region accepted")
 	}
 	tx := mustBegin(r.db, nil)
-	if tx.ID() == 0 {
+	if tx.id == 0 {
 		t.Error("tx id zero")
 	}
-	rid, _ := tbl.Insert(tx, make([]byte, 16))
+	tbl.Insert(tx, make([]byte, 16))
 	tx.Commit()
 	if tbl.Pages() != 1 {
 		t.Errorf("Pages = %d", tbl.Pages())
@@ -39,15 +39,6 @@ func TestAccessors(t *testing.T) {
 	ix, _ := r.db.CreateIndex("i", "main")
 	if ix.Name() != "i" {
 		t.Errorf("index Name = %q", ix.Name())
-	}
-	// PageStore.Free on mapped and unmapped pages.
-	r.db.FlushAll(nil)
-	st := r.db.Store("main")
-	if err := st.Free(rid.Page); err != nil {
-		t.Errorf("Free mapped: %v", err)
-	}
-	if err := st.Free(9999); err != nil {
-		t.Errorf("Free unmapped: %v", err)
 	}
 }
 

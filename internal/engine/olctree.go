@@ -80,11 +80,6 @@ type OLCIndex struct {
 // Name returns the index name.
 func (ix *OLCIndex) Name() string { return ix.name }
 
-// Root returns the current root page id. Advisory: by the time the
-// caller uses it the root may have changed; operations never use it
-// (see the rootVer protocol above). For tests and tools.
-func (ix *OLCIndex) Root() core.PageID { return core.PageID(ix.root.Load()) }
-
 // Stats snapshots the operation and contention counters.
 func (ix *OLCIndex) Stats() IndexStats { return ix.stats.snapshot() }
 

@@ -18,7 +18,7 @@ func requireAllReleased(t *testing.T, db *DB) {
 	t.Helper()
 	var resident []core.PageID
 	for id := core.PageID(1); id <= core.PageID(db.nextPage.Load()); id++ {
-		if !db.Pool().Contains(id) {
+		if db.Pool().Peek(id) == nil {
 			continue
 		}
 		resident = append(resident, id)

@@ -81,7 +81,7 @@ func TestFieldUpdateLogsOnlyChangedBytes(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	recs := recordsOf(r.db, tx.ID())
+	recs := recordsOf(r.db, tx.id)
 	if len(recs) != 2 {
 		t.Fatalf("%d update records, want 2", len(recs))
 	}
@@ -197,7 +197,7 @@ func TestPatchRedoUndoCLR(t *testing.T) {
 		t.Fatalf("aborted row = %x, want %x", got, orig[2])
 	}
 	var clrs int
-	for _, rec := range recordsOf(db, tx.ID()) {
+	for _, rec := range recordsOf(db, tx.id) {
 		if rec.Type != wal.RecCLR {
 			continue
 		}

@@ -272,7 +272,7 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	}
 	r.db.FlushAll(nil)
 	before := r.db.WAL().UsedBytes()
-	if err := r.db.Checkpoint(nil); err != nil {
+	if err := checkpoint(r.db); err != nil {
 		t.Fatal(err)
 	}
 	if r.db.WAL().UsedBytes() >= before {
@@ -332,7 +332,7 @@ func TestCheckpointSeesEveryStripe(t *testing.T) {
 		if err := r.db.FlushAll(nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.db.Checkpoint(nil); err != nil {
+		if err := checkpoint(r.db); err != nil {
 			t.Fatal(err)
 		}
 		var ckpt wal.Record
@@ -343,8 +343,8 @@ func TestCheckpointSeesEveryStripe(t *testing.T) {
 			return true
 		})
 		for _, loser := range losers {
-			if _, ok := ckpt.ActiveTxs[loser.ID()]; !ok {
-				t.Errorf("oldest %d: open tx %d missing from the checkpoint's %v", oldest, loser.ID(), ckpt.ActiveTxs)
+			if _, ok := ckpt.ActiveTxs[loser.id]; !ok {
+				t.Errorf("oldest %d: open tx %d missing from the checkpoint's %v", oldest, loser.id, ckpt.ActiveTxs)
 			}
 		}
 		if tail := r.db.WAL().Tail(); tail > losers[0].firstLSN {

@@ -95,7 +95,7 @@ func runReplayScript(t testing.TB, script []byte) replayHistory {
 		slot, action, row := int(b&3), int(b>>2&7), int(b>>5)
 		switch action {
 		case stepCheckpoint:
-			if err := db.Checkpoint(nil); err != nil {
+			if err := checkpoint(db); err != nil {
 				t.Fatal(err)
 			}
 			continue

@@ -231,9 +231,6 @@ func NewPageStore(region *noftl.Region, pageSize int, useECC bool, log *wal.Log)
 	return s, nil
 }
 
-// Layout returns the page layout of this store.
-func (s *PageStore) Layout() page.Layout { return s.layout }
-
 // Region returns the backing NoFTL region.
 func (s *PageStore) Region() *noftl.Region { return s.region }
 
@@ -529,8 +526,8 @@ func (s *PageStore) Scrub(w *sim.Worker, id core.PageID) (corrected int, err err
 	if !s.useECC {
 		return 0, fmt.Errorf("engine: scrub requires ECC")
 	}
-	data, oob, err := s.region.Read(w, id)
-	if err != nil {
+	data, oob := make([]byte, s.layout.PageSize), make([]byte, s.region.OOBSize())
+	if err := s.region.ReadInto(w, id, data, oob); err != nil {
 		return 0, err
 	}
 	used := page.UsedDeltaSlots(data, s.layout)
@@ -618,21 +615,6 @@ func (s *PageStore) recoverMapping(w *sim.Worker) (int, error) {
 		}
 	}
 	return len(mapping), nil
-}
-
-// Free releases the physical copy of a page and, in a PDL region, the
-// differential records referencing it.
-func (s *PageStore) Free(id core.PageID) error {
-	if !s.region.Contains(id) {
-		return nil
-	}
-	if err := s.region.Free(id); err != nil {
-		return err
-	}
-	if s.dl != nil {
-		s.dl.Invalidate(id)
-	}
-	return nil
 }
 
 func now(w *sim.Worker) sim.Time {

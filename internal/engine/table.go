@@ -72,16 +72,6 @@ func (db *DB) Table(name string) (*Table, error) {
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
-// Store returns the table's page store.
-func (t *Table) Store() *PageStore { return t.st }
-
-// Pages returns the number of allocated heap pages.
-func (t *Table) Pages() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.pages)
-}
-
 // Insert appends a tuple, logging the operation under tx.
 func (t *Table) Insert(tx *Tx, data []byte) (core.RID, error) {
 	db := t.db

@@ -28,17 +28,8 @@ func NewSchema(widths ...int) (*Schema, error) {
 	return s, nil
 }
 
-// Size is the tuple size in bytes.
-func (s *Schema) Size() int { return s.size }
-
-// Fields is the number of fields.
-func (s *Schema) Fields() int { return len(s.widths) }
-
 // Offset returns the byte offset of field i within a tuple.
 func (s *Schema) Offset(i int) int { return s.offsets[i] }
-
-// Width returns the byte width of field i.
-func (s *Schema) Width(i int) int { return s.widths[i] }
 
 // New allocates a zero tuple.
 func (s *Schema) New() []byte { return make([]byte, s.size) }

@@ -170,9 +170,6 @@ func (db *DB) BeginSnapshot(w *sim.Worker) (*Tx, error) {
 	return tx, nil
 }
 
-// ID returns the transaction id.
-func (tx *Tx) ID() uint64 { return tx.id }
-
 // SnapshotLSN returns the pinned snapshot LSN (0 for ordinary
 // transactions).
 func (tx *Tx) SnapshotLSN() core.LSN { return tx.snapshot }

@@ -96,8 +96,6 @@ func (c Config) endurance() int {
 	switch c.Geometry.Cell {
 	case SLC:
 		return EnduranceSLC
-	case TLC:
-		return EnduranceTLC
 	default:
 		return EnduranceMLC
 	}
@@ -152,7 +150,7 @@ func (s *Stats) add(o Stats) {
 // heap slice under the race detector and on targets without mmap. Either
 // way one rule keeps it safe: every read or write of a buffer happens
 // under its chip's sh.mu, and no slice of it outlives that critical
-// section — Read and ReadInto copy out, Program, ProgramDelta and
+// section — ReadInto copies out, Program, ProgramDelta and
 // Reprogram copy in. The shard pointer those methods hold until
 // sh.mu.Unlock keeps the shard, and through sh.arena the arena, reachable
 // for the whole access, so its finalizer cannot unmap a buffer in use.
@@ -204,7 +202,7 @@ type Array struct {
 	chipShift    int  // log2(pagesPerChip) when it is a power of two, else -1
 	blockShift   int  // log2(pages per block) when it is a power of two, else -1
 	allLSB       bool // SLC: every page accepts ISPP re-programs
-	interfere    bool // interference injection armed (rate > 0, MLC/TLC)
+	interfere    bool // interference injection armed (rate > 0, MLC)
 
 	shards []chipShard
 
@@ -414,26 +412,14 @@ func (a *Array) occupy(w *sim.Worker, p PPN, d time.Duration) time.Duration {
 	return w.Use(a.geom.ChipOf(p), d)
 }
 
-// Read copies the page's data and OOB into fresh slices. If w is non-nil
-// the chip occupancy and transfer time are charged to the worker. The
-// returned latency includes queueing. Injected bit errors appear only in
-// the returned copy.
-func (a *Array) Read(w *sim.Worker, p PPN) (data, oob []byte, lat time.Duration, err error) {
-	data = make([]byte, a.geom.PageSize)
-	oob = make([]byte, a.geom.OOBSize)
-	lat, err = a.ReadInto(w, p, data, oob)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return data, oob, lat, nil
-}
-
-// ReadInto is the zero-allocation read: the page's data and OOB are
-// copied into the caller's buffers (either may be nil to discard that
-// part; non-nil buffers must be exactly page/OOB sized). The physical
-// transfer always moves the whole page plus spare area regardless, so
-// stats and latency are identical to Read. Injected bit errors appear
-// only in the caller's data buffer, never in the stored image.
+// ReadInto is the read: the page's data and OOB are copied into the
+// caller's buffers (either may be nil to discard that part; non-nil
+// buffers must be exactly page/OOB sized), so it allocates nothing. The
+// physical transfer always moves the whole page plus spare area, and
+// stats and latency count it whole. If w is non-nil the chip occupancy
+// and transfer time are charged to the worker; the returned latency
+// includes queueing. Injected bit errors appear only in the caller's
+// data buffer, never in the stored image.
 func (a *Array) ReadInto(w *sim.Worker, p PPN, data, oob []byte) (lat time.Duration, err error) {
 	if err := a.checkPPN(p); err != nil {
 		return 0, err

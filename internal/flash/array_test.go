@@ -58,9 +58,6 @@ func TestGeometryAddressing(t *testing.T) {
 	if g.TotalBlocks() != 8 {
 		t.Errorf("TotalBlocks = %d", g.TotalBlocks())
 	}
-	if g.Capacity() != int64(64*256) {
-		t.Errorf("Capacity = %d", g.Capacity())
-	}
 	p := PPN(35) // chip 1, block 4, page 3
 	if g.ChipOf(p) != 1 {
 		t.Errorf("ChipOf = %d", g.ChipOf(p))
@@ -74,6 +71,15 @@ func TestGeometryAddressing(t *testing.T) {
 	if g.FirstPageOfBlock(4) != 32 {
 		t.Errorf("FirstPageOfBlock = %d", g.FirstPageOfBlock(4))
 	}
+}
+
+// readPage reads page p into fresh buffers through ReadInto.
+func readPage(a *Array, p PPN) (data, oob []byte, lat time.Duration, err error) {
+	data, oob = make([]byte, a.geom.PageSize), make([]byte, a.geom.OOBSize)
+	if lat, err = a.ReadInto(nil, p, data, oob); err != nil {
+		return nil, nil, 0, err
+	}
+	return data, oob, lat, nil
 }
 
 func TestLSBMapping(t *testing.T) {
@@ -93,14 +99,11 @@ func TestLSBMapping(t *testing.T) {
 	if lsb != mlc.TotalPages()/2 {
 		t.Errorf("MLC LSB pages = %d, want half of %d", lsb, mlc.TotalPages())
 	}
-	if mlc.WordlineOf(0) != 0 || mlc.WordlineOf(1) != 0 || mlc.WordlineOf(2) != 1 {
-		t.Error("wordline pairing wrong")
-	}
 }
 
 func TestFreshDeviceReadsErased(t *testing.T) {
 	a := newTestArray(t, SLC)
-	data, oob, _, err := a.Read(nil, 0)
+	data, oob, _, err := readPage(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +129,7 @@ func TestProgramReadBack(t *testing.T) {
 	if _, err := a.Program(nil, 5, want, oobWant); err != nil {
 		t.Fatal(err)
 	}
-	data, oob, _, err := a.Read(nil, 5)
+	data, oob, _, err := readPage(a, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +182,7 @@ func TestProgramDeltaAppendsToErasedRegion(t *testing.T) {
 	if _, err := a.ProgramDelta(nil, 0, 200, delta, 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	data, _, _, err := a.Read(nil, 0)
+	data, _, _, err := readPage(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +208,7 @@ func TestProgramDeltaInitialPartialProgram(t *testing.T) {
 	if a.IsErased(2) {
 		t.Error("partially programmed page still reported erased")
 	}
-	data, _, _, err := a.Read(nil, 2)
+	data, _, _, err := readPage(a, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +252,7 @@ func TestProgramDeltaRejectsChargeDecrease(t *testing.T) {
 		t.Errorf("charge-decrease delta: %v, want ErrBitIncrease", err)
 	}
 	// The failed program must not have written anything.
-	data, _, _, _ := a.Read(nil, 0)
+	data, _, _, _ := readPage(a, 0)
 	if data[10] != 0 {
 		t.Error("failed delta partially applied")
 	}
@@ -270,7 +273,7 @@ func TestProgramDeltaSubsetOverwriteAllowed(t *testing.T) {
 	if _, err := a.ProgramDelta(nil, 0, 0, []byte{0x30}, 0, nil); err != nil {
 		t.Errorf("subset reprogram: %v", err)
 	}
-	data, _, _, _ := a.Read(nil, 0)
+	data, _, _, _ := readPage(a, 0)
 	if data[0] != 0x30 {
 		t.Errorf("byte = %#x, want 0x30", data[0])
 	}
@@ -322,7 +325,7 @@ func TestProgramDeltaOOB(t *testing.T) {
 	if _, err := a.ProgramDelta(nil, 0, 0, nil, 4, []byte{0xAB}); err != nil {
 		t.Fatal(err)
 	}
-	_, oob, _, _ := a.Read(nil, 0)
+	_, oob, _, _ := readPage(a, 0)
 	if oob[4] != 0xAB {
 		t.Errorf("oob[4] = %#x", oob[4])
 	}
@@ -343,7 +346,7 @@ func TestEraseResetsBlockAndCountsWear(t *testing.T) {
 		if !a.IsErased(p) {
 			t.Errorf("page %d not erased", p)
 		}
-		data, _, _, _ := a.Read(nil, p)
+		data, _, _, _ := readPage(a, p)
 		for _, b := range data {
 			if b != 0xFF {
 				t.Fatalf("page %d holds data after erase", p)
@@ -383,7 +386,7 @@ func TestStatsCounting(t *testing.T) {
 	page := bytes.Repeat([]byte{0xFF}, 256)
 	a.Program(nil, 0, page, nil)
 	a.ProgramDelta(nil, 0, 0, []byte{0x00}, 0, nil)
-	a.Read(nil, 0)
+	readPage(a, 0)
 	a.Erase(nil, 0)
 	s := a.Stats()
 	if s.Programs != 1 || s.DeltaPrograms != 1 || s.Reads != 1 || s.Erases != 1 {
@@ -400,7 +403,7 @@ func TestStatsCounting(t *testing.T) {
 
 func TestBoundsChecks(t *testing.T) {
 	a := newTestArray(t, SLC)
-	if _, _, _, err := a.Read(nil, PPN(1<<20)); !errors.Is(err, ErrBounds) {
+	if _, _, _, err := readPage(a, PPN(1<<20)); !errors.Is(err, ErrBounds) {
 		t.Errorf("read OOB ppn: %v", err)
 	}
 	if _, err := a.Program(nil, 0, make([]byte, 10), nil); !errors.Is(err, ErrBounds) {
@@ -439,15 +442,12 @@ func TestTimingChargesChip(t *testing.T) {
 	// A read on the same chip queues behind the program; on the other
 	// chip it does not.
 	w2 := tl.NewWorker()
-	latSame, _, _, _ := func() (time.Duration, []byte, []byte, error) {
-		d, o, l, e := a.Read(w2, 1)
-		return l, d, o, e
-	}()
+	latSame, _ := a.ReadInto(w2, 1, nil, nil)
 	if latSame <= cfg.Timing.Read {
 		t.Errorf("same-chip read latency %v did not include queueing", latSame)
 	}
 	w3 := tl.NewWorker()
-	_, _, latOther, _ := a.Read(w3, PPN(testGeom(SLC).PagesPerChip()))
+	latOther, _ := a.ReadInto(w3, PPN(testGeom(SLC).PagesPerChip()), nil, nil)
 	wantRead := cfg.Timing.Read + time.Duration(256+16)*cfg.Timing.TransferPerByte
 	if latOther != wantRead {
 		t.Errorf("other-chip read latency = %v, want %v", latOther, wantRead)
@@ -462,7 +462,7 @@ func TestBitErrorInjectionDeterministic(t *testing.T) {
 	}
 	page := bytes.Repeat([]byte{0x00}, 256)
 	a.Program(nil, 0, page, nil)
-	data, _, _, _ := a.Read(nil, 0)
+	data, _, _, _ := readPage(a, 0)
 	flipped := 0
 	for _, b := range data {
 		if b != 0 {
@@ -478,7 +478,7 @@ func TestBitErrorInjectionDeterministic(t *testing.T) {
 	// Stored data must be intact: a second array with rate 0 would see
 	// the original; here just check the internal state via a fresh read
 	// possibly flipping a different bit but never persisting.
-	data2, _, _, _ := a.Read(nil, 0)
+	data2, _, _, _ := readPage(a, 0)
 	n2 := 0
 	for _, b := range data2 {
 		if b != 0 {
@@ -521,7 +521,7 @@ func TestPropertyChargeOnlyAccumulates(t *testing.T) {
 			}
 			shadow[off] &= b
 		}
-		data, _, _, err := a.Read(nil, 0)
+		data, _, _, err := readPage(a, 0)
 		if err != nil {
 			return false
 		}

@@ -195,7 +195,7 @@ func TestDifferentialAgainstEagerModel(t *testing.T) {
 			StrictProgramOrder: true, MaxAppends: 4, Endurance: 12, BitErrorRate: 0.2},
 		{Geometry: Geometry{Chips: 3, BlocksPerChip: 3, PagesPerBlock: 8, PageSize: 64, OOBSize: 8, Cell: MLC},
 			StrictProgramOrder: true, InterferenceRate: 0.5, BitErrorRate: 0.1},
-		{Geometry: Geometry{Chips: 2, BlocksPerChip: 5, PagesPerBlock: 6, PageSize: 48, OOBSize: 4, Cell: TLC},
+		{Geometry: Geometry{Chips: 2, BlocksPerChip: 5, PagesPerBlock: 6, PageSize: 48, OOBSize: 4, Cell: MLC},
 			InterferenceRate: 0.3},
 		{Geometry: Geometry{Chips: 1, BlocksPerChip: 3, PagesPerBlock: 4, PageSize: 32, OOBSize: 0, Cell: SLC},
 			MaxAppends: 2},

@@ -60,8 +60,8 @@ func fill(t *testing.T, arr *flash.Array) {
 // device has laid a region over all of it.
 func TestIdleDeviceHoldsNoPageMemory(t *testing.T) {
 	g := flash.Geometry{Chips: 8, BlocksPerChip: 64, PagesPerBlock: 32, PageSize: 4096, OOBSize: 128, Cell: flash.SLC}
-	if g.Capacity() != 64<<20 {
-		t.Fatalf("geometry holds %d bytes", g.Capacity())
+	if c := g.TotalPages() * g.PageSize; c != 64<<20 {
+		t.Fatalf("geometry holds %d bytes", c)
 	}
 	const limit = 1 << 20
 	before := heapAlloc()
@@ -176,8 +176,8 @@ func TestMappedBlocksFollowTheArray(t *testing.T) {
 		t.Fatalf("after erasing and refilling, the array maps %d bytes, want %d", got, full)
 	}
 	// The bytes are what was programmed, read back through the mapping.
-	data, _, _, err := arr.Read(nil, flash.PPN(g.TotalPages()-1))
-	if err != nil || data[0] != byte(g.TotalPages()-1) {
+	data := make([]byte, g.PageSize)
+	if _, err = arr.ReadInto(nil, flash.PPN(g.TotalPages()-1), data, nil); err != nil || data[0] != byte(g.TotalPages()-1) {
 		t.Fatalf("last page reads %#02x, %v", data[0], err)
 	}
 	arr = nil
@@ -194,8 +194,8 @@ func TestProgrammedDeviceStaysOffHeap(t *testing.T) {
 		t.Skip("block buffers are heap slices in this build")
 	}
 	g := flash.Geometry{Chips: 8, BlocksPerChip: 64, PagesPerBlock: 32, PageSize: 4096, OOBSize: 128, Cell: flash.SLC}
-	if g.Capacity() != 64<<20 {
-		t.Fatalf("geometry holds %d bytes", g.Capacity())
+	if c := g.TotalPages() * g.PageSize; c != 64<<20 {
+		t.Fatalf("geometry holds %d bytes", c)
 	}
 	arr, err := flash.New(flash.Config{Geometry: g, Timing: flash.SLCTiming()}, nil)
 	if err != nil {

@@ -29,12 +29,6 @@ const (
 	// MLC stores two bits per cell; each wordline maps to an LSB page and
 	// an MSB page, and only LSB pages tolerate ISPP re-programming.
 	MLC
-	// TLC stores three bits per cell (3D NAND organisations, Appendix
-	// C.3): each wordline maps to three pages and only the first (LSB)
-	// page of a wordline tolerates ISPP re-programming. 3D charge-trap
-	// structures make interference negligible, so the same pSLC/odd
-	// techniques apply.
-	TLC
 )
 
 func (c CellType) String() string {
@@ -43,8 +37,6 @@ func (c CellType) String() string {
 		return "SLC"
 	case MLC:
 		return "MLC"
-	case TLC:
-		return "TLC"
 	default:
 		return fmt.Sprintf("CellType(%d)", int(c))
 	}
@@ -55,8 +47,6 @@ func (c CellType) PagesPerWordline() int {
 	switch c {
 	case MLC:
 		return 2
-	case TLC:
-		return 3
 	default:
 		return 1
 	}
@@ -106,11 +96,6 @@ func (g Geometry) TotalPages() int { return g.Chips * g.PagesPerChip() }
 // TotalBlocks returns the number of erase units in the whole array.
 func (g Geometry) TotalBlocks() int { return g.Chips * g.BlocksPerChip }
 
-// Capacity returns the raw data capacity in bytes.
-func (g Geometry) Capacity() int64 {
-	return int64(g.TotalPages()) * int64(g.PageSize)
-}
-
 // ChipOf returns the chip holding ppn.
 func (g Geometry) ChipOf(p PPN) int { return int(p) / g.PagesPerChip() }
 
@@ -126,16 +111,11 @@ func (g Geometry) FirstPageOfBlock(block int) PPN {
 }
 
 // IsLSB reports whether ppn is an LSB page. On SLC every page is an LSB
-// page. On MLC/TLC we model the wordline grouping as the first page of
+// page. On MLC we model the wordline grouping as the first page of
 // each wordline group being LSB (the paper's 2N−1 / 2N+2 numbering has
 // the same structure; only the interleaving offset differs).
 func (g Geometry) IsLSB(p PPN) bool {
 	return g.PageInBlock(p)%g.Cell.PagesPerWordline() == 0
-}
-
-// WordlineOf returns the wordline index of ppn within its block.
-func (g Geometry) WordlineOf(p PPN) int {
-	return g.PageInBlock(p) / g.Cell.PagesPerWordline()
 }
 
 // Timing models per-operation latencies. All values are service times at
@@ -168,18 +148,6 @@ func SLCTiming() Timing {
 	}
 }
 
-// TLCTiming returns typical 3D TLC NAND datasheet latencies.
-func TLCTiming() Timing {
-	return Timing{
-		Read:            80 * time.Microsecond,
-		ProgramLSB:      400 * time.Microsecond,
-		ProgramMSB:      2000 * time.Microsecond,
-		Erase:           5000 * time.Microsecond,
-		Delta:           150 * time.Microsecond,
-		TransferPerByte: 10 * time.Nanosecond,
-	}
-}
-
 // MLCTiming returns typical MLC NAND datasheet latencies; MSB programs are
 // several times slower than LSB programs.
 func MLCTiming() Timing {
@@ -205,5 +173,4 @@ func (g Geometry) ProgramTime(t Timing, p PPN) time.Duration {
 const (
 	EnduranceSLC = 100_000
 	EnduranceMLC = 10_000
-	EnduranceTLC = 4_000
 )

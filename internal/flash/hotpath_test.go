@@ -153,7 +153,7 @@ func TestReadStatsCountOOBBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := arr.Read(nil, 0); err != nil {
+	if _, _, _, err := readPage(arr, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := arr.Stats().BytesRead, uint64(g.PageSize+g.OOBSize); got != want {

@@ -6,63 +6,6 @@ import (
 	"testing"
 )
 
-func TestTLCGeometry(t *testing.T) {
-	g := Geometry{Chips: 1, BlocksPerChip: 2, PagesPerBlock: 9, PageSize: 256, Cell: TLC}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := g
-	bad.PagesPerBlock = 8 // not divisible by 3
-	if err := bad.Validate(); err == nil {
-		t.Error("TLC with 8 pages/block accepted")
-	}
-	lsb := 0
-	for p := PPN(0); p < 9; p++ {
-		if g.IsLSB(p) {
-			lsb++
-		}
-	}
-	if lsb != 3 {
-		t.Errorf("TLC LSB pages = %d, want 3 of 9", lsb)
-	}
-	if g.WordlineOf(5) != 1 {
-		t.Errorf("WordlineOf(5) = %d", g.WordlineOf(5))
-	}
-	if TLC.String() != "TLC" || TLC.PagesPerWordline() != 3 {
-		t.Error("TLC identity wrong")
-	}
-}
-
-func TestTLCAppendsOnlyOnFirstWordlinePage(t *testing.T) {
-	g := Geometry{Chips: 1, BlocksPerChip: 2, PagesPerBlock: 9, PageSize: 256, Cell: TLC}
-	a, err := New(Config{Geometry: g, Timing: TLCTiming(), StrictProgramOrder: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := bytes.Repeat([]byte{0xFF}, 256)
-	for p := PPN(0); p < 3; p++ {
-		if _, err := a.Program(nil, p, img, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := a.ProgramDelta(nil, 0, 0, []byte{0x0F}, 0, nil); err != nil {
-		t.Errorf("LSB delta on TLC: %v", err)
-	}
-	for _, p := range []PPN{1, 2} {
-		if _, err := a.ProgramDelta(nil, p, 0, []byte{0x0F}, 0, nil); !errors.Is(err, ErrMSBAppend) {
-			t.Errorf("CSB/MSB delta on TLC page %d: %v", p, err)
-		}
-	}
-}
-
-func TestTLCEndurance(t *testing.T) {
-	g := Geometry{Chips: 1, BlocksPerChip: 1, PagesPerBlock: 3, PageSize: 64, Cell: TLC}
-	cfg := Config{Geometry: g, Timing: TLCTiming()}
-	if cfg.endurance() != EnduranceTLC {
-		t.Errorf("TLC endurance = %d", cfg.endurance())
-	}
-}
-
 func TestReprogramRepairsLeakedCharge(t *testing.T) {
 	a := newTestArray(t, SLC)
 	orig := make([]byte, 256)
@@ -79,7 +22,7 @@ func TestReprogramRepairsLeakedCharge(t *testing.T) {
 	if leaked == 0 {
 		t.Fatal("nothing leaked")
 	}
-	data, _, _, _ := a.Read(nil, 0)
+	data, _, _, _ := readPage(a, 0)
 	if bytes.Equal(data, orig) {
 		t.Fatal("leak not visible")
 	}
@@ -87,7 +30,7 @@ func TestReprogramRepairsLeakedCharge(t *testing.T) {
 	if _, err := a.Reprogram(nil, 0, orig, nil); err != nil {
 		t.Fatal(err)
 	}
-	data, _, _, _ = a.Read(nil, 0)
+	data, _, _, _ = readPage(a, 0)
 	if !bytes.Equal(data, orig) {
 		t.Error("refresh did not restore the page")
 	}

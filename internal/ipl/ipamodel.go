@@ -1,7 +1,6 @@
 package ipl
 
 import (
-	"fmt"
 	"sort"
 
 	"ipa/internal/core"
@@ -283,10 +282,4 @@ func (m *IPAModel) finish() {
 	}
 	// IPA reserves only the delta-record area of each page.
 	m.res.ReservedSpaceF = c.Scheme.SpaceOverhead(8192)
-}
-
-// String renders the result like a Table 2 column.
-func (r IPAResult) String() string {
-	return fmt.Sprintf("WA=%.2f RA=%.2f erases=%d deltas=%d oop=%d reads=%d writes=%d",
-		r.WriteAmplific, r.ReadAmplific, r.Erases, r.DeltaWrites, r.OutOfPlace, r.PhysReads, r.PhysWrites)
 }

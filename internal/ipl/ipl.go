@@ -17,8 +17,6 @@
 package ipl
 
 import (
-	"fmt"
-
 	"ipa/internal/core"
 	"ipa/internal/trace"
 )
@@ -177,10 +175,4 @@ func (s *Simulator) finish() {
 	}
 	total := (c.LogicalPerEraseUnit + 1) * c.PhysPagesPerLogical
 	s.res.ReservedSpaceF = float64(c.PhysPagesPerLogical) / float64(total)
-}
-
-// String renders the result like a Table 2 column.
-func (r Result) String() string {
-	return fmt.Sprintf("WA=%.2f RA=%.2f erases=%d merges=%d reads=%d writes=%d",
-		r.WriteAmplific, r.ReadAmplific, r.Erases, r.Merges, r.PhysReads, r.PhysWrites)
 }

@@ -49,9 +49,6 @@ func NewNetTPCB() *NetTPCB {
 	return &NetTPCB{schAcct: schAcct, schCtl: schCtl, schHist: schHist}
 }
 
-// Accounts returns the number of accounts discovered by Init.
-func (n *NetTPCB) Accounts() int { return len(n.accountRIDs) }
-
 // Init scans the TPC-B tables and builds the id→RID maps.
 func (n *NetTPCB) Init(c *client.Conn) error {
 	var err error

@@ -93,7 +93,7 @@ func TestAdoptRebuildsShardedState(t *testing.T) {
 		t.Fatalf("MappedPages = %d, want %d", r.MappedPages(), capPages)
 	}
 	for i := 0; i < capPages; i++ {
-		got, _, err := r.Read(nil, core.PageID(i+1))
+		got, _, err := readPage(r, nil, core.PageID(i+1))
 		if err != nil || got[0] != 5 {
 			t.Fatalf("post-adopt read %d: %v (fill %d)", i, err, got[0])
 		}
@@ -106,7 +106,7 @@ func TestAdoptRebuildsShardedState(t *testing.T) {
 			}
 		}
 	}
-	got, _, err := r.Read(nil, 1)
+	got, _, err := readPage(r, nil, 1)
 	if err != nil || got[0] != 5 {
 		t.Fatalf("post-adopt churn read: %v", err)
 	}

@@ -441,9 +441,6 @@ func (r *Region) Scheme() core.Scheme { return r.cfg.Scheme }
 // Storage returns the region's write-reduction scheme.
 func (r *Region) Storage() Storage { return r.cfg.Storage }
 
-// GCVictim returns the region's GC victim-selection policy.
-func (r *Region) GCVictim() GCVictim { return r.cfg.GCVictim }
-
 // LogicalCapacity is the number of logical pages the region can map.
 func (r *Region) LogicalCapacity() int { return r.logical }
 
@@ -497,16 +494,6 @@ func (r *Region) Contains(id core.PageID) bool {
 // PPNOf returns the current physical location of a logical page.
 func (r *Region) PPNOf(id core.PageID) (flash.PPN, bool) {
 	return r.lookup(id)
-}
-
-// Read fetches the logical page's data and OOB area.
-func (r *Region) Read(w *sim.Worker, id core.PageID) (data, oob []byte, err error) {
-	data = make([]byte, r.dev.geom.PageSize)
-	oob = make([]byte, r.dev.geom.OOBSize)
-	if err := r.ReadInto(w, id, data, oob); err != nil {
-		return nil, nil, err
-	}
-	return data, oob, nil
 }
 
 // ReadInto fetches the logical page into caller-owned buffers: data (page
@@ -756,26 +743,6 @@ func (r *Region) Refresh(w *sim.Worker, id core.PageID, data, oob []byte) error 
 		if err != nil {
 			return fmt.Errorf("noftl: refresh page %d: %w", id, err)
 		}
-		return nil
-	}
-}
-
-// Free unmaps a logical page, invalidating its physical copy.
-func (r *Region) Free(id core.PageID) error {
-	for {
-		ppn, ok := r.lookup(id)
-		if !ok {
-			return fmt.Errorf("%w: %d", ErrUnknownPage, id)
-		}
-		cs := r.chipOf(ppn)
-		cs.mu.Lock()
-		if !r.l2p.Lookup(id).CompareAndSwap(entryOf(ppn), 0) {
-			cs.mu.Unlock()
-			continue
-		}
-		r.invalidateLocked(cs, ppn)
-		cs.mu.Unlock()
-		r.mapped.Add(-1)
 		return nil
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"ipa/internal/core"
 	"ipa/internal/flash"
+	"ipa/internal/sim"
 )
 
 func newDevice(t testing.TB, cell flash.CellType, chips, blocks, pages, pageSize int) *Device {
@@ -76,14 +77,14 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err := r.Write(nil, 1, want, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := r.Read(nil, 1)
+	got, _, err := readPage(r, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Error("read-back mismatch")
 	}
-	if _, _, err := r.Read(nil, 99); !errors.Is(err, ErrUnknownPage) {
+	if _, _, err := readPage(r, nil, 99); !errors.Is(err, ErrUnknownPage) {
 		t.Errorf("unknown page read: %v", err)
 	}
 	s := r.Stats()
@@ -106,7 +107,7 @@ func TestOverwriteRelocatesAndInvalidates(t *testing.T) {
 	if p1 == p2 {
 		t.Error("overwrite did not relocate (out-of-place rule violated)")
 	}
-	got, _, _ := r.Read(nil, 1)
+	got, _, _ := readPage(r, nil, 1)
 	if got[0] != 2 {
 		t.Error("read returned stale version")
 	}
@@ -130,7 +131,7 @@ func TestWriteDeltaAppendsInPlace(t *testing.T) {
 	if before != after {
 		t.Error("write_delta relocated the page")
 	}
-	got, _, _ := r.Read(nil, 7)
+	got, _, _ := readPage(r, nil, 7)
 	if got[200] != 0x01 || got[201] != 0x02 {
 		t.Error("delta not visible on read")
 	}
@@ -289,7 +290,7 @@ func TestGarbageCollectionReclaimsSpace(t *testing.T) {
 	}
 	// All pages still readable with latest content.
 	for i := 0; i < cap; i++ {
-		got, _, err := r.Read(nil, core.PageID(i+1))
+		got, _, err := readPage(r, nil, core.PageID(i+1))
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -325,7 +326,7 @@ func TestGCMigratesDeltaRecordsIntact(t *testing.T) {
 	if newPPN == origPPN {
 		t.Skip("page 1 was never migrated; churn too small")
 	}
-	got, _, err := r.Read(nil, 1)
+	got, _, err := readPage(r, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,24 +352,13 @@ func TestRegionFull(t *testing.T) {
 	}
 }
 
-func TestFreeInvalidatesPage(t *testing.T) {
-	dev := newDevice(t, flash.SLC, 1, 8, 8, 256)
-	r, _ := dev.CreateRegion(RegionConfig{Name: "d", Mode: ModeSLC, BlocksPerChip: 8})
-	if err := r.Write(nil, 1, pageOf(dev, 1), nil); err != nil {
-		t.Fatal(err)
+// readPage reads logical page id into fresh buffers through ReadInto.
+func readPage(r *Region, w *sim.Worker, id core.PageID) (data, oob []byte, err error) {
+	data, oob = make([]byte, r.dev.geom.PageSize), make([]byte, r.dev.geom.OOBSize)
+	if err := r.ReadInto(w, id, data, oob); err != nil {
+		return nil, nil, err
 	}
-	if err := r.Free(1); err != nil {
-		t.Fatal(err)
-	}
-	if r.Contains(1) {
-		t.Error("freed page still mapped")
-	}
-	if _, _, err := r.Read(nil, 1); !errors.Is(err, ErrUnknownPage) {
-		t.Errorf("read freed page: %v", err)
-	}
-	if err := r.Free(1); !errors.Is(err, ErrUnknownPage) {
-		t.Errorf("double free: %v", err)
-	}
+	return data, oob, nil
 }
 
 func TestMultipleRegionsIsolated(t *testing.T) {
@@ -387,8 +377,8 @@ func TestMultipleRegionsIsolated(t *testing.T) {
 	if err := cold.Write(nil, 1, pageOf(dev, 2), nil); err != nil {
 		t.Fatal(err)
 	}
-	h, _, _ := hot.Read(nil, 1)
-	c, _, _ := cold.Read(nil, 1)
+	h, _, _ := readPage(hot, nil, 1)
+	c, _, _ := readPage(cold, nil, 1)
 	if h[0] != 1 || c[0] != 2 {
 		t.Error("regions share page ids but returned wrong data")
 	}
@@ -467,7 +457,7 @@ func TestChurnConsistency(t *testing.T) {
 			}
 		case 4: // verify
 			if st.has {
-				got, _, err := r.Read(nil, id)
+				got, _, err := readPage(r, nil, id)
 				if err != nil {
 					t.Fatalf("op %d read: %v", i, err)
 				}
@@ -523,11 +513,8 @@ func TestPageIDBeyondTheBound(t *testing.T) {
 		if r.Contains(id) || r.CanAppend(id) {
 			t.Errorf("page %d is mapped", id)
 		}
-		if _, _, err := r.Read(nil, id); !errors.Is(err, ErrUnknownPage) {
+		if _, _, err := readPage(r, nil, id); !errors.Is(err, ErrUnknownPage) {
 			t.Errorf("Read(%d): %v, want ErrUnknownPage", id, err)
-		}
-		if err := r.Free(id); !errors.Is(err, ErrUnknownPage) {
-			t.Errorf("Free(%d): %v, want ErrUnknownPage", id, err)
 		}
 		if err := r.Adopt(map[core.PageID]flash.PPN{1: ppn, id: ppn + 1}); !errors.Is(err, core.ErrPageIDRange) {
 			t.Errorf("Adopt with page %d: %v, want ErrPageIDRange", id, err)

@@ -309,7 +309,7 @@ func TestCostBenefitVictimSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.GCVictim() != CostBenefitVictim {
+	if r.cfg.GCVictim != CostBenefitVictim {
 		t.Fatal("victim policy not recorded")
 	}
 	// Overwrite churn: with cost-benefit selection the region must still

@@ -76,14 +76,6 @@ func TestConcurrentGCStress(t *testing.T) {
 				for op := 0; op < opsPerWriter; op++ {
 					slot := rng.Intn(perWriter)
 					id := core.PageID(base + slot + 1)
-					if sh[slot].has && rng.Intn(16) == 0 {
-						if err := r.Free(id); err != nil {
-							errCh <- fmt.Errorf("region %d free %d: %w", ri, id, err)
-							return
-						}
-						sh[slot].has = false
-						continue
-					}
 					fill := byte(op)
 					if err := r.Write(w, id, pageOf(r.dev, fill), nil); err != nil {
 						errCh <- fmt.Errorf("region %d write %d: %w", ri, id, err)
@@ -91,7 +83,7 @@ func TestConcurrentGCStress(t *testing.T) {
 					}
 					sh[slot].fill, sh[slot].has = fill, true
 					if rng.Intn(8) == 0 {
-						got, _, err := r.Read(w, id)
+						got, _, err := readPage(r, w, id)
 						if err != nil {
 							errCh <- fmt.Errorf("region %d read %d: %w", ri, id, err)
 							return
@@ -130,7 +122,7 @@ func TestConcurrentGCStress(t *testing.T) {
 				}
 				live++
 				id := core.PageID(k*perWriter + slot + 1)
-				got, _, err := r.Read(nil, id)
+				got, _, err := readPage(r, nil, id)
 				if err != nil {
 					t.Fatalf("region %d final read %d: %v", ri, id, err)
 				}
@@ -173,7 +165,7 @@ func TestConcurrentGCStress(t *testing.T) {
 					continue
 				}
 				id := core.PageID(k*perWriter + slot + 1)
-				got, _, err := r.Read(nil, id)
+				got, _, err := readPage(r, nil, id)
 				if err != nil || got[0] != sh.fill {
 					t.Fatalf("region %d post-adopt read %d: %v", ri, id, err)
 				}
@@ -207,6 +199,8 @@ func dumpChips(r *Region) string {
 
 // Concurrent first-writes of the same id race to different chips; the
 // loser's copy must be dropped and the capacity counter must not leak.
+// Every goroutine writes ids 1..10 in turn, five times each, so each id
+// starts with a race of first writes.
 func TestRacingFirstWrites(t *testing.T) {
 	dev := newDevice(t, flash.SLC, 4, 8, 8, 256)
 	r, err := dev.CreateRegion(RegionConfig{
@@ -215,32 +209,29 @@ func TestRacingFirstWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const goroutines = 8
+	const goroutines, ids = 8, 10
 	var wg sync.WaitGroup
 	for k := 0; k < goroutines; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
 			img := pageOf(dev, byte(k))
-			for i := 0; i < 50; i++ {
-				if err := r.Write(nil, 1, img, nil); err != nil {
+			for i := 0; i < 5*ids; i++ {
+				if err := r.Write(nil, core.PageID(1+i/5), img, nil); err != nil {
 					t.Error(err)
 					return
-				}
-				if i%5 == 0 {
-					_ = r.Free(1) // racing frees: ErrUnknownPage is fine
 				}
 			}
 		}(k)
 	}
 	wg.Wait()
 	mapped := r.MappedPages()
-	if mapped != 0 && mapped != 1 {
-		t.Fatalf("MappedPages = %d after racing writes of one id", mapped)
+	if mapped != ids {
+		t.Fatalf("MappedPages = %d after racing writes of %d ids", mapped, ids)
 	}
-	if mapped == 1 {
-		if got, _, err := r.Read(nil, 1); err != nil || !bytes.Equal(got[1:16], got[0:15]) {
-			t.Fatalf("winner unreadable: %v", err)
+	for id := core.PageID(1); id <= ids; id++ {
+		if got, _, err := readPage(r, nil, id); err != nil || !bytes.Equal(got[1:16], got[0:15]) {
+			t.Fatalf("winner of page %d unreadable: %v", id, err)
 		}
 	}
 	// The capacity counter must be exact: filling the remaining logical

@@ -178,9 +178,6 @@ func (p *Page) SetNextPage(id core.PageID) {
 	binary.LittleEndian.PutUint64(p.buf[24:], uint64(id))
 }
 
-// Owner returns the owning object id.
-func (p *Page) Owner() uint64 { return binary.LittleEndian.Uint64(p.buf[32:]) }
-
 // SetOwner stores the owning object id.
 func (p *Page) SetOwner(o uint64) { binary.LittleEndian.PutUint64(p.buf[32:], o) }
 
@@ -218,30 +215,15 @@ func (p *Page) FreeSpace() int {
 	return fs
 }
 
-// IsMeta classifies a page offset as metadata (header or slot table) for
-// the paper's byte-level delta tracking, which separates body pairs (M
-// budget) from metadata pairs (V budget).
-func (p *Page) IsMeta(off int) bool {
-	if off < HeaderSize {
-		return true
-	}
-	return off >= p.slotTableLow() && off < p.l.DeltaAreaStart()
-}
-
-// InDeltaArea reports whether an offset lies in the delta-record area
-// (always excluded from diffs: the logical image keeps it erased).
-func (p *Page) InDeltaArea(off int) bool { return off >= p.l.DeltaAreaStart() }
-
 // ClassRanges appends the page's offset-classification runs to rs and
 // returns the result: header and slot table are metadata, the region
 // between them is tuple body, and the delta area is skipped. At most four
 // ranges are appended, so `var buf [4]core.ClassRange` with
 // `p.ClassRanges(buf[:0])` stays allocation-free.
 //
-// The ranges say exactly what IsMeta and InDeltaArea say — IsMeta(off) is
-// "off < HeaderSize or slotTableLow ≤ off < DeltaAreaStart", InDeltaArea
-// is "off ≥ DeltaAreaStart" — just as sorted runs instead of predicates,
-// which is what core.DiffInto wants. The slot-table boundary depends on
+// An offset is metadata when off < HeaderSize or slotTableLow ≤ off <
+// DeltaAreaStart, and skipped when off ≥ DeltaAreaStart; the runs say so
+// sorted, which is what core.DiffInto wants. The slot-table boundary depends on
 // the page's current SlotCount, so ranges must be re-derived per diff,
 // not cached per layout.
 func (p *Page) ClassRanges(rs []core.ClassRange) []core.ClassRange {
@@ -405,17 +387,6 @@ func (p *Page) Delete(slot int) error {
 	}
 	p.setSlot(slot, 0, 0)
 	return nil
-}
-
-// LiveTuples counts non-deleted slots.
-func (p *Page) LiveTuples() int {
-	n := 0
-	for i := 0; i < p.SlotCount(); i++ {
-		if _, ln := p.slot(i); ln != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // reclaimable estimates bytes recoverable by compaction.

@@ -73,10 +73,6 @@ func TestFormatHeader(t *testing.T) {
 	if p.NextPage() != 99 {
 		t.Errorf("NextPage = %d", p.NextPage())
 	}
-	p.SetOwner(7)
-	if p.Owner() != 7 {
-		t.Errorf("Owner = %d", p.Owner())
-	}
 	p.SetFlags(FlagIndex | FlagLeaf)
 	if p.Flags() != FlagIndex|FlagLeaf {
 		t.Errorf("Flags = %#x", p.Flags())
@@ -163,9 +159,6 @@ func TestInsertReadUpdateDelete(t *testing.T) {
 	if err := p.Delete(s1); !errors.Is(err, ErrBadSlot) {
 		t.Errorf("double delete: %v", err)
 	}
-	if p.LiveTuples() != 1 {
-		t.Errorf("LiveTuples = %d", p.LiveTuples())
-	}
 	// Deleted slot is reused.
 	s3, err := p.Insert([]byte("reuse"))
 	if err != nil {
@@ -222,6 +215,21 @@ func TestInsertErrors(t *testing.T) {
 		t.Errorf("oversized insert: %v", err)
 	}
 }
+
+// IsMeta classifies a page offset as metadata (header or slot table) for
+// the paper's byte-level delta tracking, which separates body pairs (M
+// budget) from metadata pairs (V budget). IsMeta and InDeltaArea are the
+// per-offset reference ClassRanges is checked against.
+func (p *Page) IsMeta(off int) bool {
+	if off < HeaderSize {
+		return true
+	}
+	return off >= p.slotTableLow() && off < p.l.DeltaAreaStart()
+}
+
+// InDeltaArea reports whether an offset lies in the delta-record area
+// (always excluded from diffs: the logical image keeps it erased).
+func (p *Page) InDeltaArea(off int) bool { return off >= p.l.DeltaAreaStart() }
 
 func TestIsMetaClassification(t *testing.T) {
 	p := newPage(t)
@@ -446,8 +454,8 @@ func TestPropertyFullIPACycle(t *testing.T) {
 		}
 		p.SetLSN(core.LSN(rng.Intn(250)))
 
-		cs, err := core.Diff(buf, flushed, p.IsMeta, p.InDeltaArea)
-		if err != nil {
+		var cs core.ChangeSet
+		if err := core.DiffInto(&cs, buf, flushed, p.ClassRanges(nil)); err != nil {
 			return false
 		}
 		recs, err := l.Scheme.Plan(cs, 0)

@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"fmt"
 	"net"
 	"time"
 
@@ -202,43 +201,6 @@ func (c *Cluster) Addrs() []string {
 		addrs = append(addrs, m.Addr)
 	}
 	return addrs
-}
-
-// Leader returns the current leader, or nil when no live member leads.
-func (c *Cluster) Leader() *Member {
-	for _, m := range c.Members {
-		if !m.killed && m.Node.IsLeader() {
-			return m
-		}
-	}
-	return nil
-}
-
-// WaitLeader blocks until some live member assumes leadership.
-func (c *Cluster) WaitLeader(timeout time.Duration) (*Member, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		if m := c.Leader(); m != nil {
-			return m, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("repl: no leader within %v", timeout)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// Kill crash-stops a member: connections drop mid-request, nothing
-// drains, the engine is abandoned. The cluster's answer is an election.
-func (c *Cluster) Kill(id uint64) {
-	for _, m := range c.Members {
-		if m.ID != id || m.killed {
-			continue
-		}
-		m.killed = true
-		m.Server.Kill()
-		m.Node.Stop()
-	}
 }
 
 // Pool returns a cluster-aware client pool seeded with every member.

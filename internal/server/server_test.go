@@ -355,7 +355,7 @@ func TestPipelinedPoisonCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.UpdateField(tx2, "t", rid, 0, le64(8)); err != nil {
+	if _, err := c.UpdateFieldAsync(tx2, "t", rid, 0, le64(8)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Commit(tx2); err != nil {

@@ -65,7 +65,7 @@ func TestSnapshotOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writer.Update(tx2, "kv", rids[0], []byte("new-a")); err != nil {
+	if _, err := writer.UpdateAsync(tx2, "kv", rids[0], []byte("new-a")).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := writer.Insert(tx2, "kv", []byte("new-d")); err != nil {

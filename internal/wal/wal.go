@@ -1113,12 +1113,6 @@ func batchQuantile(counts [batchBuckets]uint64, total uint64, q float64) uint64 
 // Flushed returns the durable horizon. Lock-free.
 func (l *Log) Flushed() core.LSN { return core.LSN(l.flushed.Load()) }
 
-// Flushes returns how many flush operations moved the horizon. Lock-free.
-func (l *Log) Flushes() uint64 {
-	_, batches := l.batches()
-	return l.flushes.Load() + batches
-}
-
 // Get returns the record with the given LSN. Lock-free: the slot's
 // publication word is the only synchronisation, so rollback walking a
 // transaction's chain never contends with appenders.

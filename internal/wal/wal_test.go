@@ -66,9 +66,6 @@ func TestFlushHorizon(t *testing.T) {
 	if l.Flushed() != 2 {
 		t.Errorf("Flushed regressed to %d", l.Flushed())
 	}
-	if l.Flushes() != 2 {
-		t.Errorf("Flushes = %d", l.Flushes())
-	}
 }
 
 func TestSpaceAccountingAndTruncate(t *testing.T) {

@@ -497,9 +497,6 @@ func NewReader(p []byte) *Reader { return &Reader{buf: p} }
 // Err returns the first decode error, or nil.
 func (r *Reader) Err() error { return r.err }
 
-// Remaining reports how many bytes are left.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
-
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil

@@ -40,8 +40,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	if b := r.Blob(); string(b) != "hello" {
 		t.Fatalf("blob = %q", b)
 	}
-	if r.Err() != nil || r.Remaining() != 0 {
-		t.Fatalf("err=%v remaining=%d", r.Err(), r.Remaining())
+	if r.Err() != nil || r.off != len(r.buf) {
+		t.Fatalf("err=%v remaining=%d", r.Err(), len(r.buf)-r.off)
 	}
 	f2, err := ReadFrame(&buf, 0)
 	if err != nil || f2.ID != 100 || f2.Kind != OpPing || len(f2.Payload) != 0 {

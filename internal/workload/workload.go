@@ -42,8 +42,8 @@ type Results struct {
 	TxLatency    *metrics.Latency
 	PerType      map[string]*metrics.Latency
 	// AbortedPerType splits Aborted by the transaction type that lost
-	// its no-wait lock race (RunParallel only) — how the HTAP audit
-	// separates writer aborts from read-path (scan) aborts.
+	// its no-wait lock race (the test-side RunParallel only) — how the
+	// HTAP audit separates writer aborts from read-path (scan) aborts.
 	AbortedPerType map[string]uint64
 }
 
