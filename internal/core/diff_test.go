@@ -180,6 +180,19 @@ func TestDiffIntoSizeMismatch(t *testing.T) {
 	}
 }
 
+// TestDiffSizeMismatch checks the other direction (current shorter than
+// flushed) and that a rejected diff leaves the caller's change set as it was.
+func TestDiffSizeMismatch(t *testing.T) {
+	cs := ChangeSet{Body: []Pair{{Off: 1, Val: 7}}}
+	ranges := []ClassRange{{Start: 0, End: 2, Class: ClassMeta}}
+	if err := DiffInto(&cs, make([]byte, 4), make([]byte, 8), ranges); err == nil {
+		t.Fatal("DiffInto accepted mismatched sizes")
+	}
+	if len(cs.Body) != 1 || cs.Body[0] != (Pair{Off: 1, Val: 7}) || len(cs.Meta) != 0 {
+		t.Errorf("rejected diff changed the change set: %+v", cs)
+	}
+}
+
 func TestDiffIntoReusesCapacity(t *testing.T) {
 	current := make([]byte, 256)
 	flushed := make([]byte, 256)
