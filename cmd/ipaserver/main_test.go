@@ -29,6 +29,10 @@ func TestServedStacksAnswerBeginSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close()
+			// NewApplier refuses an engine without Options.Replicated.
+			if _, err := db.NewApplier(nil); (err == nil) != member {
+				t.Errorf("member=%v: NewApplier err = %v", member, err)
+			}
 			if got := db.Pool().Shards(); got != repl.DefaultPoolShards {
 				t.Errorf("pool shards = %d, want %d", got, repl.DefaultPoolShards)
 			}

@@ -498,8 +498,7 @@ func (r *Region) PPNOf(id core.PageID) (flash.PPN, bool) {
 
 // ReadInto fetches the logical page into caller-owned buffers: data (page
 // size) and/or oob (spare size) may be nil to skip that part of the
-// transfer. This is the allocation-free twin of Read used by the buffer
-// pool's steady-state fetch path.
+// transfer. It allocates nothing; the buffer pool's fetch path calls it.
 func (r *Region) ReadInto(w *sim.Worker, id core.PageID, data, oob []byte) error {
 	for {
 		ppn, ok := r.lookup(id)
