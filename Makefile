@@ -127,9 +127,13 @@ reach:
 # and Stats.RetainedBytes matches the heap. ServedTPCBLogBytesKept: a
 # served TPC-B transaction costs each member's log at most 250 B (568
 # with a slot per record); a served member never checkpoints, so that
-# is what it gains per commit.
+# is what it gains per commit. ScanPageFootprint: a SNAPSCAN of 1 MB and
+# of 4 MB of rows, page by page, keeps the session's reply buffer within
+# one 32 KiB page and allocates on the server the same bytes per page
+# for both tables: a reply that held the whole table would grow the
+# buffer to the table's size.
 footprint:
-	$(GO) test -count=1 -run 'IdleDevice|EraseReleases|LazyFrames|MemberFootprint|MappedBlocks|OffHeap|VersionStoreFootprint|RetainedBytesPerRecord|ServedTPCBLogBytesKept' \
+	$(GO) test -count=1 -run 'IdleDevice|EraseReleases|LazyFrames|MemberFootprint|MappedBlocks|OffHeap|VersionStoreFootprint|RetainedBytesPerRecord|ServedTPCBLogBytesKept|ScanPageFootprint' \
 		./internal/flash ./internal/buffer ./internal/repl ./internal/engine ./internal/wal ./internal/server
 
 # bench/ is a module of its own that compiles against internal/client,
@@ -214,6 +218,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzPDLRecord -fuzztime 10s ./internal/noftl
 	$(GO) test -run xxx -fuzz FuzzReplayCut -fuzztime 10s ./internal/engine
 	$(GO) test -run xxx -fuzz FuzzDeltaRecordCodec -fuzztime 10s ./internal/core
+	$(GO) test -run xxx -fuzz FuzzScanPage -fuzztime 10s ./internal/client
 
 # `ipabench -exp all` of BASE (unpacked under .bench_build/) against the
 # working tree, diffed; exits 1 on any difference. EXPFLAGS=-quick for

@@ -207,8 +207,8 @@ func BenchmarkAblationECC(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if o.Results.Aborted != 0 {
-					b.Fatal("aborted transactions")
+				if o.Results.Transactions != 300 {
+					b.Fatalf("%d of 300 transactions", o.Results.Transactions)
 				}
 			}
 		})

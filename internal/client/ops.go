@@ -103,30 +103,119 @@ func (c *Conn) Delete(tx uint64, table string, rid wire.RID) error {
 	return err
 }
 
-// ScanEntry is one tuple returned by Scan or SnapshotScan. The entries
-// of one call share the response frame's payload, which that call alone
+// ScanEntry is one tuple returned by Scan or SnapshotScan. Its Data
+// aliases the payload of the page it arrived in, which that call alone
 // owns.
 type ScanEntry struct {
 	RID  wire.RID
 	Data []byte
 }
 
-// Scan returns up to limit committed tuples of a table (0 = all).
+// Scan returns up to limit committed tuples of a table (0 = all), in
+// ascending RID order, fetched a page at a time. Each page is read at
+// its own moment: a row changed between two pages shows in the later
+// page's state. A consistent read of a whole table is SnapshotScan.
 func (c *Conn) Scan(table string, limit uint32) ([]ScanEntry, error) {
-	f, err := c.do(wire.OpScan, nil, func(b *wire.Builder) { b.String(table).Uint32(limit) })
-	if err != nil {
-		return nil, err
+	return c.scanPages(wire.OpScan, limit, func(b *wire.Builder, after wire.RID, want uint32) {
+		b.String(table).RID(after).Uint32(want)
+	})
+}
+
+// scanPages sends op page after page, each request encoded by enc with
+// the RID to resume after and the rows still wanted, until the server
+// says the table is done or limit rows (0: no limit) have arrived. The
+// pages are checked as they come and decoded once the last is in, into
+// a slice of exactly their rows.
+func (c *Conn) scanPages(op byte, limit uint32, enc func(b *wire.Builder, after wire.RID, want uint32)) ([]ScanEntry, error) {
+	var pages [][]byte
+	var after wire.RID
+	var total uint32
+	for {
+		want := uint32(0)
+		if limit > 0 {
+			want = limit - total
+		}
+		f, err := c.do(op, nil, func(b *wire.Builder) { enc(b, after, want) })
+		if err != nil {
+			return nil, err
+		}
+		rows, next, more, err := checkPage(f.Payload, after, want)
+		if err != nil {
+			return nil, fmt.Errorf("client: malformed %s page: %w", wire.OpName(op), err)
+		}
+		pages, after, total = append(pages, f.Payload), next, total+rows
+		if !more || (limit > 0 && total == limit) {
+			break
+		}
 	}
-	r := wire.NewReader(f.Payload)
-	count := r.Uint32()
-	out := make([]ScanEntry, 0, count)
-	for i := uint32(0); i < count; i++ {
-		out = append(out, ScanEntry{RID: r.RID(), Data: r.BlobView()})
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("client: malformed SCAN response: %w", err)
+	out := make([]ScanEntry, 0, total)
+	for _, p := range pages {
+		out = appendRows(out, p)
 	}
 	return out, nil
+}
+
+// pageRow is the least a page row takes: its RID and its blob's length.
+const pageRow = 10 + 4
+
+// checkPage checks one SCAN or SNAPSCAN page, the reply to a request
+// that resumed after after and wanted want rows (0: any number), and
+// returns its row count, the RID to resume after and whether the table
+// goes on. A page is malformed unless every byte belongs to its layout,
+// its rows ascend strictly from after, it holds no more rows than
+// wanted, and a page that goes on resumes past after and past its last
+// row: so a scan that follows pages returns every RID at most once and
+// cannot loop.
+func checkPage(p []byte, after wire.RID, want uint32) (uint32, wire.RID, bool, error) {
+	r := wire.NewReader(p)
+	count := r.Uint32()
+	if err := r.Err(); err != nil {
+		return 0, after, false, err
+	}
+	if uint64(count)*pageRow > uint64(r.Len()) {
+		return 0, after, false, fmt.Errorf("%d rows cannot fit %d bytes", count, r.Len())
+	}
+	if want > 0 && count > want {
+		return 0, after, false, fmt.Errorf("%d rows where %d were wanted", count, want)
+	}
+	last := after
+	for i := uint32(0); i < count; i++ {
+		rid := r.RID()
+		r.BlobView()
+		if r.Err() == nil && !ridLess(last, rid) {
+			return 0, after, false, fmt.Errorf("row %v does not follow %v", rid, last)
+		}
+		last = rid
+	}
+	more := r.Byte()
+	next := last
+	if more == 1 {
+		next = r.RID()
+	}
+	switch err := r.End(); {
+	case err != nil:
+		return 0, after, false, err
+	case more > 1:
+		return 0, after, false, fmt.Errorf("more flag %d", more)
+	case more == 1 && (ridLess(next, last) || next == after):
+		return 0, after, false, fmt.Errorf("resume RID %v is behind the page (after %v, last row %v)", next, after, last)
+	}
+	return count, next, more == 1, nil
+}
+
+// appendRows appends the rows of a page checkPage accepted to dst;
+// their Data aliases p.
+func appendRows(dst []ScanEntry, p []byte) []ScanEntry {
+	r := wire.NewReader(p)
+	for n := r.Uint32(); n > 0; n-- {
+		dst = append(dst, ScanEntry{RID: r.RID(), Data: r.BlobView()})
+	}
+	return dst
+}
+
+// ridLess orders RIDs as scans visit them: by page, then slot.
+func ridLess(a, b wire.RID) bool {
+	return a.Page < b.Page || (a.Page == b.Page && a.Slot < b.Slot)
 }
 
 // BeginSnapshot opens a read-only snapshot transaction under a fresh
@@ -160,22 +249,12 @@ func (c *Conn) SnapshotRead(tx uint64, table string, rid wire.RID) ([]byte, erro
 }
 
 // SnapshotScan returns up to limit tuples (0 = all) visible at the
-// snapshot transaction's pinned LSN.
+// snapshot transaction's pinned LSN, in ascending RID order, fetched a
+// page at a time; every page reads the one snapshot.
 func (c *Conn) SnapshotScan(tx uint64, table string, limit uint32) ([]ScanEntry, error) {
-	f, err := c.do(wire.OpSnapshotScan, nil, func(b *wire.Builder) { b.Uint64(tx).String(table).Uint32(limit) })
-	if err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(f.Payload)
-	count := r.Uint32()
-	out := make([]ScanEntry, 0, count)
-	for i := uint32(0); i < count; i++ {
-		out = append(out, ScanEntry{RID: r.RID(), Data: r.BlobView()})
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("client: malformed SNAPSCAN response: %w", err)
-	}
-	return out, nil
+	return c.scanPages(wire.OpSnapshotScan, limit, func(b *wire.Builder, after wire.RID, want uint32) {
+		b.Uint64(tx).String(table).RID(after).Uint32(want)
+	})
 }
 
 // Stats fetches the server's stats document as raw JSON.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"ipa/internal/core"
@@ -279,23 +280,55 @@ func (ps *pageScan) load(t *Table, w *sim.Worker, id core.PageID) error {
 	return nil
 }
 
-// heapPages snapshots the heap chain.
+// heapPages returns the heap chain as it stands, without copying it:
+// the chain only grows by append (or is replaced whole by a snapshot
+// install), so the ids of the slice returned never change. Page ids
+// come from one counter and the chain grows under t.mu, so it is in
+// ascending id order.
 func (t *Table) heapPages() []core.PageID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]core.PageID(nil), t.pages...)
+	return t.pages[:len(t.pages):len(t.pages)]
+}
+
+// scanSlots copies the heap pages one at a time, from the page of after
+// on, and hands fn every slot strictly after after — nil for an empty
+// slot — in ascending RID order, until fn returns false. The zero RID
+// starts at the beginning: page 0 is never allocated.
+func (t *Table) scanSlots(w *sim.Worker, after core.RID, fn func(rid core.RID, tuple []byte) bool) error {
+	pages := t.heapPages()
+	var ps pageScan
+	for i := sort.Search(len(pages), func(i int) bool { return pages[i] >= after.Page }); i < len(pages); i++ {
+		id := pages[i]
+		if err := ps.load(t, w, id); err != nil {
+			return err
+		}
+		s := 0
+		if id == after.Page {
+			s = int(after.Slot) + 1
+		}
+		for ; s < len(ps.tups); s++ {
+			if !fn(core.RID{Page: id, Slot: uint16(s)}, ps.tups[s]) {
+				return nil
+			}
+		}
+	}
+	return nil
 }
 
 // ScanSnapshot visits every tuple visible at the snapshot transaction's
-// pinned LSN, in heap order, until fn returns false. Each page's slots
+// pinned LSN strictly after the RID after (the zero RID: every tuple),
+// in ascending RID order — heap order — until fn returns false, so a
+// scan cut after any tuple resumes with the next. Each page's slots
 // are copied under the shared latch into one buffer the scan reuses,
 // then resolved through the version store with no latches held (an
 // image the chain supplies is copied under its shard lock) — so a scan
 // holds no locks, blocks no writer and never aborts, regardless of
-// length. Tuples deleted after the snapshot are resurrected from their
-// chains; tuples inserted after it are suppressed. tuple is valid until
-// fn returns: fn copies what it keeps.
-func (t *Table) ScanSnapshot(tx *Tx, fn func(rid core.RID, tuple []byte) bool) error {
+// length, and scans resumed under one snapshot see one state. Tuples
+// deleted after the snapshot are resurrected from their chains; tuples
+// inserted after it are suppressed. tuple is valid until fn returns:
+// fn copies what it keeps.
+func (t *Table) ScanSnapshot(tx *Tx, after core.RID, fn func(rid core.RID, tuple []byte) bool) error {
 	db := t.db
 	if tx.status != txActive {
 		return fmt.Errorf("%w: tx %d", ErrTxClosed, tx.id)
@@ -303,29 +336,21 @@ func (t *Table) ScanSnapshot(tx *Tx, fn func(rid core.RID, tuple []byte) bool) e
 	if !tx.readOnly || db.vs == nil {
 		return fmt.Errorf("%w: tx %d", ErrNotSnapshot, tx.id)
 	}
-	db.vs.snapScans.Add(1)
-	var ps pageScan
-	for _, id := range t.heapPages() {
-		if err := ps.load(t, tx.w, id); err != nil {
-			return err
-		}
-		for s, tup := range ps.tups {
-			rid := core.RID{Page: id, Slot: uint16(s)}
-			data, absent, override := db.vs.resolve(rid, tx.snapshot)
-			switch {
-			case override && absent:
-				continue // not visible at the snapshot
-			case override:
-				tup = data
-			case tup == nil:
-				continue // deleted, with no retained history
-			}
-			if !fn(rid, tup) {
-				return nil
-			}
-		}
+	if after == (core.RID{}) {
+		db.vs.snapScans.Add(1) // a resumed scan counts once, at its start
 	}
-	return nil
+	return t.scanSlots(tx.w, after, func(rid core.RID, tup []byte) bool {
+		data, absent, override := db.vs.resolve(rid, tx.snapshot)
+		switch {
+		case override && absent:
+			return true // not visible at the snapshot
+		case override:
+			tup = data
+		case tup == nil:
+			return true // deleted, with no retained history
+		}
+		return fn(rid, tup)
+	})
 }
 
 // pinTuple is the head of every RID-addressed write: tx takes the tuple
@@ -466,16 +491,15 @@ func (t *Table) Delete(tx *Tx, rid core.RID) error {
 // copied into one buffer the scan reuses, so tuple is valid until fn
 // returns: fn copies what it keeps.
 func (t *Table) Scan(w *sim.Worker, fn func(rid core.RID, tuple []byte) bool) error {
-	var ps pageScan
-	for _, id := range t.heapPages() {
-		if err := ps.load(t, w, id); err != nil {
-			return err
-		}
-		for s, tup := range ps.tups {
-			if tup != nil && !fn(core.RID{Page: id, Slot: uint16(s)}, tup) {
-				return nil
-			}
-		}
-	}
-	return nil
+	return t.ScanAfter(w, core.RID{}, fn)
+}
+
+// ScanAfter is Scan resumed strictly after the RID after: heap order is
+// ascending RID order, so a scan cut after any tuple continues with the
+// next one. Each page is consistent in itself; rows on pages the scan
+// has not reached yet may change before it gets there.
+func (t *Table) ScanAfter(w *sim.Worker, after core.RID, fn func(rid core.RID, tuple []byte) bool) error {
+	return t.scanSlots(w, after, func(rid core.RID, tup []byte) bool {
+		return tup == nil || fn(rid, tup)
+	})
 }

@@ -317,7 +317,7 @@ func TestHandlersDoNotRetainPayloads(t *testing.T) {
 			t.Fatalf("%s: %v", what, err)
 		}
 		seen := 0
-		if err := ftbl.ScanSnapshot(snap, func(rid core.RID, row []byte) bool {
+		if err := ftbl.ScanSnapshot(snap, core.RID{}, func(rid core.RID, row []byte) bool {
 			seen++
 			if !bytes.Equal(row, want[rid]) {
 				t.Errorf("%s: row %v = %x, the leader had %x", what, rid, row, want[rid])

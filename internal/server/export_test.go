@@ -30,6 +30,17 @@ func (s *Server) NewTestSession() *TestSession {
 
 func (t *TestSession) Handle(f wire.Frame) { t.s.handle(f) }
 
+// Reply is the payload of the reply the last Handle built in the
+// session's reply buffer, valid until the next Handle.
+func (t *TestSession) Reply() []byte { return t.s.out.Bytes() }
+
+// ReplyCap is the capacity of the session's reply buffer.
+func (t *TestSession) ReplyCap() int { return cap(t.s.out.Bytes()) }
+
+// ScanPageBudget is the most payload a scan page carries under the
+// default frame limit.
+const ScanPageBudget = readBufSize
+
 type discardConn struct{}
 
 func (discardConn) Read([]byte) (int, error)         { select {} }

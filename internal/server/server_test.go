@@ -553,57 +553,3 @@ func TestBusyAdmissionAtomicity(t *testing.T) {
 		t.Error("no BUSY rejections recorded")
 	}
 }
-
-// TestScanFrameCap: a SCAN whose response would exceed the server's
-// frame limit fails StatusBadRequest instead of building a frame the
-// client's reader would reject (tearing down the connection); a limited
-// scan under the cap still succeeds on the same connection.
-func TestScanFrameCap(t *testing.T) {
-	db, tl := newStack(t)
-	if _, err := db.CreateTable("big", "data"); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.Config{DB: db, Timeline: tl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetMaxFrame(2048)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Shutdown(5 * time.Second)
-	addr := ln.Addr().String()
-
-	c, err := client.Dial(addr, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	tx, err := c.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 200 tuples × 22 encoded bytes ≈ 4.4 KiB, well past the 2 KiB cap.
-	for i := 0; i < 200; i++ {
-		if _, err := c.Insert(tx, "big", le64(uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Commit(tx); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := c.Scan("big", 0); !errors.Is(err, wire.ErrBadRequest) {
-		t.Fatalf("oversized scan: %v, want ErrBadRequest", err)
-	}
-	entries, err := c.Scan("big", 10)
-	if err != nil {
-		t.Fatalf("limited scan after cap rejection: %v", err)
-	}
-	if len(entries) != 10 {
-		t.Fatalf("limited scan returned %d, want 10", len(entries))
-	}
-}

@@ -37,7 +37,7 @@ type session struct {
 	bw   *bufio.Writer
 	w    *sim.Worker
 
-	out wire.Builder // the reply payload of the request being served
+	out wire.Builder // the reply payload of the request being served; at most a scan page
 	now time.Time    // when the request being served began
 
 	// readBuf receives the tuple of a READ before it is copied into out,
@@ -225,9 +225,6 @@ func (s *session) handle(f wire.Frame) {
 		<-s.srv.inflight
 	}
 	s.reply(f.ID, status, payload)
-	if s.out.Len() > readBufSize {
-		s.out = wire.Builder{} // a scan-sized reply buffer is not worth keeping
-	}
 	end := time.Now()
 	s.srv.observe(f.Kind, end.Sub(s.now))
 	s.now = end
@@ -515,15 +512,15 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 		})
 
 	case wire.OpScan:
-		name, limit := r.StringView(), r.Uint32()
-		if err := r.Err(); err != nil {
+		name, after, want := r.StringView(), r.RID(), r.Uint32()
+		if err := r.End(); err != nil {
 			return s.fail(err)
 		}
 		tbl, err := s.table(name)
 		if err != nil {
 			return s.fail(err)
 		}
-		return s.scan(tbl, nil, limit)
+		return s.scan(tbl, nil, after, want)
 
 	case wire.OpBeginSnapshot:
 		id := r.Uint64()
@@ -566,8 +563,8 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 		return wire.StatusOK, s.out.Reset().Blob(data).Bytes()
 
 	case wire.OpSnapshotScan:
-		id, name, limit := r.Uint64(), r.StringView(), r.Uint32()
-		if err := r.Err(); err != nil {
+		id, name, after, want := r.Uint64(), r.StringView(), r.RID(), r.Uint32()
+		if err := r.End(); err != nil {
 			return s.fail(err)
 		}
 		tx, ok, poisoned := s.tx(id)
@@ -581,7 +578,7 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 		if err != nil {
 			return s.fail(err)
 		}
-		return s.scan(tbl, tx, limit)
+		return s.scan(tbl, tx, after, want)
 
 	case wire.OpStats:
 		doc, err := s.srv.StatsDocument()
@@ -592,49 +589,64 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 		if err != nil {
 			return s.fail(err)
 		}
-		return wire.StatusOK, s.out.Reset().Blob(raw).Bytes()
+		// A builder of its own: the document is larger than a scan
+		// page, and the session's stays within one.
+		return wire.StatusOK, wire.NewBuilder(4 + len(raw)).Blob(raw).Bytes()
 
 	default:
 		return wire.StatusBadRequest, s.errPayload("unknown opcode")
 	}
 }
 
-// scan builds the response of SCAN (snap nil: latest committed) and
-// SNAPSCAN (as of snap's pinned LSN): a count, then up to limit (0 =
-// all) rid/tuple pairs. Responses are size-capped: a scan that would
-// exceed the frame limit fails instead of building a frame the client's
-// ReadFrame must reject (which would tear down the whole connection).
-func (s *session) scan(tbl *engine.Table, snap *engine.Tx, limit uint32) (byte, []byte) {
-	budget := s.srv.maxFrame - 256 // frame header plus slack
+// scanTrailer is the most a scan page's trailer takes: the more byte
+// and the next RID.
+const scanTrailer = 1 + 10
+
+// scan answers SCAN (snap nil: latest committed) and SNAPSCAN (as of
+// snap's pinned LSN) with one page, laid out as the wire package
+// describes: the rows strictly after after, at most want of them (0:
+// no limit) and as many as fit the page budget, then the more flag and
+// the RID to resume after. The budget is the read buffer's size, or the
+// frame limit if that is lower, so the reply buffer never outgrows one
+// page whatever the table's size.
+func (s *session) scan(tbl *engine.Table, snap *engine.Tx, after wire.RID, want uint32) (byte, []byte) {
+	budget := min(readBufSize, s.srv.maxFrame-(wire.HeaderLen-4))
 	b := s.out.Reset()
+	if cap(b.Bytes()) < budget {
+		*b = *wire.NewBuilder(budget)
+	}
 	b.Uint32(0) // the count, set below
 	var count uint32
-	truncated := false
+	var last core.RID
+	full := false
 	visit := func(rid core.RID, tuple []byte) bool {
-		if b.Len()+14+len(tuple) > budget {
-			truncated = true
+		if b.Len()+10+4+len(tuple)+scanTrailer > budget {
+			full = true
 			return false
 		}
 		b.RID(netRID(rid)).Blob(tuple)
-		count++
-		return limit == 0 || count < limit
+		count, last = count+1, rid
+		return count != want
 	}
 	var err error
 	if snap != nil {
-		err = tbl.ScanSnapshot(snap, visit)
+		err = tbl.ScanSnapshot(snap, coreRID(after), visit)
 	} else {
-		err = tbl.Scan(s.w, visit)
+		err = tbl.ScanAfter(s.w, coreRID(after), visit)
 	}
 	if err != nil {
 		return s.fail(err)
 	}
-	if truncated {
+	if full && count == 0 {
 		return wire.StatusBadRequest, s.errPayload(fmt.Sprintf(
-			"scan response would exceed the %d-byte frame limit; retry with a smaller limit",
-			s.srv.maxFrame))
+			"a row does not fit a %d-byte scan page under the %d-byte frame limit",
+			budget, s.srv.maxFrame))
 	}
 	b.SetUint32(0, count)
-	return wire.StatusOK, b.Bytes()
+	if full || (want > 0 && count == want) {
+		return wire.StatusOK, b.Byte(1).RID(netRID(last)).Bytes()
+	}
+	return wire.StatusOK, b.Byte(0).Bytes()
 }
 
 // mutate runs one tx-scoped write op with the shared poison checks.

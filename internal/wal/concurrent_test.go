@@ -20,7 +20,7 @@ import (
 func TestGroupFlushDoesNotBlockAppends(t *testing.T) {
 	l := NewLog(0)
 	hole := core.LSN(l.next.Add(1) - 1)
-	holeSeg := l.segment(hole)
+	holeSeg, _ := l.segment(hole)
 	first := l.Append(Record{Type: RecUpdate, TxID: 1})
 
 	done := make(chan struct{})

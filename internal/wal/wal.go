@@ -738,7 +738,7 @@ func (l *Log) Append(r Record) core.LSN {
 	lsn := core.LSN(l.next.Add(1) - 1)
 	size := uint64(r.Size())
 	l.headBytes.Add(size)
-	seg := l.segment(lsn)
+	seg, grew := l.segment(lsn)
 	i := (uint64(lsn) - 1) & segMask
 	// The segment is hot: it is packed only once the published horizon
 	// has passed it, and it cannot pass this unpublished slot. The array
@@ -773,6 +773,11 @@ func (l *Log) Append(r Record) core.LSN {
 	s.f = f
 	s.pub.Store(uint64(lsn))
 	l.advancePublished()
+	if grew {
+		// Packed only now: packing while this slot stood unpublished
+		// would hold every later record's durability behind it.
+		l.pack()
+	}
 	return lsn
 }
 
@@ -786,36 +791,49 @@ const (
 )
 
 // segment returns the segment that owns lsn, growing the ring if the
-// reservation ran ahead of it.
-func (l *Log) segment(lsn core.LSN) *segment {
+// reservation ran ahead of it, and whether this call grew it.
+func (l *Log) segment(lsn core.LSN) (*segment, bool) {
 	if seg := l.ring.Load().segmentOf(lsn); seg != nil {
-		return seg
+		return seg, false
 	}
 	return l.grow(lsn)
 }
 
-// grow extends the segment table to cover lsn, then packs the segments
-// the published horizon has left behind. The new ring snapshot is
+// grow extends the segment table to cover lsn and reports whether it
+// did (another appender may have first). The new ring snapshot is
 // swapped in atomically under ringMu; appenders and readers keep using
 // their snapshots unlocked. New segments go into the table's spare
 // capacity, not into a copy: a snapshot never indexes past its own
 // length, so the slots beyond it are free to fill, and a log that is
-// never truncated grows in amortised constant time.
-func (l *Log) grow(lsn core.LSN) *segment {
+// never truncated grows in amortised constant time. Growth does not
+// pack: the appender that grew publishes its record first and then
+// packs (pack), so an appender that reserved an LSN in the new segment
+// finds it on the lock-free path at once.
+func (l *Log) grow(lsn core.LSN) (*segment, bool) {
 	l.ringMu.Lock()
 	defer l.ringMu.Unlock()
 	r := l.ring.Load()
 	if seg := r.segmentOf(lsn); seg != nil {
-		return seg
+		return seg, false
 	}
-	l.packCold(r.firstSeg, r.segs)
 	sn := segNum(lsn)
 	segs := r.segs
 	for next := r.firstSeg + uint64(len(segs)); next <= sn; next++ {
 		segs = append(segs, l.newSegment(core.LSN(next*segRecords+1)))
 	}
 	l.ring.Store(&ring{firstSeg: r.firstSeg, segs: segs})
-	return segs[sn-r.firstSeg]
+	return segs[sn-r.firstSeg], true
+}
+
+// pack packs the segments the published horizon has left behind; the
+// appender that grew the ring calls it once its own record is
+// published. The slot arrays it frees serve the segments of later
+// growths.
+func (l *Log) pack() {
+	l.ringMu.Lock()
+	defer l.ringMu.Unlock()
+	r := l.ring.Load()
+	l.packCold(r.firstSeg, r.segs)
 }
 
 // maxSpare bounds the slot arrays a log keeps for its next segments:

@@ -283,7 +283,7 @@ func TestMovingBackAfterAPackingBurst(t *testing.T) {
 	} {
 		l := NewLog(0)
 		hole := core.LSN(l.next.Add(1) - 1)
-		holeSeg := l.segment(hole)
+		holeSeg, _ := l.segment(hole)
 		for i := 1; i < 4*segRecords; i++ { // four full segments
 			l.Append(Record{Type: RecUpdate, TxID: 1, Page: core.PageID(i)})
 		}

@@ -21,14 +21,13 @@
 //	UPDATEFIELD  txid u64, table str, rid,
 //	             off u32, val bytes               → —
 //	DELETE       txid u64, table str, rid         → —
-//	SCAN         table str, limit u32             → count u32, count×(rid, data bytes)
-//	             (responses are size-capped at MaxFrame; a
-//	             scan that would exceed it fails BAD_REQUEST)
+//	SCAN         table str, after rid, want u32   → page
 //	STATS        —                                → JSON bytes (server stats document)
 //	PING         —                                → —
 //	BEGIN_SNAPSHOT txid u64                       → snapshot LSN u64
 //	SNAPREAD     txid u64, table str, rid         → data bytes
-//	SNAPSCAN     txid u64, table str, limit u32   → count u32, count×(rid, data bytes)
+//	SNAPSCAN     txid u64, table str, after rid,
+//	             want u32                         → page
 //	HELLO        version u8                       → — (BAD_REQUEST on mismatch)
 //
 // Replication ops (see internal/repl for payload codecs): REPL_HELLO
@@ -39,6 +38,21 @@
 // and VOTE_REQ/VOTE_RESP run leader election. A write sent to a
 // follower gets STATUS_REDIRECT with the leader's address so the client
 // pool can re-resolve.
+//
+// A scan is answered a page at a time. A request names the RID to
+// resume strictly after (the zero RID: from the start) and the rows it
+// still wants (0: all); the reply is one page:
+//
+//	count u32, count×(rid, data bytes), more u8, [next rid if more = 1]
+//
+// The rows are the next ones in ascending RID order, at most want of
+// them and at most one page budget of bytes (the server's 32 KiB read
+// buffer, or less under a lower frame limit). more = 0 says the table
+// holds no row past the page; more = 1 gives the RID the next request
+// resumes after. A SNAPSCAN resumed under one snapshot transaction
+// reads one snapshot across its pages; a SCAN reads each page at its
+// own moment, so a row changed between two pages shows in the later
+// page's state. A request in any other layout answers BAD_REQUEST.
 //
 // The snapshot ops require the server's engine to run with MVCC
 // enabled; BEGIN_SNAPSHOT pins a read-only snapshot transaction whose
@@ -104,7 +118,9 @@ const (
 //	1  PR 5 client protocol, PR 10 REPL_* family
 //	2  REPL_APPEND: first LSN in the batch header, flag-sectioned
 //	   records with the OpPatch field offset (wal.Record.Off)
-const ProtoVersion byte = 2
+//	3  SCAN and SNAPSCAN page: resume RID and rows wanted in the
+//	   request, the more flag and next RID after the rows
+const ProtoVersion byte = 3
 
 // OpName returns the wire name of an opcode (used as the metrics key of
 // the server's per-op latency histograms).
@@ -266,8 +282,9 @@ type RID struct {
 	Slot uint16
 }
 
-// MaxFrame is the default frame size limit: generous enough for a SCAN
-// of a bench table, small enough to bound a bad peer.
+// MaxFrame is the default frame size limit: generous enough for a
+// snapshot install or a large REPL_APPEND batch, small enough to bound a
+// bad peer.
 const MaxFrame = 64 << 20
 
 // HeaderLen is the size of a frame header: u32 length + u64 id + u8
@@ -457,6 +474,12 @@ func (b *Builder) Uint32(v uint32) *Builder {
 	return b
 }
 
+// Byte appends one byte.
+func (b *Builder) Byte(v byte) *Builder {
+	b.buf = append(b.buf, v)
+	return b
+}
+
 // Uint16 appends a big-endian u16.
 func (b *Builder) Uint16(v uint16) *Builder {
 	b.buf = binary.BigEndian.AppendUint16(b.buf, v)
@@ -497,6 +520,19 @@ func NewReader(p []byte) *Reader { return &Reader{buf: p} }
 // Err returns the first decode error, or nil.
 func (r *Reader) Err() error { return r.err }
 
+// End returns the first decode error or, if bytes remain past what was
+// decoded, an error for them: a payload longer than its layout is
+// malformed too.
+func (r *Reader) End() error {
+	if r.err == nil && r.off != len(r.buf) {
+		r.err = fmt.Errorf("%w: %d bytes past the end of the payload", ErrBadRequest, len(r.buf)-r.off)
+	}
+	return r.err
+}
+
+// Len returns the number of bytes not yet decoded.
+func (r *Reader) Len() int { return len(r.buf) - r.off }
+
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -530,6 +566,15 @@ func (r *Reader) Uint32() uint32 {
 		return 0
 	}
 	return binary.BigEndian.Uint32(p)
+}
+
+// Byte decodes one byte.
+func (r *Reader) Byte() byte {
+	p := r.take(1)
+	if p == nil {
+		return 0
+	}
+	return p[0]
 }
 
 // Uint16 decodes a big-endian u16.

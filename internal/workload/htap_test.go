@@ -184,7 +184,7 @@ func (h *HTAP) runScan(w *sim.Worker) error {
 			{h.branch, h.schCtl, &bSum},
 		} {
 			sch, sum := s.sch, s.sum
-			if err := s.tbl.ScanSnapshot(tx, func(_ core.RID, tup []byte) bool {
+			if err := s.tbl.ScanSnapshot(tx, core.RID{}, func(_ core.RID, tup []byte) bool {
 				*sum += sch.GetUint(tup, 2)
 				return true
 			}); err != nil {
@@ -251,7 +251,7 @@ func newHTAPDB(tb testing.TB, frames, poolShards int) (*engine.DB, *sim.Timeline
 }
 
 // runHTAP loads the driver and runs it over parallel terminals.
-func runHTAP(t *testing.T, h *HTAP, tl *sim.Timeline, workers, total int) Results {
+func runHTAP(t *testing.T, h *HTAP, tl *sim.Timeline, workers, total int) parallelResults {
 	t.Helper()
 	loader := tl.NewWorker()
 	if err := h.Load(loader); err != nil {
@@ -350,8 +350,8 @@ func TestHTAPSequentialInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Aborted != 0 {
-				t.Fatalf("%d aborts in a single-terminal run", res.Aborted)
+			if res.Transactions != 200 {
+				t.Fatalf("%d of 200 transactions in a single-terminal run", res.Transactions)
 			}
 			if h.ScansRun.Load() == 0 {
 				t.Fatal("no balance scan ran")

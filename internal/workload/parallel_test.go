@@ -26,8 +26,19 @@ import (
 // workers instead of a round-robin loop. Transactions that lose a
 // no-wait tuple-lock race (engine.ErrLockConflict) count as aborts —
 // the driver, like a real terminal, retries with its next transaction.
-func RunParallel(wl Workload, terminals []*sim.Worker, txTotal int, seed int64) (Results, error) {
+func RunParallel(wl Workload, terminals []*sim.Worker, txTotal int, seed int64) (parallelResults, error) {
 	return runParallel(wl, terminals, txTotal, seed, new(atomic.Bool))
+}
+
+// parallelResults is what RunParallel measures: the serial drivers'
+// Results plus the aborts that only concurrent terminals can have.
+type parallelResults struct {
+	Results
+	// Aborted counts the transactions that lost a no-wait tuple-lock
+	// race; AbortedPerType splits it by transaction type — how the HTAP
+	// audit separates writer aborts from read-path (scan) aborts.
+	Aborted        uint64
+	AbortedPerType map[string]uint64
 }
 
 // runParallel is RunParallel with its stop flag passed in, so a test can
@@ -35,8 +46,9 @@ func RunParallel(wl Workload, terminals []*sim.Worker, txTotal int, seed int64) 
 // hitting a non-abort error sets the flag, which ends the others at their
 // next transaction boundary: the run is doomed, so finishing quotas would
 // only bury the first failure under later noise.
-func runParallel(wl Workload, terminals []*sim.Worker, txTotal int, seed int64, stop *atomic.Bool) (Results, error) {
-	res, start, err := newResults(wl, terminals)
+func runParallel(wl Workload, terminals []*sim.Worker, txTotal int, seed int64, stop *atomic.Bool) (parallelResults, error) {
+	base, start, err := newResults(wl, terminals)
+	res := parallelResults{Results: base}
 	if err != nil {
 		return res, err
 	}
@@ -295,8 +307,8 @@ func TestRunSerialReturnsTheError(t *testing.T) {
 			if calls := wl.calls.Load(); calls != failAt {
 				t.Errorf("ran %d transactions, want the run to stop at %d", calls, failAt)
 			}
-			if res.Transactions != failAt-1 || res.Aborted != 0 {
-				t.Errorf("committed %d aborted %d, want %d and 0", res.Transactions, res.Aborted, failAt-1)
+			if res.Transactions != failAt-1 {
+				t.Errorf("committed %d, want %d", res.Transactions, failAt-1)
 			}
 		})
 	}

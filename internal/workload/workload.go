@@ -36,15 +36,10 @@ const TxCPUTime = 50 * time.Microsecond
 type Results struct {
 	Workload     string
 	Transactions uint64
-	Aborted      uint64
 	SimSeconds   float64
 	Throughput   float64 // transactions per simulated second
 	TxLatency    *metrics.Latency
 	PerType      map[string]*metrics.Latency
-	// AbortedPerType splits Aborted by the transaction type that lost
-	// its no-wait lock race (the test-side RunParallel only) — how the
-	// HTAP audit separates writer aborts from read-path (scan) aborts.
-	AbortedPerType map[string]uint64
 }
 
 // RunForDuration executes transactions round-robin until every

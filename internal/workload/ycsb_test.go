@@ -207,7 +207,7 @@ func (y *YCSB) RunOne(w *sim.Worker, rng *rand.Rand) (string, error) {
 	}
 }
 
-func runYCSB(t *testing.T, mutate func(*YCSB), terminals, txTotal int) (Results, *YCSB) {
+func runYCSB(t *testing.T, mutate func(*YCSB), terminals, txTotal int) (parallelResults, *YCSB) {
 	t.Helper()
 	db, tl := newConcurrentDBShards(t, 256, 8)
 	y := NewYCSB(db, "main", 500)
