@@ -131,9 +131,16 @@ reach:
 # of 4 MB of rows, page by page, keeps the session's reply buffer within
 # one 32 KiB page and allocates on the server the same bytes per page
 # for both tables: a reply that held the whole table would grow the
-# buffer to the table's size.
+# buffer to the table's size; and, since the session keeps its scan
+# buffer, about 0 B a page. PoolReusesUnboundFrames: a frame unbound by a
+# failed load or by Drop is the next one bound, so a failed Get then
+# GetNew of one page costs one frame. ServedFollowerFramesMatchLeader: a
+# follower that replayed a TPC-B load holds one frame per leader heap
+# page, and missed no page its flash does not hold (a replay that first
+# tried to fetch such a page held two). AppendAckAllocatesNothing: a
+# heartbeat's ack is encoded into the session's reply buffer.
 footprint:
-	$(GO) test -count=1 -run 'IdleDevice|EraseReleases|LazyFrames|MemberFootprint|MappedBlocks|OffHeap|VersionStoreFootprint|RetainedBytesPerRecord|ServedTPCBLogBytesKept|ScanPageFootprint' \
+	$(GO) test -count=1 -run 'IdleDevice|EraseReleases|LazyFrames|MemberFootprint|MappedBlocks|OffHeap|VersionStoreFootprint|RetainedBytesPerRecord|ServedTPCBLogBytesKept|ScanPageFootprint|PoolReusesUnboundFrames|ServedFollowerFramesMatchLeader|AppendAckAllocatesNothing' \
 		./internal/flash ./internal/buffer ./internal/repl ./internal/engine ./internal/wal ./internal/server
 
 # bench/ is a module of its own that compiles against internal/client,

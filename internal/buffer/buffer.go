@@ -462,6 +462,13 @@ type poolShard struct {
 	// are handed out and evicted in does not depend on when that happens.
 	frames []*Frame
 	hand   int
+	// free holds frames unbound outside eviction — a failed load, Drop,
+	// a victim a racing binder made redundant — for the next victim
+	// search to take before the hand moves, so such a frame is reused
+	// before a new one is made. An entry is checked when it is taken: a
+	// frame stolen or rebound since it was put here is skipped. Guarded
+	// by mu.
+	free []*Frame
 
 	// dirty and stats are atomics so the cleaner trigger and Stats never
 	// lock; the mutating paths already hold mu when they update them.
@@ -642,26 +649,7 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 	for {
 		s.mu.Lock()
 		if fr := p.Peek(id); fr != nil {
-			fr.pin.Add(1) // a resident frame is not fenced under its mutex
-			fr.ref.Store(true)
-			p.hits.Of(w).Add(1)
-			loading := fr.loading.Load()
-			if loading && fr.loadDone == nil {
-				fr.loadDone = make(chan struct{})
-			}
-			done := fr.loadDone
-			s.mu.Unlock()
-			if loading {
-				<-done
-				s.mu.Lock()
-				if err := fr.loadErr; err != nil {
-					fr.pin.Add(-1)
-					s.mu.Unlock()
-					return nil, err
-				}
-				s.mu.Unlock()
-			}
-			return fr, nil
+			return p.pinResidentLocked(s, w, fr)
 		}
 		entry, err := p.table.Entry(id)
 		if err != nil {
@@ -678,18 +666,13 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 			// Someone loaded the page while we were evicting: leave the
 			// reclaimed frame free and retry as a hit.
 			fr.pin.Store(0)
+			s.freeLocked(fr)
 			dec(&s.stats.misses)
 			s.mu.Unlock()
 			continue
 		}
-		fr.ID = id
-		fr.ref.Store(true)
-		fr.New = false
-		fr.stampVersion()
-		fr.UsedSlots = 0
-		fr.RecLSN = 0
+		fr.bind(id, false)
 		fr.loading.Store(true)
-		fr.loadErr = nil
 		fr.pin.Store(1) // lifts the fence: the loader's pin
 		entry.Store(fr)
 		s.mu.Unlock()
@@ -707,6 +690,7 @@ func (p *Pool) Get(w *sim.Worker, id core.PageID) (*Frame, error) {
 			p.unbindLocked(fr) // unfenced, before loading clears: see the package doc
 			fr.loading.Store(false)
 			fr.loadFinishedLocked()
+			s.releaseFailedLocked(fr)
 			s.mu.Unlock()
 			return nil, err
 		}
@@ -734,6 +718,98 @@ func (p *Pool) hit(id core.PageID) *Frame {
 	}
 	fr.reference()
 	return fr
+}
+
+// pinResidentLocked pins fr, the frame page id is bound to, counts a
+// hit and, if fr's load is still in flight, waits for it. It is called
+// with s.mu held, s being the shard id routes to, and returns with it
+// released: the frame, or the load's error.
+func (p *Pool) pinResidentLocked(s *poolShard, w *sim.Worker, fr *Frame) (*Frame, error) {
+	fr.pin.Add(1) // a resident frame is not fenced under its mutex
+	fr.ref.Store(true)
+	p.hits.Of(w).Add(1)
+	loading := fr.loading.Load()
+	if loading && fr.loadDone == nil {
+		fr.loadDone = make(chan struct{})
+	}
+	done := fr.loadDone
+	s.mu.Unlock()
+	if !loading {
+		return fr, nil
+	}
+	<-done
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := fr.loadErr; err != nil {
+		fr.pin.Add(-1)
+		s.releaseFailedLocked(fr)
+		return nil, err
+	}
+	return fr, nil
+}
+
+// GetResident is Get without the fetch: it pins page id if the page is
+// resident, and returns nil, counting nothing, if it is not. A load in
+// flight is waited for; a load that fails leaves the page not resident.
+func (p *Pool) GetResident(w *sim.Worker, id core.PageID) *Frame {
+	if fr := p.hit(id); fr != nil {
+		p.hits.Of(w).Add(1)
+		return fr
+	}
+	s := p.shardOf(id)
+	s.mu.Lock()
+	fr := p.Peek(id)
+	if fr == nil {
+		s.mu.Unlock()
+		return nil
+	}
+	fr, _ = p.pinResidentLocked(s, w, fr)
+	return fr
+}
+
+// bind binds fr, a fenced free frame of the caller's shard, to page id:
+// the state a binding starts from, short of the pin and the table entry
+// that publish it. A free frame is ImageNone already (unbindLocked).
+func (fr *Frame) bind(id core.PageID, isNew bool) {
+	fr.ID = id
+	fr.ref.Store(true)
+	fr.New = isNew
+	fr.stampVersion()
+	fr.UsedSlots = 0
+	fr.RecLSN = 0
+	fr.loadErr = nil
+}
+
+// freeLocked puts fr, unbound and unpinned, on s's free list with its
+// reference bit clear: the next victim search takes it before the CLOCK
+// hand moves. The caller holds s.mu, and fr's home is s.
+func (s *poolShard) freeLocked(fr *Frame) {
+	fr.ref.Store(false)
+	fr.loadErr = nil
+	s.free = append(s.free, fr)
+}
+
+// releaseFailedLocked frees the frame of a failed load once its last
+// holder — the loader or the last waiter to read loadErr — has dropped
+// its pin. The caller holds s.mu and has dropped its own pin.
+func (s *poolShard) releaseFailedLocked(fr *Frame) {
+	if fr.pin.Load() == 0 && fr.ID == core.InvalidPageID {
+		s.freeLocked(fr)
+	}
+}
+
+// takeFreeLocked returns a frame of s's free list fenced, or nil once the
+// list holds none that is still free. The caller holds s.mu.
+func (s *poolShard) takeFreeLocked() *Frame {
+	for n := len(s.free); n > 0; n = len(s.free) {
+		fr := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		if fr.home.Load() == s && fr.ID == core.InvalidPageID && !fr.loading.Load() && fr.fenceIdle() {
+			return fr
+		}
+	}
+	return nil
 }
 
 // loadFinishedLocked releases the getters waiting for the load, if any.
@@ -771,17 +847,13 @@ func (p *Pool) GetNew(w *sim.Worker, id core.PageID) (*Frame, error) {
 		// Return that frame and leave the reclaimed one free, instead of
 		// overwriting the table entry and orphaning it.
 		fr.pin.Store(0)
+		s.freeLocked(fr)
 		exist.pin.Add(1)
 		exist.ref.Store(true)
 		return exist, nil
 	}
-	fr.ID = id
-	fr.ref.Store(true)
-	fr.New = true
-	fr.stampVersion()
+	fr.bind(id, true)
 	fr.dirty.Store(false)
-	fr.UsedSlots = 0
-	fr.RecLSN = 0
 	if fr.Data == nil {
 		fr.Data = make([]byte, p.cfg.PageSize)
 	} else {
@@ -1009,13 +1081,17 @@ func (s *poolShard) removeFrameLocked(i int) {
 	}
 }
 
-// victimLocked returns a free frame bound to no page, fenced, evicting
-// (and flushing) as needed using the CLOCK policy; the caller binds it or
-// lifts the fence. It is called with s.mu held and returns with s.mu
+// victimLocked returns a free frame bound to no page, fenced: one of the
+// shard's free list if it holds one, else the CLOCK policy's victim,
+// evicted (and flushed) as needed. The caller binds it or lifts the
+// fence. It is called with s.mu held and returns with s.mu
 // held, but may release the mutex while flushing a dirty victim (during
 // which the shard's frame slice can grow or shrink via stealing — the
 // loop re-reads its bounds).
 func (p *Pool) victimLocked(s *poolShard, w *sim.Worker) (*Frame, error) {
+	if fr := s.takeFreeLocked(); fr != nil {
+		return fr, nil
+	}
 	n := len(s.frames)
 	for round := 0; round < 4*n+2; round++ {
 		if n != len(s.frames) {
@@ -1232,5 +1308,6 @@ func (p *Pool) Drop(id core.PageID) error {
 	p.unbindLocked(fr)
 	fr.New = false
 	fr.pin.Store(0)
+	s.freeLocked(fr)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -499,5 +500,91 @@ func TestFrameOwnsItsCacheLines(t *testing.T) {
 		if addr := uintptr(unsafe.Pointer(fr)); addr%64 != 0 {
 			t.Errorf("frame of page %d at %#x, not on a line boundary", id, addr)
 		}
+	}
+}
+
+// A frame unbound outside eviction — by a failed load or by Drop — is
+// the next one bound, before the CLOCK hands out a slot nobody has used:
+// replaying a page that never reached storage (a failed Get, then GetNew
+// of the same id) costs one frame, not two. A getter parked on the failed
+// load still gets the load's error, and the rebound frame keeps none.
+func TestPoolReusesUnboundFrames(t *testing.T) {
+	st := newFakeStore(64)
+	p := newPool(t, 16, st) // page 5 is on no store: its Fetch fails
+	allocated := func(step string, want uint64) {
+		t.Helper()
+		if got := p.Stats().FramesAllocated; got != want {
+			t.Errorf("%s: %d frames allocated, want %d", step, got, want)
+		}
+	}
+	if _, err := p.Get(nil, 5); err == nil {
+		t.Fatal("fetch of a missing page succeeded")
+	}
+	fr, err := p.GetNew(nil, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated("failed Get, then GetNew", 1)
+	if fr.loadErr != nil {
+		t.Errorf("rebound frame keeps the failed load's error %v", fr.loadErr)
+	}
+	unpinClean(t, p, fr)
+	if err := p.Drop(5); err != nil {
+		t.Fatal(err)
+	}
+	if fr, err = p.GetNew(nil, 6); err != nil {
+		t.Fatal(err)
+	}
+	allocated("Drop, then GetNew", 1)
+	unpinClean(t, p, fr)
+
+	fetchErr := errors.New("gated: fetch failed")
+	gs := &gatedStore{entered: make(chan struct{}, 1), gate: make(chan struct{}), err: fetchErr}
+	if p, err = New(Config{Frames: 16, PageSize: 64, DirtyThreshold: 2.0}, gs); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	get := func() { _, err := p.Get(nil, 7); errs <- err }
+	go get()
+	<-gs.entered // the loader is inside Fetch
+	go get()
+	for p.Stats().Hits < 1 { // the waiter has found the load in flight
+		runtime.Gosched()
+	}
+	close(gs.gate)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, fetchErr) {
+			t.Errorf("getter of the failed load: error %v, want %v", err, fetchErr)
+		}
+	}
+	if fr, err = p.GetNew(nil, 7); err != nil {
+		t.Fatal(err)
+	}
+	allocated("failed load with a waiter, then GetNew", 1)
+	if fr.loadErr != nil {
+		t.Errorf("rebound frame keeps the failed load's error %v", fr.loadErr)
+	}
+}
+
+// GetResident pins a resident page and counts a hit; for a page that is
+// not resident it returns nil and fetches nothing, so it counts no miss.
+func TestGetResidentFetchesNothing(t *testing.T) {
+	st := newFakeStore(64)
+	st.pages[3] = make([]byte, 64)
+	p := newPool(t, 4, st)
+	if fr := p.GetResident(nil, 3); fr != nil {
+		t.Fatal("a page in storage only is resident")
+	}
+	fr, err := p.Get(nil, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unpinClean(t, p, fr)
+	if got := p.GetResident(nil, 3); got != fr {
+		t.Fatalf("GetResident of a resident page: %p, want %p", got, fr)
+	}
+	unpinClean(t, p, fr)
+	if s := p.Stats(); s.Misses != 1 || s.Hits != 1 {
+		t.Errorf("%d misses and %d hits, want the Get's miss and the GetResident's hit", s.Misses, s.Hits)
 	}
 }

@@ -465,8 +465,10 @@ func TestConcurrentMissWaitsForLoader(t *testing.T) {
 // shard mutex and clean and dirty Unpins, against everything that fences
 // a frame to unbind or rebind it — eviction (clean and dirty victims),
 // the cross-shard steal (eight shards of three frames, and a thief
-// pinning more pages of one shard than it has frames), Drop — and the
-// sweeps that claim frames: CleanerPass, FlushOldest and FlushAll. Every
+// pinning more pages of one shard than it has frames), Drop, failed
+// loads, whose frames go on the free list — and the sweeps that claim
+// frames: CleanerPass, FlushOldest and FlushAll. One getter pins with
+// GetResident, which fetches nothing. Every
 // page carries its id in byte 0, so a getter that was handed a frame
 // bound to another page, or whose frame was rebound while it held the
 // pin, sees it; a pinned frame's ID is checked again after the holder
@@ -627,6 +629,21 @@ func TestConcurrentLockFreePins(t *testing.T) {
 			return fmt.Errorf("drop %d: %w", id, err)
 		}
 		runtime.Gosched()
+		return nil
+	})
+	// The misser's loads fail — no store holds its pages — which puts
+	// their frames on the shard's free list for the next miss to take,
+	// while every other path evicts, steals and drops around it; it also
+	// pins hot pages with GetResident, which fetches nothing.
+	run("misser", func(i int) error {
+		id := core.PageID(1000 + i%16)
+		if _, err := p.Get(nil, id); err == nil {
+			return fmt.Errorf("get %d: a page no store holds was loaded", id)
+		}
+		hid := core.PageID(hotLo + i%(hotHi-hotLo+1))
+		if fr := p.GetResident(nil, hid); fr != nil {
+			return release(fr, hid, false)
+		}
 		return nil
 	})
 	run("maintenance", func(i int) error {

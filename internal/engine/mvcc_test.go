@@ -152,7 +152,7 @@ func TestSnapshotDeleteAndSlotReuse(t *testing.T) {
 	// Scans agree: preDelete sees 2 tuples, postDelete 1.
 	count := func(s *Tx) int {
 		n := 0
-		if err := tb.ScanSnapshot(s, core.RID{}, func(core.RID, []byte) bool { n++; return true }); err != nil {
+		if err := tb.ScanSnapshot(s, core.RID{}, nil, func(core.RID, []byte) bool { n++; return true }); err != nil {
 			t.Fatal(err)
 		}
 		return n

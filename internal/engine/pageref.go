@@ -100,19 +100,36 @@ func (db *DB) formatNew(w *sim.Worker, st *PageStore, id core.PageID) (pageRef, 
 }
 
 // pinRedo is pinPage for the replay paths — restart redo, the restart's
-// chain repair and the follower's applier: a page that was allocated but
-// never reached this node's flash is recreated empty, for replay to
-// rebuild from the log.
-func (db *DB) pinRedo(w *sim.Worker, st *PageStore, id core.PageID, excl bool) (pageRef, error) {
-	r, err := db.pinPage(w, st, id, excl)
-	if err == nil || st.region.Contains(id) {
+// chain repair, the follower's applier and promotion: a page that was
+// allocated but never reached this node's flash is recreated empty, for
+// replay to rebuild from the log. Three cases, in this order: the
+// resident frame, pinned with no fetch; a fetch, if the region maps the
+// page; else a new page. A flush maps a page before an eviction unbinds
+// its frame, so a page found not resident and then not mapped was never
+// flushed, and the format overwrites nothing a concurrent reader's
+// eviction wrote. Asking the region first would miss a page flushed and
+// evicted between the two questions. So a page never stored costs one
+// frame and no pool miss.
+func (db *DB) pinRedo(w *sim.Worker, st *PageStore, id core.PageID, excl bool) (r pageRef, err error) {
+	switch fr := db.pool.GetResident(w, id); {
+	case fr != nil:
+		r = pageRef{fr: fr, db: db, w: w}
+	case st.region.Contains(id):
+		if r, err = db.pin(w, id); err != nil {
+			return pageRef{}, err
+		}
+	default:
+		if r, err = db.formatNew(w, st, id); err == nil && !excl {
+			r.unlatch()
+			r.latch(false)
+		}
 		return r, err
 	}
-	if r, err = db.formatNew(w, st, id); err == nil && !excl {
-		r.unlatch()
-		r.latch(false)
+	r.latch(excl)
+	if err = r.attach(st); err != nil {
+		return pageRef{}, err
 	}
-	return r, err
+	return r, nil
 }
 
 // latch takes the content latch of a handle that holds none.

@@ -362,7 +362,7 @@ func TestApplierPatchBeforeImages(t *testing.T) {
 			}
 			defer snap.Abort()
 			got := make(map[core.RID][]byte)
-			if err := ftb.ScanSnapshot(snap, core.RID{}, func(rid core.RID, row []byte) bool {
+			if err := ftb.ScanSnapshot(snap, core.RID{}, nil, func(rid core.RID, row []byte) bool {
 				got[rid] = append([]byte(nil), row...)
 				return true
 			}); err != nil {

@@ -237,17 +237,22 @@ func (t *Table) ReadSnapshot(tx *Tx, rid core.RID) ([]byte, error) {
 	return heap, heapErr
 }
 
-// pageScan is a scan's copy of one heap page's tuples, reused page after
+// ScanBuf is a scan's copy of one heap page's tuples, reused page after
 // page: tups has one entry per slot, nil for a deleted slot (a live
-// tuple is never empty), each aliasing buf.
-type pageScan struct {
+// tuple is never empty), each aliasing buf. A caller that scans again
+// and again — a server session serving a table page by page — keeps one
+// and hands it to every ScanAfter or ScanSnapshot, so that a scan
+// allocates nothing once it has grown to a page's tuples. The zero value
+// is ready; a nil one gives the scan a buffer of its own. One scan at a
+// time may use it.
+type ScanBuf struct {
 	buf  []byte
 	tups [][]byte
 }
 
 // load copies the tuples of heap page id under its shared latch,
 // overwriting the previous page's.
-func (ps *pageScan) load(t *Table, w *sim.Worker, id core.PageID) error {
+func (ps *ScanBuf) load(t *Table, w *sim.Worker, id core.PageID) error {
 	db := t.db
 	defer db.rlockState(w).RUnlock()
 	pg, err := db.pinPage(w, t.st, id, false)
@@ -291,13 +296,15 @@ func (t *Table) heapPages() []core.PageID {
 	return t.pages[:len(t.pages):len(t.pages)]
 }
 
-// scanSlots copies the heap pages one at a time, from the page of after
-// on, and hands fn every slot strictly after after — nil for an empty
-// slot — in ascending RID order, until fn returns false. The zero RID
-// starts at the beginning: page 0 is never allocated.
-func (t *Table) scanSlots(w *sim.Worker, after core.RID, fn func(rid core.RID, tuple []byte) bool) error {
+// scanSlots copies the heap pages one at a time into ps, from the page
+// of after on, and hands fn every slot strictly after after — nil for an
+// empty slot — in ascending RID order, until fn returns false. The zero
+// RID starts at the beginning: page 0 is never allocated.
+func (t *Table) scanSlots(w *sim.Worker, after core.RID, ps *ScanBuf, fn func(rid core.RID, tuple []byte) bool) error {
 	pages := t.heapPages()
-	var ps pageScan
+	if ps == nil {
+		ps = new(ScanBuf)
+	}
 	for i := sort.Search(len(pages), func(i int) bool { return pages[i] >= after.Page }); i < len(pages); i++ {
 		id := pages[i]
 		if err := ps.load(t, w, id); err != nil {
@@ -320,7 +327,7 @@ func (t *Table) scanSlots(w *sim.Worker, after core.RID, fn func(rid core.RID, t
 // pinned LSN strictly after the RID after (the zero RID: every tuple),
 // in ascending RID order — heap order — until fn returns false, so a
 // scan cut after any tuple resumes with the next. Each page's slots
-// are copied under the shared latch into one buffer the scan reuses,
+// are copied under the shared latch into buf (see ScanBuf),
 // then resolved through the version store with no latches held (an
 // image the chain supplies is copied under its shard lock) — so a scan
 // holds no locks, blocks no writer and never aborts, regardless of
@@ -328,7 +335,7 @@ func (t *Table) scanSlots(w *sim.Worker, after core.RID, fn func(rid core.RID, t
 // deleted after the snapshot are resurrected from their chains; tuples
 // inserted after it are suppressed. tuple is valid until fn returns:
 // fn copies what it keeps.
-func (t *Table) ScanSnapshot(tx *Tx, after core.RID, fn func(rid core.RID, tuple []byte) bool) error {
+func (t *Table) ScanSnapshot(tx *Tx, after core.RID, buf *ScanBuf, fn func(rid core.RID, tuple []byte) bool) error {
 	db := t.db
 	if tx.status != txActive {
 		return fmt.Errorf("%w: tx %d", ErrTxClosed, tx.id)
@@ -339,7 +346,7 @@ func (t *Table) ScanSnapshot(tx *Tx, after core.RID, fn func(rid core.RID, tuple
 	if after == (core.RID{}) {
 		db.vs.snapScans.Add(1) // a resumed scan counts once, at its start
 	}
-	return t.scanSlots(tx.w, after, func(rid core.RID, tup []byte) bool {
+	return t.scanSlots(tx.w, after, buf, func(rid core.RID, tup []byte) bool {
 		data, absent, override := db.vs.resolve(rid, tx.snapshot)
 		switch {
 		case override && absent:
@@ -491,15 +498,16 @@ func (t *Table) Delete(tx *Tx, rid core.RID) error {
 // copied into one buffer the scan reuses, so tuple is valid until fn
 // returns: fn copies what it keeps.
 func (t *Table) Scan(w *sim.Worker, fn func(rid core.RID, tuple []byte) bool) error {
-	return t.ScanAfter(w, core.RID{}, fn)
+	return t.ScanAfter(w, core.RID{}, nil, fn)
 }
 
 // ScanAfter is Scan resumed strictly after the RID after: heap order is
 // ascending RID order, so a scan cut after any tuple continues with the
 // next one. Each page is consistent in itself; rows on pages the scan
-// has not reached yet may change before it gets there.
-func (t *Table) ScanAfter(w *sim.Worker, after core.RID, fn func(rid core.RID, tuple []byte) bool) error {
-	return t.scanSlots(w, after, func(rid core.RID, tup []byte) bool {
+// has not reached yet may change before it gets there. Pages are copied
+// into buf (see ScanBuf).
+func (t *Table) ScanAfter(w *sim.Worker, after core.RID, buf *ScanBuf, fn func(rid core.RID, tuple []byte) bool) error {
+	return t.scanSlots(w, after, buf, func(rid core.RID, tup []byte) bool {
 		return tup == nil || fn(rid, tup)
 	})
 }

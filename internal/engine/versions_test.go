@@ -102,7 +102,7 @@ func TestRecycledImagesAreNotTorn(t *testing.T) {
 				}
 				// A scanned tuple is valid until the callback returns: it
 				// is checked there, and a copy is kept.
-				if err := tb.ScanSnapshot(snap, core.RID{}, func(_ core.RID, tup []byte) bool {
+				if err := tb.ScanSnapshot(snap, core.RID{}, nil, func(_ core.RID, tup []byte) bool {
 					if why := uniform(tup); why != "" {
 						t.Errorf("reader %d: scanned tuple is torn: %s", r, why)
 						return false

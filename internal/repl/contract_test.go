@@ -49,7 +49,7 @@ func TestReplErrorsCarryTheirMessage(t *testing.T) {
 			}
 			status, resp := byte(wire.StatusOK), []byte(nil)
 			if f.Kind != wire.OpHello {
-				status, resp = node.HandleFrame(f.Kind, f.Payload)
+				status, resp = node.HandleFrame(f.Kind, f.Payload, new(wire.Builder))
 			}
 			if wire.WriteFrame(nc, f.ID, status, resp) != nil {
 				return
@@ -227,7 +227,7 @@ func TestHandlersDoNotRetainPayloads(t *testing.T) {
 	deliver := func(n *Node, kind byte, payload []byte) ack {
 		t.Helper()
 		payload = append([]byte(nil), payload...)
-		status, resp := n.HandleFrame(kind, payload)
+		status, resp := n.HandleFrame(kind, payload, new(wire.Builder))
 		for i := range payload {
 			payload[i] = 0xA5
 		}
@@ -317,7 +317,7 @@ func TestHandlersDoNotRetainPayloads(t *testing.T) {
 			t.Fatalf("%s: %v", what, err)
 		}
 		seen := 0
-		if err := ftbl.ScanSnapshot(snap, core.RID{}, func(rid core.RID, row []byte) bool {
+		if err := ftbl.ScanSnapshot(snap, core.RID{}, nil, func(rid core.RID, row []byte) bool {
 			seen++
 			if !bytes.Equal(row, want[rid]) {
 				t.Errorf("%s: row %v = %x, the leader had %x", what, rid, row, want[rid])
@@ -389,6 +389,51 @@ func TestOldProtocolVersionIsRefused(t *testing.T) {
 		}
 		if f.Kind != c.status {
 			t.Errorf("HELLO version %d answered status %d, want %d", c.version, f.Kind, c.status)
+		}
+	}
+}
+
+// A follower answers every REPL_APPEND with an ack, so the ack is
+// encoded into the session's reply buffer rather than a fresh one: the
+// reply of a heartbeat — an append with no records — and that of a stale
+// leader's append allocate nothing.
+func TestAppendAckAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	db, tl, err := NewMemberDB(MemberSpec{Chips: 2, BlocksPerChip: 16, PageSize: 1024, BufferFrames: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	n, err := NewNode(Config{
+		NodeID: 2, Peers: map[uint64]string{1: "127.0.0.1:1", 2: "127.0.0.1:2"},
+		DB: db, TL: tl, ElectionTimeout: time.Hour, // never campaigns during the test
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	heartbeat := func(term uint64) []byte {
+		b := new(wire.Builder)
+		encodeAppendHeader(b, term, 1, 0, []epoch{{Term: 1, From: 1}}, db.WAL().Head()+1)
+		return b.Uint32(0).Bytes()
+	}
+	out := new(wire.Builder)
+	for _, c := range []struct {
+		name    string
+		payload []byte
+	}{{"heartbeat", heartbeat(2)}, {"stale leader", heartbeat(1)}} {
+		var status byte
+		var resp []byte
+		allocs := testing.AllocsPerRun(200, func() {
+			status, resp = n.HandleFrame(wire.OpReplAppend, c.payload, out)
+		})
+		if a, err := decodeAck(resp); status != wire.StatusOK || err != nil || a.Term != 2 {
+			t.Fatalf("%s: status %d, ack %+v, %v", c.name, status, a, err)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: the append and its ack allocate %.1f times, want 0", c.name, allocs)
 		}
 	}
 }

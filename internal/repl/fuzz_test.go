@@ -184,7 +184,7 @@ func FuzzReplAppendDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer n.Stop()
-		if status, _ := n.HandleFrame(wire.OpReplAppend, l.prefix); status != wire.StatusOK || db.WAL().Head() != l.head {
+		if status, _ := n.HandleFrame(wire.OpReplAppend, l.prefix, new(wire.Builder)); status != wire.StatusOK || db.WAL().Head() != l.head {
 			t.Fatalf("prefix: status %d, head %d, want head %d", status, db.WAL().Head(), l.head)
 		}
 		tbl, err := db.Table("rows")
@@ -205,7 +205,7 @@ func FuzzReplAppendDecode(f *testing.F) {
 
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		status, resp := n.HandleFrame(wire.OpReplAppend, append([]byte(nil), body...))
+		status, resp := n.HandleFrame(wire.OpReplAppend, append([]byte(nil), body...), new(wire.Builder))
 		runtime.ReadMemStats(&m1)
 		// The most a body may cost is what it logs plus, for each page
 		// allocation, 64 page-table entries (engine.wireIDWindow).

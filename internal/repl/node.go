@@ -651,15 +651,17 @@ func (n *Node) requestVotes(term uint64, lastLSN core.LSN, lastTerm uint64) int 
 // buffer and belongs to the node only until HandleFrame returns:
 // handlers decode, apply and install before they return, and what the
 // engine keeps it copies itself (decoded records alias the payload; see
-// decodeRecord).
-func (n *Node) HandleFrame(kind byte, payload []byte) (byte, []byte) {
+// decodeRecord). The acks of REPL_APPEND and REPL_SNAPSHOT are encoded
+// into out, the session's reply buffer, so a stream of batches
+// allocates no reply.
+func (n *Node) HandleFrame(kind byte, payload []byte, out *wire.Builder) (byte, []byte) {
 	switch kind {
 	case wire.OpReplHello:
 		return n.handleHello(payload)
 	case wire.OpReplAppend:
-		return n.handleAppend(payload)
+		return n.handleAppend(payload, out)
 	case wire.OpReplSnap:
-		return n.handleSnap(payload)
+		return n.handleSnap(payload, out)
 	case wire.OpVoteReq:
 		return n.handleVote(payload)
 	default:
@@ -696,7 +698,7 @@ func (n *Node) ackNow(term uint64, needSnap bool) ack {
 	}
 }
 
-func (n *Node) handleAppend(payload []byte) (byte, []byte) {
+func (n *Node) handleAppend(payload []byte, out *wire.Builder) (byte, []byte) {
 	r := wire.NewReader(payload)
 	var ebuf [4]epoch
 	term, leaderID, commit, epochs, first, count, err := decodeAppendHeader(r, ebuf[:0])
@@ -708,7 +710,7 @@ func (n *Node) handleAppend(payload []byte) (byte, []byte) {
 		// Stale leader: tell it the real term so it steps down.
 		cur := n.term
 		n.mu.Unlock()
-		return wire.StatusOK, n.ackNow(cur, false).encode()
+		return wire.StatusOK, n.ackNow(cur, false).encode(out)
 	}
 	n.observeLeaderLocked(term, leaderID)
 	// Adopt the leader's epoch table with its records: our log is (a
@@ -743,10 +745,10 @@ func (n *Node) handleAppend(payload []byte) (byte, []byte) {
 			needSnap = true
 		}
 	}
-	return wire.StatusOK, n.ackNow(term, needSnap).encode()
+	return wire.StatusOK, n.ackNow(term, needSnap).encode(out)
 }
 
-func (n *Node) handleSnap(payload []byte) (byte, []byte) {
+func (n *Node) handleSnap(payload []byte, out *wire.Builder) (byte, []byte) {
 	term, leaderID, epochs, image, err := decodeSnap(payload)
 	if err != nil {
 		return failResp(wire.StatusBadRequest, err)
@@ -755,7 +757,7 @@ func (n *Node) handleSnap(payload []byte) (byte, []byte) {
 	if term < n.term || (term == n.term && n.is(RoleLeader)) {
 		cur := n.term
 		n.mu.Unlock()
-		return wire.StatusOK, n.ackNow(cur, false).encode()
+		return wire.StatusOK, n.ackNow(cur, false).encode(out)
 	}
 	n.observeLeaderLocked(term, leaderID)
 	n.mu.Unlock()
@@ -788,7 +790,7 @@ func (n *Node) handleSnap(payload []byte) (byte, []byte) {
 	if err != nil {
 		return failResp(wire.StatusInternal, err)
 	}
-	return wire.StatusOK, n.ackNow(term, false).encode()
+	return wire.StatusOK, n.ackNow(term, false).encode(out)
 }
 
 func (n *Node) handleVote(payload []byte) (byte, []byte) {

@@ -80,9 +80,9 @@ type ack struct {
 	NeedSnap      bool // apply failed (gap/divergence); send a snapshot
 }
 
-func (a ack) encode() []byte {
-	b := wire.NewBuilder(28)
-	b.Uint16(uint16(wire.OpReplAck)) // tag
+// encode writes the ack into b, replacing what b held, and returns it.
+func (a ack) encode(b *wire.Builder) []byte {
+	b.Reset().Uint16(uint16(wire.OpReplAck)) // tag
 	b.Uint64(a.Term).Uint64(uint64(a.Head)).Uint64(a.AppendedBytes)
 	if a.NeedSnap {
 		b.Uint16(1)

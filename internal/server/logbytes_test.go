@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ipa/internal/client"
+	"ipa/internal/core"
 	"ipa/internal/netload"
 	"ipa/internal/repl"
 	"ipa/internal/workload"
@@ -159,6 +160,75 @@ func TestServedTPCBLogBytesKept(t *testing.T) {
 		t.Logf("member %d: %.0f B of log kept per transaction", i+1, per)
 		if per > 250 {
 			t.Errorf("member %d keeps %.0f B of log per served TPC-B transaction, want <= 250", i+1, per)
+		}
+	}
+}
+
+// What a follower's buffer pool holds once it has replayed a TPC-B load:
+// the leader's heap pages, one frame each (the log rebuilds no index
+// page, so the leader's account index is not replayed). The load ends
+// with a flush on the leader only, so none of these pages is on a
+// follower's flash. Replay pins a page it finds resident, fetches one its
+// flash maps and formats one neither holds, so such a page costs no pool
+// miss and no second frame. When replay asked the pool to fetch it
+// first, the failed load stranded a frame behind the CLOCK hand, and each
+// follower held two frames and one miss a page.
+func TestServedFollowerFramesMatchLeader(t *testing.T) {
+	cl, err := repl.NewCluster(repl.ClusterConfig{N: 3, BufferFrames: 1 << 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	lead := cl.Members[0]
+	if err := workload.NewTPCB(lead.DB, "data", 2, 2000).Load(lead.TL.NewWorker()); err != nil {
+		t.Fatal(err)
+	}
+	head := lead.Node.Stats().HeadLSN
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		caughtUp := true
+		for _, m := range cl.Members[1:] {
+			caughtUp = caughtUp && m.Node.Stats().AppliedLSN >= head
+		}
+		if caughtUp {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("followers did not apply the leader's log up to LSN %d", head)
+		}
+	}
+	// The leader's heap pages, as its tables' scans see them.
+	heap := map[core.RID]bool{}
+	w := lead.TL.NewWorker()
+	for _, name := range []string{"tpcb_branch", "tpcb_teller", "tpcb_account", "tpcb_history"} {
+		tbl, err := lead.DB.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Scan(w, func(rid core.RID, _ []byte) bool {
+			heap[core.RID{Page: rid.Page}] = true
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frames := uint64(len(heap))
+	for _, m := range cl.Members[1:] {
+		st, err := m.DB.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fetched uint64
+		for _, s := range st.Stores {
+			fetched += s.Fetches
+		}
+		got := st.Pool.FramesAllocated
+		t.Logf("member %d: %d frames for the leader's %d heap pages, %d misses, %d fetches", m.ID, got, frames, st.Pool.Misses, fetched)
+		if got*100 > frames*101 || got*100 < frames*99 {
+			t.Errorf("member %d holds %d frames for the leader's %d heap pages: want within 1%%", m.ID, got, frames)
+		}
+		if st.Pool.Misses != fetched {
+			t.Errorf("member %d: %d pool misses, %d fetches: replay missed %d pages its flash does not hold",
+				m.ID, st.Pool.Misses, fetched, st.Pool.Misses-fetched)
 		}
 	}
 }

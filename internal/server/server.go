@@ -43,7 +43,9 @@ type Replicator interface {
 	IsLeader() bool
 	LeaderAddr() string // "" when no leader is known
 	WaitCommitted(lsn core.LSN) error
-	HandleFrame(kind byte, payload []byte) (status byte, resp []byte)
+	// HandleFrame may build resp in out, the session's reply buffer,
+	// which stays the session's: it is valid until the next request.
+	HandleFrame(kind byte, payload []byte, out *wire.Builder) (status byte, resp []byte)
 	StatsDoc() any
 }
 

@@ -43,6 +43,9 @@ type session struct {
 	// readBuf receives the tuple of a READ before it is copied into out,
 	// request after request.
 	readBuf []byte
+	// scanBuf holds the heap page a SCAN or SNAPSCAN page is copied
+	// from, scan page after scan page.
+	scanBuf engine.ScanBuf
 
 	txs    map[uint64]*engine.Tx
 	poison map[uint64]string // txid → first failed op, set until COMMIT/ABORT
@@ -375,7 +378,7 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 		if s.srv.cfg.Repl == nil {
 			return wire.StatusBadRequest, s.errPayload("replication not configured on this server")
 		}
-		return s.srv.cfg.Repl.HandleFrame(f.Kind, f.Payload)
+		return s.srv.cfg.Repl.HandleFrame(f.Kind, f.Payload, &s.out)
 
 	case wire.OpBegin:
 		id := r.Uint64()
@@ -630,9 +633,9 @@ func (s *session) scan(tbl *engine.Table, snap *engine.Tx, after wire.RID, want 
 	}
 	var err error
 	if snap != nil {
-		err = tbl.ScanSnapshot(snap, coreRID(after), visit)
+		err = tbl.ScanSnapshot(snap, coreRID(after), &s.scanBuf, visit)
 	} else {
-		err = tbl.ScanAfter(s.w, coreRID(after), visit)
+		err = tbl.ScanAfter(s.w, coreRID(after), &s.scanBuf, visit)
 	}
 	if err != nil {
 		return s.fail(err)

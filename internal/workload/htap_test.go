@@ -184,7 +184,7 @@ func (h *HTAP) runScan(w *sim.Worker) error {
 			{h.branch, h.schCtl, &bSum},
 		} {
 			sch, sum := s.sch, s.sum
-			if err := s.tbl.ScanSnapshot(tx, core.RID{}, func(_ core.RID, tup []byte) bool {
+			if err := s.tbl.ScanSnapshot(tx, core.RID{}, nil, func(_ core.RID, tup []byte) bool {
 				*sum += sch.GetUint(tup, 2)
 				return true
 			}); err != nil {
