@@ -19,6 +19,11 @@
 // The server executes a connection's requests serially in order, and a
 // failed op poisons its transaction so the pipelined COMMIT aborts —
 // the burst is safe even when a middle op fails.
+//
+// A reply payload (Wait's Frame.Payload) is a fresh buffer the caller
+// owns, and the decoders alias it (Read's tuple, ScanEntry.Data,
+// wire.Reader.Blob): what must be kept without the rest of its reply is
+// copied explicitly (bytes.Clone).
 package client
 
 import (
@@ -342,8 +347,7 @@ func (p *Pending) resolve(f wire.Frame) (wire.Frame, error) {
 		return f, &wire.RedirectError{Leader: wire.NewReader(f.Payload).String()}
 	}
 	if f.Kind != wire.StatusOK {
-		msg := wire.NewReader(f.Payload).Blob()
-		return f, &wire.StatusError{Code: f.Kind, Message: string(msg)}
+		return f, &wire.StatusError{Code: f.Kind, Message: string(wire.NewReader(f.Payload).Blob())}
 	}
 	return f, nil
 }

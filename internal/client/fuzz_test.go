@@ -28,7 +28,9 @@ func encodePage(more bool, next wire.RID, rows ...wire.RID) []byte {
 // again from the rows decoded it gives back the page byte for byte, its
 // rows ascend strictly from after, it holds no more rows than wanted,
 // and a page that goes on resumes past after and past its last row — so
-// a scan that follows pages cannot repeat a row or loop.
+// a scan that follows pages cannot repeat a row or loop. And each row's
+// capacity ends with its bytes, so an append to one row cannot write
+// into the rows after it.
 func FuzzScanPage(f *testing.F) {
 	r := func(page uint64, slot uint16) wire.RID { return wire.RID{Page: page, Slot: slot} }
 	valid := encodePage(true, r(3, 1), r(2, 0), r(2, 5), r(3, 1))
@@ -61,6 +63,9 @@ func FuzzScanPage(f *testing.F) {
 		rows := got[1:]
 		b := wire.NewBuilder(len(p)).Uint32(uint32(len(rows)))
 		for _, e := range rows {
+			if cap(e.Data) != len(e.Data) {
+				t.Fatalf("row %v holds %d bytes with capacity %d: an append to it would write over the page", e.RID, len(e.Data), cap(e.Data))
+			}
 			b.RID(e.RID).Blob(e.Data)
 		}
 		if more {

@@ -61,8 +61,7 @@ func (c *Conn) Read(table string, rid wire.RID) ([]byte, error) {
 		return nil, err
 	}
 	r := wire.NewReader(f.Payload)
-	data := r.Blob()
-	return data, r.Err()
+	return r.Blob(), r.Err()
 }
 
 // ReadAsync pipelines a read; Wait's frame payload is the tuple blob.
@@ -181,7 +180,7 @@ func checkPage(p []byte, after wire.RID, want uint32) (uint32, wire.RID, bool, e
 	last := after
 	for i := uint32(0); i < count; i++ {
 		rid := r.RID()
-		r.BlobView()
+		r.Blob()
 		if r.Err() == nil && !ridLess(last, rid) {
 			return 0, after, false, fmt.Errorf("row %v does not follow %v", rid, last)
 		}
@@ -208,7 +207,7 @@ func checkPage(p []byte, after wire.RID, want uint32) (uint32, wire.RID, bool, e
 func appendRows(dst []ScanEntry, p []byte) []ScanEntry {
 	r := wire.NewReader(p)
 	for n := r.Uint32(); n > 0; n-- {
-		dst = append(dst, ScanEntry{RID: r.RID(), Data: r.BlobView()})
+		dst = append(dst, ScanEntry{RID: r.RID(), Data: r.Blob()})
 	}
 	return dst
 }
@@ -244,8 +243,7 @@ func (c *Conn) SnapshotRead(tx uint64, table string, rid wire.RID) ([]byte, erro
 		return nil, err
 	}
 	r := wire.NewReader(f.Payload)
-	data := r.Blob()
-	return data, r.Err()
+	return r.Blob(), r.Err()
 }
 
 // SnapshotScan returns up to limit tuples (0 = all) visible at the
@@ -264,8 +262,7 @@ func (c *Conn) Stats() ([]byte, error) {
 		return nil, err
 	}
 	r := wire.NewReader(f.Payload)
-	raw := r.Blob()
-	return raw, r.Err()
+	return r.Blob(), r.Err()
 }
 
 // Ping round-trips an empty frame.

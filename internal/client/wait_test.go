@@ -88,6 +88,44 @@ func TestRequestAllocs(t *testing.T) {
 	}
 }
 
+// A read's reply is decoded where it landed: a pipelined burst of three
+// READs, each resolved with Wait and its row decoded with Blob, costs
+// the client one allocation per read, the payload readLoop reads the
+// reply into. A Blob that copied the row made it two.
+func TestReadReplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Pendings under the race detector")
+	}
+	row := make([]byte, 100)
+	reply := wire.NewBuilder(4 + len(row)).Blob(row).Bytes()
+	srv := startFakeServer(t, func(wire.Frame) (byte, []byte) { return wire.StatusOK, reply })
+	c, err := Dial(srv.addr(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const reads = 3
+	rids := [reads]wire.RID{{Page: 7, Slot: 3}, {Page: 9, Slot: 1}, {Page: 2, Slot: 0}}
+	if allocs := testing.AllocsPerRun(200, func() {
+		var ps [reads]*Pending
+		for i, rid := range rids {
+			ps[i] = c.ReadAsync("tpcb_account", rid)
+		}
+		for _, p := range ps {
+			f, err := p.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := wire.NewReader(f.Payload)
+			if data := r.Blob(); len(data) != len(row) || r.End() != nil {
+				t.Fatalf("read %d bytes, %v", len(data), r.Err())
+			}
+		}
+	}); allocs > reads {
+		t.Errorf("a burst of %d READs allocates %.0f times, want at most %d", reads, allocs, reads)
+	}
+}
+
 // The pending table is a ring indexed by request id. It must grow past
 // its initial size without losing or crossing a request, from many
 // goroutines at once, and a lost connection must wake everything in it.

@@ -272,11 +272,11 @@ func decodeRecord(r *wire.Reader, lsn core.LSN) (wal.Record, error) {
 		rec.UndoNext = core.LSN(r.Uint64())
 	}
 	if flags&recHasImages != 0 {
-		rec.Before = r.BlobView()
-		rec.After = r.BlobView()
+		rec.Before = r.Blob()
+		rec.After = r.Blob()
 	}
 	if flags&recHasMeta != 0 {
-		rec.Meta = r.BlobView()
+		rec.Meta = r.Blob()
 	}
 	if flags&recHasTables != 0 {
 		if n := int(r.Uint32()); n > 0 && r.Err() == nil {
@@ -331,6 +331,6 @@ func decodeSnap(p []byte) (term, leaderID uint64, epochs []epoch, image []byte, 
 			epochs = append(epochs, epoch{Term: r.Uint64(), From: core.LSN(r.Uint64())})
 		}
 	}
-	image = r.BlobView()
+	image = r.Blob()
 	return term, leaderID, epochs, image, r.Err()
 }

@@ -37,7 +37,7 @@ func decodeScanPage(p []byte) (scanPage, error) {
 	count := r.Uint32()
 	for i := uint32(0); i < count && r.Err() == nil; i++ {
 		pg.rids = append(pg.rids, r.RID())
-		pg.bytes += len(r.BlobView())
+		pg.bytes += len(r.Blob())
 	}
 	if more := r.Byte(); more == 1 {
 		pg.more, pg.next = true, r.RID()

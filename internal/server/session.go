@@ -439,7 +439,7 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 		return wire.StatusOK, nil
 
 	case wire.OpInsert:
-		id, name, data := r.Uint64(), r.StringView(), r.BlobView()
+		id, name, data := r.Uint64(), r.StringView(), r.Blob()
 		if err := r.Err(); err != nil {
 			return s.fail(err)
 		}
@@ -477,7 +477,7 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 		return wire.StatusOK, s.out.Reset().Blob(data).Bytes()
 
 	case wire.OpUpdate:
-		id, name, rid, data := r.Uint64(), r.StringView(), r.RID(), r.BlobView()
+		id, name, rid, data := r.Uint64(), r.StringView(), r.RID(), r.Blob()
 		if err := r.Err(); err != nil {
 			return s.fail(err)
 		}
@@ -487,7 +487,7 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 
 	case wire.OpUpdateField:
 		id, name, rid := r.Uint64(), r.StringView(), r.RID()
-		off, val := r.Uint32(), r.BlobView()
+		off, val := r.Uint32(), r.Blob()
 		if err := r.Err(); err != nil {
 			return s.fail(err)
 		}

@@ -508,6 +508,9 @@ func (b *Builder) RID(r RID) *Builder {
 // Reader decodes wire-encoded values from a payload buffer. The first
 // decode failure sticks: subsequent reads return zero values and Err()
 // reports the failure, so call sites chain reads and check once.
+// StringView and Blob copy nothing: they alias the payload, which on the
+// server lives until the session's handle returns and on the client
+// belongs to the caller. What must outlive it is copied (bytes.Clone).
 type Reader struct {
 	buf []byte
 	off int
@@ -545,7 +548,7 @@ func (r *Reader) take(n int) []byte {
 			ErrBadRequest, n, r.off, len(r.buf))
 		return nil
 	}
-	p := r.buf[r.off : r.off+n]
+	p := r.buf[r.off : r.off+n : r.off+n]
 	r.off += n
 	return p
 }
@@ -592,20 +595,16 @@ func (r *Reader) String() string {
 }
 
 // StringView decodes a u16-length-prefixed string without copying it:
-// the result aliases the payload, like BlobView.
+// the result aliases the payload, like Blob.
 func (r *Reader) StringView() []byte {
 	return r.take(int(r.Uint16()))
 }
 
-// Blob decodes a u32-length-prefixed byte slice (copied, so the caller
-// may retain it past the frame buffer).
+// Blob decodes a u32-length-prefixed byte slice without copying it: the
+// result aliases the payload, with its capacity ending where the blob
+// does, so an append to it copies instead of writing over the bytes
+// that follow. A truncated blob is nil.
 func (r *Reader) Blob() []byte {
-	return append([]byte(nil), r.BlobView()...)
-}
-
-// BlobView decodes a u32-length-prefixed byte slice without copying it:
-// the result aliases the payload and lives only as long as that buffer.
-func (r *Reader) BlobView() []byte {
 	return r.take(int(r.Uint32()))
 }
 

@@ -190,27 +190,45 @@ func TestWriteFrameBuffered(t *testing.T) {
 	}
 }
 
-func TestBuilderReuseAndBlobView(t *testing.T) {
+// Blob aliases the payload: it shares the payload's array, and its
+// capacity ends with the blob, so an append to it copies rather than
+// writing over the bytes that follow. A zero-length blob is empty, a
+// truncated one nil.
+func TestBuilderReuseAndBlobAliases(t *testing.T) {
 	b := NewBuilder(8)
 	at := b.Uint64(1).Len()
-	b.Uint32(0).Blob([]byte("abc"))
+	b.Uint32(0).Blob([]byte("abc")).Blob(nil).Uint16(7)
 	b.SetUint32(at, 3)
 	r := NewReader(b.Bytes())
 	if r.Uint64() != 1 || r.Uint32() != 3 {
 		t.Fatal("SetUint32 did not patch the reserved count")
 	}
-	view := r.BlobView()
+	view := r.Blob()
 	if string(view) != "abc" || r.Err() != nil {
-		t.Fatalf("BlobView = %q, %v", view, r.Err())
+		t.Fatalf("Blob = %q, %v", view, r.Err())
 	}
 	if &view[0] != &b.Bytes()[16] {
-		t.Error("BlobView copied the payload")
+		t.Error("Blob copied the payload")
+	}
+	if cap(view) != len(view) {
+		t.Errorf("Blob cap = %d, want its length %d", cap(view), len(view))
+	}
+	before := bytes.Clone(b.Bytes())
+	_ = append(view, 0xEE, 0xEE, 0xEE, 0xEE)
+	if !bytes.Equal(b.Bytes(), before) {
+		t.Errorf("an append to a Blob changed the payload: %x, was %x", b.Bytes(), before)
+	}
+	if empty := r.Blob(); len(empty) != 0 || cap(empty) != 0 || r.Err() != nil {
+		t.Errorf("zero-length Blob = %#v (cap %d), %v; want empty", empty, cap(empty), r.Err())
+	}
+	if r.Uint16() != 7 || r.End() != nil {
+		t.Fatalf("decoding past the blobs: %v", r.Err())
 	}
 	if b.Reset().Len() != 0 || len(b.Uint16(9).Bytes()) != 2 {
 		t.Error("Reset did not empty the builder")
 	}
-	if NewReader([]byte{0, 0, 0, 9, 1}).BlobView() != nil {
-		t.Error("truncated BlobView returned data")
+	if NewReader([]byte{0, 0, 0, 9, 1}).Blob() != nil {
+		t.Error("truncated Blob returned data")
 	}
 }
 
