@@ -142,9 +142,14 @@ reach:
 # ReadReplyAllocs: a client read costs one allocation, its reply
 # payload; the row is decoded in place, not copied out of it. Since no
 # GC runs in a served benchmark phase, a copy per row read shows in the
-# peak.
+# peak. ReleasedTPCBTransactionAllocs: an engine TPC-B transaction whose
+# caller releases its Tx allocates nothing, the next Begin draws the
+# released handle back (1 without Release: the Tx).
+# ServedTPCBTransactionAllocs: the same transaction pipelined through a
+# session allocates no more than that, so the session releases each Tx
+# it ends. Both skip under -race, where sync.Pool drops handles.
 footprint:
-	$(GO) test -count=1 -run 'IdleDevice|EraseReleases|LazyFrames|MemberFootprint|MappedBlocks|OffHeap|VersionStoreFootprint|RetainedBytesPerRecord|ServedTPCBLogBytesKept|ScanPageFootprint|PoolReusesUnboundFrames|ServedFollowerFramesMatchLeader|AppendAckAllocatesNothing|ReadReplyAllocs' \
+	$(GO) test -count=1 -run 'IdleDevice|EraseReleases|LazyFrames|MemberFootprint|MappedBlocks|OffHeap|VersionStoreFootprint|RetainedBytesPerRecord|ServedTPCBLogBytesKept|ScanPageFootprint|PoolReusesUnboundFrames|ServedFollowerFramesMatchLeader|AppendAckAllocatesNothing|ReadReplyAllocs|ReleasedTPCBTransactionAllocs|ServedTPCBTransactionAllocs' \
 		./internal/flash ./internal/buffer ./internal/repl ./internal/engine ./internal/wal ./internal/server ./internal/client
 
 # bench/ is a module of its own that compiles against internal/client,
@@ -206,6 +211,10 @@ race:
 # readers, a truncator and the packing of cold segments, every record
 # read compared byte for byte; a segment packed before the published
 # horizon passed it fails it.
+# TestRecycledTxUnderSnapshotScans: sessions end transactions on every
+# path (commit, abort, lock conflict, dropped connection) and release
+# their engine.Tx while snapshots scan; a handle released twice or while
+# in use is drawn by two transactions at once.
 race-regress:
 	$(GO) test -race -count=20 -run 'TestYCSBMixes' ./internal/workload
 	$(GO) test -race -count=10 -run 'TestAddFieldLostUpdate' ./internal/engine
@@ -217,6 +226,7 @@ race-regress:
 	$(GO) test -race -count=5 -run 'TestFlushedImage' ./internal/engine
 	$(GO) test -race -count=10 -run 'TestOLCDescentStress' ./internal/engine
 	$(GO) test -race -count=10 -run 'TestRecycledImagesAreNotTorn' ./internal/engine
+	$(GO) test -race -count=5 -run 'TestRecycledTxUnderSnapshotScans|TestReleaseRecyclesTx' ./internal/server ./internal/engine
 	$(GO) test -count=200 -run TestConcurrentNoWaitLocking ./internal/engine
 
 # Each native fuzz target for 10 s. Their seed corpora run as ordinary

@@ -390,7 +390,6 @@ func (db *DB) newPage(w *sim.Worker, st *PageStore, owner uint64, flags uint16) 
 		db.pageDir.delete(id)
 		return pageRef{}, err
 	}
-	pg.SetOwner(owner)
 	pg.SetFlags(flags)
 	if db.opts.Replicated {
 		// Published before the page's first update record (same

@@ -399,46 +399,73 @@ func TestAddFieldAllocs(t *testing.T) {
 // and one more pass come first, in a pool large enough that the warm-up's
 // history pages stay resident: each shard's free list then holds as many
 // entries, with image buffers, as it ever needs between two passes, so
-// the measured transactions take every before-image from there.
+// the measured transactions take every before-image from there. This is
+// the caller that never releases its handles.
 func TestTPCBTransactionAllocs(t *testing.T) {
 	forMVCC(t, func(t *testing.T, mvcc bool) {
-		frames := 64
-		if mvcc {
-			frames = 256
-		}
-		r := allocRig(t, frames, mvcc)
-		acct, _ := r.db.CreateTable("acct", "main")
-		hist, _ := r.db.CreateTable("hist", "main")
-		rids := patchRows(t, r.db, acct, 24)
-		row := make([]byte, 24)
-		i := 0
-		txn := func() {
-			tx := mustBegin(r.db, nil)
-			for k := range 3 {
-				if err := acct.AddField(tx, rids[(3*i+k)%len(rids)], 8, 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := hist.Insert(tx, row); err != nil {
-				t.Fatal(err)
-			}
-			if err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			i++
-		}
-		if mvcc {
-			for range 3000 {
-				txn()
-			}
-			reapNow(r.db)
-		}
-		allocs := testing.AllocsPerRun(200, txn)
-		t.Logf("TPC-B-shaped transaction: %.3f allocs/op", allocs)
+		allocs := tpcbTransactionAllocs(t, mvcc, false)
 		if allocs > 1 {
 			t.Errorf("a TPC-B-shaped transaction allocates %.2f times, want <= 1", allocs)
 		}
 	})
+}
+
+// The same transaction, released after its commit, allocates nothing:
+// the next Begin draws the handle back from the DB's free pool.
+func TestReleasedTPCBTransactionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops released handles at random")
+	}
+	forMVCC(t, func(t *testing.T, mvcc bool) {
+		if allocs := tpcbTransactionAllocs(t, mvcc, true); allocs > 0 {
+			t.Errorf("a released TPC-B-shaped transaction allocates %.2f times, want 0", allocs)
+		}
+	})
+}
+
+// tpcbTransactionAllocs measures the allocations of one TPC-B-shaped
+// transaction, after the warm-up that MVCC needs; release hands each
+// ended transaction back with Tx.Release.
+func tpcbTransactionAllocs(t *testing.T, mvcc, release bool) float64 {
+	frames := 64
+	if mvcc {
+		frames = 256
+	}
+	r := allocRig(t, frames, mvcc)
+	acct, _ := r.db.CreateTable("acct", "main")
+	hist, _ := r.db.CreateTable("hist", "main")
+	rids := patchRows(t, r.db, acct, 24)
+	row := make([]byte, 24)
+	i := 0
+	txn := func() {
+		tx := mustBegin(r.db, nil)
+		for k := range 3 {
+			if err := acct.AddField(tx, rids[(3*i+k)%len(rids)], 8, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := hist.Insert(tx, row); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if release {
+			if err := tx.Release(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i++
+	}
+	if mvcc {
+		for range 3000 {
+			txn()
+		}
+		reapNow(r.db)
+	}
+	allocs := testing.AllocsPerRun(200, txn)
+	t.Logf("TPC-B-shaped transaction (release %v): %.3f allocs/op", release, allocs)
+	return allocs
 }
 
 // A one-field change flushed as a delta-record allocates the planned

@@ -19,10 +19,15 @@ const (
 	txActive txStatus = iota
 	txCommitted
 	txAborted
+	txReleased // handed back by Release: in the free pool, emptied
 )
 
 // ErrTxClosed is returned when operating on a finished transaction.
 var ErrTxClosed = errors.New("engine: transaction already closed")
+
+// ErrTxActive is returned by Release for a transaction that has not
+// ended.
+var ErrTxActive = errors.New("engine: transaction still active")
 
 // ErrLockConflict is returned when a tuple is exclusively locked by
 // another active transaction. Locking is no-wait (immediate failure), so
@@ -55,6 +60,15 @@ func (a *atomicLSN) store(l core.LSN) { a.v.Store(uint64(l)) }
 // rolls back via the normal ARIES path — which, with IPA, may read pages
 // whose uncommitted changes live in delta-records on flash (Sec. 6.2,
 // rollback discussion).
+//
+// Lifetime: a handle lives from Begin (or BeginSnapshot) until its
+// caller calls Release once the transaction has ended — Commit, or an
+// Abort that succeeded — which hands the handle back for a later Begin
+// or BeginSnapshot, of any DB, to reuse. After Release nothing of the
+// handle may be touched, CommitLSN included: read what is needed first.
+// Release refuses a transaction that is still active (ErrTxActive),
+// among them one whose Abort failed midway. A caller that never
+// releases loses nothing but the reuse: the collector takes the handle.
 type Tx struct {
 	id       uint64
 	db       *DB
@@ -97,8 +111,7 @@ func (db *DB) Begin(w *sim.Worker) (*Tx, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	tx := &Tx{id: db.nextTx.Add(1), db: db, w: w}
-	tx.held = tx.heldBuf[:0]
+	tx := db.newTx(w, false)
 	tx.firstLSN = db.log.Append(wal.Record{Type: wal.RecBegin, TxID: tx.id})
 	tx.lastLSN.store(tx.firstLSN)
 	s := db.active.Of(w)
@@ -109,6 +122,42 @@ func (db *DB) Begin(w *sim.Worker) (*Tx, error) {
 	s.txs[tx.id] = tx
 	s.mu.Unlock()
 	return tx, nil
+}
+
+// txFree holds the handles callers released (Tx.Release) for Begin and
+// BeginSnapshot to reuse. It is one pool for every DB, and a released
+// handle keeps no reference: a sync.Pool inside the DB would sit on the
+// runtime's list of pools, which keeps the pool — and with it the whole
+// DB it is a field of — reachable for a garbage collection after its
+// last use, so a closed instance would outlive its Close by a cycle.
+var txFree sync.Pool
+
+// newTx returns a handle for a new transaction: a released one from the
+// free pool, or a fresh one. Either way it is initialised in full —
+// nothing of the transaction a recycled handle served survives.
+func (db *DB) newTx(w *sim.Worker, readOnly bool) *Tx {
+	tx, _ := txFree.Get().(*Tx)
+	if tx == nil {
+		tx = new(Tx)
+	}
+	*tx = Tx{id: db.nextTx.Add(1), db: db, w: w, readOnly: readOnly}
+	tx.held = tx.heldBuf[:0]
+	return tx
+}
+
+// Release hands an ended transaction's handle back for reuse (see the
+// Tx lifetime rule). An active transaction is refused with ErrTxActive,
+// a second Release of one handle with ErrTxClosed.
+func (tx *Tx) Release() error {
+	switch tx.status {
+	case txActive:
+		return fmt.Errorf("%w: tx %d", ErrTxActive, tx.id)
+	case txReleased:
+		return fmt.Errorf("%w: handle released twice", ErrTxClosed)
+	}
+	*tx = Tx{status: txReleased}
+	txFree.Put(tx)
+	return nil
 }
 
 // txStripe is one stripe of the active-transaction table.
@@ -165,7 +214,7 @@ func (db *DB) BeginSnapshot(w *sim.Worker) (*Tx, error) {
 	if db.vs == nil {
 		return nil, ErrMVCCDisabled
 	}
-	tx := &Tx{id: db.nextTx.Add(1), db: db, w: w, readOnly: true}
+	tx := db.newTx(w, true)
 	tx.snapshot = db.vs.beginSnapshot(tx.id, db.log.Head)
 	return tx, nil
 }

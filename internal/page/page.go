@@ -35,7 +35,7 @@ import (
 //	20:22 free-space low watermark (end of tuple body)
 //	22:24 delta-record area size (the page is self-describing)
 //	24:32 next page id (heap file / index chaining)
-//	32:40 owner object id
+//	32:40 reserved (zero)
 const HeaderSize = 40
 
 // SlotSize is one slot-table entry: tuple offset and length.
@@ -177,9 +177,6 @@ func (p *Page) NextPage() core.PageID {
 func (p *Page) SetNextPage(id core.PageID) {
 	binary.LittleEndian.PutUint64(p.buf[24:], uint64(id))
 }
-
-// SetOwner stores the owning object id.
-func (p *Page) SetOwner(o uint64) { binary.LittleEndian.PutUint64(p.buf[32:], o) }
 
 func (p *Page) freeLow() int { return int(binary.LittleEndian.Uint16(p.buf[20:])) }
 

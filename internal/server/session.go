@@ -30,6 +30,11 @@ import (
 // served, which is what makes this sound; anything that must outlive
 // the request (a table name entering the session's cache, a poison
 // message, an installed snapshot) is copied before handle returns.
+//
+// Transaction lifetime: every path that ends a transaction — COMMIT
+// (a snapshot's too), ABORT, a poisoned COMMIT, the orphans of finish —
+// releases its engine.Tx once it has read what it needs of it (the
+// commit LSN the quorum wait keys on), so the next BEGIN reuses it.
 type session struct {
 	srv  *Server
 	conn net.Conn
@@ -171,6 +176,7 @@ func (s *session) finish() {
 				s.srv.poisonedAborts.Add(1)
 			}
 		}
+		_ = tx.Release() // refused only if the Abort failed midway; the collector takes that one
 	}
 	s.flush()
 	s.conn.Close()
@@ -411,30 +417,34 @@ func (s *session) exec(f wire.Frame) (byte, []byte) {
 			if tx.Abort() == nil {
 				s.srv.poisonedAborts.Add(1)
 			}
+			_ = tx.Release() // as in finish
 			if f.Kind == wire.OpAbort {
 				return wire.StatusOK, nil
 			}
 			return wire.StatusTxPoisoned, s.errPayload("aborted: " + reason)
 		}
 		var err error
+		var lsn core.LSN
 		if f.Kind == wire.OpCommit {
 			err = tx.Commit()
-			if err == nil && s.srv.cfg.Repl != nil {
-				// Semi-synchronous commit: the record is durable
-				// locally, but the client's ack waits for a quorum so
-				// the commit survives this node's death. On failure
-				// the commit MAY still survive (the error says so);
-				// the safe direction, since the client retries reads.
-				if werr := s.srv.cfg.Repl.WaitCommitted(tx.CommitLSN()); werr != nil {
-					return wire.StatusInternal, s.errPayload(
-						"commit durable locally but not quorum-acknowledged: " + werr.Error())
-				}
-			}
+			lsn = tx.CommitLSN()
 		} else {
 			err = tx.Abort()
 		}
+		_ = tx.Release() // as in finish
 		if err != nil {
 			return s.fail(err)
+		}
+		if f.Kind == wire.OpCommit && s.srv.cfg.Repl != nil {
+			// Semi-synchronous commit: the record is durable locally,
+			// but the client's ack waits for a quorum so the commit
+			// survives this node's death. On failure the commit MAY
+			// still survive (the error says so); the safe direction,
+			// since the client retries reads.
+			if werr := s.srv.cfg.Repl.WaitCommitted(lsn); werr != nil {
+				return wire.StatusInternal, s.errPayload(
+					"commit durable locally but not quorum-acknowledged: " + werr.Error())
+			}
 		}
 		return wire.StatusOK, nil
 
