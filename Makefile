@@ -2,9 +2,9 @@
 # lands. `make check` is what CI (and ROADMAP.md) means by tier-1.
 GO ?= go
 
-.PHONY: check tier1 pins sim-clock rig-deps importers reach footprint vet build examples test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all scaling loc fmt fmt-check
+.PHONY: check tier1 pins sim-clock one-stack rig-deps importers reach footprint vet build examples test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all scaling loc fmt fmt-check
 
-check: fmt-check pins sim-clock rig-deps importers reach footprint vet build examples bench-test race
+check: fmt-check pins sim-clock one-stack rig-deps importers reach footprint vet build examples bench-test race
 
 # tier1 is the replication-aware spelling of the gate: the full -race
 # suite includes the 3-node kill-the-primary failover test
@@ -56,6 +56,24 @@ sim-clock:
 		| grep -v '^internal/sim/' | grep -v '$(SIM_CLOCK_ALLOW)')"; \
 	if [ -n "$$out" ]; then \
 		echo "a simulated clock set outside internal/sim (only <worker>.SetNow(<other>.Now()) at the listed sites is allowed):"; \
+		echo "$$out"; exit 1; fi
+
+# One function assembles flash → NoFTL → regions → engine:
+# engine.Open (internal/engine/open.go). It decides what every stack
+# shares — the timeline, the timing of the cell type, strict program
+# order, the OOB size, the append budget, the engine's page size — so
+# a program states only its geometry, regions and options. This target
+# fails when another non-test file under internal/, cmd/ or examples/
+# calls flash.New, noftl.Open or engine.New, which is how a hand-built
+# stack that restates those decisions would come back. cmd/flashsim
+# drives a bare array with no engine, so it may call flash.New. bench/
+# is its own module and is not searched.
+ONE_STACK_ALLOW = ^\(internal/engine/open\.go:\|cmd/flashsim/main\.go:[0-9]*:.*flash\.New(\)
+one-stack:
+	@out="$$(grep -rn --include='*.go' --exclude='*_test.go' 'flash\.New(\|noftl\.Open(\|engine\.New(' internal cmd examples \
+		| grep -v '$(ONE_STACK_ALLOW)')"; \
+	if [ -n "$$out" ]; then \
+		echo "a stack built by hand (call engine.Open, internal/engine/open.go):"; \
 		echo "$$out"; exit 1; fi
 
 # The paper rig links no network stack: every `ipabench -exp` id is
@@ -242,8 +260,10 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzScanPage -fuzztime 10s ./internal/client
 
 # `ipabench -exp all` of BASE (unpacked under .bench_build/) against the
-# working tree, diffed; exits 1 on any difference. EXPFLAGS=-quick for
-# the 4 s version. What to run before regenerating a golden.
+# working tree, diffed, and the stdout of the five examples and
+# ipadvisor likewise; exits 1 on any difference. EXPFLAGS=-quick for
+# the 4 s version of the experiments. What to run before regenerating
+# a golden.
 exp-diff:
 	bash scripts/exp-diff.sh $(BASE) $(EXPFLAGS)
 

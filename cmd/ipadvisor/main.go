@@ -36,22 +36,11 @@ func main() {
 }
 
 func run(bench string, tx, maxN, pageSize int) error {
-	g := flash.Geometry{
-		Chips: 4, BlocksPerChip: 512, PagesPerBlock: 64,
-		PageSize: pageSize, OOBSize: pageSize / 16, Cell: flash.SLC,
-	}
-	tl := sim.NewTimeline(g.Chips)
-	arr, err := flash.New(flash.Config{Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8}, tl)
-	if err != nil {
-		return err
-	}
-	dev := noftl.Open(arr)
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "data", Mode: noftl.ModeSLC, Scheme: core.NewScheme(3, core.MaxM), BlocksPerChip: 512,
-	}); err != nil {
-		return err
-	}
-	db, err := engine.New(dev, engine.Options{PageSize: pageSize, BufferFrames: 4096, Timeline: tl})
+	db, tl, err := engine.Open(engine.Spec{
+		Geometry: flash.Geometry{Chips: 4, BlocksPerChip: 512, PagesPerBlock: 64, PageSize: pageSize, Cell: flash.SLC},
+		Regions:  []noftl.RegionConfig{{Name: "data", Mode: noftl.ModeSLC, Scheme: core.NewScheme(3, core.MaxM)}},
+		Options:  engine.Options{BufferFrames: 4096},
+	})
 	if err != nil {
 		return err
 	}

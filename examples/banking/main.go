@@ -59,30 +59,16 @@ func main() {
 }
 
 func run(scheme core.Scheme) outcome {
-	g := flash.Geometry{
-		Chips: 8, BlocksPerChip: 12, PagesPerBlock: 64,
-		PageSize: 4096, OOBSize: 256, Cell: flash.SLC,
-	}
-	tl := sim.NewTimeline(g.Chips)
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-	}, tl)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dev := noftl.Open(arr)
 	mode := noftl.ModeSLC
 	if scheme.Disabled() {
 		mode = noftl.ModeNone
 	}
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "bank", Mode: mode, Scheme: scheme, BlocksPerChip: 12, OverProvision: 0.10,
-	}); err != nil {
-		log.Fatal(err)
-	}
-	db, err := engine.New(dev, engine.Options{
-		PageSize: 4096, BufferFrames: 96, Timeline: tl,
-		LogCapacity: 1 << 22, LogReclaimThreshold: 0.35, DirtyThreshold: 0.125,
+	db, tl, err := engine.Open(engine.Spec{
+		Geometry: flash.Geometry{Chips: 8, BlocksPerChip: 12, PagesPerBlock: 64, PageSize: 4096, Cell: flash.SLC},
+		Regions:  []noftl.RegionConfig{{Name: "bank", Mode: mode, Scheme: scheme, OverProvision: 0.10}},
+		Options: engine.Options{
+			BufferFrames: 96, LogCapacity: 1 << 22, LogReclaimThreshold: 0.35, DirtyThreshold: 0.125,
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -93,7 +79,7 @@ func run(scheme core.Scheme) outcome {
 		log.Fatal(err)
 	}
 	db.Store("bank").Region().ResetStats()
-	arr.ResetStats()
+	db.Device().Array().ResetStats()
 
 	terminals := make([]*sim.Worker, 4)
 	for i := range terminals {

@@ -21,38 +21,21 @@ import (
 
 func main() {
 	// 1. A small SLC flash array: 4 chips × 64 blocks × 64 pages × 4KB.
-	g := flash.Geometry{
-		Chips: 4, BlocksPerChip: 64, PagesPerBlock: 64,
-		PageSize: 4096, OOBSize: 256, Cell: flash.SLC,
-	}
-	tl := sim.NewTimeline(g.Chips)
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-	}, tl)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// 2. NoFTL device with one region: IPA enabled, [2×3] scheme
-	//    (2 delta-records per page, 3 changed body bytes each — the
-	//    paper's TPC-C configuration, 2.2% space overhead).
-	dev := noftl.Open(arr)
-	scheme := core.NewScheme(2, 3)
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "hot", Mode: noftl.ModeSLC, Scheme: scheme, BlocksPerChip: 64,
-	}); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("region 'hot': scheme %v, delta area %dB/page (%.1f%% overhead)\n",
-		scheme, scheme.AreaSize(), 100*scheme.SpaceOverhead(4096))
-
+	// 2. NoFTL device with one region spanning it: IPA enabled, [2×3]
+	//    scheme (2 delta-records per page, 3 changed body bytes each —
+	//    the paper's TPC-C configuration, 2.2% space overhead).
 	// 3. Storage engine with WAL, buffer pool and ECC.
-	db, err := engine.New(dev, engine.Options{
-		PageSize: 4096, BufferFrames: 128, Timeline: tl, UseECC: true,
+	scheme := core.NewScheme(2, 3)
+	db, tl, err := engine.Open(engine.Spec{
+		Geometry: flash.Geometry{Chips: 4, BlocksPerChip: 64, PagesPerBlock: 64, PageSize: 4096, Cell: flash.SLC},
+		Regions:  []noftl.RegionConfig{{Name: "hot", Mode: noftl.ModeSLC, Scheme: scheme}},
+		Options:  engine.Options{BufferFrames: 128, UseECC: true},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("region 'hot': scheme %v, delta area %dB/page (%.1f%% overhead)\n",
+		scheme, scheme.AreaSize(), 100*scheme.SpaceOverhead(4096))
 	tbl, err := db.CreateTable("accounts", "hot")
 	if err != nil {
 		log.Fatal(err)

@@ -23,24 +23,11 @@ import (
 )
 
 func main() {
-	g := flash.Geometry{
-		Chips: 2, BlocksPerChip: 64, PagesPerBlock: 64,
-		PageSize: 4096, OOBSize: 256, Cell: flash.SLC,
-	}
-	tl := sim.NewTimeline(g.Chips)
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-	}, tl)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dev := noftl.Open(arr)
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "data", Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 4), BlocksPerChip: 64,
-	}); err != nil {
-		log.Fatal(err)
-	}
-	db, err := engine.New(dev, engine.Options{PageSize: 4096, BufferFrames: 64, Timeline: tl})
+	db, tl, err := engine.Open(engine.Spec{
+		Geometry: flash.Geometry{Chips: 2, BlocksPerChip: 64, PagesPerBlock: 64, PageSize: 4096, Cell: flash.SLC},
+		Regions:  []noftl.RegionConfig{{Name: "data", Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 4)}},
+		Options:  engine.Options{BufferFrames: 64},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,29 +31,16 @@ import (
 )
 
 func main() {
-	g := flash.Geometry{
-		Chips: 4, BlocksPerChip: 64, PagesPerBlock: 64,
-		PageSize: 4096, OOBSize: 256, Cell: flash.MLC,
-	}
-	tl := sim.NewTimeline(g.Chips)
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.MLCTiming(), StrictProgramOrder: true, MaxAppends: 4,
-	}, tl)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dev := noftl.Open(arr)
-	// The CREATE REGION statements of the paper's Figure 3, as Go calls.
-	for _, rc := range []noftl.RegionConfig{
-		{Name: "rgHot", Mode: noftl.ModePSLC, Scheme: core.NewScheme(2, 4), BlocksPerChip: 24},
-		{Name: "rgWarm", Mode: noftl.ModeOddMLC, Scheme: core.NewScheme(2, 3), BlocksPerChip: 24},
-		{Name: "rgCold", Mode: noftl.ModeNone, BlocksPerChip: 16},
-	} {
-		if _, err := dev.CreateRegion(rc); err != nil {
-			log.Fatal(err)
-		}
-	}
-	db, err := engine.New(dev, engine.Options{PageSize: 4096, BufferFrames: 64, Timeline: tl})
+	db, tl, err := engine.Open(engine.Spec{
+		Geometry: flash.Geometry{Chips: 4, BlocksPerChip: 64, PagesPerBlock: 64, PageSize: 4096, Cell: flash.MLC},
+		// The CREATE REGION statements of the paper's Figure 3, as Go values.
+		Regions: []noftl.RegionConfig{
+			{Name: "rgHot", Mode: noftl.ModePSLC, Scheme: core.NewScheme(2, 4), BlocksPerChip: 24},
+			{Name: "rgWarm", Mode: noftl.ModeOddMLC, Scheme: core.NewScheme(2, 3), BlocksPerChip: 24},
+			{Name: "rgCold", Mode: noftl.ModeNone, BlocksPerChip: 16},
+		},
+		Options: engine.Options{BufferFrames: 64},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,25 +25,10 @@ import (
 
 func main() {
 	scheme := core.NewScheme(2, 100)
-	g := flash.Geometry{
-		Chips: 8, BlocksPerChip: 64, PagesPerBlock: 64,
-		PageSize: 8192, OOBSize: 512, Cell: flash.SLC,
-	}
-	tl := sim.NewTimeline(g.Chips)
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-	}, tl)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dev := noftl.Open(arr)
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "graph", Mode: noftl.ModeSLC, Scheme: scheme, BlocksPerChip: 64,
-	}); err != nil {
-		log.Fatal(err)
-	}
-	db, err := engine.New(dev, engine.Options{
-		PageSize: 8192, BufferFrames: 64, Timeline: tl, DirtyThreshold: 0.125,
+	db, tl, err := engine.Open(engine.Spec{
+		Geometry: flash.Geometry{Chips: 8, BlocksPerChip: 64, PagesPerBlock: 64, PageSize: 8192, Cell: flash.SLC},
+		Regions:  []noftl.RegionConfig{{Name: "graph", Mode: noftl.ModeSLC, Scheme: scheme}},
+		Options:  engine.Options{BufferFrames: 64, DirtyThreshold: 0.125},
 	})
 	if err != nil {
 		log.Fatal(err)

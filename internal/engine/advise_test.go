@@ -17,20 +17,11 @@ import (
 // advisor's verdict on that table's own profile — and the balance
 // updates of branch and teller, a few bytes each, get in-place appends.
 func TestAdviseStorageTPCB(t *testing.T) {
-	g := flash.Geometry{
-		Chips: 2, BlocksPerChip: 64, PagesPerBlock: 16,
-		PageSize: 1024, OOBSize: 64, Cell: flash.SLC,
-	}
-	tl := sim.NewTimeline(g.Chips)
-	arr, err := flash.New(flash.Config{Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8}, tl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := noftl.Open(arr)
-	if _, err := dev.CreateRegion(engine.CellIPA.Config("main", 64)); err != nil {
-		t.Fatal(err)
-	}
-	db, err := engine.New(dev, engine.Options{PageSize: 1024, BufferFrames: 64, Timeline: tl})
+	db, tl, err := engine.Open(engine.Spec{
+		Geometry: flash.Geometry{Chips: 2, BlocksPerChip: 64, PagesPerBlock: 16, PageSize: 1024, Cell: flash.SLC},
+		Regions:  []noftl.RegionConfig{engine.CellIPA.Config("main", 64)},
+		Options:  engine.Options{BufferFrames: 64},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 func newSplitRig(t *testing.T) (*DB, Index) {
 	t.Helper()
 	g := flash.Geometry{Chips: 4, BlocksPerChip: 64, PagesPerBlock: 16, PageSize: 2048, OOBSize: 64, Cell: flash.SLC}
-	db := newRigWithOptions(t, g, Options{PageSize: 2048, BufferFrames: 256, DirtyThreshold: 2.0})
+	db := newRigWithOptions(t, g, Options{BufferFrames: 256, DirtyThreshold: 2.0})
 	ix, err := db.CreateIndex("ix", "r1")
 	if err != nil {
 		t.Fatal(err)

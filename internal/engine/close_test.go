@@ -37,10 +37,8 @@ func TestErrClosedDeterministic(t *testing.T) {
 // drain the MVCC version reaper exactly once (a second drain racing the
 // first would close a closed channel).
 func TestCloseIdempotent(t *testing.T) {
-	g := rigGeometry()
-	db := newRigWithOptions(t, g, Options{
-		PageSize: g.PageSize, BufferFrames: 32,
-		MVCC: true, DirtyThreshold: 2.0,
+	db := newRigWithOptions(t, rigGeometry(), Options{
+		BufferFrames: 32, MVCC: true, DirtyThreshold: 2.0,
 	})
 	for i := 0; i < 3; i++ {
 		if err := db.Close(); err != nil {
@@ -65,10 +63,8 @@ func TestCloseIdempotent(t *testing.T) {
 // closed instance comes back open (version reaper restarted) and normal
 // work resumes after Recover.
 func TestSimulateCrashReopens(t *testing.T) {
-	g := rigGeometry()
-	db := newRigWithOptions(t, g, Options{
-		PageSize: g.PageSize, BufferFrames: 32,
-		MVCC: true, DirtyThreshold: 2.0,
+	db := newRigWithOptions(t, rigGeometry(), Options{
+		BufferFrames: 32, MVCC: true, DirtyThreshold: 2.0,
 	})
 	tbl, err := db.CreateTable("t", "r1")
 	if err != nil {

@@ -10,8 +10,6 @@ import (
 	"testing"
 
 	"ipa/internal/core"
-	"ipa/internal/flash"
-	"ipa/internal/noftl"
 )
 
 // newTwoRegionRig builds a device with two independent regions so the
@@ -24,33 +22,7 @@ func newTwoRegionRig(t *testing.T, frames int) *DB {
 // shard count (0 = the single-shard default).
 func newTwoRegionRigShards(t *testing.T, frames, poolShards int) *DB {
 	t.Helper()
-	g := flash.Geometry{
-		Chips: 4, BlocksPerChip: 64, PagesPerBlock: 8,
-		PageSize: 512, OOBSize: 32, Cell: flash.SLC,
-	}
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := noftl.Open(arr)
-	for _, name := range []string{"r1", "r2"} {
-		if _, err := dev.CreateRegion(noftl.RegionConfig{
-			Name: name, Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 3),
-			BlocksPerChip: 32, OverProvision: 0.2,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db, err := New(dev, Options{
-		PageSize: 512, BufferFrames: frames, DirtyThreshold: 2.0,
-		PoolShards: poolShards,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
+	return newRigWithOptions(t, rigGeometry(), Options{BufferFrames: frames, DirtyThreshold: 2.0, PoolShards: poolShards})
 }
 
 func seedTuples(t *testing.T, db *DB, tbl *Table, n int, tag byte) []core.RID {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ipa/internal/core"
-	"ipa/internal/flash"
 	"ipa/internal/noftl"
 )
 
@@ -191,32 +190,13 @@ func TestCrashDuringHeavyStealing(t *testing.T) {
 // or without the MVCC version store.
 func newCellRig(t *testing.T, cell RegionCell, mvcc bool, frames int) *testRig {
 	t.Helper()
-	return newCellRigOpts(t, cell, Options{PageSize: 512, BufferFrames: frames, DirtyThreshold: 2.0, MVCC: mvcc})
+	return newCellRigOpts(t, cell, Options{BufferFrames: frames, DirtyThreshold: 2.0, MVCC: mvcc})
 }
 
-// newCellRigOpts is newCellRig with the engine options spelled out
-// (512-byte pages are the device's).
+// newCellRigOpts is newCellRig with the engine options spelled out.
 func newCellRigOpts(t *testing.T, cell RegionCell, opts Options) *testRig {
 	t.Helper()
-	arr, err := flash.New(flash.Config{
-		Geometry: flash.Geometry{
-			Chips: 2, BlocksPerChip: 32, PagesPerBlock: 8,
-			PageSize: 512, OOBSize: 32, Cell: flash.SLC,
-		},
-		Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := noftl.Open(arr)
-	if _, err := dev.CreateRegion(cell.Config("main", 32)); err != nil {
-		t.Fatal(err)
-	}
-	db, err := New(dev, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &testRig{dev: dev, db: db}
+	return newMainRig(t, cell.Config("main", 32), opts)
 }
 
 // fieldScript is a fixed interleaving of five transactions that mixes

@@ -31,7 +31,7 @@ var (
 // Options configures a database instance.
 type Options struct {
 	// PageSize of database pages; must equal the flash page size. Zero
-	// selects 4096.
+	// selects 4096. Open sets it to the flash page size.
 	PageSize int
 	// BufferFrames in the pool.
 	BufferFrames int
@@ -82,7 +82,8 @@ type Options struct {
 	// single-node engine — the paper experiments' golden renders never
 	// see these records.
 	Replicated bool
-	// Timeline provides simulated time; optional.
+	// Timeline provides simulated time; optional. Open sets it to the
+	// device's.
 	Timeline *sim.Timeline
 }
 

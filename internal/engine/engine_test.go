@@ -19,34 +19,23 @@ type testRig struct {
 func newRig(t *testing.T, mode noftl.IPAMode, scheme core.Scheme, frames int, useECC bool) *testRig {
 	t.Helper()
 	return newRigOptions(t, mode, scheme, Options{
-		PageSize: 512, BufferFrames: frames, UseECC: useECC, DirtyThreshold: 2.0,
+		BufferFrames: frames, UseECC: useECC, DirtyThreshold: 2.0,
 	})
 }
 
 // newRigOptions is newRig with caller-chosen engine options.
 func newRigOptions(t *testing.T, mode noftl.IPAMode, scheme core.Scheme, opts Options) *testRig {
 	t.Helper()
-	g := flash.Geometry{
-		Chips: 2, BlocksPerChip: 32, PagesPerBlock: 8,
-		PageSize: 512, OOBSize: 32, Cell: flash.SLC,
-	}
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := noftl.Open(arr)
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "main", Mode: mode, Scheme: scheme, BlocksPerChip: 32, OverProvision: 0.2,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	db, err := New(dev, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &testRig{dev: dev, db: db}
+	return newMainRig(t, noftl.RegionConfig{Name: "main", Mode: mode, Scheme: scheme, OverProvision: 0.2}, opts)
+}
+
+// newMainRig opens a DB over one region, main, on a 2-chip SLC device
+// of 32 blocks of eight 512-byte pages.
+func newMainRig(t *testing.T, rc noftl.RegionConfig, opts Options) *testRig {
+	t.Helper()
+	g := flash.Geometry{Chips: 2, BlocksPerChip: 32, PagesPerBlock: 8, PageSize: 512, Cell: flash.SLC}
+	db := openRig(t, g, opts, rc)
+	return &testRig{dev: db.Device(), db: db}
 }
 
 func TestInsertReadUpdateDelete(t *testing.T) {

@@ -12,23 +12,9 @@ import (
 
 func newFigure3Rig(t *testing.T, cell flash.CellType) *DB {
 	t.Helper()
-	timing := flash.SLCTiming()
-	if cell == flash.MLC {
-		timing = flash.MLCTiming()
-	}
-	g := flash.Geometry{
-		Chips: 4, BlocksPerChip: 64, PagesPerBlock: 8,
-		PageSize: 512, OOBSize: 32, Cell: cell,
-	}
-	arr, err := flash.New(flash.Config{Geometry: g, Timing: timing, StrictProgramOrder: true, MaxAppends: 8}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := New(noftl.Open(arr), Options{PageSize: 512, BufferFrames: 16, DirtyThreshold: 2.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
+	g := rigGeometry()
+	g.Cell = cell
+	return openRig(t, g, Options{BufferFrames: 16, DirtyThreshold: 2.0})
 }
 
 // TestDDLFigure3 lays out the paper's Figure 3 (CREATE REGION rgIPA
@@ -91,7 +77,6 @@ func TestDDLErrors(t *testing.T) {
 		{noftl.RegionConfig{Name: "r", Scheme: core.NewScheme(2, 4)}, "needs BlocksPerChip > 0"},
 		{noftl.RegionConfig{Name: "r", BlocksPerChip: 8, OverProvision: 1.5}, "no logical capacity"},
 		{noftl.RegionConfig{Name: "r", BlocksPerChip: 8, Storage: noftl.Storage(9)}, "unknown storage"},
-		{noftl.RegionConfig{Name: "r", BlocksPerChip: 8, GCVictim: noftl.GCVictim(9)}, "unknown GC victim"},
 		// PDL regions write raw page images; an IPA delta layout or mode
 		// would be re-applied over merged bases.
 		{noftl.RegionConfig{Name: "r", BlocksPerChip: 8, Storage: noftl.StoragePDL, Scheme: core.NewScheme(2, 4)}, "requires a disabled Scheme"},

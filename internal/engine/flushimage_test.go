@@ -21,7 +21,7 @@ func TestFlushedImageApplier(t *testing.T) {
 	for _, cell := range RegionCells {
 		for _, mvcc := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/mvcc=%v", cell.Name, mvcc), func(t *testing.T) {
-				opts := Options{PageSize: 512, BufferFrames: 6, DirtyThreshold: 2.0, MVCC: mvcc, Replicated: true}
+				opts := Options{BufferFrames: 6, DirtyThreshold: 2.0, MVCC: mvcc, Replicated: true}
 				primary := newCellRigOpts(t, cell, opts)
 				defer primary.db.Close()
 				opts.BufferFrames = 2

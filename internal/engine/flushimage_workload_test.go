@@ -29,25 +29,12 @@ func TestFlushedImageWorkloads(t *testing.T) {
 	for _, cell := range engine.RegionCells {
 		for _, mvcc := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/mvcc=%v", cell.Name, mvcc), func(t *testing.T) {
-				g := flash.Geometry{
-					Chips: 4, BlocksPerChip: 64, PagesPerBlock: 16,
-					PageSize: 1024, OOBSize: 64, Cell: flash.SLC,
-				}
-				tl := sim.NewTimeline(g.Chips)
-				arr, err := flash.New(flash.Config{
-					Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-				}, tl)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dev := noftl.Open(arr)
-				if _, err := dev.CreateRegion(cell.Config("main", 64)); err != nil {
-					t.Fatal(err)
-				}
-				db, err := engine.New(dev, engine.Options{
-					PageSize: 1024, BufferFrames: 24, PoolShards: 4, Timeline: tl,
-					LogCapacity: 1 << 18, LogReclaimThreshold: 0.4,
-					MVCC: mvcc,
+				db, tl, err := engine.Open(engine.Spec{
+					Geometry: flash.Geometry{Chips: 4, BlocksPerChip: 64, PagesPerBlock: 16, PageSize: 1024, Cell: flash.SLC},
+					Regions:  []noftl.RegionConfig{cell.Config("main", 64)},
+					Options: engine.Options{
+						BufferFrames: 24, PoolShards: 4, LogCapacity: 1 << 18, LogReclaimThreshold: 0.4, MVCC: mvcc,
+					},
 				})
 				if err != nil {
 					t.Fatal(err)

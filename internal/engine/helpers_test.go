@@ -28,30 +28,27 @@ func rigGeometry() flash.Geometry {
 	}
 }
 
-// newRigWithOptions builds a two-region device and opens a DB over it
-// with caller-chosen engine options.
-func newRigWithOptions(t testing.TB, g flash.Geometry, opts Options) *DB {
+// openRig opens a DB through Open, failing the test on an error.
+func openRig(t testing.TB, g flash.Geometry, opts Options, regions ...noftl.RegionConfig) *DB {
 	t.Helper()
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := noftl.Open(arr)
-	for _, name := range []string{"r1", "r2"} {
-		if _, err := dev.CreateRegion(noftl.RegionConfig{
-			Name: name, Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 3),
-			BlocksPerChip: 32, OverProvision: 0.2,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db, err := New(dev, opts)
+	db, _, err := Open(Spec{Geometry: g, Regions: regions, Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// newRigWithOptions opens a DB over two [2×3] regions, r1 and r2, with
+// caller-chosen engine options.
+func newRigWithOptions(t testing.TB, g flash.Geometry, opts Options) *DB {
+	t.Helper()
+	rc := func(name string) noftl.RegionConfig {
+		return noftl.RegionConfig{
+			Name: name, Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 3),
+			BlocksPerChip: 32, OverProvision: 0.2,
+		}
+	}
+	return openRig(t, g, opts, rc("r1"), rc("r2"))
 }
 
 // crash cuts the power and restarts db, charging the restart to no

@@ -13,7 +13,7 @@ import (
 func newMVCCRig(t *testing.T, n int) (*DB, *Table, []core.RID) {
 	t.Helper()
 	db := newRigWithOptions(t, rigGeometry(), Options{
-		PageSize: 512, BufferFrames: 64, LogCapacity: 1 << 20, MVCC: true,
+		BufferFrames: 64, LogCapacity: 1 << 20, MVCC: true,
 	})
 	tb, err := db.CreateTable("acct", "r1")
 	if err != nil {
@@ -227,9 +227,7 @@ func TestSnapshotTxIsReadOnly(t *testing.T) {
 	}
 	wtx.Abort()
 
-	plain := newRigWithOptions(t, rigGeometry(), Options{
-		PageSize: 512, BufferFrames: 64,
-	})
+	plain := newRigWithOptions(t, rigGeometry(), Options{BufferFrames: 64})
 	defer plain.Close()
 	if _, err := plain.BeginSnapshot(nil); !errors.Is(err, ErrMVCCDisabled) {
 		t.Fatalf("BeginSnapshot without MVCC: %v, want ErrMVCCDisabled", err)

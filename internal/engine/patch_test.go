@@ -328,7 +328,7 @@ func TestAddFieldLostUpdate(t *testing.T) {
 // off — the paper rig's engine — or on, as every served stack runs.
 func allocRig(t *testing.T, frames int, mvcc bool) *testRig {
 	return newRigOptions(t, noftl.ModeSLC, core.NewScheme(2, 4), Options{
-		PageSize: 512, BufferFrames: frames, DirtyThreshold: 2.0, MVCC: mvcc,
+		BufferFrames: frames, DirtyThreshold: 2.0, MVCC: mvcc,
 	})
 }
 

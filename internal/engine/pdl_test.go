@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ipa/internal/core"
+	"ipa/internal/flash"
 	"ipa/internal/noftl"
 )
 
@@ -192,8 +193,9 @@ func runPDLCrashFuzz(t *testing.T, seed int64) {
 	}
 	r.db.FlushAll(nil)
 
+	spilled := false // a log block held records on more than one page
 	for round := 0; round < 6; round++ {
-		for i := 0; i < 10; i++ {
+		for i := 0; i < 30; i++ {
 			tx := mustBegin(r.db, nil)
 			mods := map[core.RID]uint64{}
 			nOps := 1 + rng.Intn(4)
@@ -235,6 +237,11 @@ func runPDLCrashFuzz(t *testing.T, seed int64) {
 					committed[rid] = v
 				}
 			}
+			// Steal a few of the oldest dirty pages after each
+			// transaction, so records pile up in the open log block.
+			if _, err := r.db.Pool().FlushOldest(nil, rng.Intn(8)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		// Steal a random subset of dirty pages (PDL appends and
 		// out-of-place fallbacks) before the crash.
@@ -242,6 +249,9 @@ func runPDLCrashFuzz(t *testing.T, seed int64) {
 			if _, err := r.db.Pool().FlushOldest(nil, rng.Intn(16)); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if logPages(r.db) > r.db.Store("main").Stats().Scheme.PDL.LogBlocks {
+			spilled = true
 		}
 		// CRASH, rebuild the mapping + differential log from flash, redo.
 		if _, err := crash(r.db); err != nil {
@@ -257,4 +267,24 @@ func runPDLCrashFuzz(t *testing.T, seed int64) {
 			}
 		}
 	}
+	// The rebuilds must have crossed both log boundaries: a block whose
+	// records ran onto a second page, and a log block merged away.
+	if !spilled {
+		t.Error("no log block held records on more than one page before a crash")
+	}
+	if r.db.Store("main").Stats().Scheme.PDL.Merges == 0 {
+		t.Error("no log block was reclaimed")
+	}
+}
+
+// logPages counts the flash pages holding differential records: in a
+// PDL region only log pages take appends.
+func logPages(db *DB) int {
+	arr, n := db.Device().Array(), 0
+	for p := range arr.Geometry().TotalPages() {
+		if arr.Appends(flash.PPN(p)) > 0 {
+			n++
+		}
+	}
+	return n
 }

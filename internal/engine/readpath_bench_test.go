@@ -16,25 +16,12 @@ import (
 // under one [2×4] region "data", a 1024-frame pool in 8 shards. opts
 // adds to that.
 func scalingDB(b *testing.B, opts Options) (*DB, *sim.Timeline) {
-	g := flash.Geometry{
-		Chips: 4, BlocksPerChip: 64, PagesPerBlock: 32,
-		PageSize: 4096, OOBSize: 128, Cell: flash.SLC,
-	}
-	tl := sim.NewTimeline(g.Chips)
-	arr, err := flash.New(flash.Config{Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8}, tl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dev := noftl.Open(arr)
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "data", Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 4),
-		BlocksPerChip: g.BlocksPerChip, OverProvision: 0.15,
-	}); err != nil {
-		b.Fatal(err)
-	}
-	opts.PageSize, opts.BufferFrames, opts.PoolShards = g.PageSize, 1024, 8
-	opts.Timeline = tl
-	db, err := New(dev, opts)
+	opts.BufferFrames, opts.PoolShards = 1024, 8
+	db, tl, err := Open(Spec{
+		Geometry: flash.Geometry{Chips: 4, BlocksPerChip: 64, PagesPerBlock: 32, PageSize: 4096, OOBSize: 128, Cell: flash.SLC},
+		Regions:  []noftl.RegionConfig{{Name: "data", Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 4), OverProvision: 0.15}},
+		Options:  opts,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -18,24 +18,11 @@ import (
 // it stays readable, flushes, and survives a crash — the region does not
 // take a page it cannot write.
 func TestFullRegionFailsTheInsert(t *testing.T) {
-	g := flash.Geometry{Chips: 2, BlocksPerChip: 8, PagesPerBlock: 8, PageSize: 512, OOBSize: 32, Cell: flash.SLC}
-	arr, err := flash.New(flash.Config{Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := noftl.Open(arr)
-	region, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "small", Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 3),
-		BlocksPerChip: g.BlocksPerChip, OverProvision: 0.25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := New(dev, Options{PageSize: g.PageSize, BufferFrames: 16, LogCapacity: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openRig(t, flash.Geometry{Chips: 2, BlocksPerChip: 8, PagesPerBlock: 8, PageSize: 512, Cell: flash.SLC},
+		Options{BufferFrames: 16, LogCapacity: 1 << 20},
+		noftl.RegionConfig{Name: "small", Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 3), OverProvision: 0.25})
 	defer db.Close()
+	region := db.Device().Region("small")
 	tb, err := db.CreateTable("t", "small")
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 func newReplRig(t testing.TB) *DB {
 	t.Helper()
 	return newRigWithOptions(t, rigGeometry(), Options{
-		PageSize: 512, BufferFrames: 64, LogCapacity: 1 << 20,
+		BufferFrames: 64, LogCapacity: 1 << 20,
 		MVCC: true, Replicated: true,
 	})
 }
@@ -619,7 +619,7 @@ func TestFollowerCrashKeepsAppliedCommit(t *testing.T) {
 // runs 100 000 committed transactions and leaves two open.
 func TestApplierTxTableStaysBounded(t *testing.T) {
 	follower := newRigWithOptions(t, rigGeometry(), Options{
-		PageSize: 512, BufferFrames: 64, MVCC: true, Replicated: true,
+		BufferFrames: 64, MVCC: true, Replicated: true,
 	})
 	defer follower.Close()
 	a, err := follower.NewApplier(nil)

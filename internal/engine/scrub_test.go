@@ -12,26 +12,15 @@ import (
 // path: charge leaks in the stored page are detected via the sectioned
 // ECC and repaired in place by an ISPP re-program.
 func TestScrubRepairsRetentionErrors(t *testing.T) {
-	g := flash.Geometry{
-		Chips: 1, BlocksPerChip: 32, PagesPerBlock: 8,
-		PageSize: 512, OOBSize: 32, Cell: flash.SLC,
-	}
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8, Seed: 5,
-	}, nil)
+	db, _, err := Open(Spec{
+		Geometry: flash.Geometry{Chips: 1, BlocksPerChip: 32, PagesPerBlock: 8, PageSize: 512, Cell: flash.SLC},
+		Regions:  []noftl.RegionConfig{{Name: "main", Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 3)}},
+		Options:  Options{BufferFrames: 8, UseECC: true, DirtyThreshold: 2.0},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := noftl.Open(arr)
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "main", Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 3), BlocksPerChip: 32,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	db, err := New(dev, Options{PageSize: 512, BufferFrames: 8, UseECC: true, DirtyThreshold: 2.0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	arr := db.Device().Array()
 	tbl, _ := db.CreateTable("t", "main")
 	sch, _ := NewSchema(8, 8)
 	tx := mustBegin(db, nil)

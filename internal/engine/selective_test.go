@@ -14,33 +14,11 @@ import (
 // odd-MLC region with [2×3], and a read-only table in a region with IPA
 // off — all on the same MLC device, concurrently.
 func TestSelectiveIPAAcrossRegions(t *testing.T) {
-	g := flash.Geometry{
-		Chips: 2, BlocksPerChip: 48, PagesPerBlock: 8,
-		PageSize: 512, OOBSize: 32, Cell: flash.MLC,
-	}
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.MLCTiming(), StrictProgramOrder: true, MaxAppends: 4,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := noftl.Open(arr)
-	mk := func(name string, mode noftl.IPAMode, scheme core.Scheme) {
-		t.Helper()
-		if _, err := dev.CreateRegion(noftl.RegionConfig{
-			Name: name, Mode: mode, Scheme: scheme, BlocksPerChip: 16,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mk("hot", noftl.ModePSLC, core.NewScheme(2, 4))
-	mk("warm", noftl.ModeOddMLC, core.NewScheme(2, 3))
-	mk("cold", noftl.ModeNone, core.Scheme{})
-
-	db, err := New(dev, Options{PageSize: 512, BufferFrames: 32, DirtyThreshold: 2.0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openRig(t, flash.Geometry{Chips: 2, BlocksPerChip: 48, PagesPerBlock: 8, PageSize: 512, Cell: flash.MLC},
+		Options{BufferFrames: 32, DirtyThreshold: 2.0},
+		noftl.RegionConfig{Name: "hot", Mode: noftl.ModePSLC, Scheme: core.NewScheme(2, 4), BlocksPerChip: 16},
+		noftl.RegionConfig{Name: "warm", Mode: noftl.ModeOddMLC, Scheme: core.NewScheme(2, 3), BlocksPerChip: 16},
+		noftl.RegionConfig{Name: "cold", Mode: noftl.ModeNone, BlocksPerChip: 16})
 	hot, _ := db.CreateTable("stock", "hot")
 	warm, _ := db.CreateTable("customer", "warm")
 	cold, _ := db.CreateTable("item", "cold")

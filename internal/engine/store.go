@@ -98,6 +98,11 @@ type TraceSink interface {
 	RecordEvict(id core.PageID, net, gross int, isNew bool)
 }
 
+// csFree holds the ChangeSets flushes diff into; their pair slices keep
+// their capacity across flushes. It is one pool for every store, as
+// txFree is for every DB, so no store is kept reachable by its pool.
+var csFree = sync.Pool{New: func() any { return new(core.ChangeSet) }}
+
 // PageStore binds a NoFTL region to a page layout and implements
 // buffer.Store: fetching reconstructs logical pages from physical images
 // (applying delta-records, checking sectioned ECC); flushing performs the
@@ -123,9 +128,6 @@ type PageStore struct {
 	// the OOB area rides along for ECC and comes from this pool so the
 	// steady-state fetch path allocates nothing.
 	oobPool sync.Pool
-	// Flush diffs into pooled ChangeSets whose pair slices keep their
-	// capacity across flushes.
-	csPool sync.Pool
 
 	sink atomic.Pointer[TraceSink] // nil = no recorder attached
 
@@ -208,7 +210,6 @@ func NewPageStore(region *noftl.Region, pageSize int, useECC bool, log *wal.Log)
 		b := make([]byte, oobSize)
 		return &b
 	}
-	s.csPool.New = func() any { return new(core.ChangeSet) }
 	if pageSize != region.PageSize() {
 		return nil, fmt.Errorf("engine: page size %d != flash page size %d", pageSize, region.PageSize())
 	}
@@ -417,8 +418,8 @@ func (s *PageStore) flush(w *sim.Worker, fr *buffer.Frame) (FlushKind, error) {
 	// live on the stack and the pair slices keep their capacity, so a
 	// flush of an unchanged page costs one XOR pass and zero allocations.
 	var rbuf [4]core.ClassRange
-	cs := s.csPool.Get().(*core.ChangeSet)
-	defer s.csPool.Put(cs)
+	cs := csFree.Get().(*core.ChangeSet)
+	defer csFree.Put(cs)
 	if err := core.DiffInto(cs, fr.Data, fr.Flushed, pg.ClassRanges(rbuf[:0])); err != nil {
 		return 0, err
 	}

@@ -27,7 +27,7 @@ func TestRecycledImagesAreNotTorn(t *testing.T) {
 		iters = 500
 	}
 	db := newRigWithOptions(t, rigGeometry(), Options{
-		PageSize: 512, BufferFrames: 64, LogCapacity: 1 << 20, MVCC: true,
+		BufferFrames: 64, LogCapacity: 1 << 20, MVCC: true,
 	})
 	defer db.Close()
 	tb, err := db.CreateTable("t", "r1")
@@ -155,7 +155,7 @@ func TestVersionStoreFootprint(t *testing.T) {
 	const rows, rounds, rowLen = 1000, 100, 100
 	const bound = 1 << 20
 	db := newRigWithOptions(t, rigGeometry(), Options{
-		PageSize: 512, BufferFrames: 512, LogCapacity: 1 << 20, MVCC: true,
+		BufferFrames: 512, LogCapacity: 1 << 20, MVCC: true,
 	})
 	defer db.Close()
 	db.vs.stopReaper() // the test runs the one reaper pass itself

@@ -156,11 +156,9 @@ func Execute(s Spec) (*Out, error) {
 	}
 
 	cell := flash.SLC
-	timing := flash.SLCTiming()
 	chips := 16
 	if s.Testbed == OpenSSD {
 		cell = flash.MLC
-		timing = flash.MLCTiming()
 		// The Jasmine board executes effectively one host I/O at a time
 		// (Appendix D, point 1): a single queueing resource.
 		chips = 1
@@ -168,39 +166,8 @@ func Execute(s Spec) (*Out, error) {
 	pagesPerBlock := 64
 	blocksPerChip := capPages/(chips*pagesPerBlock) + 4
 
-	g := flash.Geometry{
-		Chips: chips, BlocksPerChip: blocksPerChip, PagesPerBlock: pagesPerBlock,
-		PageSize: s.PageSize, OOBSize: s.PageSize / 16, Cell: cell,
-	}
-	tl := sim.NewTimeline(chips)
-	maxApp := 8
-	if n := s.Scheme.N; n > maxApp {
-		maxApp = n
-	}
-	if s.Storage == noftl.StoragePDL && maxApp < 64 {
-		// PDL packs many small differential records per log page; the
-		// partial-program budget bounds records per page, not correctness.
-		maxApp = 64
-	}
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: timing, StrictProgramOrder: true,
-		MaxAppends: maxApp, Seed: s.Seed,
-	}, tl)
-	if err != nil {
-		return nil, err
-	}
-	dev := noftl.Open(arr)
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "data", Mode: s.Mode, Scheme: s.Scheme,
-		BlocksPerChip: blocksPerChip, OverProvision: 0.10,
-		Storage: s.Storage,
-	}); err != nil {
-		return nil, err
-	}
-
 	opts := engine.Options{
-		PageSize: s.PageSize, BufferFrames: pages + 64,
-		Timeline: tl, UseECC: s.UseECC,
+		BufferFrames: pages + 64, UseECC: s.UseECC,
 		// PoolShards stays 1: the paper's update-size and buffer-sweep
 		// tables (1/9/10/11) depend on the deterministic global CLOCK
 		// eviction order, which only the single-shard pool guarantees.
@@ -214,7 +181,17 @@ func Execute(s Spec) (*Out, error) {
 		opts.DirtyThreshold = 0.75
 		opts.LogCapacity = 0 // unbounded: no eager log reclamation
 	}
-	db, err := engine.New(dev, opts)
+	db, tl, err := engine.Open(engine.Spec{
+		Geometry: flash.Geometry{
+			Chips: chips, BlocksPerChip: blocksPerChip, PagesPerBlock: pagesPerBlock,
+			PageSize: s.PageSize, Cell: cell,
+		},
+		Regions: []noftl.RegionConfig{{
+			Name: "data", Mode: s.Mode, Scheme: s.Scheme,
+			OverProvision: 0.10, Storage: s.Storage,
+		}},
+		Options: opts,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +225,7 @@ func Execute(s Spec) (*Out, error) {
 
 	// Reset counters after load; attach the trace recorder.
 	db.Store("data").Region().ResetStats()
-	arr.ResetStats()
+	db.Device().Array().ResetStats()
 	st := db.Store("data")
 	st.Stats().NetBytes.Reset()
 	st.Stats().GrossBytes.Reset()

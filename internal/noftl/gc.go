@@ -3,7 +3,6 @@ package noftl
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"ipa/internal/flash"
@@ -21,7 +20,7 @@ import (
 // (fewest valid pages, from the victim heap) is migrated and erased.
 // Called with cs.mu held.
 func (r *Region) collectLocked(w *sim.Worker, cs *chipState) error {
-	victim := r.selectVictimLocked(cs)
+	victim := cs.victims.peek()
 	if victim == nil {
 		return fmt.Errorf("%w: no victim on chip %d", ErrNoSpace, cs.chip)
 	}
@@ -108,45 +107,6 @@ func (r *Region) evacuateLocked(w *sim.Worker, cs *chipState, bm *blockMeta) (mo
 	bm.next = 0
 	cs.pushFree(bm, arr.EraseCount(bm.id))
 	return moved, lat, nil
-}
-
-// selectVictimLocked picks the block the collector evacuates next.
-// Greedy is the heap minimum (fewest valid pages, deterministic).
-// Cost-benefit scores (1-u)·age/2u (Kawaguchi et al.) over the victim
-// queue at collect time — age changes globally between collections, so
-// the score cannot live in a heap key and a linear scan is required.
-// Ties break on lower block id for determinism.
-func (r *Region) selectVictimLocked(cs *chipState) *blockMeta {
-	if r.cfg.GCVictim != CostBenefitVictim {
-		return cs.victims.peek()
-	}
-	usable := r.usablePagesPerBlock()
-	now := r.tick.Load()
-	var best *blockMeta
-	var bestScore float64
-	for _, bm := range cs.victims.items {
-		if bm.valid >= usable {
-			continue // migrating it frees nothing
-		}
-		var score float64
-		if bm.valid == 0 {
-			score = math.Inf(1) // free reclamation always wins
-		} else {
-			u := float64(bm.valid) / float64(usable)
-			age := float64(now-bm.stamp) + 1
-			score = (1 - u) * age / (2 * u)
-		}
-		if best == nil || score > bestScore || (score == bestScore && bm.id < best.id) {
-			best, bestScore = bm, score
-		}
-	}
-	if best == nil {
-		// Everything in the queue is fully valid (or the queue is empty):
-		// fall through to the heap minimum so collectLocked reports the
-		// same ErrNoSpace conditions as the greedy path.
-		return cs.victims.peek()
-	}
-	return best
 }
 
 // allocMigrationTargetLocked returns a destination PPN for a migrated

@@ -103,9 +103,6 @@ type RegionConfig struct {
 	// log blocks, or plain out-of-place). Zero value StorageIPA keeps the
 	// original behaviour. See Validate for the layout constraints.
 	Storage Storage
-	// GCVictim selects the collector's victim policy; zero value is the
-	// deterministic greedy min-valid heap.
-	GCVictim GCVictim
 
 	// BlocksPerChip assigned to the region on each chip of the device;
 	// a region spans every chip.
@@ -205,11 +202,6 @@ type blockMeta struct {
 	eraseSnap uint32 // erase count at free-pool push (heap key; see freeLess)
 	freeIdx   int    // position in the chip's free heap, -1 when absent
 	victIdx   int    // position in the chip's victim heap, -1 when absent
-
-	// stamp is the region tick at which the block last lost a valid page
-	// (its "age" origin for cost-benefit victim scoring). Only maintained
-	// under CostBenefitVictim so the greedy path stays cost-free.
-	stamp uint64
 }
 
 // chipState is one chip's shard of the region: write point, block
@@ -295,7 +287,6 @@ type Region struct {
 	l2p     core.PageTable[atomic.Uint64] // logical→physical, see entryOf
 	mapped  atomic.Int64                  // current mapping size (logical-capacity accounting)
 	rr      atomic.Uint64                 // round-robin cursor for placing new pages
-	tick    atomic.Uint64                 // invalidation clock for cost-benefit block ages
 	logical int                           // logical page capacity
 }
 
@@ -641,9 +632,6 @@ func (r *Region) invalidateLocked(cs *chipState, ppn flash.PPN) {
 	if bm := r.blockIndex[r.dev.geom.BlockOf(ppn)]; bm != nil && bm.valid > 0 {
 		bm.valid--
 		cs.fixVictim(bm)
-		if r.cfg.GCVictim == CostBenefitVictim {
-			bm.stamp = r.tick.Add(1)
-		}
 	}
 	delete(cs.reverse, ppn)
 }
@@ -753,11 +741,6 @@ func (r *Region) retireActiveLocked(cs *chipState) {
 	act.active = false
 	cs.active = nil
 	cs.addVictim(act)
-	if r.cfg.GCVictim == CostBenefitVictim {
-		// A freshly retired block starts its cost-benefit age now; without
-		// a stamp it would look infinitely old and be collected while hot.
-		act.stamp = r.tick.Add(1)
-	}
 }
 
 // allocLocked returns the next usable PPN on the chip, collecting one

@@ -45,7 +45,6 @@ func TestRegionConfigValidate(t *testing.T) {
 		{RegionConfig{Name: "r", Storage: StoragePDL, Scheme: core.NewScheme(2, 3)}, "Storage pdl requires a disabled Scheme"},
 		{RegionConfig{Name: "r", Storage: StoragePDL, Mode: ModeSLC}, "Storage pdl requires Mode none, got SLC"},
 		{RegionConfig{Name: "r", Storage: Storage(9)}, "unknown storage 9"},
-		{RegionConfig{Name: "r", GCVictim: GCVictim(9)}, "unknown GC victim policy 9"},
 		{RegionConfig{Name: "r", Scheme: core.Scheme{N: -2, M: 4}}, "negative parameter"},
 	}
 	for _, c := range bad {
@@ -297,46 +296,6 @@ func TestPDLRebuild(t *testing.T) {
 	}
 	if buf[30] != 0x01 || buf[31] != 0x02 {
 		t.Errorf("page 1 after rebuild+merge: %#x %#x", buf[30], buf[31])
-	}
-}
-
-func TestCostBenefitVictimSelection(t *testing.T) {
-	dev := newDevice(t, flash.SLC, 1, 8, 4, 256)
-	r, err := dev.CreateRegion(RegionConfig{
-		Name: "cb", Mode: ModeNone, BlocksPerChip: 8,
-		GCVictim: CostBenefitVictim, OverProvision: 0.25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.cfg.GCVictim != CostBenefitVictim {
-		t.Fatal("victim policy not recorded")
-	}
-	// Overwrite churn: with cost-benefit selection the region must still
-	// reclaim space correctly and never lose data.
-	img := func(id core.PageID, v byte) []byte {
-		p := pageOf(dev, v)
-		p[255] = byte(id)
-		return p
-	}
-	for round := 0; round < 20; round++ {
-		for id := core.PageID(0); id < 12; id++ {
-			if err := r.Write(nil, id, img(id, byte(round)), nil); err != nil {
-				t.Fatalf("round %d page %d: %v", round, id, err)
-			}
-		}
-	}
-	buf := make([]byte, r.PageSize())
-	for id := core.PageID(0); id < 12; id++ {
-		if err := r.ReadInto(nil, id, buf, nil); err != nil {
-			t.Fatal(err)
-		}
-		if buf[0] != 19 || buf[255] != byte(id) {
-			t.Errorf("page %d content wrong: round=%d id=%d", id, buf[0], buf[255])
-		}
-	}
-	if st := r.Stats(); st.GCErases == 0 {
-		t.Errorf("no GC under churn: %+v", st)
 	}
 }
 

@@ -31,31 +31,6 @@ func (s Storage) String() string {
 	}
 }
 
-// GCVictim selects the collector's victim policy. The zero value keeps
-// the greedy min-valid heap (deterministic, the paper's experiments
-// depend on it); CostBenefitVictim scores (1-u)·age/2u at collect time
-// (Kawaguchi et al.), preferring cold mostly-invalid blocks.
-type GCVictim int
-
-const (
-	// GreedyVictim picks the block with the fewest valid pages.
-	GreedyVictim GCVictim = iota
-	// CostBenefitVictim maximises (1-u)·age/2u where u is the valid-page
-	// utilisation and age the time since the block last lost a page.
-	CostBenefitVictim
-)
-
-func (v GCVictim) String() string {
-	switch v {
-	case GreedyVictim:
-		return "greedy"
-	case CostBenefitVictim:
-		return "cost-benefit"
-	default:
-		return fmt.Sprintf("GCVictim(%d)", int(v))
-	}
-}
-
 // Validate checks the internal consistency of the configuration. A PDL
 // region must not carry an IPA page layout: PDL's merge-on-read writes
 // raw base images that stale delta slots would corrupt on reconstruct.
@@ -74,11 +49,6 @@ func (rc RegionConfig) Validate() error {
 		}
 	default:
 		return fmt.Errorf("noftl: region %q: unknown storage %d", rc.Name, int(rc.Storage))
-	}
-	switch rc.GCVictim {
-	case GreedyVictim, CostBenefitVictim:
-	default:
-		return fmt.Errorf("noftl: region %q: unknown GC victim policy %d", rc.Name, int(rc.GCVictim))
 	}
 	return nil
 }

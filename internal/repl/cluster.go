@@ -98,41 +98,24 @@ func NewMemberDB(s MemberSpec) (*engine.DB, *sim.Timeline, error) {
 	if s.PoolShards <= 0 {
 		s.PoolShards = DefaultPoolShards
 	}
-	g := flash.Geometry{
-		Chips: s.Chips, BlocksPerChip: s.BlocksPerChip, PagesPerBlock: PagesPerBlock,
-		PageSize: s.PageSize, OOBSize: 64, Cell: flash.SLC,
-	}
-	tl := sim.NewTimeline(g.Chips)
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-	}, tl)
-	if err != nil {
-		return nil, nil, err
-	}
-	dev := noftl.Open(arr)
 	mode, scheme := noftl.ModeSLC, core.NewScheme(2, 3)
 	if s.NoIPA {
 		mode, scheme = noftl.ModeNone, core.Scheme{}
 	}
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "data", Mode: mode, Scheme: scheme,
-		BlocksPerChip: s.BlocksPerChip, OverProvision: 0.15,
-	}); err != nil {
-		return nil, nil, err
-	}
-	db, err := engine.New(dev, engine.Options{
-		PageSize:     s.PageSize,
-		BufferFrames: s.BufferFrames,
-		PoolShards:   s.PoolShards,
-		LogCapacity:  s.LogCapacity,
-		MVCC:         true,
-		Replicated:   !s.Standalone,
-		Timeline:     tl,
+	return engine.Open(engine.Spec{
+		Geometry: flash.Geometry{
+			Chips: s.Chips, BlocksPerChip: s.BlocksPerChip, PagesPerBlock: PagesPerBlock,
+			PageSize: s.PageSize, OOBSize: 64, Cell: flash.SLC,
+		},
+		Regions: []noftl.RegionConfig{{Name: "data", Mode: mode, Scheme: scheme, OverProvision: 0.15}},
+		Options: engine.Options{
+			BufferFrames: s.BufferFrames,
+			PoolShards:   s.PoolShards,
+			LogCapacity:  s.LogCapacity,
+			MVCC:         true,
+			Replicated:   !s.Standalone,
+		},
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return db, tl, nil
 }
 
 // NewCluster builds and starts an N-member cluster on ephemeral

@@ -150,8 +150,6 @@ type Node struct {
 	// mu; shippers and stats read it lock-free.
 	commit atomic.Uint64
 
-	waiterPool sync.Pool // *commitWaiter
-
 	shipWG sync.WaitGroup
 	stop   chan struct{}
 	wg     sync.WaitGroup
@@ -254,6 +252,12 @@ type commitWaiter struct {
 	timer *time.Timer
 }
 
+// waiterFree holds parked waiters for reuse. It is one pool for every
+// Node, as engine.txFree is for every DB: a sync.Pool field would keep
+// its Node, and the member stack behind it, reachable for a garbage
+// collection after the Node's last use.
+var waiterFree sync.Pool
+
 // WaitCommitted blocks until the given LSN is replicated on a quorum,
 // then returns nil: the commit record survives any single failure,
 // because the next leader's electing majority intersects the acking
@@ -284,7 +288,7 @@ func (n *Node) WaitCommitted(lsn core.LSN) error {
 		n.quorumWait.Add(time.Since(start))
 		return nil
 	}
-	w, _ := n.waiterPool.Get().(*commitWaiter)
+	w, _ := waiterFree.Get().(*commitWaiter)
 	if w == nil {
 		w = &commitWaiter{done: make(chan error, 1), timer: time.NewTimer(commitWait)}
 	} else {
@@ -315,7 +319,7 @@ func (n *Node) WaitCommitted(lsn core.LSN) error {
 		}
 	}
 	stopTimer(w.timer)
-	n.waiterPool.Put(w)
+	waiterFree.Put(w)
 	if err == nil {
 		n.quorumWait.Add(time.Since(start))
 	}

@@ -22,7 +22,7 @@ import (
 // rows.
 func mvccAcctStack(t *testing.T, n int) (*engine.DB, *server.Server, *engine.Table, *engine.Table, []core.RID, []wire.RID) {
 	t.Helper()
-	db, tl := newStackOpts(t, engine.Options{PageSize: 1024, BufferFrames: 512, MVCC: true})
+	db, tl := newStackOpts(t, engine.Options{BufferFrames: 512, MVCC: true})
 	acct, err := db.CreateTable("acct", "data")
 	if err != nil {
 		t.Fatal(err)

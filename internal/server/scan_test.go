@@ -74,7 +74,7 @@ func ascending(t *testing.T, what string, entries []client.ScanEntry) {
 // limit. A server that answers a scan in one frame fails it: the table
 // is past its limit, so it answers BAD_REQUEST.
 func TestScanFrameCap(t *testing.T) {
-	db, tl := newStackOpts(t, engine.Options{PageSize: 1024, BufferFrames: 512, MVCC: true})
+	db, tl := newStackOpts(t, engine.Options{BufferFrames: 512, MVCC: true})
 	if _, err := db.CreateTable("big", "data"); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestScanFrameCap(t *testing.T) {
 // and so does one with bytes past its layout; the connection serves
 // the next request.
 func TestScanOldLayoutRefused(t *testing.T) {
-	db, tl := newStackOpts(t, engine.Options{PageSize: 1024, BufferFrames: 512, MVCC: true})
+	db, tl := newStackOpts(t, engine.Options{BufferFrames: 512, MVCC: true})
 	tbl, err := db.CreateTable("kv", "data")
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +358,7 @@ func TestScanPagesAscendingOnce(t *testing.T) {
 // Every audit must see one snapshot: each balance table's drift from
 // its seed equals the sum of the history deltas.
 func TestSnapshotScanPagesUnderTPCB(t *testing.T) {
-	db, tl := newStackOpts(t, engine.Options{PageSize: 1024, BufferFrames: 512, MVCC: true})
+	db, tl := newStackOpts(t, engine.Options{BufferFrames: 512, MVCC: true})
 	if err := workload.NewTPCB(db, "data", 2, 200).Load(tl.NewWorker()); err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestSnapshotScanPagesUnderTPCB(t *testing.T) {
 // grows to the table's size; so does one that copies each request's
 // heap pages into a buffer of its own (about 1 256 B a page).
 func TestScanPageFootprint(t *testing.T) {
-	db, tl := newStackOpts(t, engine.Options{PageSize: 1024, BufferFrames: 8192, MVCC: true})
+	db, tl := newStackOpts(t, engine.Options{BufferFrames: 8192, MVCC: true})
 	sizes := map[string]int{"small": 10_000, "large": 40_000}
 	for _, name := range []string{"small", "large"} {
 		tbl, err := db.CreateTable(name, "data")

@@ -25,34 +25,18 @@ import (
 // run on: 8 SLC chips, IPA [2x3] on the data region, 1 KiB pages.
 func newStack(tb testing.TB) (*engine.DB, *sim.Timeline) {
 	tb.Helper()
-	return newStackOpts(tb, engine.Options{PageSize: 1024, BufferFrames: 512})
+	return newStackOpts(tb, engine.Options{BufferFrames: 512})
 }
 
 // newStackOpts is newStack with caller-chosen engine options (the
-// snapshot tests need MVCC on). PageSize must stay 1024 and Timeline is
-// filled in here.
+// snapshot tests need MVCC on).
 func newStackOpts(tb testing.TB, opts engine.Options) (*engine.DB, *sim.Timeline) {
 	tb.Helper()
-	g := flash.Geometry{
-		Chips: 8, BlocksPerChip: 128, PagesPerBlock: 32,
-		PageSize: 1024, OOBSize: 64, Cell: flash.SLC,
-	}
-	tl := sim.NewTimeline(g.Chips)
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-	}, tl)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	dev := noftl.Open(arr)
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "data", Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 3),
-		BlocksPerChip: 128, OverProvision: 0.15,
-	}); err != nil {
-		tb.Fatal(err)
-	}
-	opts.Timeline = tl
-	db, err := engine.New(dev, opts)
+	db, tl, err := engine.Open(engine.Spec{
+		Geometry: flash.Geometry{Chips: 8, BlocksPerChip: 128, PagesPerBlock: 32, PageSize: 1024, Cell: flash.SLC},
+		Regions:  []noftl.RegionConfig{{Name: "data", Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 3), OverProvision: 0.15}},
+		Options:  opts,
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}

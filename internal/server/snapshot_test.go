@@ -18,9 +18,7 @@ import (
 // updates, the scan count stays frozen across a concurrent insert, and
 // the admin stats document carries the new MVCC and abort counters.
 func TestSnapshotOverWire(t *testing.T) {
-	db, tl := newStackOpts(t, engine.Options{
-		PageSize: 1024, BufferFrames: 512, MVCC: true,
-	})
+	db, tl := newStackOpts(t, engine.Options{BufferFrames: 512, MVCC: true})
 	srv, addr, _ := startServer(t, db, tl, server.Config{})
 	defer srv.Shutdown(5 * time.Second)
 

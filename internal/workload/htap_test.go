@@ -8,8 +8,6 @@ import (
 
 	"ipa/internal/core"
 	"ipa/internal/engine"
-	"ipa/internal/flash"
-	"ipa/internal/noftl"
 	"ipa/internal/sim"
 )
 
@@ -221,33 +219,7 @@ func (h *HTAP) checkInvariant(aSum, tSum, bSum uint64) error {
 // newHTAPDB is the MVCC-enabled variant of the concurrent-terminal rig.
 func newHTAPDB(tb testing.TB, frames, poolShards int) (*engine.DB, *sim.Timeline) {
 	tb.Helper()
-	g := flash.Geometry{
-		Chips: 16, BlocksPerChip: 64, PagesPerBlock: 32,
-		PageSize: 1024, OOBSize: 64, Cell: flash.SLC,
-	}
-	tl := sim.NewTimeline(g.Chips)
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-	}, tl)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	dev := noftl.Open(arr)
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "main", Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 4),
-		BlocksPerChip: 64, OverProvision: 0.15,
-	}); err != nil {
-		tb.Fatal(err)
-	}
-	db, err := engine.New(dev, engine.Options{
-		PageSize: 1024, BufferFrames: frames, Timeline: tl,
-		LogCapacity: 1 << 20, LogReclaimThreshold: 0.4,
-		PoolShards: poolShards, MVCC: true,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return db, tl
+	return openMain(tb, 16, 64, core.NewScheme(2, 4), engine.Options{BufferFrames: frames, PoolShards: poolShards, MVCC: true})
 }
 
 // runHTAP loads the driver and runs it over parallel terminals.

@@ -13,9 +13,7 @@ import (
 
 	"ipa/internal/core"
 	"ipa/internal/engine"
-	"ipa/internal/flash"
 	"ipa/internal/metrics"
-	"ipa/internal/noftl"
 	"ipa/internal/sim"
 )
 
@@ -144,33 +142,7 @@ func newConcurrentDB(tb testing.TB, frames int) (*engine.DB, *sim.Timeline) {
 // shard count (0 = the deterministic single-shard default).
 func newConcurrentDBShards(tb testing.TB, frames, poolShards int) (*engine.DB, *sim.Timeline) {
 	tb.Helper()
-	g := flash.Geometry{
-		Chips: 16, BlocksPerChip: 64, PagesPerBlock: 32,
-		PageSize: 1024, OOBSize: 64, Cell: flash.SLC,
-	}
-	tl := sim.NewTimeline(g.Chips)
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-	}, tl)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	dev := noftl.Open(arr)
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "main", Mode: noftl.ModeSLC, Scheme: core.NewScheme(2, 4),
-		BlocksPerChip: 64, OverProvision: 0.15,
-	}); err != nil {
-		tb.Fatal(err)
-	}
-	db, err := engine.New(dev, engine.Options{
-		PageSize: 1024, BufferFrames: frames, Timeline: tl,
-		LogCapacity: 1 << 20, LogReclaimThreshold: 0.4,
-		PoolShards: poolShards,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return db, tl
+	return openMain(tb, 16, 64, core.NewScheme(2, 4), engine.Options{BufferFrames: frames, PoolShards: poolShards})
 }
 
 // TestRunParallelTPCB runs real concurrent terminals against one DB and

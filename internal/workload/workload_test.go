@@ -16,33 +16,26 @@ import (
 // workload tests.
 func newBenchDB(t *testing.T, scheme core.Scheme, frames int) (*engine.DB, *sim.Timeline) {
 	t.Helper()
-	g := flash.Geometry{
-		Chips: 4, BlocksPerChip: 128, PagesPerBlock: 32,
-		PageSize: 1024, OOBSize: 64, Cell: flash.SLC,
-	}
-	tl := sim.NewTimeline(g.Chips)
-	arr, err := flash.New(flash.Config{
-		Geometry: g, Timing: flash.SLCTiming(), StrictProgramOrder: true, MaxAppends: 8,
-	}, tl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := noftl.Open(arr)
+	return openMain(t, 4, 128, scheme, engine.Options{BufferFrames: frames})
+}
+
+// openMain opens a stack of one region, main, over the chips × blocks
+// of 32 1 KiB pages of an SLC device, with the 1 MiB log budget the
+// workload tests share.
+func openMain(tb testing.TB, chips, blocks int, scheme core.Scheme, opts engine.Options) (*engine.DB, *sim.Timeline) {
+	tb.Helper()
 	mode := noftl.ModeSLC
 	if scheme.Disabled() {
 		mode = noftl.ModeNone
 	}
-	if _, err := dev.CreateRegion(noftl.RegionConfig{
-		Name: "main", Mode: mode, Scheme: scheme, BlocksPerChip: 128, OverProvision: 0.15,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	db, err := engine.New(dev, engine.Options{
-		PageSize: 1024, BufferFrames: frames, Timeline: tl,
-		LogCapacity: 1 << 20, LogReclaimThreshold: 0.4,
+	opts.LogCapacity, opts.LogReclaimThreshold = 1<<20, 0.4
+	db, tl, err := engine.Open(engine.Spec{
+		Geometry: flash.Geometry{Chips: chips, BlocksPerChip: blocks, PagesPerBlock: 32, PageSize: 1024, Cell: flash.SLC},
+		Regions:  []noftl.RegionConfig{{Name: "main", Mode: mode, Scheme: scheme, OverProvision: 0.15}},
+		Options:  opts,
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return db, tl
 }

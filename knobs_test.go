@@ -23,7 +23,8 @@ func TestKnobBudget(t *testing.T) {
 		want int
 	}{
 		{reflect.TypeOf(engine.Options{}), 11},
-		{reflect.TypeOf(noftl.RegionConfig{}), 7},
+		{reflect.TypeOf(engine.Spec{}), 3},
+		{reflect.TypeOf(noftl.RegionConfig{}), 6},
 		{reflect.TypeOf(flash.Config{}), 8},
 		{reflect.TypeOf(buffer.Config{}), 5},
 		{reflect.TypeOf(repl.Config{}), 8},
