@@ -2,7 +2,7 @@
 # lands. `make check` is what CI (and ROADMAP.md) means by tier-1.
 GO ?= go
 
-.PHONY: check tier1 pins sim-clock one-stack rig-deps importers reach footprint vet build examples test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all scaling loc fmt fmt-check
+.PHONY: check tier1 pins sim-clock one-stack rig-deps importers reach footprint vet build examples test race race-regress fuzz-smoke exp-diff bench bench-compare bench-pairs bench-test bench-server bench-all scaling contention loc fmt fmt-check
 
 check: fmt-check pins sim-clock one-stack rig-deps importers reach footprint vet build examples bench-test race
 
@@ -233,6 +233,10 @@ race:
 # path (commit, abort, lock conflict, dropped connection) and release
 # their engine.Tx while snapshots scan; a handle released twice or while
 # in use is drawn by two transactions at once.
+# TestLock: sim.Lock and sim.RLock, the acquire of the engine's hot locks
+# (yield, then park), by more goroutines than processors: writers exclude
+# writers and readers; a waiter past its budget blocks and still gets
+# the lock.
 race-regress:
 	$(GO) test -race -count=20 -run 'TestYCSBMixes' ./internal/workload
 	$(GO) test -race -count=10 -run 'TestAddFieldLostUpdate' ./internal/engine
@@ -245,6 +249,7 @@ race-regress:
 	$(GO) test -race -count=10 -run 'TestOLCDescentStress' ./internal/engine
 	$(GO) test -race -count=10 -run 'TestRecycledImagesAreNotTorn' ./internal/engine
 	$(GO) test -race -count=5 -run 'TestRecycledTxUnderSnapshotScans|TestReleaseRecyclesTx' ./internal/server ./internal/engine
+	$(GO) test -race -count=10 -run 'TestLock' ./internal/sim
 	$(GO) test -count=200 -run TestConcurrentNoWaitLocking ./internal/engine
 
 # Each native fuzz target for 10 s. Their seed corpora run as ordinary
@@ -299,20 +304,46 @@ bench-pairs:
 # pool): BenchmarkReadPathParallel, an OLC Lookup + Table.Read,
 # BenchmarkCommitPathParallel, Begin + three AddField + Commit on the
 # goroutine's own pages, and BenchmarkIndexLookupParallel, OLC Lookups
-# alone in one shared tree, each at one and two goroutines, five runs
-# each. Prints the median ns/op of each and their ratio — 0.5 if the two
-# share no written cache line, 1.0 if the second gains nothing. Two
-# committers share the log by construction (one LSN sequence, one
-# published and one durable horizon), so the commit path's ratio stays
-# above the read path's.
-SCALING = ReadPathParallel CommitPathParallel IndexLookupParallel
+# alone in one shared tree; and with the database on flash
+# (internal/workload): BenchmarkTPCBFlashParallel, whole TPC-B
+# transactions against a pool of 10 % of the pages, 20 000 a run. Each
+# at one and two goroutines, five runs each. Prints the median ns/op of
+# each and their ratio — 0.5 if the two share no written cache line, 1.0
+# if the second gains nothing. Two committers share the log by
+# construction (one LSN sequence, one published and one durable
+# horizon), so the commit path's ratio stays above the read path's.
+SCALING_ENGINE = ReadPathParallel CommitPathParallel IndexLookupParallel
+SCALING = $(SCALING_ENGINE) TPCBFlashParallel
 scaling:
-	@$(GO) test -run xxx -bench '$(subst $() ,|,$(SCALING))' -count 5 -cpu 1,2 ./internal/engine | awk -v names='$(SCALING)' ' \
+	@{ $(GO) test -run xxx -bench '$(subst $() ,|,$(SCALING_ENGINE))' -count 5 -cpu 1,2 ./internal/engine && \
+		$(GO) test -run xxx -bench TPCBFlashParallel -benchtime 20000x -count 5 -cpu 1,2 ./internal/workload; } | awk -v names='$(SCALING)' ' \
 		function med(a, n,   i, j, t) { for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } return a[int((n + 1) / 2)] } \
 		/^Benchmark/ { b = $$1; cpu = 1; if (sub(/-2$$/, "", b)) cpu = 2; sub(/^Benchmark/, "", b); v[b, cpu, ++n[b, cpu]] = $$3 } \
 		END { k = split(names, list, " "); for (x = 1; x <= k; x++) { b = list[x]; \
 			for (cpu = 1; cpu <= 2; cpu++) { if (!n[b, cpu]) exit 1; delete t; for (i = 1; i <= n[b, cpu]; i++) t[i] = v[b, cpu, i]; m[cpu] = med(t, n[b, cpu]) } \
 			printf "%-20s 1 cpu %.1f ns/op  2 cpu %.1f ns/op  ratio %.2f\n", b, m[1], m[2], m[2] / m[1] } }'
+
+# Where two TPC-B clients on flash wait: BenchmarkTPCBFlashParallel
+# (internal/workload; the regime of bench/'s tpcb-flash) at two
+# goroutines, 40 000 transactions, under an execution trace. Prints the
+# benchmark line and, for the two clients' goroutines only (pprof -focus
+# on the RunParallel body), two profiles of the trace, each as counts and
+# as summed delay by where the client was: `go tool trace -pprof=sync`,
+# the time blocked on a mutex, latch or channel (parks per lock), and
+# `-pprof=sched`, the time from becoming runnable — woken by an unlock,
+# preempted, or yielding — to running. The trace, the profiles and the
+# test binary stay under .bench_build/contention.
+CONTENTION = .bench_build/contention
+contention:
+	@mkdir -p $(CONTENTION)
+	@$(GO) test -c -o $(CONTENTION)/workload.test ./internal/workload
+	@cd $(CONTENTION) && ./workload.test -test.run xxx -test.bench TPCBFlashParallel -test.benchtime 40000x -test.cpu 2 -test.trace trace.out | grep '^Benchmark'
+	@for p in sync sched; do \
+		$(GO) tool trace -pprof=$$p $(CONTENTION)/trace.out > $(CONTENTION)/$$p.pprof || exit 1; \
+		for i in contentions delay; do echo "== $$p: $$i"; \
+			$(GO) tool pprof -top -nodecount=15 -focus='RunParallel.func1' -sample_index=$$i \
+				$(CONTENTION)/workload.test $(CONTENTION)/$$p.pprof 2>/dev/null | sed -n '/^Showing nodes/p;/flat%/,$$p' || exit 1; \
+		done; done
 
 # The network service benchmarks, go-bench text: end-to-end TPC-B over
 # the wire protocol across a connections × pipelining-depth grid, and

@@ -162,8 +162,9 @@ type Frame struct {
 	// engine mutators and the flush paths hold it exclusively. Mutators
 	// take it through Latch/TryLatch and change Data only while they hold
 	// it — that is where the flushed image is captured; the flush paths
-	// lock it directly and never capture. Pin the frame before latching;
-	// never latch while holding a shard mutex.
+	// lock it directly and never capture. Every acquire goes through
+	// sim.Lock or sim.RLock, which yield before they park. Pin the frame
+	// before latching; never latch while holding a shard mutex.
 	latch sync.RWMutex
 
 	// ver is the frame's optimistic-lock-coupling version word, on the
@@ -207,9 +208,13 @@ type Frame struct {
 	// UsedSlots is N_E in the paper: delta-records already programmed on
 	// the physical page.
 	UsedSlots int
-	// RecLSN is the LSN that first dirtied the frame (for checkpoints),
-	// written with the dirty flag under the shard mutex.
-	RecLSN core.LSN
+	// recLSN is the LSN of the earliest change the frame holds that
+	// storage does not (ARIES recLSN), for checkpoints: the Unpin that
+	// makes the frame dirty stores it with the dirty flag under the shard
+	// mutex, a dirty Unpin that carries an older LSN lowers it
+	// (lowerRecLSN), with or without the mutex, and a flush claim clears
+	// it.
+	recLSN atomic.Uint64
 
 	loadDone chan struct{}
 	loadErr  error
@@ -270,7 +275,7 @@ func (fr *Frame) fenceIdle() bool { return fr.pin.CompareAndSwap(0, fence) }
 // or last flush, and drops the frame's Route: the holder may change the
 // bytes it was decoded from, even if it forgets BumpVersion.
 func (fr *Frame) Latch() {
-	fr.latch.Lock()
+	sim.Lock(&fr.latch)
 	fr.exclusive()
 }
 
@@ -302,7 +307,7 @@ func (fr *Frame) MarkFlushed() { fr.image = ImageClean }
 func (fr *Frame) Unlatch() { fr.latch.Unlock() }
 
 // RLatch acquires the frame's content latch shared (for reading).
-func (fr *Frame) RLatch() { fr.latch.RLock() }
+func (fr *Frame) RLatch() { sim.RLock(&fr.latch) }
 
 // RUnlatch releases a shared latch.
 func (fr *Frame) RUnlatch() { fr.latch.RUnlock() }
@@ -776,7 +781,7 @@ func (fr *Frame) bind(id core.PageID, isNew bool) {
 	fr.New = isNew
 	fr.stampVersion()
 	fr.UsedSlots = 0
-	fr.RecLSN = 0
+	fr.recLSN.Store(0)
 	fr.loadErr = nil
 }
 
@@ -864,14 +869,22 @@ func (p *Pool) GetNew(w *sim.Worker, id core.PageID) (*Frame, error) {
 	return fr, nil
 }
 
-// Unpin releases one pin. If dirty, recLSN records the earliest LSN that
-// modified the page since it was last clean (ARIES recLSN). Only the
-// Unpin that makes a frame dirty takes the shard mutex; it is the one
-// event that raises the dirty count, so it is where the cleaner flushes a
-// batch when the dirty fraction exceeds the threshold.
+// Unpin releases one pin. If dirty, recLSN is the LSN of the caller's
+// change, and the frame's recLSN becomes the earliest LSN that changed
+// the page since it was last flushed (ARIES recLSN) — the earliest, not
+// the first unpinned: two holders may change the page in one order and
+// unpin it in the other. Only the Unpin that makes a frame dirty takes
+// the shard mutex; it is the one event that raises the dirty count, so
+// it is where the cleaner flushes a batch when the dirty fraction
+// exceeds the threshold.
 func (p *Pool) Unpin(w *sim.Worker, fr *Frame, dirty bool, recLSN core.LSN) error {
 	if !dirty || fr.dirty.Load() {
-		// Already dirty stays dirty: no flush claims a pinned frame.
+		// Already dirty stays dirty: no flush claims a pinned frame. The
+		// pin is dropped last, so no claim reads recLSN before it is
+		// lowered.
+		if dirty {
+			fr.lowerRecLSN(recLSN)
+		}
 		if !fr.unpin() {
 			return fmt.Errorf("buffer: unpin of unpinned page %d", fr.ID)
 		}
@@ -885,8 +898,10 @@ func (p *Pool) Unpin(w *sim.Worker, fr *Frame, dirty bool, recLSN core.LSN) erro
 	}
 	if !fr.dirty.Load() {
 		fr.dirty.Store(true)
-		fr.RecLSN = recLSN
+		fr.recLSN.Store(uint64(recLSN))
 		s.dirty.Add(1)
+	} else {
+		fr.lowerRecLSN(recLSN)
 	}
 	s.mu.Unlock()
 	if p.dirtyFraction() > p.cfg.dirtyThreshold() {
@@ -895,13 +910,34 @@ func (p *Pool) Unpin(w *sim.Worker, fr *Frame, dirty bool, recLSN core.LSN) erro
 	return nil
 }
 
+// lowerRecLSN makes lsn the recLSN of fr, which is dirty, if it is older
+// than the one recorded or none is; an lsn of 0 names no change and
+// lowers nothing. The caller holds a pin on fr or the mutex of its shard,
+// either of which keeps a flush claim from clearing recLSN meanwhile. The
+// recorded value is rarely the higher one, so this is one load and seldom
+// a compare-and-swap.
+func (fr *Frame) lowerRecLSN(lsn core.LSN) {
+	for {
+		cur := fr.recLSN.Load()
+		if lsn == 0 || cur != 0 && cur <= uint64(lsn) {
+			return
+		}
+		if fr.recLSN.CompareAndSwap(cur, uint64(lsn)) {
+			return
+		}
+	}
+}
+
+// earliest returns fr's recLSN. The caller holds the mutex of fr's shard.
+func (fr *Frame) earliest() core.LSN { return core.LSN(fr.recLSN.Load()) }
+
 // claimLocked marks a dirty, unpinned frame clean and flush-pins it so
 // the caller can flush it outside the shard mutex. A writer that
 // re-dirties the frame during the flush simply marks it dirty again —
 // nothing is lost, the frame is flushed once more later.
 func (s *poolShard) claimLocked(fr *Frame) {
 	fr.dirty.Store(false)
-	fr.RecLSN = 0
+	fr.recLSN.Store(0)
 	s.dirty.Add(-1)
 	fr.pin.Add(1)
 }
@@ -918,7 +954,7 @@ func (fr *Frame) claimable() bool {
 func (s *poolShard) redirtyLocked(fr *Frame, recLSN core.LSN) {
 	if !fr.dirty.Load() {
 		fr.dirty.Store(true)
-		fr.RecLSN = recLSN
+		fr.recLSN.Store(uint64(recLSN))
 		s.dirty.Add(1)
 	}
 }
@@ -927,7 +963,7 @@ func (s *poolShard) redirtyLocked(fr *Frame, recLSN core.LSN) {
 // mutex held, taking the content latch for the duration of the store
 // I/O. On error the dirty state is restored.
 func (p *Pool) flushClaimed(w *sim.Worker, fr *Frame, recLSN core.LSN) error {
-	fr.latch.Lock()
+	sim.Lock(&fr.latch)
 	err := p.store.Flush(w, fr)
 	fr.latch.Unlock()
 	s := fr.home.Load() // stable: the flush pin prevents stealing
@@ -986,7 +1022,7 @@ func (p *Pool) CleanerPass(w *sim.Worker) error {
 			if fr == nil || !fr.claimable() {
 				continue
 			}
-			batch = append(batch, claimed{fr, fr.RecLSN})
+			batch = append(batch, claimed{fr, fr.earliest()})
 			s.claimLocked(fr)
 			quota--
 			budget--
@@ -1135,10 +1171,10 @@ func (p *Pool) victimLocked(s *poolShard, w *sim.Worker) (*Frame, error) {
 		// skips pinned frames and home never changes while pinned — so
 		// the frame cannot end up owned by two shards at once and the
 		// re-check below reads state guarded by the right mutex.
-		recLSN := fr.RecLSN
+		recLSN := fr.earliest()
 		s.claimLocked(fr)
 		s.mu.Unlock()
-		fr.latch.Lock()
+		sim.Lock(&fr.latch)
 		err := p.store.Flush(w, fr)
 		fr.latch.Unlock()
 		s.mu.Lock()
@@ -1199,7 +1235,7 @@ func (p *Pool) flushAllShard(s *poolShard, w *sim.Worker) error {
 				s.mu.Unlock()
 				return fmt.Errorf("%w: page %d", ErrPinned, id)
 			}
-			fr, recLSN = f, f.RecLSN
+			fr, recLSN = f, f.earliest()
 			pos = (pos + scanned + 1) % n // resume after the claimed frame
 			break
 		}
@@ -1234,7 +1270,7 @@ func (p *Pool) FlushOldest(w *sim.Worker, n int) (int, error) {
 		s.mu.Lock()
 		for _, fr := range s.frames {
 			if fr != nil && fr.claimable() {
-				cands = append(cands, claimed{fr, fr.RecLSN})
+				cands = append(cands, claimed{fr, fr.earliest()})
 			}
 		}
 		s.mu.Unlock()
@@ -1253,7 +1289,7 @@ func (p *Pool) FlushOldest(w *sim.Worker, n int) (int, error) {
 			s.mu.Unlock()
 			continue // flushed, reloaded, pinned or stolen since the snapshot
 		}
-		recLSN := fr.RecLSN
+		recLSN := fr.earliest()
 		s.claimLocked(fr)
 		s.mu.Unlock()
 		if err := p.flushClaimed(w, fr, recLSN); err != nil {
@@ -1280,7 +1316,7 @@ func (p *Pool) DirtyPages() map[core.PageID]core.LSN {
 		s.mu.Lock()
 		for _, fr := range s.frames {
 			if fr != nil && fr.dirty.Load() {
-				dpt[fr.ID] = fr.RecLSN
+				dpt[fr.ID] = fr.earliest()
 			}
 		}
 		s.mu.Unlock()

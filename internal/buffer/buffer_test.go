@@ -274,12 +274,58 @@ func TestRecLSNOnlyFirstDirty(t *testing.T) {
 	p.Unpin(nil, fr, true, 10)
 	fr, _ = p.Get(nil, 1)
 	p.Unpin(nil, fr, true, 20)
-	if fr.RecLSN != 10 {
-		t.Errorf("RecLSN = %d, want first-dirty 10", fr.RecLSN)
+	if got := fr.earliest(); got != 10 {
+		t.Errorf("RecLSN = %d, want first-dirty 10", got)
 	}
 	dpt := p.DirtyPages()
 	if dpt[1] != 10 {
 		t.Errorf("DPT = %v", dpt)
+	}
+}
+
+// Two holders change a page in one order and unpin it in the other: A
+// changes it at LSN 10, B at LSN 20, and B's Unpin makes the frame dirty
+// first. The dirty-page table must name A's change, the earliest the page
+// holds that storage does not; a checkpoint that trusted 20 would cut the
+// log past A's record while flash still lacks A's change. A dirty Unpin
+// with LSN 0 names no change and leaves the recLSN alone.
+func TestRecLSNIsEarliestUnflushedChange(t *testing.T) {
+	st := newFakeStore(64)
+	p := newPool(t, 2, st)
+	fr, _ := p.GetNew(nil, 7)
+	if err := p.Unpin(nil, fr, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := p.Get(nil, 7)
+	b, _ := p.Get(nil, 7)
+	for _, u := range []struct {
+		fr  *Frame
+		lsn core.LSN
+	}{{b, 20}, {a, 10}} {
+		if err := p.Unpin(nil, u.fr, true, u.lsn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := p.DirtyPages()[7]; got != 10 {
+		t.Errorf("DirtyPages()[7] = %d, want 10", got)
+	}
+	c, _ := p.Get(nil, 7)
+	if err := p.Unpin(nil, c, true, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.DirtyPages()[7]; got != 10 {
+		t.Errorf("after an Unpin with LSN 0: DirtyPages()[7] = %d, want 10", got)
+	}
+	// A flush claim forgets it: the next change starts a new recLSN.
+	if err := p.FlushAll(nil); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := p.Get(nil, 7)
+	if err := p.Unpin(nil, d, true, 30); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.DirtyPages()[7]; got != 30 {
+		t.Errorf("after a flush: DirtyPages()[7] = %d, want 30", got)
 	}
 }
 
@@ -472,8 +518,8 @@ func TestUnpinOfUnpinnedFrameChangesNothing(t *testing.T) {
 	}
 	check("fenced frame", fence)
 	fr.pin.Store(0)
-	if fr.RecLSN != 0 || fr.dirty.Load() {
-		t.Errorf("a refused Unpin dirtied the frame: dirty %v, recLSN %d", fr.dirty.Load(), fr.RecLSN)
+	if fr.earliest() != 0 || fr.dirty.Load() {
+		t.Errorf("a refused Unpin dirtied the frame: dirty %v, recLSN %d", fr.dirty.Load(), fr.earliest())
 	}
 }
 

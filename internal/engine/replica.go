@@ -151,7 +151,7 @@ func (a *Applier) applyOne(rec wal.Record) error {
 		bumpAtomic(&db.nextPage, uint64(pid))
 		if owner != 0 {
 			if t := a.tableByID(owner); t != nil {
-				t.mu.Lock()
+				sim.Lock(&t.mu)
 				t.pages = append(t.pages, pid)
 				t.last = pid
 				t.mu.Unlock()

@@ -84,7 +84,7 @@ func (db *DB) CaptureSnapshot(w *sim.Worker) (*ReplicaSnapshot, error) {
 	}
 	db.catMu.Unlock()
 	for _, t := range tables {
-		t.mu.Lock()
+		sim.Lock(&t.mu)
 		tm := TableMeta{
 			Name:   t.name,
 			Region: t.st.Region().Name(),
@@ -150,7 +150,7 @@ func (db *DB) InstallSnapshot(w *sim.Worker, snap *ReplicaSnapshot) error {
 		if err != nil {
 			return err
 		}
-		t.mu.Lock()
+		sim.Lock(&t.mu)
 		t.pages = append([]core.PageID(nil), tm.Pages...)
 		t.last = tm.Last
 		t.mu.Unlock()

@@ -28,7 +28,8 @@ var (
 // only on the tuple lock and the page's frame latch, so updates to
 // different pages proceed in parallel. Insert additionally holds the
 // table mutex, which guards the heap chain (pages, last) and serialises
-// inserts into the shared insertion target.
+// the choice of the shared insertion target, but not across the Unpin
+// that can run a cleaner pass (see Insert).
 type Table struct {
 	db   *DB
 	st   *PageStore
@@ -73,58 +74,75 @@ func (db *DB) Table(name string) (*Table, error) {
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
-// Insert appends a tuple, logging the operation under tx.
+// Insert appends a tuple, logging the operation under tx. The table
+// mutex is held while the insertion target is chosen and changed, and
+// released before the page's dirty Unpin, which may run a cleaner pass,
+// and before a log reclaim, which flushes and checkpoints: the page's
+// exclusive latch, held to that Unpin, serialises the insert itself.
 func (t *Table) Insert(tx *Tx, data []byte) (core.RID, error) {
 	db := t.db
 	if err := tx.writable(); err != nil {
 		return core.RID{}, err
 	}
 	defer db.rlockState(tx.w).RUnlock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	sim.Lock(&t.mu)
+	pg, rid, lsn, chained, err := t.insertLocked(tx, data)
+	t.mu.Unlock()
+	if err != nil {
+		return core.RID{}, err
+	}
+	if err := pg.unpinDirty(lsn); err != nil || !chained {
+		return rid, err
+	}
+	return rid, db.maybeReclaim(tx.w)
+}
+
+// insertLocked inserts data into the current insertion target, or into a
+// fresh page it chains when the target is full, and returns that page
+// still exclusively latched, with the new row's RID and the LSN to
+// release it dirty with; chained says a fresh page was chained. On error
+// it holds nothing. Caller holds stateMu shared and t.mu.
+func (t *Table) insertLocked(tx *Tx, data []byte) (pg pageRef, rid core.RID, lsn core.LSN, chained bool, err error) {
+	db := t.db
 	// Try the current insertion target first.
 	if t.last != core.InvalidPageID {
-		pg, err := db.pinPage(tx.w, t.st, t.last, true)
-		if err != nil {
-			return core.RID{}, err
+		if pg, err = db.pinPage(tx.w, t.st, t.last, true); err != nil {
+			return pageRef{}, core.RID{}, 0, false, err
 		}
-		rid, err := t.insertInto(tx, pg, data)
+		rid, lsn, err = t.insertInto(tx, pg, data)
 		if !errors.Is(err, page.ErrPageFull) {
-			return rid, err
+			return pg, rid, lsn, false, err
 		}
 	}
 	// Allocate a fresh page and chain it. Its latch is dropped while the
 	// previous tail is fetched: a frame latch is not held across a fetch.
-	pg, err := db.newPage(tx.w, t.st, t.id, 0)
-	if err != nil {
-		return core.RID{}, err
+	if pg, err = db.newPage(tx.w, t.st, t.id, 0); err != nil {
+		return pageRef{}, core.RID{}, 0, false, err
 	}
 	pg.unlatch()
 	id := pg.fr.ID
 	if t.last != core.InvalidPageID {
 		if err := t.setNext(tx.w, t.last, id); err != nil {
 			pg.unpin()
-			return core.RID{}, err
+			return pageRef{}, core.RID{}, 0, false, err
 		}
 	}
 	t.pages = append(t.pages, id)
 	t.last = id
 	pg.latch(true)
-	rid, err := t.insertInto(tx, pg, data)
-	if err != nil {
-		return core.RID{}, err
-	}
-	return rid, db.maybeReclaim(tx.w)
+	rid, lsn, err = t.insertInto(tx, pg, data)
+	return pg, rid, lsn, true, err
 }
 
-// insertInto inserts into the exclusively latched page pg, which it takes
-// over and releases. Caller holds stateMu shared and t.mu.
-func (t *Table) insertInto(tx *Tx, pg pageRef, data []byte) (core.RID, error) {
+// insertInto inserts into the exclusively latched page pg and logs the
+// insert, leaving pg to the caller to release dirty with the returned
+// LSN; on error it releases pg. Caller holds stateMu shared and t.mu.
+func (t *Table) insertInto(tx *Tx, pg pageRef, data []byte) (core.RID, core.LSN, error) {
 	db := t.db
 	slot, err := pg.Insert(data)
 	if err != nil {
 		pg.unpin()
-		return core.RID{}, err
+		return core.RID{}, 0, err
 	}
 	rid := core.RID{Page: pg.fr.ID, Slot: uint16(slot)}
 	// page.Insert reuses a slot that a transaction still rolling back has
@@ -137,7 +155,7 @@ func (t *Table) insertInto(tx *Tx, pg pageRef, data []byte) (core.RID, error) {
 	if !ok {
 		pg.Delete(slot)
 		pg.unpin()
-		return core.RID{}, fmt.Errorf("%w: free slot %v is locked by tx %d", page.ErrPageFull, rid, owner)
+		return core.RID{}, 0, fmt.Errorf("%w: free slot %v is locked by tx %d", page.ErrPageFull, rid, owner)
 	}
 	if fresh {
 		tx.held = append(tx.held, rid)
@@ -147,7 +165,7 @@ func (t *Table) insertInto(tx *Tx, pg pageRef, data []byte) (core.RID, error) {
 	}
 	lsn := tx.logUpdate(rid.Page, wal.OpInsert, slot, 0, nil, data)
 	pg.SetLSN(lsn)
-	return rid, pg.unpinDirty(lsn)
+	return rid, lsn, nil
 }
 
 // setNext updates the heap chain pointer of a page (metadata-only
@@ -291,7 +309,7 @@ func (ps *ScanBuf) load(t *Table, w *sim.Worker, id core.PageID) error {
 // come from one counter and the chain grows under t.mu, so it is in
 // ascending id order.
 func (t *Table) heapPages() []core.PageID {
-	t.mu.Lock()
+	sim.Lock(&t.mu)
 	defer t.mu.Unlock()
 	return t.pages[:len(t.pages):len(t.pages)]
 }

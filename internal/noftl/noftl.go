@@ -209,6 +209,9 @@ type blockMeta struct {
 type chipState struct {
 	chip int
 
+	// mu is held across a write's program and any inline collection, tens
+	// of microseconds, so it is taken with sim.Lock: a waiter yields
+	// before it parks.
 	mu sync.Mutex
 
 	blocks   []*blockMeta // the chip's blocks, ascending id (immutable slice)
@@ -445,7 +448,7 @@ func (r *Region) Stats() Stats {
 	var total Stats
 	for _, c := range r.chips {
 		cs := r.byChip[c]
-		cs.mu.Lock()
+		sim.Lock(&cs.mu)
 		total.add(cs.stats)
 		cs.mu.Unlock()
 	}
@@ -456,7 +459,7 @@ func (r *Region) Stats() Stats {
 func (r *Region) ResetStats() {
 	for _, c := range r.chips {
 		cs := r.byChip[c]
-		cs.mu.Lock()
+		sim.Lock(&cs.mu)
 		cs.stats = Stats{}
 		cs.mu.Unlock()
 	}
@@ -497,7 +500,7 @@ func (r *Region) ReadInto(w *sim.Worker, id core.PageID, data, oob []byte) error
 			return fmt.Errorf("%w: %d", ErrUnknownPage, id)
 		}
 		cs := r.chipOf(ppn)
-		cs.mu.Lock()
+		sim.Lock(&cs.mu)
 		if cur, ok := r.lookup(id); !ok || cur != ppn {
 			// Migrated (or freed) between lookup and lock: retry against
 			// the new location.
@@ -537,7 +540,7 @@ func (r *Region) Write(w *sim.Worker, id core.PageID, data, oob []byte) error {
 		chip = r.dev.geom.ChipOf(prev) // keep a page on its chip for locality
 	}
 	cs := r.byChip[chip]
-	cs.mu.Lock()
+	sim.Lock(&cs.mu)
 	ppn, err := r.allocLocked(w, cs)
 	if err != nil {
 		// The chosen chip cannot allocate: its share of the region is
@@ -607,7 +610,7 @@ func (r *Region) allocFailover(w *sim.Worker, tried, start int, firstErr error) 
 			continue
 		}
 		cs := r.byChip[c]
-		cs.mu.Lock()
+		sim.Lock(&cs.mu)
 		ppn, err := r.allocLocked(w, cs)
 		if err == nil {
 			return ppn, cs, nil
@@ -640,7 +643,7 @@ func (r *Region) invalidateLocked(cs *chipState, ppn flash.PPN) {
 // that just wrote it, unless the mapping moved back there meanwhile.
 func (r *Region) dropStaleCopy(ppn flash.PPN, id core.PageID) {
 	cs := r.chipOf(ppn)
-	cs.mu.Lock()
+	sim.Lock(&cs.mu)
 	if got, ok := cs.reverse[ppn]; ok && got == id {
 		if cur, ok := r.lookup(id); !ok || cur != ppn {
 			r.invalidateLocked(cs, ppn)
@@ -692,7 +695,7 @@ func (r *Region) WriteDelta(w *sim.Worker, id core.PageID, off int, delta []byte
 			return fmt.Errorf("%w: page %d resides on an MSB page", ErrNotAppendable, id)
 		}
 		cs := r.chipOf(ppn)
-		cs.mu.Lock()
+		sim.Lock(&cs.mu)
 		if cur, ok := r.lookup(id); !ok || cur != ppn {
 			cs.mu.Unlock()
 			continue
@@ -720,7 +723,7 @@ func (r *Region) Refresh(w *sim.Worker, id core.PageID, data, oob []byte) error 
 			return fmt.Errorf("%w: %d", ErrUnknownPage, id)
 		}
 		cs := r.chipOf(ppn)
-		cs.mu.Lock()
+		sim.Lock(&cs.mu)
 		if cur, ok := r.lookup(id); !ok || cur != ppn {
 			cs.mu.Unlock()
 			continue

@@ -356,7 +356,7 @@ func (dl *DiffLog) appendChipLocked(w *sim.Worker, c int, rec []byte) (flash.PPN
 			lb.pageOff = recOff + len(rec)
 			lb.live += len(rec)
 			cs := dl.r.byChip[c]
-			cs.mu.Lock()
+			sim.Lock(&cs.mu)
 			cs.stats.DeltaWrites++
 			cs.stats.DeltaTime += lat
 			cs.mu.Unlock()
@@ -375,7 +375,7 @@ func (dl *DiffLog) openBlockLocked(pc *pdlChip) (*logBlock, error) {
 		return nil, fmt.Errorf("%w: chip %d at %d log blocks", ErrPDLNoSpace, pc.chip, len(pc.blocks))
 	}
 	cs := dl.r.byChip[pc.chip]
-	cs.mu.Lock()
+	sim.Lock(&cs.mu)
 	if cs.freeLen() <= gcReserve {
 		cs.mu.Unlock()
 		return nil, fmt.Errorf("%w: chip %d free pool at reserve", ErrPDLNoSpace, pc.chip)
@@ -617,7 +617,7 @@ func (dl *DiffLog) releaseBlockLocked(w *sim.Worker, victim *logBlock) error {
 		return fmt.Errorf("noftl: pdl erase block %d: %w", victim.bm.id, err)
 	}
 	cs := dl.r.byChip[victim.chip]
-	cs.mu.Lock()
+	sim.Lock(&cs.mu)
 	victim.bm.collecting = false
 	victim.bm.valid = 0
 	victim.bm.next = 0
@@ -698,7 +698,7 @@ func (dl *DiffLog) Rebuild(w *sim.Worker, baseLSN map[core.PageID]core.LSN) (int
 		// unmapped block and classified it active or victim; park it
 		// `collecting` again so the collector never evacuates it.
 		cs := dl.r.byChip[bm.chip]
-		cs.mu.Lock()
+		sim.Lock(&cs.mu)
 		if bm.active {
 			bm.active = false
 			cs.active = nil

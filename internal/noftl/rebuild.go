@@ -94,7 +94,7 @@ func (r *Region) Adopt(mapping map[core.PageID]flash.PPN) error {
 	usable := r.usablePagesPerBlock()
 	for _, c := range r.chips {
 		cs := r.byChip[c]
-		cs.mu.Lock()
+		sim.Lock(&cs.mu)
 		cs.reverse = make(map[flash.PPN]core.PageID)
 		cs.active = nil
 		cs.freePool.reset()
@@ -118,7 +118,7 @@ func (r *Region) Adopt(mapping map[core.PageID]flash.PPN) error {
 	}
 	for id, ppn := range mapping {
 		cs := r.chipOf(ppn)
-		cs.mu.Lock()
+		sim.Lock(&cs.mu)
 		cs.reverse[ppn] = id
 		r.blockIndex[r.dev.geom.BlockOf(ppn)].valid++
 		cs.mu.Unlock()
@@ -128,7 +128,7 @@ func (r *Region) Adopt(mapping map[core.PageID]flash.PPN) error {
 	// are not stranded; everything else occupied is a victim candidate.
 	for _, c := range r.chips {
 		cs := r.byChip[c]
-		cs.mu.Lock()
+		sim.Lock(&cs.mu)
 		for _, bm := range cs.blocks {
 			switch {
 			case bm.next == 0:

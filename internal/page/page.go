@@ -130,9 +130,19 @@ func Attach(buf []byte, l Layout) (Page, error) {
 	return Page{buf: buf, l: l}, nil
 }
 
+// erasedChunk is a run of erased bytes. wipeErased copies it rather than
+// storing a byte at a time: every fetch wipes its page's delta area.
+var erasedChunk = func() (c [1024]byte) {
+	for i := range c {
+		c[i] = core.Erased
+	}
+	return c
+}()
+
+// wipeErased sets every byte of b to the erased state.
 func wipeErased(b []byte) {
-	for i := range b {
-		b[i] = core.Erased
+	for len(b) > 0 {
+		b = b[copy(b, erasedChunk[:]):]
 	}
 }
 

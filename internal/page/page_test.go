@@ -649,3 +649,23 @@ func TestReconstructZeroAllocs(t *testing.T) {
 		t.Errorf("Reconstruct: %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// wipeErased sets exactly the bytes it is given to the erased state, for
+// lengths around and past the chunk it copies from.
+func TestWipeErased(t *testing.T) {
+	for _, n := range []int{0, 1, 7, len(erasedChunk) - 1, len(erasedChunk), len(erasedChunk) + 1, 3*len(erasedChunk) + 5} {
+		buf := make([]byte, n+2)
+		for i := range buf {
+			buf[i] = byte(i)
+		}
+		wipeErased(buf[1 : n+1])
+		if buf[0] != 0 || buf[n+1] != byte(n+1) {
+			t.Errorf("n=%d: a byte outside the slice changed", n)
+		}
+		for i, c := range buf[1 : n+1] {
+			if c != core.Erased {
+				t.Fatalf("n=%d: byte %d is %#x, want %#x", n, i, c, core.Erased)
+			}
+		}
+	}
+}

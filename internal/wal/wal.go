@@ -74,6 +74,7 @@ import (
 	"time"
 
 	"ipa/internal/core"
+	"ipa/internal/sim"
 )
 
 // RecType enumerates log record kinds.
@@ -357,7 +358,7 @@ func (s *segment) reserveImages(n int) (*chunk, int) {
 				return c, int(end) - n
 			}
 		}
-		s.mu.Lock()
+		sim.Lock(&s.mu)
 		if s.arena.Load() != c {
 			s.mu.Unlock()
 			continue // someone else installed a chunk; try it
@@ -431,7 +432,7 @@ func (s *segment) record(lsn core.LSN, f fields) Record {
 		}
 	}
 	if f.side {
-		s.mu.Lock()
+		sim.Lock(&s.mu)
 		sd := s.side[uint16(i)]
 		s.mu.Unlock()
 		r.Meta, r.ActiveTxs, r.DirtyPages = sd.meta, sd.activeTxs, sd.dirtyPages
@@ -662,8 +663,10 @@ func (r *ring) segmentOf(lsn core.LSN) *segment {
 // flushMu, which coordinates group-commit leadership (never held across
 // the flush itself), and ringMu, which serialises segment-table growth,
 // packing and truncation (taken once per segRecords appends, never on
-// the slot hot path). All counters are atomics read lock-free, so stats
-// sampling never contends with appenders or the group-commit leader.
+// the slot hot path). ringMu and a segment's mu are taken with sim.Lock,
+// so a waiter yields before it parks. All counters are atomics read
+// lock-free, so stats sampling never contends with appenders or the
+// group-commit leader.
 type Log struct {
 	// Read on every append, written only by growth, truncation and the
 	// replication floor, so each appender's copy of these lines stays.
@@ -760,7 +763,7 @@ func (l *Log) Append(r Record) core.LSN {
 		if len(r.Meta) > 0 {
 			sd.meta = append([]byte(nil), r.Meta...)
 		}
-		seg.mu.Lock()
+		sim.Lock(&seg.mu)
 		if seg.side == nil {
 			seg.side = make(map[uint16]*sideRec)
 		}
@@ -810,7 +813,7 @@ func (l *Log) segment(lsn core.LSN) (*segment, bool) {
 // packs (pack), so an appender that reserved an LSN in the new segment
 // finds it on the lock-free path at once.
 func (l *Log) grow(lsn core.LSN) (*segment, bool) {
-	l.ringMu.Lock()
+	sim.Lock(&l.ringMu)
 	defer l.ringMu.Unlock()
 	r := l.ring.Load()
 	if seg := r.segmentOf(lsn); seg != nil {
@@ -830,7 +833,7 @@ func (l *Log) grow(lsn core.LSN) (*segment, bool) {
 // published. The slot arrays it frees serve the segments of later
 // growths.
 func (l *Log) pack() {
-	l.ringMu.Lock()
+	sim.Lock(&l.ringMu)
 	defer l.ringMu.Unlock()
 	r := l.ring.Load()
 	l.packCold(r.firstSeg, r.segs)
@@ -1240,7 +1243,7 @@ func (l *Log) Tail() core.LSN { return core.LSN(l.first.Load()) }
 // record dropped — a hot segment keeps no running total, which every
 // append would have to write, and a packed one frees its total at once.
 func (l *Log) Truncate(lsn core.LSN) {
-	l.ringMu.Lock()
+	sim.Lock(&l.ringMu)
 	defer l.ringMu.Unlock()
 	first := core.LSN(l.first.Load())
 	// Never drop past the contiguous published horizon: a reserved but
@@ -1361,7 +1364,7 @@ func (l *Log) AppendedBytes() uint64 { return l.headBytes.Load() }
 // concurrent appends or reads (the engine holds its state latch
 // exclusively).
 func (l *Log) Reset(head core.LSN) {
-	l.ringMu.Lock()
+	sim.Lock(&l.ringMu)
 	defer l.ringMu.Unlock()
 	l.flushMu.Lock()
 	defer l.flushMu.Unlock()
