@@ -326,13 +326,18 @@ scaling:
 # Where two TPC-B clients on flash wait: BenchmarkTPCBFlashParallel
 # (internal/workload; the regime of bench/'s tpcb-flash) at two
 # goroutines, 40 000 transactions, under an execution trace. Prints the
-# benchmark line and, for the two clients' goroutines only (pprof -focus
-# on the RunParallel body), two profiles of the trace, each as counts and
-# as summed delay by where the client was: `go tool trace -pprof=sync`,
-# the time blocked on a mutex, latch or channel (parks per lock), and
-# `-pprof=sched`, the time from becoming runnable — woken by an unlock,
-# preempted, or yielding — to running. The trace, the profiles and the
-# test binary stay under .bench_build/contention.
+# benchmark line, two profiles of the trace, each as counts and as summed
+# delay, and the clients' parks and wake-ups. The profiles keep the
+# stacks that show the RunParallel body (pprof -focus): `go tool trace
+# -pprof=sync`, the time a client blocked on a mutex, latch or channel
+# (parks per lock), and `-pprof=sched`, the time from becoming runnable —
+# woken, preempted or yielding — to running, under the stack of the event
+# that made the goroutine runnable, so a wake-up is filed under the
+# unlock that caused it, whoever it woke. The last table
+# (scripts/wakeups.awk over `go tool trace -d=parsed`) follows each
+# client: its parks by where it waited, and its wake-up latency per
+# 1000 ms of client time. The trace, the profiles and the test binary
+# stay under .bench_build/contention.
 CONTENTION = .bench_build/contention
 contention:
 	@mkdir -p $(CONTENTION)
@@ -344,6 +349,8 @@ contention:
 			$(GO) tool pprof -top -nodecount=15 -focus='RunParallel.func1' -sample_index=$$i \
 				$(CONTENTION)/workload.test $(CONTENTION)/$$p.pprof 2>/dev/null | sed -n '/^Showing nodes/p;/flat%/,$$p' || exit 1; \
 		done; done
+	@echo "== parks and wake-ups of the clients"
+	@$(GO) tool trace -d=parsed $(CONTENTION)/trace.out | awk -f scripts/wakeups.awk
 
 # The network service benchmarks, go-bench text: end-to-end TPC-B over
 # the wire protocol across a connections × pipelining-depth grid, and
